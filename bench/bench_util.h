@@ -11,9 +11,12 @@
 //                      derived as splitmix(seed, point index)
 //   NFVSB_RESULTS_DIR  where <campaign>.json files land
 //                      (default "campaign-results")
-//   NFVSB_CACHE_DIR    result cache; set to "" to disable
-//                      (default "<results dir>/cache")
 //   NFVSB_VERBOSE      non-empty: per-point progress on stderr
+//
+// Every run recomputes every point. At the default seed the JSON a paper
+// binary writes must match its golden in goldens/ byte for byte; re-record
+// the goldens with NFVSB_RESULTS_DIR=goldens after an intended model
+// change (EXPERIMENTS.md, "Goldens").
 #pragma once
 
 #include <array>
@@ -48,11 +51,6 @@ inline std::uint64_t campaign_seed() {
 inline campaign::RunnerOptions runner_options() {
   campaign::RunnerOptions o;
   if (const char* t = std::getenv("NFVSB_THREADS")) o.threads = std::atoi(t);
-  if (const char* c = std::getenv("NFVSB_CACHE_DIR")) {
-    o.cache_dir = c;  // "" disables caching
-  } else {
-    o.cache_dir = results_dir() + "/cache";
-  }
   const char* v = std::getenv("NFVSB_VERBOSE");
   o.verbose = v && *v;
   return o;

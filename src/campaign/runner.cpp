@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "campaign/seed.h"
@@ -28,15 +30,8 @@ const scenario::ScenarioResult& ResultSet::at(const std::string& label) const {
   return results_[it->second].result;
 }
 
-std::size_t ResultSet::cache_hits() const {
-  std::size_t n = 0;
-  for (const PointResult& r : results_) n += r.from_cache ? 1 : 0;
-  return n;
-}
-
 CampaignRunner::CampaignRunner(RunnerOptions opts)
-    : threads_(opts.threads), cache_(std::move(opts.cache_dir)),
-      verbose_(opts.verbose) {
+    : threads_(opts.threads), verbose_(opts.verbose) {
   if (threads_ <= 0) {
     threads_ = static_cast<int>(std::thread::hardware_concurrency());
     if (threads_ <= 0) threads_ = 1;
@@ -61,17 +56,16 @@ ResultSet CampaignRunner::run(const Campaign& campaign) {
       out.index = i;
       out.cfg = p.cfg;
       out.cfg.seed = derive_seed(campaign.seed(), i);
-      if (auto cached = cache_.load(out.cfg)) {
-        out.result = *cached;
-        out.from_cache = true;
-      } else {
+      // A throwing point must not take the whole grid (and its worker
+      // thread) down with it: record the error where a skip reason goes.
+      try {
         out.result = scenario::run_scenario(out.cfg);
-        cache_.store(out.cfg, out.result);
+      } catch (const std::exception& e) {
+        out.result.skipped = std::string("error: ") + e.what();
       }
       if (verbose_) {
-        std::fprintf(stderr, "[%s] %zu/%zu %s%s\n", campaign.name().c_str(),
-                     i + 1, n, p.label.c_str(),
-                     out.from_cache ? " (cached)" : "");
+        std::fprintf(stderr, "[%s] %zu/%zu %s\n", campaign.name().c_str(),
+                     i + 1, n, p.label.c_str());
       }
     }
   };

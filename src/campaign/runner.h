@@ -5,8 +5,10 @@
 // derive_seed(campaign seed, point index), so the result of every point is
 // a pure function of the campaign — bit-identical whether the grid runs on
 // 1 thread or 64, in whatever order the workers happen to claim points.
-// Points whose config hashes to an existing cache entry are loaded from
-// disk instead of re-run (see campaign/result_cache.h).
+// Every point is run on every call; nothing is cached between runs, so a
+// result always reflects the model that was just built. A point that
+// throws is recorded as skipped ("error: <what>") and the rest of the grid
+// still runs.
 #pragma once
 
 #include <cstdint>
@@ -15,15 +17,13 @@
 #include <vector>
 
 #include "campaign/campaign.h"
-#include "campaign/result_cache.h"
+#include "scenario/scenario.h"
 
 namespace nfvsb::campaign {
 
 struct RunnerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   int threads{0};
-  /// Result cache directory; empty = caching disabled.
-  std::string cache_dir;
   /// Print per-point progress lines to stderr.
   bool verbose{false};
 };
@@ -34,7 +34,6 @@ struct PointResult {
   /// The exact config the point ran with (seed already derived).
   scenario::ScenarioConfig cfg;
   scenario::ScenarioResult result;
-  bool from_cache{false};
 };
 
 /// Indexable view over a finished campaign, for formatters.
@@ -55,8 +54,6 @@ class ResultSet {
     return by_label_.count(label) > 0;
   }
 
-  [[nodiscard]] std::size_t cache_hits() const;
-
  private:
   std::vector<PointResult> results_;
   std::unordered_map<std::string, std::size_t> by_label_;
@@ -66,7 +63,7 @@ class CampaignRunner {
  public:
   explicit CampaignRunner(RunnerOptions opts = {});
 
-  /// Run (or load) every point; results come back in point-index order
+  /// Run every point; results come back in point-index order
   /// regardless of which worker finished when.
   ResultSet run(const Campaign& campaign);
 
@@ -74,7 +71,6 @@ class CampaignRunner {
 
  private:
   int threads_;
-  ResultCache cache_;
   bool verbose_;
 };
 

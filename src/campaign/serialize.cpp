@@ -1,9 +1,9 @@
 #include "campaign/serialize.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 namespace nfvsb::campaign {
 namespace {
@@ -30,109 +30,7 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-// ---- flat-object JSON reader ------------------------------------------
-
-struct Scanner {
-  std::string_view s;
-  std::size_t i{0};
-
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (i < s.size() && s[i] == c) {
-      ++i;
-      return true;
-    }
-    return false;
-  }
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) {
-        ++i;
-        switch (s[i]) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: out += s[i];
-        }
-      } else {
-        out += s[i];
-      }
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;  // closing quote
-    return true;
-  }
-  bool parse_number(double& out) {
-    skip_ws();
-    const char* begin = s.data() + i;
-    char* end = nullptr;
-    out = std::strtod(begin, &end);
-    if (end == begin) return false;
-    i += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-  bool parse_literal(std::string_view lit) {
-    skip_ws();
-    if (s.substr(i, lit.size()) != lit) return false;
-    i += lit.size();
-    return true;
-  }
-};
-
 }  // namespace
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-bool cacheable(const scenario::ScenarioConfig& cfg) {
-  // Observed runs are cheap to re-run and their counter sections would
-  // bloat the cache; traced runs have a file side effect a cache hit would
-  // silently skip. Neither is worth caching.
-  return !static_cast<bool>(cfg.tune_sut) && !cfg.observe &&
-         cfg.queue_sample_period <= 0 && cfg.trace_path.empty();
-}
-
-std::string config_key(const scenario::ScenarioConfig& cfg) {
-  std::ostringstream k;
-  k << "kind=" << scenario::to_string(cfg.kind)
-    << ";sut=" << switches::to_string(cfg.sut)
-    << ";frame=" << cfg.frame_bytes << ";bidir=" << cfg.bidirectional
-    << ";chain=" << cfg.chain_length << ";reverse=" << cfg.reverse
-    << ";rate_pps=" << fmt_double(cfg.rate_pps) << ";flows=" << cfg.num_flows
-    << ";workers=" << cfg.sut_workers << ";probe=" << cfg.probe_interval
-    << ";ring=" << cfg.nic_ring_depth << ";drain=" << cfg.l2fwd_drain
-    << ";containers=" << cfg.containers << ";warmup=" << cfg.warmup
-    << ";measure=" << cfg.measure << ";seed=" << cfg.seed
-    << ";tuned=" << static_cast<bool>(cfg.tune_sut);
-  // Observability fields only appear when set, so keys (and hence cache
-  // hashes) of unobserved configs are stable across this addition.
-  if (cfg.observe) k << ";observe=1";
-  if (cfg.queue_sample_period > 0) k << ";qsample=" << cfg.queue_sample_period;
-  if (!cfg.trace_path.empty()) {
-    k << ";trace=" << cfg.trace_path << ";tsample=" << cfg.trace_packet_sample;
-  }
-  return k.str();
-}
-
-std::string config_hash_hex(const scenario::ScenarioConfig& cfg) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a(config_key(cfg))));
-  return buf;
-}
 
 std::string config_to_json(const scenario::ScenarioConfig& cfg) {
   std::ostringstream j;
@@ -208,73 +106,6 @@ std::string result_to_json(const scenario::ScenarioResult& r) {
   }
   j << "}";
   return j.str();
-}
-
-std::optional<scenario::ScenarioResult> result_from_json(
-    std::string_view json) {
-  Scanner sc{json};
-  if (!sc.eat('{')) return std::nullopt;
-  scenario::ScenarioResult r;
-  auto u64 = [](double v) { return static_cast<std::uint64_t>(v); };
-  bool first = true;
-  while (true) {
-    if (sc.eat('}')) break;
-    if (!first && !sc.eat(',')) return std::nullopt;
-    first = false;
-    std::string key;
-    if (!sc.parse_string(key) || !sc.eat(':')) return std::nullopt;
-    if (key == "skipped") {
-      if (sc.parse_literal("null")) continue;
-      std::string reason;
-      if (!sc.parse_string(reason)) return std::nullopt;
-      r.skipped = std::move(reason);
-      continue;
-    }
-    if (key == "counters") {
-      if (!sc.eat('{')) return std::nullopt;
-      bool cfirst = true;
-      while (true) {
-        if (sc.eat('}')) break;
-        if (!cfirst && !sc.eat(',')) return std::nullopt;
-        cfirst = false;
-        std::string path;
-        double value = 0;
-        if (!sc.parse_string(path) || !sc.eat(':') ||
-            !sc.parse_number(value)) {
-          return std::nullopt;
-        }
-        r.counters.emplace_back(std::move(path),
-                                static_cast<std::uint64_t>(value));
-      }
-      continue;
-    }
-    double v = 0;
-    if (!sc.parse_number(v)) return std::nullopt;
-    if (key == "fwd_gbps") r.fwd.gbps = v;
-    else if (key == "fwd_mpps") r.fwd.mpps = v;
-    else if (key == "fwd_rx_packets") r.fwd.rx_packets = u64(v);
-    else if (key == "rev_gbps") r.rev.gbps = v;
-    else if (key == "rev_mpps") r.rev.mpps = v;
-    else if (key == "rev_rx_packets") r.rev.rx_packets = u64(v);
-    else if (key == "lat_samples") r.lat_samples = u64(v);
-    else if (key == "lat_avg_us") r.lat_avg_us = v;
-    else if (key == "lat_std_us") r.lat_std_us = v;
-    else if (key == "lat_median_us") r.lat_median_us = v;
-    else if (key == "lat_p99_us") r.lat_p99_us = v;
-    else if (key == "lat_min_us") r.lat_min_us = v;
-    else if (key == "lat_max_us") r.lat_max_us = v;
-    else if (key == "nic_imissed") r.nic_imissed = u64(v);
-    else if (key == "sut_wasted_work") r.sut_wasted_work = u64(v);
-    else if (key == "sut_discards") r.sut_discards = u64(v);
-    else if (key == "vnf_wasted_work") r.vnf_wasted_work = u64(v);
-    else if (key == "vnf_discards") r.vnf_discards = u64(v);
-    else if (key == "offered_packets") r.offered_packets = u64(v);
-    else if (key == "delivered_packets") r.delivered_packets = u64(v);
-    else if (key == "gen_tx_failures") r.gen_tx_failures = u64(v);
-    else if (key == "cleared_packets") r.cleared_packets = u64(v);
-    else return std::nullopt;  // unknown field: refuse stale cache formats
-  }
-  return r;
 }
 
 }  // namespace nfvsb::campaign

@@ -1,36 +1,17 @@
-// Content-addressing and JSON serialization for campaign points.
+// JSON serialization for campaign points.
 //
-// The cache key of a point is a canonical textual dump of every
-// ScenarioConfig field (including the derived per-point seed), hashed with
-// FNV-1a. Results are stored as flat JSON objects; doubles are printed with
-// 17 significant digits so a load from cache is bit-identical to the run
-// that produced it (the determinism golden test relies on this).
-//
-// Configs carrying a `tune_sut` hook are NOT cacheable: an opaque
-// std::function cannot be content-addressed. The runner executes such
-// points unconditionally.
+// Configs and results are written as flat JSON objects; doubles are
+// printed with 17 significant digits ("%.17g"), so a value is never
+// rounded on its way into a campaign file. The format is frozen: the
+// committed goldens (goldens/*.json) are byte-compared against fresh
+// runs, so any change here shows up as a golden diff.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "scenario/scenario.h"
 
 namespace nfvsb::campaign {
-
-/// FNV-1a 64-bit hash.
-std::uint64_t fnv1a(std::string_view s);
-
-/// True when the config can be content-addressed (no tune_sut hook).
-bool cacheable(const scenario::ScenarioConfig& cfg);
-
-/// Canonical key string covering every field of `cfg` (seed included).
-std::string config_key(const scenario::ScenarioConfig& cfg);
-
-/// fnv1a(config_key) rendered as 16 hex digits — the cache file stem.
-std::string config_hash_hex(const scenario::ScenarioConfig& cfg);
 
 /// JSON object describing `cfg` (for the machine-readable result sink).
 std::string config_to_json(const scenario::ScenarioConfig& cfg);
@@ -38,8 +19,5 @@ std::string config_to_json(const scenario::ScenarioConfig& cfg);
 /// Flat JSON object with every ScenarioResult field, exact-roundtrip
 /// doubles ("%.17g").
 std::string result_to_json(const scenario::ScenarioResult& r);
-
-/// Inverse of result_to_json. std::nullopt on malformed input.
-std::optional<scenario::ScenarioResult> result_from_json(std::string_view json);
 
 }  // namespace nfvsb::campaign

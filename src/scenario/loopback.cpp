@@ -7,13 +7,13 @@
 //    the paper pins the SUT — plus a guest VALE instance per VM
 //    cross-connecting its ptnet pair (appendix A.4);
 //  * BESS: chains longer than 3 VNFs cannot be built (QEMU compatibility,
-//    footnote 5) and are reported as skipped, like the gaps in Table 3.
+//    footnote 5); validate() reports them as skipped, like the gaps in
+//    Table 3.
 #include <memory>
 #include <string>
 
 #include "scenario/detail.h"
 #include "scenario/scenario.h"
-#include "switches/bess/bess_switch.h"
 #include "switches/vale/vale_switch.h"
 #include "vnf/chain.h"
 #include "vnf/container.h"
@@ -146,21 +146,7 @@ ScenarioResult run_loopback_vale(const ScenarioConfig& cfg) {
 
 ScenarioResult run_loopback(const ScenarioConfig& cfg) {
   using namespace detail;
-  if (cfg.chain_length < 1) {
-    ScenarioResult r;
-    r.skipped = "chain_length must be >= 1";
-    return r;
-  }
   if (cfg.sut == switches::SwitchType::kVale) return run_loopback_vale(cfg);
-
-  if (cfg.sut == switches::SwitchType::kBess &&
-      cfg.chain_length > switches::bess::BessSwitch::kMaxVms) {
-    ScenarioResult r;
-    r.skipped =
-        "BESS cannot attach more than 3 VMs (QEMU incompatibility, paper "
-        "footnote 5)";
-    return r;
-  }
 
   Env env(cfg);
   const int n = cfg.chain_length;

@@ -1,7 +1,9 @@
 #include "scenario/scenario.h"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "pkt/crafting.h"
 #include "scenario/detail.h"
@@ -30,7 +32,31 @@ const char* to_string(Kind k) {
   return "?";
 }
 
+std::optional<std::string> validate(const ScenarioConfig& cfg) {
+  if (cfg.kind == Kind::kLoopback) {
+    if (cfg.chain_length < 1) return "chain_length must be >= 1";
+    if (cfg.sut == switches::SwitchType::kBess &&
+        cfg.chain_length > switches::bess::BessSwitch::kMaxVms) {
+      return "BESS cannot attach more than 3 VMs (QEMU incompatibility, "
+             "paper footnote 5)";
+    }
+  }
+  // Only the p2p builder attaches one worker per RSS queue and only its
+  // generators spread traffic over flows. Elsewhere extra queues would go
+  // unserved (their packets outlive the pool) and flows would be ignored.
+  if (cfg.kind != Kind::kP2p) {
+    if (cfg.sut_workers > 1) return "sut_workers > 1 is only modelled for p2p";
+    if (cfg.num_flows != 1) return "num_flows != 1 is only modelled for p2p";
+  }
+  return std::nullopt;
+}
+
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {
+  if (auto reason = validate(cfg)) {
+    ScenarioResult r;
+    r.skipped = std::move(reason);
+    return r;
+  }
   switch (cfg.kind) {
     case Kind::kP2p: return run_p2p(cfg);
     case Kind::kP2v: return run_p2v(cfg);

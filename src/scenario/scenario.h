@@ -37,7 +37,8 @@ struct ScenarioConfig {
   bool reverse{false};
   /// Offered rate per direction in pps; 0 = saturate.
   double rate_pps{0};
-  /// Distinct flows in the generated traffic (1 = paper's single flow).
+  /// p2p only: distinct flows in the generated traffic (1 = the paper's
+  /// single flow).
   std::uint32_t num_flows{1};
   /// p2p only: data-plane workers, each pinned to its own core and serving
   /// its own RSS queue pair (1 = the paper's single-core rule; >1 explores
@@ -138,7 +139,13 @@ struct ScenarioResult {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
+/// Why `cfg` cannot be built, or nullopt when it can. Every rejection
+/// happens here, before any testbed exists: a config either runs to
+/// completion or is refused with this reason as ScenarioResult::skipped.
+std::optional<std::string> validate(const ScenarioConfig& cfg);
+
 /// Build and run one scenario to completion. Deterministic per config+seed.
+/// Runs validate(cfg) first; a rejected config returns only `skipped`.
 ScenarioResult run_scenario(const ScenarioConfig& cfg);
 
 // Per-scenario entry points (dispatched by run_scenario).

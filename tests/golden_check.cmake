@@ -1,0 +1,37 @@
+# Re-run one paper campaign binary and byte-compare its JSON with the
+# committed golden. Run as a ctest (see tests/CMakeLists.txt):
+#
+#   cmake -DBENCH=<binary> -DCAMPAIGN=<name> -DGOLDENS=<dir> -DOUT=<dir>
+#         -P golden_check.cmake
+#
+# The campaign runs at the default seed on 4 worker threads; results are
+# thread-count independent, so any difference is a model change. After an
+# intended change, re-record the goldens (EXPERIMENTS.md, "Goldens").
+foreach(var BENCH CAMPAIGN GOLDENS OUT)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "golden_check.cmake: -D${var}=... is required")
+  endif()
+endforeach()
+
+file(REMOVE_RECURSE "${OUT}")
+file(MAKE_DIRECTORY "${OUT}")
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E env --unset=NFVSB_SEED NFVSB_THREADS=4
+          "NFVSB_RESULTS_DIR=${OUT}" "${BENCH}"
+  OUTPUT_QUIET
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "${BENCH} exited with ${rc}")
+endif()
+
+set(fresh "${OUT}/${CAMPAIGN}.json")
+set(golden "${GOLDENS}/${CAMPAIGN}.json")
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E compare_files "${golden}" "${fresh}"
+  RESULT_VARIABLE differs)
+if(NOT differs EQUAL 0)
+  message(FATAL_ERROR
+          "${fresh} differs from the committed golden ${golden}.\n"
+          "If the model change is intended, re-record goldens/ and explain "
+          "the diff in EXPERIMENTS.md.")
+endif()

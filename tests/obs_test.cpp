@@ -317,7 +317,6 @@ TEST(ObservedCampaign, JsonIsThreadCountIndependent) {
   const auto render = [&](int threads) {
     campaign::RunnerOptions o;
     o.threads = threads;
-    o.cache_dir = "";  // observed points are uncacheable anyway
     campaign::CampaignRunner runner(o);
     const campaign::ResultSet rs = runner.run(c);
     std::string out;
@@ -333,33 +332,6 @@ TEST(ObservedCampaign, JsonIsThreadCountIndependent) {
 }
 
 // ---- serialization -------------------------------------------------------
-
-TEST(Serialize, ObservedConfigsAreNotCacheable) {
-  scenario::ScenarioConfig cfg;
-  EXPECT_TRUE(campaign::cacheable(cfg));
-  scenario::ScenarioConfig o1 = cfg;
-  o1.observe = true;
-  EXPECT_FALSE(campaign::cacheable(o1));
-  scenario::ScenarioConfig o2 = cfg;
-  o2.queue_sample_period = core::from_us(10);
-  EXPECT_FALSE(campaign::cacheable(o2));
-  scenario::ScenarioConfig o3 = cfg;
-  o3.trace_path = "t.json";
-  EXPECT_FALSE(campaign::cacheable(o3));
-}
-
-TEST(Serialize, ResultJsonRoundTripsObsFields) {
-  scenario::ScenarioResult r;
-  r.offered_packets = 10;
-  r.cleared_packets = 7;
-  r.counters = {{"ring/a/drops", 1}, {"switch/sut/rounds", 123456}};
-  const std::string j = campaign::result_to_json(r);
-  const auto back = campaign::result_from_json(j);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->cleared_packets, 7u);
-  EXPECT_EQ(back->counters, r.counters);
-  EXPECT_EQ(campaign::result_to_json(*back), j);
-}
 
 TEST(Serialize, UnobservedJsonKeepsPreObsFormat) {
   scenario::ScenarioResult r;

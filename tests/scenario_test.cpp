@@ -1,9 +1,14 @@
-// Scenario integration: conservation, caps, determinism, skips, reverse
-// paths, runner methodology.
+// Scenario integration: conservation, caps, determinism, skips and config
+// validation, reverse paths, runner methodology.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "switches/bess/bess_switch.h"
+#include "switches/registry.h"
 
 namespace nfvsb::scenario {
 namespace {
@@ -103,6 +108,85 @@ TEST(ScenarioLoopback, InvalidChainLengthSkipped) {
   auto cfg = quick(Kind::kLoopback, switches::SwitchType::kVpp);
   cfg.chain_length = 0;
   EXPECT_TRUE(run_scenario(cfg).skipped.has_value());
+}
+
+// Regression: multi-worker VPP p2v/loopback used to open four RSS queues
+// that no worker served; the stranded packets outlived the pool (leak
+// assert in debug builds, SIGSEGV in Release). validate() now refuses
+// p2p-only fields elsewhere before anything is built.
+TEST(ScenarioValidate, P2pOnlyFieldsAreRejectedElsewhere) {
+  struct Case {
+    Kind kind;
+    switches::SwitchType sut;
+    int workers;
+    std::uint32_t flows;
+    const char* field;
+  };
+  for (const Case& c : {
+           Case{Kind::kP2v, switches::SwitchType::kVpp, 4, 64, "sut_workers"},
+           Case{Kind::kLoopback, switches::SwitchType::kVpp, 4, 64,
+                "sut_workers"},
+           Case{Kind::kV2v, switches::SwitchType::kSnabb, 2, 1,
+                "sut_workers"},
+           Case{Kind::kP2v, switches::SwitchType::kOvsDpdk, 1, 16,
+                "num_flows"},
+       }) {
+    auto cfg = quick(c.kind, c.sut);
+    cfg.sut_workers = c.workers;
+    cfg.num_flows = c.flows;
+    const ScenarioResult r = run_scenario(cfg);
+    ASSERT_TRUE(r.skipped.has_value()) << to_string(c.kind);
+    EXPECT_NE(r.skipped->find(c.field), std::string::npos) << *r.skipped;
+    EXPECT_EQ(r.skipped, validate(cfg));
+    // Nothing was built, so no packet exists to leak.
+    EXPECT_EQ(r.offered_packets, 0u);
+    EXPECT_EQ(r.accounted_packets(), 0u);
+  }
+}
+
+// validate() must not over-reject: every kind/switch pair at its default
+// settings, as the paper campaigns build them, is accepted.
+TEST(ScenarioValidate, DefaultConfigOfEveryKindAndSwitchIsValid) {
+  for (Kind kind : {Kind::kP2p, Kind::kP2v, Kind::kV2v, Kind::kLoopback}) {
+    for (switches::SwitchType sut : switches::kAllSwitches) {
+      const auto reason = validate(quick(kind, sut));
+      EXPECT_FALSE(reason.has_value())
+          << to_string(kind) << " " << switches::to_string(sut) << ": "
+          << *reason;
+    }
+  }
+}
+
+TEST(ScenarioValidate, P2pAcceptsWorkersAndFlows) {
+  for (switches::SwitchType sut : switches::kAllSwitches) {
+    auto cfg = quick(Kind::kP2p, sut);
+    cfg.sut_workers = 4;
+    cfg.num_flows = 64;
+    const auto reason = validate(cfg);
+    EXPECT_FALSE(reason.has_value())
+        << switches::to_string(sut) << ": " << *reason;
+  }
+}
+
+// The loopback limits are checked by validate() before anything is built,
+// with the same reasons run_loopback used to report.
+TEST(ScenarioValidate, LoopbackLimitsAreRejectedBeforeBuilding) {
+  auto cfg = quick(Kind::kLoopback, switches::SwitchType::kVpp);
+  cfg.chain_length = 0;
+  EXPECT_EQ(validate(cfg), "chain_length must be >= 1");
+  cfg.chain_length = 4;
+  EXPECT_FALSE(validate(cfg).has_value());
+
+  cfg.sut = switches::SwitchType::kBess;
+  cfg.chain_length = switches::bess::BessSwitch::kMaxVms + 1;
+  const auto reason = validate(cfg);
+  ASSERT_TRUE(reason.has_value());
+  EXPECT_NE(reason->find("QEMU"), std::string::npos) << *reason;
+  const ScenarioResult r = run_scenario(cfg);
+  EXPECT_EQ(r.skipped, reason);
+  EXPECT_EQ(r.offered_packets, 0u);
+  cfg.chain_length = switches::bess::BessSwitch::kMaxVms;
+  EXPECT_FALSE(validate(cfg).has_value());
 }
 
 TEST(ScenarioLoopback, ThroughputDecreasesWithChainLength) {
