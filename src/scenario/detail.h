@@ -1,7 +1,9 @@
-// Shared machinery for the scenario builders (internal header).
+// Shared machinery of the scenario topologies and the run that drives
+// them (internal header).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -9,17 +11,20 @@
 #include "core/metrics.h"
 #include "core/simulator.h"
 #include "core/trace_sink.h"
+#include "hw/nic.h"
 #include "hw/numa.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "pkt/crafting.h"
+#include "pkt/headers.h"
 #include "pkt/packet_pool.h"
+#include "ring/vhost_user_port.h"
 #include "scenario/scenario.h"
-#include "stats/latency_recorder.h"
-#include "stats/throughput_meter.h"
 #include "switches/switch_base.h"
-#include "traffic/moongen.h"
+#include "vnf/chain.h"
+#include "vnf/l2fwd.h"
+#include "vnf/vale_guest.h"
+#include "vnf/vm.h"
 
 namespace nfvsb::scenario::detail {
 
@@ -118,6 +123,51 @@ struct WirePair {
   std::size_t out;
 };
 
+/// Where a direction's traffic enters or leaves the data path: a node-1
+/// NIC port (MoonGen's side of the cable) or a guest port inside a VM.
+struct Endpoint {
+  Endpoint(hw::NicPort& port) : nic(&port) {}
+  Endpoint(ring::GuestPort& port) : guest(&port) {}
+  hw::NicPort* nic{nullptr};
+  ring::GuestPort* guest{nullptr};
+};
+
+/// One traffic direction of a topology.
+struct Direction {
+  Endpoint from;
+  Endpoint to;
+  /// First SUT egress port on the way (keys the t4p4s l2fwd table).
+  std::size_t first_out;
+  /// Generator origin tag (also names its counters).
+  std::uint32_t origin;
+  /// Use the reverse-direction frame addresses.
+  bool reverse_frame;
+};
+
+/// What a topology builder wired for one scenario kind: the SUT instances,
+/// VMs and VNFs it owns (alive until the run is accounted), and the
+/// directions to drive, forward first. Members are destroyed bottom-up, so
+/// VNFs and VMs go before the switches their ports belong to.
+struct Topology {
+  /// SUT instances, started; their losses are the ledger's sut_* fields.
+  std::vector<std::unique_ptr<switches::SwitchBase>> suts;
+  std::vector<std::unique_ptr<vnf::Vm>> vms;
+  std::unique_ptr<vnf::VmChain> chain;
+  std::vector<std::unique_ptr<vnf::GuestVale>> guest_vales;
+  std::unique_ptr<vnf::L2Fwd> bounce;
+  /// Every VNF data path above; their losses are the ledger's vnf_* fields.
+  std::vector<switches::SwitchBase*> vnfs;
+  std::vector<Direction> directions;
+  /// Offered rate per direction when the kind models its own (v2v latency);
+  /// cfg.rate_pps otherwise.
+  std::optional<double> rate_pps;
+};
+
+/// Build, wire and start the data path of `cfg.kind` (everything but the
+/// traffic endpoints), in the construction order that fixes each
+/// component's random stream.
+Topology build_topology(const ScenarioConfig& cfg, Env& env);
+
 /// The destination MAC that addresses SUT egress port `out_idx` in the
 /// t4p4s l2fwd table (and is used uniformly in generated frames so every
 /// switch sees identical traffic).
@@ -130,16 +180,5 @@ pkt::MacAddress dst_mac_for_port(std::size_t out_idx);
 /// traffic. For Snabb this also commits the app network.
 void wire_sut(switches::SwitchBase& sut, switches::SwitchType type,
               const std::vector<WirePair>& pairs);
-
-/// Frame spec for the forward / reverse generator of a scenario whose
-/// first SUT egress is `first_out_idx` (keys the t4p4s table).
-pkt::FrameSpec make_frame(const ScenarioConfig& cfg, bool reverse_dir,
-                          std::size_t first_out_idx);
-
-/// Copy latency statistics out of a recorder.
-void fill_latency(ScenarioResult& r, const stats::LatencyRecorder& lat);
-
-/// Direction throughput out of a meter.
-DirectionResult direction_result(const stats::ThroughputMeter& m);
 
 }  // namespace nfvsb::scenario::detail

@@ -5,7 +5,8 @@
 // switch-specific configuration interface (ovs-ofctl / VPP CLI / Click
 // config / bess script / config.app / vale-ctl / P4 tables), generates
 // traffic from NUMA node 1 (or inside VMs), and reports throughput in the
-// paper's wire-occupancy Gbps plus PTP-probe latency statistics.
+// paper's wire-occupancy Gbps plus PTP-probe latency statistics. Every
+// kind is a topology of the same parts, driven and accounted by one path.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@ struct ScenarioConfig {
   Kind kind{Kind::kP2p};
   switches::SwitchType sut{switches::SwitchType::kVpp};
   std::uint32_t frame_bytes{64};
+  /// Add the mirror direction (not in v2v latency mode).
   bool bidirectional{false};
   /// loopback only: number of chained VNF VMs (1..5).
   int chain_length{1};
@@ -44,21 +46,25 @@ struct ScenarioConfig {
   /// its own RSS queue pair (1 = the paper's single-core rule; >1 explores
   /// the multi-core future work of Sec. 6 — see bench/ablation_multicore).
   int sut_workers{1};
-  /// Inject latency probes this often (0 = throughput-only run).
+  /// Inject latency probes this often (0 = throughput-only run); not on
+  /// p2v. On v2v it selects the latency mode of Table 4.
   core::SimDuration probe_interval{0};
   /// Ablation hook: invoked on every SUT instance right after
   /// construction (before wiring/start) — mutate the cost model, tables,
   /// etc. Used by bench/ablation_*.
   std::function<void(switches::SwitchBase&)> tune_sut;
 
-  /// Override the NIC descriptor ring depth (0 = per-switch default).
+  /// Override the NIC descriptor ring depth (0 = per-switch default); not
+  /// on v2v, whose path has no NIC.
   std::size_t nic_ring_depth{0};
 
-  /// l2fwd VNF TX drain timeout (loopback); 0 = DPDK's 100 us default.
+  /// l2fwd VNF TX drain timeout (non-VALE loopback and v2v latency, the
+  /// kinds that run l2fwd); 0 = DPDK's 100 us default.
   core::SimDuration l2fwd_drain{0};
 
-  /// loopback: host the VNFs in containers instead of VMs (the paper's
-  /// future work; virtio-user crossings are cheaper than vhost+QEMU ones).
+  /// non-VALE loopback: host the VNFs in containers instead of VMs (the
+  /// paper's future work; virtio-user crossings are cheaper than vhost+QEMU
+  /// ones).
   bool containers{false};
 
   /// Meters and probes open after the warm-up (JIT traces, caches, ARP).
@@ -147,11 +153,5 @@ std::optional<std::string> validate(const ScenarioConfig& cfg);
 /// Build and run one scenario to completion. Deterministic per config+seed.
 /// Runs validate(cfg) first; a rejected config returns only `skipped`.
 ScenarioResult run_scenario(const ScenarioConfig& cfg);
-
-// Per-scenario entry points (dispatched by run_scenario).
-ScenarioResult run_p2p(const ScenarioConfig& cfg);
-ScenarioResult run_p2v(const ScenarioConfig& cfg);
-ScenarioResult run_v2v(const ScenarioConfig& cfg);
-ScenarioResult run_loopback(const ScenarioConfig& cfg);
 
 }  // namespace nfvsb::scenario

@@ -1,6 +1,6 @@
 // Service-chain builder: creates the VMs and l2fwd VNFs for the loopback
 // scenario over a vhost-user switch (everything except VALE, which chains
-// guest VALE instances over ptnet — see scenario/loopback.cpp).
+// guest VALE instances over ptnet — see scenario/topology.cpp).
 #pragma once
 
 #include <memory>

@@ -3,8 +3,8 @@
 // loss site (NIC RX overflow, SUT/VNF datapath discard, wasted work at a
 // full ring). Swept over all seven switches x all four paper scenarios
 // (p2p, p2v, v2v, loopback) x three frame sizes, plus a bidirectional
-// probe per scenario — the simulator-level "no packet is created or
-// silently lost" property.
+// probe per scenario and v2v latency mode — the simulator-level "no packet
+// is created or silently lost" property.
 #include <gtest/gtest.h>
 
 #include "pkt/packet_pool.h"
@@ -19,6 +19,8 @@ struct Combo {
   switches::SwitchType sut;
   std::uint32_t frame;
   bool bidir;
+  /// Paced 1 Mpps with 40 us probes: v2v's latency mode (Table 4).
+  bool latency{false};
 };
 
 class Conservation : public ::testing::TestWithParam<Combo> {};
@@ -29,9 +31,13 @@ TEST_P(Conservation, OfferedEqualsDeliveredPlusAccountedLosses) {
   cfg.sut = GetParam().sut;
   cfg.frame_bytes = GetParam().frame;
   cfg.bidirectional = GetParam().bidir;
+  if (GetParam().latency) {
+    cfg.rate_pps = 1e6;
+    cfg.probe_interval = core::from_us(40);
+  }
   // A short chain still exercises the VM-hop accounting (VNF l2fwd / guest
   // VALE drops) without tripping BESS's 3-VM limit.
-  cfg.chain_length = 2;
+  if (cfg.kind == Kind::kLoopback) cfg.chain_length = 2;
   cfg.warmup = core::from_ms(1);
   cfg.measure = core::from_ms(5);
   const ScenarioResult r = run_scenario(cfg);
@@ -58,6 +64,9 @@ std::vector<Combo> combos() {
       v.push_back({k, s, 64u, true});
     }
   }
+  for (auto s : switches::kAllSwitches) {
+    v.push_back({Kind::kV2v, s, 64u, false, true});
+  }
   return v;
 }
 
@@ -67,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
       std::string n = std::string(to_string(info.param.kind)) + "_" +
                       switches::to_string(info.param.sut) + "_" +
                       std::to_string(info.param.frame) +
-                      (info.param.bidir ? "_bidir" : "_uni");
+                      (info.param.bidir ? "_bidir" : "_uni") +
+                      (info.param.latency ? "_latency" : "");
       for (auto& c : n) if (c == '-') c = '_';
       return n;
     });

@@ -97,18 +97,25 @@ TEST_F(RssTest, TxQueuesShareTheWireRoundRobin) {
   EXPECT_EQ(total, 4u);
 }
 
+// Both directions spread over the RSS queues: the reverse generator gets the
+// same flow count as the forward one.
 TEST(MultiWorkerP2p, MultiFlowTrafficScalesAcrossWorkers) {
-  scenario::ScenarioConfig cfg;
-  cfg.kind = scenario::Kind::kP2p;
-  cfg.sut = switches::SwitchType::kT4p4s;
-  cfg.frame_bytes = 64;
-  cfg.warmup = core::from_ms(2);
-  cfg.measure = core::from_ms(6);
-  cfg.num_flows = 64;
-  const double one = scenario::run_scenario(cfg).fwd.gbps;
-  cfg.sut_workers = 4;
-  const double four = scenario::run_scenario(cfg).fwd.gbps;
-  EXPECT_GT(four, one * 1.6);
+  for (bool bidir : {false, true}) {
+    scenario::ScenarioConfig cfg;
+    cfg.kind = scenario::Kind::kP2p;
+    cfg.sut = switches::SwitchType::kT4p4s;
+    cfg.frame_bytes = 64;
+    cfg.bidirectional = bidir;
+    cfg.warmup = core::from_ms(2);
+    cfg.measure = core::from_ms(6);
+    cfg.num_flows = 64;
+    const auto one = scenario::run_scenario(cfg);
+    cfg.sut_workers = 4;
+    const auto four = scenario::run_scenario(cfg);
+    const auto& dir_one = bidir ? one.rev : one.fwd;
+    const auto& dir_four = bidir ? four.rev : four.fwd;
+    EXPECT_GT(dir_four.gbps, dir_one.gbps * 1.6) << "bidir=" << bidir;
+  }
 }
 
 TEST(MultiWorkerP2p, SingleFlowCannotScale) {

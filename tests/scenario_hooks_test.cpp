@@ -48,16 +48,19 @@ TEST(NicRingDepthOverride, TinyRingsLoseMorePackets) {
   EXPECT_GT(small.nic_imissed, big.nic_imissed);
 }
 
+// Applies to every l2fwd VNF: the loopback chain and the v2v latency bounce.
 TEST(L2fwdDrainOverride, ShorterDrainLowersLowLoadLatency) {
-  auto cfg = quick(Kind::kLoopback, switches::SwitchType::kVpp);
-  cfg.chain_length = 1;
-  cfg.rate_pps = 1e5;  // low load: drain timer dominates
-  cfg.probe_interval = core::from_us(80);
-  cfg.l2fwd_drain = core::from_us(10);
-  const auto fast = run_scenario(cfg);
-  cfg.l2fwd_drain = core::from_us(300);
-  const auto slow = run_scenario(cfg);
-  EXPECT_LT(fast.lat_avg_us, slow.lat_avg_us);
+  for (Kind kind : {Kind::kLoopback, Kind::kV2v}) {
+    auto cfg = quick(kind, switches::SwitchType::kVpp);
+    cfg.rate_pps = 1e5;  // low load: drain timer dominates
+    cfg.probe_interval = core::from_us(80);
+    cfg.l2fwd_drain = core::from_us(10);
+    const auto fast = run_scenario(cfg);
+    cfg.l2fwd_drain = core::from_us(300);
+    const auto slow = run_scenario(cfg);
+    ASSERT_FALSE(fast.skipped.has_value()) << *fast.skipped;
+    EXPECT_LT(fast.lat_avg_us, slow.lat_avg_us) << to_string(kind);
+  }
 }
 
 TEST(NumFlows, ManyFlowsSlowOvsViaEmcPressure) {

@@ -110,32 +110,77 @@ TEST(ScenarioLoopback, InvalidChainLengthSkipped) {
   EXPECT_TRUE(run_scenario(cfg).skipped.has_value());
 }
 
-// Regression: multi-worker VPP p2v/loopback used to open four RSS queues
-// that no worker served; the stranded packets outlived the pool (leak
-// assert in debug builds, SIGSEGV in Release). validate() now refuses
-// p2p-only fields elsewhere before anything is built.
-TEST(ScenarioValidate, P2pOnlyFieldsAreRejectedElsewhere) {
+// validate() names every field the kind would otherwise ignore (or could
+// not build), before anything exists. Regression included: multi-worker
+// VPP p2v/loopback used to open four RSS queues that no worker served; the
+// stranded packets outlived the pool (leak assert in debug builds, SIGSEGV
+// in Release).
+TEST(ScenarioValidate, IgnoredFieldsAreRejectedByName) {
+  using switches::SwitchType;
   struct Case {
     Kind kind;
-    switches::SwitchType sut;
-    int workers;
-    std::uint32_t flows;
+    SwitchType sut;
     const char* field;
+    void (*set)(ScenarioConfig&);
   };
   for (const Case& c : {
-           Case{Kind::kP2v, switches::SwitchType::kVpp, 4, 64, "sut_workers"},
-           Case{Kind::kLoopback, switches::SwitchType::kVpp, 4, 64,
-                "sut_workers"},
-           Case{Kind::kV2v, switches::SwitchType::kSnabb, 2, 1,
-                "sut_workers"},
-           Case{Kind::kP2v, switches::SwitchType::kOvsDpdk, 1, 16,
-                "num_flows"},
+           Case{Kind::kP2v, SwitchType::kVpp, "sut_workers",
+                [](ScenarioConfig& x) { x.sut_workers = 4; x.num_flows = 64; }},
+           Case{Kind::kLoopback, SwitchType::kVpp, "sut_workers",
+                [](ScenarioConfig& x) { x.sut_workers = 4; x.num_flows = 64; }},
+           Case{Kind::kV2v, SwitchType::kSnabb, "sut_workers",
+                [](ScenarioConfig& x) { x.sut_workers = 2; }},
+           Case{Kind::kP2p, SwitchType::kVpp, "sut_workers",
+                [](ScenarioConfig& x) { x.sut_workers = 0; }},
+           Case{Kind::kP2p, SwitchType::kVpp, "sut_workers",
+                [](ScenarioConfig& x) { x.sut_workers = 17; }},
+           Case{Kind::kP2v, SwitchType::kOvsDpdk, "num_flows",
+                [](ScenarioConfig& x) { x.num_flows = 16; }},
+           Case{Kind::kP2p, SwitchType::kOvsDpdk, "num_flows",
+                [](ScenarioConfig& x) { x.num_flows = 0; }},
+           Case{Kind::kP2p, SwitchType::kBess, "chain_length",
+                [](ScenarioConfig& x) { x.chain_length = 2; }},
+           Case{Kind::kV2v, SwitchType::kVale, "chain_length",
+                [](ScenarioConfig& x) { x.chain_length = 3; }},
+           Case{Kind::kLoopback, SwitchType::kVale, "chain_length",
+                [](ScenarioConfig& x) { x.chain_length = 6; }},
+           Case{Kind::kP2p, SwitchType::kT4p4s, "reverse",
+                [](ScenarioConfig& x) { x.reverse = true; }},
+           Case{Kind::kLoopback, SwitchType::kVpp, "reverse",
+                [](ScenarioConfig& x) { x.reverse = true; }},
+           Case{Kind::kP2v, SwitchType::kVpp, "probe_interval",
+                [](ScenarioConfig& x) {
+                  x.probe_interval = core::from_us(40);
+                }},
+           Case{Kind::kV2v, SwitchType::kVpp, "nic_ring_depth",
+                [](ScenarioConfig& x) { x.nic_ring_depth = 512; }},
+           Case{Kind::kV2v, SwitchType::kOvsDpdk, "bidirectional",
+                [](ScenarioConfig& x) {
+                  x.probe_interval = core::from_us(40);
+                  x.bidirectional = true;
+                }},
+           Case{Kind::kP2p, SwitchType::kVpp, "containers",
+                [](ScenarioConfig& x) { x.containers = true; }},
+           Case{Kind::kLoopback, SwitchType::kVale, "containers",
+                [](ScenarioConfig& x) { x.containers = true; }},
+           Case{Kind::kP2v, SwitchType::kVpp, "l2fwd_drain",
+                [](ScenarioConfig& x) { x.l2fwd_drain = core::from_us(20); }},
+           Case{Kind::kV2v, SwitchType::kVpp, "l2fwd_drain",
+                [](ScenarioConfig& x) { x.l2fwd_drain = core::from_us(20); }},
+           Case{Kind::kLoopback, SwitchType::kVale, "l2fwd_drain",
+                [](ScenarioConfig& x) { x.l2fwd_drain = core::from_us(20); }},
+           Case{Kind::kV2v, SwitchType::kVale, "l2fwd_drain",
+                [](ScenarioConfig& x) {
+                  x.probe_interval = core::from_us(40);
+                  x.l2fwd_drain = core::from_us(20);
+                }},
        }) {
     auto cfg = quick(c.kind, c.sut);
-    cfg.sut_workers = c.workers;
-    cfg.num_flows = c.flows;
+    c.set(cfg);
     const ScenarioResult r = run_scenario(cfg);
-    ASSERT_TRUE(r.skipped.has_value()) << to_string(c.kind);
+    ASSERT_TRUE(r.skipped.has_value())
+        << to_string(c.kind) << " " << switches::to_string(c.sut) << " "
+        << c.field;
     EXPECT_NE(r.skipped->find(c.field), std::string::npos) << *r.skipped;
     EXPECT_EQ(r.skipped, validate(cfg));
     // Nothing was built, so no packet exists to leak.
@@ -169,7 +214,7 @@ TEST(ScenarioValidate, P2pAcceptsWorkersAndFlows) {
 }
 
 // The loopback limits are checked by validate() before anything is built,
-// with the same reasons run_loopback used to report.
+// with the paper's reasons.
 TEST(ScenarioValidate, LoopbackLimitsAreRejectedBeforeBuilding) {
   auto cfg = quick(Kind::kLoopback, switches::SwitchType::kVpp);
   cfg.chain_length = 0;
