@@ -102,13 +102,13 @@ void BM_EventSchedulePop(benchmark::State& state) {
   core::SimTime now = 0;
   for (int i = 0; i < 1024; ++i) {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.schedule(now + 1 + static_cast<core::SimTime>((rng >> 33) % 1'000'000),
-               [] {});
+    (void)q.schedule(
+        now + 1 + static_cast<core::SimTime>((rng >> 33) % 1'000'000), [] {});
   }
   for (auto _ : state) {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.schedule(now + 1 + static_cast<core::SimTime>((rng >> 33) % 1'000'000),
-               [] {});
+    (void)q.schedule(
+        now + 1 + static_cast<core::SimTime>((rng >> 33) % 1'000'000), [] {});
     auto fired = q.pop();
     now = fired.time;
     benchmark::DoNotOptimize(now);
@@ -133,7 +133,7 @@ BENCHMARK(BM_EventCancel);
 void BM_RecurringTimer(benchmark::State& state) {
   core::Simulator sim;
   std::uint64_t fired = 0;
-  sim.schedule_every(0, 67'200, core::EventFn([&fired] { ++fired; }));
+  (void)sim.schedule_every(0, 67'200, core::EventFn([&fired] { ++fired; }));
   core::SimTime horizon = 0;
   for (auto _ : state) {
     horizon += core::from_us(10);

@@ -45,13 +45,15 @@ double measure_events_per_sec() {
   std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
   core::SimTime now = 0;
   for (int i = 0; i < kDepth; ++i) {
-    q.schedule(now + 1 + static_cast<core::SimTime>(lcg_next(rng) % 1'000'000),
-               [] {});
+    (void)q.schedule(
+        now + 1 + static_cast<core::SimTime>(lcg_next(rng) % 1'000'000),
+        [] {});
   }
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < kOps; ++i) {
-    q.schedule(now + 1 + static_cast<core::SimTime>(lcg_next(rng) % 1'000'000),
-               [] {});
+    (void)q.schedule(
+        now + 1 + static_cast<core::SimTime>(lcg_next(rng) % 1'000'000),
+        [] {});
     auto fired = q.pop();
     now = fired.time;
   }

@@ -33,8 +33,7 @@ void CpuCore::start_next() {
     return;
   }
   busy_ = true;
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+  Job job = queue_.pop_front();
   busy_time_ += job.work;
   current_done_ = std::move(job.done);
   sim_.post_in(job.work, [this] { finish_current(); });

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "core/event_fn.h"
+#include "core/fifo.h"
 #include "core/simulator.h"
 #include "core/time.h"
 
@@ -48,7 +48,7 @@ class CpuCore {
   void finish_current();
 
   struct Job {
-    core::SimDuration work;
+    core::SimDuration work{0};
     core::EventFn done;
   };
 
@@ -56,7 +56,7 @@ class CpuCore {
   std::string name_;
   int numa_node_;
   bool busy_{false};
-  std::deque<Job> queue_;
+  core::Fifo<Job> queue_;
   /// Completion of the in-flight job. One slot is enough (the core
   /// serializes), and it keeps the completion event's capture down to
   /// [this] — re-wrapping the EventFn in a closure would overflow the

@@ -2,22 +2,15 @@
 
 #include <cassert>
 #include <cstring>
+#include <new>
 
 #include "core/metrics.h"
 
 namespace nfvsb::pkt {
 
 PacketPool::PacketPool(std::size_t capacity)
-    // Packet's ctor is private; the new[] is legal here because PacketPool
-    // is a friend (make_unique cannot befriend the class).
-    // nfvsb-lint: allow(naked-new)
-    : capacity_(capacity), slab_(new Packet[capacity]) {
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    Packet& p = slab_[i];
-    p.owner_ = this;
-    p.pool_next_ = free_list_;
-    free_list_ = &p;
-  }
+    : capacity_(capacity),
+      slab_(std::make_unique_for_overwrite<Slot[]>(capacity)) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
     reg->add_counter(this, "pool/alloc_failures", &alloc_failures_);
@@ -30,13 +23,18 @@ PacketPool::~PacketPool() {
 }
 
 PacketHandle PacketPool::allocate() {
-  if (free_list_ == nullptr) {
+  Packet* p = free_list_;
+  if (p != nullptr) {
+    free_list_ = p->pool_next_;
+    p->pool_next_ = nullptr;
+  } else if (constructed_ < capacity_) {
+    // First use of this slot (Packet's ctor is private to its friends).
+    p = ::new (static_cast<void*>(&slab_[constructed_++])) Packet();
+    p->owner_ = this;
+  } else {
     ++alloc_failures_;
     return {};
   }
-  Packet* p = free_list_;
-  free_list_ = p->pool_next_;
-  p->pool_next_ = nullptr;
   ++outstanding_;
   // Reset metadata; payload bytes are overwritten by the producer.
   p->size_ = 0;

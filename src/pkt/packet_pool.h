@@ -5,13 +5,19 @@
 // returning an empty handle. Pools also give tests a leak detector:
 // outstanding() must return to zero when a scenario drains.
 //
-// Storage is one contiguous slab of fixed 1600-byte buffers (like a DPDK
-// mempool's backing memzone), not per-packet heap nodes: one allocation per
-// pool, and neighbouring packets share cache lines/pages.
+// Storage is one contiguous slab of `capacity` fixed 1600-byte buffers
+// (like a DPDK mempool's backing memzone), not per-packet heap nodes: one
+// allocation per pool, and neighbouring packets share cache lines/pages.
+// The slab is allocated uninitialised and a buffer is constructed only the
+// first time allocate() needs it, so a pool costs what its peak occupancy
+// touches, not its capacity. allocate() prefers the most recently freed
+// buffer (LIFO) and reaches a never-used one only when the free list is
+// empty; buffers come out in slab order until the first one is freed.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 
 #include "core/counter.h"
 #include "pkt/packet.h"
@@ -44,20 +50,31 @@ class PacketPool {
   }
   [[nodiscard]] std::uint64_t alloc_failures() const { return alloc_failures_; }
 
-  /// True when `p` is a buffer of this pool's slab (range check; used by
-  /// audits and tests, not the data path).
+  /// True when `p` is a buffer of this pool's slab that has been handed out
+  /// at least once (range check; used by audits and tests, not the data
+  /// path).
   [[nodiscard]] bool owns(const Packet* p) const {
-    return p != nullptr && p >= slab_.get() && p < slab_.get() + capacity_;
+    const auto* s = reinterpret_cast<const Slot*>(p);
+    return p != nullptr && s >= slab_.get() && s < slab_.get() + constructed_;
   }
 
  private:
   friend class PacketHandle;
   void free_packet(Packet* p);
 
+  /// Raw storage for one Packet. Packets are never destroyed explicitly:
+  /// the slab's lifetime ends theirs.
+  struct alignas(Packet) Slot {
+    unsigned char bytes[sizeof(Packet)];
+  };
+  static_assert(std::is_trivially_destructible_v<Packet>);
+
   std::size_t capacity_;
   std::size_t outstanding_{0};
   core::Counter alloc_failures_;
-  std::unique_ptr<Packet[]> slab_;
+  std::unique_ptr<Slot[]> slab_;
+  /// Slots [0, constructed_) hold Packets; the rest were never used.
+  std::size_t constructed_{0};
   Packet* free_list_{nullptr};
   core::MetricSink* registry_{nullptr};
 };

@@ -52,8 +52,7 @@ bool SpscRing::enqueue(pkt::PacketHandle p) {
 
 pkt::PacketHandle SpscRing::dequeue() {
   if (q_.empty()) return {};
-  pkt::PacketHandle p = std::move(q_.front());
-  q_.pop_front();
+  pkt::PacketHandle p = q_.pop_front();
   ++dequeued_;
   if (core::TraceSink* t = core::tracer()) {
     if (p->trace_id != 0) t->async_end(p->trace_id, name_);
@@ -71,8 +70,8 @@ void SpscRing::clear() {
   if (core::TraceSink* t = core::tracer()) {
     // Close the residency slice of any traced resident, or the lifecycle
     // track would end with an unbalanced "b".
-    for (const pkt::PacketHandle& p : q_) {
-      if (p->trace_id != 0) t->async_end(p->trace_id, name_);
+    for (std::size_t i = 0; i < q_.size(); ++i) {
+      if (q_[i]->trace_id != 0) t->async_end(q_[i]->trace_id, name_);
     }
   }
   q_.clear();

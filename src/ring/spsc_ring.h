@@ -14,6 +14,13 @@
 // counts the drop — this is where all simulated loss happens, exactly as in
 // the real systems (NIC imissed, vring full, link overflow).
 //
+// Storage is a core::Fifo: one power-of-two circular buffer that grows
+// only on a new high-water mark, and never past the first power of two
+// that holds the capacity. Unlike a real descriptor ring it is not
+// allocated up front, so an idle 4096-deep NIC ring costs nothing; once a
+// ring has reached its peak depth, enqueue and dequeue never touch the
+// heap.
+//
 // Every ring registers its counters ("ring/<name>/...") and a depth probe
 // with the active core::MetricSink (if any) at construction, and emits
 // trace events (residency slices for sampled packets, drop instants) when a
@@ -21,12 +28,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 
 #include "core/counter.h"
 #include "core/event_fn.h"
+#include "core/fifo.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -84,7 +91,7 @@ class SpscRing {
  private:
   std::string name_;
   std::size_t capacity_;
-  std::deque<pkt::PacketHandle> q_;
+  core::Fifo<pkt::PacketHandle> q_;
   Watcher watcher_;
   Sink sink_;
   core::Counter drops_;

@@ -45,19 +45,21 @@ void BessSwitch::wire(std::size_t in_port, std::size_t out_port) {
 }
 
 double BessSwitch::process_batch(ring::Port& in,
-                                 std::vector<pkt::PacketHandle> batch,
+                                 std::vector<pkt::PacketHandle>& batch,
                                  std::vector<Tx>& out) {
   const std::size_t in_idx = index_of(in);
   Module* entry = pipeline_.input_for(in_idx);
   if (entry == nullptr) return 0.0;  // unwired port: drop
-  TaskContext ctx;
-  entry->process(ctx, std::move(batch));
-  for (auto& [dst, p] : ctx.emitted) {
+  ctx_.cost_ns = 0;
+  ctx_.discarded = 0;
+  entry->process(ctx_, batch);
+  for (auto& [dst, p] : ctx_.emitted) {
     if (dst < num_ports()) {
       out.push_back(Tx{&port(dst), std::move(p)});
     }
   }
-  return ctx.cost_ns;
+  ctx_.emitted.clear();  // frees emits to unknown ports
+  return ctx_.cost_ns;
 }
 
 }  // namespace nfvsb::switches::bess

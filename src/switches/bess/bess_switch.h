@@ -33,11 +33,13 @@ class BessSwitch final : public SwitchBase {
   void wire(std::size_t in_port, std::size_t out_port);
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:
   Pipeline pipeline_;
+  /// Reused by every traversal (only its emitted buffer carries over).
+  TaskContext ctx_;
 };
 
 }  // namespace nfvsb::switches::bess

@@ -18,8 +18,13 @@
 
 namespace nfvsb::switches::bess {
 
+/// A batch travels the module graph by reference: modules move out what
+/// they pass on (or emit), and handles left behind are freed by whoever
+/// owns the batch once the traversal returns.
 using Batch = std::vector<pkt::PacketHandle>;
 
+/// Per-traversal state. BessSwitch keeps one and reuses it every round, so
+/// `emitted` stops allocating once it has held a full burst.
 struct TaskContext {
   double cost_ns{0};
   std::vector<std::pair<std::size_t, pkt::PacketHandle>> emitted;
@@ -47,16 +52,16 @@ class Module {
   }
   [[nodiscard]] std::size_t nogates() const { return ogates_.size(); }
 
-  virtual void process(TaskContext& ctx, Batch batch) = 0;
+  virtual void process(TaskContext& ctx, Batch& batch) = 0;
 
  protected:
   void charge(TaskContext& ctx, std::size_t n) const {
     ctx.cost_ns += fixed_ns_ + per_packet_ns_ * static_cast<double>(n);
   }
-  void forward(TaskContext& ctx, Batch batch, std::size_t ogate = 0) {
+  void forward(TaskContext& ctx, Batch& batch, std::size_t ogate = 0) {
     Module* out = next(ogate);
     if (out != nullptr && !batch.empty()) {
-      out->process(ctx, std::move(batch));
+      out->process(ctx, batch);
     } else {
       ctx.discarded += batch.size();
     }

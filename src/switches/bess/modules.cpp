@@ -6,7 +6,7 @@
 
 namespace nfvsb::switches::bess {
 
-void MACSwap::process(TaskContext& ctx, Batch batch) {
+void MACSwap::process(TaskContext& ctx, Batch& batch) {
   charge(ctx, batch.size());
   for (auto& p : batch) {
     pkt::EthHeader eth(p->bytes());
@@ -16,10 +16,10 @@ void MACSwap::process(TaskContext& ctx, Batch batch) {
     eth.set_src(dst);
     eth.set_dst(src);
   }
-  forward(ctx, std::move(batch));
+  forward(ctx, batch);
 }
 
-void RandomSplit::process(TaskContext& ctx, Batch batch) {
+void RandomSplit::process(TaskContext& ctx, Batch& batch) {
   charge(ctx, batch.size());
   if (gates_ == 0) {
     ctx.discarded += batch.size();
@@ -30,18 +30,18 @@ void RandomSplit::process(TaskContext& ctx, Batch batch) {
     buckets[rng_.uniform_index(gates_)].push_back(std::move(p));
   }
   for (std::size_t g = 0; g < gates_; ++g) {
-    if (!buckets[g].empty()) forward(ctx, std::move(buckets[g]), g);
+    if (!buckets[g].empty()) forward(ctx, buckets[g], g);
   }
 }
 
-void Update::process(TaskContext& ctx, Batch batch) {
+void Update::process(TaskContext& ctx, Batch& batch) {
   charge(ctx, batch.size());
   for (auto& p : batch) {
     if (offset_ + value_.size() <= p->size()) {
       std::copy(value_.begin(), value_.end(), p->data() + offset_);
     }
   }
-  forward(ctx, std::move(batch));
+  forward(ctx, batch);
 }
 
 }  // namespace nfvsb::switches::bess

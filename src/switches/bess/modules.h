@@ -16,9 +16,9 @@ class QueueInc final : public Module {
   [[nodiscard]] std::size_t port() const { return port_; }
   [[nodiscard]] std::size_t qid() const { return qid_; }
 
-  void process(TaskContext& ctx, Batch batch) override {
+  void process(TaskContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
-    forward(ctx, std::move(batch));
+    forward(ctx, batch);
   }
 
  private:
@@ -35,7 +35,7 @@ class QueueOut final : public Module {
   [[nodiscard]] std::size_t port() const { return port_; }
   [[nodiscard]] std::size_t qid() const { return qid_; }
 
-  void process(TaskContext& ctx, Batch batch) override {
+  void process(TaskContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
     for (auto& p : batch) ctx.emitted.emplace_back(port_, std::move(p));
   }
@@ -45,13 +45,13 @@ class QueueOut final : public Module {
   std::size_t qid_;
 };
 
-/// Sink: frees all packets.
+/// Sink: discards every packet (left in the batch for its owner to free).
 class Sink final : public Module {
  public:
   explicit Sink(std::string name) : Module(std::move(name), 4, 0.5) {}
   [[nodiscard]] const char* class_name() const override { return "Sink"; }
 
-  void process(TaskContext& ctx, Batch batch) override {
+  void process(TaskContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
     ctx.discarded += batch.size();
   }
@@ -62,7 +62,7 @@ class MACSwap final : public Module {
  public:
   explicit MACSwap(std::string name) : Module(std::move(name), 8, 4.5) {}
   [[nodiscard]] const char* class_name() const override { return "MACSwap"; }
-  void process(TaskContext& ctx, Batch batch) override;
+  void process(TaskContext& ctx, Batch& batch) override;
 };
 
 /// RandomSplit: sends each packet to a uniformly random output gate —
@@ -74,7 +74,7 @@ class RandomSplit final : public Module {
   [[nodiscard]] const char* class_name() const override {
     return "RandomSplit";
   }
-  void process(TaskContext& ctx, Batch batch) override;
+  void process(TaskContext& ctx, Batch& batch) override;
 
  private:
   std::size_t gates_;
@@ -91,7 +91,7 @@ class Update final : public Module {
         offset_(offset),
         value_(std::move(value)) {}
   [[nodiscard]] const char* class_name() const override { return "Update"; }
-  void process(TaskContext& ctx, Batch batch) override;
+  void process(TaskContext& ctx, Batch& batch) override;
 
  private:
   std::size_t offset_;
@@ -105,11 +105,11 @@ class Measure final : public Module {
   explicit Measure(std::string name) : Module(std::move(name), 6, 1.2) {}
   [[nodiscard]] const char* class_name() const override { return "Measure"; }
 
-  void process(TaskContext& ctx, Batch batch) override {
+  void process(TaskContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
     packets_ += batch.size();
     for (const auto& p : batch) bytes_ += p->size();
-    forward(ctx, std::move(batch));
+    forward(ctx, batch);
   }
 
   [[nodiscard]] std::uint64_t packets() const { return packets_; }

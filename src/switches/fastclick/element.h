@@ -17,10 +17,14 @@ namespace nfvsb::switches::fastclick {
 
 class FastClickSwitch;
 
-/// Mutable batch traveling the graph.
+/// Mutable batch traveling the graph, by reference: elements move out what
+/// they pass on (or emit), and handles left behind are freed by whoever
+/// owns the batch once the push returns.
 using Batch = std::vector<pkt::PacketHandle>;
 
 /// Side-channel the terminal elements use to emit packets / report state.
+/// FastClickSwitch keeps one and reuses it every round, so `emitted` stops
+/// allocating once it has held a full burst.
 struct PushContext {
   /// Accumulated processing cost for this traversal, in ns.
   double cost_ns{0};
@@ -53,16 +57,16 @@ class Element {
 
   /// Process and forward the batch. Implementations must charge their cost
   /// (charge()) and usually call push_next().
-  virtual void push(PushContext& ctx, Batch batch) = 0;
+  virtual void push(PushContext& ctx, Batch& batch) = 0;
 
  protected:
   void charge(PushContext& ctx, std::size_t n) const {
     ctx.cost_ns += fixed_ns_ + per_packet_ns_ * static_cast<double>(n);
   }
-  void push_next(PushContext& ctx, Batch batch, std::size_t port = 0) {
+  void push_next(PushContext& ctx, Batch& batch, std::size_t port = 0) {
     Element* out = next(port);
     if (out != nullptr && !batch.empty()) {
-      out->push(ctx, std::move(batch));
+      out->push(ctx, batch);
     } else {
       ctx.discarded += batch.size();  // dangling output: packets die
     }

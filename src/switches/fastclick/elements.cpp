@@ -87,7 +87,7 @@ bool Classifier::matches(const Pattern& p, const pkt::Packet& pk) const {
   return true;
 }
 
-void Classifier::push(PushContext& ctx, Batch batch) {
+void Classifier::push(PushContext& ctx, Batch& batch) {
   charge(ctx, batch.size());
   // Split the batch per output port, preserving order within each.
   std::vector<Batch> buckets(patterns_.size());
@@ -103,11 +103,11 @@ void Classifier::push(PushContext& ctx, Batch batch) {
     if (!dispatched) ++ctx.discarded;  // no pattern matched: Click drops
   }
   for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (!buckets[i].empty()) push_next(ctx, std::move(buckets[i]), i);
+    if (!buckets[i].empty()) push_next(ctx, buckets[i], i);
   }
 }
 
-void EtherMirror::push(PushContext& ctx, Batch batch) {
+void EtherMirror::push(PushContext& ctx, Batch& batch) {
   charge(ctx, batch.size());
   for (auto& p : batch) {
     pkt::EthHeader eth(p->bytes());
@@ -117,25 +117,28 @@ void EtherMirror::push(PushContext& ctx, Batch batch) {
     eth.set_src(dst);
     eth.set_dst(src);
   }
-  push_next(ctx, std::move(batch));
+  push_next(ctx, batch);
 }
 
-void DecIPTTL::push(PushContext& ctx, Batch batch) {
+void DecIPTTL::push(PushContext& ctx, Batch& batch) {
   charge(ctx, batch.size());
-  Batch alive;
-  alive.reserve(batch.size());
+  // Compact the survivors to the front, in order; expired packets are
+  // freed on the spot.
+  std::size_t alive = 0;
   for (auto& p : batch) {
     pkt::EthHeader eth(p->bytes());
     if (eth.valid() && eth.ether_type() == pkt::kEtherTypeIpv4) {
       pkt::Ipv4Header ip(eth.payload());
       if (!ip.valid() || !ip.decrement_ttl()) {
         ++ctx.discarded;
-        continue;  // expired: freed with the local handle
+        p.reset();
+        continue;
       }
     }
-    alive.push_back(std::move(p));
+    batch[alive++] = std::move(p);
   }
-  push_next(ctx, std::move(alive));
+  batch.resize(alive);
+  push_next(ctx, batch);
 }
 
 }  // namespace nfvsb::switches::fastclick

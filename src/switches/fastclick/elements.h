@@ -16,9 +16,9 @@ class FromDPDKDevice final : public Element {
   }
   [[nodiscard]] std::size_t device() const { return device_; }
 
-  void push(PushContext& ctx, Batch batch) override {
+  void push(PushContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
-    push_next(ctx, std::move(batch));
+    push_next(ctx, batch);
   }
 
  private:
@@ -35,7 +35,7 @@ class ToDPDKDevice final : public Element {
   }
   [[nodiscard]] std::size_t device() const { return device_; }
 
-  void push(PushContext& ctx, Batch batch) override {
+  void push(PushContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
     for (auto& p : batch) ctx.emitted.emplace_back(device_, std::move(p));
   }
@@ -52,7 +52,7 @@ class EtherMirror final : public Element {
   [[nodiscard]] const char* class_name() const override {
     return "EtherMirror";
   }
-  void push(PushContext& ctx, Batch batch) override;
+  void push(PushContext& ctx, Batch& batch) override;
 };
 
 /// Counts packets and bytes.
@@ -61,11 +61,11 @@ class Counter final : public Element {
   explicit Counter(std::string name) : Element(std::move(name), 8, 1.5) {}
   [[nodiscard]] const char* class_name() const override { return "Counter"; }
 
-  void push(PushContext& ctx, Batch batch) override {
+  void push(PushContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
     packets_ += batch.size();
     for (const auto& p : batch) bytes_ += p->size();
-    push_next(ctx, std::move(batch));
+    push_next(ctx, batch);
   }
 
   [[nodiscard]] std::uint64_t packets() const { return packets_; }
@@ -82,10 +82,9 @@ class Discard final : public Element {
   explicit Discard(std::string name) : Element(std::move(name), 5, 1.0) {}
   [[nodiscard]] const char* class_name() const override { return "Discard"; }
 
-  void push(PushContext& ctx, Batch batch) override {
+  void push(PushContext& ctx, Batch& batch) override {
     charge(ctx, batch.size());
-    ctx.discarded += batch.size();
-    // Batch handles free on scope exit.
+    ctx.discarded += batch.size();  // the batch's owner frees them
   }
 };
 
@@ -99,7 +98,7 @@ class Classifier final : public Element {
   [[nodiscard]] const char* class_name() const override {
     return "Classifier";
   }
-  void push(PushContext& ctx, Batch batch) override;
+  void push(PushContext& ctx, Batch& batch) override;
 
   [[nodiscard]] std::size_t npatterns() const { return patterns_.size(); }
 
@@ -120,7 +119,7 @@ class DecIPTTL final : public Element {
  public:
   explicit DecIPTTL(std::string name) : Element(std::move(name), 10, 7.0) {}
   [[nodiscard]] const char* class_name() const override { return "DecIPTTL"; }
-  void push(PushContext& ctx, Batch batch) override;
+  void push(PushContext& ctx, Batch& batch) override;
 };
 
 }  // namespace nfvsb::switches::fastclick

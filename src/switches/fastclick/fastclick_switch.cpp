@@ -43,7 +43,7 @@ void FastClickSwitch::configure(const std::string& click_config) {
 }
 
 double FastClickSwitch::process_batch(ring::Port& in,
-                                      std::vector<pkt::PacketHandle> batch,
+                                      std::vector<pkt::PacketHandle>& batch,
                                       std::vector<Tx>& out) {
   const std::size_t in_idx = index_of(in);
   Element* entry = router_.input_for(in_idx);
@@ -51,14 +51,16 @@ double FastClickSwitch::process_batch(ring::Port& in,
     // No FromDPDKDevice bound to this port: Click drops at input.
     return 0.0;
   }
-  PushContext ctx;
-  entry->push(ctx, std::move(batch));
-  for (auto& [dev, p] : ctx.emitted) {
+  ctx_.cost_ns = 0;
+  ctx_.discarded = 0;
+  entry->push(ctx_, batch);
+  for (auto& [dev, p] : ctx_.emitted) {
     if (dev < num_ports()) {
       out.push_back(Tx{&port(dev), std::move(p)});
     }
   }
-  return ctx.cost_ns;
+  ctx_.emitted.clear();  // frees emits to unknown devices
+  return ctx_.cost_ns;
 }
 
 }  // namespace nfvsb::switches::fastclick

@@ -34,11 +34,13 @@ class FastClickSwitch final : public SwitchBase {
   [[nodiscard]] Router& router() { return router_; }
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:
   Router router_;
+  /// Reused by every push (only its emitted buffer carries over).
+  PushContext ctx_;
 };
 
 }  // namespace nfvsb::switches::fastclick

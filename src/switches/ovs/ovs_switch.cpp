@@ -46,7 +46,7 @@ void OvsSwitch::revalidate() {
 }
 
 double OvsSwitch::process_batch(ring::Port& in,
-                                std::vector<pkt::PacketHandle> batch,
+                                std::vector<pkt::PacketHandle>& batch,
                                 std::vector<Tx>& out) {
   const std::size_t in_idx = index_of(in);
   double extra_ns = 0.0;

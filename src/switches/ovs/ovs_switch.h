@@ -55,7 +55,7 @@ class OvsSwitch final : public SwitchBase {
   [[nodiscard]] LookupCosts& lookup_costs() { return lookup_costs_; }
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:

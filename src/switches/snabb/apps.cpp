@@ -11,17 +11,18 @@ double RateLimiterApp::process(Batch& batch) {
       burst_, tokens_ + rate_pps_ * core::to_sec(now - last_refill_));
   last_refill_ = now;
 
-  Batch admitted;
-  admitted.reserve(batch.size());
+  // Compact the admitted packets to the front, in order.
+  std::size_t admitted = 0;
   for (auto& p : batch) {
     if (tokens_ >= 1.0) {
       tokens_ -= 1.0;
-      admitted.push_back(std::move(p));
+      batch[admitted++] = std::move(p);
     } else {
-      ++dropped_;  // handle freed: policed
+      ++dropped_;
+      p.reset();  // policed
     }
   }
-  batch = std::move(admitted);
+  batch.resize(admitted);
   return 0.0;
 }
 

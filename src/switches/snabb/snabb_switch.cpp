@@ -111,7 +111,7 @@ void SnabbSwitch::commit() {
 }
 
 double SnabbSwitch::process_batch(ring::Port& in,
-                                  std::vector<pkt::PacketHandle> batch,
+                                  std::vector<pkt::PacketHandle>& batch,
                                   std::vector<Tx>& out) {
   const std::size_t idx = index_of(in);
   if (idx >= routes_.size() || !routes_[idx].valid) {

@@ -167,28 +167,27 @@ void SwitchBase::run_round() {
   rr_next_ = (chosen + 1) % ports_.size();
 
   ring::Port& in = *ports_[chosen];
-  std::vector<pkt::PacketHandle> batch;
-  batch.reserve(static_cast<std::size_t>(cost_.burst));
+  assert(batch_.empty() && out_.empty());
   double cost_ns = cost_.batch_fixed_ns;
   double byte_ns = 0.0;  // byte-dependent portion, alternation-scalable
-  while (batch.size() < static_cast<std::size_t>(cost_.burst)) {
+  while (batch_.size() < static_cast<std::size_t>(cost_.burst)) {
     pkt::PacketHandle p = in.rx();
     if (!p) break;
     cost_ns += cost_.costs_for(in.kind()).rx_ns;
     byte_ns += cost_.rx_byte_cost_ns(in.kind(), p->size());
-    batch.push_back(std::move(p));
+    batch_.push_back(std::move(p));
   }
   wait_since_[chosen] = sim_.now();  // ring may still hold packets
-  assert(!batch.empty());
-  const std::size_t n_in = batch.size();
+  assert(!batch_.empty());
+  const std::size_t n_in = batch_.size();
   stats_.rx_packets += n_in;
   cost_ns += cost_.pipeline_ns * static_cast<double>(n_in);
 
-  auto out = std::make_shared<std::vector<Tx>>();
-  cost_ns += process_batch(in, std::move(batch), *out);
+  cost_ns += process_batch(in, batch_, out_);
+  batch_.clear();  // frees the datapath's discards
 
   std::size_t forwarded = 0;
-  for (const Tx& t : *out) {
+  for (const Tx& t : out_) {
     if (t.out != nullptr) {
       cost_ns += cost_.costs_for(t.out->kind()).tx_ns;
       byte_ns += cost_.tx_byte_cost_ns(t.out->kind(), t.pkt->size());
@@ -211,8 +210,8 @@ void SwitchBase::run_round() {
   ++stats_.rounds;
 
   const core::SimTime round_start = sim_.now();
-  core_.submit(core::from_ns(actual_ns), [this, out, round_start, n_in] {
-    for (Tx& t : *out) {
+  core_.submit(core::from_ns(actual_ns), [this, round_start, n_in] {
+    for (Tx& t : out_) {
       if (t.out == nullptr) continue;  // datapath discard
       if (t.out->tx(std::move(t.pkt))) {
         ++stats_.tx_packets;
@@ -220,6 +219,7 @@ void SwitchBase::run_round() {
         ++stats_.tx_drops;  // wasted work: cost already paid
       }
     }
+    out_.clear();  // before continue_or_idle() may start the next round
     if (core::TraceSink* tr = core::tracer()) {
       tr->complete(tr->track("switch/" + name_), "round", round_start,
                    sim_.now() - round_start, n_in);

@@ -101,12 +101,15 @@ class SwitchBase {
     pkt::PacketHandle pkt;
   };
 
-  /// Switch-specific functional datapath. Consumes `batch` (all dequeued
-  /// from `in`), fills `out` with forwarding decisions, and returns any
-  /// EXTRA pipeline cost in ns for the whole batch (on top of the cost
-  /// model's per-packet pipeline_ns).
+  /// Switch-specific functional datapath. Takes what it forwards out of
+  /// `batch` (all dequeued from `in`), appends forwarding decisions to
+  /// `out`, and returns any EXTRA pipeline cost in ns for the whole batch
+  /// (on top of the cost model's per-packet pipeline_ns). Handles left in
+  /// `batch` are discards: the caller frees them when the call returns.
+  /// Both vectors are the switch's reused round buffers, so an
+  /// implementation that only moves handles allocates nothing.
   virtual double process_batch(ring::Port& in,
-                               std::vector<pkt::PacketHandle> batch,
+                               std::vector<pkt::PacketHandle>& batch,
                                std::vector<Tx>& out) = 0;
 
   core::Simulator& sim() { return sim_; }
@@ -151,6 +154,12 @@ class SwitchBase {
   /// ports_.size() = none yet.
   std::size_t last_served_{static_cast<std::size_t>(-1)};
   SwitchStats stats_;
+  /// Round buffers, reused so the steady-state round never allocates:
+  /// packets dequeued for the current round, and its output decisions,
+  /// held until the round's completion transmits them. Safe to share
+  /// because active_ keeps at most one round in flight.
+  std::vector<pkt::PacketHandle> batch_;
+  std::vector<Tx> out_;
 
  protected:
   /// Non-null when a core::MetricSink was installed at construction;

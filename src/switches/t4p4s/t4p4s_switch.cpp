@@ -73,7 +73,7 @@ void T4p4sSwitch::controller(const std::string& command) {
 }
 
 double T4p4sSwitch::process_batch(ring::Port& in,
-                                  std::vector<pkt::PacketHandle> batch,
+                                  std::vector<pkt::PacketHandle>& batch,
                                   std::vector<Tx>& out) {
   (void)in;
   double extra_ns = 0.0;

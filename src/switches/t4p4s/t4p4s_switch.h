@@ -46,7 +46,7 @@ class T4p4sSwitch final : public SwitchBase {
   void controller(const std::string& command);
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:

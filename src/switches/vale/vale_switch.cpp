@@ -43,7 +43,7 @@ ValeSwitch::ValeSwitch(core::Simulator& sim, hw::CpuCore& core,
     : SwitchBase(sim, core, std::move(name), cost), table_(1024) {}
 
 double ValeSwitch::process_batch(ring::Port& in,
-                                 std::vector<pkt::PacketHandle> batch,
+                                 std::vector<pkt::PacketHandle>& batch,
                                  std::vector<Tx>& out) {
   const std::size_t in_idx = index_of(in);
   double extra_ns = 0.0;

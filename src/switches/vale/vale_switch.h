@@ -40,7 +40,7 @@ class ValeSwitch final : public SwitchBase {
   void set_lookup_fn(LookupFn fn) { lookup_fn_ = std::move(fn); }
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:

@@ -51,19 +51,18 @@ void VppSwitch::l2patch(std::size_t rx_port, std::size_t tx_port) {
 void VppSwitch::bridge(std::size_t port) { bridge_->add_member(port); }
 
 double VppSwitch::process_batch(ring::Port& in,
-                                std::vector<pkt::PacketHandle> batch,
+                                std::vector<pkt::PacketHandle>& batch,
                                 std::vector<Tx>& out) {
   const std::size_t in_idx = index_of(in);
-  Vector frame;
-  frame.reserve(batch.size());
   for (auto& p : batch) {
-    frame.push_back(VectorEntry{std::move(p), in_idx, kNoTxPort, false});
+    frame_.push_back(VectorEntry{std::move(p), in_idx, kNoTxPort, false});
   }
-  const double cost = graph_.run(frame);
-  for (auto& e : frame) {
+  const double cost = graph_.run(frame_);
+  for (auto& e : frame_) {
     if (e.drop || e.tx_port >= num_ports()) continue;
     out.push_back(Tx{&port(e.tx_port), std::move(e.pkt)});
   }
+  frame_.clear();  // frees the error-drops
   return cost;
 }
 

@@ -39,7 +39,7 @@ class VppSwitch final : public SwitchBase {
   [[nodiscard]] L2PatchNode& patch_node() { return *patch_; }
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:
@@ -47,6 +47,9 @@ class VppSwitch final : public SwitchBase {
   EthernetInputNode* eth_input_;
   L2BridgeNode* bridge_;
   L2PatchNode* patch_;
+  /// The graph's vector, reused every round (VPP's frames are preallocated
+  /// too).
+  Vector frame_;
 };
 
 }  // namespace nfvsb::switches::vpp

@@ -69,7 +69,7 @@ void L2Fwd::set_dst_mac_rewrite(std::size_t out_port,
 }
 
 double L2Fwd::process_batch(ring::Port& in,
-                            std::vector<pkt::PacketHandle> batch,
+                            std::vector<pkt::PacketHandle>& batch,
                             std::vector<Tx>& out) {
   assert(num_ports() == 2);
   const std::size_t in_idx = index_of(in);

@@ -56,7 +56,7 @@ class L2Fwd final : public switches::SwitchBase {
   [[nodiscard]] std::uint64_t full_flushes() const { return full_flushes_; }
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override;
 
  private:

@@ -31,6 +31,25 @@ TEST(CpuCore, SerializesJobsFifo) {
   EXPECT_EQ(done[2], std::make_pair(3, core::from_us(6)));
 }
 
+TEST(CpuCore, CompletesInSubmissionOrderAcrossQueueGrowth) {
+  core::Simulator sim;
+  CpuCore cpu(sim, "c0");
+  std::vector<int> done;
+  int next = 0;
+  const auto submit = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const int id = next++;
+      cpu.submit(core::from_us(1), [&done, id] { done.push_back(id); });
+    }
+  };
+  submit(12);
+  sim.run_until(core::from_us(10));  // 10 done: the queue head has moved
+  submit(40);  // wraps the job queue, then grows it twice
+  sim.run();
+  ASSERT_EQ(done.size(), 52u);
+  for (int i = 0; i < 52; ++i) EXPECT_EQ(done[static_cast<std::size_t>(i)], i);
+}
+
 TEST(CpuCore, IdleFlagTracksState) {
   core::Simulator sim;
   CpuCore cpu(sim, "c0");

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -136,6 +137,59 @@ TEST(PacketPool, SlabIsContiguous) {
   }
   EXPECT_EQ(static_cast<std::size_t>(hi - lo) % sizeof(Packet), 0u);
   EXPECT_EQ(static_cast<std::size_t>(hi - lo), 31 * sizeof(Packet));
+}
+
+std::uintptr_t addr(const PacketHandle& h) {
+  return reinterpret_cast<std::uintptr_t>(h.get());
+}
+
+TEST(PacketPool, FirstBuffersComeInSlabOrder) {
+  // Buffers are constructed on first use, one slot after the other.
+  PacketPool pool(8);
+  std::vector<PacketHandle> held;
+  for (int i = 0; i < 4; ++i) held.push_back(pool.allocate());
+  for (std::size_t i = 1; i < held.size(); ++i) {
+    EXPECT_EQ(addr(held[i]) - addr(held[i - 1]), sizeof(Packet));
+  }
+}
+
+TEST(PacketPool, MostRecentlyFreedIsAllocatedNext) {
+  // LIFO reuse before any never-used slot: the buffer sequence a scenario
+  // sees does not depend on when slots are constructed.
+  PacketPool pool(8);
+  PacketHandle a = pool.allocate();
+  PacketHandle b = pool.allocate();
+  PacketHandle c = pool.allocate();
+  const std::uintptr_t next_fresh = addr(c) + sizeof(Packet);
+  const std::uintptr_t b_at = addr(b);
+  const std::uintptr_t c_at = addr(c);
+  b.reset();
+  c.reset();
+  PacketHandle again_c = pool.allocate();  // freed last, reused first
+  EXPECT_EQ(addr(again_c), c_at);
+  PacketHandle again_b = pool.allocate();
+  EXPECT_EQ(addr(again_b), b_at);
+  PacketHandle fresh = pool.allocate();  // free list empty: next new slot
+  EXPECT_EQ(addr(fresh), next_fresh);
+  EXPECT_TRUE(pool.owns(fresh.get()));
+}
+
+TEST(PacketPool, ExhaustsAtExactlyCapacityAfterReuse) {
+  PacketPool pool(16);
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    std::vector<PacketHandle> held;
+    for (int i = 0; i < 10 + cycle; ++i) held.push_back(pool.allocate());
+  }
+  std::vector<PacketHandle> held;
+  for (int i = 0; i < 16; ++i) {
+    held.push_back(pool.allocate());
+    ASSERT_TRUE(held.back()) << "allocation " << i;
+  }
+  EXPECT_EQ(pool.outstanding(), 16u);
+  EXPECT_FALSE(pool.allocate());
+  EXPECT_EQ(pool.alloc_failures(), 1u);
+  held.pop_back();
+  EXPECT_TRUE(pool.allocate());
 }
 
 TEST(PacketPool, OwnsRejectsForeignPointers) {

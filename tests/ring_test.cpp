@@ -2,6 +2,7 @@
 // accounting for vhost vs ptnet).
 #include <gtest/gtest.h>
 
+#include "core/fifo.h"
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
 #include "ring/port.h"
@@ -42,6 +43,74 @@ TEST_F(RingTest, DropsWhenFullAndFreesPacket) {
   EXPECT_EQ(ring.size(), 2u);
   // The dropped packet went back to the pool.
   EXPECT_EQ(pool_.outstanding(), 2u);
+}
+
+TEST_F(RingTest, FifoOrderSurvivesGrowthWhileWrapped) {
+  SpscRing ring("r", 64);
+  std::uint64_t next_in = 1;
+  std::uint64_t next_out = 1;
+  const auto expect_next = [&] {
+    auto p = ring.dequeue();
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p->seq, next_out++);
+  };
+  for (int i = 0; i < 12; ++i) ring.enqueue(make(next_in++));
+  for (int i = 0; i < 10; ++i) expect_next();
+  // 16 residents starting 10 slots in: the storage is full and wrapped,
+  // so the next enqueue grows it.
+  for (int i = 0; i < 14; ++i) ring.enqueue(make(next_in++));
+  for (int i = 0; i < 10; ++i) ring.enqueue(make(next_in++));
+  EXPECT_EQ(ring.size(), 26u);
+  while (!ring.empty()) expect_next();
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Ring, NonPowerOfTwoCapacityDropsAtExactlyCapacity) {
+  pkt::PacketPool pool(1001);
+  SpscRing ring("r", 1000);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(ring.enqueue(pool.allocate())) << "enqueue " << i;
+  }
+  EXPECT_TRUE(ring.full());
+  EXPECT_FALSE(ring.enqueue(pool.allocate()));
+  EXPECT_EQ(ring.drops(), 1u);
+  EXPECT_EQ(ring.size(), 1000u);
+  EXPECT_EQ(pool.outstanding(), 1000u);
+  (void)ring.dequeue();
+  EXPECT_TRUE(ring.enqueue(pool.allocate()));
+  ring.clear();
+}
+
+TEST_F(RingTest, ClearCountsResidentsAfterWrapAround) {
+  SpscRing ring("r", 32);
+  for (int i = 0; i < 12; ++i) ring.enqueue(make());
+  for (int i = 0; i < 10; ++i) (void)ring.dequeue();
+  for (int i = 0; i < 14; ++i) ring.enqueue(make());  // wraps the storage
+  ASSERT_EQ(ring.size(), 16u);
+  ring.clear();
+  EXPECT_EQ(ring.cleared(), 16u);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(pool_.outstanding(), 0u);
+  EXPECT_EQ(ring.enqueued(), ring.dequeued() + ring.cleared() + ring.size());
+  // Still a working ring afterwards.
+  ring.enqueue(make(7));
+  EXPECT_EQ(ring.dequeue()->seq, 7u);
+}
+
+TEST(CoreFifo, GrowsOnlyAtANewHighWaterMark) {
+  core::Fifo<int> q;
+  EXPECT_EQ(q.capacity(), 0u);  // nothing allocated until first use
+  for (int i = 0; i < 10'000; ++i) {
+    q.push_back(i);
+    q.push_back(i);
+    EXPECT_EQ(q.pop_front(), i);
+    EXPECT_EQ(q.pop_front(), i);
+  }
+  EXPECT_EQ(q.capacity(), core::Fifo<int>::kMinCapacity);
+  for (std::size_t i = 0; i <= core::Fifo<int>::kMinCapacity; ++i) {
+    q.push_back(static_cast<int>(i));
+  }
+  EXPECT_EQ(q.capacity(), 2 * core::Fifo<int>::kMinCapacity);
 }
 
 TEST_F(RingTest, CountersTrack) {

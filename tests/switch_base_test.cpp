@@ -15,7 +15,7 @@ class PatchSwitch final : public SwitchBase {
   [[nodiscard]] const char* kind() const override { return "patch"; }
 
  protected:
-  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle> batch,
+  double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override {
     const std::size_t other = 1 - index_of(in);
     for (auto& p : batch) {
