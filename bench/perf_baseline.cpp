@@ -4,7 +4,9 @@
 //   1. events/sec — a schedule/pop mix on core::EventQueue at a realistic
 //      in-flight depth (the engine microbenchmark);
 //   2. packets/sec — wall-clock rate of one fixed Fig. 4a point (BESS,
-//      p2p, 64 B, unidirectional), i.e. the end-to-end simulation speed.
+//      p2p, 64 B, unidirectional), i.e. the end-to-end simulation speed,
+//      next to that point's simulator events per offered packet (counted
+//      in a separate observed run, so the timed run stays unobserved).
 //
 // Results land in BENCH_events.json (override the path with
 // NFVSB_BENCH_OUT). When NFVSB_MIN_EVENTS_PER_SEC is set, the binary exits
@@ -66,6 +68,7 @@ struct ScenarioRate {
   double packets_per_sec{0};
   double wall_secs{0};
   std::uint64_t offered{0};
+  double events_per_pkt{0};
 };
 
 /// One fixed Fig. 4a point: BESS p2p 64 B unidirectional, default seed and
@@ -83,6 +86,15 @@ ScenarioRate measure_fig4a_point() {
   rate.offered = r.offered_packets;
   rate.packets_per_sec = static_cast<double>(r.offered_packets) /
                          rate.wall_secs;
+
+  cfg.observe = true;
+  const scenario::ScenarioResult observed = scenario::run_scenario(cfg);
+  for (const auto& [path, value] : observed.counters) {
+    if (path == "sim/events_processed") {
+      rate.events_per_pkt = static_cast<double>(value) /
+                            static_cast<double>(observed.offered_packets);
+    }
+  }
   return rate;
 }
 
@@ -103,12 +115,14 @@ int main() {
                  "    \"label\": \"p2p/uni/BESS/64B\",\n"
                  "    \"offered_packets\": %llu,\n"
                  "    \"wall_secs\": %.3f,\n"
-                 "    \"packets_per_sec\": %.0f\n"
+                 "    \"packets_per_sec\": %.0f,\n"
+                 "    \"events_per_pkt\": %.4f\n"
                  "  }\n"
                  "}\n",
                  events_per_sec,
                  static_cast<unsigned long long>(fig4a.offered),
-                 fig4a.wall_secs, fig4a.packets_per_sec);
+                 fig4a.wall_secs, fig4a.packets_per_sec,
+                 fig4a.events_per_pkt);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", out.c_str());
@@ -122,6 +136,8 @@ int main() {
               fig4a.packets_per_sec / 1e6,
               static_cast<unsigned long long>(fig4a.offered),
               fig4a.wall_secs);
+  std::printf("               %.2f simulator events per offered packet\n",
+              fig4a.events_per_pkt);
   std::printf("results      : %s\n", out.c_str());
 
   if (const char* floor_env = std::getenv("NFVSB_MIN_EVENTS_PER_SEC")) {

@@ -1,26 +1,25 @@
 #include "hw/cable.h"
 
 #include <cassert>
+#include <utility>
 
 #include "core/simulator.h"
 #include "hw/nic.h"
 
 namespace nfvsb::hw {
 
-Cable::Cable(core::Simulator& sim, NicPort& a, NicPort& b,
+Cable::Cable(core::Simulator& /*sim*/, NicPort& a, NicPort& b,
              core::SimDuration propagation)
-    : sim_(sim), a_(a), b_(b), propagation_(propagation) {
+    : a_(a), b_(b), propagation_(propagation) {
   a_.attach_cable(this);
   b_.attach_cable(this);
 }
 
-void Cable::transmit(NicPort& from, pkt::PacketHandle p) {
+void Cable::transmit(NicPort& from, pkt::PacketHandle p,
+                     core::SimDuration departure) {
   NicPort& to = (&from == &a_) ? b_ : a_;
   assert(&from == &a_ || &from == &b_);
-  auto* raw = p.release();
-  sim_.post_in(propagation_, [&to, raw] {
-    to.deliver_from_wire(pkt::PacketHandle{raw});
-  });
+  to.deliver_from_wire(std::move(p), departure + propagation_);
 }
 
 }  // namespace nfvsb::hw

@@ -1,5 +1,9 @@
 // Direct-attach cable between two NIC ports (the testbed wires each NUMA
 // node's NIC to the other node's NIC, Fig. 3).
+//
+// A cable schedules nothing itself: it adds its propagation delay to the
+// sender's departure delay and hands the frame to the peer port, whose one
+// arrival event covers propagation and RX DMA together.
 #pragma once
 
 #include "core/simulator.h"
@@ -12,19 +16,21 @@ class NicPort;
 
 class Cable {
  public:
-  /// ~1 m DAC: a few ns of propagation.
+  /// ~1 m DAC: a few ns of propagation. The simulator is not used: the
+  /// receiving port schedules the arrival.
   Cable(core::Simulator& sim, NicPort& a, NicPort& b,
         core::SimDuration propagation = core::from_ns(5));
 
   Cable(const Cable&) = delete;
   Cable& operator=(const Cable&) = delete;
 
-  /// Called by a port when a frame's last bit leaves it; the frame arrives
-  /// at the peer after the propagation delay.
-  void transmit(NicPort& from, pkt::PacketHandle p);
+  /// Called by a port when it starts serializing a frame whose last bit
+  /// leaves it `departure` from now; the frame's last bit reaches the peer
+  /// one propagation delay after that.
+  void transmit(NicPort& from, pkt::PacketHandle p,
+                core::SimDuration departure);
 
  private:
-  core::Simulator& sim_;
   NicPort& a_;
   NicPort& b_;
   core::SimDuration propagation_;

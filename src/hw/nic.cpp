@@ -43,39 +43,21 @@ std::uint64_t NicPort::imissed() const {
 void NicPort::on_tx_enqueue() {
   if (tx_busy_) return;
   tx_busy_ = true;
-  // First frame of a busy period pays the descriptor/DMA fetch latency; the
-  // rest of the burst pipelines it behind serialization. The whole busy
-  // period is one adaptive recurring timer: each firing completes the frame
-  // on the wire (if any) and returns the next frame's serialization time.
-  // Self-stopping (serialize_step returns kStopTimer when the rings drain),
-  // so the timer id is deliberately dropped.
-  (void)sim_.schedule_every(cfg_.dma_tx_latency,
-                            core::Simulator::RecurringFn([this] {
+  // While the last frame is still on the wire this is the same busy period:
+  // the fetch was pipelined behind serialization, so the frame leaves as
+  // soon as the wire frees. On an idle wire the first frame of a new busy
+  // period pays the descriptor/DMA fetch latency. The busy period is one
+  // adaptive recurring timer that stops itself (serialize_step returns
+  // kStopTimer once the rings drain), so its id is deliberately dropped.
+  const core::SimTime now = sim_.now();
+  const core::SimDuration first =
+      wire_free_at_ > now ? wire_free_at_ - now : cfg_.dma_tx_latency;
+  (void)sim_.schedule_every(first, core::Simulator::RecurringFn([this] {
                               return serialize_step();
                             }));
 }
 
 core::SimDuration NicPort::serialize_step() {
-  if (tx_in_flight_ != nullptr) {
-    // The frame's last bit just left the MAC: deliver (and HW-timestamp) it.
-    pkt::PacketHandle frame{tx_in_flight_};
-    tx_in_flight_ = nullptr;
-    ++tx_frames_;
-    if (cfg_.hw_timestamping && frame->probe_id != 0 &&
-        frame->tx_timestamp == core::kNoTimestamp) {
-      frame->tx_timestamp = sim_.now();
-    }
-    if (core::TraceSink* t = core::tracer()) {
-      if (frame->trace_id != 0) {
-        t->complete(t->track("nic/" + name_ + "/wire"), "wire",
-                    tx_wire_start_, sim_.now() - tx_wire_start_, frame->seq);
-      }
-    }
-    if (cable_ != nullptr) {
-      cable_->transmit(*this, std::move(frame));
-    }
-    // No cable: frame vanishes (unplugged port), handle frees it.
-  }
   // Round-robin across TX queues (82599 WRR with equal weights).
   pkt::PacketHandle p;
   for (std::size_t k = 0; k < tx_rings_.size(); ++k) {
@@ -90,10 +72,31 @@ core::SimDuration NicPort::serialize_step() {
     tx_busy_ = false;
     return core::Simulator::kStopTimer;
   }
-  // The frame occupies the wire until `ser` from now.
+  // The frame occupies the wire for `ser` from now; everything that happens
+  // when its last bit leaves the MAC is known already, so do it here.
+  const core::SimTime now = sim_.now();
   const core::SimDuration ser = cfg_.rate.serialization_time(p->size());
-  tx_in_flight_ = p.release();
-  tx_wire_start_ = sim_.now();
+  ++tx_frames_;
+  if (cfg_.hw_timestamping && p->probe_id != 0 &&
+      p->tx_timestamp == core::kNoTimestamp) {
+    p->tx_timestamp = now + ser;
+  }
+  if (core::TraceSink* t = core::tracer()) {
+    if (p->trace_id != 0) {
+      t->complete(t->track("nic/" + name_ + "/wire"), "wire", now, ser,
+                  p->seq);
+    }
+  }
+  if (cable_ != nullptr) cable_->transmit(*this, std::move(p), ser);
+  // No cable: frame vanishes (unplugged port), handle frees it.
+  const bool drained =
+      std::all_of(tx_rings_.begin(), tx_rings_.end(),
+                  [](const auto& r) { return r->empty(); });
+  if (drained) {
+    tx_busy_ = false;
+    wire_free_at_ = now + ser;
+    return core::Simulator::kStopTimer;
+  }
   return ser;
 }
 
@@ -104,16 +107,18 @@ std::size_t NicPort::rss_queue(const pkt::Packet& p) const {
   return static_cast<std::size_t>(tuple->hash() % rx_rings_.size());
 }
 
-void NicPort::deliver_from_wire(pkt::PacketHandle p) {
-  ++rx_frames_;
-  if (cfg_.hw_timestamping && p->probe_id != 0 && rx_ts_hook_) {
-    // 82599 stamps PTP frames at the MAC, before DMA.
-    rx_ts_hook_(*p, sim_.now());
-  }
-  const std::size_t q = rss_queue(*p);
+void NicPort::deliver_from_wire(pkt::PacketHandle p,
+                                core::SimDuration delay) {
   auto* raw = p.release();
-  sim_.post_in(cfg_.dma_rx_latency, [this, q, raw] {
-    rx_rings_[q]->enqueue(pkt::PacketHandle{raw});  // overflow => imissed
+  sim_.post_in(delay + cfg_.dma_rx_latency, [this, raw] {
+    pkt::PacketHandle frame{raw};
+    ++rx_frames_;
+    if (cfg_.hw_timestamping && frame->probe_id != 0 && rx_ts_hook_) {
+      // 82599 stamps PTP frames at the MAC, before DMA.
+      rx_ts_hook_(*frame, sim_.now() - cfg_.dma_rx_latency);
+    }
+    const std::size_t q = rss_queue(*frame);
+    rx_rings_[q]->enqueue(std::move(frame));  // overflow => imissed
   });
 }
 

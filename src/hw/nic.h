@@ -8,6 +8,10 @@
 // including Ethernet preamble/IFG overhead, connected to a peer via a
 // Cable; TX queues are drained round-robin onto the single wire.
 //
+// A frame on the wire costs two simulator events: the TX firing that
+// fetches it (and already knows when its last bit leaves), and its arrival
+// in the peer's RX ring, one event covering propagation and RX DMA.
+//
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
 //  * RX-ring overflow is where congestion loss appears when the SUT cannot
@@ -46,8 +50,11 @@ class NicPort {
     /// PCIe DMA + descriptor write-back latency before a received frame
     /// becomes visible in the host RX ring. Adds latency, not rate loss.
     core::SimDuration dma_rx_latency{core::from_ns(2400)};
-    /// Descriptor fetch + DMA read latency paid once per TX busy period
-    /// (pipelined away within a burst).
+    /// Descriptor fetch + DMA read latency paid once per TX busy period.
+    /// A busy period lasts while the wire is occupied: a frame enqueued
+    /// before the previous one has finished serializing leaves right
+    /// behind it, its fetch pipelined away; one enqueued on an idle wire
+    /// pays this latency again.
     core::SimDuration dma_tx_latency{core::from_ns(1000)};
   };
 
@@ -84,20 +91,28 @@ class NicPort {
   void attach_cable(Cable* c) { cable_ = c; }
   [[nodiscard]] bool link_up() const { return cable_ != nullptr; }
 
-  /// Called by the cable when a frame finishes arriving at this port.
-  void deliver_from_wire(pkt::PacketHandle p);
+  /// Called by the cable when a frame starts on its way here: its last bit
+  /// reaches this port's MAC `delay` from now. Posts the frame's one
+  /// arrival event, at DMA completion (`delay + dma_rx_latency`), which
+  /// counts it, runs the RX timestamp hook and enqueues it on its RSS
+  /// queue's RX ring (overflow counts as imissed). The arrival must stay
+  /// an event: the ring's watcher wakes the host at that very instant.
+  void deliver_from_wire(pkt::PacketHandle p, core::SimDuration delay);
 
   /// Callback invoked with (frame, rx_wire_time) when a HW-timestamped
   /// probe frame arrives — how MoonGen reads RX timestamps off the NIC.
-  /// The frame reference is only valid during the call.
+  /// It runs at DMA completion but is passed the MAC time, when the last
+  /// bit arrived (the 82599 stamps PTP frames before DMA). The frame
+  /// reference is only valid during the call.
   using RxTimestampHook =
       core::SmallFn<void, const pkt::Packet&, core::SimTime>;
   void set_rx_timestamp_hook(RxTimestampHook h) { rx_ts_hook_ = std::move(h); }
 
  private:
   void on_tx_enqueue();
-  /// One firing of the TX busy-period timer: finish the in-flight frame (if
-  /// any), fetch the next, return its serialization time (or stop).
+  /// One firing of the TX busy-period timer: fetch the next frame, send it
+  /// down the cable, and return its serialization time, or stop the timer
+  /// at once when that emptied every TX ring.
   core::SimDuration serialize_step();
   [[nodiscard]] std::size_t rss_queue(const pkt::Packet& p) const;
 
@@ -107,11 +122,10 @@ class NicPort {
   std::vector<std::unique_ptr<ring::SpscRing>> rx_rings_;
   std::vector<std::unique_ptr<ring::SpscRing>> tx_rings_;
   Cable* cable_{nullptr};
+  /// The TX timer is running.
   bool tx_busy_{false};
-  /// Frame currently occupying the wire (owned; delivered by the TX timer).
-  pkt::Packet* tx_in_flight_{nullptr};
-  /// When the in-flight frame started serializing (trace wire spans).
-  core::SimTime tx_wire_start_{0};
+  /// When the last frame sent finishes serializing.
+  core::SimTime wire_free_at_{0};
   std::size_t tx_rr_{0};
   core::Counter tx_frames_;
   core::Counter rx_frames_;

@@ -63,11 +63,13 @@ struct Env {
     return std::make_unique<obs::TraceRecorder>(sim, tc);
   }
 
-  /// Fold the registry snapshot (and any sampler summaries) into `r`.
-  /// Call after the final drain, before the Env goes out of scope.
+  /// Fold the registry snapshot, the simulator's event count and any
+  /// sampler summaries into `r`. Call after the final drain, before the Env
+  /// goes out of scope.
   void collect(ScenarioResult& r) const {
     if (!registry) return;
     r.counters = registry->snapshot();
+    r.counters.emplace_back("sim/events_processed", sim.events_processed());
     if (sampler) sampler->append_summary(r.counters);
     std::sort(r.counters.begin(), r.counters.end());
     for (const auto& [path, value] : r.counters) {

@@ -1,0 +1,62 @@
+// Event budget: simulator events per offered packet, one observed point per
+// scenario kind at the default windows and seed. Event counts depend on
+// nothing but the model and the seed, so unlike wall-clock time they can be
+// gated exactly; each bound sits about 1% above the measured count, so a
+// change that adds events to the per-packet path fails here first.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "scenario/scenario.h"
+
+namespace nfvsb::scenario {
+namespace {
+
+struct Budget {
+  const char* label;
+  Kind kind;
+  switches::SwitchType sut;
+  int chain_length;
+  /// Upper bound on events per offered packet.
+  double max_events_per_pkt;
+};
+
+std::uint64_t counter(const ScenarioResult& r, const std::string& path) {
+  for (const auto& [p, v] : r.counters) {
+    if (p == path) return v;
+  }
+  ADD_FAILURE() << "missing counter " << path;
+  return 0;
+}
+
+TEST(EventBudget, PerOfferedPacket) {
+  using switches::SwitchType;
+  // The per-point events table in EXPERIMENTS.md records the measured
+  // counts behind these bounds. v2v has no NIC on its path.
+  const Budget budgets[] = {
+      {"p2p uni BESS", Kind::kP2p, SwitchType::kBess, 1, 5.22},
+      {"p2p uni VALE", Kind::kP2p, SwitchType::kVale, 1, 4.16},
+      {"p2v VPP", Kind::kP2v, SwitchType::kVpp, 1, 3.04},
+      {"loopback-4 VPP", Kind::kLoopback, SwitchType::kVpp, 4, 3.25},
+      {"v2v Snabb", Kind::kV2v, SwitchType::kSnabb, 1, 1.82},
+  };
+  for (const Budget& b : budgets) {
+    ScenarioConfig cfg;
+    cfg.kind = b.kind;
+    cfg.sut = b.sut;
+    cfg.chain_length = b.chain_length;
+    cfg.observe = true;
+    const ScenarioResult r = run_scenario(cfg);
+    ASSERT_FALSE(r.skipped.has_value()) << b.label;
+    ASSERT_GT(r.offered_packets, 0u) << b.label;
+    const double per_pkt =
+        static_cast<double>(counter(r, "sim/events_processed")) /
+        static_cast<double>(r.offered_packets);
+    EXPECT_LE(per_pkt, b.max_events_per_pkt)
+        << b.label << ": " << counter(r, "sim/events_processed")
+        << " events for " << r.offered_packets << " offered packets";
+  }
+}
+
+}  // namespace
+}  // namespace nfvsb::scenario

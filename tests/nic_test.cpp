@@ -1,6 +1,8 @@
 // NIC model: serialization timing, line-rate ceiling, RX overflow
-// (imissed), DMA latency, HW timestamping, cable delivery.
+// (imissed), DMA latency, HW timestamping, cable delivery, events per frame.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/simulator.h"
 #include "hw/cable.h"
@@ -79,6 +81,53 @@ TEST_F(NicTest, LargerFramesSerializeProportionally) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1] - arrivals[0],
             core::kTenGigE.serialization_time(1024));
+}
+
+// A frame on the wire costs two events: the TX firing that fetches it and
+// its arrival (propagation and RX DMA in one). The TX timer stops in the
+// firing that drains the rings.
+TEST_F(NicTest, LoneFrameCostsTwoEvents) {
+  a_.tx_ring().enqueue(frame());
+  sim_.run();
+  EXPECT_EQ(b_.rx_ring().size(), 1u);
+  EXPECT_EQ(sim_.events_processed(), 2u);
+}
+
+TEST_F(NicTest, BurstCostsTwoEventsPerFrame) {
+  constexpr std::uint64_t kFrames = 10;
+  b_.rx_ring().set_sink([](pkt::PacketHandle) {});
+  for (std::uint64_t i = 0; i < kFrames; ++i) a_.tx_ring().enqueue(frame());
+  sim_.run();
+  EXPECT_EQ(b_.rx_frames(), kFrames);
+  EXPECT_EQ(sim_.events_processed(), 2 * kFrames);
+}
+
+// The TX timer stops when the rings drain, but the busy period lasts as
+// long as the wire is occupied: a frame enqueued while the previous one is
+// still serializing leaves right behind it, without a new DMA fetch.
+TEST_F(NicTest, FrameEnqueuedWhileSerializingLeavesRightBehind) {
+  std::vector<core::SimTime> arrivals;
+  b_.rx_ring().set_sink(
+      [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
+  a_.tx_ring().enqueue(frame(64));
+  // The first frame serializes over [50, 117.2) ns.
+  sim_.post_in(core::from_ns(80), [this] { a_.tx_ring().enqueue(frame(64)); });
+  sim_.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], core::from_ns(50 + 67.2 + 5 + 100));
+  EXPECT_EQ(arrivals[1] - arrivals[0], core::kTenGigE.serialization_time(64));
+}
+
+TEST_F(NicTest, FrameEnqueuedOnIdleWirePaysDmaFetchAgain) {
+  std::vector<core::SimTime> arrivals;
+  b_.rx_ring().set_sink(
+      [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
+  a_.tx_ring().enqueue(frame(64));
+  // The wire frees at 117.2 ns.
+  sim_.post_in(core::from_ns(500), [this] { a_.tx_ring().enqueue(frame(64)); });
+  sim_.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[1], core::from_ns(500 + 50 + 67.2 + 5 + 100));
 }
 
 TEST_F(NicTest, RxRingOverflowCountsImissed) {
