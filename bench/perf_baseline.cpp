@@ -8,8 +8,10 @@
 //      next to that point's simulator events per offered packet (counted
 //      in a separate observed run, so the timed run stays unobserved).
 //
-// Results land in BENCH_events.json (override the path with
-// NFVSB_BENCH_OUT). When NFVSB_MIN_EVENTS_PER_SEC is set, the binary exits
+// Results land in BENCH_events.json at the repository root, a committed
+// file: run it from there and commit the new figures with a change that
+// moves them, so the trajectory is part of git history (NFVSB_BENCH_OUT
+// writes elsewhere, e.g. CI's uploaded copy). When NFVSB_MIN_EVENTS_PER_SEC is set, the binary exits
 // non-zero if the engine measurement falls below it — the CI perf-smoke
 // floor. Keep that floor conservative: shared 1-vCPU CI runners are easily
 // 5-10x slower than a quiet development machine.

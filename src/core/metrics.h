@@ -22,6 +22,7 @@
 #include <string>
 
 #include "core/counter.h"
+#include "core/time.h"
 
 namespace nfvsb::core {
 
@@ -30,6 +31,9 @@ class MetricSink {
   /// Occupancy probe for a registered queue (plain function pointer: the
   /// sampler calls it with the registered owner, no closure state needed).
   using DepthFn = std::size_t (*)(const void* owner);
+  /// Brings an owner's lazily filled queues up to date before their depths
+  /// are read by an event armed at `armed_at` (see hw/tx_source.h).
+  using SyncFn = void (*)(void* owner, SimTime armed_at);
 
   virtual ~MetricSink() = default;
 
@@ -47,6 +51,8 @@ class MetricSink {
   /// Register a queue for depth sampling (see obs/sampler.h).
   virtual void add_queue(const void* owner, std::string path,
                          std::size_t capacity, DepthFn depth) = 0;
+  /// Register a hook the sampler calls before every round of depth reads.
+  virtual void add_sync(void* owner, SyncFn sync) = 0;
 
   /// Drop every row registered by `owner` (called from owner destructors,
   /// so a sink may outlive any subset of its components).

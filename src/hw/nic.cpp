@@ -27,6 +27,9 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
     registry_ = reg;
     reg->add_counter(this, "nic/" + name_ + "/tx_frames", &tx_frames_);
     reg->add_counter(this, "nic/" + name_ + "/rx_frames", &rx_frames_);
+    reg->add_sync(this, [](void* owner, core::SimTime armed_at) {
+      static_cast<NicPort*>(owner)->sync_for_sampling(armed_at);
+    });
   }
 }
 
@@ -40,24 +43,100 @@ std::uint64_t NicPort::imissed() const {
   return n;
 }
 
-void NicPort::on_tx_enqueue() {
-  if (tx_busy_) return;
-  tx_busy_ = true;
+void NicPort::attach_tx_source(TxSource& s) { tx_sources_.push_back(&s); }
+
+void NicPort::detach_tx_source(TxSource& s) { std::erase(tx_sources_, &s); }
+
+core::SimTime NicPort::fetch_time(core::SimTime ready) const {
   // While the last frame is still on the wire this is the same busy period:
   // the fetch was pipelined behind serialization, so the frame leaves as
   // soon as the wire frees. On an idle wire the first frame of a new busy
-  // period pays the descriptor/DMA fetch latency. The busy period is one
-  // adaptive recurring timer that stops itself (serialize_step returns
-  // kStopTimer once the rings drain), so its id is deliberately dropped.
+  // period pays the descriptor/DMA fetch latency.
+  return wire_free_at_ > ready ? wire_free_at_ : ready + cfg_.dma_tx_latency;
+}
+
+void NicPort::on_tx_enqueue() {
   const core::SimTime now = sim_.now();
-  const core::SimDuration first =
-      wire_free_at_ > now ? wire_free_at_ - now : cfg_.dma_tx_latency;
-  (void)sim_.schedule_every(first, core::Simulator::RecurringFn([this] {
-                              return serialize_step();
-                            }));
+  arm_fetch(fetch_time(now), now);
+}
+
+core::SimTime NicPort::next_source_emit() const {
+  core::SimTime next = TxSource::kNever;
+  for (const TxSource* s : tx_sources_) next = std::min(next, s->next_emit());
+  return next;
+}
+
+void NicPort::wake_tx() {
+  const core::SimTime next = next_source_emit();
+  if (next != TxSource::kNever) arm_fetch(fetch_time(next), next);
+}
+
+void NicPort::arm_fetch(core::SimTime at, core::SimTime as_armed_at) {
+  if (tx_busy_) {
+    if (tx_fetch_at_ <= at) return;
+    // The armed fetch waits for a source's next emit, and a frame pushed
+    // in meanwhile is due earlier.
+    sim_.cancel_timer(tx_timer_);
+  }
+  // The TX timer is one adaptive recurring timer: serialize_step returns
+  // the delay to each next fetch and stops it when nothing is left.
+  const core::SimTime now = sim_.now();
+  tx_busy_ = true;
+  tx_fetch_at_ = at;
+  tx_armed_at_ = now;
+  tx_as_armed_at_ = as_armed_at;
+  tx_timer_ = sim_.schedule_every(
+      at - now,
+      core::Simulator::RecurringFn([this] { return serialize_step(); }));
+}
+
+void NicPort::pull_sources(core::SimTime armed_at) {
+  const core::SimTime now = sim_.now();
+  if (tx_sources_.size() > 1) {
+    // Merge: every frame due before now, in (emit time, attach order).
+    for (;;) {
+      TxSource* first = nullptr;
+      core::SimTime e = TxSource::kNever;
+      for (TxSource* s : tx_sources_) {
+        if (s->next_emit() < e) {
+          e = s->next_emit();
+          first = s;
+        }
+      }
+      if (e >= now) break;
+      first->emit_due(e, TxSource::kNever);
+    }
+  }
+  for (TxSource* s : tx_sources_) s->emit_due(now, armed_at);
+}
+
+void NicPort::sync_for_sampling(core::SimTime armed_at) {
+  pull_sources(armed_at);
+  // A fetch that waited for a source's frame was armed when the rings
+  // drained, but is ordered as if armed when that frame was emitted. If it
+  // ran at this very instant and the read was armed in between (or at that
+  // emit, by a read that came before it), the read comes first in that
+  // order: it must still see the frame the fetch took.
+  const core::SimTime now = sim_.now();
+  const Fetch& f = last_fetch_;
+  const bool read_first =
+      armed_at < f.as_armed_at ||
+      (armed_at == f.as_armed_at && sync_left_due_at_ == armed_at);
+  for (auto& r : tx_rings_) r->set_sample_lag(0);
+  if (f.ring != nullptr && f.at == now && f.armed_at < armed_at &&
+      read_first) {
+    f.ring->set_sample_lag(1);
+  }
+  // A frame due now that this read left for the fetch was emitted after it.
+  sync_left_due_at_ = next_source_emit() == now ? now : core::kNoTimestamp;
 }
 
 core::SimDuration NicPort::serialize_step() {
+  const core::SimTime now = sim_.now();
+  pull_sources(tx_as_armed_at_);
+  last_fetch_ = {now, tx_armed_at_, tx_as_armed_at_, nullptr};
+  tx_armed_at_ = now;
+  tx_as_armed_at_ = now;
   // Round-robin across TX queues (82599 WRR with equal weights).
   pkt::PacketHandle p;
   for (std::size_t k = 0; k < tx_rings_.size(); ++k) {
@@ -65,39 +144,46 @@ core::SimDuration NicPort::serialize_step() {
     p = tx_rings_[q]->dequeue();
     if (p) {
       tx_rr_ = (q + 1) % tx_rings_.size();
+      last_fetch_.ring = tx_rings_[q].get();
       break;
     }
   }
-  if (!p) {
-    tx_busy_ = false;
-    return core::Simulator::kStopTimer;
-  }
-  // The frame occupies the wire for `ser` from now; everything that happens
-  // when its last bit leaves the MAC is known already, so do it here.
-  const core::SimTime now = sim_.now();
-  const core::SimDuration ser = cfg_.rate.serialization_time(p->size());
-  ++tx_frames_;
-  if (cfg_.hw_timestamping && p->probe_id != 0 &&
-      p->tx_timestamp == core::kNoTimestamp) {
-    p->tx_timestamp = now + ser;
-  }
-  if (core::TraceSink* t = core::tracer()) {
-    if (p->trace_id != 0) {
-      t->complete(t->track("nic/" + name_ + "/wire"), "wire", now, ser,
-                  p->seq);
+  if (p) {
+    // The frame occupies the wire for `ser` from now; everything that
+    // happens when its last bit leaves the MAC is known already, so do it
+    // here.
+    const core::SimDuration ser = cfg_.rate.serialization_time(p->size());
+    ++tx_frames_;
+    if (cfg_.hw_timestamping && p->probe_id != 0 &&
+        p->tx_timestamp == core::kNoTimestamp) {
+      p->tx_timestamp = now + ser;
+    }
+    if (core::TraceSink* t = core::tracer()) {
+      if (p->trace_id != 0) {
+        t->complete(t->track("nic/" + name_ + "/wire"), "wire", now, ser,
+                    p->seq);
+      }
+    }
+    if (cable_ != nullptr) cable_->transmit(*this, std::move(p), ser);
+    // No cable: frame vanishes (unplugged port), handle frees it.
+    wire_free_at_ = now + ser;
+    const bool drained =
+        std::all_of(tx_rings_.begin(), tx_rings_.end(),
+                    [](const auto& r) { return r->empty(); });
+    if (!drained) {
+      tx_fetch_at_ = wire_free_at_;
+      return ser;
     }
   }
-  if (cable_ != nullptr) cable_->transmit(*this, std::move(p), ser);
-  // No cable: frame vanishes (unplugged port), handle frees it.
-  const bool drained =
-      std::all_of(tx_rings_.begin(), tx_rings_.end(),
-                  [](const auto& r) { return r->empty(); });
-  if (drained) {
+  // The rings are empty: fetch again when the sources' next frame is due.
+  const core::SimTime next = next_source_emit();
+  if (next == TxSource::kNever) {
     tx_busy_ = false;
-    wire_free_at_ = now + ser;
     return core::Simulator::kStopTimer;
   }
-  return ser;
+  tx_fetch_at_ = fetch_time(next);
+  tx_as_armed_at_ = next;
+  return tx_fetch_at_ - now;
 }
 
 std::size_t NicPort::rss_queue(const pkt::Packet& p) const {
@@ -109,17 +195,27 @@ std::size_t NicPort::rss_queue(const pkt::Packet& p) const {
 
 void NicPort::deliver_from_wire(pkt::PacketHandle p,
                                 core::SimDuration delay) {
+  ring::SpscRing& ring = *rx_rings_[rss_queue(*p)];
+  if (ring.has_timed_sink()) {
+    const core::SimTime at = sim_.now() + delay + cfg_.dma_rx_latency;
+    count_arrival(*p, at);
+    ring.deliver(std::move(p), at);
+    return;
+  }
   auto* raw = p.release();
-  sim_.post_in(delay + cfg_.dma_rx_latency, [this, raw] {
+  sim_.post_in(delay + cfg_.dma_rx_latency, [this, raw, &ring] {
     pkt::PacketHandle frame{raw};
-    ++rx_frames_;
-    if (cfg_.hw_timestamping && frame->probe_id != 0 && rx_ts_hook_) {
-      // 82599 stamps PTP frames at the MAC, before DMA.
-      rx_ts_hook_(*frame, sim_.now() - cfg_.dma_rx_latency);
-    }
-    const std::size_t q = rss_queue(*frame);
-    rx_rings_[q]->enqueue(std::move(frame));  // overflow => imissed
+    count_arrival(*frame, sim_.now());
+    ring.enqueue(std::move(frame));  // overflow => imissed
   });
+}
+
+void NicPort::count_arrival(const pkt::Packet& frame, core::SimTime at) {
+  ++rx_frames_;
+  if (cfg_.hw_timestamping && frame.probe_id != 0 && rx_ts_hook_) {
+    // 82599 stamps PTP frames at the MAC, before DMA.
+    rx_ts_hook_(frame, at - cfg_.dma_rx_latency);
+  }
 }
 
 }  // namespace nfvsb::hw

@@ -8,9 +8,18 @@
 // including Ethernet preamble/IFG overhead, connected to a peer via a
 // Cable; TX queues are drained round-robin onto the single wire.
 //
-// A frame on the wire costs two simulator events: the TX firing that
-// fetches it (and already knows when its last bit leaves), and its arrival
-// in the peer's RX ring, one event covering propagation and RX DMA.
+// Events per frame on a wire: the TX firing that fetches it (and already
+// knows when its last bit leaves), and its arrival in the peer's RX ring,
+// one event covering propagation and RX DMA. The traffic tools cost none
+// of their own:
+//  * a generator attached as a TxSource is pulled at fetch time: the fetch
+//    first enqueues every frame the generator owes by then, each stamped
+//    with its own emit time, and when the rings drain the next fetch is
+//    armed for the generator's next emit;
+//  * an RX ring with a timed sink (a monitor) gets each frame in the
+//    sender's fetch firing, stamped with its arrival time. Nothing waits
+//    on that instant there; any other RX ring keeps the arrival event,
+//    because its watcher wakes the host at exactly that time.
 //
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
@@ -28,6 +37,7 @@
 #include "core/event_fn.h"
 #include "core/simulator.h"
 #include "core/units.h"
+#include "hw/tx_source.h"
 #include "ring/spsc_ring.h"
 
 namespace nfvsb::core {
@@ -92,12 +102,22 @@ class NicPort {
   [[nodiscard]] bool link_up() const { return cable_ != nullptr; }
 
   /// Called by the cable when a frame starts on its way here: its last bit
-  /// reaches this port's MAC `delay` from now. Posts the frame's one
-  /// arrival event, at DMA completion (`delay + dma_rx_latency`), which
-  /// counts it, runs the RX timestamp hook and enqueues it on its RSS
-  /// queue's RX ring (overflow counts as imissed). The arrival must stay
-  /// an event: the ring's watcher wakes the host at that very instant.
+  /// reaches this port's MAC `delay` from now, and DMA completes
+  /// `dma_rx_latency` later, at arrival time `at`. Arrival counts the
+  /// frame, runs the RX timestamp hook and puts it on its RSS queue's RX
+  /// ring (overflow counts as imissed). A ring with a timed sink gets it
+  /// now, passed `at`; any other ring gets it from one arrival event at
+  /// `at`, because the ring's watcher wakes the host at that very instant.
   void deliver_from_wire(pkt::PacketHandle p, core::SimDuration delay);
+
+  /// Pull frames from `s` at every TX fetch (see hw/tx_source.h). Several
+  /// sources merge in (emit time, attach order). A source must call
+  /// wake_tx() when its next emit time becomes known, and detach before
+  /// it dies.
+  void attach_tx_source(TxSource& s);
+  void detach_tx_source(TxSource& s);
+  /// Arm a TX fetch for the sources' next emit, unless one is armed.
+  void wake_tx();
 
   /// Callback invoked with (frame, rx_wire_time) when a HW-timestamped
   /// probe frame arrives — how MoonGen reads RX timestamps off the NIC.
@@ -110,11 +130,28 @@ class NicPort {
 
  private:
   void on_tx_enqueue();
-  /// One firing of the TX busy-period timer: fetch the next frame, send it
-  /// down the cable, and return its serialization time, or stop the timer
-  /// at once when that emptied every TX ring.
+  /// Fetch at `at` unless a fetch is armed for then or earlier. The fetch
+  /// is ordered as if armed at `as_armed_at` (see tx_as_armed_at_).
+  void arm_fetch(core::SimTime at, core::SimTime as_armed_at);
+  [[nodiscard]] core::SimTime next_source_emit() const;
+  /// When a frame that becomes ready at `ready` is fetched: on a busy wire
+  /// right behind the frame on it, on an idle one after a DMA fetch.
+  [[nodiscard]] core::SimTime fetch_time(core::SimTime ready) const;
+  /// Enqueue what the TX sources owe a reader at now() armed at
+  /// `armed_at` (see TxSource::emit_due).
+  void pull_sources(core::SimTime armed_at);
+  /// Queue-sampler hook: make the TX rings read as they would with every
+  /// frame enqueued at its emit time.
+  void sync_for_sampling(core::SimTime armed_at);
+  /// One firing of the TX timer: pull the sources, fetch the next frame
+  /// and send it down the cable. Returns the delay to the next fetch: the
+  /// frame's serialization time while the rings hold frames, the sources'
+  /// next emit once they drain, kStopTimer when there is none.
   core::SimDuration serialize_step();
   [[nodiscard]] std::size_t rss_queue(const pkt::Packet& p) const;
+  /// Count an arriving frame and pass a probe's MAC time to the RX
+  /// timestamp hook; `at` is when its DMA completes.
+  void count_arrival(const pkt::Packet& frame, core::SimTime at);
 
   core::Simulator& sim_;
   std::string name_;
@@ -122,8 +159,29 @@ class NicPort {
   std::vector<std::unique_ptr<ring::SpscRing>> rx_rings_;
   std::vector<std::unique_ptr<ring::SpscRing>> tx_rings_;
   Cable* cable_{nullptr};
-  /// The TX timer is running.
+  std::vector<TxSource*> tx_sources_;
+  /// The TX timer is running: a fetch is armed for tx_fetch_at_.
   bool tx_busy_{false};
+  core::Simulator::TimerId tx_timer_{core::Simulator::kInvalidTimer};
+  core::SimTime tx_fetch_at_{0};
+  /// When the armed fetch was armed, and when it counts as armed for the
+  /// order of same-instant work: a fetch armed for a source's next frame
+  /// counts from that frame's emit time, as if the frame had been pushed
+  /// into the ring then.
+  core::SimTime tx_armed_at_{0};
+  core::SimTime tx_as_armed_at_{0};
+  /// The last fetch, for sync_for_sampling.
+  struct Fetch {
+    core::SimTime at;
+    core::SimTime armed_at;
+    core::SimTime as_armed_at;
+    /// The ring it dequeued from, if any.
+    ring::SpscRing* ring;
+  };
+  Fetch last_fetch_{-1, 0, 0, nullptr};
+  /// Time of the last sampler read that left a frame due at that instant
+  /// unpulled (kNoTimestamp if it left none).
+  core::SimTime sync_left_due_at_{core::kNoTimestamp};
   /// When the last frame sent finishes serializing.
   core::SimTime wire_free_at_{0};
   std::size_t tx_rr_{0};

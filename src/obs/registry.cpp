@@ -46,7 +46,12 @@ void Registry::add_queue(const void* owner, std::string path,
   queues_.push_back(Queue{owner, unique_path(std::move(path)), capacity, depth});
 }
 
+void Registry::add_sync(void* owner, SyncFn sync) {
+  syncs_.push_back(Sync{owner, sync});
+}
+
 void Registry::remove(const void* owner) {
+  std::erase_if(syncs_, [owner](const Sync& s) { return s.owner == owner; });
   std::erase_if(entries_, [owner](const Entry& e) { return e.owner == owner; });
   std::erase_if(queues_, [owner](const Queue& q) { return q.owner == owner; });
 }

@@ -28,7 +28,12 @@ namespace nfvsb::obs {
 class Registry final : public core::MetricSink {
  public:
   using DepthFn = core::MetricSink::DepthFn;
+  using SyncFn = core::MetricSink::SyncFn;
 
+  struct Sync {
+    void* owner;
+    SyncFn fn;
+  };
   struct Queue {
     const void* owner;
     std::string path;
@@ -54,12 +59,14 @@ class Registry final : public core::MetricSink {
   /// Register a queue for depth sampling (see obs/sampler.h).
   void add_queue(const void* owner, std::string path, std::size_t capacity,
                  DepthFn depth) override;
+  void add_sync(void* owner, SyncFn sync) override;
 
   /// Drop every row registered by `owner` (called from owner destructors,
   /// so a Registry may outlive any subset of its components).
   void remove(const void* owner) override;
 
   [[nodiscard]] const std::vector<Queue>& queues() const { return queues_; }
+  [[nodiscard]] const std::vector<Sync>& syncs() const { return syncs_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// All registered cells as (path, value), sorted by path — the
@@ -80,6 +87,7 @@ class Registry final : public core::MetricSink {
 
   std::vector<Entry> entries_;
   std::vector<Queue> queues_;
+  std::vector<Sync> syncs_;
 };
 
 }  // namespace nfvsb::obs

@@ -17,7 +17,8 @@ SpscRing::SpscRing(std::string name, std::size_t capacity)
     reg->add_counter(this, "ring/" + name_ + "/cleared", &cleared_);
     reg->add_queue(this, "ring/" + name_, capacity_,
                    [](const void* owner) {
-                     return static_cast<const SpscRing*>(owner)->size();
+                     const auto* r = static_cast<const SpscRing*>(owner);
+                     return r->size() + r->sample_lag_;
                    });
   }
 }
@@ -27,6 +28,7 @@ SpscRing::~SpscRing() {
 }
 
 bool SpscRing::enqueue(pkt::PacketHandle p) {
+  assert(!timed_sink_ && "a timed sink is fed through deliver()");
   if (sink_) {
     ++enqueued_;
     ++dequeued_;
@@ -63,6 +65,11 @@ pkt::PacketHandle SpscRing::dequeue() {
 void SpscRing::set_sink(Sink s) {
   assert(q_.empty() && "install sinks before traffic starts");
   sink_ = std::move(s);
+}
+
+void SpscRing::set_sink(TimedSink s) {
+  assert(q_.empty() && "install sinks before traffic starts");
+  timed_sink_ = std::move(s);
 }
 
 void SpscRing::clear() {

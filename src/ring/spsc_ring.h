@@ -8,7 +8,9 @@
 //    handlers can be woken without busy-looping simulated time;
 //  * sink: a sink callback consumes packets immediately on enqueue (used by
 //    zero-overhead traffic monitors, per the paper's use of FloWatcher /
-//    MoonGen RX whose overhead is negligible).
+//    MoonGen RX whose overhead is negligible). A timed sink also takes the
+//    packet's arrival time: its producer (a NIC) hands packets over with
+//    deliver() as soon as it knows that time, which may be ahead of now.
 //
 // Enqueueing into a full ring drops the packet (freed back to its pool) and
 // counts the drop — this is where all simulated loss happens, exactly as in
@@ -34,6 +36,7 @@
 #include "core/counter.h"
 #include "core/event_fn.h"
 #include "core/fifo.h"
+#include "core/time.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -50,6 +53,7 @@ class SpscRing {
   /// installation must never implicitly heap-allocate per wake.
   using Watcher = core::SmallFn<void, bool>;
   using Sink = core::SmallFn<void, pkt::PacketHandle>;
+  using TimedSink = core::SmallFn<void, pkt::PacketHandle, core::SimTime>;
 
   SpscRing(std::string name, std::size_t capacity);
   ~SpscRing();
@@ -82,6 +86,24 @@ class SpscRing {
   /// Divert all future enqueues straight into `s` (monitor mode). The ring
   /// must be empty when the sink is installed.
   void set_sink(Sink s);
+  /// Monitor mode with arrival times: packets reach `s` only through
+  /// deliver(), never enqueue(). The ring must be empty.
+  void set_sink(TimedSink s);
+  [[nodiscard]] bool has_timed_sink() const {
+    return static_cast<bool>(timed_sink_);
+  }
+  /// Hand `p` to the timed sink as arriving at `at` (counted as one
+  /// enqueue and one dequeue, like a plain sink).
+  void deliver(pkt::PacketHandle p, core::SimTime at) {
+    ++enqueued_;
+    ++dequeued_;
+    timed_sink_(std::move(p), at);
+  }
+
+  /// Frames the queue sampler's depth read adds to size(): ones a
+  /// producer dequeued earlier within the current instant than the order
+  /// it models (set from hw::NicPort's sampler hook).
+  void set_sample_lag(std::size_t n) { sample_lag_ = n; }
 
   /// Drop everything buffered (used at scenario teardown). The discarded
   /// packets are counted in cleared(): enqueued == dequeued + cleared +
@@ -94,6 +116,8 @@ class SpscRing {
   core::Fifo<pkt::PacketHandle> q_;
   Watcher watcher_;
   Sink sink_;
+  TimedSink timed_sink_;
+  std::size_t sample_lag_{0};
   core::Counter drops_;
   core::Counter enqueued_;
   core::Counter dequeued_;

@@ -286,6 +286,7 @@ ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
     if (!legs[i].mon) attach_rx(*legs[i].gen, dirs[i].to);
   }
 
+  for (const Leg& leg : legs) rx_meter(leg.monitor()).stop_at(t_stop);
   env.sim.run_until(t_stop);
   for (const Leg& leg : legs) rx_meter(leg.monitor()).close(t_stop);
   env.sim.run();  // drain everything in flight

@@ -6,9 +6,15 @@
 // close_at belongs to the NEXT window, and window_duration is close_at -
 // open_at with no fencepost. The closed state is an explicit flag — t=0 is
 // a valid close time (a meter can open and close before any traffic).
+//
+// Packets are passed their arrival time, which a NIC monitor learns ahead
+// of the simulation clock. Such a meter must know where its run stops
+// before the run (stop_at): a packet arriving after that instant can reach
+// it before the run gets there.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "core/time.h"
 #include "core/units.h"
@@ -22,12 +28,17 @@ class ThroughputMeter {
   explicit ThroughputMeter(core::SimTime open_at = 0) : open_at_(open_at) {}
 
   void on_packet(core::SimTime now, std::uint32_t frame_bytes) {
-    if (now < open_at_) return;
+    if (now < open_at_ || now > stop_at_) return;
     if (closed_ && now >= close_at_) return;
     ++packets_;
     wire_bytes_ += frame_bytes + core::kWireOverheadBytes;
     last_seen_ = now;
   }
+
+  /// Count no packet arriving after `t`, the time the run is stopped at
+  /// before close(t): a packet at exactly `t` still counts, because the
+  /// run executes everything at `t` before the meter closes.
+  void stop_at(core::SimTime t) { stop_at_ = t; }
 
   /// Freeze the window at `now` for rate computation ([open_at, now)).
   void close(core::SimTime now) {
@@ -55,6 +66,7 @@ class ThroughputMeter {
     packets_ = 0;
     wire_bytes_ = 0;
     open_at_ = open_at;
+    stop_at_ = kNoStop;
     close_at_ = 0;
     closed_ = false;
     last_seen_ = core::kNoTimestamp;
@@ -69,9 +81,13 @@ class ThroughputMeter {
     return end - open_at_;
   }
 
+  static constexpr core::SimTime kNoStop =
+      std::numeric_limits<core::SimTime>::max();
+
   std::uint64_t packets_{0};
   std::uint64_t wire_bytes_{0};
   core::SimTime open_at_{0};
+  core::SimTime stop_at_{kNoStop};
   core::SimTime close_at_{0};
   bool closed_{false};
   core::SimTime last_seen_{core::kNoTimestamp};

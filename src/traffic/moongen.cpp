@@ -14,7 +14,11 @@
 namespace nfvsb::traffic {
 
 MoonGen::MoonGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
-    : sim_(sim), pool_(pool), cfg_(cfg), rx_meter_(cfg.meter_open_at) {
+    : sim_(sim),
+      pool_(pool),
+      cfg_(cfg),
+      frame_(cfg.frame),
+      rx_meter_(cfg.meter_open_at) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
     const std::string base = "gen/moongen." + std::to_string(cfg_.origin);
@@ -25,12 +29,14 @@ MoonGen::MoonGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
 }
 
 MoonGen::~MoonGen() {
+  if (tx_nic_ != nullptr) tx_nic_->detach_tx_source(*this);
   if (registry_ != nullptr) registry_->remove(this);
 }
 
 void MoonGen::attach_tx_nic(hw::NicPort& nic) {
   assert(tx_nic_ == nullptr && tx_guest_ == nullptr);
   tx_nic_ = &nic;
+  nic.attach_tx_source(*this);
   pace_pps_ = cfg_.rate_pps > 0
                   ? cfg_.rate_pps
                   : nic.rate().line_rate_pps(cfg_.frame.frame_bytes);
@@ -46,47 +52,65 @@ void MoonGen::start_tx(core::SimTime at, core::SimTime until) {
   assert((tx_nic_ != nullptr || tx_guest_ != nullptr) && "attach TX first");
   assert(pace_pps_ > 0);
   tx_until_ = until;
+  next_at_ = at;
+  last_at_ = sim_.now();
   // Probes start once meters are open so warm-up artifacts (JIT traces,
   // cold caches) do not pollute the latency distribution.
   next_probe_at_ = std::max(at, cfg_.meter_open_at);
-  // The pacing clock is one recurring timer: the emit callback is stored
-  // once and each re-arm is allocation-free, instead of a fresh closure per
-  // emitted frame.
-  // Self-stopping at tx_until_, so the timer id is deliberately dropped.
-  (void)sim_.schedule_every(at - sim_.now(),
-                            core::Simulator::RecurringFn([this] {
-                              if (sim_.now() >= tx_until_) {
-                                return core::Simulator::kStopTimer;
-                              }
-                              emit_one();
-                              return gap();
-                            }));
+  if (tx_nic_ != nullptr) {
+    tx_nic_->wake_tx();
+    return;
+  }
+  // A guest port has no fetch to pull the frames: one recurring timer
+  // fires at each emit (its callback is stored once, re-arms are
+  // allocation-free) and stops after the last, so its id is dropped.
+  if (next_emit() == kNever) return;
+  (void)sim_.schedule_every(
+      at - sim_.now(), core::Simulator::RecurringFn([this] {
+        const core::SimTime now = sim_.now();
+        emit_due(now, kNever);
+        const core::SimTime next = next_emit();
+        return next == kNever ? core::Simulator::kStopTimer : next - now;
+      }));
 }
 
-void MoonGen::emit_one() {
+core::SimTime MoonGen::next_emit() const {
+  return next_at_ < tx_until_ ? next_at_ : kNever;
+}
+
+void MoonGen::emit_due(core::SimTime upto, core::SimTime armed_at) {
+  while (next_at_ < tx_until_ &&
+         (next_at_ < upto || (next_at_ == upto && last_at_ < armed_at))) {
+    emit_one(next_at_);
+    last_at_ = next_at_;
+    next_at_ += gap();
+  }
+}
+
+void MoonGen::emit_one(core::SimTime at) {
   pkt::PacketHandle p = pool_.allocate();
   if (!p) {
     ++pool_exhausted_;
     return;
   }
-  pkt::FrameSpec frame = cfg_.frame;
+  p->seq = ++seq_;
   if (cfg_.num_flows > 1) {
     // Cycle source ports round-robin: each value is one flow for EMC /
     // megaflow / FloWatcher purposes.
-    frame.src_port = static_cast<std::uint16_t>(
-        cfg_.frame.src_port + (seq_ % cfg_.num_flows));
+    frame_.stamp(*p, p->seq,
+                 static_cast<std::uint16_t>(cfg_.frame.src_port +
+                                            (p->seq - 1) % cfg_.num_flows));
+  } else {
+    frame_.stamp(*p, p->seq);
   }
-  pkt::craft_udp_frame(*p, frame);
-  p->seq = ++seq_;
   p->origin = cfg_.origin;
-  pkt::write_payload_seq(*p, p->seq);
   if (core::TraceSink* t = core::tracer()) {
     if (t->sample_hit(seq_)) p->trace_id = t->next_packet_id();
   }
-  if (cfg_.probe_interval > 0 && sim_.now() >= next_probe_at_) {
+  if (cfg_.probe_interval > 0 && at >= next_probe_at_) {
     p->probe_id = ++probe_seq_;
-    next_probe_at_ = sim_.now() + cfg_.probe_interval;
-    if (cfg_.software_timestamps) p->sw_timestamp = sim_.now();
+    next_probe_at_ = at + cfg_.probe_interval;
+    if (cfg_.software_timestamps) p->sw_timestamp = at;
   }
   if (send(std::move(p))) {
     ++tx_sent_;
@@ -112,32 +136,31 @@ void MoonGen::attach_rx_nic(hw::NicPort& nic) {
   // HW timestamps: sample at the MAC, before DMA (probe RTTs exclude the
   // monitor-side DMA, as with real 82599 PTP stamping).
   if (!cfg_.software_timestamps) {
-    nic.set_rx_timestamp_hook(
-        [this](const pkt::Packet& p, core::SimTime t) { on_rx(p, t); });
-  }
-  for (std::size_t q = 0; q < nic.num_queues(); ++q) {
-    nic.rx_ring(q).set_sink([this](pkt::PacketHandle p) {
-      rx_meter_.on_packet(sim_.now(), p->size());
-      if (cfg_.software_timestamps && p->probe_id != 0 &&
-          p->sw_timestamp != core::kNoTimestamp) {
-        latency_.record(sim_.now() - p->sw_timestamp);
+    nic.set_rx_timestamp_hook([this](const pkt::Packet& p, core::SimTime t) {
+      if (p.tx_timestamp != core::kNoTimestamp) {
+        latency_.record(t - p.tx_timestamp);
       }
+    });
+  }
+  // Timed sinks: the NIC hands each frame over as soon as it is on the
+  // wire, with the time its DMA completes.
+  for (std::size_t q = 0; q < nic.num_queues(); ++q) {
+    nic.rx_ring(q).set_sink([this](pkt::PacketHandle p, core::SimTime at) {
+      on_rx(*p, at, cfg_.software_timestamps);
     });
   }
 }
 
 void MoonGen::attach_rx_guest(ring::GuestPort& port) {
-  port.rx_ring().set_sink([this](pkt::PacketHandle p) {
-    rx_meter_.on_packet(sim_.now(), p->size());
-    if (p->probe_id != 0 && p->sw_timestamp != core::kNoTimestamp) {
-      latency_.record(sim_.now() - p->sw_timestamp);
-    }
-  });
+  port.rx_ring().set_sink(
+      [this](pkt::PacketHandle p) { on_rx(*p, sim_.now(), true); });
 }
 
-void MoonGen::on_rx(const pkt::Packet& p, core::SimTime now) {
-  if (p.tx_timestamp != core::kNoTimestamp) {
-    latency_.record(now - p.tx_timestamp);
+void MoonGen::on_rx(const pkt::Packet& p, core::SimTime at,
+                    bool sw_latency) {
+  rx_meter_.on_packet(at, p.size());
+  if (sw_latency && p.probe_id != 0 && p.sw_timestamp != core::kNoTimestamp) {
+    latency_.record(at - p.sw_timestamp);
   }
 }
 

@@ -8,6 +8,19 @@
 //    in NIC hardware on TX and RX (p2p/loopback), or software-timestamped
 //    when run inside a VM against virtio ports (v2v, Table 4);
 //  * RX monitoring with negligible overhead (implemented as a ring sink).
+//
+// Like the real tool it costs the simulation nothing per frame. Every
+// frame is a copy of one prebuilt frame (pkt::FrameTemplate), with the
+// sequence tag and, over several flows, the UDP source port patched. Emit
+// times follow from the pacing alone: one emission routine (emit_due)
+// enqueues every frame due by a given time, each stamped with its own emit
+// time, and two clocks drive it. On a NIC, the NIC pulls it at every TX
+// fetch (the generator is a hw::TxSource), as the real MoonGen leaves
+// pacing to the NIC's rate control; on a guest port, which has no fetch,
+// its own recurring timer fires at each emit. On the receive side, a
+// monitored NIC hands each frame over in the firing that sends it down the
+// wire, stamped with its arrival time, so meters and latency recorders
+// take that time rather than now().
 #pragma once
 
 #include <cstdint>
@@ -17,6 +30,7 @@
 #include "core/simulator.h"
 #include "core/units.h"
 #include "hw/nic.h"
+#include "hw/tx_source.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 #include "ring/vhost_user_port.h"
@@ -29,7 +43,7 @@ class MetricSink;
 
 namespace nfvsb::traffic {
 
-class MoonGen {
+class MoonGen final : public hw::TxSource {
  public:
   struct Config {
     pkt::FrameSpec frame;
@@ -57,7 +71,8 @@ class MoonGen {
   MoonGen& operator=(const MoonGen&) = delete;
 
   // --- TX ----------------------------------------------------------------
-  /// Transmit through a physical NIC port (node-1 generator).
+  /// Transmit through a physical NIC port (node-1 generator), which pulls
+  /// the frames at its TX fetches.
   void attach_tx_nic(hw::NicPort& nic);
   /// Transmit through a guest port, paced at most `max_pps` (a virtio
   /// device has no intrinsic line rate; the paper's in-VM MoonGen drives
@@ -66,6 +81,10 @@ class MoonGen {
 
   /// Generate from `at` until `until`.
   void start_tx(core::SimTime at, core::SimTime until);
+
+  // --- hw::TxSource --------------------------------------------------------
+  [[nodiscard]] core::SimTime next_emit() const override;
+  void emit_due(core::SimTime upto, core::SimTime armed_at) override;
 
   // --- RX ----------------------------------------------------------------
   /// Monitor a physical NIC port (throughput + HW-timestamped probes).
@@ -88,24 +107,31 @@ class MoonGen {
   }
 
  private:
-  void emit_one();
+  void emit_one(core::SimTime at);
   /// Next inter-packet gap. Mutates pace_frac_: the exact gap is rarely an
   /// integer picosecond count, and the fractional remainder is carried to
   /// the next re-arm so the long-run rate matches pace_pps_ exactly
   /// (truncating it every packet inflated the rate by up to 1 ps/packet).
   [[nodiscard]] core::SimDuration gap();
   bool send(pkt::PacketHandle p);
-  void on_rx(const pkt::Packet& p, core::SimTime now);
+  /// Count a frame that arrived at `at`; `sw_latency` records a software-
+  /// stamped probe's latency too.
+  void on_rx(const pkt::Packet& p, core::SimTime at, bool sw_latency);
 
   core::Simulator& sim_;
   pkt::PacketPool& pool_;
   Config cfg_;
+  pkt::FrameTemplate frame_;
   hw::NicPort* tx_nic_{nullptr};
   ring::GuestPort* tx_guest_{nullptr};
   double pace_pps_{0};
   /// Fractional picoseconds owed to the pacing clock (see gap()).
   double pace_frac_{0};
   core::SimTime tx_until_{0};
+  /// Emit time of the next frame (kNever before start_tx).
+  core::SimTime next_at_{kNever};
+  /// Emit time of the last frame, or start_tx's call time before the first.
+  core::SimTime last_at_{0};
   core::SimTime next_probe_at_{0};
   core::Counter tx_sent_;
   core::Counter tx_failed_;

@@ -11,7 +11,11 @@
 namespace nfvsb::traffic {
 
 PktGen::PktGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
-    : sim_(sim), pool_(pool), cfg_(cfg), rx_meter_(cfg.meter_open_at) {
+    : sim_(sim),
+      pool_(pool),
+      cfg_(cfg),
+      frame_(cfg.frame),
+      rx_meter_(cfg.meter_open_at) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
     const std::string base = "gen/pktgen." + std::to_string(cfg_.origin);
@@ -65,10 +69,9 @@ void PktGen::start_tx(core::SimTime at, core::SimTime until) {
 void PktGen::emit_one() {
   pkt::PacketHandle p = pool_.allocate();
   if (p) {
-    pkt::craft_udp_frame(*p, cfg_.frame);
     p->seq = ++seq_;
+    frame_.stamp(*p, p->seq);
     p->origin = cfg_.origin;
-    pkt::write_payload_seq(*p, p->seq);
     if (core::TraceSink* t = core::tracer()) {
       if (t->sample_hit(seq_)) p->trace_id = t->next_packet_id();
     }

@@ -7,7 +7,8 @@
 // on ptnet ports it blasts as fast as the guest CPU can prepare frames
 // (which is how VALE's v2v throughput exceeds 10 Gbps-equivalent in
 // Fig. 4c). The TX rate limit is therefore a per-packet preparation cost,
-// not a pacing clock.
+// not a pacing clock. Like MoonGen, it sends copies of one prebuilt frame
+// (pkt::FrameTemplate).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +74,7 @@ class PktGen {
   core::Simulator& sim_;
   pkt::PacketPool& pool_;
   Config cfg_;
+  pkt::FrameTemplate frame_;
   ring::GuestPort* tx_port_{nullptr};
   core::SimTime tx_until_{0};
   core::SimTime next_probe_at_{0};

@@ -1,12 +1,16 @@
 // NIC model: serialization timing, line-rate ceiling, RX overflow
-// (imissed), DMA latency, HW timestamping, cable delivery, events per frame.
+// (imissed), DMA latency, HW timestamping, cable delivery, events per frame,
+// timed monitor sinks and pulled TX sources.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/simulator.h"
 #include "hw/cable.h"
 #include "hw/nic.h"
+#include "hw/tx_source.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 
@@ -128,6 +132,126 @@ TEST_F(NicTest, FrameEnqueuedOnIdleWirePaysDmaFetchAgain) {
   sim_.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1], core::from_ns(500 + 50 + 67.2 + 5 + 100));
+}
+
+// A monitor's RX ring (a timed sink) gets the frame in the sender's fetch
+// firing, passed the time its DMA completes: no arrival event.
+TEST_F(NicTest, TimedSinkGetsFrameAtFetchWithArrivalTime) {
+  core::SimTime arrival = -1;
+  core::SimTime handed_over = -1;
+  b_.rx_ring().set_sink([&](pkt::PacketHandle, core::SimTime at) {
+    arrival = at;
+    handed_over = sim_.now();
+  });
+  a_.tx_ring().enqueue(frame(64));
+  sim_.run();
+  EXPECT_EQ(sim_.events_processed(), 1u);
+  EXPECT_EQ(handed_over, core::from_ns(50));
+  EXPECT_EQ(arrival, core::from_ns(50 + 67.2 + 5 + 100));
+  EXPECT_EQ(b_.rx_frames(), 1u);
+  EXPECT_EQ(b_.rx_ring().enqueued(), 1u);
+  EXPECT_EQ(b_.rx_ring().dequeued(), 1u);
+}
+
+TEST_F(NicTest, TimedSinkHookStillSeesMacTime) {
+  core::SimTime hook_time = -1;
+  b_.set_rx_timestamp_hook(
+      [&](const pkt::Packet&, core::SimTime t) { hook_time = t; });
+  b_.rx_ring().set_sink([](pkt::PacketHandle, core::SimTime) {});
+  a_.tx_ring().enqueue(frame(64, /*probe=*/1));
+  sim_.run();
+  EXPECT_EQ(hook_time, core::from_ns(50 + 67.2 + 5));
+}
+
+/// A pull source for the NIC tests: `n` frames, one every `gap`, from
+/// `first` on.
+class FixedSource final : public TxSource {
+ public:
+  FixedSource(NicPort& nic, pkt::PacketPool& pool, std::uint32_t origin,
+              core::SimTime first, core::SimDuration gap, int n)
+      : nic_(nic), pool_(pool), origin_(origin), next_(first), gap_(gap),
+        left_(n) {
+    nic_.attach_tx_source(*this);
+  }
+  ~FixedSource() { nic_.detach_tx_source(*this); }
+  FixedSource(const FixedSource&) = delete;
+  FixedSource& operator=(const FixedSource&) = delete;
+
+  [[nodiscard]] core::SimTime next_emit() const override {
+    return left_ > 0 ? next_ : kNever;
+  }
+  void emit_due(core::SimTime upto, core::SimTime armed_at) override {
+    while (left_ > 0 &&
+           (next_ < upto || (next_ == upto && last_ < armed_at))) {
+      auto p = pool_.allocate();
+      pkt::craft_udp_frame(*p, pkt::FrameSpec{});
+      p->origin = origin_;
+      p->sw_timestamp = next_;
+      nic_.tx_ring().enqueue(std::move(p));
+      last_ = next_;
+      next_ += gap_;
+      --left_;
+    }
+  }
+
+ private:
+  NicPort& nic_;
+  pkt::PacketPool& pool_;
+  std::uint32_t origin_;
+  core::SimTime next_;
+  core::SimTime last_{0};
+  core::SimDuration gap_;
+  int left_;
+};
+
+// A pulled frame leaves exactly when a pushed one would: emit time plus the
+// DMA fetch on an idle wire, right behind the previous frame on a busy one.
+TEST_F(NicTest, PulledFramesLeaveWhenPushedOnesWould) {
+  std::vector<core::SimTime> arrivals;
+  b_.rx_ring().set_sink(
+      [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
+  // Emits at 0, 30 ns (wire busy until 117.2 ns) and 500 ns (idle again).
+  FixedSource src(a_, pool_, 1, 0, core::from_ns(30), 2);
+  FixedSource late(a_, pool_, 2, core::from_ns(500), 0, 1);
+  a_.wake_tx();
+  sim_.run();
+  ASSERT_EQ(arrivals.size(), 3u);
+  const core::SimDuration hop = core::from_ns(67.2 + 5 + 100);
+  EXPECT_EQ(arrivals[0], core::from_ns(50) + hop);
+  EXPECT_EQ(arrivals[1], core::from_ns(50 + 67.2) + hop);
+  EXPECT_EQ(arrivals[2], core::from_ns(500 + 50) + hop);
+}
+
+// A frame pushed into the TX ring while the armed fetch waits for a later
+// source emit leaves on its own schedule, not with that fetch.
+TEST_F(NicTest, PushedFrameDoesNotWaitForAPulledOne) {
+  std::vector<core::SimTime> arrivals;
+  b_.rx_ring().set_sink(
+      [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
+  FixedSource src(a_, pool_, 1, core::from_ns(500), 0, 1);
+  a_.wake_tx();  // fetch armed for 550 ns
+  a_.tx_ring().enqueue(frame(64));
+  sim_.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  const core::SimDuration hop = core::from_ns(67.2 + 5 + 100);
+  EXPECT_EQ(arrivals[0], core::from_ns(50) + hop);
+  EXPECT_EQ(arrivals[1], core::from_ns(550) + hop);
+}
+
+// Two sources on one port merge in (emit time, attach order).
+TEST_F(NicTest, PullSourcesMergeByEmitTimeThenAttachOrder) {
+  std::vector<std::pair<core::SimTime, std::uint32_t>> seen;
+  b_.rx_ring().set_sink([&](pkt::PacketHandle p) {
+    seen.emplace_back(p->sw_timestamp, p->origin);
+  });
+  FixedSource one(a_, pool_, 1, 0, core::from_ns(200), 5);
+  FixedSource two(a_, pool_, 2, 0, core::from_ns(100), 8);
+  a_.wake_tx();
+  sim_.run();
+  ASSERT_EQ(seen.size(), 13u);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(seen[0], std::make_pair(core::SimTime{0}, 1u));
+  EXPECT_EQ(seen[1], std::make_pair(core::SimTime{0}, 2u));
 }
 
 TEST_F(NicTest, RxRingOverflowCountsImissed) {

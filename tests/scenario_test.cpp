@@ -1,9 +1,10 @@
 // Scenario integration: conservation, caps, determinism, skips and config
-// validation, reverse paths, runner methodology.
+// validation, reverse paths, runner methodology, traffic-tool results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -304,6 +305,80 @@ TEST(Runner, SweepSkipsUnbuildableConfigs) {
   const auto sweep = latency_sweep(cfg, {0.5});
   EXPECT_TRUE(sweep.skipped.has_value());
   EXPECT_TRUE(sweep.points.empty());
+}
+
+// ---- traffic tools: no event per frame, same results ---------------------
+
+// A NIC monitor is handed frames before they arrive, so frames that arrive
+// after t_stop can reach its meter during the run. They must not count: at
+// line rate a frame reaches the monitor every 67.2 ns, and the 25 ms window
+// holds 372,024 of them, as it did when the arrival was an event of its own.
+TEST(ScenarioTrafficTools, ArrivalAfterStopIsNotCounted) {
+  ScenarioConfig cfg;
+  cfg.kind = Kind::kP2p;
+  cfg.sut = switches::SwitchType::kBess;
+  const ScenarioResult r = run_scenario(cfg);
+  ASSERT_FALSE(r.skipped.has_value());
+  EXPECT_EQ(r.fwd.rx_packets, 372024u);
+  EXPECT_LT(r.fwd.rx_packets, r.delivered_packets);
+}
+
+// Above line rate the generator's TX ring is full, so which emits fail
+// depends on the ring's occupancy at each emit instant; the counts match
+// those of a generator that enqueued each frame at its emit time.
+TEST(ScenarioTrafficTools, AboveLineRateTxFailuresUnchanged) {
+  const std::pair<double, std::uint64_t> points[] = {
+      {15e6, 3670}, {20e6, 178670}, {30e6, 528670}};
+  for (const auto& [rate, failures] : points) {
+    ScenarioConfig cfg;
+    cfg.kind = Kind::kP2p;
+    cfg.sut = switches::SwitchType::kBess;
+    cfg.rate_pps = rate;
+    const ScenarioResult r = run_scenario(cfg);
+    EXPECT_EQ(r.gen_tx_failures, failures) << rate;
+    EXPECT_EQ(r.offered_packets, 521330u) << rate;
+  }
+}
+
+std::uint64_t counter(const ScenarioResult& r, const std::string& path) {
+  for (const auto& [p, v] : r.counters) {
+    if (p == path) return v;
+  }
+  ADD_FAILURE() << "missing counter " << path;
+  return 0;
+}
+
+// The generator feeds its NIC lazily, but the queue sampler reads its TX
+// ring as if every frame had been enqueued at its emit time, including the
+// order of work at one instant: a sampling instant often coincides with an
+// emit or a fetch at 1 Mpps with a 1 us period.
+TEST(ScenarioTrafficTools, SampledGeneratorTxRingDepthUnchanged) {
+  struct Point {
+    double rate_pps;
+    core::SimDuration period;
+    std::uint64_t samples, p99, max;
+  };
+  const Point points[] = {
+      {0, core::from_us(10), 400, 15, 15},
+      {1e6, core::from_us(1), 4000, 1, 1},
+      {2e6, core::from_us(1), 4000, 2, 2},
+  };
+  for (const Point& pt : points) {
+    ScenarioConfig cfg;
+    cfg.kind = Kind::kP2p;
+    cfg.sut = pt.rate_pps > 0 ? switches::SwitchType::kVpp
+                              : switches::SwitchType::kBess;
+    cfg.rate_pps = pt.rate_pps;
+    if (pt.rate_pps > 0) cfg.probe_interval = core::from_us(40);
+    cfg.warmup = core::from_ms(1);
+    cfg.measure = core::from_ms(3);
+    cfg.queue_sample_period = pt.period;
+    const ScenarioResult r = run_scenario(cfg);
+    const std::string ring = "ring/nic1.0.tx0/";
+    EXPECT_EQ(counter(r, ring + "depth_samples"), pt.samples) << pt.rate_pps;
+    EXPECT_EQ(counter(r, ring + "depth_p99"), pt.p99) << pt.rate_pps;
+    EXPECT_EQ(counter(r, ring + "depth_max"), pt.max) << pt.rate_pps;
+  }
 }
 
 TEST(ScenarioNames, RoundTrip) {

@@ -1,6 +1,10 @@
-// Traffic tools: MoonGen pacing/probes/flows, pkt-gen CPU-limited TX,
-// FloWatcher per-flow accounting.
+// Traffic tools: MoonGen pacing/probes/flows, template frames and events
+// per frame, pkt-gen CPU-limited TX, FloWatcher per-flow accounting.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "hw/cable.h"
 #include "hw/nic.h"
@@ -81,6 +85,131 @@ TEST_F(MoonGenNicTest, MultiFlowTrafficCyclesSourcePorts) {
     hi = std::max(hi, v);
   }
   EXPECT_LE(hi - lo, 1u);
+}
+
+// The traffic tools cost no event of their own: a paced frame from a
+// MoonGen on one NIC to a MoonGen monitoring the other costs the sending
+// NIC's fetch and nothing else, and a saturating burst one fetch per frame.
+TEST_F(MoonGenNicTest, LonePacedFrameCostsOneEvent) {
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e6;
+  MoonGen gen(sim_, pool_, cfg);
+  gen.attach_tx_nic(a_);
+  MoonGen mon(sim_, pool_, MoonGen::Config{});
+  mon.attach_rx_nic(b_);
+  gen.start_tx(0, 1);  // only the frame at t=0 is due before 1 ps
+  sim_.run();
+  EXPECT_EQ(gen.tx_sent(), 1u);
+  EXPECT_EQ(mon.rx_meter().packets(), 1u);
+  EXPECT_EQ(sim_.events_processed(), 1u);
+}
+
+TEST_F(MoonGenNicTest, SaturatingBurstCostsOneEventPerFrame) {
+  constexpr std::uint64_t kFrames = 100;
+  MoonGen gen(sim_, pool_, MoonGen::Config{});  // rate 0 = line rate
+  gen.attach_tx_nic(a_);
+  MoonGen mon(sim_, pool_, MoonGen::Config{});
+  mon.attach_rx_nic(b_);
+  // Line rate at 64 B is one frame per 67.2 ns.
+  gen.start_tx(0, kFrames * core::from_ns(67.2));
+  sim_.run();
+  EXPECT_EQ(gen.tx_sent(), kFrames);
+  EXPECT_EQ(mon.rx_meter().packets(), kFrames);
+  EXPECT_EQ(sim_.events_processed(), kFrames);
+}
+
+// A NIC monitor is handed each frame before it arrives, so its meter goes
+// by the arrival time it is passed: with the run stopped just before the
+// arrival the frame is not counted, stopped exactly at it, it is.
+TEST_F(MoonGenNicTest, MonitorMeterSeesArrivalTime) {
+  // dma_tx 1000 + serialization 67.2 + propagation 5 + dma_rx 2400 ns.
+  const core::SimTime arrival = core::from_ns(1000 + 67.2 + 5 + 2400);
+  for (const core::SimTime stop : {arrival - 1, arrival}) {
+    core::Simulator sim;
+    hw::NicPort a(sim, "a");
+    hw::NicPort b(sim, "b");
+    hw::Cable cable(sim, a, b);
+    MoonGen gen(sim, pool_, MoonGen::Config{});
+    gen.attach_tx_nic(a);
+    MoonGen mon(sim, pool_, MoonGen::Config{});
+    mon.attach_rx_nic(b);
+    mon.rx_meter().stop_at(stop);
+    gen.start_tx(0, 1);
+    sim.run_until(stop);
+    EXPECT_EQ(sim.events_processed(), 1u);  // handed over at the fetch
+    mon.rx_meter().close(stop);
+    sim.run();
+    EXPECT_EQ(mon.rx_meter().packets(), stop == arrival ? 1u : 0u);
+  }
+}
+
+// Several MoonGens may feed one NIC: the NIC pulls them in (emit time,
+// attach order), and every frame either leaves or is a TX-ring drop.
+TEST_F(MoonGenNicTest, TwoGeneratorsShareOneNic) {
+  std::vector<std::pair<core::SimTime, std::uint32_t>> seen;
+  b_.rx_ring().set_sink([&](pkt::PacketHandle p) {
+    seen.emplace_back(p->sw_timestamp, p->origin);
+  });
+  // A probe per frame with software stamps: each frame carries its emit
+  // time.
+  MoonGen::Config one_cfg;
+  one_cfg.rate_pps = 1e6;
+  one_cfg.probe_interval = 1;
+  one_cfg.software_timestamps = true;
+  one_cfg.origin = 1;
+  MoonGen::Config two_cfg = one_cfg;
+  two_cfg.rate_pps = 4e6;  // ties with `one` every 1 us
+  two_cfg.origin = 2;
+  MoonGen one(sim_, pool_, one_cfg);
+  MoonGen two(sim_, pool_, two_cfg);
+  one.attach_tx_nic(a_);
+  two.attach_tx_nic(a_);
+  one.start_tx(0, core::from_us(100));
+  two.start_tx(0, core::from_us(100));
+  sim_.run();
+  EXPECT_EQ(one.tx_sent(), 100u);
+  EXPECT_EQ(two.tx_sent(), 400u);
+  EXPECT_EQ(one.tx_failed() + two.tx_failed(), 0u);
+  ASSERT_EQ(seen.size(), 500u);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(seen[0], std::make_pair(core::SimTime{0}, 1u));
+  EXPECT_EQ(seen[1], std::make_pair(core::SimTime{0}, 2u));
+  EXPECT_EQ(seen[5], std::make_pair(core::from_us(1), 1u));
+  EXPECT_EQ(seen[6], std::make_pair(core::from_us(1), 2u));
+}
+
+// Every generated frame is a copy of one prebuilt frame, with the sequence
+// tag and (over several flows) the UDP source port patched: byte for byte
+// what crafting each frame from scratch gives.
+TEST_F(MoonGenNicTest, TemplateFramesMatchCraftedFrames) {
+  for (const std::uint32_t flows : {1u, 32768u}) {
+    std::vector<pkt::PacketHandle> got;
+    b_.rx_ring().set_sink(
+        [&](pkt::PacketHandle p) { got.push_back(std::move(p)); });
+    MoonGen::Config cfg;
+    cfg.num_flows = flows;
+    cfg.frame.frame_bytes = 128;
+    cfg.frame.src_port = 65500;  // wraps past 65535 with 32768 flows
+    MoonGen gen(sim_, pool_, cfg);
+    gen.attach_tx_nic(a_);
+    gen.start_tx(sim_.now(), sim_.now() + core::from_us(10));
+    sim_.run();
+    ASSERT_EQ(got.size(), gen.tx_sent());
+    auto ref = pool_.allocate();
+    for (const pkt::PacketHandle& p : got) {
+      pkt::FrameSpec spec = cfg.frame;
+      spec.src_port =
+          static_cast<std::uint16_t>(cfg.frame.src_port + (p->seq - 1) % flows);
+      pkt::craft_udp_frame(*ref, spec);
+      pkt::write_payload_seq(*ref, p->seq);
+      ASSERT_EQ(p->size(), ref->size());
+      EXPECT_TRUE(std::equal(p->bytes().begin(), p->bytes().end(),
+                             ref->bytes().begin()))
+          << flows << " flows, seq " << p->seq;
+    }
+    // Detach the sink's frames before the next generator reuses the ring.
+    got.clear();
+  }
 }
 
 TEST_F(MoonGenNicTest, MeterOpensAfterWarmup) {
