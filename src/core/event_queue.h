@@ -47,9 +47,20 @@ class EventQueue {
 
   EventQueue();
 
-  /// Schedule `cb` at absolute time `at`. Defined inline below — this is
-  /// the hottest call in the simulator.
-  [[nodiscard]] EventId schedule(SimTime at, Callback cb);
+  /// Schedule `cb` at absolute time `at`. Inline, like the keyed overload
+  /// defined below — this is the hottest call in the simulator.
+  [[nodiscard]] EventId schedule(SimTime at, Callback cb) {
+    return schedule(at, next_seq_++, std::move(cb));
+  }
+
+  /// Schedule with an explicit order key: `seq` from reserve_seq(), so the
+  /// event fires exactly where one scheduled at that reservation would.
+  /// Takes the callback by reference so the plain overload moves it once.
+  [[nodiscard]] EventId schedule(SimTime at, std::uint64_t seq,
+                                 Callback&& cb);
+
+  /// Take the order key the next schedule() would, without scheduling.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Cancel a previously scheduled event. O(1). Safe (and a no-op) on
   /// already-fired, already-cancelled, and never-issued ids.
@@ -69,6 +80,7 @@ class EventQueue {
 
   struct Fired {
     SimTime time;
+    std::uint64_t seq;
     Callback cb;
   };
   /// Pop and return the earliest live event. Pre: !empty(). Inline below.
@@ -258,11 +270,13 @@ inline void EventQueue::wheel_insert(std::uint32_t rec_idx,
   head = rec_idx;
 }
 
-inline EventQueue::EventId EventQueue::schedule(SimTime at, Callback cb) {
+inline EventQueue::EventId EventQueue::schedule(SimTime at,
+                                                std::uint64_t seq,
+                                                Callback&& cb) {
   const std::uint32_t slot = alloc_rec();
   Rec& rec = slab_[slot];
   rec.cb = std::move(cb);
-  rec.seq = next_seq_++;
+  rec.seq = seq;
   rec.time = at;
   rec.live = true;
   ++live_count_;
@@ -282,7 +296,7 @@ inline EventQueue::Fired EventQueue::pop() {
   const Ref top = cur_.front();
   cur_pop();
   Rec& rec = slab_[top.rec];
-  Fired fired{rec.time, std::move(rec.cb)};
+  Fired fired{rec.time, rec.seq, std::move(rec.cb)};
   free_rec(top.rec);
   --live_count_;
   return fired;

@@ -12,9 +12,11 @@ void Simulator::run_until(SimTime until) {
     auto fired = events_.pop();
     assert(fired.time >= now_ && "event time must be monotone");
     now_ = fired.time;
+    running_order_ = fired.seq;
     ++events_processed_;
     fired.cb();
   }
+  running_order_ = kBetweenRuns;
   if (now_ < until) now_ = until;
 }
 
@@ -23,9 +25,11 @@ void Simulator::run() {
     auto fired = events_.pop();
     assert(fired.time >= now_ && "event time must be monotone");
     now_ = fired.time;
+    running_order_ = fired.seq;
     ++events_processed_;
     fired.cb();
   }
+  running_order_ = kBetweenRuns;
 }
 
 void Simulator::reset() {

@@ -63,6 +63,33 @@ class Simulator {
 
   void cancel(EventQueue::EventId id) { events_.cancel(id); }
 
+  // --- order keys -------------------------------------------------------------
+  // Events at one instant fire in scheduling order. Work that is known now
+  // but needs no event unless someone waits on it (a frame landing in a
+  // polled ring) reserves the order key an event scheduled now would take;
+  // an event armed for it later, if any, fires under that key, exactly
+  // where the early one would have.
+
+  /// Take the order key the next scheduled event would.
+  [[nodiscard]] std::uint64_t reserve_order() {
+    return events_.reserve_seq();
+  }
+
+  /// Schedule `cb` at `at` (not before now()) under a key from
+  /// reserve_order() whose place at `at` has not passed yet.
+  [[nodiscard]] EventQueue::EventId schedule_reserved(
+      SimTime at, std::uint64_t order, EventQueue::Callback cb) {
+    assert(!reached(at, order));
+    return events_.schedule(at, order, std::move(cb));
+  }
+
+  /// Whether an event at (`at`, `order`) would have fired by now: it is
+  /// earlier, or at this instant and not after the running event. Outside
+  /// run()/run_until() every event up to now() has fired.
+  [[nodiscard]] bool reached(SimTime at, std::uint64_t order) const {
+    return at < now_ || (at == now_ && order <= running_order_);
+  }
+
   // --- recurring timers -----------------------------------------------------
   /// Handle for a recurring timer: slot in the low 32 bits, generation in
   /// the high 32. 0 is never valid.
@@ -127,6 +154,9 @@ class Simulator {
   SimTime now_{0};
   Rng rng_;
   std::uint64_t events_processed_{0};
+  /// Order key of the event being fired; all-ones between runs.
+  std::uint64_t running_order_{kBetweenRuns};
+  static constexpr std::uint64_t kBetweenRuns = ~std::uint64_t{0};
   std::vector<RecTimer> timers_;
   std::uint32_t timer_free_head_{kNoFreeTimer};
 };

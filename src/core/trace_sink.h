@@ -36,15 +36,19 @@ class TraceSink {
   /// argument (e.g. batch size).
   virtual void complete(TrackId t, const char* name, SimTime start,
                         SimDuration dur, std::uint64_t arg) = 0;
-  /// Thread-scoped instant on `t` at the current simulation time.
-  virtual void instant(TrackId t, const char* name) = 0;
+  /// Thread-scoped instant on `t` at `at` (kNoTimestamp: the current
+  /// simulation time). A ring passes a frame's arrival time, which can be
+  /// earlier than now when the frame was put in lazily.
+  virtual void instant(TrackId t, const char* name,
+                       SimTime at = kNoTimestamp) = 0;
   /// Counter sample at the current simulation time.
   virtual void counter(const std::string& name, std::uint64_t value) = 0;
 
   /// Packet-lifecycle slices: one "b"/"e" pair per stage the sampled packet
-  /// resides in, all grouped under its trace id.
-  virtual void async_begin(std::uint32_t trace_id,
-                           const std::string& stage) = 0;
+  /// resides in, all grouped under its trace id. The slice begins at `at`
+  /// (kNoTimestamp: now) and ends at the current simulation time.
+  virtual void async_begin(std::uint32_t trace_id, const std::string& stage,
+                           SimTime at = kNoTimestamp) = 0;
   virtual void async_end(std::uint32_t trace_id,
                          const std::string& stage) = 0;
 

@@ -19,6 +19,10 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
   for (std::size_t q = 0; q < cfg.num_queues; ++q) {
     rx_rings_.push_back(std::make_unique<ring::SpscRing>(
         name_ + ".rx" + std::to_string(q), cfg.rx_ring_depth));
+    rx_rings_.back()->feed_from_wire(
+        sim_, [this](const pkt::Packet& frame, core::SimTime at) {
+          count_arrival(frame, at);
+        });
     tx_rings_.push_back(std::make_unique<ring::SpscRing>(
         name_ + ".tx" + std::to_string(q), cfg.tx_ring_depth));
     tx_rings_.back()->set_watcher([this](bool) { on_tx_enqueue(); });
@@ -41,6 +45,15 @@ std::uint64_t NicPort::imissed() const {
   std::uint64_t n = 0;
   for (const auto& r : rx_rings_) n += r->drops();
   return n;
+}
+
+void NicPort::catch_up_rx() {
+  for (auto& r : rx_rings_) r->catch_up();
+}
+
+std::uint64_t NicPort::rx_frames() const {
+  for (const auto& r : rx_rings_) r->catch_up();
+  return rx_frames_;
 }
 
 void NicPort::attach_tx_source(TxSource& s) { tx_sources_.push_back(&s); }
@@ -111,6 +124,7 @@ void NicPort::pull_sources(core::SimTime armed_at) {
 }
 
 void NicPort::sync_for_sampling(core::SimTime armed_at) {
+  catch_up_rx();
   pull_sources(armed_at);
   // A fetch that waited for a source's frame was armed when the rings
   // drained, but is ordered as if armed when that frame was emitted. If it
@@ -196,18 +210,13 @@ std::size_t NicPort::rss_queue(const pkt::Packet& p) const {
 void NicPort::deliver_from_wire(pkt::PacketHandle p,
                                 core::SimDuration delay) {
   ring::SpscRing& ring = *rx_rings_[rss_queue(*p)];
+  const core::SimTime at = sim_.now() + delay + cfg_.dma_rx_latency;
   if (ring.has_timed_sink()) {
-    const core::SimTime at = sim_.now() + delay + cfg_.dma_rx_latency;
     count_arrival(*p, at);
     ring.deliver(std::move(p), at);
     return;
   }
-  auto* raw = p.release();
-  sim_.post_in(delay + cfg_.dma_rx_latency, [this, raw, &ring] {
-    pkt::PacketHandle frame{raw};
-    count_arrival(*frame, sim_.now());
-    ring.enqueue(std::move(frame));  // overflow => imissed
-  });
+  ring.arrive(std::move(p), at);  // counted when put in; overflow => imissed
 }
 
 void NicPort::count_arrival(const pkt::Packet& frame, core::SimTime at) {

@@ -8,18 +8,23 @@
 // including Ethernet preamble/IFG overhead, connected to a peer via a
 // Cable; TX queues are drained round-robin onto the single wire.
 //
-// Events per frame on a wire: the TX firing that fetches it (and already
-// knows when its last bit leaves), and its arrival in the peer's RX ring,
-// one event covering propagation and RX DMA. The traffic tools cost none
-// of their own:
+// Events per frame on a wire: the TX firing that fetches it, which already
+// knows when its last bit leaves and when its RX DMA completes at the peer
+// (propagation included). The arrival costs an event only where something
+// must happen at that instant:
 //  * a generator attached as a TxSource is pulled at fetch time: the fetch
 //    first enqueues every frame the generator owes by then, each stamped
 //    with its own emit time, and when the rings drain the next fetch is
 //    armed for the generator's next emit;
 //  * an RX ring with a timed sink (a monitor) gets each frame in the
-//    sender's fetch firing, stamped with its arrival time. Nothing waits
-//    on that instant there; any other RX ring keeps the arrival event,
-//    because its watcher wakes the host at exactly that time.
+//    sender's fetch firing, stamped with its arrival time;
+//  * every other RX ring is read lazily (ring/spsc_ring.h): the frame
+//    waits in the ring's in-flight FIFO and is put in, counted and
+//    timestamped, or lost to imissed, by the first read after it arrived,
+//    exactly as its arrival event would have done. An event at the
+//    arrival is kept only while the ring's consumer is idle, to wake it at
+//    that picosecond; a switch in the middle of a round (DPDK rx_burst)
+//    just finds the frame at its next poll.
 //
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
@@ -92,10 +97,16 @@ class NicPort {
     return *tx_rings_.at(q);
   }
 
-  /// RX frames dropped because an RX ring was full (ixgbe imissed).
+  /// Put every frame that has arrived by now into its RX ring (reads of
+  /// the rings do this themselves; see ring/spsc_ring.h, lazy RX).
+  void catch_up_rx();
+
+  /// RX frames dropped because an RX ring was full (ixgbe imissed). This
+  /// and rx_frames() read the RX rings, which first put in the frames
+  /// that have arrived by now; that changes no result, so both stay const.
   [[nodiscard]] std::uint64_t imissed() const;
   [[nodiscard]] std::uint64_t tx_frames() const { return tx_frames_; }
-  [[nodiscard]] std::uint64_t rx_frames() const { return rx_frames_; }
+  [[nodiscard]] std::uint64_t rx_frames() const;
 
   /// Wire attachment (set by Cable).
   void attach_cable(Cable* c) { cable_ = c; }
@@ -106,8 +117,8 @@ class NicPort {
   /// `dma_rx_latency` later, at arrival time `at`. Arrival counts the
   /// frame, runs the RX timestamp hook and puts it on its RSS queue's RX
   /// ring (overflow counts as imissed). A ring with a timed sink gets it
-  /// now, passed `at`; any other ring gets it from one arrival event at
-  /// `at`, because the ring's watcher wakes the host at that very instant.
+  /// now, passed `at`; any other ring gets it in flight (SpscRing::arrive)
+  /// and arrival happens at the first read after `at`.
   void deliver_from_wire(pkt::PacketHandle p, core::SimDuration delay);
 
   /// Pull frames from `s` at every TX fetch (see hw/tx_source.h). Several

@@ -14,6 +14,10 @@ TraceRecorder::~TraceRecorder() {
   if (!cfg_.path.empty()) (void)write_json(cfg_.path);
 }
 
+core::SimTime TraceRecorder::stamp(core::SimTime at) const {
+  return at == core::kNoTimestamp ? sim_.now() : at;
+}
+
 TraceRecorder::TrackId TraceRecorder::track(const std::string& name) {
   const auto it = tracks_.find(name);
   if (it != tracks_.end()) return it->second;
@@ -27,8 +31,8 @@ void TraceRecorder::complete(TrackId t, const char* name, core::SimTime start,
   events_.push_back(Event{'X', t, name, start, dur, 0, arg});
 }
 
-void TraceRecorder::instant(TrackId t, const char* name) {
-  events_.push_back(Event{'i', t, name, sim_.now(), 0, 0, 0});
+void TraceRecorder::instant(TrackId t, const char* name, core::SimTime at) {
+  events_.push_back(Event{'i', t, name, stamp(at), 0, 0, 0});
 }
 
 void TraceRecorder::counter(const std::string& name, std::uint64_t value) {
@@ -36,8 +40,8 @@ void TraceRecorder::counter(const std::string& name, std::uint64_t value) {
 }
 
 void TraceRecorder::async_begin(std::uint32_t trace_id,
-                                const std::string& stage) {
-  events_.push_back(Event{'b', 0, stage, sim_.now(), 0, trace_id, 0});
+                                const std::string& stage, core::SimTime at) {
+  events_.push_back(Event{'b', 0, stage, stamp(at), 0, trace_id, 0});
 }
 
 void TraceRecorder::async_end(std::uint32_t trace_id,

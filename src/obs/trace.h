@@ -55,10 +55,12 @@ class TraceRecorder final : public core::TraceSink {
 
   void complete(TrackId t, const char* name, core::SimTime start,
                 core::SimDuration dur, std::uint64_t arg) override;
-  void instant(TrackId t, const char* name) override;
+  void instant(TrackId t, const char* name,
+               core::SimTime at = core::kNoTimestamp) override;
   void counter(const std::string& name, std::uint64_t value) override;
 
-  void async_begin(std::uint32_t trace_id, const std::string& stage) override;
+  void async_begin(std::uint32_t trace_id, const std::string& stage,
+                   core::SimTime at = core::kNoTimestamp) override;
   void async_end(std::uint32_t trace_id, const std::string& stage) override;
 
   [[nodiscard]] bool sample_hit(std::uint64_t seq) const override {
@@ -87,6 +89,9 @@ class TraceRecorder final : public core::TraceSink {
   bool write_json(const std::string& path) const;
 
  private:
+  /// `at`, or now for kNoTimestamp.
+  [[nodiscard]] core::SimTime stamp(core::SimTime at) const;
+
   core::Simulator& sim_;
   Config cfg_;
   std::map<std::string, TrackId> tracks_;  // ordered: deterministic metadata

@@ -23,6 +23,7 @@ PacketPool::~PacketPool() {
 }
 
 PacketHandle PacketPool::allocate() {
+  if (free_list_ == nullptr && reclaim_) reclaim_();
   Packet* p = free_list_;
   if (p != nullptr) {
     free_list_ = p->pool_next_;

@@ -13,6 +13,14 @@
 // touches, not its capacity. allocate() prefers the most recently freed
 // buffer (LIFO) and reaches a never-used one only when the free list is
 // empty; buffers come out in slab order until the first one is freed.
+//
+// A component may hold buffers whose fate is already sealed but not yet
+// applied: a wire-fed ring keeps frames that have arrived but are not yet
+// put in, and some of them will overflow (ring/spsc_ring.h, lazy RX). The
+// reclaim hook lets it settle them before allocate() constructs a buffer
+// or fails, so the pool's occupancy at every allocation, its exhaustion
+// and its footprint are those of a data path that delivered each frame at
+// its arrival.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +28,7 @@
 #include <type_traits>
 
 #include "core/counter.h"
+#include "core/event_fn.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -38,6 +47,11 @@ class PacketPool {
 
   /// Empty handle on exhaustion.
   [[nodiscard]] PacketHandle allocate();
+
+  /// Called when allocate() finds no freed buffer, before it constructs one
+  /// or fails (see above).
+  using Reclaim = core::SmallFn<void>;
+  void set_reclaim(Reclaim r) { reclaim_ = std::move(r); }
 
   /// Allocate and copy `src` (payload + measurement metadata); the copy
   /// counter of the clone is incremented. Empty handle on exhaustion.
@@ -76,6 +90,7 @@ class PacketPool {
   /// Slots [0, constructed_) hold Packets; the rest were never used.
   std::size_t constructed_{0};
   Packet* free_list_{nullptr};
+  Reclaim reclaim_;
   core::MetricSink* registry_{nullptr};
 };
 

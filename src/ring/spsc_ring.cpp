@@ -2,7 +2,9 @@
 
 #include <cassert>
 
+#include "core/event_queue.h"
 #include "core/metrics.h"
+#include "core/simulator.h"
 #include "core/trace_sink.h"
 
 namespace nfvsb::ring {
@@ -17,18 +19,26 @@ SpscRing::SpscRing(std::string name, std::size_t capacity)
     reg->add_counter(this, "ring/" + name_ + "/cleared", &cleared_);
     reg->add_queue(this, "ring/" + name_, capacity_,
                    [](const void* owner) {
+                     // Wire-fed rings are brought up to date by their
+                     // NIC's sampler hook before this read.
                      const auto* r = static_cast<const SpscRing*>(owner);
-                     return r->size() + r->sample_lag_;
+                     return r->q_.size() + r->sample_lag_;
                    });
   }
 }
 
 SpscRing::~SpscRing() {
   if (registry_ != nullptr) registry_->remove(this);
+  if (wake_ != core::EventQueue::kInvalidEvent) sim_->cancel(wake_);
 }
 
 bool SpscRing::enqueue(pkt::PacketHandle p) {
   assert(!timed_sink_ && "a timed sink is fed through deliver()");
+  catch_up();
+  return push(std::move(p), core::kNoTimestamp);
+}
+
+bool SpscRing::push(pkt::PacketHandle p, core::SimTime at) {
   if (sink_) {
     ++enqueued_;
     ++dequeued_;
@@ -38,21 +48,67 @@ bool SpscRing::enqueue(pkt::PacketHandle p) {
   if (q_.size() >= capacity_) {
     ++drops_;
     if (core::TraceSink* t = core::tracer()) {
-      t->instant(t->track("ring/" + name_), "drop");
+      t->instant(t->track("ring/" + name_), "drop", at);
     }
     return false;  // handle destructor frees the packet
   }
   const bool was_empty = q_.empty();
   if (core::TraceSink* t = core::tracer()) {
-    if (p->trace_id != 0) t->async_begin(p->trace_id, name_);
+    if (p->trace_id != 0) t->async_begin(p->trace_id, name_, at);
   }
   q_.push_back(std::move(p));
   ++enqueued_;
-  if (watcher_) watcher_(was_empty);
+  if (watcher_) {
+    arriving_at_ = at;
+    watcher_(was_empty);
+  }
   return true;
 }
 
+void SpscRing::feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival) {
+  sim_ = &sim;
+  on_arrival_ = std::move(on_arrival);
+}
+
+void SpscRing::arrive(pkt::PacketHandle p, core::SimTime at) {
+  assert(sim_ != nullptr && "feed_from_wire first");
+  in_flight_.push_back(InFlight{at, sim_->reserve_order(), std::move(p)});
+  assert(in_flight_.size() == 1 ||
+         in_flight_[in_flight_.size() - 2].at <= at);
+  sync_wake();
+}
+
+void SpscRing::land_arrived() {
+  // Pop before putting in: the watcher may wake a consumer that reads this
+  // ring again from inside the loop.
+  while (!in_flight_.empty() && landed(in_flight_[0])) {
+    InFlight f = in_flight_.pop_front();
+    on_arrival_(*f.frame, f.at);
+    push(std::move(f.frame), f.at);  // overflow counts as a drop
+  }
+  sync_wake();
+}
+
+void SpscRing::sync_wake() {
+  const bool armed = wake_ != core::EventQueue::kInvalidEvent;
+  const bool wanted = !consumer_busy_ && !in_flight_.empty();
+  if (armed == wanted) return;  // an armed wake is always for the head
+  if (armed) {
+    sim_->cancel(wake_);
+    wake_ = core::EventQueue::kInvalidEvent;
+    return;
+  }
+  // Every read puts in what has arrived, and a consumer reads its rings
+  // before it goes idle, so the head's place in time is still ahead.
+  const InFlight& head = in_flight_[0];
+  wake_ = sim_->schedule_reserved(head.at, head.order, [this] {
+    wake_ = core::EventQueue::kInvalidEvent;
+    land_arrived();
+  });
+}
+
 pkt::PacketHandle SpscRing::dequeue() {
+  catch_up();
   if (q_.empty()) return {};
   pkt::PacketHandle p = q_.pop_front();
   ++dequeued_;
@@ -73,6 +129,7 @@ void SpscRing::set_sink(TimedSink s) {
 }
 
 void SpscRing::clear() {
+  catch_up();
   cleared_ += q_.size();
   if (core::TraceSink* t = core::tracer()) {
     // Close the residency slice of any traced resident, or the lifecycle

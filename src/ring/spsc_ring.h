@@ -12,6 +12,21 @@
 //    packet's arrival time: its producer (a NIC) hands packets over with
 //    deliver() as soon as it knows that time, which may be ahead of now.
 //
+// Lazy RX. A ring fed from a wire (a NIC RX ring, feed_from_wire) learns
+// each frame's arrival time when the frame leaves the sender, and keeps it
+// in flight until then. Every read (dequeue, size, empty, full, the
+// counters, clear) first puts in each frame that has arrived by now, in
+// arrival order, so occupancy at each arrival, and hence which frames
+// overflow, is what it would be with one arrival event per frame: nothing
+// dequeues between two reads. An event is kept only where something must
+// happen at the arrival instant: while the consumer is idle (not
+// set_consumer_busy) an event is armed at the in-flight head's arrival,
+// under the order key the frame reserved when it left the sender, so it
+// fires exactly where its arrival event would have. A busy poller, like
+// DPDK's rx_burst, just reads whatever has arrived by the time it looks.
+// A frame arriving at the very instant of a read counts as arrived when
+// its key is not after the reading event's (core::Simulator::reached).
+//
 // Enqueueing into a full ring drops the packet (freed back to its pool) and
 // counts the drop — this is where all simulated loss happens, exactly as in
 // the real systems (NIC imissed, vring full, link overflow).
@@ -35,7 +50,9 @@
 
 #include "core/counter.h"
 #include "core/event_fn.h"
+#include "core/event_queue.h"
 #include "core/fifo.h"
+#include "core/simulator.h"
 #include "core/time.h"
 #include "pkt/packet.h"
 
@@ -54,6 +71,8 @@ class SpscRing {
   using Watcher = core::SmallFn<void, bool>;
   using Sink = core::SmallFn<void, pkt::PacketHandle>;
   using TimedSink = core::SmallFn<void, pkt::PacketHandle, core::SimTime>;
+  /// Called as each wire-fed frame is put in, with its arrival time.
+  using ArrivalFn = core::SmallFn<void, const pkt::Packet&, core::SimTime>;
 
   SpscRing(std::string name, std::size_t capacity);
   ~SpscRing();
@@ -67,14 +86,30 @@ class SpscRing {
   /// Empty handle when the ring is empty.
   pkt::PacketHandle dequeue();
 
-  [[nodiscard]] std::size_t size() const { return q_.size(); }
+  // Reads put in the frames that have arrived by now first (see above).
+  [[nodiscard]] std::size_t size() {
+    catch_up();
+    return q_.size();
+  }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool empty() const { return q_.empty(); }
-  [[nodiscard]] bool full() const { return q_.size() >= capacity_; }
+  [[nodiscard]] bool empty() {
+    catch_up();
+    return q_.empty();
+  }
+  [[nodiscard]] bool full() { return size() >= capacity_; }
 
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
-  [[nodiscard]] std::uint64_t enqueued() const { return enqueued_; }
-  [[nodiscard]] std::uint64_t dequeued() const { return dequeued_; }
+  [[nodiscard]] std::uint64_t drops() {
+    catch_up();
+    return drops_;
+  }
+  [[nodiscard]] std::uint64_t enqueued() {
+    catch_up();
+    return enqueued_;
+  }
+  [[nodiscard]] std::uint64_t dequeued() {
+    catch_up();
+    return dequeued_;
+  }
   /// Packets discarded by clear() at teardown (counted so the
   /// packet-conservation ledger still balances with buffered residue).
   [[nodiscard]] std::uint64_t cleared() const { return cleared_; }
@@ -82,6 +117,33 @@ class SpscRing {
 
   /// Fires on every successful enqueue (see Watcher).
   void set_watcher(Watcher w) { watcher_ = std::move(w); }
+  /// Inside the watcher: when the packet just enqueued reached the ring.
+  /// A wire-fed frame may be put in after it arrived; a packet enqueued
+  /// directly arrives `now`.
+  [[nodiscard]] core::SimTime arrival_time(core::SimTime now) const {
+    return arriving_at_ == core::kNoTimestamp ? now : arriving_at_;
+  }
+
+  /// Lazy RX (see above): frames reach this ring through arrive(), on
+  /// `sim`'s clock, and `on_arrival` runs as each one is put in.
+  void feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival);
+  /// A frame that left its sender now lands here at `at`. Arrival times
+  /// must not decrease (one wire feeds the ring).
+  void arrive(pkt::PacketHandle p, core::SimTime at);
+  /// Put in every in-flight frame that has arrived by now, in arrival
+  /// order (each read does this itself).
+  void catch_up() {
+    if (!in_flight_.empty() && landed(in_flight_[0])) land_arrived();
+  }
+  /// The consumer is mid-round and will read the ring before it goes idle,
+  /// so arrivals need no event; when it goes idle (false), the in-flight
+  /// head gets its arrival event again. Rings start with an idle consumer.
+  void set_consumer_busy(bool busy) {
+    consumer_busy_ = busy;
+    if (wake_ != core::EventQueue::kInvalidEvent || !in_flight_.empty()) {
+      sync_wake();
+    }
+  }
 
   /// Divert all future enqueues straight into `s` (monitor mode). The ring
   /// must be empty when the sink is installed.
@@ -107,16 +169,40 @@ class SpscRing {
 
   /// Drop everything buffered (used at scenario teardown). The discarded
   /// packets are counted in cleared(): enqueued == dequeued + cleared +
-  /// size() holds at all times.
+  /// size() holds at all times. Frames still in flight stay in flight.
   void clear();
 
  private:
+  struct InFlight {
+    core::SimTime at{0};
+    /// Order key reserved when the frame left its sender.
+    std::uint64_t order{0};
+    pkt::PacketHandle frame;
+  };
+
+  /// Enqueue a packet that reached the ring at `at` (kNoTimestamp: now).
+  bool push(pkt::PacketHandle p, core::SimTime at);
+  [[nodiscard]] bool landed(const InFlight& f) const {
+    return sim_->reached(f.at, f.order);
+  }
+  void land_arrived();
+  /// Keep an event armed at the in-flight head's arrival, under the key
+  /// the head reserved, exactly while the consumer is idle.
+  void sync_wake();
+
   std::string name_;
   std::size_t capacity_;
   core::Fifo<pkt::PacketHandle> q_;
   Watcher watcher_;
   Sink sink_;
   TimedSink timed_sink_;
+  core::SimTime arriving_at_{core::kNoTimestamp};
+  // Lazy RX state (wire-fed rings only).
+  core::Simulator* sim_{nullptr};
+  ArrivalFn on_arrival_;
+  core::Fifo<InFlight> in_flight_;
+  bool consumer_busy_{false};
+  core::EventQueue::EventId wake_{core::EventQueue::kInvalidEvent};
   std::size_t sample_lag_{0};
   core::Counter drops_;
   core::Counter enqueued_;

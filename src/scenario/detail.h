@@ -46,6 +46,9 @@ struct Env {
     if (registry && cfg.queue_sample_period > 0) {
       sampler.emplace(sim, *registry, cfg.queue_sample_period, t_stop(cfg));
     }
+    // Frames that overflowed a lazily read NIC RX ring go back to the pool
+    // before it grows or runs dry.
+    pool.set_reclaim([this] { testbed.catch_up_rx(); });
   }
 
   static std::unique_ptr<obs::Registry> make_registry(

@@ -84,8 +84,8 @@ void SwitchBase::start() {
   if (any_input_ready()) wake(0);
 }
 
-bool SwitchBase::port_ready(std::size_t i) const {
-  const auto& in = ports_[i]->in();
+bool SwitchBase::port_ready(std::size_t i) {
+  auto& in = ports_[i]->in();
   if (in.empty()) return false;
   const core::SimDuration timeout =
       cost_.batch_timeout_for(ports_[i]->kind());
@@ -94,7 +94,7 @@ bool SwitchBase::port_ready(std::size_t i) const {
   return sim_.now() - wait_since_[i] >= timeout;
 }
 
-bool SwitchBase::any_input_ready() const {
+bool SwitchBase::any_input_ready() {
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     if (port_ready(i)) return true;
   }
@@ -102,7 +102,10 @@ bool SwitchBase::any_input_ready() const {
 }
 
 void SwitchBase::on_enqueue(std::size_t port_idx, bool became_nonempty) {
-  if (became_nonempty) wait_since_[port_idx] = sim_.now();
+  if (became_nonempty) {
+    // A frame put in lazily while a round ran waits from its arrival.
+    wait_since_[port_idx] = ports_[port_idx]->in().arrival_time(sim_.now());
+  }
   if (active_) return;
   const bool physical = ports_[port_idx]->kind() == ring::PortKind::kPhysical;
   core::SimDuration wake_latency = cost_.wakeup_for(ports_[port_idx]->kind());
@@ -129,8 +132,13 @@ void SwitchBase::on_enqueue(std::size_t port_idx, bool became_nonempty) {
   }
 }
 
+void SwitchBase::set_active(bool active) {
+  active_ = active;
+  for (const auto& p : ports_) p->in().set_consumer_busy(active);
+}
+
 void SwitchBase::wake(core::SimDuration latency) {
-  active_ = true;
+  set_active(true);
   if (latency > 0) {
     run_round_timer_.arm_in(latency);
   } else {
@@ -158,7 +166,7 @@ void SwitchBase::run_round() {
     }
   }
   if (chosen == ports_.size()) {
-    active_ = false;
+    set_active(false);
     // Inputs may be buffered but not yet "ready" (batch assembly); arm a
     // deadline check so they are not stranded.
     arm_timeout_checks();
@@ -260,7 +268,7 @@ void SwitchBase::continue_or_idle() {
     run_round_timer_.arm_at(at);
     return;
   }
-  active_ = false;
+  set_active(false);
   arm_timeout_checks();
 }
 

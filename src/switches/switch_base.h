@@ -11,6 +11,14 @@
 //        was spent — wasted work, the congestion-collapse mechanism),
 //        then immediately start the next round if any input is non-empty.
 //
+// While a round is scheduled or running (active_), the input rings are
+// marked busy: a NIC frame that lands meanwhile costs no event and is put
+// into its RX ring by the next read of it (lazy RX, ring/spsc_ring.h).
+// The switch reads every input before it goes idle, and from then on each
+// arrival wakes it at its own picosecond, as a poll-mode driver's next
+// rx_burst or an interrupt would. A frame put in late still waits, for
+// batch assembly, from its arrival (SpscRing::arrival_time).
+//
 // Subclasses implement process_batch(): real parsing/lookup over real frame
 // bytes, returning per-packet output ports and any extra pipeline cost.
 #pragma once
@@ -127,12 +135,14 @@ class SwitchBase {
 
  private:
   void on_enqueue(std::size_t port_idx, bool became_nonempty);
+  /// Set active_ and tell the input rings whether a round will read them.
+  void set_active(bool active);
   void wake(core::SimDuration latency);
   void run_round();
   void continue_or_idle();
   void arm_timeout_checks();
-  [[nodiscard]] bool any_input_ready() const;
-  [[nodiscard]] bool port_ready(std::size_t i) const;
+  [[nodiscard]] bool any_input_ready();
+  [[nodiscard]] bool port_ready(std::size_t i);
 
   core::Simulator& sim_;
   hw::CpuCore& core_;

@@ -40,13 +40,13 @@ TEST(EventBudget, PerOfferedPacket) {
   // counts behind these bounds. v2v has no NIC on its path; the paced
   // point gates the generator's pull path with probes and idle wires.
   const Budget budgets[] = {
-      {"p2p uni BESS", Kind::kP2p, SwitchType::kBess, 1, 0, 0, 3.20},
-      {"p2p uni VALE", Kind::kP2p, SwitchType::kVale, 1, 0, 0, 2.59},
-      {"p2v VPP", Kind::kP2v, SwitchType::kVpp, 1, 0, 0, 2.03},
-      {"loopback-4 VPP", Kind::kLoopback, SwitchType::kVpp, 4, 0, 0, 2.15},
+      {"p2p uni BESS", Kind::kP2p, SwitchType::kBess, 1, 0, 0, 2.19},
+      {"p2p uni VALE", Kind::kP2p, SwitchType::kVale, 1, 0, 0, 1.58},
+      {"p2v VPP", Kind::kP2v, SwitchType::kVpp, 1, 0, 0, 1.02},
+      {"loopback-4 VPP", Kind::kLoopback, SwitchType::kVpp, 4, 0, 0, 1.14},
       {"v2v Snabb", Kind::kV2v, SwitchType::kSnabb, 1, 0, 0, 1.82},
       {"p2p VPP 1 Mpps, 40 us probes", Kind::kP2p, SwitchType::kVpp, 1, 1e6,
-       core::from_us(40), 4.04},
+       core::from_us(40), 3.53},
   };
   for (const Budget& b : budgets) {
     ScenarioConfig cfg;

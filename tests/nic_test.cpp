@@ -1,9 +1,10 @@
 // NIC model: serialization timing, line-rate ceiling, RX overflow
 // (imissed), DMA latency, HW timestamping, cable delivery, events per frame,
-// timed monitor sinks and pulled TX sources.
+// timed monitor sinks, pulled TX sources and lazy RX at a polled ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -252,6 +253,139 @@ TEST_F(NicTest, PullSourcesMergeByEmitTimeThenAttachOrder) {
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
   EXPECT_EQ(seen[0], std::make_pair(core::SimTime{0}, 1u));
   EXPECT_EQ(seen[1], std::make_pair(core::SimTime{0}, 2u));
+}
+
+// ---- lazy RX: arrivals at a polled ring ----------------------------------
+// Frame k of a burst enqueued at 0 arrives at 222.2 + 67.2 k ns: 50 ns DMA
+// fetch, 67.2 ns on the wire per frame, 5 ns of cable, 100 ns RX DMA.
+
+core::SimTime burst_arrival(int k) { return core::from_ns(222.2 + 67.2 * k); }
+
+// A consumer mid-round reads the ring before it goes idle, so frames that
+// land meanwhile need no event: only the ten TX fetches fire, and a read
+// finds exactly the frames that have arrived by then.
+TEST_F(NicTest, BurstOnBusyConsumerCostsNoArrivalEvents) {
+  constexpr std::uint64_t kFrames = 10;
+  b_.rx_ring().set_consumer_busy(true);
+  for (std::uint64_t i = 0; i < kFrames; ++i) a_.tx_ring().enqueue(frame());
+  sim_.run();
+  EXPECT_EQ(sim_.events_processed(), kFrames);
+  // The last fetch fired at 50 + 9 * 67.2 ns; frames 0..6 have arrived.
+  EXPECT_EQ(sim_.now(), core::from_ns(50 + 9 * 67.2));
+  EXPECT_EQ(b_.rx_ring().size(), 7u);
+  EXPECT_EQ(b_.rx_frames(), 7u);
+  sim_.run_until(burst_arrival(9));
+  EXPECT_EQ(b_.rx_ring().size(), kFrames);
+  EXPECT_EQ(b_.rx_frames(), kFrames);
+  EXPECT_EQ(sim_.events_processed(), kFrames);
+  b_.rx_ring().clear();
+}
+
+// An idle consumer is woken at exactly the first arrival's picosecond, and
+// so is one that goes idle with frames still in flight: the frames that
+// arrived while it was busy are put in by its last read, the rest each
+// wake it at their own arrival.
+TEST_F(NicTest, IdleConsumerIsWokenAtEachArrival) {
+  struct Wake {
+    core::SimTime now;
+    core::SimTime arrival;
+    bool operator==(const Wake&) const = default;
+  };
+  std::vector<Wake> wakes;
+  ring::SpscRing& rx = b_.rx_ring();
+  rx.set_watcher([&](bool) {
+    wakes.push_back({sim_.now(), rx.arrival_time(sim_.now())});
+    rx.set_consumer_busy(true);  // a woken poller runs a round
+  });
+  for (int i = 0; i < 4; ++i) a_.tx_ring().enqueue(frame());
+  // The round ends at 300 ns, after frame 1 arrived at 289.4 ns: it reads
+  // the ring and goes idle.
+  sim_.post_at(core::from_ns(300), [&] {
+    EXPECT_EQ(rx.size(), 2u);
+    rx.set_consumer_busy(false);
+  });
+  sim_.run();
+  const std::vector<Wake> expected = {
+      {burst_arrival(0), burst_arrival(0)},
+      {core::from_ns(300), burst_arrival(1)},
+      {burst_arrival(2), burst_arrival(2)},
+  };
+  EXPECT_EQ(wakes, expected);
+  // Four fetches, the 300 ns read and the arrivals of frames 0 and 2;
+  // frame 3 lands on a busy consumer again.
+  EXPECT_EQ(sim_.events_processed(), 7u);
+  sim_.run_until(burst_arrival(3));
+  EXPECT_EQ(rx.size(), 4u);
+  EXPECT_EQ(wakes.size(), 4u);
+  rx.clear();
+}
+
+// With the ring full, which frame overflows depends on when the consumer
+// dequeued: frames are put in in arrival order, each against the ring as
+// it stood at its own arrival, so a read between arrivals 16 and 17 drops
+// frame 16 and leaves room for frame 17.
+TEST_F(NicTest, ImissedFollowsArrivalOrderAroundADequeue) {
+  constexpr int kFrames = 18;
+  b_.rx_ring().set_consumer_busy(true);
+  auto send = [this](int k) {
+    auto f = frame();
+    f->seq = static_cast<std::uint64_t>(k);
+    a_.tx_ring().enqueue(std::move(f));
+  };
+  for (int k = 0; k < 16; ++k) send(k);
+  // Still back to back: the wire is busy until 50 + 16 * 67.2 ns.
+  sim_.post_at(core::from_ns(500), [&] { send(16); send(17); });
+  std::uint64_t first_out = 0;
+  sim_.post_at(core::from_ns(1330), [&] {
+    ASSERT_GT(core::from_ns(1330), burst_arrival(16));
+    ASSERT_LT(core::from_ns(1330), burst_arrival(17));
+    first_out = b_.rx_ring().dequeue()->seq;
+  });
+  // No event is left after the read: frame 17 lands on a busy consumer.
+  sim_.run_until(burst_arrival(17));
+  EXPECT_EQ(first_out, 0u);
+  EXPECT_EQ(b_.imissed(), 1u);
+  EXPECT_EQ(b_.rx_frames(), static_cast<std::uint64_t>(kFrames));
+  std::vector<std::uint64_t> left;
+  while (auto p = b_.rx_ring().dequeue()) left.push_back(p->seq);
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t k = 1; k < 16; ++k) expected.push_back(k);
+  expected.push_back(17);  // frame 16 was the one lost
+  EXPECT_EQ(left, expected);
+}
+
+// A read at the very picosecond a frame arrives sees it exactly when the
+// frame's arrival event would have fired first: a poll armed before the
+// frame left the sender runs first, one armed after it runs after. With
+// an idle consumer the arrival event itself fires between the two.
+TEST_F(NicTest, SameInstantReadIsOrderedAsTheArrivalEvent) {
+  for (const bool busy : {true, false}) {
+    SCOPED_TRACE(busy ? "busy consumer" : "idle consumer");
+    core::Simulator sim;
+    NicPort a(sim, "a", cfg());
+    NicPort b(sim, "b", cfg());
+    Cable cable(sim, a, b);
+    std::vector<std::string> order;
+    b.rx_ring().set_consumer_busy(busy);
+    b.rx_ring().set_watcher([&](bool) { order.push_back("arrival"); });
+    const core::SimTime at = burst_arrival(0);
+    auto poll = [&](const char* name) {
+      return [&, name] {
+        order.push_back(std::string(name) + " sees " +
+                        std::to_string(b.rx_ring().size()));
+      };
+    };
+    sim.post_at(at, poll("early poll"));  // armed before the frame left
+    a.tx_ring().enqueue(frame());
+    // Armed at 100 ns, after the fetch at 50 ns sent the frame.
+    sim.post_at(core::from_ns(100), [&] { sim.post_at(at, poll("late poll")); });
+    sim.run();
+    const std::vector<std::string> expected = {"early poll sees 0", "arrival",
+                                               "late poll sees 1"};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(sim.now(), at);
+    b.rx_ring().clear();
+  }
 }
 
 TEST_F(NicTest, RxRingOverflowCountsImissed) {

@@ -1,7 +1,10 @@
 // SwitchBase service-loop mechanics, tested through a minimal concrete
-// switch that forwards port 0 <-> port 1.
+// switch that forwards port 0 <-> port 1, including a NIC port whose RX
+// ring is read lazily while a round runs.
 #include <gtest/gtest.h>
 
+#include "hw/cable.h"
+#include "hw/nic.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 #include "switches/switch_base.h"
@@ -18,6 +21,7 @@ class PatchSwitch final : public SwitchBase {
   double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
                        std::vector<Tx>& out) override {
     const std::size_t other = 1 - index_of(in);
+    round_at_[index_of(in)] = sim().now();
     for (auto& p : batch) {
       if (drop_all_) continue;
       out.push_back(Tx{&port(other), std::move(p)});
@@ -28,6 +32,8 @@ class PatchSwitch final : public SwitchBase {
  public:
   bool drop_all_{false};
   double extra_ns_{0};
+  /// Start of the last round that served each port.
+  core::SimTime round_at_[2] = {-1, -1};
 };
 
 class SwitchBaseTest : public ::testing::Test {
@@ -193,6 +199,37 @@ TEST_F(SwitchBaseTest, FullBurstSkipsAssemblyWait) {
   sim_.run_until(core::from_us(2));
   EXPECT_EQ(sw.stats().tx_packets, 8u);
   sim_.run();
+}
+
+// A NIC frame that lands while a round runs is put into the RX ring only
+// when the round ends and reads it; its batch-assembly wait still counts
+// from its arrival, so the timeout round starts at arrival + timeout.
+TEST_F(SwitchBaseTest, AssemblyWaitCountsFromArrivalOfALateReadFrame) {
+  hw::NicPort peer(sim_, "peer");
+  hw::NicPort nic(sim_, "nic");
+  hw::Cable cable(sim_, peer, nic);
+  auto c = simple_cost();
+  c.batch_timeout = core::from_us(10);
+  c.burst = 2;
+  sw_ = std::make_unique<PatchSwitch>(sim_, cpu_, "sw", c);
+  auto& sw = *sw_;
+  sw.attach_nic(nic);
+  sw.add_port(std::make_unique<ring::RingPort>(
+      "p1", ring::PortKind::kInternal, 64));
+  sw.extra_ns_ = 5000;
+  sw.start();
+  // A full burst on port 1 starts a ~5.2 us round at 0.
+  sw.port(1).in().enqueue(frame());
+  sw.port(1).in().enqueue(frame());
+  // Meanwhile one frame crosses the wire: 1 us DMA fetch, 67.2 ns on the
+  // wire, 5 ns of cable, 2.4 us RX DMA.
+  peer.tx_ring().enqueue(frame());
+  const core::SimTime arrival = core::from_ns(1000 + 67.2 + 5 + 2400);
+  sim_.run();
+  EXPECT_EQ(sw.round_at_[1], 0);
+  EXPECT_EQ(sw.round_at_[0], arrival + c.batch_timeout);
+  EXPECT_EQ(sw.stats().rx_packets, 3u);
+  peer.rx_ring().clear();
 }
 
 TEST_F(SwitchBaseTest, JitterPreservesMeanRoughly) {
