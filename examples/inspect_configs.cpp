@@ -5,13 +5,12 @@
 
 #include "core/simulator.h"
 #include "hw/numa.h"
-#include "switches/bess/bessctl.h"
+#include "switches/bess/bess_switch.h"
 #include "switches/fastclick/fastclick_switch.h"
 #include "switches/ovs/ovs_ctl.h"
-#include "switches/ovs/ovs_vsctl.h"
 #include "switches/snabb/snabb_switch.h"
 #include "switches/t4p4s/t4p4s_switch.h"
-#include "switches/vale/vale_ctl.h"
+#include "switches/vale/vale_switch.h"
 #include "switches/vpp/cli.h"
 
 int main() {
@@ -19,18 +18,12 @@ int main() {
   core::Simulator sim;
   hw::Testbed bed(sim);
 
-  std::puts("=== BESS (bessctl script + show pipeline) ===");
+  std::puts("=== BESS (QueueInc -> QueueOut + show pipeline) ===");
   {
     switches::bess::BessSwitch sw(sim, bed.take_core(0), "bess");
     sw.attach_nic(bed.nic(0, 0));
     sw.attach_nic(bed.nic(0, 1));
-    switches::bess::BessCtl ctl(sw);
-    ctl.run_script(
-        "inport::PMDPort(port_id=0)\n"
-        "outport::PMDPort(port_id=1)\n"
-        "in0::QueueInc(port=inport, qid=0)\n"
-        "out0::QueueOut(port=outport, qid=0)\n"
-        "in0 -> out0\n");
+    sw.wire(0, 1);
     std::fputs(sw.pipeline().show().c_str(), stdout);
   }
 
@@ -58,16 +51,11 @@ int main() {
     std::fputs(cli.show_runtime().c_str(), stdout);
   }
 
-  std::puts("\n=== OvS-DPDK (ovs-vsctl + ovs-ofctl + dump-flows) ===");
+  std::puts("\n=== OvS-DPDK (ovs-ofctl + dump-flows) ===");
   {
     switches::ovs::OvsSwitch sw(sim, bed.take_core(0), "br0");
-    switches::ovs::OvsVsctl vsctl(sw);
-    vsctl.register_nic(bed.nic(0, 0));
-    vsctl.run("ovs-vsctl add-br br0");
-    vsctl.run("ovs-vsctl add-port br0 nic0.0 -- set Interface nic0.0 "
-              "type=dpdk");
-    vsctl.run("ovs-vsctl add-port br0 vh0 -- set Interface vh0 "
-              "type=dpdkvhostuser");
+    sw.attach_nic(bed.nic(0, 0));      // OpenFlow port 1
+    sw.add_vhost_user_port("vhost0");  // OpenFlow port 2
     switches::ovs::OvsOfctl ofctl(sw);
     ofctl.run("ovs-ofctl add-flow br0 priority=100,in_port=1,"
               "actions=output:2");
@@ -90,13 +78,10 @@ int main() {
     std::fputs(sw.engine().report().c_str(), stdout);
   }
 
-  std::puts("\n=== VALE (vale-ctl) + t4p4s (runtime controller) ===");
+  std::puts("\n=== VALE (ptnet port) + t4p4s (runtime controller) ===");
   {
     switches::vale::ValeSwitch sw(sim, bed.take_core(1), "vale0");
-    switches::vale::ValeCtl ctl;
-    ctl.register_switch(sw);
-    ctl.run("vale-ctl -n v0");
-    ctl.run("vale-ctl -a vale0:v0");
+    sw.add_ptnet_port("v0");
     std::printf("vale0 has %zu port(s); v0 is a %s port\n", sw.num_ports(),
                 ring::to_string(sw.port(0).kind()));
 

@@ -16,7 +16,6 @@
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "pkt/headers.h"
 #include "pkt/packet_pool.h"
 #include "ring/vhost_user_port.h"
 #include "scenario/scenario.h"
@@ -122,12 +121,6 @@ struct Env {
   }
 };
 
-/// One forwarding decision the SUT must implement: in-port -> out-port.
-struct WirePair {
-  std::size_t in;
-  std::size_t out;
-};
-
 /// Where a direction's traffic enters or leaves the data path: a node-1
 /// NIC port (MoonGen's side of the cable) or a guest port inside a VM.
 struct Endpoint {
@@ -172,18 +165,5 @@ struct Topology {
 /// traffic endpoints), in the construction order that fixes each
 /// component's random stream.
 Topology build_topology(const ScenarioConfig& cfg, Env& env);
-
-/// The destination MAC that addresses SUT egress port `out_idx` in the
-/// t4p4s l2fwd table (and is used uniformly in generated frames so every
-/// switch sees identical traffic).
-pkt::MacAddress dst_mac_for_port(std::size_t out_idx);
-
-/// Program the SUT's forwarding using its native configuration interface
-/// (ovs-ofctl, VPP CLI, Click config, bess wiring, Snabb app network, P4
-/// table entries). VALE needs no wiring (L2 learning + flood).
-/// Must be called after all SUT ports exist and before sut.start()/
-/// traffic. For Snabb this also commits the app network.
-void wire_sut(switches::SwitchBase& sut, switches::SwitchType type,
-              const std::vector<WirePair>& pairs);
 
 }  // namespace nfvsb::scenario::detail

@@ -14,6 +14,7 @@
 
 #include "core/units.h"
 #include "pkt/crafting.h"
+#include "pkt/headers.h"
 #include "scenario/detail.h"
 #include "stats/latency_recorder.h"
 #include "stats/throughput_meter.h"
@@ -177,7 +178,7 @@ std::unique_ptr<Tool> make_monitor(const ScenarioConfig& cfg, Env& env,
 pkt::FrameSpec make_frame(const ScenarioConfig& cfg, const Direction& d) {
   pkt::FrameSpec f;
   f.frame_bytes = cfg.frame_bytes;
-  f.dst_mac = detail::dst_mac_for_port(d.first_out);
+  f.dst_mac = switches::egress_mac(d.first_out);
   if (!d.reverse_frame) {
     f.src_mac = pkt::MacAddress::from_u64(0x020a0a0a0a01ULL);
     f.src_ip = pkt::Ipv4Address::parse("10.0.0.1").value();

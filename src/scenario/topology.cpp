@@ -20,16 +20,8 @@
 #include "ring/vhost_user_port.h"
 #include "scenario/detail.h"
 #include "scenario/scenario.h"
-#include "switches/bess/bess_switch.h"
-#include "switches/fastclick/fastclick_switch.h"
-#include "switches/ovs/ovs_ctl.h"
-#include "switches/ovs/ovs_switch.h"
-#include "switches/snabb/snabb_switch.h"
+#include "switches/registry.h"
 #include "switches/switch_base.h"
-#include "switches/t4p4s/t4p4s_switch.h"
-#include "switches/vale/vale_switch.h"
-#include "switches/vpp/cli.h"
-#include "switches/vpp/vpp_switch.h"
 #include "vnf/chain.h"
 #include "vnf/container.h"
 #include "vnf/l2fwd.h"
@@ -41,9 +33,9 @@ namespace {
 
 /// SUT port pairs between ports `a` and `b`: a -> b, b -> a, or both, as
 /// the config's directions ask.
-std::vector<WirePair> port_pairs(const ScenarioConfig& cfg, std::size_t a,
-                                 std::size_t b) {
-  std::vector<WirePair> pairs;
+std::vector<switches::PortPair> port_pairs(const ScenarioConfig& cfg,
+                                           std::size_t a, std::size_t b) {
+  std::vector<switches::PortPair> pairs;
   if (!cfg.reverse || cfg.bidirectional) pairs.push_back({a, b});
   if (cfg.reverse || cfg.bidirectional) pairs.push_back({b, a});
   return pairs;
@@ -98,7 +90,7 @@ Topology p2p(const ScenarioConfig& cfg, Env& env) {
           ring::PortKind::kPhysical, nic.rx_ring(q), nic.tx_ring(q)));
     }
     if (cfg.tune_sut) cfg.tune_sut(*sw);
-    wire_sut(*sw, cfg.sut, port_pairs(cfg, 0, 1));
+    sw->wire(port_pairs(cfg, 0, 1));
     sw->start();
     t.suts.push_back(std::move(sw));
   }
@@ -122,7 +114,7 @@ Topology p2v(const ScenarioConfig& cfg, Env& env) {
   } else {
     guest = &vm.attach_virtio(sut.add_vhost_user_port("vhost0"));  // port 1
   }
-  wire_sut(sut, cfg.sut, port_pairs(cfg, 0, 1));
+  sut.wire(port_pairs(cfg, 0, 1));
   sut.start();
   t.directions = directions(cfg, env.testbed.nic(1, 0), *guest, 1, 0);
   return t;
@@ -173,11 +165,12 @@ void v2v_latency(const ScenarioConfig& cfg, Env& env, Topology& t,
   t.bounce = std::make_unique<vnf::L2Fwd>(env.sim, vm2.vcpu(0), "vm2:l2fwd");
   t.bounce->bind_virtio_pair(c, d);
   // Returning packets must address SUT egress port 1 (t4p4s table key).
-  t.bounce->set_dst_mac_rewrite(1, dst_mac_for_port(1));
+  t.bounce->set_dst_mac_rewrite(1, switches::egress_mac(1));
   if (cfg.l2fwd_drain > 0) t.bounce->set_drain_timeout(cfg.l2fwd_drain);
   t.vnfs.push_back(t.bounce.get());
   // VM1.a -> VM2.a (ports 0 -> 2); VM2.b -> VM1.b (3 -> 1).
-  wire_sut(sut, cfg.sut, {{0, 2}, {3, 1}});
+  const switches::PortPair pairs[] = {{0, 2}, {3, 1}};
+  sut.wire(pairs);
   sut.start();
   t.bounce->start();
   t.directions.push_back({vm1_tx, vm1_rx, 2, 1, false});
@@ -210,7 +203,7 @@ Topology v2v(const ScenarioConfig& cfg, Env& env) {
     g1 = &vm1.attach_virtio(p1);
     g2 = &vm2.attach_virtio(p2);
   }
-  wire_sut(sut, cfg.sut, port_pairs(cfg, 0, 1));
+  sut.wire(port_pairs(cfg, 0, 1));
   sut.start();
   t.directions = directions(cfg, *g1, *g2, 1, 0);
   return t;
@@ -224,8 +217,9 @@ Topology loopback_vale(const ScenarioConfig& cfg, Env& env) {
   const auto n = static_cast<std::size_t>(cfg.chain_length);
   hw::CpuCore& sut_core = env.testbed.take_core(0);
   for (std::size_t i = 0; i <= n; ++i) {
-    t.suts.push_back(std::make_unique<switches::vale::ValeSwitch>(
-        env.sim, sut_core, "vale" + std::to_string(i)));
+    t.suts.push_back(switches::make_switch(switches::SwitchType::kVale,
+                                           env.sim, sut_core,
+                                           "vale" + std::to_string(i)));
     if (cfg.tune_sut) cfg.tune_sut(*t.suts.back());
   }
   t.suts.front()->attach_nic(env.testbed.nic(0, 0));
@@ -279,7 +273,7 @@ Topology loopback(const ScenarioConfig& cfg, Env& env) {
   }
 
   // Forward pairs: NIC0 -> A1, B_i -> A_{i+1}, B_n -> NIC1.
-  std::vector<WirePair> pairs;
+  std::vector<switches::PortPair> pairs;
   pairs.push_back({0, chain.hop(0).idx_a});
   for (int i = 0; i + 1 < n; ++i) {
     pairs.push_back({chain.hop(i).idx_b, chain.hop(i + 1).idx_a});
@@ -294,17 +288,17 @@ Topology loopback(const ScenarioConfig& cfg, Env& env) {
     }
     pairs.push_back({chain.hop(0).idx_a, 0});
   }
-  wire_sut(sut, cfg.sut, pairs);
+  sut.wire(pairs);
 
   // l2fwd dst-MAC rewrites so each hop addresses the next SUT egress
   // (required by t4p4s, harmless for the others).
   for (int i = 0; i < n; ++i) {
     const std::size_t fwd_next =
         (i + 1 < n) ? chain.hop(i + 1).idx_a : std::size_t{1};
-    chain.vnf(i).set_dst_mac_rewrite(1, dst_mac_for_port(fwd_next));
+    chain.vnf(i).set_dst_mac_rewrite(1, switches::egress_mac(fwd_next));
     const std::size_t rev_next =
         (i > 0) ? chain.hop(i - 1).idx_b : std::size_t{0};
-    chain.vnf(i).set_dst_mac_rewrite(0, dst_mac_for_port(rev_next));
+    chain.vnf(i).set_dst_mac_rewrite(0, switches::egress_mac(rev_next));
   }
 
   sut.start();
@@ -312,30 +306,6 @@ Topology loopback(const ScenarioConfig& cfg, Env& env) {
   t.directions = directions(cfg, env.testbed.nic(1, 0), env.testbed.nic(1, 1),
                             chain.hop(0).idx_a, chain.hop(n - 1).idx_b);
   return t;
-}
-
-void wire_snabb(switches::snabb::SnabbSwitch& sw,
-                const std::vector<WirePair>& pairs) {
-  // One app per port referenced by any pair; link per pair.
-  auto app_name = [](std::size_t port) {
-    return "app" + std::to_string(port);
-  };
-  auto ensure_app = [&](std::size_t port) {
-    if (sw.engine().find(app_name(port)) != nullptr) return;
-    if (sw.port(port).kind() == ring::PortKind::kPhysical) {
-      sw.engine().app(std::make_unique<switches::snabb::Intel82599App>(
-          app_name(port), port));
-    } else {
-      sw.engine().app(std::make_unique<switches::snabb::VhostUserApp>(
-          app_name(port), port));
-    }
-  };
-  for (const WirePair& p : pairs) {
-    ensure_app(p.in);
-    ensure_app(p.out);
-    sw.engine().link(app_name(p.in) + ".tx -> " + app_name(p.out) + ".rx");
-  }
-  sw.commit();
 }
 
 }  // namespace
@@ -348,70 +318,6 @@ Topology build_topology(const ScenarioConfig& cfg, Env& env) {
     case Kind::kLoopback: return loopback(cfg, env);
   }
   throw std::invalid_argument("unknown scenario kind");
-}
-
-pkt::MacAddress dst_mac_for_port(std::size_t out_idx) {
-  return pkt::MacAddress::from_u64(0x024d4d4d4d00ULL +
-                                   (out_idx & 0xff));
-}
-
-void wire_sut(switches::SwitchBase& sut, switches::SwitchType type,
-              const std::vector<WirePair>& pairs) {
-  using switches::SwitchType;
-  switch (type) {
-    case SwitchType::kBess: {
-      auto& bess = dynamic_cast<switches::bess::BessSwitch&>(sut);
-      for (const WirePair& p : pairs) bess.wire(p.in, p.out);
-      return;
-    }
-    case SwitchType::kVpp: {
-      auto& vpp = dynamic_cast<switches::vpp::VppSwitch&>(sut);
-      switches::vpp::VppCli cli(vpp);
-      for (std::size_t i = 0; i < vpp.num_ports(); ++i) {
-        cli.register_port("port" + std::to_string(i), i);
-      }
-      for (const WirePair& p : pairs) {
-        cli.run("test l2patch rx port" + std::to_string(p.in) + " tx port" +
-                std::to_string(p.out));
-      }
-      return;
-    }
-    case SwitchType::kFastClick: {
-      auto& fc = dynamic_cast<switches::fastclick::FastClickSwitch&>(sut);
-      std::string config;
-      for (const WirePair& p : pairs) {
-        config += "FromDPDKDevice(" + std::to_string(p.in) +
-                  ") -> EtherMirror() -> ToDPDKDevice(" +
-                  std::to_string(p.out) + ");\n";
-      }
-      fc.configure(config);
-      return;
-    }
-    case SwitchType::kOvsDpdk: {
-      auto& ovs = dynamic_cast<switches::ovs::OvsSwitch&>(sut);
-      switches::ovs::OvsOfctl ofctl(ovs);
-      for (const WirePair& p : pairs) {
-        ofctl.run("ovs-ofctl add-flow br0 \"priority=100,in_port=" +
-                  std::to_string(p.in + 1) +
-                  ",actions=output:" + std::to_string(p.out + 1) + "\"");
-      }
-      return;
-    }
-    case SwitchType::kT4p4s: {
-      auto& t4 = dynamic_cast<switches::t4p4s::T4p4sSwitch&>(sut);
-      for (const WirePair& p : pairs) {
-        t4.l2_table().add(dst_mac_for_port(p.out),
-                          switches::t4p4s::P4Action::forward(p.out));
-      }
-      return;
-    }
-    case SwitchType::kSnabb: {
-      wire_snabb(dynamic_cast<switches::snabb::SnabbSwitch&>(sut), pairs);
-      return;
-    }
-    case SwitchType::kVale:
-      return;  // L2 learning switch: no static wiring
-  }
 }
 
 }  // namespace nfvsb::scenario::detail

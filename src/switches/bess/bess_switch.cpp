@@ -1,9 +1,11 @@
 #include "switches/bess/bess_switch.h"
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/simulator.h"
+#include "switches/bess/modules.h"
 #include "switches/switch_base.h"
 
 namespace nfvsb::switches::bess {
@@ -32,8 +34,7 @@ BessSwitch::BessSwitch(core::Simulator& sim, hw::CpuCore& core,
     : SwitchBase(sim, core, std::move(name), cost) {}
 
 void BessSwitch::wire(std::size_t in_port, std::size_t out_port) {
-  auto inc = std::make_unique<QueueInc>(
-      "in" + std::to_string(in_port), in_port);
+  auto inc = std::make_unique<QueueInc>("in" + std::to_string(in_port));
   auto out = std::make_unique<QueueOut>(
       "out" + std::to_string(out_port), out_port);
   auto& inc_ref = *inc;
@@ -44,6 +45,10 @@ void BessSwitch::wire(std::size_t in_port, std::size_t out_port) {
   pipeline_.register_input(in_port, inc_ref);
 }
 
+void BessSwitch::wire(std::span<const PortPair> pairs) {
+  for (const PortPair& p : pairs) wire(p.in, p.out);
+}
+
 double BessSwitch::process_batch(ring::Port& in,
                                  std::vector<pkt::PacketHandle>& batch,
                                  std::vector<Tx>& out) {
@@ -51,7 +56,6 @@ double BessSwitch::process_batch(ring::Port& in,
   Module* entry = pipeline_.input_for(in_idx);
   if (entry == nullptr) return 0.0;  // unwired port: drop
   ctx_.cost_ns = 0;
-  ctx_.discarded = 0;
   entry->process(ctx_, batch);
   for (auto& [dst, p] : ctx_.emitted) {
     if (dst < num_ports()) {

@@ -8,9 +8,10 @@
 //    to build longer BESS chains exactly as the testbed did.
 #pragma once
 
+#include <span>
+
 #include "core/simulator.h"
 #include "switches/bess/module.h"
-#include "switches/bess/modules.h"
 #include "switches/switch_base.h"
 
 namespace nfvsb::switches::bess {
@@ -29,8 +30,9 @@ class BessSwitch final : public SwitchBase {
 
   [[nodiscard]] Pipeline& pipeline() { return pipeline_; }
 
-  /// Convenience: QueueInc(port=a) -> QueueOut(port=b).
+  /// QueueInc(port=a) -> QueueOut(port=b), the paper's pipeline.
   void wire(std::size_t in_port, std::size_t out_port);
+  void wire(std::span<const PortPair> pairs) override;
 
  protected:
   double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,

@@ -7,24 +7,13 @@ Module& Pipeline::add(std::unique_ptr<Module> m) {
   return *modules_.back();
 }
 
-Module* Pipeline::find(const std::string& name) {
-  for (auto& m : modules_) {
-    if (m->name() == name) return m.get();
-  }
-  return nullptr;
-}
-
 std::string Pipeline::show() const {
   std::string out;
   for (const auto& m : modules_) {
     out += m->name();
     out += "::";
     out += m->class_name();
-    for (std::size_t g = 0; g < m->nogates(); ++g) {
-      const Module* to = m->next(g);
-      if (to == nullptr) continue;
-      out += "\n  :" + std::to_string(g) + " -> " + to->name();
-    }
+    if (const Module* to = m->next()) out += "\n  :0 -> " + to->name();
     out += "\n";
   }
   return out;

@@ -8,12 +8,11 @@
 // all seven switches and posts the best p2p numbers.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/rng.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::switches::bess {
@@ -28,7 +27,6 @@ using Batch = std::vector<pkt::PacketHandle>;
 struct TaskContext {
   double cost_ns{0};
   std::vector<std::pair<std::size_t, pkt::PacketHandle>> emitted;
-  std::uint64_t discarded{0};
 };
 
 class Module {
@@ -42,15 +40,9 @@ class Module {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] virtual const char* class_name() const = 0;
 
-  /// Connect output gate `ogate` to `next` (bessctl's `a:1 -> b`).
-  void connect(Module& next, std::size_t ogate = 0) {
-    if (ogates_.size() <= ogate) ogates_.resize(ogate + 1, nullptr);
-    ogates_[ogate] = &next;
-  }
-  [[nodiscard]] Module* next(std::size_t ogate = 0) const {
-    return ogate < ogates_.size() ? ogates_[ogate] : nullptr;
-  }
-  [[nodiscard]] std::size_t nogates() const { return ogates_.size(); }
+  /// Connect the output gate to `next` (bessctl's `a -> b`).
+  void connect(Module& next) { next_ = &next; }
+  [[nodiscard]] Module* next() const { return next_; }
 
   virtual void process(TaskContext& ctx, Batch& batch) = 0;
 
@@ -58,28 +50,23 @@ class Module {
   void charge(TaskContext& ctx, std::size_t n) const {
     ctx.cost_ns += fixed_ns_ + per_packet_ns_ * static_cast<double>(n);
   }
-  void forward(TaskContext& ctx, Batch& batch, std::size_t ogate = 0) {
-    Module* out = next(ogate);
-    if (out != nullptr && !batch.empty()) {
-      out->process(ctx, batch);
-    } else {
-      ctx.discarded += batch.size();
-    }
+  /// Pass the batch on; without a next module it stays behind, and its
+  /// owner frees it as discards.
+  void forward(TaskContext& ctx, Batch& batch) {
+    if (next_ != nullptr && !batch.empty()) next_->process(ctx, batch);
   }
 
  private:
   std::string name_;
   double fixed_ns_;
   double per_packet_ns_;
-  std::vector<Module*> ogates_;
+  Module* next_{nullptr};
 };
 
 /// Owns modules; maps port queues to entry modules (QueueInc).
 class Pipeline {
  public:
   Module& add(std::unique_ptr<Module> m);
-  [[nodiscard]] Module* find(const std::string& name);
-  [[nodiscard]] std::size_t size() const { return modules_.size(); }
 
   void register_input(std::size_t port, Module& entry);
   [[nodiscard]] Module* input_for(std::size_t port);

@@ -81,8 +81,6 @@ Element& ConfigParser::make_element(const std::string& class_name,
   }
   if (class_name == "ToDPDKDevice") {
     e = std::make_unique<ToDPDKDevice>(name, parse_device(args, class_name));
-  } else if (class_name == "Classifier") {
-    e = std::make_unique<Classifier>(name, args);
   } else if (class_name == "EtherMirror") {
     e = std::make_unique<EtherMirror>(name);
   } else if (class_name == "Counter") {
@@ -97,26 +95,9 @@ Element& ConfigParser::make_element(const std::string& class_name,
   return router_.add(std::move(e));
 }
 
-ConfigParser::Endpoint ConfigParser::resolve(const std::string& raw) {
-  std::string expr = trim(raw);
+Element& ConfigParser::resolve(const std::string& raw) {
+  const std::string expr = trim(raw);
   if (expr.empty()) throw std::invalid_argument("click: empty expression");
-
-  // Optional trailing output-port selector: expr[3].
-  std::size_t out_port = 0;
-  if (!expr.empty() && expr.back() == ']') {
-    const auto open = expr.rfind('[');
-    if (open == std::string::npos) {
-      throw std::invalid_argument("click: unbalanced ']': " + expr);
-    }
-    const std::string idx = expr.substr(open + 1, expr.size() - open - 2);
-    std::size_t port = 0;
-    auto [p, ec] = std::from_chars(idx.data(), idx.data() + idx.size(), port);
-    if (ec != std::errc{} || p != idx.data() + idx.size()) {
-      throw std::invalid_argument("click: bad output port: " + expr);
-    }
-    out_port = port;
-    expr = trim(expr.substr(0, open));
-  }
 
   const auto paren = expr.find('(');
   if (paren != std::string::npos) {
@@ -128,9 +109,9 @@ ConfigParser::Endpoint ConfigParser::resolve(const std::string& raw) {
     const std::string args = expr.substr(paren + 1, expr.size() - paren - 2);
     const std::string name =
         cls + "@" + std::to_string(++anon_counter_);
-    return Endpoint{&make_element(cls, args, name), out_port};
+    return make_element(cls, args, name);
   }
-  if (Element* e = router_.find(expr)) return Endpoint{e, out_port};
+  if (Element* e = router_.find(expr)) return *e;
   throw std::invalid_argument("click: undeclared element: " + expr);
 }
 
@@ -165,14 +146,11 @@ void ConfigParser::parse(const std::string& config) {
     }
 
     // Connection chain.
-    const auto chain = split_top(stmt, "->");
-    Endpoint prev{nullptr, 0};
-    for (const std::string& expr : chain) {
-      Endpoint e = resolve(expr);
-      if (prev.element != nullptr) {
-        prev.element->connect(*e.element, prev.out_port);
-      }
-      prev = e;
+    Element* prev = nullptr;
+    for (const std::string& expr : split_top(stmt, "->")) {
+      Element& e = resolve(expr);
+      if (prev != nullptr) prev->connect(e);
+      prev = &e;
     }
   }
 }

@@ -8,13 +8,8 @@
 // Grammar: statements separated by ';'. A statement is either a declaration
 //   name :: ClassName(args)
 // or a connection chain of expressions joined by '->', where an expression
-// is a declared name or an anonymous instantiation ClassName(args), each
-// optionally suffixed with an OUTPUT port selector as in Click:
-//   c :: Classifier(12/0800, -);
-//   FromDPDKDevice(0) -> c;
-//   c[0] -> ToDPDKDevice(1);   // IPv4
-//   c[1] -> Discard();         // everything else
-// Comments (// to end of line) are stripped.
+// is a declared name or an anonymous instantiation ClassName(args). Every
+// element has one output. Comments (// to end of line) are stripped.
 #pragma once
 
 #include <string>
@@ -32,14 +27,9 @@ class ConfigParser {
   void parse(const std::string& config);
 
  private:
-  struct Endpoint {
-    Element* element;
-    std::size_t out_port;
-  };
-
   Element& make_element(const std::string& class_name,
                         const std::string& args, const std::string& name);
-  Endpoint resolve(const std::string& expr);
+  Element& resolve(const std::string& expr);
 
   Router& router_;
   int anon_counter_{0};

@@ -23,12 +23,8 @@ std::string Router::unparse() const {
     out += ";\n";
   }
   for (const auto& e : elements_) {
-    for (std::size_t port = 0; port < e->noutputs(); ++port) {
-      const Element* to = e->next(port);
-      if (to == nullptr) continue;
-      out += e->name();
-      if (e->noutputs() > 1) out += "[" + std::to_string(port) + "]";
-      out += " -> " + to->name() + ";\n";
+    if (const Element* to = e->next()) {
+      out += e->name() + " -> " + to->name() + ";\n";
     }
   }
   return out;

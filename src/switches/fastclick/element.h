@@ -45,15 +45,9 @@ class Element {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] virtual const char* class_name() const = 0;
 
-  /// Connect output `port` to `next`'s input.
-  void connect(Element& next, std::size_t port = 0) {
-    if (outputs_.size() <= port) outputs_.resize(port + 1, nullptr);
-    outputs_[port] = &next;
-  }
-  [[nodiscard]] Element* next(std::size_t port = 0) const {
-    return port < outputs_.size() ? outputs_[port] : nullptr;
-  }
-  [[nodiscard]] std::size_t noutputs() const { return outputs_.size(); }
+  /// Connect the output to `next`'s input.
+  void connect(Element& next) { next_ = &next; }
+  [[nodiscard]] Element* next() const { return next_; }
 
   /// Process and forward the batch. Implementations must charge their cost
   /// (charge()) and usually call push_next().
@@ -63,10 +57,9 @@ class Element {
   void charge(PushContext& ctx, std::size_t n) const {
     ctx.cost_ns += fixed_ns_ + per_packet_ns_ * static_cast<double>(n);
   }
-  void push_next(PushContext& ctx, Batch& batch, std::size_t port = 0) {
-    Element* out = next(port);
-    if (out != nullptr && !batch.empty()) {
-      out->push(ctx, batch);
+  void push_next(PushContext& ctx, Batch& batch) {
+    if (next_ != nullptr && !batch.empty()) {
+      next_->push(ctx, batch);
     } else {
       ctx.discarded += batch.size();  // dangling output: packets die
     }
@@ -76,7 +69,7 @@ class Element {
   std::string name_;
   double fixed_ns_;
   double per_packet_ns_;
-  std::vector<Element*> outputs_;
+  Element* next_{nullptr};
 };
 
 /// Owns elements; maps device numbers to entry elements.
@@ -87,7 +80,7 @@ class Router {
   [[nodiscard]] std::size_t size() const { return elements_.size(); }
 
   /// Render the element graph back as Click-language connection lines
-  /// (declarations as `name :: Class`, wiring as `a[port] -> b`).
+  /// (declarations as `name :: Class`, wiring as `a -> b`).
   [[nodiscard]] std::string unparse() const;
 
   /// Registered by FromDPDKDevice at construction.

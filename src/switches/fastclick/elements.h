@@ -1,5 +1,6 @@
 // Built-in FastClick elements used by the paper's configuration
-// (FromDPDKDevice(0) -> ToDPDKDevice(1)) and by the richer examples.
+// (FromDPDKDevice(0) -> EtherMirror() -> ToDPDKDevice(1)) and by the
+// examples.
 #pragma once
 
 #include "switches/fastclick/element.h"
@@ -86,32 +87,6 @@ class Discard final : public Element {
     charge(ctx, batch.size());
     ctx.discarded += batch.size();  // the batch's owner frees them
   }
-};
-
-/// Click's Classifier: per-packet dispatch to the first matching pattern's
-/// output port. Patterns are "OFFSET/HEXBYTES" (with '?' nibble wildcards)
-/// or "-" (match everything), exactly like Click's config language:
-///   Classifier(12/0800, 12/0806, -)   // IPv4 -> [0], ARP -> [1], rest [2]
-class Classifier final : public Element {
- public:
-  Classifier(std::string name, const std::string& args);
-  [[nodiscard]] const char* class_name() const override {
-    return "Classifier";
-  }
-  void push(PushContext& ctx, Batch& batch) override;
-
-  [[nodiscard]] std::size_t npatterns() const { return patterns_.size(); }
-
- private:
-  struct Pattern {
-    bool match_all{false};
-    std::size_t offset{0};
-    std::vector<std::uint8_t> value;  // nibble-expanded
-    std::vector<std::uint8_t> mask;   // 0x0 for '?', 0xf otherwise
-  };
-  [[nodiscard]] bool matches(const Pattern& p,
-                             const pkt::Packet& pk) const;
-  std::vector<Pattern> patterns_;
 };
 
 /// Decrements IPv4 TTL (DecIPTTL), dropping expired packets.

@@ -1,5 +1,6 @@
 #include "switches/fastclick/fastclick_switch.h"
 
+#include <string>
 #include <utility>
 
 #include "core/simulator.h"
@@ -40,6 +41,16 @@ FastClickSwitch::FastClickSwitch(core::Simulator& sim, hw::CpuCore& core,
 void FastClickSwitch::configure(const std::string& click_config) {
   ConfigParser parser(router_);
   parser.parse(click_config);
+}
+
+void FastClickSwitch::wire(std::span<const PortPair> pairs) {
+  std::string config;
+  for (const PortPair& p : pairs) {
+    config += "FromDPDKDevice(" + std::to_string(p.in) +
+              ") -> EtherMirror() -> ToDPDKDevice(" + std::to_string(p.out) +
+              ");\n";
+  }
+  configure(config);
 }
 
 double FastClickSwitch::process_batch(ring::Port& in,

@@ -11,6 +11,9 @@
 //    (Sec. 5.3: 0.10 R+ >> 0.50 R+ for FastClick with long chains).
 #pragma once
 
+#include <span>
+#include <string>
+
 #include "core/simulator.h"
 #include "switches/fastclick/config_parser.h"
 #include "switches/fastclick/element.h"
@@ -30,6 +33,10 @@ class FastClickSwitch final : public SwitchBase {
   /// Parse a Click config. Device numbers refer to switch port indices
   /// (ports must be attached first).
   void configure(const std::string& click_config);
+
+  /// Configure `FromDPDKDevice(in) -> EtherMirror() -> ToDPDKDevice(out)`
+  /// per pair, the paper's Click config.
+  void wire(std::span<const PortPair> pairs) override;
 
   [[nodiscard]] Router& router() { return router_; }
 

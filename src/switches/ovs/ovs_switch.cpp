@@ -1,8 +1,10 @@
 #include "switches/ovs/ovs_switch.h"
 
+#include <string>
 #include <utility>
 
 #include "core/simulator.h"
+#include "switches/ovs/ovs_ctl.h"
 #include "switches/switch_base.h"
 
 namespace nfvsb::switches::ovs {
@@ -38,6 +40,14 @@ OvsSwitch::OvsSwitch(core::Simulator& sim, hw::CpuCore& core,
 std::uint64_t OvsSwitch::rule_packets(std::uint32_t rule_id) const {
   const auto it = rule_packets_.find(rule_id);
   return it == rule_packets_.end() ? 0 : it->second;
+}
+
+void OvsSwitch::wire(std::span<const PortPair> pairs) {
+  for (const PortPair& p : pairs) {
+    openflow_.add_rule(OvsOfctl::parse_flow(
+        "priority=100,in_port=" + std::to_string(p.in + 1) +
+        ",actions=output:" + std::to_string(p.out + 1)));
+  }
 }
 
 void OvsSwitch::revalidate() {

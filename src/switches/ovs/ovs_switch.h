@@ -14,6 +14,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 
 #include "core/simulator.h"
 #include "switches/ovs/emc.h"
@@ -40,6 +41,10 @@ class OvsSwitch final : public SwitchBase {
   };
 
   [[nodiscard]] OpenFlowTable& openflow() { return openflow_; }
+
+  /// Install `priority=100,in_port=<in>,actions=output:<out>` per pair, as
+  /// the paper's `ovs-ofctl add-flow` does (1-based OpenFlow ports).
+  void wire(std::span<const PortPair> pairs) override;
 
   /// Packets forwarded under each rule, datapath-cache hits included (what
   /// `ovs-ofctl dump-flows` shows as n_packets).

@@ -1,6 +1,8 @@
 #include "switches/snabb/snabb_switch.h"
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/simulator.h"
@@ -108,6 +110,24 @@ void SnabbSwitch::commit() {
     App* to = engine_.find(l.to_app);
     routes_[link_port_idx[li]] = Route{to, dest_after(*to), true};
   }
+}
+
+void SnabbSwitch::wire(std::span<const PortPair> pairs) {
+  const auto app_name = [](std::size_t p) { return "app" + std::to_string(p); };
+  const auto ensure_app = [&](std::size_t p) {
+    if (engine_.find(app_name(p)) != nullptr) return;
+    if (port(p).kind() == ring::PortKind::kPhysical) {
+      engine_.app(std::make_unique<Intel82599App>(app_name(p), p));
+    } else {
+      engine_.app(std::make_unique<VhostUserApp>(app_name(p), p));
+    }
+  };
+  for (const PortPair& p : pairs) {
+    ensure_app(p.in);
+    ensure_app(p.out);
+    engine_.link(app_name(p.in) + ".tx -> " + app_name(p.out) + ".rx");
+  }
+  commit();
 }
 
 double SnabbSwitch::process_batch(ring::Port& in,

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -39,6 +40,11 @@ class SnabbSwitch final : public SwitchBase {
   /// network. Call after all apps/links/ports are configured, before
   /// start().
   void commit();
+
+  /// One app per referenced port (`app<N>`: an Intel82599 app for a
+  /// physical port, a vhost-user app otherwise), a link per pair, then
+  /// commit().
+  void wire(std::span<const PortPair> pairs) override;
 
  protected:
   double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,

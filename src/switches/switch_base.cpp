@@ -12,6 +12,10 @@
 
 namespace nfvsb::switches {
 
+pkt::MacAddress egress_mac(std::size_t port) {
+  return pkt::MacAddress::from_u64(0x024d4d4d4d00ULL + (port & 0xff));
+}
+
 SwitchBase::SwitchBase(core::Simulator& sim, hw::CpuCore& core,
                        std::string name, CostModel cost)
     : sim_(sim),

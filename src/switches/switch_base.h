@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "core/simulator.h"
 #include "hw/cpu_core.h"
 #include "hw/nic.h"
+#include "pkt/headers.h"
 #include "pkt/packet.h"
 #include "ring/netmap_port.h"
 #include "ring/port.h"
@@ -44,6 +46,17 @@ class MetricSink;
 }  // namespace nfvsb::core
 
 namespace nfvsb::switches {
+
+/// One forwarding decision the wiring installs: in-port -> out-port.
+struct PortPair {
+  std::size_t in;
+  std::size_t out;
+};
+
+/// The destination MAC that addresses egress port `port` in the t4p4s
+/// l2fwd table. Generated frames and l2fwd rewrites use it for every
+/// switch, so all seven see identical traffic.
+pkt::MacAddress egress_mac(std::size_t port);
 
 struct SwitchStats {
   core::Counter rx_packets;
@@ -89,6 +102,13 @@ class SwitchBase {
   }
   /// Index of `p` among this switch's ports; npos when foreign.
   [[nodiscard]] std::size_t index_of(const ring::Port& p) const;
+
+  /// Program static forwarding for `pairs` through the switch's own
+  /// configuration interface, all pairs at once (Snabb commits one app
+  /// network, FastClick parses one config). Call once, after all ports
+  /// exist and before start(). The default installs nothing: VALE learns,
+  /// and l2fwd binds its own pair.
+  virtual void wire(std::span<const PortPair> pairs) { (void)pairs; }
 
   /// Arm the data path (installs ring watchers). Call after all ports and
   /// datapath configuration are in place, before traffic starts.

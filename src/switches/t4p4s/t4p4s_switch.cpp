@@ -1,6 +1,9 @@
 #include "switches/t4p4s/t4p4s_switch.h"
 
+#include <charconv>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,10 +69,23 @@ void T4p4sSwitch::controller(const std::string& command) {
     if (toks.size() != 6 || toks[4] != "=>") {
       throw std::invalid_argument("t4p4s: forward <mac> => <port>");
     }
-    l2_table_.add(*mac, P4Action::forward(std::stoul(toks[5])));
+    const std::string& arg = toks[5];
+    std::size_t port = 0;
+    const auto [end, ec] =
+        std::from_chars(arg.data(), arg.data() + arg.size(), port);
+    if (ec != std::errc{} || end != arg.data() + arg.size()) {
+      throw std::invalid_argument("t4p4s: bad port: " + arg);
+    }
+    l2_table_.add(*mac, P4Action::forward(port));
     return;
   }
   throw std::invalid_argument("t4p4s: unknown action: " + toks[2]);
+}
+
+void T4p4sSwitch::wire(std::span<const PortPair> pairs) {
+  for (const PortPair& p : pairs) {
+    l2_table_.add(egress_mac(p.out), P4Action::forward(p.out));
+  }
 }
 
 double T4p4sSwitch::process_batch(ring::Port& in,

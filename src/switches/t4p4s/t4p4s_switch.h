@@ -13,6 +13,8 @@
 //    multi-ms tails under 0.99 R+ in loopback).
 #pragma once
 
+#include <span>
+
 #include "core/simulator.h"
 #include "switches/switch_base.h"
 #include "switches/t4p4s/p4_pipeline.h"
@@ -30,6 +32,9 @@ class T4p4sSwitch final : public SwitchBase {
   static CostModel default_cost_model();
 
   [[nodiscard]] ExactMacTable& l2_table() { return l2_table_; }
+
+  /// Add `egress_mac(out) => forward(out)` to the l2fwd table per pair.
+  void wire(std::span<const PortPair> pairs) override;
   [[nodiscard]] StageCosts& stage_costs() { return stage_costs_; }
 
   /// Re-enable the source-MAC learning stage the paper's tuning removed.

@@ -48,6 +48,10 @@ void VppSwitch::l2patch(std::size_t rx_port, std::size_t tx_port) {
   patch_->patch(rx_port, tx_port);
 }
 
+void VppSwitch::wire(std::span<const PortPair> pairs) {
+  for (const PortPair& p : pairs) l2patch(p.in, p.out);
+}
+
 void VppSwitch::bridge(std::size_t port) { bridge_->add_member(port); }
 
 double VppSwitch::process_batch(ring::Port& in,

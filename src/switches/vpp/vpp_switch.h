@@ -10,6 +10,8 @@
 //    costs more than vhost tx in the calibrated model.
 #pragma once
 
+#include <span>
+
 #include "core/simulator.h"
 #include "switches/switch_base.h"
 #include "switches/vpp/graph.h"
@@ -28,6 +30,8 @@ class VppSwitch final : public SwitchBase {
 
   /// Cross-connect rx -> tx (the CLI's `test l2patch rx portA tx portB`).
   void l2patch(std::size_t rx_port, std::size_t tx_port);
+  /// One l2patch per pair.
+  void wire(std::span<const PortPair> pairs) override;
 
   /// Add a port to the L2 bridge domain (the CLI's
   /// `set interface l2 bridge <port> 1`). Bridged ports take the

@@ -4,8 +4,8 @@
 // The binary replaces the global operator new with a counting one
 // (counting_new.cpp), so it is built on its own (nfvsb_alloc_tests) rather
 // than folded into nfvsb_tests. Each of the seven switches is wired the way the scenario
-// builders wire a p2p pair (scenario::detail::wire_sut over two physical
-// ring ports), and l2fwd the way a loopback VM binds it (two vhost-user
+// builders wire a p2p pair (SwitchBase::wire over two physical ring
+// ports), and l2fwd the way a loopback VM binds it (two vhost-user
 // devices). After 64 warm-up bursts of 32 frames, which let every ring,
 // round buffer, flow cache and event slab reach its high-water mark, 1,024
 // more bursts must cause no allocation and no SmallFn heap spill.
@@ -23,7 +23,6 @@
 #include "pkt/packet_pool.h"
 #include "ring/port.h"
 #include "ring/vhost_user_port.h"
-#include "scenario/detail.h"
 #include "switches/registry.h"
 #include "switches/switch_base.h"
 #include "vnf/l2fwd.h"
@@ -54,8 +53,8 @@ Count drive(core::Simulator& sim, pkt::PacketPool& pool,
             const std::uint64_t& delivered) {
   pkt::FrameSpec spec;
   spec.frame_bytes = 64;
-  // Addresses SUT port 1, the key wire_sut installs in the t4p4s table.
-  spec.dst_mac = scenario::detail::dst_mac_for_port(1);
+  // Addresses SUT port 1, the key wire() installs in the t4p4s table.
+  spec.dst_mac = switches::egress_mac(1);
   pkt::PacketHandle tmpl = pool.allocate();
   pkt::craft_udp_frame(*tmpl, spec);
 
@@ -103,7 +102,8 @@ TEST_P(SteadyStateAlloc, P2pRoundIsAllocationFree) {
     sut->add_port(std::make_unique<ring::RingPort>(
         "sut:nic" + std::to_string(p), ring::PortKind::kPhysical));
   }
-  scenario::detail::wire_sut(*sut, GetParam(), {{0, 1}});
+  const switches::PortPair p2p[] = {{0, 1}};
+  sut->wire(p2p);
   std::uint64_t delivered = 0;
   sut->port(1).out().set_sink([&delivered](pkt::PacketHandle) { ++delivered; });
   sut->start();

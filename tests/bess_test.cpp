@@ -1,11 +1,10 @@
-// BESS module pipeline and bessctl script interface.
+// BESS module pipeline.
 #include <gtest/gtest.h>
 
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 #include "switches/bess/bess_switch.h"
-#include "switches/bess/bessctl.h"
 
 namespace nfvsb::switches::bess {
 namespace {
@@ -45,95 +44,6 @@ TEST_F(BessTest, UnwiredPortDrops) {
   push(1);
   sim_.run();
   EXPECT_EQ(sw_.stats().discards, 1u);
-}
-
-TEST_F(BessTest, PaperScriptConfiguresP2p) {
-  BessCtl ctl(sw_);
-  ctl.run_script(R"(
-    # appendix A.1 configuration
-    inport::PMDPort(port_id=0)
-    outport::PMDPort(port_id=1)
-    in0::QueueInc(port=inport, qid=0)
-    out0::QueueOut(port=outport, qid=0)
-    in0 -> out0
-  )");
-  sw_.start();
-  push(0);
-  sim_.run();
-  EXPECT_EQ(sw_.port(1).out().size(), 1u);
-}
-
-TEST_F(BessTest, VdevPmdPortCreatesVhostPort) {
-  BessCtl ctl(sw_);
-  ctl.run_script(R"(
-    inport::PMDPort(port_id=0)
-    v1::PMDPort(vdev="eth_vhost0,iface=/tmp/sock0")
-    in0::QueueInc(port=inport, qid=0)
-    out0::PortOut(port=v1)
-    in0 -> out0
-  )");
-  EXPECT_EQ(sw_.num_ports(), 3u);
-  EXPECT_EQ(sw_.port(2).kind(), ring::PortKind::kVhostUser);
-  auto& vh = ctl.vhost_port("v1");
-  sw_.start();
-  push(0);
-  sim_.run();
-  EXPECT_EQ(vh.out().size(), 1u);
-  vh.out().clear();
-}
-
-TEST_F(BessTest, MacSwapAndMeasureChain) {
-  BessCtl ctl(sw_);
-  ctl.run_script(R"(
-    a::PMDPort(port_id=0)
-    b::PMDPort(port_id=1)
-    in0::QueueInc(port=a)
-    swap::MACSwap()
-    m::Measure()
-    out0::QueueOut(port=b)
-    in0 -> swap
-    swap -> m
-    m -> out0
-  )");
-  sw_.start();
-  push(0);
-  push(0);
-  sim_.run();
-  auto* m = dynamic_cast<Measure*>(sw_.pipeline().find("m"));
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->packets(), 2u);
-  auto p = sw_.port(1).out().dequeue();
-  ASSERT_TRUE(p);
-  pkt::EthHeader eth(p->bytes());
-  EXPECT_EQ(eth.dst(), pkt::FrameSpec{}.src_mac);  // swapped
-  sw_.port(1).out().clear();
-}
-
-TEST_F(BessTest, SinkDiscards) {
-  BessCtl ctl(sw_);
-  ctl.run_script(R"(
-    a::PMDPort(port_id=0)
-    in0::QueueInc(port=a)
-    s::Sink()
-    in0 -> s
-  )");
-  sw_.start();
-  push(0);
-  sim_.run();
-  EXPECT_EQ(sw_.stats().discards, 1u);
-  EXPECT_EQ(pool_.outstanding(), 0u);
-}
-
-TEST_F(BessTest, BessCtlRejectsBadStatements) {
-  BessCtl ctl(sw_);
-  EXPECT_THROW(ctl.run("x::Unknown()"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("a -> b"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("p::PMDPort()"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("q::QueueInc(port=missing)"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("nonsense"), std::invalid_argument);
-  ctl.run("p::PMDPort(port_id=0)");
-  EXPECT_THROW(ctl.run("p::PMDPort(port_id=1)"), std::invalid_argument);
-  EXPECT_THROW((void)ctl.vhost_port("p"), std::invalid_argument);
 }
 
 TEST(BessLimits, MaxVmsIsThree) {

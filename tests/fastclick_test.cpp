@@ -159,5 +159,18 @@ TEST(ClickParser, AnonymousElementsGetUniqueNames) {
   EXPECT_NE(sw.router().find("EtherMirror@3"), nullptr);
 }
 
+TEST(ClickParser, OutputPortSyntaxRejected) {
+  // Every element has one output: `e[n] ->` and `-> [n]e` are not part of
+  // the grammar and are refused.
+  core::Simulator sim;
+  hw::CpuCore cpu(sim, "c");
+  for (const char* config :
+       {"m :: EtherMirror; FromDPDKDevice(0) -> m; m[0] -> ToDPDKDevice(1);",
+        "m :: EtherMirror; FromDPDKDevice(0) -> [0]m;"}) {
+    FastClickSwitch sw(sim, cpu, "fc");
+    EXPECT_THROW(sw.configure(config), std::invalid_argument) << config;
+  }
+}
+
 }  // namespace
 }  // namespace nfvsb::switches::fastclick

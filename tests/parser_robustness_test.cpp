@@ -9,13 +9,10 @@
 
 #include "core/rng.h"
 #include "hw/cpu_core.h"
-#include "switches/bess/bessctl.h"
 #include "switches/fastclick/fastclick_switch.h"
 #include "switches/ovs/ovs_ctl.h"
-#include "switches/ovs/ovs_vsctl.h"
 #include "switches/snabb/engine.h"
 #include "switches/t4p4s/t4p4s_switch.h"
-#include "switches/vale/vale_ctl.h"
 #include "switches/vpp/cli.h"
 
 namespace nfvsb {
@@ -77,43 +74,12 @@ TEST(ParserRobustness, ClickConfig) {
   });
 }
 
-TEST(ParserRobustness, BessCtl) {
-  expect_reject_all([](const std::string& s) {
-    core::Simulator sim;
-    hw::CpuCore cpu(sim, "c");
-    switches::bess::BessSwitch sw(sim, cpu, "b");
-    switches::bess::BessCtl ctl(sw);
-    ctl.run_script(s);
-  });
-}
-
 TEST(ParserRobustness, OvsOfctl) {
   expect_reject_all([](const std::string& s) {
     core::Simulator sim;
     hw::CpuCore cpu(sim, "c");
     switches::ovs::OvsSwitch sw(sim, cpu, "o");
     switches::ovs::OvsOfctl ctl(sw);
-    ctl.run(s);
-  });
-}
-
-TEST(ParserRobustness, OvsVsctl) {
-  expect_reject_all([](const std::string& s) {
-    core::Simulator sim;
-    hw::CpuCore cpu(sim, "c");
-    switches::ovs::OvsSwitch sw(sim, cpu, "o");
-    switches::ovs::OvsVsctl ctl(sw);
-    ctl.run(s);
-  });
-}
-
-TEST(ParserRobustness, ValeCtl) {
-  expect_reject_all([](const std::string& s) {
-    core::Simulator sim;
-    hw::CpuCore cpu(sim, "c");
-    switches::vale::ValeSwitch sw(sim, cpu, "vale0");
-    switches::vale::ValeCtl ctl;
-    ctl.register_switch(sw);
     ctl.run(s);
   });
 }

@@ -1,115 +1,16 @@
-// Extended switch features: FastClick Classifier + output-port syntax,
-// VPP bridge domains, OvS management plane (vsctl, del-flows, rule stats).
+// Extended switch features: VPP bridge domains, OvS management plane
+// (del-flows, rule stats).
 #include <gtest/gtest.h>
 
 #include "hw/cpu_core.h"
-#include "hw/numa.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
-#include "switches/fastclick/elements.h"
-#include "switches/fastclick/fastclick_switch.h"
 #include "switches/ovs/ovs_ctl.h"
-#include "switches/ovs/ovs_vsctl.h"
 #include "switches/vpp/cli.h"
 #include "switches/vpp/vpp_switch.h"
 
 namespace nfvsb::switches {
 namespace {
-
-// ---------------- FastClick Classifier ------------------------------------
-
-class ClassifierTest : public ::testing::Test {
- protected:
-  ClassifierTest() : cpu_(sim_, "sut"), sw_(sim_, cpu_, "fc", quiet()) {
-    for (int i = 0; i < 3; ++i) {
-      sw_.add_port(std::make_unique<ring::RingPort>(
-          "p" + std::to_string(i), ring::PortKind::kInternal, 512));
-    }
-  }
-  static CostModel quiet() {
-    auto c = fastclick::FastClickSwitch::default_cost_model();
-    c.batch_timeout = 0;
-    c.batch_timeout_vhost = 0;
-    c.jitter_cv = 0;
-    return c;
-  }
-  void push(std::uint16_t ether_type) {
-    auto p = pool_.allocate();
-    pkt::craft_udp_frame(*p, pkt::FrameSpec{});
-    pkt::EthHeader(p->bytes()).set_ether_type(ether_type);
-    sw_.port(0).in().enqueue(std::move(p));
-  }
-  core::Simulator sim_;
-  hw::CpuCore cpu_;
-  pkt::PacketPool pool_{256};
-  fastclick::FastClickSwitch sw_;
-};
-
-TEST_F(ClassifierTest, DispatchesByPattern) {
-  sw_.configure(R"(
-    c :: Classifier(12/0800, 12/0806, -);
-    FromDPDKDevice(0) -> c;
-    c[0] -> ToDPDKDevice(1);   // IPv4
-    c[1] -> ToDPDKDevice(2);   // ARP
-    c[2] -> Discard();         // rest
-  )");
-  sw_.start();
-  push(pkt::kEtherTypeIpv4);
-  push(pkt::kEtherTypeArp);
-  push(0x86dd);  // IPv6: falls to '-'
-  sim_.run();
-  EXPECT_EQ(sw_.port(1).out().size(), 1u);
-  EXPECT_EQ(sw_.port(2).out().size(), 1u);
-  EXPECT_EQ(sw_.stats().discards, 1u);
-  sw_.port(1).out().clear();
-  sw_.port(2).out().clear();
-}
-
-TEST_F(ClassifierTest, NibbleWildcardsMatch) {
-  // 12/08?? matches both 0800 and 0806.
-  sw_.configure(R"(
-    c :: Classifier(12/08??, -);
-    FromDPDKDevice(0) -> c;
-    c[0] -> ToDPDKDevice(1);
-    c[1] -> Discard();
-  )");
-  sw_.start();
-  push(pkt::kEtherTypeIpv4);
-  push(pkt::kEtherTypeArp);
-  push(0x86dd);
-  sim_.run();
-  EXPECT_EQ(sw_.port(1).out().size(), 2u);
-  EXPECT_EQ(sw_.stats().discards, 1u);
-  sw_.port(1).out().clear();
-}
-
-TEST_F(ClassifierTest, NoMatchingPatternDropsPacket) {
-  sw_.configure(R"(
-    c :: Classifier(12/0806);
-    FromDPDKDevice(0) -> c;
-    c[0] -> ToDPDKDevice(1);
-  )");
-  sw_.start();
-  push(pkt::kEtherTypeIpv4);  // not ARP
-  sim_.run();
-  EXPECT_EQ(sw_.port(1).out().size(), 0u);
-  EXPECT_EQ(sw_.stats().discards, 1u);
-}
-
-TEST_F(ClassifierTest, RejectsMalformedPatterns) {
-  EXPECT_THROW(sw_.configure("c :: Classifier(0800);"),
-               std::invalid_argument);
-  EXPECT_THROW(sw_.configure("d :: Classifier(12/08z0);"),
-               std::invalid_argument);
-  EXPECT_THROW(sw_.configure("e :: Classifier(12/080);"),
-               std::invalid_argument);
-}
-
-TEST_F(ClassifierTest, OutputPortSyntaxErrorsRejected) {
-  EXPECT_THROW(
-      sw_.configure("c :: Counter; c[x] -> Discard();"),
-      std::invalid_argument);
-}
 
 // ---------------- VPP bridge domain ---------------------------------------
 
@@ -186,50 +87,6 @@ TEST_F(VppBridgeTest, DisabledBridgeCostsNothing) {
 }
 
 // ---------------- OvS management plane -------------------------------------
-
-TEST(OvsVsctlTest, BuildsPaperP2pConfig) {
-  core::Simulator sim;
-  hw::Testbed bed(sim);
-  ovs::OvsSwitch sw(sim, bed.take_core(0), "br0");
-  ovs::OvsVsctl vsctl(sw);
-  vsctl.register_nic(bed.nic(0, 0));
-  vsctl.register_nic(bed.nic(0, 1));
-  vsctl.run("ovs-vsctl add-br br0");
-  vsctl.run("ovs-vsctl add-port br0 nic0.0 -- set Interface nic0.0 type=dpdk");
-  vsctl.run("ovs-vsctl add-port br0 nic0.1 -- set Interface nic0.1 type=dpdk");
-  EXPECT_TRUE(vsctl.has_bridge("br0"));
-  EXPECT_EQ(vsctl.ofport("nic0.0"), 1u);
-  EXPECT_EQ(vsctl.ofport("nic0.1"), 2u);
-  EXPECT_EQ(sw.num_ports(), 2u);
-  EXPECT_EQ(sw.port(0).kind(), ring::PortKind::kPhysical);
-}
-
-TEST(OvsVsctlTest, VhostUserPortsForVms) {
-  core::Simulator sim;
-  hw::CpuCore cpu(sim, "c");
-  ovs::OvsSwitch sw(sim, cpu, "br0");
-  ovs::OvsVsctl vsctl(sw);
-  vsctl.run("add-br br0");
-  vsctl.run("add-port br0 vh0 -- set Interface vh0 type=dpdkvhostuser");
-  EXPECT_EQ(sw.port(0).kind(), ring::PortKind::kVhostUser);
-  EXPECT_NO_THROW((void)vsctl.vhost_port("vh0"));
-  EXPECT_THROW((void)vsctl.vhost_port("ghost"), std::invalid_argument);
-}
-
-TEST(OvsVsctlTest, RejectsBadCommands) {
-  core::Simulator sim;
-  hw::CpuCore cpu(sim, "c");
-  ovs::OvsSwitch sw(sim, cpu, "br0");
-  ovs::OvsVsctl vsctl(sw);
-  EXPECT_THROW(vsctl.run("add-port br0 p0"), std::invalid_argument);  // no br
-  vsctl.run("add-br br0");
-  EXPECT_THROW(vsctl.run("add-br br0"), std::invalid_argument);
-  EXPECT_THROW(vsctl.run("add-port br0 ghostnic"), std::invalid_argument);
-  EXPECT_THROW(vsctl.run("add-port br0 x -- set Interface x type=warp"),
-               std::invalid_argument);
-  EXPECT_THROW(vsctl.run("delete-everything"), std::invalid_argument);
-  EXPECT_THROW((void)vsctl.ofport("nope"), std::invalid_argument);
-}
 
 class OvsMgmtTest : public ::testing::Test {
  protected:

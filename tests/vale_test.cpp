@@ -1,11 +1,9 @@
-// VALE learning switch and vale-ctl.
+// VALE learning switch.
 #include <gtest/gtest.h>
 
 #include "hw/cpu_core.h"
-#include "hw/numa.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
-#include "switches/vale/vale_ctl.h"
 #include "switches/vale/vale_switch.h"
 
 namespace nfvsb::switches::vale {
@@ -106,52 +104,6 @@ TEST_F(ValeTest, RuntFrameDiscarded) {
   sw_.port(0).in().enqueue(std::move(p));
   sim_.run();
   EXPECT_EQ(sw_.stats().discards, 1u);
-}
-
-TEST(ValeCtl, BuildsP2pFromCommands) {
-  core::Simulator sim;
-  hw::Testbed bed(sim);
-  hw::CpuCore& core = bed.take_core(0);
-  ValeSwitch sw(sim, core, "vale0");
-  ValeCtl ctl;
-  ctl.register_switch(sw);
-  ctl.register_nic(bed.nic(0, 0));
-  ctl.register_nic(bed.nic(0, 1));
-  ctl.run("vale-ctl -a vale0:nic0.0");
-  ctl.run("vale-ctl -a vale0:nic0.1");
-  EXPECT_EQ(sw.num_ports(), 2u);
-  EXPECT_EQ(sw.port(0).kind(), ring::PortKind::kPhysical);
-}
-
-TEST(ValeCtl, VirtualPortLifecycle) {
-  core::Simulator sim;
-  hw::CpuCore core(sim, "c");
-  ValeSwitch sw(sim, core, "vale0");
-  ValeCtl ctl;
-  ctl.register_switch(sw);
-  ctl.run("vale-ctl -n v0");
-  EXPECT_THROW((void)ctl.guest_port("v0"), std::invalid_argument);  // not attached
-  ctl.run("vale-ctl -a vale0:v0");
-  EXPECT_NO_THROW((void)ctl.guest_port("v0"));
-  EXPECT_NO_THROW((void)ctl.host_port("v0"));
-  EXPECT_EQ(sw.port(0).kind(), ring::PortKind::kPtnet);
-}
-
-TEST(ValeCtl, RejectsBadCommands) {
-  core::Simulator sim;
-  hw::CpuCore core(sim, "c");
-  ValeSwitch sw(sim, core, "vale0");
-  ValeCtl ctl;
-  ctl.register_switch(sw);
-  EXPECT_THROW(ctl.run("vale-ctl -a nonsense"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("vale-ctl -a ghost:v0"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("vale-ctl -a vale0:ghost"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("vale-ctl -z v0"), std::invalid_argument);
-  EXPECT_THROW(ctl.run("vale-ctl"), std::invalid_argument);
-  ctl.run("vale-ctl -n v0");
-  EXPECT_THROW(ctl.run("vale-ctl -n v0"), std::invalid_argument);
-  ctl.run("vale-ctl -a vale0:v0");
-  EXPECT_THROW(ctl.run("vale-ctl -a vale0:v0"), std::invalid_argument);
 }
 
 }  // namespace
