@@ -1,7 +1,7 @@
 // SDN example: drive OvS-DPDK with OpenFlow-style rules on the low-level
 // API (no scenario builder) — build the testbed, program priorities and a
 // drop rule via ovs-ofctl syntax, send multi-flow traffic, then read the
-// per-flow monitor and the datapath cache statistics.
+// monitor and the datapath cache statistics.
 #include <cstdio>
 
 #include "core/simulator.h"
@@ -9,7 +9,6 @@
 #include "pkt/packet_pool.h"
 #include "switches/ovs/ovs_ctl.h"
 #include "switches/ovs/ovs_switch.h"
-#include "traffic/flowatcher.h"
 #include "traffic/moongen.h"
 
 int main() {
@@ -39,7 +38,6 @@ int main() {
   traffic::MoonGen::Config gen_cfg;
   gen_cfg.rate_pps = 2e6;
   gen_cfg.num_flows = 64;
-  gen_cfg.meter_open_at = core::from_ms(1);
   traffic::MoonGen gen(sim, pool, gen_cfg);
   gen.attach_tx_nic(bed.nic(1, 0));
   gen.start_tx(0, core::from_ms(10));
@@ -52,14 +50,15 @@ int main() {
   dropped.attach_tx_nic(bed.nic(1, 0));
   dropped.start_tx(0, core::from_ms(10));
 
-  // Monitor behind port 2 with per-flow accounting.
-  traffic::FloWatcher mon(sim, core::from_ms(1));
-  mon.attach_ring(bed.nic(1, 1).rx_ring());
+  // Monitor behind port 2, measuring from 1 ms on.
+  traffic::MoonGen::Config mon_cfg;
+  mon_cfg.meter_open_at = core::from_ms(1);
+  traffic::MoonGen mon(sim, pool, mon_cfg);
+  mon.attach_rx_nic(bed.nic(1, 1));
 
   sim.run();
 
-  std::printf("\nforwarded: %.2f Gbps across %zu flows\n",
-              mon.rx_meter().gbps(), mon.flows().size());
+  std::printf("\nforwarded: %.2f Gbps\n", mon.rx_meter().gbps());
   std::printf("datapath: %llu upcalls, EMC %llu hits / %llu misses, "
               "megaflow %zu subtables, %llu discards (drop rule)\n",
               static_cast<unsigned long long>(ovs.upcalls()),

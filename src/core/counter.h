@@ -1,13 +1,13 @@
-// Registered statistic cells for the observation seam.
+// The registered statistic cell of the observation seam.
 //
-// A Counter is a monotone (occasionally credited-back) 64-bit event count; a
-// Gauge is a signed instantaneous level. Both are drop-in replacements for
-// the ad-hoc `std::uint64_t` members components used to keep: same
-// increment syntax, implicit read conversion, zero indirection — the cell IS
-// the storage, a MetricSink (core/metrics.h) only remembers where it lives.
-// Registration is done once at wiring time; the hot path never touches the
-// sink. The cells live in core so every data-path layer can own them without
-// depending on the obs machinery that reads them.
+// A Counter is a monotone (occasionally credited-back) 64-bit event count, a
+// drop-in replacement for the ad-hoc `std::uint64_t` members components
+// used to keep: same increment syntax, implicit read conversion, zero
+// indirection — the cell IS the storage, a MetricSink (core/metrics.h) only
+// remembers where it lives. Registration is done once at wiring time; the
+// hot path never touches the sink. The cell lives in core so every
+// data-path layer can own one without depending on the obs machinery that
+// reads it.
 #pragma once
 
 #include <cstdint>
@@ -39,28 +39,6 @@ class Counter {
 
  private:
   std::uint64_t v_{0};
-};
-
-class Gauge {
- public:
-  constexpr Gauge() = default;
-  constexpr explicit Gauge(std::int64_t v) : v_(v) {}
-
-  void set(std::int64_t v) { v_ = v; }
-  Gauge& operator+=(std::int64_t n) {
-    v_ += n;
-    return *this;
-  }
-  Gauge& operator-=(std::int64_t n) {
-    v_ -= n;
-    return *this;
-  }
-
-  [[nodiscard]] std::int64_t value() const { return v_; }
-  constexpr operator std::int64_t() const { return v_; }  // NOLINT
-
- private:
-  std::int64_t v_{0};
 };
 
 }  // namespace nfvsb::core

@@ -1,7 +1,7 @@
 // MetricSink: the dependency-inversion seam between data-path components
 // and the observability layer.
 //
-// Rings, NICs, pools, switches and generators publish their Counter/Gauge
+// Rings, NICs, pools, switches and generators publish their Counter
 // cells (and their queues' depth probes) by registering them with the
 // thread-installed sink at construction time — they depend only on this
 // abstract interface, never on obs::Registry, so the layer order in
@@ -42,8 +42,6 @@ class MetricSink {
   /// must remove(owner) before the cell dies.
   virtual void add_counter(const void* owner, std::string path,
                            const Counter* c) = 0;
-  virtual void add_gauge(const void* owner, std::string path,
-                         const Gauge* g) = 0;
   /// Raw signed cell (e.g. a SimDuration member) exposed as a gauge.
   virtual void add_value(const void* owner, std::string path,
                          const std::int64_t* v) = 0;

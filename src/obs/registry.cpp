@@ -25,20 +25,12 @@ std::string Registry::unique_path(std::string path) const {
 
 void Registry::add_counter(const void* owner, std::string path,
                            const core::Counter* c) {
-  entries_.push_back(
-      Entry{owner, unique_path(std::move(path)), c, nullptr, nullptr});
-}
-
-void Registry::add_gauge(const void* owner, std::string path,
-                         const core::Gauge* g) {
-  entries_.push_back(
-      Entry{owner, unique_path(std::move(path)), nullptr, g, nullptr});
+  entries_.push_back(Entry{owner, unique_path(std::move(path)), c, nullptr});
 }
 
 void Registry::add_value(const void* owner, std::string path,
                          const std::int64_t* v) {
-  entries_.push_back(
-      Entry{owner, unique_path(std::move(path)), nullptr, nullptr, v});
+  entries_.push_back(Entry{owner, unique_path(std::move(path)), nullptr, v});
 }
 
 void Registry::add_queue(const void* owner, std::string path,
@@ -60,15 +52,9 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::snapshot() const {
   std::vector<std::pair<std::string, std::uint64_t>> out;
   out.reserve(entries_.size());
   for (const Entry& e : entries_) {
-    std::uint64_t v = 0;
-    if (e.counter != nullptr) {
-      v = e.counter->value();
-    } else if (e.gauge != nullptr) {
-      v = static_cast<std::uint64_t>(e.gauge->value());
-    } else {
-      v = static_cast<std::uint64_t>(*e.raw);
-    }
-    out.emplace_back(e.path, v);
+    out.emplace_back(e.path, e.counter != nullptr
+                                 ? e.counter->value()
+                                 : static_cast<std::uint64_t>(*e.raw));
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -1,7 +1,7 @@
 // Hierarchical counter registry: the name plane of the observability layer.
 //
 // Registry is the concrete core::MetricSink (see core/metrics.h for the
-// installation seam). Components register their core::Counter/Gauge cells
+// installation seam). Components register their core::Counter cells
 // (and their queues' depth probes) once at construction under
 // slash-separated paths such as "ring/vpp:nic1.rx0/drops" or
 // "switch/vpp/rounds", and deregister in their destructors. A Registry
@@ -50,8 +50,6 @@ class Registry final : public core::MetricSink {
   /// which is deterministic per scenario).
   void add_counter(const void* owner, std::string path,
                    const core::Counter* c) override;
-  void add_gauge(const void* owner, std::string path,
-                 const core::Gauge* g) override;
   /// Raw signed cell (e.g. a SimDuration member) exposed as a gauge.
   void add_value(const void* owner, std::string path,
                  const std::int64_t* v) override;
@@ -78,8 +76,7 @@ class Registry final : public core::MetricSink {
   struct Entry {
     const void* owner;
     std::string path;
-    const core::Counter* counter;  // exactly one of these three is non-null
-    const core::Gauge* gauge;
+    const core::Counter* counter;  // exactly one of these two is non-null
     const std::int64_t* raw;
   };
 

@@ -7,10 +7,10 @@
 //    callback fires on the empty->non-empty transition so pollers/interrupt
 //    handlers can be woken without busy-looping simulated time;
 //  * sink: a sink callback consumes packets immediately on enqueue (used by
-//    zero-overhead traffic monitors, per the paper's use of FloWatcher /
-//    MoonGen RX whose overhead is negligible). A timed sink also takes the
-//    packet's arrival time: its producer (a NIC) hands packets over with
-//    deliver() as soon as it knows that time, which may be ahead of now.
+//    the zero-overhead MoonGen RX monitor; the paper treats its monitors'
+//    overhead as negligible). A timed sink also takes the packet's arrival
+//    time: its producer (a NIC) hands packets over with deliver() as soon
+//    as it knows that time, which may be ahead of now.
 //
 // Lazy RX. A ring fed from a wire (a NIC RX ring, feed_from_wire) learns
 // each frame's arrival time when the frame leaves the sender, and keeps it

@@ -1,6 +1,6 @@
 // run_scenario(): validate, build the kind's topology (topology.cpp), then
-// one shared path for every kind — attach each direction's generator and
-// monitor, run, close the meters, drain, and fill the result and the
+// one shared path for every kind — attach each direction's monitor and
+// generator, run, close the meters, drain, and fill the result and the
 // conservation ledger.
 #include "scenario/scenario.h"
 
@@ -15,12 +15,12 @@
 #include "core/units.h"
 #include "pkt/crafting.h"
 #include "pkt/headers.h"
+#include "pkt/packet.h"
 #include "scenario/detail.h"
 #include "stats/latency_recorder.h"
 #include "stats/throughput_meter.h"
 #include "switches/bess/bess_switch.h"
 #include "switches/switch_base.h"
-#include "traffic/flowatcher.h"
 #include "traffic/moongen.h"
 #include "traffic/pktgen.h"
 
@@ -63,7 +63,14 @@ std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.sut_workers > 16) {
     return "sut_workers must be <= 16 (82599 RSS spreads over 16 queues)";
   }
+  if (cfg.frame_bytes < pkt::kMinCraftedFrame ||
+      cfg.frame_bytes > pkt::kMaxFrameBytes) {
+    return "frame_bytes must be in [" + std::to_string(pkt::kMinCraftedFrame) +
+           ", " + std::to_string(pkt::kMaxFrameBytes) + "]";
+  }
   if (cfg.num_flows < 1) return "num_flows must be >= 1";
+  // Each flow is one UDP source port.
+  if (cfg.num_flows > 65536) return "num_flows must be <= 65536";
   // Only the p2p topology attaches one worker per RSS queue and only NIC
   // generators spread traffic over flows. Elsewhere extra queues would go
   // unserved (their packets outlive the pool).
@@ -101,77 +108,23 @@ using detail::Endpoint;
 using detail::Env;
 using detail::Topology;
 
-/// A traffic tool: a generator (MoonGen, pkt-gen) or a monitor (MoonGen,
-/// pkt-gen, FloWatcher).
-using Tool = std::variant<traffic::MoonGen, traffic::PktGen,
-                          traffic::FloWatcher>;
+/// A direction's generator: MoonGen, or pkt-gen in a VALE guest.
+using Generator = std::variant<traffic::MoonGen, traffic::PktGen>;
 
-/// One direction's tools. The monitor is the generator itself when the
-/// generator sees its traffic return: MoonGen on node 1 holds both NIC
-/// ends, and a latency run's generator times its own probes.
-struct Leg {
-  std::unique_ptr<Tool> gen;
-  std::unique_ptr<Tool> mon;
-  [[nodiscard]] Tool& monitor() const { return mon ? *mon : *gen; }
-};
-
-stats::ThroughputMeter& rx_meter(Tool& t) {
-  return std::visit(
-      [](auto& x) -> stats::ThroughputMeter& { return x.rx_meter(); }, t);
-}
-
-const stats::LatencyRecorder& latency(const Tool& t) {
-  return std::visit(
-      [](const auto& x) -> const stats::LatencyRecorder& {
-        return x.latency();
-      },
-      t);
-}
-
-void attach_rx(Tool& t, const Endpoint& to) {
-  if (auto* mg = std::get_if<traffic::MoonGen>(&t)) {
-    if (to.nic != nullptr) {
-      mg->attach_rx_nic(*to.nic);
-    } else {
-      mg->attach_rx_guest(*to.guest);
-    }
-  } else if (auto* pg = std::get_if<traffic::PktGen>(&t)) {
-    pg->attach_rx(*to.guest);
-  } else {
-    std::get<traffic::FloWatcher>(t).attach(*to.guest);
-  }
-}
-
-/// Frames a generator put onto the path, and frames its TX ring refused.
-std::pair<std::uint64_t, std::uint64_t> tx_counts(const Tool& t) {
-  if (const auto* mg = std::get_if<traffic::MoonGen>(&t)) {
-    return {mg->tx_sent(), mg->tx_failed()};
-  }
-  const auto& pg = std::get<traffic::PktGen>(t);
-  return {pg.tx_sent(), pg.tx_failed()};
-}
-
-/// Terminal monitor for `to` when the generator cannot see it: MoonGen on
-/// node 1, pkt-gen in a VALE guest, FloWatcher in a DPDK guest.
-std::unique_ptr<Tool> make_monitor(const ScenarioConfig& cfg, Env& env,
-                                   const Endpoint& to, bool vale) {
-  std::unique_ptr<Tool> mon;
+/// The direction's monitor: MoonGen's receive path at the terminal
+/// endpoint, which stands in for every RX tool the paper used (MoonGen on
+/// node 1, pkt-gen in a VALE guest, FloWatcher-DPDK in a DPDK guest).
+std::unique_ptr<traffic::MoonGen> make_monitor(const ScenarioConfig& cfg,
+                                               Env& env, const Endpoint& to) {
+  traffic::MoonGen::Config c;
+  c.meter_open_at = cfg.warmup;
+  c.origin = 9;
+  auto mon = std::make_unique<traffic::MoonGen>(env.sim, env.pool, c);
   if (to.nic != nullptr) {
-    traffic::MoonGen::Config c;
-    c.meter_open_at = cfg.warmup;
-    c.origin = 9;
-    mon = std::make_unique<Tool>(std::in_place_type<traffic::MoonGen>,
-                                 env.sim, env.pool, c);
-  } else if (vale) {
-    traffic::PktGen::Config c;
-    c.meter_open_at = cfg.warmup;
-    mon = std::make_unique<Tool>(std::in_place_type<traffic::PktGen>,
-                                 env.sim, env.pool, c);
+    mon->attach_rx_nic(*to.nic);
   } else {
-    mon = std::make_unique<Tool>(std::in_place_type<traffic::FloWatcher>,
-                                 env.sim, cfg.warmup);
+    mon->attach_rx_guest(*to.guest);
   }
-  attach_rx(*mon, to);
   return mon;
 }
 
@@ -197,21 +150,19 @@ pkt::FrameSpec make_frame(const ScenarioConfig& cfg, const Direction& d) {
 
 /// The direction's generator, attached and started: MoonGen on node 1 or
 /// in a DPDK guest, pkt-gen in a VALE guest.
-std::unique_ptr<Tool> start_generator(const ScenarioConfig& cfg, Env& env,
-                                      const Direction& d, double rate_pps,
-                                      core::SimDuration probe_interval,
-                                      bool vale) {
+std::unique_ptr<Generator> start_generator(const ScenarioConfig& cfg,
+                                           Env& env, const Direction& d,
+                                           double rate_pps,
+                                           core::SimDuration probe_interval) {
   const core::SimTime t_stop = env.t_stop(cfg);
-  std::unique_ptr<Tool> gen;
-  if (d.from.guest != nullptr && vale) {
+  if (d.from.guest != nullptr && cfg.sut == switches::SwitchType::kVale) {
     traffic::PktGen::Config c;
     c.frame = make_frame(cfg, d);
     c.rate_pps = rate_pps;
     c.probe_interval = probe_interval;
-    c.meter_open_at = cfg.warmup;
     c.origin = d.origin;
-    gen = std::make_unique<Tool>(std::in_place_type<traffic::PktGen>,
-                                 env.sim, env.pool, c);
+    auto gen = std::make_unique<Generator>(
+        std::in_place_type<traffic::PktGen>, env.sim, env.pool, c);
     auto& pg = std::get<traffic::PktGen>(*gen);
     pg.attach_tx(*d.from.guest);
     pg.start_tx(0, t_stop);
@@ -224,10 +175,11 @@ std::unique_ptr<Tool> start_generator(const ScenarioConfig& cfg, Env& env,
   c.probe_interval = probe_interval;
   // A guest has no PTP-capable NIC: probes carry software timestamps.
   c.software_timestamps = d.from.guest != nullptr;
+  // Probes start once the meters open.
   c.meter_open_at = cfg.warmup;
   c.origin = d.origin;
-  gen = std::make_unique<Tool>(std::in_place_type<traffic::MoonGen>, env.sim,
-                               env.pool, c);
+  auto gen = std::make_unique<Generator>(std::in_place_type<traffic::MoonGen>,
+                                         env.sim, env.pool, c);
   auto& mg = std::get<traffic::MoonGen>(*gen);
   if (d.from.nic != nullptr) {
     mg.attach_tx_nic(*d.from.nic);
@@ -262,48 +214,41 @@ void fill_latency(ScenarioResult& r, const stats::LatencyRecorder& lat) {
 /// Throughput and latency come from the meters' window; the ledger covers
 /// the whole, fully drained run.
 ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
-  const bool vale = cfg.sut == switches::SwitchType::kVale;
   const core::SimTime t_stop = env.t_stop(cfg);
   const std::vector<Direction>& dirs = topo.directions;
+
+  // Monitors are built before any generator, which fixes the order of
+  // duplicate counter names in observed runs.
+  std::vector<std::unique_ptr<traffic::MoonGen>> mons;
+  for (const Direction& d : dirs) mons.push_back(make_monitor(cfg, env, d.to));
   // Probes ride on the first direction, whose monitor reports latency.
-  auto probes = [&](std::size_t i) {
-    return i == 0 ? cfg.probe_interval : core::SimDuration{0};
-  };
-
-  // Separate monitors are built before any generator, which fixes the
-  // order of duplicate counter names in observed runs.
-  std::vector<Leg> legs(dirs.size());
+  std::vector<std::unique_ptr<Generator>> gens;
   for (std::size_t i = 0; i < dirs.size(); ++i) {
-    const bool node1_to_node1 =
-        dirs[i].from.nic != nullptr && dirs[i].to.nic != nullptr;
-    if (!node1_to_node1 && probes(i) == 0) {
-      legs[i].mon = make_monitor(cfg, env, dirs[i].to, vale);
-    }
-  }
-  for (std::size_t i = 0; i < dirs.size(); ++i) {
-    legs[i].gen = start_generator(cfg, env, dirs[i],
-                                  topo.rate_pps.value_or(cfg.rate_pps),
-                                  probes(i), vale);
-    if (!legs[i].mon) attach_rx(*legs[i].gen, dirs[i].to);
+    gens.push_back(start_generator(
+        cfg, env, dirs[i], topo.rate_pps.value_or(cfg.rate_pps),
+        i == 0 ? cfg.probe_interval : core::SimDuration{0}));
   }
 
-  for (const Leg& leg : legs) rx_meter(leg.monitor()).stop_at(t_stop);
+  for (const auto& mon : mons) mon->rx_meter().stop_at(t_stop);
   env.sim.run_until(t_stop);
-  for (const Leg& leg : legs) rx_meter(leg.monitor()).close(t_stop);
+  for (const auto& mon : mons) mon->rx_meter().close(t_stop);
   env.sim.run();  // drain everything in flight
 
   ScenarioResult r;
-  r.fwd = direction_result(rx_meter(legs[0].monitor()));
-  fill_latency(r, latency(legs[0].monitor()));
-  if (legs.size() > 1) r.rev = direction_result(rx_meter(legs[1].monitor()));
+  r.fwd = direction_result(mons[0]->rx_meter());
+  fill_latency(r, mons[0]->latency());
+  if (mons.size() > 1) r.rev = direction_result(mons[1]->rx_meter());
   for (int p = 0; p < 2; ++p) r.nic_imissed += env.testbed.nic(0, p).imissed();
   // Whole-run conservation: NIC sinks count every frame off the wire;
   // guest RX rings are sink-drained by their monitor, so enqueued() counts
   // every frame delivered into the VM.
   for (std::size_t i = 0; i < dirs.size(); ++i) {
-    const auto [sent, failed] = tx_counts(*legs[i].gen);
-    r.offered_packets += sent;
-    r.gen_tx_failures += failed;
+    std::visit(
+        [&r](const auto& g) {
+          r.offered_packets += g.tx_sent();
+          r.gen_tx_failures += g.tx_failed();
+        },
+        *gens[i]);
     const Endpoint& to = dirs[i].to;
     r.delivered_packets += to.nic != nullptr ? to.nic->rx_frames()
                                              : to.guest->rx_ring().enqueued();

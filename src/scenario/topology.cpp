@@ -100,9 +100,9 @@ Topology p2p(const ScenarioConfig& cfg, Env& env) {
 }
 
 // p2v (Fig. 3b): the SUT forwards between a NIC and a VNF VM. Non-VALE
-// switches expose a vhost-user port into the VM (guest runs DPDK +
-// FloWatcher as monitor, MoonGen for reverse traffic); VALE uses a ptnet
-// port with pkt-gen in the guest. `reverse` sends VM -> NIC only.
+// switches expose a vhost-user port into the VM (the guest runs DPDK and
+// MoonGen); VALE uses a ptnet port, and pkt-gen sends from the guest.
+// `reverse` sends VM -> NIC only.
 Topology p2v(const ScenarioConfig& cfg, Env& env) {
   Topology t;
   switches::SwitchBase& sut = *t.suts.emplace_back(make_sut(cfg, env));

@@ -48,23 +48,6 @@ void Histogram::add(core::SimDuration value) {
     max_seen_ = std::max(max_seen_, value);
   }
   ++count_;
-  sum_ += static_cast<double>(value);
-}
-
-void Histogram::merge(const Histogram& o) {
-  assert(sub_bits_ == o.sub_bits_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += o.buckets_[i];
-  if (o.count_) {
-    if (count_ == 0) {
-      min_seen_ = o.min_seen_;
-      max_seen_ = o.max_seen_;
-    } else {
-      min_seen_ = std::min(min_seen_, o.min_seen_);
-      max_seen_ = std::max(max_seen_, o.max_seen_);
-    }
-  }
-  count_ += o.count_;
-  sum_ += o.sum_;
 }
 
 core::SimDuration Histogram::quantile(double q) const {
@@ -80,13 +63,6 @@ core::SimDuration Histogram::quantile(double q) const {
     }
   }
   return max_seen_;
-}
-
-void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_seen_ = max_seen_ = 0;
 }
 
 }  // namespace nfvsb::stats

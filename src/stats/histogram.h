@@ -17,7 +17,6 @@ class Histogram {
   explicit Histogram(int sub_bucket_bits = 5);
 
   void add(core::SimDuration value);
-  void merge(const Histogram& o);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
 
@@ -31,12 +30,6 @@ class Histogram {
   [[nodiscard]] core::SimDuration min_value() const {
     return count_ ? min_seen_ : 0;
   }
-  [[nodiscard]] double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-
-  void reset();
-
  private:
   [[nodiscard]] std::size_t bucket_index(core::SimDuration v) const;
   [[nodiscard]] core::SimDuration bucket_midpoint(std::size_t idx) const;
@@ -44,7 +37,6 @@ class Histogram {
   int sub_bits_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_{0};
-  double sum_{0.0};
   core::SimDuration min_seen_{0};
   core::SimDuration max_seen_{0};
 };

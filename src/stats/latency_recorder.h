@@ -31,13 +31,6 @@ class LatencyRecorder {
   }
   [[nodiscard]] double p99_us() const { return core::to_us(hist_.p99()); }
 
-  [[nodiscard]] const Histogram& histogram() const { return hist_; }
-
-  void reset() {
-    moments_.reset();
-    hist_.reset();
-  }
-
  private:
   RunningStats moments_;
   Histogram hist_;

@@ -19,22 +19,6 @@ class RunningStats {
     max_ = std::max(max_, x);
   }
 
-  void merge(const RunningStats& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      *this = o;
-      return;
-    }
-    const double delta = o.mean_ - mean_;
-    const auto n = static_cast<double>(n_), on = static_cast<double>(o.n_);
-    const double tot = n + on;
-    m2_ += o.m2_ + delta * delta * n * on / tot;
-    mean_ = (n * mean_ + on * o.mean_) / tot;
-    n_ += o.n_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-  }
-
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const {
@@ -47,8 +31,6 @@ class RunningStats {
   [[nodiscard]] double max() const {
     return n_ ? max_ : std::numeric_limits<double>::quiet_NaN();
   }
-
-  void reset() { *this = RunningStats{}; }
 
  private:
   std::uint64_t n_{0};

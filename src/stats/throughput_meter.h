@@ -1,6 +1,7 @@
-// Receive-side throughput meter, mirroring what FloWatcher-DPDK / MoonGen RX
-// report: packets and wire-bytes over a measurement window, with an optional
-// warm-up period that is excluded (JIT warm-up, ARP, ring fill).
+// Receive-side throughput meter, mirroring what MoonGen's RX side (and, in
+// the paper, FloWatcher-DPDK) reports: packets and wire-bytes over a
+// measurement window, with an optional warm-up period that is excluded (JIT
+// warm-up, ARP, ring fill).
 //
 // Window convention is half-open [open_at, close_at): a packet at exactly
 // close_at belongs to the NEXT window, and window_duration is close_at -
@@ -60,16 +61,6 @@ class ThroughputMeter {
     const auto window = window_duration();
     if (window <= 0) return 0.0;
     return static_cast<double>(wire_bytes_) * 8.0 / core::to_sec(window) / 1e9;
-  }
-
-  void reset(core::SimTime open_at) {
-    packets_ = 0;
-    wire_bytes_ = 0;
-    open_at_ = open_at;
-    stop_at_ = kNoStop;
-    close_at_ = 0;
-    closed_ = false;
-    last_seen_ = core::kNoTimestamp;
   }
 
  private:

@@ -96,7 +96,7 @@ void MoonGen::emit_one(core::SimTime at) {
   p->seq = ++seq_;
   if (cfg_.num_flows > 1) {
     // Cycle source ports round-robin: each value is one flow for EMC /
-    // megaflow / FloWatcher purposes.
+    // megaflow purposes.
     frame_.stamp(*p, p->seq,
                  static_cast<std::uint16_t>(cfg_.frame.src_port +
                                             (p->seq - 1) % cfg_.num_flows));

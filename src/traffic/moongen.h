@@ -8,6 +8,10 @@
 //    in NIC hardware on TX and RX (p2p/loopback), or software-timestamped
 //    when run inside a VM against virtio ports (v2v, Table 4);
 //  * RX monitoring with negligible overhead (implemented as a ring sink).
+//    Its receive path is the one monitor of every scenario direction: the
+//    paper's other monitors, pkt-gen's RX side and FloWatcher-DPDK, count
+//    frames and time probes the same way, and the paper treats all three
+//    overheads as negligible (Sec. 5.3).
 //
 // Like the real tool it costs the simulation nothing per frame. Every
 // frame is a copy of one prebuilt frame (pkt::FrameTemplate), with the
@@ -54,7 +58,8 @@ class MoonGen final : public hw::TxSource {
     core::SimDuration probe_interval{0};
     /// Software timestamping (virtio ports do not support HW stamps).
     bool software_timestamps{false};
-    /// RX meters ignore packets before this time (JIT/cache warm-up).
+    /// RX meters ignore packets before this time (JIT/cache warm-up), and
+    /// TX probes start no earlier.
     core::SimTime meter_open_at{0};
     /// Tag for demultiplexing at monitors.
     std::uint32_t origin{1};

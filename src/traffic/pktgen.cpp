@@ -14,8 +14,7 @@ PktGen::PktGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
     : sim_(sim),
       pool_(pool),
       cfg_(cfg),
-      frame_(cfg.frame),
-      rx_meter_(cfg.meter_open_at) {
+      frame_(cfg.frame) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
     const std::string base = "gen/pktgen." + std::to_string(cfg_.origin);
@@ -86,15 +85,6 @@ void PktGen::emit_one() {
       ++tx_failed_;  // netmap ring full: pkt-gen spins and retries
     }
   }
-}
-
-void PktGen::attach_rx(ring::GuestPort& port) {
-  port.rx_ring().set_sink([this](pkt::PacketHandle p) {
-    rx_meter_.on_packet(sim_.now(), p->size());
-    if (p->probe_id != 0 && p->sw_timestamp != core::kNoTimestamp) {
-      latency_.record(sim_.now() - p->sw_timestamp);
-    }
-  });
 }
 
 }  // namespace nfvsb::traffic

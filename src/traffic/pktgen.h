@@ -8,7 +8,8 @@
 // (which is how VALE's v2v throughput exceeds 10 Gbps-equivalent in
 // Fig. 4c). The TX rate limit is therefore a per-packet preparation cost,
 // not a pacing clock. Like MoonGen, it sends copies of one prebuilt frame
-// (pkt::FrameTemplate).
+// (pkt::FrameTemplate). It only sends: a MoonGen monitor measures what
+// arrives (see traffic/moongen.h).
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 #include "ring/vhost_user_port.h"
-#include "stats/latency_recorder.h"
-#include "stats/throughput_meter.h"
 
 namespace nfvsb::core {
 class MetricSink;
@@ -37,8 +36,9 @@ class PktGen {
     double prep_byte_ns{0.075};
     /// Optional pacing cap (0 = CPU-limited only); used for latency runs.
     double rate_pps{0};
+    /// Inject one software-timestamped probe this often (0 = none),
+    /// starting at start_tx's first frame.
     core::SimDuration probe_interval{0};
-    core::SimTime meter_open_at{0};
     std::uint32_t origin{2};
   };
 
@@ -51,16 +51,6 @@ class PktGen {
   void attach_tx(ring::GuestPort& port);
   void start_tx(core::SimTime at, core::SimTime until);
 
-  /// RX mode: install a counting sink (plus SW-timestamp probe capture).
-  void attach_rx(ring::GuestPort& port);
-
-  [[nodiscard]] const stats::ThroughputMeter& rx_meter() const {
-    return rx_meter_;
-  }
-  [[nodiscard]] stats::ThroughputMeter& rx_meter() { return rx_meter_; }
-  [[nodiscard]] const stats::LatencyRecorder& latency() const {
-    return latency_;
-  }
   [[nodiscard]] std::uint64_t tx_sent() const { return tx_sent_; }
   [[nodiscard]] std::uint64_t tx_failed() const { return tx_failed_; }
 
@@ -83,8 +73,6 @@ class PktGen {
   core::Counter tx_failed_;
   std::uint64_t seq_{0};
   std::uint64_t probe_seq_{0};
-  stats::ThroughputMeter rx_meter_;
-  stats::LatencyRecorder latency_;
   core::MetricSink* registry_{nullptr};
 };
 

@@ -43,7 +43,7 @@ ScenarioConfig draw(core::Rng& rng) {
                                   Kind::kLoopback});
   cfg.sut = pick(rng, switches::kAllSwitches);
   cfg.frame_bytes =
-      pick(rng, std::array<std::uint32_t, 4>{64, 256, 1024, 1518});
+      pick(rng, std::array<std::uint32_t, 6>{32, 64, 256, 1024, 1518, 2000});
   cfg.bidirectional = rng.uniform_index(2) == 1;
   cfg.chain_length = maybe(rng, 1, std::array{0, 1, 2, 3, 4, 5, 6});
   cfg.reverse = maybe(rng, false, std::array{true});

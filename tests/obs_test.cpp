@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,27 +27,26 @@
 #include "pkt/packet_pool.h"
 #include "ring/spsc_ring.h"
 #include "scenario/scenario.h"
+#include "switches/registry.h"
 #include "traffic/moongen.h"
 
 namespace nfvsb::obs {
 namespace {
 
 using core::Counter;
-using core::Gauge;
 
 // ---- registry ------------------------------------------------------------
 
 TEST(Registry, SnapshotIsSortedByPath) {
   Registry reg;
   Counter a, b;
-  Gauge g;
+  std::int64_t raw = 2;
   a += 3;
   b += 5;
-  g.set(2);
   int o1 = 0, o2 = 0;
   reg.add_counter(&o1, "z/last", &a);
   reg.add_counter(&o2, "a/first", &b);
-  reg.add_gauge(&o1, "m/mid", &g);
+  reg.add_value(&o1, "m/mid", &raw);
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0], (std::pair<std::string, std::uint64_t>{"a/first", 5}));
@@ -147,7 +147,8 @@ TEST(QueueSampler, HistogramMatchesScriptedOccupancy) {
   EXPECT_EQ(h.count(), 10u);
   EXPECT_EQ(h.min_value(), 0);
   EXPECT_EQ(h.max_value(), 2);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.8);  // (5*0 + 2*1 + 3*2) / 10
+  EXPECT_EQ(h.quantile(0.5), 0);  // five of the ten samples are 0
+  EXPECT_EQ(h.quantile(0.6), 1);  // the sixth and seventh are 1
   std::vector<std::pair<std::string, std::uint64_t>> summary;
   sampler.append_summary(summary);
   ASSERT_EQ(summary.size(), 3u);
@@ -295,6 +296,65 @@ TEST(ObservedScenario, MeasuresIdenticallyToUnobserved) {
   EXPECT_TRUE(has_depth_summary);
   EXPECT_EQ(observed.offered_packets, observed.accounted_packets());
 }
+
+// Every direction is measured by one MoonGen monitor (origin 9) of its
+// own, never by its generator: a monitor sends nothing, and the
+// generators' tx_sent rows add up to the offered load. VALE covers the
+// pkt-gen generator in a guest.
+class OneMonitorPerDirection
+    : public ::testing::TestWithParam<
+          std::tuple<scenario::Kind, switches::SwitchType, bool>> {};
+
+TEST_P(OneMonitorPerDirection, MonitorsOnlyReceive) {
+  const auto [kind, sut, bidi] = GetParam();
+  scenario::ScenarioConfig cfg;
+  cfg.kind = kind;
+  cfg.sut = sut;
+  cfg.bidirectional = bidi;
+  cfg.warmup = core::from_ms(1);
+  cfg.measure = core::from_ms(2);
+  cfg.observe = true;
+  const scenario::ScenarioResult r = scenario::run_scenario(cfg);
+  ASSERT_FALSE(r.skipped.has_value()) << *r.skipped;
+  std::size_t monitors = 0;
+  std::size_t generators = 0;
+  std::uint64_t generated = 0;
+  for (const auto& [path, v] : r.counters) {
+    if (!path.starts_with("gen/") ||
+        path.find("/tx_sent") == std::string::npos) {
+      continue;
+    }
+    if (path.starts_with("gen/moongen.9/")) {
+      ++monitors;
+      EXPECT_EQ(v, 0u) << path;
+    } else {
+      ++generators;
+      generated += v;
+    }
+  }
+  const std::size_t directions = bidi ? 2 : 1;
+  EXPECT_EQ(monitors, directions);
+  EXPECT_EQ(generators, directions);
+  EXPECT_EQ(generated, r.offered_packets);
+  EXPECT_GT(r.fwd.rx_packets, 0u);
+  if (bidi) {
+    EXPECT_GT(r.rev.rx_packets, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsSwitchesDirections, OneMonitorPerDirection,
+    ::testing::Combine(
+        ::testing::Values(scenario::Kind::kP2p, scenario::Kind::kP2v,
+                          scenario::Kind::kV2v, scenario::Kind::kLoopback),
+        ::testing::Values(switches::SwitchType::kVpp,
+                          switches::SwitchType::kVale),
+        ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(scenario::to_string(std::get<0>(info.param))) +
+             "_" + switches::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_bidi" : "_uni");
+    });
 
 TEST(ObservedCampaign, JsonIsThreadCountIndependent) {
   campaign::Campaign c("obs-grid", 0x5eed);

@@ -112,10 +112,12 @@ TEST(ScenarioLoopback, InvalidChainLengthSkipped) {
 }
 
 // validate() names every field the kind would otherwise ignore (or could
-// not build), before anything exists. Regression included: multi-worker
+// not build), before anything exists. Regressions included: multi-worker
 // VPP p2v/loopback used to open four RSS queues that no worker served; the
 // stranded packets outlived the pool (leak assert in debug builds, SIGSEGV
-// in Release).
+// in Release). A 2000 B frame overran the 1600 B frame template, a 32 B one
+// wrapped the UDP length, and 65537 flows wrapped the 16-bit source port
+// onto flows that already existed.
 TEST(ScenarioValidate, IgnoredFieldsAreRejectedByName) {
   using switches::SwitchType;
   struct Case {
@@ -139,6 +141,12 @@ TEST(ScenarioValidate, IgnoredFieldsAreRejectedByName) {
                 [](ScenarioConfig& x) { x.num_flows = 16; }},
            Case{Kind::kP2p, SwitchType::kOvsDpdk, "num_flows",
                 [](ScenarioConfig& x) { x.num_flows = 0; }},
+           Case{Kind::kP2p, SwitchType::kOvsDpdk, "num_flows",
+                [](ScenarioConfig& x) { x.num_flows = 65537; }},
+           Case{Kind::kP2p, SwitchType::kBess, "frame_bytes",
+                [](ScenarioConfig& x) { x.frame_bytes = 2000; }},
+           Case{Kind::kP2p, SwitchType::kBess, "frame_bytes",
+                [](ScenarioConfig& x) { x.frame_bytes = 32; }},
            Case{Kind::kP2p, SwitchType::kBess, "chain_length",
                 [](ScenarioConfig& x) { x.chain_length = 2; }},
            Case{Kind::kV2v, SwitchType::kVale, "chain_length",

@@ -27,31 +27,6 @@ TEST(RunningStats, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeEqualsCombined) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
 TEST(Histogram, EmptyQuantileIsZero) {
   Histogram h;
   EXPECT_EQ(h.quantile(0.5), 0);
@@ -75,12 +50,6 @@ TEST(Histogram, QuantilesWithinRelativeError) {
   EXPECT_NEAR(static_cast<double>(h.p99()), 99000.0, 99000.0 * 0.05);
 }
 
-TEST(Histogram, MeanIsExact) {
-  Histogram h;
-  for (core::SimDuration v : {10, 20, 30, 40}) h.add(v);
-  EXPECT_DOUBLE_EQ(h.mean(), 25.0);
-}
-
 TEST(Histogram, MinMaxTracked) {
   Histogram h;
   h.add(7);
@@ -88,15 +57,6 @@ TEST(Histogram, MinMaxTracked) {
   h.add(300);
   EXPECT_EQ(h.min_value(), 7);
   EXPECT_EQ(h.max_value(), 7000000);
-}
-
-TEST(Histogram, MergeAddsCounts) {
-  Histogram a, b;
-  for (int i = 0; i < 100; ++i) a.add(1000 + i);
-  for (int i = 0; i < 100; ++i) b.add(5000 + i);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 200u);
-  EXPECT_EQ(a.max_value(), 5099);
 }
 
 TEST(Histogram, HugeValuesDoNotOverflow) {
@@ -117,14 +77,6 @@ TEST(LatencyRecorder, ReportsMicroseconds) {
   EXPECT_DOUBLE_EQ(r.max_us(), 20.0);
   // Lower-median convention for even counts: lands on the 10 us sample.
   EXPECT_NEAR(r.median_us(), 10.0, 0.8);
-}
-
-TEST(LatencyRecorder, ResetClears) {
-  LatencyRecorder r;
-  r.record(core::from_us(10));
-  r.reset();
-  EXPECT_EQ(r.samples(), 0u);
-  EXPECT_DOUBLE_EQ(r.mean_us(), 0.0);
 }
 
 TEST(ThroughputMeter, CountsWireBytes) {
@@ -191,17 +143,6 @@ TEST(ThroughputMeter, PacketAtCloseInstantExcluded) {
   m.on_packet(core::from_us(1), 64);
   m.close(core::from_us(2));
   m.on_packet(core::from_us(2), 64);
-  EXPECT_EQ(m.packets(), 1u);
-}
-
-TEST(ThroughputMeter, ResetReopens) {
-  ThroughputMeter m(0);
-  m.on_packet(core::from_us(1), 64);
-  m.close(core::from_us(2));
-  m.reset(core::from_us(10));
-  EXPECT_FALSE(m.closed());
-  EXPECT_EQ(m.packets(), 0u);
-  m.on_packet(core::from_us(11), 64);
   EXPECT_EQ(m.packets(), 1u);
 }
 

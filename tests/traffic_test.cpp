@@ -1,15 +1,16 @@
 // Traffic tools: MoonGen pacing/probes/flows, template frames and events
-// per frame, pkt-gen CPU-limited TX, FloWatcher per-flow accounting.
+// per frame, MoonGen guest monitoring, pkt-gen CPU-limited TX.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "hw/cable.h"
 #include "hw/nic.h"
+#include "pkt/headers.h"
 #include "ring/netmap_port.h"
-#include "traffic/flowatcher.h"
 #include "traffic/moongen.h"
 #include "traffic/pktgen.h"
 
@@ -73,14 +74,19 @@ TEST_F(MoonGenNicTest, MultiFlowTrafficCyclesSourcePorts) {
   cfg.num_flows = 8;
   MoonGen gen(sim_, pool_, cfg);
   gen.attach_tx_nic(a_);
-  FloWatcher mon(sim_);
-  mon.attach_ring(b_.rx_ring());
+  std::map<std::uint16_t, std::uint64_t> ports;
+  b_.rx_ring().set_sink([&](pkt::PacketHandle p) {
+    const auto t = pkt::parse_five_tuple(p->bytes());
+    ASSERT_TRUE(t.has_value());
+    ++ports[t->src_port];
+  });
   gen.start_tx(0, core::from_ms(2));
   sim_.run();
-  EXPECT_EQ(mon.flows().size(), 8u);
+  ASSERT_EQ(ports.size(), 8u);
+  EXPECT_EQ(ports.begin()->first, cfg.frame.src_port);
   // Round-robin: flow counts within one packet of each other.
   std::uint64_t lo = ~0ull, hi = 0;
-  for (const auto& [k, v] : mon.flows()) {
+  for (const auto& [port, v] : ports) {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
@@ -300,6 +306,8 @@ TEST_F(MoonGenNicTest, ProbeAtTimeZeroIsMeasured) {
   EXPECT_EQ(gen.latency().samples(), 1u);
 }
 
+// pkt-gen starts probing at its first frame: a MoonGen guest monitor
+// measures the probe pkt-gen stamps at t=0.
 TEST(PktGenProbe, ProbeAtTimeZeroIsMeasured) {
   core::Simulator sim;
   pkt::PacketPool pool(64);
@@ -313,10 +321,12 @@ TEST(PktGenProbe, ProbeAtTimeZeroIsMeasured) {
   cfg.probe_interval = core::from_ms(10);  // only the t=0 probe fits
   PktGen gen(sim, pool, cfg);
   gen.attach_tx(guest);
-  gen.attach_rx(guest);
+  MoonGen mon(sim, pool, MoonGen::Config{});
+  mon.attach_rx_guest(guest);
   gen.start_tx(0, core::from_us(100));
   sim.run();
-  EXPECT_EQ(gen.latency().samples(), 1u);
+  EXPECT_EQ(mon.rx_meter().packets(), gen.tx_sent());
+  EXPECT_EQ(mon.latency().samples(), 1u);
 }
 
 // Regression: gap() used to truncate the exact inter-frame interval to
@@ -359,40 +369,21 @@ TEST(PacingDrift, PktGenOfferedLoadWithinOnePpm) {
               std::max(3.0, 1e-6 * expected));
 }
 
-TEST(FloWatcherTest, CountsFlowsAndNonIp) {
-  core::Simulator sim;
-  pkt::PacketPool pool(16);
-  ring::SpscRing ring("r", 16);
-  FloWatcher mon(sim);
-  mon.attach_ring(ring);
-  for (int i = 0; i < 3; ++i) {
-    auto p = pool.allocate();
-    pkt::FrameSpec spec;
-    spec.src_port = static_cast<std::uint16_t>(1000 + (i % 2));
-    pkt::craft_udp_frame(*p, spec);
-    ring.enqueue(std::move(p));
-  }
-  auto arp = pool.allocate();
-  pkt::craft_udp_frame(*arp, pkt::FrameSpec{});
-  pkt::EthHeader(arp->bytes()).set_ether_type(pkt::kEtherTypeArp);
-  ring.enqueue(std::move(arp));
-  EXPECT_EQ(mon.flows().size(), 2u);
-  EXPECT_EQ(mon.non_ip_packets(), 1u);
-  EXPECT_EQ(mon.rx_meter().packets(), 4u);
-}
-
-// Regression: same t=0 sentinel bug on FloWatcher's probe capture.
-TEST(FloWatcherTest, ProbeStampedAtTimeZeroIsMeasured) {
+// Regression: a guest monitor must take a probe stamped at t=0 (a valid
+// instant, not "unset") as a sample.
+TEST(MoonGenGuestMonitor, ProbeStampedAtTimeZeroIsMeasured) {
   core::Simulator sim;
   pkt::PacketPool pool(4);
-  ring::SpscRing ring("r", 4);
-  FloWatcher mon(sim);
-  mon.attach_ring(ring);
+  ring::PtnetPort host("pt");
+  ring::GuestPtnetPort guest(host);
+  MoonGen mon(sim, pool, MoonGen::Config{});
+  mon.attach_rx_guest(guest);
   auto p = pool.allocate();
   pkt::craft_udp_frame(*p, pkt::FrameSpec{});
   p->probe_id = 1;
   p->sw_timestamp = 0;  // stamped at t=0: valid, not "unset"
-  ring.enqueue(std::move(p));
+  host.out().enqueue(std::move(p));
+  EXPECT_EQ(mon.rx_meter().packets(), 1u);
   EXPECT_EQ(mon.latency().samples(), 1u);
 }
 
