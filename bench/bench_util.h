@@ -56,8 +56,15 @@ inline campaign::RunnerOptions runner_options() {
   return o;
 }
 
+/// Prefix of the stderr line that reports a campaign's simulator work
+/// (bench/repro collects these lines).
+inline constexpr const char* kWorkLinePrefix = "work ";
+
 /// Run `c` with the environment-configured runner and persist the raw
-/// results to <results dir>/<campaign name>.json.
+/// results to <results dir>/<campaign name>.json. The campaign's total
+/// simulator work (ScenarioResult::Work) goes to stderr as one line,
+/// "work <campaign> <wheel events> <lane firings> <frames built>", outside
+/// the JSON.
 inline campaign::ResultSet run_and_save(const campaign::Campaign& c) {
   campaign::CampaignRunner runner(runner_options());
   campaign::ResultSet rs = runner.run(c);
@@ -65,6 +72,13 @@ inline campaign::ResultSet run_and_save(const campaign::Campaign& c) {
   if (!campaign::write_results_json(path, c, rs)) {
     std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
   }
+  scenario::ScenarioResult::Work w;
+  for (const campaign::PointResult& p : rs.all()) w += p.result.work;
+  std::fprintf(stderr, "%s%s %llu %llu %llu\n", kWorkLinePrefix,
+               c.name().c_str(),
+               static_cast<unsigned long long>(w.wheel_events),
+               static_cast<unsigned long long>(w.lane_fired),
+               static_cast<unsigned long long>(w.frames_built));
   return rs;
 }
 

@@ -5,8 +5,9 @@
 //      in-flight depth (the engine microbenchmark);
 //   2. packets/sec — wall-clock rate of one fixed Fig. 4a point (BESS,
 //      p2p, 64 B, unidirectional), i.e. the end-to-end simulation speed,
-//      next to that point's simulator events per offered packet (counted
-//      in a separate observed run, so the timed run stays unobserved).
+//      next to that point's simulator work per offered packet: timing-wheel
+//      events, lane firings and frames built (counted in a separate
+//      observed run, so the timed run stays unobserved).
 //
 // Results land in BENCH_events.json at the repository root, a committed
 // file: run it from there and commit the new figures with a change that
@@ -71,6 +72,8 @@ struct ScenarioRate {
   double wall_secs{0};
   std::uint64_t offered{0};
   double events_per_pkt{0};
+  double lane_fired_per_pkt{0};
+  double frames_built_per_pkt{0};
 };
 
 /// One fixed Fig. 4a point: BESS p2p 64 B unidirectional, default seed and
@@ -91,12 +94,16 @@ ScenarioRate measure_fig4a_point() {
 
   cfg.observe = true;
   const scenario::ScenarioResult observed = scenario::run_scenario(cfg);
+  const auto offered = static_cast<double>(observed.offered_packets);
   for (const auto& [path, value] : observed.counters) {
     if (path == "sim/events_processed") {
-      rate.events_per_pkt = static_cast<double>(value) /
-                            static_cast<double>(observed.offered_packets);
+      rate.events_per_pkt = static_cast<double>(value) / offered;
+    } else if (path == "sim/lane_fired") {
+      rate.lane_fired_per_pkt = static_cast<double>(value) / offered;
     }
   }
+  rate.frames_built_per_pkt =
+      static_cast<double>(observed.work.frames_built) / offered;
   return rate;
 }
 
@@ -118,13 +125,16 @@ int main() {
                  "    \"offered_packets\": %llu,\n"
                  "    \"wall_secs\": %.3f,\n"
                  "    \"packets_per_sec\": %.0f,\n"
-                 "    \"events_per_pkt\": %.4f\n"
+                 "    \"events_per_pkt\": %.4f,\n"
+                 "    \"lane_fired_per_pkt\": %.4f,\n"
+                 "    \"frames_built_per_pkt\": %.4f\n"
                  "  }\n"
                  "}\n",
                  events_per_sec,
                  static_cast<unsigned long long>(fig4a.offered),
                  fig4a.wall_secs, fig4a.packets_per_sec,
-                 fig4a.events_per_pkt);
+                 fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
+                 fig4a.frames_built_per_pkt);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", out.c_str());
@@ -138,8 +148,10 @@ int main() {
               fig4a.packets_per_sec / 1e6,
               static_cast<unsigned long long>(fig4a.offered),
               fig4a.wall_secs);
-  std::printf("               %.2f simulator events per offered packet\n",
-              fig4a.events_per_pkt);
+  std::printf("               per offered packet: %.4f wheel events, %.4f "
+              "lane firings, %.4f frames built\n",
+              fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
+              fig4a.frames_built_per_pkt);
   std::printf("results      : %s\n", out.c_str());
 
   if (const char* floor_env = std::getenv("NFVSB_MIN_EVENTS_PER_SEC")) {

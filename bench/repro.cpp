@@ -9,9 +9,17 @@
 // text goes to /dev/null; the JSON in out-dir is what to compare:
 // `diff -r goldens <out-dir>` at the default seed. Exits non-zero if any
 // bench fails.
+//
+// It also prints what each campaign, and all ten, cost the simulator:
+// timing-wheel events, lane firings (NIC TX fetches) and frames built
+// (ScenarioResult::Work). The benches report these on stderr, outside
+// the campaign JSON; unlike wall time they are exact, so two builds can
+// be compared on them directly.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -22,6 +30,17 @@ namespace {
 // Times whole bench processes; never feeds simulated results.
 // nfvsb-lint: allow(wall-clock)
 using Clock = std::chrono::steady_clock;
+
+using nfvsb::bench::kWorkLinePrefix;
+using Work = nfvsb::scenario::ScenarioResult::Work;
+
+std::string format_work(const char* campaign, const Work& w) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%-22.60s %15" PRIu64 " %15" PRIu64
+                " %15" PRIu64 "\n", campaign, w.wheel_events, w.lane_fired,
+                w.frames_built);
+  return buf;
+}
 
 constexpr const char* kPaperBenches[] = {
     "fig1_scatter",      "fig4a_p2p",           "fig4b_p2v",
@@ -45,10 +64,34 @@ int main(int argc, char** argv) {
               out.c_str(), threads != nullptr ? threads : "default");
   int failed = 0;
   double total_s = 0;
+  Work total;
+  std::string work_lines;
+  char line[512];
   for (const char* bench : kPaperBenches) {
-    const std::string cmd = "\"" + (dir / bench).string() + "\" > /dev/null";
+    // The bench's stderr comes through the pipe, its stdout is dropped.
+    const std::string cmd =
+        "\"" + (dir / bench).string() + "\" 2>&1 > /dev/null";
     const auto t0 = Clock::now();
-    const int rc = std::system(cmd.c_str());
+    std::FILE* pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr) {
+      std::perror("popen");
+      return 1;
+    }
+    while (std::fgets(line, sizeof line, pipe) != nullptr) {
+      char campaign[128];
+      Work w;
+      if (std::strncmp(line, kWorkLinePrefix, std::strlen(kWorkLinePrefix)) ==
+              0 &&
+          std::sscanf(line + std::strlen(kWorkLinePrefix),
+                      "%127s %" SCNu64 " %" SCNu64 " %" SCNu64, campaign,
+                      &w.wheel_events, &w.lane_fired, &w.frames_built) == 4) {
+        total += w;
+        work_lines += format_work(campaign, w);
+      } else {
+        std::fputs(line, stderr);
+      }
+    }
+    const int rc = pclose(pipe);
     const double s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     total_s += s;
@@ -57,5 +100,9 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("%-22s %7.2f s\n", "total", total_s);
+  std::printf("\n%-22s %15s %15s %15s\n", "simulator work",
+              "wheel events", "lane firings", "frames built");
+  std::fputs(work_lines.c_str(), stdout);
+  std::fputs(format_work("total", total).c_str(), stdout);
   return failed == 0 ? 0 : 1;
 }

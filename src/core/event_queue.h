@@ -72,10 +72,17 @@ class EventQueue {
   /// Earliest pending event time. Pre: !empty(). Logically const but may
   /// advance the wheel cursor internally, hence non-const (the old design
   /// hid the same mutation behind a const_cast).
-  [[nodiscard]] SimTime next_time() {
+  [[nodiscard]] SimTime next_time() { return next_key().time; }
+
+  /// Firing order key of the earliest pending event. Pre: !empty().
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+  };
+  [[nodiscard]] Key next_key() {
     assert(!empty());
     refill();
-    return cur_.front().time;
+    return {cur_.front().time, cur_.front().seq};
   }
 
   struct Fired {

@@ -33,11 +33,12 @@ class Fifo {
   /// Allocated slots: 0 until the first push, then a power of two.
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
-  void push_back(T v) {
+  void push_back(T&& v) {
     if (size_ == cap_) grow();
     buf_[(head_ + size_) & (cap_ - 1)] = std::move(v);
     ++size_;
   }
+  void push_back(const T& v) { push_back(T(v)); }
 
   /// Remove and return the oldest element. The FIFO must not be empty.
   [[nodiscard]] T pop_front() {

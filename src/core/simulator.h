@@ -5,16 +5,26 @@
 // virtual time monotonically. Determinism: identical schedules + identical
 // RNG seed => identical runs.
 //
-// Steady-state loops (generator pacing, NIC TX serialization, switch poll
-// re-arming) should use the recurring-timer API instead of re-scheduling
-// fresh closures: the callback is stored once in a timer slot and each
-// re-arm only schedules a 16-byte trampoline, so the hot loop never touches
-// the allocator (see core/event_fn.h for the fallback counter tests use to
-// assert this).
+// Steady-state loops (generator pacing, switch poll re-arming) should use
+// the recurring-timer API instead of re-scheduling fresh closures: the
+// callback is stored once in a timer slot and each re-arm only schedules a
+// 16-byte trampoline, so the hot loop never touches the allocator (see
+// core/event_fn.h for the fallback counter tests use to assert this).
+//
+// Lanes. The busiest recurring timers, the NIC TX fetches, fire about once
+// per frame. A lane keeps such a timer outside the timing wheel: the run
+// loop holds each armed lane's (time, order key) and fires the earliest
+// one whenever it comes before the wheel's head. Arming a lane takes its
+// key from reserve_order(), exactly where scheduling the timer's event
+// would have taken a sequence number, so every key of a run, and with
+// them every same-instant tie, is what the wheel would have given. Lanes
+// live in fixed inline storage, so registering one never allocates.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -118,6 +128,27 @@ class Simulator {
   /// the timer's own callback.
   void cancel_timer(TimerId id);
 
+  // --- lanes ----------------------------------------------------------------
+  /// Handle of a registered lane.
+  using LaneId = std::uint32_t;
+  /// Lanes one simulator holds at once: one per NIC port (hw::Testbed
+  /// checks its four ports fit).
+  static constexpr std::size_t kMaxLanes = 8;
+
+  /// Register a lane with callback `fn`, unarmed. Like an adaptive timer's
+  /// callback, `fn` returns the delay to its next firing or kStopTimer.
+  /// Throws std::length_error when all kMaxLanes are taken.
+  [[nodiscard]] LaneId add_lane(RecurringFn fn);
+  /// Release a lane (not from inside its own callback).
+  void remove_lane(LaneId id);
+  /// Fire the lane at `at` (clamped to now()), replacing any pending
+  /// firing, under a fresh order key. From inside the lane's own callback
+  /// this overrides the callback's return value.
+  void arm_lane(LaneId id, SimTime at);
+  /// Disarm the lane. From inside its own callback this overrides the
+  /// callback's return value.
+  void stop_lane(LaneId id);
+
   /// Run until the event set drains or `until` is reached (events at a time
   /// strictly greater than `until` remain pending; now() ends at `until`).
   void run_until(SimTime until);
@@ -125,13 +156,19 @@ class Simulator {
   /// Run until the event set drains completely.
   void run();
 
-  /// Drop all pending events and recurring timers; reset the clock to zero.
+  /// Drop all pending events and recurring timers, disarm every lane (it
+  /// stays registered) and reset the clock and counts to zero.
   void reset();
 
+  /// Events fired from the timing wheel.
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
-  [[nodiscard]] bool has_pending() const { return !events_.empty(); }
+  /// Lane firings (not counted in events_processed()).
+  [[nodiscard]] std::uint64_t lanes_fired() const { return lanes_fired_; }
+  [[nodiscard]] bool has_pending() const {
+    return !events_.empty() || next_lane_ != kNoLane;
+  }
 
  private:
   struct RecTimer {
@@ -144,6 +181,26 @@ class Simulator {
     bool live{false};
   };
   static constexpr std::uint32_t kNoFreeTimer = 0xffffffffu;
+
+  struct Lane {
+    RecurringFn fn;
+    SimTime at{0};
+    std::uint64_t order{0};
+    /// Bumped by every arm_lane/stop_lane, so a firing can tell whether
+    /// its callback re-armed or stopped the lane itself.
+    std::uint64_t epoch{0};
+    bool armed{false};
+    bool used{false};
+  };
+  static constexpr LaneId kNoLane = 0xffffffffu;
+  static constexpr SimTime kNoUntil = std::numeric_limits<SimTime>::max();
+
+  /// Fire events and lanes in (time, order key) order, stopping before the
+  /// first one later than `until` (kNoUntil: until both drain).
+  void run_loop(SimTime until);
+  void fire_lane(LaneId id);
+  /// Recompute next_lane_, the earliest armed lane.
+  void find_next_lane();
 
   std::uint32_t alloc_timer();
   void free_timer(std::uint32_t slot);
@@ -159,6 +216,11 @@ class Simulator {
   static constexpr std::uint64_t kBetweenRuns = ~std::uint64_t{0};
   std::vector<RecTimer> timers_;
   std::uint32_t timer_free_head_{kNoFreeTimer};
+  std::array<Lane, kMaxLanes> lanes_;
+  /// Lanes [0, lanes_used_) have been registered at some point.
+  std::uint32_t lanes_used_{0};
+  LaneId next_lane_{kNoLane};
+  std::uint64_t lanes_fired_{0};
 };
 
 /// A one-shot timer that can be re-armed in place: the callback is stored

@@ -15,11 +15,11 @@ Cable::Cable(core::Simulator& /*sim*/, NicPort& a, NicPort& b,
   b_.attach_cable(this);
 }
 
-void Cable::transmit(NicPort& from, pkt::PacketHandle p,
+void Cable::transmit(NicPort& from, pkt::Frame&& f,
                      core::SimDuration departure) {
   NicPort& to = (&from == &a_) ? b_ : a_;
   assert(&from == &a_ || &from == &b_);
-  to.deliver_from_wire(std::move(p), departure + propagation_);
+  to.deliver_from_wire(std::move(f), departure + propagation_);
 }
 
 }  // namespace nfvsb::hw

@@ -14,13 +14,17 @@
 namespace nfvsb::hw {
 
 NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
-    : sim_(sim), name_(std::move(name)), cfg_(cfg) {
+    : sim_(sim),
+      name_(std::move(name)),
+      cfg_(cfg),
+      tx_lane_(sim_.add_lane(core::Simulator::RecurringFn(
+          [this] { return serialize_step(); }))) {
   assert(cfg.num_queues >= 1);
   for (std::size_t q = 0; q < cfg.num_queues; ++q) {
     rx_rings_.push_back(std::make_unique<ring::SpscRing>(
         name_ + ".rx" + std::to_string(q), cfg.rx_ring_depth));
     rx_rings_.back()->feed_from_wire(
-        sim_, [this](const pkt::Packet& frame, core::SimTime at) {
+        sim_, [this](pkt::Frame& frame, core::SimTime at) {
           count_arrival(frame, at);
         });
     tx_rings_.push_back(std::make_unique<ring::SpscRing>(
@@ -38,6 +42,7 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
 }
 
 NicPort::~NicPort() {
+  sim_.remove_lane(tx_lane_);
   if (registry_ != nullptr) registry_->remove(this);
 }
 
@@ -85,22 +90,16 @@ void NicPort::wake_tx() {
 }
 
 void NicPort::arm_fetch(core::SimTime at, core::SimTime as_armed_at) {
-  if (tx_busy_) {
-    if (tx_fetch_at_ <= at) return;
-    // The armed fetch waits for a source's next emit, and a frame pushed
-    // in meanwhile is due earlier.
-    sim_.cancel_timer(tx_timer_);
-  }
-  // The TX timer is one adaptive recurring timer: serialize_step returns
-  // the delay to each next fetch and stops it when nothing is left.
-  const core::SimTime now = sim_.now();
+  // When the armed fetch waits for a source's next emit, a frame pushed in
+  // meanwhile may be due earlier: re-arming replaces the pending fetch.
+  if (tx_busy_ && tx_fetch_at_ <= at) return;
+  // serialize_step returns the delay to each next fetch and stops the lane
+  // when nothing is left.
   tx_busy_ = true;
   tx_fetch_at_ = at;
-  tx_armed_at_ = now;
+  tx_armed_at_ = sim_.now();
   tx_as_armed_at_ = as_armed_at;
-  tx_timer_ = sim_.schedule_every(
-      at - now,
-      core::Simulator::RecurringFn([this] { return serialize_step(); }));
+  sim_.arm_lane(tx_lane_, at);
 }
 
 void NicPort::pull_sources(core::SimTime armed_at) {
@@ -152,34 +151,34 @@ core::SimDuration NicPort::serialize_step() {
   tx_armed_at_ = now;
   tx_as_armed_at_ = now;
   // Round-robin across TX queues (82599 WRR with equal weights).
-  pkt::PacketHandle p;
+  pkt::Frame f;
   for (std::size_t k = 0; k < tx_rings_.size(); ++k) {
     const std::size_t q = (tx_rr_ + k) % tx_rings_.size();
-    p = tx_rings_[q]->dequeue();
-    if (p) {
+    f = tx_rings_[q]->dequeue_frame();
+    if (f) {
       tx_rr_ = (q + 1) % tx_rings_.size();
       last_fetch_.ring = tx_rings_[q].get();
       break;
     }
   }
-  if (p) {
+  if (f) {
     // The frame occupies the wire for `ser` from now; everything that
     // happens when its last bit leaves the MAC is known already, so do it
-    // here.
-    const core::SimDuration ser = cfg_.rate.serialization_time(p->size());
+    // here. A generator's frame goes on unbuilt.
+    const core::SimDuration ser = cfg_.rate.serialization_time(f.size());
     ++tx_frames_;
-    if (cfg_.hw_timestamping && p->probe_id != 0 &&
-        p->tx_timestamp == core::kNoTimestamp) {
-      p->tx_timestamp = now + ser;
+    if (cfg_.hw_timestamping && f.probe_id() != 0 &&
+        f.packet().tx_timestamp == core::kNoTimestamp) {
+      f.packet().tx_timestamp = now + ser;  // a probe is built
     }
     if (core::TraceSink* t = core::tracer()) {
-      if (p->trace_id != 0) {
+      if (f.trace_id() != 0) {
         t->complete(t->track("nic/" + name_ + "/wire"), "wire", now, ser,
-                    p->seq);
+                    f.seq());
       }
     }
-    if (cable_ != nullptr) cable_->transmit(*this, std::move(p), ser);
-    // No cable: frame vanishes (unplugged port), handle frees it.
+    if (cable_ != nullptr) cable_->transmit(*this, std::move(f), ser);
+    // No cable: the frame vanishes (unplugged port) and is freed.
     wire_free_at_ = now + ser;
     const bool drained =
         std::all_of(tx_rings_.begin(), tx_rings_.end(),
@@ -200,30 +199,29 @@ core::SimDuration NicPort::serialize_step() {
   return tx_fetch_at_ - now;
 }
 
-std::size_t NicPort::rss_queue(const pkt::Packet& p) const {
+std::size_t NicPort::rss_queue(const pkt::Frame& f) const {
   if (rx_rings_.size() == 1) return 0;
-  const auto tuple = pkt::parse_five_tuple(p.bytes());
+  const auto tuple = f.five_tuple();
   if (!tuple) return 0;  // non-IP lands on queue 0
   return static_cast<std::size_t>(tuple->hash() % rx_rings_.size());
 }
 
-void NicPort::deliver_from_wire(pkt::PacketHandle p,
-                                core::SimDuration delay) {
-  ring::SpscRing& ring = *rx_rings_[rss_queue(*p)];
+void NicPort::deliver_from_wire(pkt::Frame&& f, core::SimDuration delay) {
+  ring::SpscRing& ring = *rx_rings_[rss_queue(f)];
   const core::SimTime at = sim_.now() + delay + cfg_.dma_rx_latency;
   if (ring.has_timed_sink()) {
-    count_arrival(*p, at);
-    ring.deliver(std::move(p), at);
+    count_arrival(f, at);
+    ring.deliver(f.take(), at);
     return;
   }
-  ring.arrive(std::move(p), at);  // counted when put in; overflow => imissed
+  ring.arrive(std::move(f), at);  // counted when it lands; overflow => imissed
 }
 
-void NicPort::count_arrival(const pkt::Packet& frame, core::SimTime at) {
+void NicPort::count_arrival(pkt::Frame& f, core::SimTime at) {
   ++rx_frames_;
-  if (cfg_.hw_timestamping && frame.probe_id != 0 && rx_ts_hook_) {
+  if (cfg_.hw_timestamping && f.probe_id() != 0 && rx_ts_hook_) {
     // 82599 stamps PTP frames at the MAC, before DMA.
-    rx_ts_hook_(frame, at - cfg_.dma_rx_latency);
+    rx_ts_hook_(f.packet(), at - cfg_.dma_rx_latency);
   }
 }
 

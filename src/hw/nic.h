@@ -8,23 +8,28 @@
 // including Ethernet preamble/IFG overhead, connected to a peer via a
 // Cable; TX queues are drained round-robin onto the single wire.
 //
-// Events per frame on a wire: the TX firing that fetches it, which already
+// Firings per frame on a wire: the TX fetch that sends it, which already
 // knows when its last bit leaves and when its RX DMA completes at the peer
-// (propagation included). The arrival costs an event only where something
-// must happen at that instant:
+// (propagation included). Fetches fire on the port's simulator lane
+// (core/simulator.h), outside the timing wheel but in the order the wheel
+// would give them. The arrival costs an event only where something must
+// happen at that instant:
 //  * a generator attached as a TxSource is pulled at fetch time: the fetch
 //    first enqueues every frame the generator owes by then, each stamped
 //    with its own emit time, and when the rings drain the next fetch is
-//    armed for the generator's next emit;
+//    armed for the generator's next emit. A generator's frames travel
+//    unbuilt (pkt/frame.h): the port reads their size, 5-tuple and
+//    sequence number without building them;
 //  * an RX ring with a timed sink (a monitor) gets each frame in the
 //    sender's fetch firing, stamped with its arrival time;
 //  * every other RX ring is read lazily (ring/spsc_ring.h): the frame
 //    waits in the ring's in-flight FIFO and is put in, counted and
 //    timestamped, or lost to imissed, by the first read after it arrived,
-//    exactly as its arrival event would have done. An event at the
-//    arrival is kept only while the ring's consumer is idle, to wake it at
-//    that picosecond; a switch in the middle of a round (DPDK rx_burst)
-//    just finds the frame at its next poll.
+//    exactly as its arrival event would have done; one lost to imissed is
+//    never built. An event at the arrival is kept only while the ring's
+//    consumer is idle, to wake it at that picosecond; a switch in the
+//    middle of a round (DPDK rx_burst) just finds the frame at its next
+//    poll.
 //
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
@@ -43,6 +48,7 @@
 #include "core/simulator.h"
 #include "core/units.h"
 #include "hw/tx_source.h"
+#include "pkt/frame.h"
 #include "ring/spsc_ring.h"
 
 namespace nfvsb::core {
@@ -73,9 +79,13 @@ class NicPort {
     core::SimDuration dma_tx_latency{core::from_ns(1000)};
   };
 
+  /// Takes one of `sim`'s lanes for the TX fetch, so a simulator holds
+  /// at most core::Simulator::kMaxLanes ports at once (std::length_error
+  /// beyond that; a Testbed has four).
   NicPort(core::Simulator& sim, std::string name, Config cfg);
   NicPort(core::Simulator& sim, std::string name)
       : NicPort(sim, std::move(name), Config{}) {}
+  /// Releases the port's TX lane: a pending fetch dies with the port.
   ~NicPort();
 
   NicPort(const NicPort&) = delete;
@@ -117,9 +127,9 @@ class NicPort {
   /// `dma_rx_latency` later, at arrival time `at`. Arrival counts the
   /// frame, runs the RX timestamp hook and puts it on its RSS queue's RX
   /// ring (overflow counts as imissed). A ring with a timed sink gets it
-  /// now, passed `at`; any other ring gets it in flight (SpscRing::arrive)
-  /// and arrival happens at the first read after `at`.
-  void deliver_from_wire(pkt::PacketHandle p, core::SimDuration delay);
+  /// now, built, passed `at`; any other ring gets it in flight
+  /// (SpscRing::arrive) and arrival happens at the first read after `at`.
+  void deliver_from_wire(pkt::Frame&& f, core::SimDuration delay);
 
   /// Pull frames from `s` at every TX fetch (see hw/tx_source.h). Several
   /// sources merge in (emit time, attach order). A source must call
@@ -154,15 +164,16 @@ class NicPort {
   /// Queue-sampler hook: make the TX rings read as they would with every
   /// frame enqueued at its emit time.
   void sync_for_sampling(core::SimTime armed_at);
-  /// One firing of the TX timer: pull the sources, fetch the next frame
+  /// One firing of the TX lane: pull the sources, fetch the next frame
   /// and send it down the cable. Returns the delay to the next fetch: the
   /// frame's serialization time while the rings hold frames, the sources'
   /// next emit once they drain, kStopTimer when there is none.
   core::SimDuration serialize_step();
-  [[nodiscard]] std::size_t rss_queue(const pkt::Packet& p) const;
+  /// The frame's RSS queue, read without building it.
+  [[nodiscard]] std::size_t rss_queue(const pkt::Frame& f) const;
   /// Count an arriving frame and pass a probe's MAC time to the RX
-  /// timestamp hook; `at` is when its DMA completes.
-  void count_arrival(const pkt::Packet& frame, core::SimTime at);
+  /// timestamp hook (building the probe); `at` is when its DMA completes.
+  void count_arrival(pkt::Frame& f, core::SimTime at);
 
   core::Simulator& sim_;
   std::string name_;
@@ -171,9 +182,10 @@ class NicPort {
   std::vector<std::unique_ptr<ring::SpscRing>> tx_rings_;
   Cable* cable_{nullptr};
   std::vector<TxSource*> tx_sources_;
-  /// The TX timer is running: a fetch is armed for tx_fetch_at_.
+  /// The TX fetch lane: serialize_step, armed for tx_fetch_at_ while
+  /// tx_busy_.
+  core::Simulator::LaneId tx_lane_;
   bool tx_busy_{false};
-  core::Simulator::TimerId tx_timer_{core::Simulator::kInvalidTimer};
   core::SimTime tx_fetch_at_{0};
   /// When the armed fetch was armed, and when it counts as armed for the
   /// order of same-instant work: a fetch armed for a source's next frame

@@ -7,12 +7,12 @@
 namespace nfvsb::hw {
 
 Testbed::Testbed(core::Simulator& sim, Config cfg) {
-  nodes_.resize(2);
-  next_core_.assign(2, 0);
-  for (int n = 0; n < 2; ++n) {
+  nodes_.resize(kNodes);
+  next_core_.assign(kNodes, 0);
+  for (int n = 0; n < kNodes; ++n) {
     auto& node = nodes_[static_cast<std::size_t>(n)];
     node.id = n;
-    for (int p = 0; p < 2; ++p) {
+    for (int p = 0; p < kPortsPerNode; ++p) {
       node.nic_ports.push_back(std::make_unique<NicPort>(
           sim, "nic" + std::to_string(n) + "." + std::to_string(p), cfg.nic));
     }
@@ -22,7 +22,7 @@ Testbed::Testbed(core::Simulator& sim, Config cfg) {
     }
   }
   // Wire node 0's ports to node 1's ports (Fig. 3 blue arrows).
-  for (int p = 0; p < 2; ++p) {
+  for (int p = 0; p < kPortsPerNode; ++p) {
     cables_.push_back(std::make_unique<Cable>(sim, nic(0, p), nic(1, p)));
   }
 }

@@ -32,6 +32,13 @@ class Testbed {
     NicPort::Config nic;
   };
 
+  static constexpr int kNodes = 2;
+  static constexpr int kPortsPerNode = 2;
+  // Each NIC port takes one of its simulator's fixed lanes for its TX
+  // fetch (core/simulator.h), so a simulator holds at most kMaxLanes ports.
+  static_assert(kNodes * kPortsPerNode <= core::Simulator::kMaxLanes,
+                "one simulator lane per NIC port");
+
   Testbed(core::Simulator& sim, Config cfg);
   explicit Testbed(core::Simulator& sim) : Testbed(sim, Config{}) {}
 

@@ -10,7 +10,9 @@
 // TX-ring drops, come out as if each frame had been enqueued at its emit
 // time, because nothing dequeues between two fetches. This mirrors real
 // MoonGen, which leaves pacing to the NIC and sends from pre-filled
-// buffers (Emmerich et al., IMC 2015).
+// buffers (Emmerich et al., IMC 2015). A source may enqueue built packets
+// or unbuilt frames (pkt::Frame, SpscRing::enqueue); MoonGen enqueues
+// unbuilt ones, so a frame the far end drops is never built.
 #pragma once
 
 #include <limits>

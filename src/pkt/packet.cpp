@@ -11,23 +11,10 @@ void Packet::resize(std::uint32_t n) {
   size_ = n;
 }
 
-PacketHandle& PacketHandle::operator=(PacketHandle&& o) noexcept {
-  if (this != &o) {
-    reset();
-    p_ = o.p_;
-    o.p_ = nullptr;
-  }
-  return *this;
-}
-
-PacketHandle::~PacketHandle() { reset(); }
-
-void PacketHandle::reset() {
-  if (p_ != nullptr) {
-    assert(p_->owner_ != nullptr);
-    p_->owner_->free_packet(p_);
-    p_ = nullptr;
-  }
+void PacketHandle::free_to_pool() {
+  assert(p_->owner_ != nullptr);
+  p_->owner_->free_packet(p_);
+  p_ = nullptr;
 }
 
 }  // namespace nfvsb::pkt

@@ -85,8 +85,17 @@ class PacketHandle {
   PacketHandle(const PacketHandle&) = delete;
   PacketHandle& operator=(const PacketHandle&) = delete;
   PacketHandle(PacketHandle&& o) noexcept : p_(o.p_) { o.p_ = nullptr; }
-  PacketHandle& operator=(PacketHandle&& o) noexcept;
-  ~PacketHandle();
+  // Inline, like reset(): handles are moved and destroyed empty far more
+  // often than they free a packet.
+  PacketHandle& operator=(PacketHandle&& o) noexcept {
+    if (this != &o) {
+      reset();
+      p_ = o.p_;
+      o.p_ = nullptr;
+    }
+    return *this;
+  }
+  ~PacketHandle() { reset(); }
 
   [[nodiscard]] Packet* get() const { return p_; }
   Packet* operator->() const { return p_; }
@@ -100,9 +109,14 @@ class PacketHandle {
     return p;
   }
 
-  void reset();
+  void reset() {
+    if (p_ != nullptr) free_to_pool();
+  }
 
  private:
+  /// Return the packet to its pool and empty the handle.
+  void free_to_pool();
+
   Packet* p_{nullptr};
 };
 

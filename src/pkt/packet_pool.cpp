@@ -23,20 +23,35 @@ PacketPool::~PacketPool() {
 }
 
 PacketHandle PacketPool::allocate() {
-  if (free_list_ == nullptr && reclaim_) reclaim_();
+  if (!reserve()) return {};
+  return allocate_reserved();
+}
+
+bool PacketPool::reserve() {
+  if (outstanding_ >= capacity_ && reclaim_) reclaim_();
+  if (outstanding_ >= capacity_) {
+    ++alloc_failures_;
+    return false;
+  }
+  ++outstanding_;
+  return true;
+}
+
+PacketHandle PacketPool::allocate_reserved() {
+  // Occupancy counts every reservation, so a buffer is always left for
+  // one: fewer than capacity_ buffers are out.
+  assert(outstanding_ > 0);
   Packet* p = free_list_;
   if (p != nullptr) {
     free_list_ = p->pool_next_;
     p->pool_next_ = nullptr;
-  } else if (constructed_ < capacity_) {
+  } else {
+    assert(constructed_ < capacity_);
     // First use of this slot (Packet's ctor is private to its friends).
     p = ::new (static_cast<void*>(&slab_[constructed_++])) Packet();
     p->owner_ = this;
-  } else {
-    ++alloc_failures_;
-    return {};
   }
-  ++outstanding_;
+  ++handed_out_;
   // Reset metadata; payload bytes are overwritten by the producer.
   p->size_ = 0;
   p->seq = 0;

@@ -14,15 +14,21 @@
 // buffer (LIFO) and reaches a never-used one only when the free list is
 // empty; buffers come out in slab order until the first one is freed.
 //
-// A component may hold buffers whose fate is already sealed but not yet
+// A reservation (reserve()) counts as a handed-out buffer without taking
+// one: a generator frame that is not built yet holds one from its emit to
+// its landing (pkt/frame.h), and either turns it into a buffer
+// (allocate_reserved) or gives it back. Occupancy, and so exhaustion,
+// counts reservations and buffers alike.
+//
+// A component may hold frames whose fate is already sealed but not yet
 // applied: a wire-fed ring keeps frames that have arrived but are not yet
 // put in, and some of them will overflow (ring/spsc_ring.h, lazy RX). The
-// reclaim hook lets it settle them before allocate() constructs a buffer
-// or fails, so the pool's occupancy at every allocation, its exhaustion
-// and its footprint are those of a data path that delivered each frame at
-// its arrival.
+// reclaim hook lets it settle them before the pool runs out, so the
+// pool's occupancy at every allocation, and its exhaustion, are those of
+// a data path that delivered each frame at its arrival.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <memory>
 #include <type_traits>
@@ -45,11 +51,22 @@ class PacketPool {
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
-  /// Empty handle on exhaustion.
+  /// reserve() then allocate_reserved(). Empty handle on exhaustion.
   [[nodiscard]] PacketHandle allocate();
 
-  /// Called when allocate() finds no freed buffer, before it constructs one
-  /// or fails (see above).
+  /// Reserve one buffer without taking it (see above). False on
+  /// exhaustion, which counts as an allocation failure.
+  [[nodiscard]] bool reserve();
+  /// Take the buffer a reserve() set aside. Never fails.
+  [[nodiscard]] PacketHandle allocate_reserved();
+  /// Give a reservation back unused.
+  void release_reservation() {
+    assert(outstanding_ > 0);
+    --outstanding_;
+  }
+
+  /// Called when reserve() finds the pool full, before it fails (see
+  /// above).
   using Reclaim = core::SmallFn<void>;
   void set_reclaim(Reclaim r) { reclaim_ = std::move(r); }
 
@@ -63,6 +80,9 @@ class PacketPool {
     return capacity_ - outstanding_;
   }
   [[nodiscard]] std::uint64_t alloc_failures() const { return alloc_failures_; }
+  /// Buffers handed out so far: by allocate(), clone() and
+  /// allocate_reserved(), i.e. frames built.
+  [[nodiscard]] std::uint64_t handed_out() const { return handed_out_; }
 
   /// True when `p` is a buffer of this pool's slab that has been handed out
   /// at least once (range check; used by audits and tests, not the data
@@ -84,7 +104,9 @@ class PacketPool {
   static_assert(std::is_trivially_destructible_v<Packet>);
 
   std::size_t capacity_;
+  /// Buffers handed out plus reservations.
   std::size_t outstanding_{0};
+  std::uint64_t handed_out_{0};
   core::Counter alloc_failures_;
   std::unique_ptr<Slot[]> slab_;
   /// Slots [0, constructed_) hold Packets; the rest were never used.

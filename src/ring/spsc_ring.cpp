@@ -32,17 +32,17 @@ SpscRing::~SpscRing() {
   if (wake_ != core::EventQueue::kInvalidEvent) sim_->cancel(wake_);
 }
 
-bool SpscRing::enqueue(pkt::PacketHandle p) {
+bool SpscRing::enqueue(pkt::Frame&& f) {
   assert(!timed_sink_ && "a timed sink is fed through deliver()");
   catch_up();
-  return push(std::move(p), core::kNoTimestamp);
+  return push(std::move(f), core::kNoTimestamp);
 }
 
-bool SpscRing::push(pkt::PacketHandle p, core::SimTime at) {
+bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
   if (sink_) {
     ++enqueued_;
     ++dequeued_;
-    sink_(std::move(p));
+    sink_(f.take());
     return true;
   }
   if (q_.size() >= capacity_) {
@@ -50,13 +50,13 @@ bool SpscRing::push(pkt::PacketHandle p, core::SimTime at) {
     if (core::TraceSink* t = core::tracer()) {
       t->instant(t->track("ring/" + name_), "drop", at);
     }
-    return false;  // handle destructor frees the packet
+    return false;  // the frame's destructor frees it or its reservation
   }
   const bool was_empty = q_.empty();
   if (core::TraceSink* t = core::tracer()) {
-    if (p->trace_id != 0) t->async_begin(p->trace_id, name_, at);
+    if (f.trace_id() != 0) t->async_begin(f.trace_id(), name_, at);
   }
-  q_.push_back(std::move(p));
+  q_.push_back(std::move(f));
   ++enqueued_;
   if (watcher_) {
     arriving_at_ = at;
@@ -70,9 +70,12 @@ void SpscRing::feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival) {
   on_arrival_ = std::move(on_arrival);
 }
 
-void SpscRing::arrive(pkt::PacketHandle p, core::SimTime at) {
+void SpscRing::arrive(pkt::Frame&& f, core::SimTime at) {
   assert(sim_ != nullptr && "feed_from_wire first");
-  in_flight_.push_back(InFlight{at, sim_->reserve_order(), std::move(p)});
+  // Land what has arrived first, like any read: a consumer that stays busy
+  // without reading this ring must not let the in-flight FIFO grow.
+  catch_up();
+  in_flight_.push_back(InFlight{at, sim_->reserve_order(), std::move(f)});
   assert(in_flight_.size() == 1 ||
          in_flight_[in_flight_.size() - 2].at <= at);
   sync_wake();
@@ -83,8 +86,11 @@ void SpscRing::land_arrived() {
   // ring again from inside the loop.
   while (!in_flight_.empty() && landed(in_flight_[0])) {
     InFlight f = in_flight_.pop_front();
-    on_arrival_(*f.frame, f.at);
-    push(std::move(f.frame), f.at);  // overflow counts as a drop
+    on_arrival_(f.frame, f.at);
+    // A frame that fits is DMA'd, so built; one that overflows is imissed
+    // and never built.
+    if (q_.size() < capacity_) f.frame.build();
+    push(std::move(f.frame), f.at);
   }
   sync_wake();
 }
@@ -108,14 +114,19 @@ void SpscRing::sync_wake() {
 }
 
 pkt::PacketHandle SpscRing::dequeue() {
+  pkt::Frame f = dequeue_frame();
+  return f ? f.take() : pkt::PacketHandle{};
+}
+
+pkt::Frame SpscRing::dequeue_frame() {
   catch_up();
   if (q_.empty()) return {};
-  pkt::PacketHandle p = q_.pop_front();
+  pkt::Frame f = q_.pop_front();
   ++dequeued_;
   if (core::TraceSink* t = core::tracer()) {
-    if (p->trace_id != 0) t->async_end(p->trace_id, name_);
+    if (f.trace_id() != 0) t->async_end(f.trace_id(), name_);
   }
-  return p;
+  return f;
 }
 
 void SpscRing::set_sink(Sink s) {
@@ -135,7 +146,7 @@ void SpscRing::clear() {
     // Close the residency slice of any traced resident, or the lifecycle
     // track would end with an unbalanced "b".
     for (std::size_t i = 0; i < q_.size(); ++i) {
-      if (q_[i]->trace_id != 0) t->async_end(q_[i]->trace_id, name_);
+      if (q_[i].trace_id() != 0) t->async_end(q_[i].trace_id(), name_);
     }
   }
   q_.clear();

@@ -12,6 +12,13 @@
 //    time: its producer (a NIC) hands packets over with deliver() as soon
 //    as it knows that time, which may be ahead of now.
 //
+// Unbuilt frames. The ring holds pkt::Frames (pkt/frame.h): built
+// packets, or generator frames that are not built yet. A frame that
+// overflows is counted as a drop and never built. One enqueued unbuilt
+// stays so until a read needs its bytes (dequeue); a NIC's TX fetch takes
+// the head as it is (dequeue_frame). A wire-fed ring builds each frame
+// that fits as it lands, as a NIC DMAs it.
+//
 // Lazy RX. A ring fed from a wire (a NIC RX ring, feed_from_wire) learns
 // each frame's arrival time when the frame leaves the sender, and keeps it
 // in flight until then. Every read (dequeue, size, empty, full, the
@@ -27,9 +34,10 @@
 // A frame arriving at the very instant of a read counts as arrived when
 // its key is not after the reading event's (core::Simulator::reached).
 //
-// Enqueueing into a full ring drops the packet (freed back to its pool) and
-// counts the drop — this is where all simulated loss happens, exactly as in
-// the real systems (NIC imissed, vring full, link overflow).
+// Enqueueing into a full ring drops the packet (freed back to its pool, or
+// an unbuilt frame's reservation given back) and counts the drop — this is
+// where all simulated loss happens, exactly as in the real systems (NIC
+// imissed, vring full, link overflow).
 //
 // Storage is a core::Fifo: one power-of-two circular buffer that grows
 // only on a new high-water mark, and never past the first power of two
@@ -54,6 +62,7 @@
 #include "core/fifo.h"
 #include "core/simulator.h"
 #include "core/time.h"
+#include "pkt/frame.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -71,8 +80,9 @@ class SpscRing {
   using Watcher = core::SmallFn<void, bool>;
   using Sink = core::SmallFn<void, pkt::PacketHandle>;
   using TimedSink = core::SmallFn<void, pkt::PacketHandle, core::SimTime>;
-  /// Called as each wire-fed frame is put in, with its arrival time.
-  using ArrivalFn = core::SmallFn<void, const pkt::Packet&, core::SimTime>;
+  /// Called as each wire-fed frame lands, before it is put in or dropped,
+  /// with its arrival time. The frame may be unbuilt.
+  using ArrivalFn = core::SmallFn<void, pkt::Frame&, core::SimTime>;
 
   SpscRing(std::string name, std::size_t capacity);
   ~SpscRing();
@@ -80,11 +90,15 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// True if accepted; false if the ring was full (packet dropped & freed).
-  bool enqueue(pkt::PacketHandle p);
+  /// True if accepted; false if the ring was full (packet dropped & freed,
+  /// or an unbuilt frame's reservation given back).
+  bool enqueue(pkt::Frame&& f);
 
-  /// Empty handle when the ring is empty.
+  /// Empty handle when the ring is empty. An unbuilt head is built.
   pkt::PacketHandle dequeue();
+  /// The head as it is, built or not (a NIC's TX fetch); empty when the
+  /// ring is empty.
+  pkt::Frame dequeue_frame();
 
   // Reads put in the frames that have arrived by now first (see above).
   [[nodiscard]] std::size_t size() {
@@ -129,7 +143,7 @@ class SpscRing {
   void feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival);
   /// A frame that left its sender now lands here at `at`. Arrival times
   /// must not decrease (one wire feeds the ring).
-  void arrive(pkt::PacketHandle p, core::SimTime at);
+  void arrive(pkt::Frame&& f, core::SimTime at);
   /// Put in every in-flight frame that has arrived by now, in arrival
   /// order (each read does this itself).
   void catch_up() {
@@ -177,11 +191,11 @@ class SpscRing {
     core::SimTime at{0};
     /// Order key reserved when the frame left its sender.
     std::uint64_t order{0};
-    pkt::PacketHandle frame;
+    pkt::Frame frame;
   };
 
-  /// Enqueue a packet that reached the ring at `at` (kNoTimestamp: now).
-  bool push(pkt::PacketHandle p, core::SimTime at);
+  /// Enqueue a frame that reached the ring at `at` (kNoTimestamp: now).
+  bool push(pkt::Frame&& f, core::SimTime at);
   [[nodiscard]] bool landed(const InFlight& f) const {
     return sim_->reached(f.at, f.order);
   }
@@ -192,7 +206,7 @@ class SpscRing {
 
   std::string name_;
   std::size_t capacity_;
-  core::Fifo<pkt::PacketHandle> q_;
+  core::Fifo<pkt::Frame> q_;
   Watcher watcher_;
   Sink sink_;
   TimedSink timed_sink_;

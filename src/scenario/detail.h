@@ -65,13 +65,15 @@ struct Env {
     return std::make_unique<obs::TraceRecorder>(sim, tc);
   }
 
-  /// Fold the registry snapshot, the simulator's event count and any
-  /// sampler summaries into `r`. Call after the final drain, before the Env
-  /// goes out of scope.
+  /// Fold the simulator's work, and in observed runs the registry
+  /// snapshot, the simulator's counts and any sampler summaries, into `r`.
+  /// Call after the final drain, before the Env goes out of scope.
   void collect(ScenarioResult& r) const {
+    r.work = {sim.events_processed(), sim.lanes_fired(), pool.handed_out()};
     if (!registry) return;
     r.counters = registry->snapshot();
     r.counters.emplace_back("sim/events_processed", sim.events_processed());
+    r.counters.emplace_back("sim/lane_fired", sim.lanes_fired());
     if (sampler) sampler->append_summary(r.counters);
     std::sort(r.counters.begin(), r.counters.end());
     for (const auto& [path, value] : r.counters) {

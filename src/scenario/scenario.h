@@ -143,6 +143,25 @@ struct ScenarioResult {
 
   /// Registry snapshot (cfg.observe / queue sampling); sorted by path.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
+
+  /// What the run cost the simulator, over the whole run. Deterministic
+  /// like every field, but not part of the serialized result.
+  struct Work {
+    /// Events fired from the timing wheel (sim/events_processed).
+    std::uint64_t wheel_events{0};
+    /// NIC TX fetches, fired on lanes (sim/lane_fired).
+    std::uint64_t lane_fired{0};
+    /// Packet buffers handed out: frames built (pkt/frame.h).
+    std::uint64_t frames_built{0};
+
+    Work& operator+=(const Work& o) {
+      wheel_events += o.wheel_events;
+      lane_fired += o.lane_fired;
+      frames_built += o.frames_built;
+      return *this;
+    }
+  };
+  Work work;
 };
 
 /// Why `cfg` cannot be built, or nullopt when it can. Every rejection

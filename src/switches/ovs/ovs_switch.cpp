@@ -38,8 +38,7 @@ OvsSwitch::OvsSwitch(core::Simulator& sim, hw::CpuCore& core,
     : SwitchBase(sim, core, std::move(name), cost) {}
 
 std::uint64_t OvsSwitch::rule_packets(std::uint32_t rule_id) const {
-  const auto it = rule_packets_.find(rule_id);
-  return it == rule_packets_.end() ? 0 : it->second;
+  return rule_id < rule_packets_.size() ? rule_packets_[rule_id] : 0;
 }
 
 void OvsSwitch::wire(std::span<const PortPair> pairs) {
@@ -85,7 +84,12 @@ double OvsSwitch::process_batch(ring::Port& in,
       continue;
     }
 
-    if (action.rule_id != 0) ++rule_packets_[action.rule_id];
+    if (action.rule_id != 0) {
+      if (action.rule_id >= rule_packets_.size()) {
+        rule_packets_.resize(action.rule_id + 1);
+      }
+      ++rule_packets_[action.rule_id];
+    }
     if (action.type == ActionType::kOutput && action.out_port < num_ports()) {
       out.push_back(Tx{&port(action.out_port), std::move(p)});
     }

@@ -13,8 +13,8 @@
 // imposed by its match/action pipeline").
 #pragma once
 
-#include <map>
 #include <span>
+#include <vector>
 
 #include "core/simulator.h"
 #include "switches/ovs/emc.h"
@@ -67,7 +67,9 @@ class OvsSwitch final : public SwitchBase {
   Emc emc_;
   MegaflowCache megaflow_;
   OpenFlowTable openflow_;
-  std::map<std::uint32_t, std::uint64_t> rule_packets_;
+  /// n_packets by rule id (ids count up from 1), grown when a rule first
+  /// matches.
+  std::vector<std::uint64_t> rule_packets_;
   LookupCosts lookup_costs_;
   std::uint64_t upcalls_{0};
 };

@@ -17,7 +17,7 @@ MoonGen::MoonGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
     : sim_(sim),
       pool_(pool),
       cfg_(cfg),
-      frame_(cfg.frame),
+      recipe_(cfg.frame, cfg.num_flows, cfg.origin),
       rx_meter_(cfg.meter_open_at) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
@@ -88,31 +88,32 @@ void MoonGen::emit_due(core::SimTime upto, core::SimTime armed_at) {
 }
 
 void MoonGen::emit_one(core::SimTime at) {
-  pkt::PacketHandle p = pool_.allocate();
-  if (!p) {
+  // Every frame takes a pool reservation. A plain one for a NIC stays
+  // unbuilt until something reads it (pkt/frame.h); the rest are built now.
+  if (!pool_.reserve()) {
     ++pool_exhausted_;
     return;
   }
-  p->seq = ++seq_;
-  if (cfg_.num_flows > 1) {
-    // Cycle source ports round-robin: each value is one flow for EMC /
-    // megaflow purposes.
-    frame_.stamp(*p, p->seq,
-                 static_cast<std::uint16_t>(cfg_.frame.src_port +
-                                            (p->seq - 1) % cfg_.num_flows));
-  } else {
-    frame_.stamp(*p, p->seq);
-  }
-  p->origin = cfg_.origin;
+  pkt::FrameMeta meta;
+  meta.seq = ++seq_;
   if (core::TraceSink* t = core::tracer()) {
-    if (t->sample_hit(seq_)) p->trace_id = t->next_packet_id();
+    if (t->sample_hit(seq_)) meta.trace_id = t->next_packet_id();
   }
   if (cfg_.probe_interval > 0 && at >= next_probe_at_) {
-    p->probe_id = ++probe_seq_;
+    meta.probe_id = ++probe_seq_;
     next_probe_at_ = at + cfg_.probe_interval;
-    if (cfg_.software_timestamps) p->sw_timestamp = at;
+    if (cfg_.software_timestamps) meta.sw_timestamp = at;
   }
-  if (send(std::move(p))) {
+  bool sent;
+  if (tx_nic_ != nullptr && meta.probe_id == 0 && meta.trace_id == 0) {
+    sent = tx_nic_->tx_ring().enqueue(pkt::Frame(recipe_, pool_, meta.seq));
+  } else {
+    pkt::PacketHandle p = pool_.allocate_reserved();
+    recipe_.build(*p, meta);
+    sent = tx_nic_ != nullptr ? tx_nic_->tx_ring().enqueue(std::move(p))
+                              : tx_guest_->tx(std::move(p));
+  }
+  if (sent) {
     ++tx_sent_;
   } else {
     ++tx_failed_;
@@ -125,11 +126,6 @@ core::SimDuration MoonGen::gap() {
   const auto whole = static_cast<core::SimDuration>(exact);
   pace_frac_ = exact - static_cast<double>(whole);
   return whole;
-}
-
-bool MoonGen::send(pkt::PacketHandle p) {
-  if (tx_nic_ != nullptr) return tx_nic_->tx_ring().enqueue(std::move(p));
-  return tx_guest_->tx(std::move(p));
 }
 
 void MoonGen::attach_rx_nic(hw::NicPort& nic) {

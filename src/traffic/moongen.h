@@ -14,14 +14,17 @@
 //    overheads as negligible (Sec. 5.3).
 //
 // Like the real tool it costs the simulation nothing per frame. Every
-// frame is a copy of one prebuilt frame (pkt::FrameTemplate), with the
+// frame is a copy of one prebuilt frame (pkt::FrameRecipe), with the
 // sequence tag and, over several flows, the UDP source port patched. Emit
 // times follow from the pacing alone: one emission routine (emit_due)
 // enqueues every frame due by a given time, each stamped with its own emit
 // time, and two clocks drive it. On a NIC, the NIC pulls it at every TX
 // fetch (the generator is a hw::TxSource), as the real MoonGen leaves
 // pacing to the NIC's rate control; on a guest port, which has no fetch,
-// its own recurring timer fires at each emit. On the receive side, a
+// its own recurring timer fires at each emit. A frame sent through a NIC
+// is enqueued unbuilt (pkt::Frame) and built only where it is first read,
+// so one the receiving RX ring drops is never built; the generator must
+// outlive its frames' builds. On the receive side, a
 // monitored NIC hands each frame over in the firing that sends it down the
 // wire, stamped with its arrival time, so meters and latency recorders
 // take that time rather than now().
@@ -36,6 +39,7 @@
 #include "hw/nic.h"
 #include "hw/tx_source.h"
 #include "pkt/crafting.h"
+#include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/vhost_user_port.h"
 #include "stats/latency_recorder.h"
@@ -118,7 +122,6 @@ class MoonGen final : public hw::TxSource {
   /// the next re-arm so the long-run rate matches pace_pps_ exactly
   /// (truncating it every packet inflated the rate by up to 1 ps/packet).
   [[nodiscard]] core::SimDuration gap();
-  bool send(pkt::PacketHandle p);
   /// Count a frame that arrived at `at`; `sw_latency` records a software-
   /// stamped probe's latency too.
   void on_rx(const pkt::Packet& p, core::SimTime at, bool sw_latency);
@@ -126,7 +129,7 @@ class MoonGen final : public hw::TxSource {
   core::Simulator& sim_;
   pkt::PacketPool& pool_;
   Config cfg_;
-  pkt::FrameTemplate frame_;
+  pkt::FrameRecipe recipe_;
   hw::NicPort* tx_nic_{nullptr};
   ring::GuestPort* tx_guest_{nullptr};
   double pace_pps_{0};

@@ -1,9 +1,12 @@
-// Event budget: simulator events per offered packet, one observed point per
+// Event budget: simulator work per offered packet, one observed point per
 // scenario kind plus a paced p2p point with probes, at the default windows
-// and seed. Event counts depend on
-// nothing but the model and the seed, so unlike wall-clock time they can be
-// gated exactly; each bound sits about 1% above the measured count, so a
-// change that adds events to the per-packet path fails here first.
+// and seed. Three counts, each gated on its own: events fired from the
+// timing wheel, lane firings (NIC TX fetches, core/simulator.h) and frames
+// built (pool buffers handed out, pkt/frame.h), so moving work off the
+// wheel never reads as removing it. The counts depend on nothing but the
+// model and the seed, so unlike wall-clock time they can be gated exactly;
+// each bound sits about 1% above the measured count, so a change that adds
+// work to the per-packet path fails here first.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,8 +25,10 @@ struct Budget {
   /// Offered rate (0 = saturate) and probe interval (0 = none).
   double rate_pps;
   core::SimDuration probe_interval;
-  /// Upper bound on events per offered packet.
-  double max_events_per_pkt;
+  /// Upper bounds per offered packet.
+  double max_wheel_events;
+  double max_lane_firings;
+  double max_frames_built;
 };
 
 std::uint64_t counter(const ScenarioResult& r, const std::string& path) {
@@ -36,17 +41,21 @@ std::uint64_t counter(const ScenarioResult& r, const std::string& path) {
 
 TEST(EventBudget, PerOfferedPacket) {
   using switches::SwitchType;
-  // The per-point events table in EXPERIMENTS.md records the measured
-  // counts behind these bounds. v2v has no NIC on its path; the paced
-  // point gates the generator's pull path with probes and idle wires.
+  // The per-point table in EXPERIMENTS.md records the measured counts
+  // behind these bounds. v2v has no NIC on its path; the paced point gates
+  // the generator's pull path with probes and idle wires.
   const Budget budgets[] = {
-      {"p2p uni BESS", Kind::kP2p, SwitchType::kBess, 1, 0, 0, 2.19},
-      {"p2p uni VALE", Kind::kP2p, SwitchType::kVale, 1, 0, 0, 1.58},
-      {"p2v VPP", Kind::kP2v, SwitchType::kVpp, 1, 0, 0, 1.02},
-      {"loopback-4 VPP", Kind::kLoopback, SwitchType::kVpp, 4, 0, 0, 1.14},
-      {"v2v Snabb", Kind::kV2v, SwitchType::kSnabb, 1, 0, 0, 1.82},
+      {"p2p uni BESS", Kind::kP2p, SwitchType::kBess, 1, 0, 0, 0.1682, 2.02,
+       1.01},
+      {"p2p uni VALE", Kind::kP2p, SwitchType::kVale, 1, 0, 0, 0.002215,
+       1.576, 0.5659},
+      {"p2v VPP", Kind::kP2v, SwitchType::kVpp, 1, 0, 0, 0.01042, 1.01,
+       0.6659},
+      {"loopback-4 VPP", Kind::kLoopback, SwitchType::kVpp, 4, 0, 0, 0.02767,
+       1.1062, 0.09619},
+      {"v2v Snabb", Kind::kV2v, SwitchType::kSnabb, 1, 0, 0, 1.82, 0, 1.8033},
       {"p2p VPP 1 Mpps, 40 us probes", Kind::kP2p, SwitchType::kVpp, 1, 1e6,
-       core::from_us(40), 3.53},
+       core::from_us(40), 1.5122, 2.02, 1.01},
   };
   for (const Budget& b : budgets) {
     ScenarioConfig cfg;
@@ -59,12 +68,21 @@ TEST(EventBudget, PerOfferedPacket) {
     const ScenarioResult r = run_scenario(cfg);
     ASSERT_FALSE(r.skipped.has_value()) << b.label;
     ASSERT_GT(r.offered_packets, 0u) << b.label;
-    const double per_pkt =
-        static_cast<double>(counter(r, "sim/events_processed")) /
-        static_cast<double>(r.offered_packets);
-    EXPECT_LE(per_pkt, b.max_events_per_pkt)
-        << b.label << ": " << counter(r, "sim/events_processed")
-        << " events for " << r.offered_packets << " offered packets";
+    const auto offered = static_cast<double>(r.offered_packets);
+    const std::uint64_t events = counter(r, "sim/events_processed");
+    const std::uint64_t lanes = counter(r, "sim/lane_fired");
+    EXPECT_EQ(events, r.work.wheel_events) << b.label;
+    EXPECT_EQ(lanes, r.work.lane_fired) << b.label;
+    EXPECT_LE(static_cast<double>(events) / offered, b.max_wheel_events)
+        << b.label << ": " << events << " wheel events for "
+        << r.offered_packets << " offered packets";
+    EXPECT_LE(static_cast<double>(lanes) / offered, b.max_lane_firings)
+        << b.label << ": " << lanes << " lane firings for "
+        << r.offered_packets << " offered packets";
+    EXPECT_LE(static_cast<double>(r.work.frames_built) / offered,
+              b.max_frames_built)
+        << b.label << ": " << r.work.frames_built << " frames built for "
+        << r.offered_packets << " offered packets";
   }
 }
 

@@ -4,8 +4,10 @@
 #include "hw/cable.h"
 #include "hw/nic.h"
 #include "pkt/crafting.h"
+#include "pkt/headers.h"
 #include "pkt/packet_pool.h"
 #include "scenario/scenario.h"
+#include "traffic/moongen.h"
 
 namespace nfvsb {
 namespace {
@@ -48,6 +50,33 @@ TEST_F(RssTest, SingleFlowPinsToOneQueue) {
   }
   EXPECT_EQ(nonempty, 1);
   EXPECT_EQ(total, 20u);
+}
+
+// A generator's frames cross the wire unbuilt: RSS reads each one's
+// 5-tuple from its sequence number, and every frame lands on the queue its
+// built bytes hash to.
+TEST_F(RssTest, UnbuiltGeneratorFramesLandOnTheirHashQueue) {
+  traffic::MoonGen::Config c;
+  c.rate_pps = 1e6;
+  c.num_flows = 64;
+  traffic::MoonGen gen(sim_, pool_, c);
+  gen.attach_tx_nic(a_);
+  gen.start_tx(0, core::from_us(100));
+  sim_.run();
+  std::size_t total = 0;
+  int nonempty = 0;
+  for (std::size_t q = 0; q < 4; ++q) {
+    nonempty += !b_.rx_ring(q).empty();
+    while (auto p = b_.rx_ring(q).dequeue()) {
+      const auto tuple = pkt::parse_five_tuple(p->bytes());
+      ASSERT_TRUE(tuple.has_value());
+      EXPECT_EQ(tuple->hash() % 4, q);
+      ++total;
+    }
+  }
+  EXPECT_EQ(total, gen.tx_sent());
+  EXPECT_EQ(total, 100u);
+  EXPECT_EQ(nonempty, 4);
 }
 
 TEST_F(RssTest, ManyFlowsSpreadAcrossQueues) {

@@ -88,26 +88,30 @@ TEST_F(NicTest, LargerFramesSerializeProportionally) {
             core::kTenGigE.serialization_time(1024));
 }
 
-// A frame on the wire costs two events: the TX firing that fetches it and
-// its arrival (propagation and RX DMA in one). The TX timer stops in the
-// firing that drains the rings.
+// A frame on the wire costs two firings: the TX fetch, on the NIC's lane,
+// and its arrival event (propagation and RX DMA in one). The lane stops in
+// the firing that drains the rings.
 TEST_F(NicTest, LoneFrameCostsTwoEvents) {
+  // "Event" in this test's name counts lane firings plus wheel events.
   a_.tx_ring().enqueue(frame());
   sim_.run();
   EXPECT_EQ(b_.rx_ring().size(), 1u);
-  EXPECT_EQ(sim_.events_processed(), 2u);
+  EXPECT_EQ(sim_.lanes_fired(), 1u);
+  EXPECT_EQ(sim_.events_processed(), 1u);
 }
 
 TEST_F(NicTest, BurstCostsTwoEventsPerFrame) {
+  // "Event" in this test's name counts lane firings plus wheel events.
   constexpr std::uint64_t kFrames = 10;
   b_.rx_ring().set_sink([](pkt::PacketHandle) {});
   for (std::uint64_t i = 0; i < kFrames; ++i) a_.tx_ring().enqueue(frame());
   sim_.run();
   EXPECT_EQ(b_.rx_frames(), kFrames);
-  EXPECT_EQ(sim_.events_processed(), 2 * kFrames);
+  EXPECT_EQ(sim_.lanes_fired(), kFrames);
+  EXPECT_EQ(sim_.events_processed(), kFrames);
 }
 
-// The TX timer stops when the rings drain, but the busy period lasts as
+// The TX lane stops when the rings drain, but the busy period lasts as
 // long as the wire is occupied: a frame enqueued while the previous one is
 // still serializing leaves right behind it, without a new DMA fetch.
 TEST_F(NicTest, FrameEnqueuedWhileSerializingLeavesRightBehind) {
@@ -146,7 +150,8 @@ TEST_F(NicTest, TimedSinkGetsFrameAtFetchWithArrivalTime) {
   });
   a_.tx_ring().enqueue(frame(64));
   sim_.run();
-  EXPECT_EQ(sim_.events_processed(), 1u);
+  EXPECT_EQ(sim_.lanes_fired(), 1u);
+  EXPECT_EQ(sim_.events_processed(), 0u);
   EXPECT_EQ(handed_over, core::from_ns(50));
   EXPECT_EQ(arrival, core::from_ns(50 + 67.2 + 5 + 100));
   EXPECT_EQ(b_.rx_frames(), 1u);
@@ -269,7 +274,8 @@ TEST_F(NicTest, BurstOnBusyConsumerCostsNoArrivalEvents) {
   b_.rx_ring().set_consumer_busy(true);
   for (std::uint64_t i = 0; i < kFrames; ++i) a_.tx_ring().enqueue(frame());
   sim_.run();
-  EXPECT_EQ(sim_.events_processed(), kFrames);
+  EXPECT_EQ(sim_.lanes_fired(), kFrames);
+  EXPECT_EQ(sim_.events_processed(), 0u);
   // The last fetch fired at 50 + 9 * 67.2 ns; frames 0..6 have arrived.
   EXPECT_EQ(sim_.now(), core::from_ns(50 + 9 * 67.2));
   EXPECT_EQ(b_.rx_ring().size(), 7u);
@@ -277,7 +283,8 @@ TEST_F(NicTest, BurstOnBusyConsumerCostsNoArrivalEvents) {
   sim_.run_until(burst_arrival(9));
   EXPECT_EQ(b_.rx_ring().size(), kFrames);
   EXPECT_EQ(b_.rx_frames(), kFrames);
-  EXPECT_EQ(sim_.events_processed(), kFrames);
+  EXPECT_EQ(sim_.lanes_fired(), kFrames);
+  EXPECT_EQ(sim_.events_processed(), 0u);
   b_.rx_ring().clear();
 }
 
@@ -311,9 +318,10 @@ TEST_F(NicTest, IdleConsumerIsWokenAtEachArrival) {
       {burst_arrival(2), burst_arrival(2)},
   };
   EXPECT_EQ(wakes, expected);
-  // Four fetches, the 300 ns read and the arrivals of frames 0 and 2;
-  // frame 3 lands on a busy consumer again.
-  EXPECT_EQ(sim_.events_processed(), 7u);
+  // Four fetches on the lane; the 300 ns read and the arrivals of frames 0
+  // and 2 on the wheel. Frame 3 lands on a busy consumer again.
+  EXPECT_EQ(sim_.lanes_fired(), 4u);
+  EXPECT_EQ(sim_.events_processed(), 3u);
   sim_.run_until(burst_arrival(3));
   EXPECT_EQ(rx.size(), 4u);
   EXPECT_EQ(wakes.size(), 4u);
@@ -471,6 +479,31 @@ TEST(NicUnplugged, FramesVanishWithoutCable) {
   sim.run();
   EXPECT_EQ(lone.tx_frames(), 1u);
   EXPECT_EQ(pool.outstanding(), 0u);  // freed, not leaked
+}
+
+// A NIC takes its pending TX fetch with it: the simulator runs on, and
+// its later firings never reach the destroyed port (ASan checks this
+// under the asan preset).
+TEST(NicLifetime, DestroyedWithFetchPendingStopsItsFetch) {
+  core::Simulator sim;
+  pkt::PacketPool pool(4);
+  {
+    NicPort gone(sim, "gone");
+    auto p = pool.allocate();
+    pkt::craft_udp_frame(*p, pkt::FrameSpec{});
+    gone.tx_ring().enqueue(std::move(p));
+    ASSERT_TRUE(sim.has_pending());  // the fetch, 1 us out
+  }
+  EXPECT_FALSE(sim.has_pending());
+  EXPECT_EQ(pool.outstanding(), 0u);
+  // A port built afterwards reuses the lane and runs normally.
+  NicPort next(sim, "next");
+  auto p = pool.allocate();
+  pkt::craft_udp_frame(*p, pkt::FrameSpec{});
+  next.tx_ring().enqueue(std::move(p));
+  sim.run();
+  EXPECT_EQ(sim.lanes_fired(), 1u);
+  EXPECT_EQ(next.tx_frames(), 1u);
 }
 
 }  // namespace

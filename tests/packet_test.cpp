@@ -1,11 +1,15 @@
-// Packet pool and handle lifecycle.
+// Packet pool and handle lifecycle, pool reservations and unbuilt frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "pkt/crafting.h"
+#include "pkt/frame.h"
+#include "pkt/headers.h"
 #include "pkt/packet_pool.h"
 
 namespace nfvsb::pkt {
@@ -215,6 +219,112 @@ TEST(PacketPool, ManyPacketsStressWithVector) {
     held.clear();
     EXPECT_EQ(pool.outstanding(), 0u);
   }
+}
+
+// A reservation counts as a handed-out buffer: exhaustion comes at the
+// same occupancy, and turning one into a buffer never fails.
+TEST(PacketPool, ReservationsCountAsOccupancy) {
+  PacketPool pool(3);
+  ASSERT_TRUE(pool.reserve());
+  ASSERT_TRUE(pool.reserve());
+  auto p = pool.allocate();
+  ASSERT_TRUE(p);
+  EXPECT_EQ(pool.outstanding(), 3u);
+  EXPECT_FALSE(pool.reserve());
+  EXPECT_FALSE(pool.allocate());
+  EXPECT_EQ(pool.alloc_failures(), 2u);
+  EXPECT_EQ(pool.handed_out(), 1u);
+  auto q = pool.allocate_reserved();
+  ASSERT_TRUE(q);
+  EXPECT_EQ(pool.outstanding(), 3u);
+  EXPECT_EQ(pool.handed_out(), 2u);
+  pool.release_reservation();
+  EXPECT_EQ(pool.outstanding(), 2u);
+  p.reset();
+  q.reset();
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+TEST(PacketPool, FullPoolReclaimsBeforeReservingOrFailing) {
+  PacketPool pool(1);
+  bool reserved = pool.reserve();
+  ASSERT_TRUE(reserved);
+  int reclaims = 0;
+  pool.set_reclaim([&] {
+    ++reclaims;
+    if (reserved) {
+      pool.release_reservation();
+      reserved = false;
+    }
+  });
+  EXPECT_TRUE(pool.reserve());
+  EXPECT_EQ(reclaims, 1);
+  EXPECT_FALSE(pool.reserve());
+  EXPECT_EQ(reclaims, 2);
+  pool.release_reservation();
+}
+
+FrameSpec multi_flow_spec() {
+  FrameSpec spec;
+  spec.frame_bytes = 128;
+  spec.src_port = 1000;
+  spec.dst_port = 2000;
+  return spec;
+}
+
+// A recipe writes byte for byte the frame a generator crafted by hand, and
+// reads the 5-tuple RSS hashes without building the frame.
+TEST(FrameRecipe, BuildsTheCraftedFrameAndKnowsItsTuple) {
+  const FrameSpec spec = multi_flow_spec();
+  const FrameRecipe recipe(spec, 8, 7);
+  PacketPool pool(4);
+  for (std::uint64_t seq : {1u, 2u, 8u, 9u, 12345u}) {
+    auto built = pool.allocate();
+    FrameMeta meta;
+    meta.seq = seq;
+    recipe.build(*built, meta);
+    FrameSpec flow = spec;
+    flow.src_port = static_cast<std::uint16_t>(1000 + (seq - 1) % 8);
+    auto crafted = pool.allocate();
+    craft_udp_frame(*crafted, flow);
+    write_payload_seq(*crafted, seq);
+    ASSERT_EQ(built->size(), crafted->size());
+    EXPECT_EQ(std::memcmp(built->data(), crafted->data(), built->size()), 0);
+    EXPECT_EQ(built->seq, seq);
+    EXPECT_EQ(built->origin, 7u);
+    EXPECT_EQ(recipe.five_tuple(seq), parse_five_tuple(built->bytes()));
+  }
+}
+
+// An unbuilt frame holds its reservation until it is built or dies, and
+// answers what the wire and RSS ask without building.
+TEST(Frame, UnbuiltUntilReadAndGivesItsReservationBack) {
+  const FrameRecipe recipe(multi_flow_spec(), 8, 3);
+  PacketPool pool(2);
+  ASSERT_TRUE(pool.reserve());
+  Frame f(recipe, pool, 10);
+  EXPECT_TRUE(f);
+  EXPECT_FALSE(f.built());
+  EXPECT_EQ(f.seq(), 10u);
+  EXPECT_EQ(f.size(), 128u);
+  EXPECT_EQ(f.probe_id(), 0u);
+  EXPECT_EQ(f.five_tuple(), recipe.five_tuple(10));
+  EXPECT_EQ(pool.outstanding(), 1u);
+  EXPECT_EQ(pool.handed_out(), 0u);
+  Frame moved = std::move(f);
+  EXPECT_FALSE(f);  // NOLINT: moved-from is empty by contract
+  PacketHandle p = moved.take();
+  EXPECT_EQ(pool.handed_out(), 1u);
+  EXPECT_EQ(p->seq, 10u);
+  EXPECT_EQ(p->origin, 3u);
+  EXPECT_EQ(pool.outstanding(), 1u);
+  p.reset();
+  {
+    ASSERT_TRUE(pool.reserve());
+    Frame dropped(recipe, pool, 11);
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(pool.handed_out(), 1u);  // the dropped frame was never built
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fifo.h"
+#include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
 #include "ring/port.h"
@@ -43,6 +44,36 @@ TEST_F(RingTest, DropsWhenFullAndFreesPacket) {
   EXPECT_EQ(ring.size(), 2u);
   // The dropped packet went back to the pool.
   EXPECT_EQ(pool_.outstanding(), 2u);
+}
+
+// Built packets and unbuilt frames share one FIFO: an unbuilt frame stays
+// unbuilt behind a built head, one that overflows is never built, and
+// dequeue() builds it.
+TEST_F(RingTest, UnbuiltFramesKeepFifoOrderAndOverflowUnbuilt) {
+  const pkt::FrameRecipe recipe(pkt::FrameSpec{}, 1, 0);
+  SpscRing ring("r", 3);
+  auto unbuilt = [&](std::uint64_t seq) {
+    EXPECT_TRUE(pool_.reserve());
+    return pkt::Frame(recipe, pool_, seq);
+  };
+  ASSERT_TRUE(ring.enqueue(make(1)));
+  ASSERT_TRUE(ring.enqueue(unbuilt(2)));
+  ASSERT_TRUE(ring.enqueue(unbuilt(3)));
+  EXPECT_FALSE(ring.enqueue(unbuilt(4)));
+  EXPECT_EQ(ring.drops(), 1u);
+  EXPECT_EQ(pool_.handed_out(), 1u);
+  EXPECT_EQ(pool_.outstanding(), 3u);
+  pkt::Frame head = ring.dequeue_frame();
+  EXPECT_TRUE(head.built());
+  EXPECT_EQ(head.seq(), 1u);
+  pkt::Frame second = ring.dequeue_frame();
+  EXPECT_FALSE(second.built());
+  EXPECT_EQ(second.seq(), 2u);
+  auto third = ring.dequeue();
+  ASSERT_TRUE(third);
+  EXPECT_EQ(third->seq, 3u);
+  EXPECT_EQ(pool_.handed_out(), 2u);
+  EXPECT_FALSE(ring.dequeue_frame());
 }
 
 TEST_F(RingTest, FifoOrderSurvivesGrowthWhileWrapped) {

@@ -1,6 +1,9 @@
 // Simulator event-loop semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/simulator.h"
@@ -108,6 +111,209 @@ TEST(Simulator, RngIsSeedDeterministic) {
   Simulator a(42), b(42), c(43);
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());
   EXPECT_NE(a.rng().next_u64(), c.rng().next_u64());
+}
+
+// ---- lanes ----------------------------------------------------------------
+// A lane must fire exactly where the recurring timer it replaces would: one
+// scripted schedule runs once on a wheel timer and once on a lane, and the
+// two firing logs must agree entry for entry. Each entry records the time
+// and the next order key, so the logs also pin the running order and every
+// key taken.
+
+/// The timer under test, behind the two calls a NIC fetch makes.
+class ScriptTimer {
+ public:
+  virtual ~ScriptTimer() = default;
+  /// Fire at `at`, replacing any pending firing.
+  virtual void arm(SimTime at) = 0;
+  virtual void stop() = 0;
+};
+
+class WheelTimer final : public ScriptTimer {
+ public:
+  WheelTimer(Simulator& sim, std::function<SimDuration()> fn)
+      : sim_(sim), fn_(std::move(fn)) {}
+  ~WheelTimer() override { sim_.cancel_timer(id_); }
+  void arm(SimTime at) override {
+    sim_.cancel_timer(id_);
+    id_ = sim_.schedule_every(at - sim_.now(),
+                              Simulator::RecurringFn([this] { return fn_(); }));
+  }
+  void stop() override { sim_.cancel_timer(id_); }
+
+ private:
+  Simulator& sim_;
+  std::function<SimDuration()> fn_;
+  Simulator::TimerId id_{Simulator::kInvalidTimer};
+};
+
+class LaneTimer final : public ScriptTimer {
+ public:
+  LaneTimer(Simulator& sim, std::function<SimDuration()> fn)
+      : sim_(sim),
+        fn_(std::move(fn)),
+        lane_(sim_.add_lane(Simulator::RecurringFn([this] { return fn_(); }))) {}
+  ~LaneTimer() override { sim_.remove_lane(lane_); }
+  void arm(SimTime at) override { sim_.arm_lane(lane_, at); }
+  void stop() override { sim_.stop_lane(lane_); }
+
+ private:
+  Simulator& sim_;
+  std::function<SimDuration()> fn_;
+  Simulator::LaneId lane_;
+};
+
+struct Firing {
+  std::string who;
+  SimTime at;
+  std::uint64_t key;
+  bool operator==(const Firing&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Firing& f) {
+  return os << f.who << "@" << f.at << "#" << f.key;
+}
+
+std::unique_ptr<ScriptTimer> make_timer(bool lane, Simulator& sim,
+                                        std::function<SimDuration()> fn) {
+  if (lane) return std::make_unique<LaneTimer>(sim, std::move(fn));
+  return std::make_unique<WheelTimer>(sim, std::move(fn));
+}
+
+/// Same-instant ties with wheel events on both sides of the timer, an
+/// earlier re-arm from another event, a stop from inside the callback, a
+/// zero-delay re-arm and the run_until boundary.
+std::vector<Firing> scripted_run(bool lane) {
+  Simulator sim;
+  std::vector<Firing> log;
+  auto note = [&](const std::string& who) {
+    log.push_back({who, sim.now(), sim.reserve_order()});
+  };
+  int n = 0;
+  std::unique_ptr<ScriptTimer> t;
+  t = make_timer(lane, sim, [&]() -> SimDuration {
+    note("timer" + std::to_string(++n));
+    switch (n) {
+      case 3:
+        // Scheduled before the re-arm: fires first at 360.
+        sim.post_in(100, [&] { note("tie-after-rearm"); });
+        return 100;
+      case 5:
+        t->stop();  // overrides the return value
+        return 10;
+      case 6: return 0;
+      case 7: return 100;
+      case 8: return Simulator::kStopTimer;
+      default: return 100;
+    }
+  });
+  sim.post_at(0, [&] {
+    note("start");
+    t->arm(100);
+  });
+  // Keyed before the timer's firing at 200, which is armed at 100.
+  sim.post_at(200, [&] { note("tie-before"); });
+  // Keyed after it.
+  sim.post_at(150, [&] { sim.post_at(200, [&] { note("tie-late"); }); });
+  // The timer is armed for 300: an earlier re-arm replaces that firing.
+  sim.post_at(250, [&] {
+    note("rearm-earlier");
+    t->arm(260);
+  });
+  sim.post_at(500, [&] {
+    note("rearm-after-stop");
+    t->arm(600);
+  });
+  sim.run_until(600);  // timer6 and timer7 fire at exactly 600
+  note(sim.has_pending() ? "boundary-pending" : "boundary-idle");
+  sim.run();
+  note("end");
+  return log;
+}
+
+TEST(SimulatorLane, FiresExactlyAsARecurringTimer) {
+  const std::vector<Firing> wheel = scripted_run(false);
+  const std::vector<Firing> lane = scripted_run(true);
+  EXPECT_EQ(lane, wheel);
+  std::vector<std::string> who;
+  for (const Firing& f : lane) who.push_back(f.who);
+  const std::vector<std::string> expected = {
+      "start",  "timer1",          "tie-before", "timer2",
+      "tie-late", "rearm-earlier", "timer3",     "tie-after-rearm",
+      "timer4", "timer5",          "rearm-after-stop", "timer6",
+      "timer7", "boundary-pending", "timer8",    "end"};
+  EXPECT_EQ(who, expected);
+  ASSERT_EQ(lane.size(), expected.size());
+  EXPECT_EQ(lane[11].at, 600);
+  EXPECT_EQ(lane[12].at, 600);
+  EXPECT_EQ(lane[14].at, 700);
+}
+
+/// reset() drops a pending firing; the timer can be armed again after.
+std::vector<Firing> reset_run(bool lane) {
+  Simulator sim;
+  std::vector<Firing> log;
+  auto t = make_timer(lane, sim, [&]() -> SimDuration {
+    log.push_back({"timer", sim.now(), sim.reserve_order()});
+    return Simulator::kStopTimer;
+  });
+  t->arm(100);
+  sim.post_in(30, [] {});
+  sim.run_until(50);
+  sim.reset();
+  log.push_back({sim.has_pending() ? "pending" : "idle", sim.now(),
+                 sim.reserve_order()});
+  sim.run();
+  t->arm(40);
+  sim.post_in(40, [&] { log.push_back({"event", sim.now(), 0}); });
+  sim.run();
+  log.push_back({"end", sim.now(), sim.reserve_order()});
+  return log;
+}
+
+TEST(SimulatorLane, ResetDisarmsAndLaneStaysUsable) {
+  const std::vector<Firing> wheel = reset_run(false);
+  const std::vector<Firing> lane = reset_run(true);
+  EXPECT_EQ(lane, wheel);
+  std::vector<std::string> who;
+  for (const Firing& f : lane) who.push_back(f.who);
+  const std::vector<std::string> expected = {"idle", "timer", "event", "end"};
+  EXPECT_EQ(who, expected);
+}
+
+TEST(SimulatorLane, FiringsAreCountedApartFromEvents) {
+  Simulator sim;
+  int left = 3;
+  const auto lane = sim.add_lane(Simulator::RecurringFn(
+      [&] { return --left > 0 ? SimDuration{10} : Simulator::kStopTimer; }));
+  sim.arm_lane(lane, 5);
+  sim.post_in(1, [] {});
+  sim.run_until(2);
+  EXPECT_TRUE(sim.has_pending());  // the lane alone
+  sim.run();
+  EXPECT_FALSE(sim.has_pending());
+  EXPECT_EQ(sim.lanes_fired(), 3u);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.now(), 25);
+  sim.remove_lane(lane);
+}
+
+TEST(SimulatorLane, LanesAreFixedStorage) {
+  Simulator sim;
+  std::vector<Simulator::LaneId> ids;
+  for (std::size_t i = 0; i < Simulator::kMaxLanes; ++i) {
+    ids.push_back(sim.add_lane(
+        Simulator::RecurringFn([] { return Simulator::kStopTimer; })));
+  }
+  EXPECT_THROW((void)sim.add_lane(Simulator::RecurringFn(
+                   [] { return Simulator::kStopTimer; })),
+               std::length_error);
+  // A released lane is reused.
+  sim.remove_lane(ids[3]);
+  EXPECT_EQ(sim.add_lane(Simulator::RecurringFn(
+                [] { return Simulator::kStopTimer; })),
+            ids[3]);
+  for (auto id : ids) sim.remove_lane(id);
 }
 
 }  // namespace
