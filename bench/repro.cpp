@@ -14,7 +14,9 @@
 // timing-wheel events, lane firings (NIC TX fetches) and frames built
 // (ScenarioResult::Work). The benches report these on stderr, outside
 // the campaign JSON; unlike wall time they are exact, so two builds can
-// be compared on them directly.
+// be compared on them directly. The same table goes to out-dir/work.txt,
+// and goldens/work.txt is the committed copy, so `diff -r` also fails
+// when any campaign's work moves.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -100,9 +102,21 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("%-22s %7.2f s\n", "total", total_s);
-  std::printf("\n%-22s %15s %15s %15s\n", "simulator work",
-              "wheel events", "lane firings", "frames built");
-  std::fputs(work_lines.c_str(), stdout);
-  std::fputs(format_work("total", total).c_str(), stdout);
+  char header[128];
+  std::snprintf(header, sizeof header, "%-22s %15s %15s %15s\n",
+                "simulator work", "wheel events", "lane firings",
+                "frames built");
+  std::string table = header;
+  table += work_lines;
+  table += format_work("total", total);
+  std::printf("\n%s", table.c_str());
+  const std::string work_path = std::filesystem::path(out) / "work.txt";
+  std::FILE* f = std::fopen(work_path.c_str(), "w");
+  if (f == nullptr) {
+    std::perror(work_path.c_str());
+    return 1;
+  }
+  std::fputs(table.c_str(), f);
+  std::fclose(f);
   return failed == 0 ? 0 : 1;
 }

@@ -61,6 +61,8 @@ class EventQueue {
 
   /// Take the order key the next schedule() would, without scheduling.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  /// The last key taken (0 before the first).
+  [[nodiscard]] std::uint64_t last_seq() const { return next_seq_ - 1; }
 
   /// Cancel a previously scheduled event. O(1). Safe (and a no-op) on
   /// already-fired, already-cancelled, and never-issued ids.

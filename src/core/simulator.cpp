@@ -28,7 +28,7 @@ void Simulator::run_loop(SimTime until) {
     ++events_processed_;
     fired.cb();
   }
-  running_order_ = kBetweenRuns;
+  running_order_ = events_.last_seq();
 }
 
 void Simulator::run_until(SimTime until) {
@@ -49,6 +49,7 @@ void Simulator::reset() {
   }
   next_lane_ = kNoLane;
   now_ = 0;
+  running_order_ = events_.last_seq();
   events_processed_ = 0;
   lanes_fired_ = 0;
 }

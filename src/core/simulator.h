@@ -95,7 +95,9 @@ class Simulator {
 
   /// Whether an event at (`at`, `order`) would have fired by now: it is
   /// earlier, or at this instant and not after the running event. Outside
-  /// run()/run_until() every event up to now() has fired.
+  /// run()/run_until() every event up to now() keyed before the last run
+  /// returned has fired; one keyed since (a generator started between
+  /// runs, due now) has not.
   [[nodiscard]] bool reached(SimTime at, std::uint64_t order) const {
     return at < now_ || (at == now_ && order <= running_order_);
   }
@@ -211,9 +213,9 @@ class Simulator {
   SimTime now_{0};
   Rng rng_;
   std::uint64_t events_processed_{0};
-  /// Order key of the event being fired; all-ones between runs.
-  std::uint64_t running_order_{kBetweenRuns};
-  static constexpr std::uint64_t kBetweenRuns = ~std::uint64_t{0};
+  /// Order key of the event being fired; between runs, the last key
+  /// taken before the last run returned (0 before the first).
+  std::uint64_t running_order_{0};
   std::vector<RecTimer> timers_;
   std::uint32_t timer_free_head_{kNoFreeTimer};
   std::array<Lane, kMaxLanes> lanes_;

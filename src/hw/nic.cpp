@@ -61,9 +61,13 @@ std::uint64_t NicPort::rx_frames() const {
   return rx_frames_;
 }
 
-void NicPort::attach_tx_source(TxSource& s) { tx_sources_.push_back(&s); }
+void NicPort::attach_tx_source(ring::TxSource& s) {
+  tx_sources_.push_back(&s);
+}
 
-void NicPort::detach_tx_source(TxSource& s) { std::erase(tx_sources_, &s); }
+void NicPort::detach_tx_source(ring::TxSource& s) {
+  std::erase(tx_sources_, &s);
+}
 
 core::SimTime NicPort::fetch_time(core::SimTime ready) const {
   // While the last frame is still on the wire this is the same busy period:
@@ -79,14 +83,16 @@ void NicPort::on_tx_enqueue() {
 }
 
 core::SimTime NicPort::next_source_emit() const {
-  core::SimTime next = TxSource::kNever;
-  for (const TxSource* s : tx_sources_) next = std::min(next, s->next_emit());
+  core::SimTime next = ring::TxSource::kNever;
+  for (const ring::TxSource* s : tx_sources_) {
+    next = std::min(next, s->next_emit());
+  }
   return next;
 }
 
 void NicPort::wake_tx() {
   const core::SimTime next = next_source_emit();
-  if (next != TxSource::kNever) arm_fetch(fetch_time(next), next);
+  if (next != ring::TxSource::kNever) arm_fetch(fetch_time(next), next);
 }
 
 void NicPort::arm_fetch(core::SimTime at, core::SimTime as_armed_at) {
@@ -107,19 +113,19 @@ void NicPort::pull_sources(core::SimTime armed_at) {
   if (tx_sources_.size() > 1) {
     // Merge: every frame due before now, in (emit time, attach order).
     for (;;) {
-      TxSource* first = nullptr;
-      core::SimTime e = TxSource::kNever;
-      for (TxSource* s : tx_sources_) {
+      ring::TxSource* first = nullptr;
+      core::SimTime e = ring::TxSource::kNever;
+      for (ring::TxSource* s : tx_sources_) {
         if (s->next_emit() < e) {
           e = s->next_emit();
           first = s;
         }
       }
       if (e >= now) break;
-      first->emit_due(e, TxSource::kNever);
+      first->emit_due(e, ring::TxSource::kNever);
     }
   }
-  for (TxSource* s : tx_sources_) s->emit_due(now, armed_at);
+  for (ring::TxSource* s : tx_sources_) s->emit_due(now, armed_at);
 }
 
 void NicPort::sync_for_sampling(core::SimTime armed_at) {
@@ -190,7 +196,7 @@ core::SimDuration NicPort::serialize_step() {
   }
   // The rings are empty: fetch again when the sources' next frame is due.
   const core::SimTime next = next_source_emit();
-  if (next == TxSource::kNever) {
+  if (next == ring::TxSource::kNever) {
     tx_busy_ = false;
     return core::Simulator::kStopTimer;
   }

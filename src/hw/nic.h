@@ -14,10 +14,14 @@
 // (core/simulator.h), outside the timing wheel but in the order the wheel
 // would give them. The arrival costs an event only where something must
 // happen at that instant:
-//  * a generator attached as a TxSource is pulled at fetch time: the fetch
-//    first enqueues every frame the generator owes by then, each stamped
-//    with its own emit time, and when the rings drain the next fetch is
-//    armed for the generator's next emit. A generator's frames travel
+//  * a generator attached as a ring::TxSource is pulled at fetch time: the
+//    fetch first enqueues every frame the generator owes by then, each
+//    stamped with its own emit time, and when the rings drain the next
+//    fetch is armed for the generator's next emit. The port merges its
+//    sources itself rather than feed its TX rings through
+//    SpscRing::feed_from_source: several sources share one ring, and its
+//    reader, the fetch, runs on a lane whose same-instant order is the
+//    time rule of TxSource::emit_due. A generator's frames travel
 //    unbuilt (pkt/frame.h): the port reads their size, 5-tuple and
 //    sequence number without building them;
 //  * an RX ring with a timed sink (a monitor) gets each frame in the
@@ -47,7 +51,7 @@
 #include "core/event_fn.h"
 #include "core/simulator.h"
 #include "core/units.h"
-#include "hw/tx_source.h"
+#include "ring/tx_source.h"
 #include "pkt/frame.h"
 #include "ring/spsc_ring.h"
 
@@ -135,8 +139,8 @@ class NicPort {
   /// sources merge in (emit time, attach order). A source must call
   /// wake_tx() when its next emit time becomes known, and detach before
   /// it dies.
-  void attach_tx_source(TxSource& s);
-  void detach_tx_source(TxSource& s);
+  void attach_tx_source(ring::TxSource& s);
+  void detach_tx_source(ring::TxSource& s);
   /// Arm a TX fetch for the sources' next emit, unless one is armed.
   void wake_tx();
 
@@ -159,7 +163,7 @@ class NicPort {
   /// right behind the frame on it, on an idle one after a DMA fetch.
   [[nodiscard]] core::SimTime fetch_time(core::SimTime ready) const;
   /// Enqueue what the TX sources owe a reader at now() armed at
-  /// `armed_at` (see TxSource::emit_due).
+  /// `armed_at` (see ring::TxSource::emit_due).
   void pull_sources(core::SimTime armed_at);
   /// Queue-sampler hook: make the TX rings read as they would with every
   /// frame enqueued at its emit time.
@@ -181,7 +185,7 @@ class NicPort {
   std::vector<std::unique_ptr<ring::SpscRing>> rx_rings_;
   std::vector<std::unique_ptr<ring::SpscRing>> tx_rings_;
   Cable* cable_{nullptr};
-  std::vector<TxSource*> tx_sources_;
+  std::vector<ring::TxSource*> tx_sources_;
   /// The TX fetch lane: serialize_step, armed for tx_fetch_at_ while
   /// tx_busy_.
   core::Simulator::LaneId tx_lane_;

@@ -8,7 +8,7 @@
 // measurement results to an unsampled one (asserted by tests/obs_test.cpp).
 // Before each round of reads the sampler runs the registry's sync hooks,
 // which put into their rings the frames a lazy producer (a generator
-// feeding a NIC, hw/tx_source.h) owes by now, so every depth read sees
+// feeding a NIC, ring/tx_source.h) owes by now, so every depth read sees
 // the ring as if each frame had been enqueued at its own emit time.
 #pragma once
 

@@ -41,8 +41,8 @@ class GuestPtnetPort final : public GuestPort {
       : host_(host), name_(host.name() + ".guest") {}
 
   pkt::PacketHandle rx() override { return host_.out().dequeue(); }
-  bool tx(pkt::PacketHandle p) override {
-    return host_.in().enqueue(std::move(p));
+  bool tx(pkt::Frame&& f) override {
+    return host_.in().enqueue(std::move(f));
   }
   SpscRing& rx_ring() override { return host_.out(); }
   SpscRing& tx_ring() override { return host_.in(); }

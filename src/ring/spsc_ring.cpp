@@ -35,7 +35,7 @@ SpscRing::~SpscRing() {
 bool SpscRing::enqueue(pkt::Frame&& f) {
   assert(!timed_sink_ && "a timed sink is fed through deliver()");
   catch_up();
-  return push(std::move(f), core::kNoTimestamp);
+  return push(std::move(f), pulling_at_);
 }
 
 bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
@@ -70,6 +70,49 @@ void SpscRing::feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival) {
   on_arrival_ = std::move(on_arrival);
 }
 
+void SpscRing::feed_from_source(core::Simulator& sim, TxSource& src) {
+  assert(sim_ == nullptr && source_ == nullptr && "one producer per ring");
+  sim_ = &sim;
+  source_ = &src;
+  if (registry_ != nullptr) {
+    // The queue sampler's depth reads see what per-frame enqueues gave.
+    registry_->add_sync(this, [](void* owner, core::SimTime) {
+      static_cast<SpscRing*>(owner)->catch_up();
+    });
+  }
+}
+
+void SpscRing::wake_source() {
+  assert(wake_ == core::EventQueue::kInvalidEvent && "a source starts once");
+  source_order_ = sim_->reserve_order();
+  sync_wake();
+}
+
+void SpscRing::detach_source() {
+  source_ = nullptr;
+  sync_wake();
+}
+
+void SpscRing::pull_source() {
+  // The source enqueues through its port (which counts guest kicks), and
+  // that enqueue is a read of this ring: pulling_ stops it from pulling
+  // again. Each frame's successor takes its order key once the frame is
+  // in, after whatever its enqueue scheduled, as its pacing event would.
+  if (pulling_ || !sim_->reached(source_->next_emit(), source_order_)) {
+    return;
+  }
+  pulling_ = true;
+  for (core::SimTime t = source_->next_emit();
+       sim_->reached(t, source_order_); t = source_->next_emit()) {
+    pulling_at_ = t;
+    source_->emit_due(t, TxSource::kNever);
+    source_order_ = sim_->reserve_order();
+  }
+  pulling_at_ = core::kNoTimestamp;
+  pulling_ = false;
+  sync_wake();
+}
+
 void SpscRing::arrive(pkt::Frame&& f, core::SimTime at) {
   assert(sim_ != nullptr && "feed_from_wire first");
   // Land what has arrived first, like any read: a consumer that stays busy
@@ -96,8 +139,17 @@ void SpscRing::land_arrived() {
 }
 
 void SpscRing::sync_wake() {
+  // A pull syncs once it is done: the source's head moves within it.
+  if (pulling_) return;
   const bool armed = wake_ != core::EventQueue::kInvalidEvent;
-  const bool wanted = !consumer_busy_ && !in_flight_.empty();
+  // A packet tracer hands out trace ids as generators emit, so while one
+  // is installed each pulled frame goes in at its own instant, as it did
+  // with a pacing event per frame, busy consumer or not.
+  const bool wanted =
+      !in_flight_.empty()
+          ? !consumer_busy_
+          : source_ != nullptr && source_->next_emit() != TxSource::kNever &&
+                (!consumer_busy_ || core::tracer() != nullptr);
   if (armed == wanted) return;  // an armed wake is always for the head
   if (armed) {
     sim_->cancel(wake_);
@@ -106,10 +158,12 @@ void SpscRing::sync_wake() {
   }
   // Every read puts in what has arrived, and a consumer reads its rings
   // before it goes idle, so the head's place in time is still ahead.
-  const InFlight& head = in_flight_[0];
-  wake_ = sim_->schedule_reserved(head.at, head.order, [this] {
+  const bool wire = !in_flight_.empty();
+  const core::SimTime at = wire ? in_flight_[0].at : source_->next_emit();
+  const std::uint64_t order = wire ? in_flight_[0].order : source_order_;
+  wake_ = sim_->schedule_reserved(at, order, [this] {
     wake_ = core::EventQueue::kInvalidEvent;
-    land_arrived();
+    catch_up();
   });
 }
 

@@ -34,6 +34,18 @@
 // A frame arriving at the very instant of a read counts as arrived when
 // its key is not after the reading event's (core::Simulator::reached).
 //
+// Pulled TX. A guest's TX ring is fed by a paced generator in the guest
+// (feed_from_source, ring/tx_source.h) the same way: the source's next
+// frame is in flight to the ring, arriving at its emit time under an
+// order key reserved right after the frame before it was put in, where
+// its pacing event's key was reserved. Every read first enqueues, each
+// stamped with its emit time as its arrival, the frames the source owes by
+// then, and the idle-consumer event is armed at the next one. A consumer
+// that is idle between frames (a switch fed at a low rate) is thus woken
+// by one event per frame, as before; a busy one costs no event per frame.
+// In traced runs every pulled frame keeps its event, busy consumer or not:
+// trace ids are handed out in emit order across generators.
+//
 // Enqueueing into a full ring drops the packet (freed back to its pool, or
 // an unbuilt frame's reservation given back) and counts the drop — this is
 // where all simulated loss happens, exactly as in the real systems (NIC
@@ -64,6 +76,7 @@
 #include "core/time.h"
 #include "pkt/frame.h"
 #include "pkt/packet.h"
+#include "ring/tx_source.h"
 
 namespace nfvsb::core {
 class MetricSink;
@@ -132,8 +145,8 @@ class SpscRing {
   /// Fires on every successful enqueue (see Watcher).
   void set_watcher(Watcher w) { watcher_ = std::move(w); }
   /// Inside the watcher: when the packet just enqueued reached the ring.
-  /// A wire-fed frame may be put in after it arrived; a packet enqueued
-  /// directly arrives `now`.
+  /// A wire-fed or pulled frame may be put in after it arrived; a packet
+  /// enqueued directly arrives `now`.
   [[nodiscard]] core::SimTime arrival_time(core::SimTime now) const {
     return arriving_at_ == core::kNoTimestamp ? now : arriving_at_;
   }
@@ -144,17 +157,29 @@ class SpscRing {
   /// A frame that left its sender now lands here at `at`. Arrival times
   /// must not decrease (one wire feeds the ring).
   void arrive(pkt::Frame&& f, core::SimTime at);
+  /// Pulled TX (see above): frames reach this ring from `src`, paced on
+  /// `sim`'s clock, and every read first puts in the ones due by then.
+  /// The source must call wake_source() when it starts, and
+  /// detach_source() before it dies.
+  void feed_from_source(core::Simulator& sim, TxSource& src);
+  /// The source's first frame is known: reserve its order key and, while
+  /// the consumer is idle, arm the event that puts it in.
+  void wake_source();
+  void detach_source();
   /// Put in every in-flight frame that has arrived by now, in arrival
-  /// order (each read does this itself).
+  /// order, or every frame the source owes by now (each read does this
+  /// itself).
   void catch_up() {
     if (!in_flight_.empty() && landed(in_flight_[0])) land_arrived();
+    if (source_ != nullptr) pull_source();
   }
   /// The consumer is mid-round and will read the ring before it goes idle,
-  /// so arrivals need no event; when it goes idle (false), the in-flight
-  /// head gets its arrival event again. Rings start with an idle consumer.
+  /// so arrivals need no event; when it goes idle (false), the next frame
+  /// to arrive gets its event again. Rings start with an idle consumer.
   void set_consumer_busy(bool busy) {
     consumer_busy_ = busy;
-    if (wake_ != core::EventQueue::kInvalidEvent || !in_flight_.empty()) {
+    if (wake_ != core::EventQueue::kInvalidEvent || !in_flight_.empty() ||
+        source_ != nullptr) {
       sync_wake();
     }
   }
@@ -200,8 +225,12 @@ class SpscRing {
     return sim_->reached(f.at, f.order);
   }
   void land_arrived();
-  /// Keep an event armed at the in-flight head's arrival, under the key
-  /// the head reserved, exactly while the consumer is idle.
+  /// Enqueue, each at its emit time, the source's frames due by now, if
+  /// any (and if this is not a read from inside a pull).
+  void pull_source();
+  /// Keep an event armed at the next arrival (the in-flight head, or the
+  /// source's next frame), under the key it reserved, exactly while the
+  /// consumer is idle (and for every pulled frame in traced runs).
   void sync_wake();
 
   std::string name_;
@@ -223,6 +252,13 @@ class SpscRing {
   core::Counter dequeued_;
   core::Counter cleared_;
   core::MetricSink* registry_{nullptr};
+  // Pulled TX state (source-fed rings only).
+  TxSource* source_{nullptr};
+  /// Order key of the source's next frame.
+  std::uint64_t source_order_{0};
+  bool pulling_{false};
+  /// Emit time of the frame being pulled (kNoTimestamp outside a pull).
+  core::SimTime pulling_at_{core::kNoTimestamp};
 };
 
 }  // namespace nfvsb::ring

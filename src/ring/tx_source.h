@@ -1,0 +1,47 @@
+// TxSource: a traffic generator that its reader pulls frames from, instead
+// of one that pushes each frame into a TX ring from its own pacing event.
+//
+// A paced generator's emit times follow from its pacing alone, so nothing
+// needs to happen at them: the frames only have to be in the TX ring by
+// the time something looks at it. The reader calls emit_due() first, which
+// enqueues every frame due by then, in order, each stamped with its own
+// emit time; occupancy, and therefore TX-ring drops, come out as if each
+// frame had been enqueued at its emit time, because nothing dequeues
+// between two reads. This mirrors real MoonGen, which leaves pacing to the
+// NIC and sends from pre-filled buffers (Emmerich et al., IMC 2015).
+//
+// Two readers pull sources: a NIC's TX fetch (hw::NicPort, which merges
+// several sources onto its rings), and a guest's TX ring
+// (SpscRing::feed_from_source), which every read of the ring's consumer
+// pulls. A source may enqueue built packets or unbuilt frames (pkt::Frame,
+// SpscRing::enqueue); MoonGen enqueues unbuilt ones, so a frame the ring or
+// the far end drops is never built.
+#pragma once
+
+#include <limits>
+
+#include "core/time.h"
+
+namespace nfvsb::ring {
+
+class TxSource {
+ public:
+  /// next_emit() of a source with nothing (more) to send.
+  static constexpr core::SimTime kNever =
+      std::numeric_limits<core::SimTime>::max();
+
+  /// Emit time of the next frame, or kNever.
+  [[nodiscard]] virtual core::SimTime next_emit() const = 0;
+
+  /// Enqueue, in emit order, every frame due before `upto`. A frame due
+  /// exactly at `upto` is enqueued too when the gap that ends at it began
+  /// before `armed_at`, the time the reader's own event was armed: that is
+  /// the order in which same-instant work runs (a per-frame pacing event
+  /// armed then would fire first). kNever makes `upto` inclusive.
+  virtual void emit_due(core::SimTime upto, core::SimTime armed_at) = 0;
+
+ protected:
+  ~TxSource() = default;
+};
+
+}  // namespace nfvsb::ring

@@ -23,14 +23,15 @@ namespace nfvsb::ring {
 inline constexpr std::size_t kVirtioRingDepth = 256;
 
 /// VM-side view of some host attachment (virtio or ptnet): what a guest
-/// application (l2fwd, MoonGen-in-VM, pkt-gen) sends and receives through.
+/// application (l2fwd, MoonGen-in-VM) sends and receives through.
 class GuestPort {
  public:
   virtual ~GuestPort() = default;
   /// Receive a packet the host side transmitted toward the VM.
   virtual pkt::PacketHandle rx() = 0;
-  /// Transmit a packet toward the host side. False on ring-full drop.
-  virtual bool tx(pkt::PacketHandle p) = 0;
+  /// Transmit a packet, or a generator's unbuilt frame, toward the host
+  /// side. False on ring-full drop.
+  virtual bool tx(pkt::Frame&& f) = 0;
   /// Ring the guest polls for RX (to install watchers/sinks).
   virtual SpscRing& rx_ring() = 0;
   virtual SpscRing& tx_ring() = 0;
@@ -73,9 +74,9 @@ class GuestVirtioPort final : public GuestPort {
 
   pkt::PacketHandle rx() override { return backend_.out().dequeue(); }
 
-  bool tx(pkt::PacketHandle p) override {
+  bool tx(pkt::Frame&& f) override {
     const bool was_empty = backend_.in().empty();
-    const bool ok = backend_.in().enqueue(std::move(p));
+    const bool ok = backend_.in().enqueue(std::move(f));
     if (ok && was_empty) backend_.note_kick();
     return ok;
   }

@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/units.h"
@@ -22,7 +21,6 @@
 #include "switches/bess/bess_switch.h"
 #include "switches/switch_base.h"
 #include "traffic/moongen.h"
-#include "traffic/pktgen.h"
 
 namespace nfvsb::scenario {
 
@@ -108,9 +106,6 @@ using detail::Endpoint;
 using detail::Env;
 using detail::Topology;
 
-/// A direction's generator: MoonGen, or pkt-gen in a VALE guest.
-using Generator = std::variant<traffic::MoonGen, traffic::PktGen>;
-
 /// The direction's monitor: MoonGen's receive path at the terminal
 /// endpoint, which stands in for every RX tool the paper used (MoonGen on
 /// node 1, pkt-gen in a VALE guest, FloWatcher-DPDK in a DPDK guest).
@@ -148,26 +143,18 @@ pkt::FrameSpec make_frame(const ScenarioConfig& cfg, const Direction& d) {
   return f;
 }
 
-/// The direction's generator, attached and started: MoonGen on node 1 or
-/// in a DPDK guest, pkt-gen in a VALE guest.
-std::unique_ptr<Generator> start_generator(const ScenarioConfig& cfg,
-                                           Env& env, const Direction& d,
-                                           double rate_pps,
-                                           core::SimDuration probe_interval) {
-  const core::SimTime t_stop = env.t_stop(cfg);
-  if (d.from.guest != nullptr && cfg.sut == switches::SwitchType::kVale) {
-    traffic::PktGen::Config c;
-    c.frame = make_frame(cfg, d);
-    c.rate_pps = rate_pps;
-    c.probe_interval = probe_interval;
-    c.origin = d.origin;
-    auto gen = std::make_unique<Generator>(
-        std::in_place_type<traffic::PktGen>, env.sim, env.pool, c);
-    auto& pg = std::get<traffic::PktGen>(*gen);
-    pg.attach_tx(*d.from.guest);
-    pg.start_tx(0, t_stop);
-    return gen;
-  }
+/// pkt-gen's per-frame preparation cost in a VALE guest, fixed plus per
+/// byte: ~20 Mpps at 64 B on the testbed's cores.
+constexpr double kPktGenPrepFixedNs = 42;
+constexpr double kPktGenPrepByteNs = 0.075;
+
+/// The direction's generator, attached and started: MoonGen on node 1, in a
+/// DPDK guest, or under pkt-gen's law in a VALE guest.
+std::unique_ptr<traffic::MoonGen> start_generator(
+    const ScenarioConfig& cfg, Env& env, const Direction& d, double rate_pps,
+    core::SimDuration probe_interval) {
+  const bool pktgen =
+      d.from.guest != nullptr && cfg.sut == switches::SwitchType::kVale;
   traffic::MoonGen::Config c;
   c.frame = make_frame(cfg, d);
   c.rate_pps = rate_pps;
@@ -175,20 +162,26 @@ std::unique_ptr<Generator> start_generator(const ScenarioConfig& cfg,
   c.probe_interval = probe_interval;
   // A guest has no PTP-capable NIC: probes carry software timestamps.
   c.software_timestamps = d.from.guest != nullptr;
-  // Probes start once the meters open.
-  c.meter_open_at = cfg.warmup;
+  // Probes start once the meters open; pkt-gen's at its first frame.
+  c.meter_open_at = pktgen ? 0 : cfg.warmup;
   c.origin = d.origin;
-  auto gen = std::make_unique<Generator>(std::in_place_type<traffic::MoonGen>,
-                                         env.sim, env.pool, c);
-  auto& mg = std::get<traffic::MoonGen>(*gen);
+  auto gen = std::make_unique<traffic::MoonGen>(env.sim, env.pool, c);
   if (d.from.nic != nullptr) {
-    mg.attach_tx_nic(*d.from.nic);
+    gen->attach_tx_nic(*d.from.nic);
+  } else if (pktgen) {
+    // pkt-gen is not paced: the guest CPU's preparation cost is the gap.
+    const double prep_ns =
+        kPktGenPrepFixedNs +
+        kPktGenPrepByteNs * static_cast<double>(cfg.frame_bytes);
+    gen->attach_tx_guest(*d.from.guest,
+                         prep_ns * static_cast<double>(core::kNanosecond));
   } else {
     // In-VM MoonGen paces to the 10 GbE equivalent of the frame size.
-    mg.attach_tx_guest(*d.from.guest,
-                       core::kTenGigE.line_rate_pps(cfg.frame_bytes));
+    gen->attach_tx_guest(*d.from.guest,
+                         static_cast<double>(core::kSecond) /
+                             core::kTenGigE.line_rate_pps(cfg.frame_bytes));
   }
-  mg.start_tx(0, t_stop);
+  gen->start_tx(0, env.t_stop(cfg));
   return gen;
 }
 
@@ -222,7 +215,7 @@ ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
   std::vector<std::unique_ptr<traffic::MoonGen>> mons;
   for (const Direction& d : dirs) mons.push_back(make_monitor(cfg, env, d.to));
   // Probes ride on the first direction, whose monitor reports latency.
-  std::vector<std::unique_ptr<Generator>> gens;
+  std::vector<std::unique_ptr<traffic::MoonGen>> gens;
   for (std::size_t i = 0; i < dirs.size(); ++i) {
     gens.push_back(start_generator(
         cfg, env, dirs[i], topo.rate_pps.value_or(cfg.rate_pps),
@@ -243,12 +236,8 @@ ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
   // guest RX rings are sink-drained by their monitor, so enqueued() counts
   // every frame delivered into the VM.
   for (std::size_t i = 0; i < dirs.size(); ++i) {
-    std::visit(
-        [&r](const auto& g) {
-          r.offered_packets += g.tx_sent();
-          r.gen_tx_failures += g.tx_failed();
-        },
-        *gens[i]);
+    r.offered_packets += gens[i]->tx_sent();
+    r.gen_tx_failures += gens[i]->tx_failed();
     const Endpoint& to = dirs[i].to;
     r.delivered_packets += to.nic != nullptr ? to.nic->rx_frames()
                                              : to.guest->rx_ring().enqueued();

@@ -30,6 +30,7 @@ MoonGen::MoonGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
 
 MoonGen::~MoonGen() {
   if (tx_nic_ != nullptr) tx_nic_->detach_tx_source(*this);
+  if (tx_guest_ != nullptr) tx_guest_->tx_ring().detach_source();
   if (registry_ != nullptr) registry_->remove(this);
 }
 
@@ -37,20 +38,25 @@ void MoonGen::attach_tx_nic(hw::NicPort& nic) {
   assert(tx_nic_ == nullptr && tx_guest_ == nullptr);
   tx_nic_ = &nic;
   nic.attach_tx_source(*this);
-  pace_pps_ = cfg_.rate_pps > 0
-                  ? cfg_.rate_pps
-                  : nic.rate().line_rate_pps(cfg_.frame.frame_bytes);
+  gap_ps_ = static_cast<double>(core::kSecond) /
+            (cfg_.rate_pps > 0
+                 ? cfg_.rate_pps
+                 : nic.rate().line_rate_pps(cfg_.frame.frame_bytes));
 }
 
-void MoonGen::attach_tx_guest(ring::GuestPort& port, double max_pps) {
+void MoonGen::attach_tx_guest(ring::GuestPort& port, double min_gap_ps) {
   assert(tx_nic_ == nullptr && tx_guest_ == nullptr);
   tx_guest_ = &port;
-  pace_pps_ = cfg_.rate_pps > 0 ? std::min(cfg_.rate_pps, max_pps) : max_pps;
+  port.tx_ring().feed_from_source(sim_, *this);
+  gap_ps_ = cfg_.rate_pps > 0
+                ? std::max(min_gap_ps,
+                           static_cast<double>(core::kSecond) / cfg_.rate_pps)
+                : min_gap_ps;
 }
 
 void MoonGen::start_tx(core::SimTime at, core::SimTime until) {
   assert((tx_nic_ != nullptr || tx_guest_ != nullptr) && "attach TX first");
-  assert(pace_pps_ > 0);
+  assert(gap_ps_ > 0);
   tx_until_ = until;
   next_at_ = at;
   last_at_ = sim_.now();
@@ -59,19 +65,9 @@ void MoonGen::start_tx(core::SimTime at, core::SimTime until) {
   next_probe_at_ = std::max(at, cfg_.meter_open_at);
   if (tx_nic_ != nullptr) {
     tx_nic_->wake_tx();
-    return;
+  } else {
+    tx_guest_->tx_ring().wake_source();
   }
-  // A guest port has no fetch to pull the frames: one recurring timer
-  // fires at each emit (its callback is stored once, re-arms are
-  // allocation-free) and stops after the last, so its id is dropped.
-  if (next_emit() == kNever) return;
-  (void)sim_.schedule_every(
-      at - sim_.now(), core::Simulator::RecurringFn([this] {
-        const core::SimTime now = sim_.now();
-        emit_due(now, kNever);
-        const core::SimTime next = next_emit();
-        return next == kNever ? core::Simulator::kStopTimer : next - now;
-      }));
 }
 
 core::SimTime MoonGen::next_emit() const {
@@ -88,8 +84,8 @@ void MoonGen::emit_due(core::SimTime upto, core::SimTime armed_at) {
 }
 
 void MoonGen::emit_one(core::SimTime at) {
-  // Every frame takes a pool reservation. A plain one for a NIC stays
-  // unbuilt until something reads it (pkt/frame.h); the rest are built now.
+  // Every frame takes a pool reservation, and a plain one stays unbuilt
+  // until something reads it (pkt/frame.h); the rest are built now.
   if (!pool_.reserve()) {
     ++pool_exhausted_;
     return;
@@ -105,13 +101,12 @@ void MoonGen::emit_one(core::SimTime at) {
     if (cfg_.software_timestamps) meta.sw_timestamp = at;
   }
   bool sent;
-  if (tx_nic_ != nullptr && meta.probe_id == 0 && meta.trace_id == 0) {
-    sent = tx_nic_->tx_ring().enqueue(pkt::Frame(recipe_, pool_, meta.seq));
+  if (meta.probe_id == 0 && meta.trace_id == 0) {
+    sent = send(pkt::Frame(recipe_, pool_, meta.seq));
   } else {
     pkt::PacketHandle p = pool_.allocate_reserved();
     recipe_.build(*p, meta);
-    sent = tx_nic_ != nullptr ? tx_nic_->tx_ring().enqueue(std::move(p))
-                              : tx_guest_->tx(std::move(p));
+    sent = send(std::move(p));
   }
   if (sent) {
     ++tx_sent_;
@@ -120,9 +115,13 @@ void MoonGen::emit_one(core::SimTime at) {
   }
 }
 
+bool MoonGen::send(pkt::Frame&& f) {
+  return tx_nic_ != nullptr ? tx_nic_->tx_ring().enqueue(std::move(f))
+                            : tx_guest_->tx(std::move(f));
+}
+
 core::SimDuration MoonGen::gap() {
-  const double exact =
-      static_cast<double>(core::kSecond) / pace_pps_ + pace_frac_;
+  const double exact = gap_ps_ + pace_frac_;
   const auto whole = static_cast<core::SimDuration>(exact);
   pace_frac_ = exact - static_cast<double>(whole);
   return whole;

@@ -1,5 +1,6 @@
 // MoonGen model — the scriptable traffic generator/receiver the paper uses
-// for every scenario except VALE's guest side (Emmerich et al., IMC'15).
+// (Emmerich et al., IMC'15), and the one generator of this model: pkt-gen,
+// netmap's tool in VALE guests, is MoonGen under another pacing law.
 //
 // Capabilities mirrored from the paper's usage:
 //  * synthetic CBR UDP traffic, saturating (10 Gbps "disregarding any
@@ -7,6 +8,11 @@
 //  * PTP latency probes injected into the background traffic, timestamped
 //    in NIC hardware on TX and RX (p2p/loopback), or software-timestamped
 //    when run inside a VM against virtio ports (v2v, Table 4);
+//  * in a guest, a minimum gap per frame: the in-VM MoonGen paces to the
+//    10 GbE line rate of the frame size, while pkt-gen is not paced at all
+//    and is bounded only by the guest CPU's per-frame preparation cost,
+//    which is how VALE's v2v throughput exceeds 10 Gbps-equivalent
+//    (Sec. 5.1, Fig. 4c);
 //  * RX monitoring with negligible overhead (implemented as a ring sink).
 //    Its receive path is the one monitor of every scenario direction: the
 //    paper's other monitors, pkt-gen's RX side and FloWatcher-DPDK, count
@@ -16,31 +22,31 @@
 // Like the real tool it costs the simulation nothing per frame. Every
 // frame is a copy of one prebuilt frame (pkt::FrameRecipe), with the
 // sequence tag and, over several flows, the UDP source port patched. Emit
-// times follow from the pacing alone: one emission routine (emit_due)
-// enqueues every frame due by a given time, each stamped with its own emit
-// time, and two clocks drive it. On a NIC, the NIC pulls it at every TX
-// fetch (the generator is a hw::TxSource), as the real MoonGen leaves
-// pacing to the NIC's rate control; on a guest port, which has no fetch,
-// its own recurring timer fires at each emit. A frame sent through a NIC
-// is enqueued unbuilt (pkt::Frame) and built only where it is first read,
-// so one the receiving RX ring drops is never built; the generator must
-// outlive its frames' builds. On the receive side, a
-// monitored NIC hands each frame over in the firing that sends it down the
-// wire, stamped with its arrival time, so meters and latency recorders
+// times follow from the pacing alone, and there is one emission path: the
+// generator is a ring::TxSource, and its reader pulls every frame due by
+// then (emit_due), each stamped with its own emit time. On a NIC the
+// reader is the NIC's TX fetch, as the real MoonGen leaves pacing to the
+// NIC's rate control; on a guest port it is the guest's TX ring
+// (SpscRing::feed_from_source), read by the switch that serves it, which
+// an event wakes at each emit only while that switch is idle. Frames are
+// enqueued unbuilt (pkt::Frame) and built where they are first read, so
+// one a ring drops is never built; the generator must outlive its frames'
+// builds. Probes and traced frames are built at emit. On the receive side,
+// a monitored NIC hands each frame over in the firing that sends it down
+// the wire, stamped with its arrival time, so meters and latency recorders
 // take that time rather than now().
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "core/counter.h"
 #include "core/simulator.h"
 #include "core/units.h"
 #include "hw/nic.h"
-#include "hw/tx_source.h"
 #include "pkt/crafting.h"
 #include "pkt/frame.h"
 #include "pkt/packet_pool.h"
+#include "ring/tx_source.h"
 #include "ring/vhost_user_port.h"
 #include "stats/latency_recorder.h"
 #include "stats/throughput_meter.h"
@@ -51,12 +57,12 @@ class MetricSink;
 
 namespace nfvsb::traffic {
 
-class MoonGen final : public hw::TxSource {
+class MoonGen final : public ring::TxSource {
  public:
   struct Config {
     pkt::FrameSpec frame;
-    /// Target TX rate; 0 = saturate (line rate on NIC targets; guest
-    /// targets need an explicit cap via attach_tx_guest).
+    /// Target TX rate; 0 = saturate (line rate on NIC targets, the
+    /// minimum gap attach_tx_guest sets on guest targets).
     double rate_pps{0};
     /// Inject one PTP probe into the stream this often (0 = none).
     core::SimDuration probe_interval{0};
@@ -83,15 +89,15 @@ class MoonGen final : public hw::TxSource {
   /// Transmit through a physical NIC port (node-1 generator), which pulls
   /// the frames at its TX fetches.
   void attach_tx_nic(hw::NicPort& nic);
-  /// Transmit through a guest port, paced at most `max_pps` (a virtio
-  /// device has no intrinsic line rate; the paper's in-VM MoonGen drives
-  /// 10 Gbps-equivalent pacing).
-  void attach_tx_guest(ring::GuestPort& port, double max_pps);
+  /// Transmit through a guest port, its frames at least `min_gap_ps`
+  /// picoseconds apart (a virtio device has no intrinsic line rate: the
+  /// guest's pacing or its CPU sets the gap).
+  void attach_tx_guest(ring::GuestPort& port, double min_gap_ps);
 
   /// Generate from `at` until `until`.
   void start_tx(core::SimTime at, core::SimTime until);
 
-  // --- hw::TxSource --------------------------------------------------------
+  // --- ring::TxSource --------------------------------------------------------
   [[nodiscard]] core::SimTime next_emit() const override;
   void emit_due(core::SimTime upto, core::SimTime armed_at) override;
 
@@ -117,9 +123,11 @@ class MoonGen final : public hw::TxSource {
 
  private:
   void emit_one(core::SimTime at);
-  /// Next inter-packet gap. Mutates pace_frac_: the exact gap is rarely an
-  /// integer picosecond count, and the fractional remainder is carried to
-  /// the next re-arm so the long-run rate matches pace_pps_ exactly
+  /// Enqueue `f` into the NIC's or the guest port's TX ring.
+  bool send(pkt::Frame&& f);
+  /// Next inter-packet gap. Mutates pace_frac_: the exact gap_ps_ is
+  /// rarely an integer picosecond count, and the fractional remainder is
+  /// carried to the next frame so the long-run rate matches it exactly
   /// (truncating it every packet inflated the rate by up to 1 ps/packet).
   [[nodiscard]] core::SimDuration gap();
   /// Count a frame that arrived at `at`; `sw_latency` records a software-
@@ -132,7 +140,8 @@ class MoonGen final : public hw::TxSource {
   pkt::FrameRecipe recipe_;
   hw::NicPort* tx_nic_{nullptr};
   ring::GuestPort* tx_guest_{nullptr};
-  double pace_pps_{0};
+  /// Exact inter-frame gap in picoseconds.
+  double gap_ps_{0};
   /// Fractional picoseconds owed to the pacing clock (see gap()).
   double pace_frac_{0};
   core::SimTime tx_until_{0};

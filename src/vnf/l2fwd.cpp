@@ -55,14 +55,6 @@ void L2Fwd::bind_virtio_pair(ring::VhostUserPort& dev0,
                                             dev1.out(), dev1.in()));
 }
 
-void L2Fwd::bind_ptnet_pair(ring::PtnetPort& dev0, ring::PtnetPort& dev1) {
-  assert(num_ports() == 0);
-  add_port(std::make_unique<ring::RingPort>(
-      name() + ":ptnet0", ring::PortKind::kPtnet, dev0.out(), dev0.in()));
-  add_port(std::make_unique<ring::RingPort>(
-      name() + ":ptnet1", ring::PortKind::kPtnet, dev1.out(), dev1.in()));
-}
-
 void L2Fwd::set_dst_mac_rewrite(std::size_t out_port,
                                 const pkt::MacAddress& mac) {
   rewrite_.at(out_port) = mac;

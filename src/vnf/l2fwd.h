@@ -39,9 +39,6 @@ class L2Fwd final : public switches::SwitchBase {
   /// Bind the guest side of two vhost-user backends as ports 0 and 1.
   void bind_virtio_pair(ring::VhostUserPort& dev0, ring::VhostUserPort& dev1);
 
-  /// Bind the guest side of two ptnet host ports as ports 0 and 1.
-  void bind_ptnet_pair(ring::PtnetPort& dev0, ring::PtnetPort& dev1);
-
   /// Rewrite the destination MAC of packets leaving port `out_port`
   /// (chains of t4p4s hops need each hop's table key).
   void set_dst_mac_rewrite(std::size_t out_port, const pkt::MacAddress& mac);

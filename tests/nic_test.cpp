@@ -11,7 +11,7 @@
 #include "core/simulator.h"
 #include "hw/cable.h"
 #include "hw/nic.h"
-#include "hw/tx_source.h"
+#include "ring/tx_source.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 
@@ -171,7 +171,7 @@ TEST_F(NicTest, TimedSinkHookStillSeesMacTime) {
 
 /// A pull source for the NIC tests: `n` frames, one every `gap`, from
 /// `first` on.
-class FixedSource final : public TxSource {
+class FixedSource final : public ring::TxSource {
  public:
   FixedSource(NicPort& nic, pkt::PacketPool& pool, std::uint32_t origin,
               core::SimTime first, core::SimDuration gap, int n)

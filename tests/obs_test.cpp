@@ -25,6 +25,7 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "pkt/packet_pool.h"
+#include "ring/netmap_port.h"
 #include "ring/spsc_ring.h"
 #include "scenario/scenario.h"
 #include "switches/registry.h"
@@ -229,6 +230,42 @@ TEST(TraceHooks, LiveDataPathEmitsBalancedEvents) {
   }
   for (const auto& [id, n] : open) {
     EXPECT_EQ(n, 0) << "unbalanced lifecycle for id " << id;
+  }
+}
+
+// Trace ids are handed out in emit order across generators. Two guest
+// generators whose rings' consumer stays busy (nothing reads them until
+// the end) still emit each frame at its own instant while a tracer is
+// installed, so their ids interleave as their emit times do.
+TEST(TraceHooks, GuestGeneratorsDrawTraceIdsInEmitOrder) {
+  core::Simulator sim;
+  TraceRecorder::Config tc;
+  tc.packet_sample_every = 1;
+  TraceRecorder tr(sim, tc);
+  core::TraceInstall install(&tr);
+  pkt::PacketPool pool(1 << 10);
+  ring::PtnetPort host_a("a");
+  ring::PtnetPort host_b("b");
+  ring::GuestPtnetPort guest_a(host_a);
+  ring::GuestPtnetPort guest_b(host_b);
+  host_a.in().set_consumer_busy(true);
+  host_b.in().set_consumer_busy(true);
+  traffic::MoonGen::Config cfg;
+  cfg.rate_pps = 1e6;
+  traffic::MoonGen gen_a(sim, pool, cfg);
+  traffic::MoonGen gen_b(sim, pool, cfg);
+  gen_a.attach_tx_guest(guest_a, 0);
+  gen_b.attach_tx_guest(guest_b, 0);
+  gen_a.start_tx(0, core::from_us(4));                   // 0, 1, 2, 3 us
+  gen_b.start_tx(core::from_ns(500), core::from_us(4));  // 0.5 .. 3.5 us
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 8u);  // one per frame, busy or not
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    auto a = host_a.in().dequeue();
+    auto b = host_b.in().dequeue();
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(a->trace_id, 2 * i + 1);
+    EXPECT_EQ(b->trace_id, 2 * i + 2);
   }
 }
 

@@ -107,6 +107,23 @@ TEST(Simulator, ResetClearsState) {
   EXPECT_EQ(sim.events_processed(), 0u);
 }
 
+// Between runs, an order key taken before the last run returned is past
+// at now(), and one taken since is still ahead: a generator started
+// between runs with a frame due now has not emitted it yet.
+TEST(Simulator, KeyTakenBetweenRunsIsAheadAtNow) {
+  Simulator sim;
+  const std::uint64_t before_any_run = sim.reserve_order();
+  EXPECT_FALSE(sim.reached(0, before_any_run));
+  sim.run_until(from_us(1));
+  EXPECT_TRUE(sim.reached(from_us(1), before_any_run));
+  const std::uint64_t since = sim.reserve_order();
+  EXPECT_FALSE(sim.reached(from_us(1), since));
+  EXPECT_TRUE(sim.reached(from_ns(999), since));  // an earlier instant
+  sim.post_at(from_us(2), [] {});
+  sim.run();
+  EXPECT_TRUE(sim.reached(from_us(2), since));
+}
+
 TEST(Simulator, RngIsSeedDeterministic) {
   Simulator a(42), b(42), c(43);
   EXPECT_EQ(a.rng().next_u64(), b.rng().next_u64());

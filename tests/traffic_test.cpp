@@ -1,5 +1,6 @@
 // Traffic tools: MoonGen pacing/probes/flows, template frames and events
-// per frame, MoonGen guest monitoring, pkt-gen CPU-limited TX.
+// per frame, MoonGen guest monitoring, pkt-gen's law, guest TX rings that
+// pull their generator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +12,8 @@
 #include "hw/nic.h"
 #include "pkt/headers.h"
 #include "ring/netmap_port.h"
+#include "ring/vhost_user_port.h"
 #include "traffic/moongen.h"
-#include "traffic/pktgen.h"
 
 namespace nfvsb::traffic {
 namespace {
@@ -261,61 +262,266 @@ TEST_F(MoonGenNicTest, MeterOpensAfterWarmup) {
   EXPECT_NEAR(static_cast<double>(mon.rx_meter().packets()), 1000.0, 20.0);
 }
 
-TEST(PktGenTest, CpuLimitedRateFollowsPrepCost) {
-  core::Simulator sim;
-  pkt::PacketPool pool(1 << 12);
-  ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
-  PktGen::Config cfg;
-  cfg.prep_fixed_ns = 100;
-  cfg.prep_byte_ns = 0;
-  PktGen gen(sim, pool, cfg);
-  gen.attach_tx(guest);
-  host.in().set_sink([](pkt::PacketHandle) {});
-  gen.start_tx(0, core::from_ms(1));
-  sim.run();
-  // 100 ns/packet -> 10 Mpps -> ~10000 packets in 1 ms.
-  EXPECT_NEAR(static_cast<double>(gen.tx_sent()), 10000.0, 100.0);
+/// pkt-gen's minimum gap for `bytes`-byte frames: the guest CPU's
+/// preparation cost, 42 ns + 0.075 ns per byte (scenario.cpp).
+double pktgen_gap_ps(std::uint32_t bytes) {
+  return (42 + 0.075 * static_cast<double>(bytes)) *
+         static_cast<double>(core::kNanosecond);
 }
 
-TEST(PktGenTest, OptionalPacingCapApplies) {
-  core::Simulator sim;
-  pkt::PacketPool pool(1 << 12);
-  ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
-  PktGen::Config cfg;
-  cfg.prep_fixed_ns = 100;
-  cfg.rate_pps = 1e6;  // slower than the CPU limit
-  PktGen gen(sim, pool, cfg);
-  gen.attach_tx(guest);
-  host.in().set_sink([](pkt::PacketHandle) {});
-  gen.start_tx(0, core::from_ms(1));
-  sim.run();
-  EXPECT_NEAR(static_cast<double>(gen.tx_sent()), 1000.0, 20.0);
+/// A MoonGen under pkt-gen's law in a guest: software-timestamped probes
+/// that start at its first frame.
+MoonGen::Config pktgen_config(std::uint32_t bytes, double rate_pps,
+                              core::SimDuration probe_interval) {
+  MoonGen::Config cfg;
+  cfg.frame.frame_bytes = bytes;
+  cfg.rate_pps = rate_pps;
+  cfg.probe_interval = probe_interval;
+  cfg.software_timestamps = true;
+  cfg.origin = 2;
+  return cfg;
 }
 
-TEST(PktGenTest, LargerFramesSlowTheGenerator) {
+// pkt-gen's law, pinned to the values the separate pkt-gen generator
+// produced before it became a MoonGen law: the first 64 emit times, and
+// which frames are probes with what software timestamp, at 64 B and
+// 1518 B, unpaced (prep-cost limited) and capped at 5.3 Mpps. A 250 ns
+// probe interval probes every sixth 64 B frame unpaced, every second one
+// otherwise. The guest ring's consumer stays idle, so each frame is put
+// in by its own event, at its emit picosecond.
+TEST(PktGenLaw, EmitTimesAndProbesMatchPktGen) {
+  // Capped: 1e12 / 5.3e6 = 188679.245... ps, the remainder carried.
+  const core::SimTime capped[64] = {
+      0,        188679,   377358,   566037,   754716,   943396,   1132075,
+      1320754,  1509433,  1698113,  1886792,  2075471,  2264150,  2452830,
+      2641509,  2830188,  3018867,  3207547,  3396226,  3584905,  3773584,
+      3962264,  4150943,  4339622,  4528301,  4716981,  4905660,  5094339,
+      5283018,  5471698,  5660377,  5849056,  6037735,  6226415,  6415094,
+      6603773,  6792452,  6981132,  7169811,  7358490,  7547169,  7735849,
+      7924528,  8113207,  8301886,  8490566,  8679245,  8867924,  9056603,
+      9245283,  9433962,  9622641,  9811320,  9999999,  10188679, 10377358,
+      10566037, 10754716, 10943396, 11132075, 11320754, 11509433, 11698113,
+      11886792};
+  struct Case {
+    std::uint32_t bytes;
+    double rate_pps;
+    /// Unpaced: the exact gap in ps (an integer); capped: 0.
+    core::SimDuration gap;
+    std::size_t probe_every;
+    std::uint64_t sent_in_100us;
+  };
+  const Case cases[] = {{64, 0, 46800, 6, 2137},
+                        {64, 5.3e6, 0, 2, 531},
+                        {1518, 0, 155850, 2, 642},
+                        {1518, 5.3e6, 0, 2, 531}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.bytes) + " B at " +
+                 std::to_string(c.rate_pps) + " pps");
+    core::Simulator sim;
+    pkt::PacketPool pool(1 << 12);
+    ring::PtnetPort host("pt");
+    ring::GuestPtnetPort guest(host);
+    struct Seen {
+      core::SimTime at;
+      std::uint64_t probe_id;
+      core::SimTime sw_timestamp;
+    };
+    std::vector<Seen> seen;
+    host.in().set_sink([&](pkt::PacketHandle p) {
+      if (seen.size() < 64) {
+        seen.push_back({sim.now(), p->probe_id, p->sw_timestamp});
+      }
+    });
+    MoonGen gen(sim, pool,
+                pktgen_config(c.bytes, c.rate_pps, core::from_ns(250)));
+    gen.attach_tx_guest(guest, pktgen_gap_ps(c.bytes));
+    gen.start_tx(0, core::from_us(100));
+    sim.run();
+    EXPECT_EQ(gen.tx_sent(), c.sent_in_100us);
+    ASSERT_EQ(seen.size(), 64u);
+    std::uint64_t probes = 0;
+    for (std::size_t i = 0; i < 64; ++i) {
+      const core::SimTime want =
+          c.gap > 0 ? static_cast<core::SimTime>(i) * c.gap : capped[i];
+      EXPECT_EQ(seen[i].at, want) << "frame " << i;
+      if (i % c.probe_every == 0) {
+        EXPECT_EQ(seen[i].probe_id, ++probes) << "frame " << i;
+        EXPECT_EQ(seen[i].sw_timestamp, want) << "frame " << i;
+      } else {
+        EXPECT_EQ(seen[i].probe_id, 0u) << "frame " << i;
+        EXPECT_EQ(seen[i].sw_timestamp, core::kNoTimestamp) << "frame " << i;
+      }
+    }
+  }
+}
+
+// A guest TX ring pulls its generator: a frame the full ring rejects is
+// counted and never built, so the pool hands out one buffer per frame put
+// in.
+TEST(GuestPull, RejectedFrameIsNeverBuilt) {
+  core::Simulator sim;
+  pkt::PacketPool pool(1 << 12);
+  ring::PtnetPort host("pt", 8);  // nobody reads it: it fills at 8
+  ring::GuestPtnetPort guest(host);
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e7;
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, 0);
+  gen.start_tx(0, core::from_us(10));  // 100 frames
+  sim.run();
+  EXPECT_EQ(gen.tx_sent(), 8u);
+  EXPECT_EQ(gen.tx_failed(), 92u);
+  EXPECT_EQ(host.in().enqueued(), 8u);
+  EXPECT_EQ(host.in().drops(), 92u);
+  EXPECT_EQ(pool.handed_out(), 0u);  // nothing dequeued yet
+  while (host.in().dequeue()) {
+  }
+  EXPECT_EQ(pool.handed_out(), 8u);
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
+// While the ring's consumer is idle, an event puts each frame in at its
+// emit picosecond (its watcher sees that time as now and as the arrival).
+// While the consumer is busy, no event fires per frame: its next read puts
+// in everything due, each frame stamped with its emit time.
+TEST(GuestPull, IdleConsumerIsWokenAtTheEmitPicosecond) {
   core::Simulator sim;
   pkt::PacketPool pool(1 << 12);
   ring::PtnetPort host("pt");
   ring::GuestPtnetPort guest(host);
-  PktGen::Config small_cfg;
-  small_cfg.frame.frame_bytes = 64;
-  PktGen::Config big_cfg;
-  big_cfg.frame.frame_bytes = 1024;
-  PktGen small(sim, pool, small_cfg);
-  PktGen big(sim, pool, big_cfg);
-  host.in().set_sink([](pkt::PacketHandle) {});
-  small.attach_tx(guest);
-  small.start_tx(0, core::from_ms(1));
+  std::vector<std::pair<core::SimTime, core::SimTime>> put_in;  // now, arrival
+  host.in().set_watcher([&](bool) {
+    put_in.emplace_back(sim.now(), host.in().arrival_time(sim.now()));
+  });
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e6;  // 1 us apart
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, 0);
+  gen.start_tx(0, core::from_us(10));
+
+  sim.run_until(core::from_ns(4500));
+  ASSERT_EQ(put_in.size(), 5u);
+  for (std::size_t i = 0; i < put_in.size(); ++i) {
+    EXPECT_EQ(put_in[i].first, core::from_us(static_cast<double>(i)));
+    EXPECT_EQ(put_in[i].second, core::from_us(static_cast<double>(i)));
+  }
+  EXPECT_EQ(sim.events_processed(), 5u);  // one wake per frame
+
+  // Busy: frames at 5..8 us cost no event; a read at 8.5 us puts them in.
+  host.in().set_consumer_busy(true);
+  sim.run_until(core::from_ns(8500));
+  EXPECT_EQ(sim.events_processed(), 5u);
+  EXPECT_EQ(put_in.size(), 5u);
+  EXPECT_EQ(host.in().size(), 9u);
+  ASSERT_EQ(put_in.size(), 9u);
+  for (std::size_t i = 5; i < 9; ++i) {
+    EXPECT_EQ(put_in[i].first, core::from_ns(8500));
+    EXPECT_EQ(put_in[i].second, core::from_us(static_cast<double>(i)));
+  }
+
+  // Idle again: the 9 us frame gets its event.
+  host.in().set_consumer_busy(false);
   sim.run();
-  ring::PtnetPort host2("pt2");
-  ring::GuestPtnetPort guest2(host2);
-  host2.in().set_sink([](pkt::PacketHandle) {});
-  big.attach_tx(guest2);
-  big.start_tx(core::from_ms(1), core::from_ms(2));
+  EXPECT_EQ(sim.events_processed(), 6u);
+  ASSERT_EQ(put_in.size(), 10u);
+  EXPECT_EQ(put_in[9].first, core::from_us(9));
+  EXPECT_EQ(gen.tx_sent(), 10u);
+}
+
+// A consumer woken by a pulled frame may go idle again before the pull
+// returns (a switch whose round finds no batch ready). The ring re-arms
+// for the next frame only once the pull is done, so every frame still
+// gets its own event at its emit picosecond.
+TEST(GuestPull, ConsumerThatIdlesInsideThePullIsWokenAgain) {
+  core::Simulator sim;
+  pkt::PacketPool pool(1 << 12);
+  ring::PtnetPort host("pt");
+  ring::GuestPtnetPort guest(host);
+  std::vector<core::SimTime> put_in;
+  host.in().set_watcher([&](bool) {
+    put_in.push_back(sim.now());
+    host.in().set_consumer_busy(true);
+    host.in().set_consumer_busy(false);
+  });
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e6;
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, 0);
+  gen.start_tx(0, core::from_us(5));
   sim.run();
-  EXPECT_GT(small.tx_sent(), big.tx_sent());
+  ASSERT_EQ(put_in.size(), 5u);
+  for (std::size_t i = 0; i < put_in.size(); ++i) {
+    EXPECT_EQ(put_in[i], core::from_us(static_cast<double>(i)));
+  }
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+// Same-instant order: work a frame's enqueue schedules for the next
+// frame's emit picosecond runs before that frame goes in, as it did when
+// each frame had a pacing event re-armed after its emit.
+TEST(GuestPull, WorkAFrameSchedulesRunsBeforeTheNextFrame) {
+  core::Simulator sim;
+  pkt::PacketPool pool(1 << 12);
+  ring::PtnetPort host("pt");
+  ring::GuestPtnetPort guest(host);
+  std::vector<std::size_t> seen;
+  host.in().set_watcher([&](bool) {
+    if (seen.empty()) {
+      sim.post_in(core::from_us(1), [&] { seen.push_back(host.in().size()); });
+    }
+  });
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e6;
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, 0);
+  gen.start_tx(0, core::from_us(2));
+  sim.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], 1u);  // the 1 us frame is not in yet
+  EXPECT_EQ(host.in().size(), 2u);
+}
+
+// A vhost guest kicks the backend once per empty -> non-empty enqueue.
+// Frames pulled in bulk by a busy reader kick exactly as often as enqueues
+// at each emit time would have.
+TEST(GuestPull, KicksEqualThePerEmitCount) {
+  core::Simulator sim;
+  pkt::PacketPool pool(1 << 12);
+  ring::VhostUserPort backend("vhost");
+  ring::GuestVirtioPort guest(backend);
+  backend.in().set_consumer_busy(true);
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e7;  // one frame every 100 ns, 100 in all
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, 0);
+  gen.start_tx(0, core::from_us(10));
+  // A busy switch that drains the ring every 250 ns, from 125 ns on.
+  std::uint64_t reads = 0;
+  (void)sim.schedule_every(
+      core::from_ns(125), core::from_ns(250), core::EventFn([&] {
+        ++reads;
+        while (backend.in().dequeue()) {
+        }
+      }));
+  sim.run_until(core::from_us(11));
+  EXPECT_EQ(gen.tx_sent(), 100u);
+  // Per emit: frame i kicks when no frame was emitted since the last read,
+  // i.e. when it is the first emit after a drain.
+  std::uint64_t want = 0;
+  core::SimTime last_epoch = -1;
+  for (int i = 0; i < 100; ++i) {
+    const core::SimTime t = core::from_ns(100.0 * i);
+    const core::SimTime epoch = t < core::from_ns(125)
+                                    ? 0
+                                    : 1 + (t - core::from_ns(125)) /
+                                              core::from_ns(250);
+    if (epoch != last_epoch) ++want;
+    last_epoch = epoch;
+  }
+  EXPECT_EQ(backend.kicks(), want);
+  EXPECT_EQ(want, 41u);
+  // The busy ring cost the generator no event: only the reader's fired.
+  EXPECT_EQ(sim.events_processed(), reads);
 }
 
 // Regression: a probe emitted (and software-timestamped) at t=0 carries
@@ -344,11 +550,9 @@ TEST(PktGenProbe, ProbeAtTimeZeroIsMeasured) {
   // Loop the guest's TX straight back to its RX ring.
   host.in().set_sink(
       [&host](pkt::PacketHandle p) { host.out().enqueue(std::move(p)); });
-  PktGen::Config cfg;
-  cfg.rate_pps = 1e6;
-  cfg.probe_interval = core::from_ms(10);  // only the t=0 probe fits
-  PktGen gen(sim, pool, cfg);
-  gen.attach_tx(guest);
+  // Only the t=0 probe fits.
+  MoonGen gen(sim, pool, pktgen_config(64, 1e6, core::from_ms(10)));
+  gen.attach_tx_guest(guest, pktgen_gap_ps(64));
   MoonGen mon(sim, pool, MoonGen::Config{});
   mon.attach_rx_guest(guest);
   gen.start_tx(0, core::from_us(100));
@@ -370,7 +574,7 @@ TEST(PacingDrift, MoonGenOfferedLoadWithinOnePpm) {
   MoonGen::Config cfg;
   cfg.rate_pps = 9.7e7;  // period 10309.27 ps: fractional
   MoonGen gen(sim, pool, cfg);
-  gen.attach_tx_guest(guest, cfg.rate_pps);
+  gen.attach_tx_guest(guest, 0);
   const core::SimTime t_end = core::from_ms(10);
   gen.start_tx(0, t_end);
   sim.run();
@@ -385,10 +589,10 @@ TEST(PacingDrift, PktGenOfferedLoadWithinOnePpm) {
   ring::PtnetPort host("pt");
   ring::GuestPtnetPort guest(host);
   host.in().set_sink([](pkt::PacketHandle) {});
-  PktGen::Config cfg;
-  cfg.rate_pps = 1.7e7;  // period 58823.53 ps: fractional (and > prep cost)
-  PktGen gen(sim, pool, cfg);
-  gen.attach_tx(guest);
+  MoonGen::Config cfg =
+      pktgen_config(64, 1.7e7, 0);  // period 58823.53 ps: > prep cost
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, pktgen_gap_ps(64));
   const core::SimTime t_end = core::from_ms(60);
   gen.start_tx(0, t_end);
   sim.run();
