@@ -1,6 +1,9 @@
 // Full reproduction: run the eight paper benches, which write the ten paper
-// campaigns (fig1 and table3 write two each), into one directory, and print
-// each bench's wall time and the total.
+// campaigns (fig1 and table3 write two each), and the observed sweep
+// (bench/observed_sweep.cpp) into one directory, and print each bench's
+// wall time and CPU time (user + system, from getrusage of the finished
+// bench process) and the totals. CPU time varies less than wall time on a
+// shared host.
 //
 //   build/bench/repro [out-dir]
 //
@@ -25,6 +28,8 @@
 #include <filesystem>
 #include <string>
 
+#include <sys/resource.h>
+
 #include "bench_util.h"
 
 namespace {
@@ -44,11 +49,22 @@ std::string format_work(const char* campaign, const Work& w) {
   return buf;
 }
 
-constexpr const char* kPaperBenches[] = {
+constexpr const char* kBenches[] = {
     "fig1_scatter",      "fig4a_p2p",           "fig4b_p2v",
     "fig4c_v2v",         "fig5_loopback_uni",   "fig6_loopback_bidir",
-    "table3_latency",    "table4_v2v_latency",
+    "table3_latency",    "table4_v2v_latency",  "observed_sweep",
 };
+
+/// User + system CPU seconds of every finished child process so far.
+double children_cpu_s() {
+  rusage u{};
+  getrusage(RUSAGE_CHILDREN, &u);
+  auto s = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return s(u.ru_utime) + s(u.ru_stime);
+}
 
 }  // namespace
 
@@ -62,17 +78,22 @@ int main(int argc, char** argv) {
   const std::filesystem::path dir =
       std::filesystem::path(argv[0]).parent_path();
   const char* threads = std::getenv("NFVSB_THREADS");
-  std::printf("== repro: ten paper campaigns into %s (%s threads) ==\n",
+  std::printf("== repro: ten paper campaigns and the observed sweep into %s "
+              "(%s threads) ==\n",
               out.c_str(), threads != nullptr ? threads : "default");
+  std::printf("%-22s %9s %9s\n", "bench", "wall", "cpu");
   int failed = 0;
   double total_s = 0;
+  double total_cpu_s = 0;
   Work total;
   std::string work_lines;
   char line[512];
-  for (const char* bench : kPaperBenches) {
+  for (const char* bench : kBenches) {
     // The bench's stderr comes through the pipe, its stdout is dropped.
-    const std::string cmd =
-        "\"" + (dir / bench).string() + "\" 2>&1 > /dev/null";
+    std::string cmd = "\"";
+    cmd += (dir / bench).string();
+    cmd += "\" 2>&1 > /dev/null";
+    const double cpu0 = children_cpu_s();
     const auto t0 = Clock::now();
     std::FILE* pipe = popen(cmd.c_str(), "r");
     if (pipe == nullptr) {
@@ -96,12 +117,15 @@ int main(int argc, char** argv) {
     const int rc = pclose(pipe);
     const double s =
         std::chrono::duration<double>(Clock::now() - t0).count();
+    const double cpu = children_cpu_s() - cpu0;
     total_s += s;
-    std::printf("%-22s %7.2f s%s\n", bench, s, rc == 0 ? "" : "  FAILED");
+    total_cpu_s += cpu;
+    std::printf("%-22s %7.2f s %7.2f s%s\n", bench, s, cpu,
+                rc == 0 ? "" : "  FAILED");
     if (rc != 0) ++failed;
     std::fflush(stdout);
   }
-  std::printf("%-22s %7.2f s\n", "total", total_s);
+  std::printf("%-22s %7.2f s %7.2f s\n", "total", total_s, total_cpu_s);
   char header[128];
   std::snprintf(header, sizeof header, "%-22s %15s %15s %15s\n",
                 "simulator work", "wheel events", "lane firings",

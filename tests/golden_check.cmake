@@ -1,18 +1,23 @@
-# Re-run one paper campaign binary and byte-compare the JSON of each of
-# its campaigns with the committed golden. Run as a ctest (see
-# tests/CMakeLists.txt):
+# Re-run one bench binary and byte-compare each file it writes with the
+# committed golden. Run as a ctest (see tests/CMakeLists.txt):
 #
-#   cmake -DBENCH=<binary> -DCAMPAIGNS=<name>[,<name>...] -DGOLDENS=<dir>
+#   cmake -DBENCH=<binary> -DFILES=<path>[,<path>...] -DGOLDENS=<dir>
 #         -DOUT=<dir> -P golden_check.cmake
 #
-# The campaign runs at the default seed on 4 worker threads; results are
-# thread-count independent, so any difference is a model change. After an
-# intended change, re-record the goldens (EXPERIMENTS.md, "Goldens").
-foreach(var BENCH CAMPAIGNS GOLDENS OUT)
+# Each path is relative to both GOLDENS and OUT (a paper campaign's
+# "<name>.json", the observed sweep's "observed/points.txt"). The bench
+# runs at the default seed on 4 worker threads; its output is thread-count
+# independent, so any difference is a model change. After an intended
+# change, re-record the goldens (EXPERIMENTS.md, "Goldens").
+foreach(var BENCH FILES GOLDENS OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_check.cmake: -D${var}=... is required")
   endif()
 endforeach()
+
+if(FILES STREQUAL "")
+  message(FATAL_ERROR "golden_check.cmake: no files to compare")
+endif()
 
 file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
@@ -25,10 +30,10 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with ${rc}")
 endif()
 
-string(REPLACE "," ";" campaigns "${CAMPAIGNS}")
-foreach(campaign IN LISTS campaigns)
-  set(fresh "${OUT}/${campaign}.json")
-  set(golden "${GOLDENS}/${campaign}.json")
+string(REPLACE "," ";" files "${FILES}")
+foreach(file IN LISTS files)
+  set(fresh "${OUT}/${file}")
+  set(golden "${GOLDENS}/${file}")
   execute_process(
     COMMAND "${CMAKE_COMMAND}" -E compare_files "${golden}" "${fresh}"
     RESULT_VARIABLE differs)
