@@ -94,7 +94,8 @@ TEST(MSwitchHook, CustomLogicOverridesLearning) {
   vale::ValeSwitch sw(sim, cpu, "msw", cost);
   for (int i = 0; i < 3; ++i) {
     sw.add_port(std::make_unique<ring::RingPort>(
-        "p" + std::to_string(i), ring::PortKind::kNetmapHost, 64));
+        std::string("p").append(std::to_string(i)), ring::PortKind::kNetmapHost,
+        64));
   }
   // Route by UDP dst port parity instead of MACs (an mSwitch-style module).
   sw.set_lookup_fn([](const pkt::Packet& p, std::size_t) {

@@ -19,7 +19,8 @@ class VppBridgeTest : public ::testing::Test {
   VppBridgeTest() : cpu_(sim_, "sut"), sw_(sim_, cpu_, "vpp") {
     for (int i = 0; i < 3; ++i) {
       sw_.add_port(std::make_unique<ring::RingPort>(
-          "p" + std::to_string(i), ring::PortKind::kInternal, 512));
+          std::string("p").append(std::to_string(i)),
+          ring::PortKind::kInternal, 512));
     }
   }
   void push(std::size_t port, std::uint64_t src, std::uint64_t dst) {

@@ -56,9 +56,11 @@ Scanned scan(const std::string& src) {
         } else if (c == '"') {
           out.code[i] = '"';
           if (opens_raw_string(src, i)) {
-            raw_delim = ")";
+            // The closing delimiter: ')', the d-char-sequence, '"'.
             std::size_t j = i + 1;
-            while (j < src.size() && src[j] != '(') raw_delim += src[j++];
+            while (j < src.size() && src[j] != '(') ++j;
+            raw_delim.assign(1, ')');
+            raw_delim.append(src, i + 1, j - (i + 1));
             raw_delim += '"';
             st = St::RawStr;
           } else {
