@@ -34,7 +34,9 @@ int main() {
   std::fputs(ofctl.dump_flows().c_str(), stdout);
   ovs.start();
 
-  // 64 flows of UDP traffic toward the SUT; half target the dropped port.
+  // 64 flows of UDP traffic into OpenFlow port 1, and as many toward the
+  // dropped UDP port into port 2 (one MoonGen per NIC port, as in the
+  // paper's testbed; the drop rule matches on any in_port).
   traffic::MoonGen::Config gen_cfg;
   gen_cfg.rate_pps = 2e6;
   gen_cfg.num_flows = 64;
@@ -47,10 +49,11 @@ int main() {
   drop_cfg.frame.src_ip = pkt::Ipv4Address::parse("10.7.0.1").value();
   drop_cfg.origin = 2;
   traffic::MoonGen dropped(sim, pool, drop_cfg);
-  dropped.attach_tx_nic(bed.nic(1, 0));
+  dropped.attach_tx_nic(bed.nic(1, 1));
   dropped.start_tx(0, core::from_ms(10));
 
-  // Monitor behind port 2, measuring from 1 ms on.
+  // Monitor behind port 2 (sharing the NIC port with the dropped flow's
+  // generator), measuring from 1 ms on.
   traffic::MoonGen::Config mon_cfg;
   mon_cfg.meter_open_at = core::from_ms(1);
   traffic::MoonGen mon(sim, pool, mon_cfg);

@@ -29,15 +29,15 @@ MoonGen::MoonGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
 }
 
 MoonGen::~MoonGen() {
-  if (tx_nic_ != nullptr) tx_nic_->detach_tx_source(*this);
+  if (tx_nic_ != nullptr) tx_nic_->detach_tx_source();
   if (tx_guest_ != nullptr) tx_guest_->tx_ring().detach_source();
   if (registry_ != nullptr) registry_->remove(this);
 }
 
 void MoonGen::attach_tx_nic(hw::NicPort& nic) {
   assert(tx_nic_ == nullptr && tx_guest_ == nullptr);
+  nic.attach_tx_source(*this);  // throws if the port has a source already
   tx_nic_ = &nic;
-  nic.attach_tx_source(*this);
   gap_ps_ = static_cast<double>(core::kSecond) /
             (cfg_.rate_pps > 0
                  ? cfg_.rate_pps

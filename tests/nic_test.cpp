@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,45 +170,40 @@ TEST_F(NicTest, TimedSinkHookStillSeesMacTime) {
   EXPECT_EQ(hook_time, core::from_ns(50 + 67.2 + 5));
 }
 
-/// A pull source for the NIC tests: `n` frames, one every `gap`, from
-/// `first` on.
+/// A pull source for the NIC tests: one frame at each of `emits`
+/// (ascending).
 class FixedSource final : public ring::TxSource {
  public:
-  FixedSource(NicPort& nic, pkt::PacketPool& pool, std::uint32_t origin,
-              core::SimTime first, core::SimDuration gap, int n)
-      : nic_(nic), pool_(pool), origin_(origin), next_(first), gap_(gap),
-        left_(n) {
+  FixedSource(NicPort& nic, pkt::PacketPool& pool,
+              std::vector<core::SimTime> emits)
+      : nic_(nic), pool_(pool), emits_(std::move(emits)) {
     nic_.attach_tx_source(*this);
   }
-  ~FixedSource() { nic_.detach_tx_source(*this); }
+  ~FixedSource() { nic_.detach_tx_source(); }
   FixedSource(const FixedSource&) = delete;
   FixedSource& operator=(const FixedSource&) = delete;
 
   [[nodiscard]] core::SimTime next_emit() const override {
-    return left_ > 0 ? next_ : kNever;
+    return next_ < emits_.size() ? emits_[next_] : kNever;
   }
   void emit_due(core::SimTime upto, core::SimTime armed_at) override {
-    while (left_ > 0 &&
-           (next_ < upto || (next_ == upto && last_ < armed_at))) {
+    for (core::SimTime t = next_emit();
+         t < upto || (t == upto && last_ < armed_at); t = next_emit()) {
       auto p = pool_.allocate();
       pkt::craft_udp_frame(*p, pkt::FrameSpec{});
-      p->origin = origin_;
-      p->sw_timestamp = next_;
+      p->sw_timestamp = t;
       nic_.tx_ring().enqueue(std::move(p));
-      last_ = next_;
-      next_ += gap_;
-      --left_;
+      last_ = t;
+      ++next_;
     }
   }
 
  private:
   NicPort& nic_;
   pkt::PacketPool& pool_;
-  std::uint32_t origin_;
-  core::SimTime next_;
+  std::vector<core::SimTime> emits_;
+  std::size_t next_{0};
   core::SimTime last_{0};
-  core::SimDuration gap_;
-  int left_;
 };
 
 // A pulled frame leaves exactly when a pushed one would: emit time plus the
@@ -217,8 +213,7 @@ TEST_F(NicTest, PulledFramesLeaveWhenPushedOnesWould) {
   b_.rx_ring().set_sink(
       [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
   // Emits at 0, 30 ns (wire busy until 117.2 ns) and 500 ns (idle again).
-  FixedSource src(a_, pool_, 1, 0, core::from_ns(30), 2);
-  FixedSource late(a_, pool_, 2, core::from_ns(500), 0, 1);
+  FixedSource src(a_, pool_, {0, core::from_ns(30), core::from_ns(500)});
   a_.wake_tx();
   sim_.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -234,7 +229,7 @@ TEST_F(NicTest, PushedFrameDoesNotWaitForAPulledOne) {
   std::vector<core::SimTime> arrivals;
   b_.rx_ring().set_sink(
       [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
-  FixedSource src(a_, pool_, 1, core::from_ns(500), 0, 1);
+  FixedSource src(a_, pool_, {core::from_ns(500)});
   a_.wake_tx();  // fetch armed for 550 ns
   a_.tx_ring().enqueue(frame(64));
   sim_.run();
@@ -244,20 +239,13 @@ TEST_F(NicTest, PushedFrameDoesNotWaitForAPulledOne) {
   EXPECT_EQ(arrivals[1], core::from_ns(550) + hop);
 }
 
-// Two sources on one port merge in (emit time, attach order).
-TEST_F(NicTest, PullSourcesMergeByEmitTimeThenAttachOrder) {
-  std::vector<std::pair<core::SimTime, std::uint32_t>> seen;
-  b_.rx_ring().set_sink([&](pkt::PacketHandle p) {
-    seen.emplace_back(p->sw_timestamp, p->origin);
-  });
-  FixedSource one(a_, pool_, 1, 0, core::from_ns(200), 5);
-  FixedSource two(a_, pool_, 2, 0, core::from_ns(100), 8);
+// A port takes one source; a second is refused, not merged.
+TEST_F(NicTest, SecondTxSourceIsRejected) {
+  FixedSource src(a_, pool_, {0});
+  EXPECT_THROW({ FixedSource second(a_, pool_, {0}); }, std::logic_error);
   a_.wake_tx();
   sim_.run();
-  ASSERT_EQ(seen.size(), 13u);
-  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-  EXPECT_EQ(seen[0], std::make_pair(core::SimTime{0}, 1u));
-  EXPECT_EQ(seen[1], std::make_pair(core::SimTime{0}, 2u));
+  EXPECT_EQ(a_.tx_frames(), 1u);
 }
 
 // ---- lazy RX: arrivals at a polled ring ----------------------------------
