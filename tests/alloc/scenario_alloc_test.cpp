@@ -53,5 +53,29 @@ TEST(AllocBudget, PerOfferedPacket) {
   }
 }
 
+// Table 4's VALE point: the guest kernel in VM2 echoes every ping after
+// its stack latency. An echo is one pending event holding the packet, so
+// a longer window, with more echoes, costs no more heap allocations.
+TEST(AllocBudget, ValeEchoAllocatesNothingPerFrame) {
+  auto run = [](core::SimDuration measure, std::uint64_t& allocs) {
+    ScenarioConfig cfg;
+    cfg.kind = Kind::kV2v;
+    cfg.sut = switches::SwitchType::kVale;
+    cfg.probe_interval = core::from_us(40);
+    cfg.measure = measure;
+    const std::uint64_t allocs0 = alloc_test::thread_heap_allocs();
+    const ScenarioResult r = run_scenario(cfg);
+    allocs = alloc_test::thread_heap_allocs() - allocs0;
+    return r.delivered_packets;
+  };
+  std::uint64_t short_allocs = 0;
+  std::uint64_t long_allocs = 0;
+  const std::uint64_t short_echoes = run(core::from_ms(5), short_allocs);
+  const std::uint64_t long_echoes = run(core::from_ms(25), long_allocs);
+  ASSERT_GE(long_echoes, short_echoes + 150);
+  EXPECT_EQ(long_allocs, short_allocs)
+      << long_echoes - short_echoes << " more echoes";
+}
+
 }  // namespace
 }  // namespace nfvsb::scenario
