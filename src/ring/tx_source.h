@@ -10,12 +10,14 @@
 // between two reads. This mirrors real MoonGen, which leaves pacing to the
 // NIC and sends from pre-filled buffers (Emmerich et al., IMC 2015).
 //
-// Two readers pull sources: a NIC's TX fetch (hw::NicPort, which merges
-// several sources onto its rings), and a guest's TX ring
-// (SpscRing::feed_from_source), which every read of the ring's consumer
-// pulls. A source may enqueue built packets or unbuilt frames (pkt::Frame,
-// SpscRing::enqueue); MoonGen enqueues unbuilt ones, so a frame the ring or
-// the far end drops is never built.
+// Two readers pull sources, one source each: a NIC's TX fetch
+// (hw::NicPort), which orders same-instant work by emit_due's time rule,
+// and a guest's TX ring (SpscRing::feed_from_source), which every read of
+// the ring's consumer pulls and which orders it by order keys
+// (core::Simulator::reached; it passes kNever). A source may enqueue built
+// packets or unbuilt frames (pkt::Frame, SpscRing::enqueue); MoonGen
+// enqueues unbuilt ones, so a frame the ring or the far end drops is never
+// built.
 #pragma once
 
 #include <limits>
