@@ -32,8 +32,9 @@ class MetricSink {
   /// sampler calls it with the registered owner, no closure state needed).
   using DepthFn = std::size_t (*)(const void* owner);
   /// Brings an owner's lazily filled queues up to date before their depths
-  /// are read by an event armed at `armed_at` (see ring/tx_source.h).
-  using SyncFn = void (*)(void* owner, SimTime armed_at);
+  /// are read: what a read at this event's (time, order key) would see
+  /// (see ring/tx_source.h).
+  using SyncFn = void (*)(void* owner);
 
   virtual ~MetricSink() = default;
 

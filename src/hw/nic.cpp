@@ -36,8 +36,11 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
     registry_ = reg;
     reg->add_counter(this, "nic/" + name_ + "/tx_frames", &tx_frames_);
     reg->add_counter(this, "nic/" + name_ + "/rx_frames", &rx_frames_);
-    reg->add_sync(this, [](void* owner, core::SimTime armed_at) {
-      static_cast<NicPort*>(owner)->sync_for_sampling(armed_at);
+    // The queue sampler reads the rings as they stand at its event.
+    reg->add_sync(this, [](void* owner) {
+      auto* nic = static_cast<NicPort*>(owner);
+      nic->catch_up_rx();
+      nic->pull_source();
     });
   }
 }
@@ -79,22 +82,15 @@ core::SimTime NicPort::fetch_time(core::SimTime ready) const {
   return wire_free_at_ > ready ? wire_free_at_ : ready + cfg_.dma_tx_latency;
 }
 
-void NicPort::on_tx_enqueue() {
-  const core::SimTime now = sim_.now();
-  arm_fetch(fetch_time(now), now);
-}
-
-core::SimTime NicPort::next_source_emit() const {
-  return tx_source_ != nullptr ? tx_source_->next_emit()
-                               : ring::TxSource::kNever;
-}
+void NicPort::on_tx_enqueue() { arm_fetch(fetch_time(sim_.now())); }
 
 void NicPort::wake_tx() {
-  const core::SimTime next = next_source_emit();
-  if (next != ring::TxSource::kNever) arm_fetch(fetch_time(next), next);
+  source_order_ = sim_.reserve_order();
+  const core::SimTime next = tx_source_->next_emit();
+  if (next != ring::TxSource::kNever) arm_fetch(fetch_time(next));
 }
 
-void NicPort::arm_fetch(core::SimTime at, core::SimTime as_armed_at) {
+void NicPort::arm_fetch(core::SimTime at) {
   // When the armed fetch waits for a source's next emit, a frame pushed in
   // meanwhile may be due earlier: re-arming replaces the pending fetch.
   if (tx_busy_ && tx_fetch_at_ <= at) return;
@@ -102,43 +98,22 @@ void NicPort::arm_fetch(core::SimTime at, core::SimTime as_armed_at) {
   // when nothing is left.
   tx_busy_ = true;
   tx_fetch_at_ = at;
-  tx_armed_at_ = sim_.now();
-  tx_as_armed_at_ = as_armed_at;
   sim_.arm_lane(tx_lane_, at);
 }
 
-void NicPort::pull_source(core::SimTime armed_at) {
-  if (tx_source_ != nullptr) tx_source_->emit_due(sim_.now(), armed_at);
-}
-
-void NicPort::sync_for_sampling(core::SimTime armed_at) {
-  catch_up_rx();
-  pull_source(armed_at);
-  // A fetch that waited for a source's frame was armed when the rings
-  // drained, but is ordered as if armed when that frame was emitted. If it
-  // ran at this very instant and the read was armed in between (or at that
-  // emit, by a read that came before it), the read comes first in that
-  // order: it must still see the frame the fetch took.
-  const core::SimTime now = sim_.now();
-  const Fetch& f = last_fetch_;
-  const bool read_first =
-      armed_at < f.as_armed_at ||
-      (armed_at == f.as_armed_at && sync_left_due_at_ == armed_at);
-  for (auto& r : tx_rings_) r->set_sample_lag(0);
-  if (f.ring != nullptr && f.at == now && f.armed_at < armed_at &&
-      read_first) {
-    f.ring->set_sample_lag(1);
+void NicPort::pull_source() {
+  // Each frame's successor takes its order key once the frame is in, as
+  // SpscRing::pull_source does (ring/tx_source.h).
+  if (tx_source_ == nullptr) return;
+  while (sim_.reached(tx_source_->next_emit(), source_order_)) {
+    tx_source_->emit_next();
+    source_order_ = sim_.reserve_order();
   }
-  // A frame due now that this read left for the fetch was emitted after it.
-  sync_left_due_at_ = next_source_emit() == now ? now : core::kNoTimestamp;
 }
 
 core::SimDuration NicPort::serialize_step() {
   const core::SimTime now = sim_.now();
-  pull_source(tx_as_armed_at_);
-  last_fetch_ = {now, tx_armed_at_, tx_as_armed_at_, nullptr};
-  tx_armed_at_ = now;
-  tx_as_armed_at_ = now;
+  pull_source();
   // Round-robin across TX queues (82599 WRR with equal weights).
   pkt::Frame f;
   for (std::size_t k = 0; k < tx_rings_.size(); ++k) {
@@ -146,7 +121,6 @@ core::SimDuration NicPort::serialize_step() {
     f = tx_rings_[q]->dequeue_frame();
     if (f) {
       tx_rr_ = (q + 1) % tx_rings_.size();
-      last_fetch_.ring = tx_rings_[q].get();
       break;
     }
   }
@@ -178,13 +152,13 @@ core::SimDuration NicPort::serialize_step() {
     }
   }
   // The rings are empty: fetch again when the source's next frame is due.
-  const core::SimTime next = next_source_emit();
+  const core::SimTime next = tx_source_ != nullptr ? tx_source_->next_emit()
+                                                   : ring::TxSource::kNever;
   if (next == ring::TxSource::kNever) {
     tx_busy_ = false;
     return core::Simulator::kStopTimer;
   }
   tx_fetch_at_ = fetch_time(next);
-  tx_as_armed_at_ = next;
   return tx_fetch_at_ - now;
 }
 

@@ -18,13 +18,11 @@
 //    refused) is pulled at fetch time: the fetch first enqueues every
 //    frame the generator owes by then, each stamped with its own emit
 //    time, and when the rings drain the next fetch is armed for the
-//    generator's next emit. The port pulls it itself, not through
-//    SpscRing::feed_from_source: that fetch is armed when the rings drain,
-//    earlier than the frame's enqueue would arm it, and only emit_due's
-//    time rule orders a queue-sampler read at its instant as a per-frame
-//    pacing event would. A generator's frames travel unbuilt
-//    (pkt/frame.h): the port reads their size, 5-tuple and sequence
-//    number without building them;
+//    generator's next emit. A frame due at the fetch's instant is owed
+//    when its order key comes first, the tie rule a guest TX ring follows
+//    (ring/tx_source.h). A generator's frames travel unbuilt (pkt/frame.h):
+//    the port reads their size, 5-tuple and sequence number without
+//    building them;
 //  * an RX ring with a timed sink (a monitor) gets each frame in the
 //    sender's fetch firing, stamped with its arrival time;
 //  * every other RX ring is read lazily (ring/spsc_ring.h): the frame
@@ -143,7 +141,8 @@ class NicPort {
   /// time becomes known, and detach before it dies.
   void attach_tx_source(ring::TxSource& s);
   void detach_tx_source();
-  /// Arm a TX fetch for the source's next emit, unless one is armed.
+  /// The source has started: reserve its first frame's order key and arm
+  /// a TX fetch for that frame, unless one is armed earlier.
   void wake_tx();
 
   /// Callback invoked with (frame, rx_wire_time) when a HW-timestamped
@@ -157,19 +156,13 @@ class NicPort {
 
  private:
   void on_tx_enqueue();
-  /// Fetch at `at` unless a fetch is armed for then or earlier. The fetch
-  /// is ordered as if armed at `as_armed_at` (see tx_as_armed_at_).
-  void arm_fetch(core::SimTime at, core::SimTime as_armed_at);
-  [[nodiscard]] core::SimTime next_source_emit() const;
+  /// Fetch at `at` unless a fetch is armed for then or earlier.
+  void arm_fetch(core::SimTime at);
   /// When a frame that becomes ready at `ready` is fetched: on a busy wire
   /// right behind the frame on it, on an idle one after a DMA fetch.
   [[nodiscard]] core::SimTime fetch_time(core::SimTime ready) const;
-  /// Enqueue what the TX source owes a reader at now() armed at
-  /// `armed_at` (see ring::TxSource::emit_due).
-  void pull_source(core::SimTime armed_at);
-  /// Queue-sampler hook: make the TX rings read as they would with every
-  /// frame enqueued at its emit time.
-  void sync_for_sampling(core::SimTime armed_at);
+  /// Enqueue every frame the TX source owes by now (ring/tx_source.h).
+  void pull_source();
   /// One firing of the TX lane: pull the source, fetch the next frame and
   /// send it down the cable. Returns the delay to the next fetch: the
   /// frame's serialization time while the rings hold frames, the source's
@@ -188,29 +181,13 @@ class NicPort {
   std::vector<std::unique_ptr<ring::SpscRing>> tx_rings_;
   Cable* cable_{nullptr};
   ring::TxSource* tx_source_{nullptr};
+  /// Order key of the source's next frame.
+  std::uint64_t source_order_{0};
   /// The TX fetch lane: serialize_step, armed for tx_fetch_at_ while
   /// tx_busy_.
   core::Simulator::LaneId tx_lane_;
   bool tx_busy_{false};
   core::SimTime tx_fetch_at_{0};
-  /// When the armed fetch was armed, and when it counts as armed for the
-  /// order of same-instant work: a fetch armed for a source's next frame
-  /// counts from that frame's emit time, as if the frame had been pushed
-  /// into the ring then.
-  core::SimTime tx_armed_at_{0};
-  core::SimTime tx_as_armed_at_{0};
-  /// The last fetch, for sync_for_sampling.
-  struct Fetch {
-    core::SimTime at;
-    core::SimTime armed_at;
-    core::SimTime as_armed_at;
-    /// The ring it dequeued from, if any.
-    ring::SpscRing* ring;
-  };
-  Fetch last_fetch_{-1, 0, 0, nullptr};
-  /// Time of the last sampler read that left a frame due at that instant
-  /// unpulled (kNoTimestamp if it left none).
-  core::SimTime sync_left_due_at_{core::kNoTimestamp};
   /// When the last frame sent finishes serializing.
   core::SimTime wire_free_at_{0};
   std::size_t tx_rr_{0};

@@ -10,20 +10,18 @@ QueueSampler::QueueSampler(core::Simulator& sim, const Registry& reg,
     : sim_(sim),
       reg_(reg),
       period_(period),
-      stop_at_(stop_at),
-      armed_at_(sim.now()) {
+      stop_at_(stop_at) {
   // Self-stopping, so the timer id is deliberately dropped.
   (void)sim_.schedule_every(period_, core::Simulator::RecurringFn([this] {
     if (sim_.now() > stop_at_) return core::Simulator::kStopTimer;
     sample();
-    armed_at_ = sim_.now();
     return period_;
   }));
 }
 
 void QueueSampler::sample() {
   ++samples_;
-  for (const Registry::Sync& s : reg_.syncs()) s.fn(s.owner, armed_at_);
+  for (const Registry::Sync& s : reg_.syncs()) s.fn(s.owner);
   for (const Registry::Queue& q : reg_.queues()) {
     const std::size_t depth = q.depth(q.owner);
     hists_[q.path].add(static_cast<core::SimDuration>(depth));

@@ -7,9 +7,12 @@
 // never touch the data path, so a sampled run produces bit-identical
 // measurement results to an unsampled one (asserted by tests/obs_test.cpp).
 // Before each round of reads the sampler runs the registry's sync hooks,
-// which put into their rings the frames a lazy producer (a generator
-// feeding a NIC, ring/tx_source.h) owes by now, so every depth read sees
-// the ring as if each frame had been enqueued at its own emit time.
+// which put into their rings the frames a lazy producer (a pulled
+// generator, ring/tx_source.h; a wire feeding a NIC's RX ring) owes by
+// now, so every depth read sees the ring as if each frame had been
+// enqueued when it arrived. A frame due at the sampling instant itself
+// counts as in when its order key comes before the sampling event's, by
+// the one tie rule every reader follows.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +55,6 @@ class QueueSampler {
   const Registry& reg_;
   core::SimDuration period_;
   core::SimTime stop_at_;
-  /// When the pending sampling event was armed (sync hooks order frames
-  /// due at exactly the sampling instant by it).
-  core::SimTime armed_at_;
   std::uint64_t samples_{0};
   std::map<std::string, stats::Histogram> hists_;
 };

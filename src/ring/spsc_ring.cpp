@@ -21,8 +21,7 @@ SpscRing::SpscRing(std::string name, std::size_t capacity)
                    [](const void* owner) {
                      // Wire-fed rings are brought up to date by their
                      // NIC's sampler hook before this read.
-                     const auto* r = static_cast<const SpscRing*>(owner);
-                     return r->q_.size() + r->sample_lag_;
+                     return static_cast<const SpscRing*>(owner)->q_.size();
                    });
   }
 }
@@ -76,7 +75,7 @@ void SpscRing::feed_from_source(core::Simulator& sim, TxSource& src) {
   source_ = &src;
   if (registry_ != nullptr) {
     // The queue sampler's depth reads see what per-frame enqueues gave.
-    registry_->add_sync(this, [](void* owner, core::SimTime) {
+    registry_->add_sync(this, [](void* owner) {
       static_cast<SpscRing*>(owner)->catch_up();
     });
   }
@@ -105,7 +104,7 @@ void SpscRing::pull_source() {
   for (core::SimTime t = source_->next_emit();
        sim_->reached(t, source_order_); t = source_->next_emit()) {
     pulling_at_ = t;
-    source_->emit_due(t, TxSource::kNever);
+    source_->emit_next();
     source_order_ = sim_->reserve_order();
   }
   pulling_at_ = core::kNoTimestamp;

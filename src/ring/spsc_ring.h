@@ -35,10 +35,9 @@
 // its key is not after the reading event's (core::Simulator::reached).
 //
 // Pulled TX. A guest's TX ring is fed by a paced generator in the guest
-// (feed_from_source, ring/tx_source.h) the same way: the source's next
-// frame is in flight to the ring, arriving at its emit time under an
-// order key reserved right after the frame before it was put in, where
-// its pacing event's key was reserved. Every read first enqueues, each
+// (feed_from_source) the same way: the source's next frame is in flight
+// to the ring, arriving at its emit time under the order key of
+// ring/tx_source.h's tie rule. Every read first enqueues, each
 // stamped with its emit time as its arrival, the frames the source owes by
 // then, and the idle-consumer event is armed at the next one. A consumer
 // that is idle between frames (a switch fed at a low rate) is thus woken
@@ -201,11 +200,6 @@ class SpscRing {
     timed_sink_(std::move(p), at);
   }
 
-  /// Frames the queue sampler's depth read adds to size(): ones a
-  /// producer dequeued earlier within the current instant than the order
-  /// it models (set from hw::NicPort's sampler hook).
-  void set_sample_lag(std::size_t n) { sample_lag_ = n; }
-
   /// Drop everything buffered (used at scenario teardown). The discarded
   /// packets are counted in cleared(): enqueued == dequeued + cleared +
   /// size() holds at all times. Frames still in flight stay in flight.
@@ -246,7 +240,6 @@ class SpscRing {
   core::Fifo<InFlight> in_flight_;
   bool consumer_busy_{false};
   core::EventQueue::EventId wake_{core::EventQueue::kInvalidEvent};
-  std::size_t sample_lag_{0};
   core::Counter drops_;
   core::Counter enqueued_;
   core::Counter dequeued_;

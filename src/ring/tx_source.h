@@ -3,19 +3,21 @@
 //
 // A paced generator's emit times follow from its pacing alone, so nothing
 // needs to happen at them: the frames only have to be in the TX ring by
-// the time something looks at it. The reader calls emit_due() first, which
-// enqueues every frame due by then, in order, each stamped with its own
-// emit time; occupancy, and therefore TX-ring drops, come out as if each
-// frame had been enqueued at its emit time, because nothing dequeues
-// between two reads. This mirrors real MoonGen, which leaves pacing to the
-// NIC and sends from pre-filled buffers (Emmerich et al., IMC 2015).
+// the time something looks at it. The reader first enqueues every frame
+// due by then, in order, each stamped with its own emit time; occupancy,
+// and therefore TX-ring drops, come out as if each frame had been enqueued
+// at its emit time, because nothing dequeues between two reads. This
+// mirrors real MoonGen, which leaves pacing to the NIC and sends from
+// pre-filled buffers (Emmerich et al., IMC 2015).
 //
 // Two readers pull sources, one source each: a NIC's TX fetch
-// (hw::NicPort), which orders same-instant work by emit_due's time rule,
-// and a guest's TX ring (SpscRing::feed_from_source), which every read of
-// the ring's consumer pulls and which orders it by order keys
-// (core::Simulator::reached; it passes kNever). A source may enqueue built
-// packets or unbuilt frames (pkt::Frame, SpscRing::enqueue); MoonGen
+// (hw::NicPort) and a guest's TX ring (SpscRing::feed_from_source), which
+// every read of the ring's consumer pulls. Both decide same-instant ties by
+// one rule, order keys: each frame's order key is reserved right after the
+// frame before it was put in (the first when the source starts), where its
+// pacing event's key would have been reserved, and the frame is due once
+// core::Simulator::reached(emit time, key) holds. A source may enqueue
+// built packets or unbuilt frames (pkt::Frame, SpscRing::enqueue); MoonGen
 // enqueues unbuilt ones, so a frame the ring or the far end drops is never
 // built.
 #pragma once
@@ -35,12 +37,9 @@ class TxSource {
   /// Emit time of the next frame, or kNever.
   [[nodiscard]] virtual core::SimTime next_emit() const = 0;
 
-  /// Enqueue, in emit order, every frame due before `upto`. A frame due
-  /// exactly at `upto` is enqueued too when the gap that ends at it began
-  /// before `armed_at`, the time the reader's own event was armed: that is
-  /// the order in which same-instant work runs (a per-frame pacing event
-  /// armed then would fire first). kNever makes `upto` inclusive.
-  virtual void emit_due(core::SimTime upto, core::SimTime armed_at) = 0;
+  /// Enqueue the next frame, stamped with next_emit(); the reader calls it
+  /// only once that frame is due.
+  virtual void emit_next() = 0;
 
  protected:
   ~TxSource() = default;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/counter.h"
 #include "switches/fastclick/elements.h"
 
 namespace nfvsb::switches::fastclick {
@@ -83,12 +82,6 @@ Element& ConfigParser::make_element(const std::string& class_name,
     e = std::make_unique<ToDPDKDevice>(name, parse_device(args, class_name));
   } else if (class_name == "EtherMirror") {
     e = std::make_unique<EtherMirror>(name);
-  } else if (class_name == "Counter") {
-    e = std::make_unique<Counter>(name);
-  } else if (class_name == "Discard") {
-    e = std::make_unique<Discard>(name);
-  } else if (class_name == "DecIPTTL") {
-    e = std::make_unique<DecIPTTL>(name);
   } else {
     throw std::invalid_argument("click: unknown element class: " + class_name);
   }

@@ -2,8 +2,8 @@
 // examples:
 //
 //   FromDPDKDevice(0) -> ToDPDKDevice(1);
-//   c :: Counter;
-//   FromDPDKDevice(0) -> EtherMirror() -> c -> ToDPDKDevice(1);
+//   m :: EtherMirror;
+//   FromDPDKDevice(0) -> m -> ToDPDKDevice(1);
 //
 // Grammar: statements separated by ';'. A statement is either a declaration
 //   name :: ClassName(args)

@@ -2,7 +2,7 @@
 //
 // Elements form a push graph; a batch (FastClick processes batches, not
 // single packets) enters at a FromDPDKDevice and is pushed downstream until
-// it reaches ToDPDKDevice/Discard. Each element charges a fixed per-call
+// it reaches a ToDPDKDevice. Each element charges a fixed per-call
 // cost plus a per-packet cost.
 #pragma once
 

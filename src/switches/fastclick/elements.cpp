@@ -16,25 +16,4 @@ void EtherMirror::push(PushContext& ctx, Batch& batch) {
   push_next(ctx, batch);
 }
 
-void DecIPTTL::push(PushContext& ctx, Batch& batch) {
-  charge(ctx, batch.size());
-  // Compact the survivors to the front, in order; expired packets are
-  // freed on the spot.
-  std::size_t alive = 0;
-  for (auto& p : batch) {
-    pkt::EthHeader eth(p->bytes());
-    if (eth.valid() && eth.ether_type() == pkt::kEtherTypeIpv4) {
-      pkt::Ipv4Header ip(eth.payload());
-      if (!ip.valid() || !ip.decrement_ttl()) {
-        ++ctx.discarded;
-        p.reset();
-        continue;
-      }
-    }
-    batch[alive++] = std::move(p);
-  }
-  batch.resize(alive);
-  push_next(ctx, batch);
-}
-
 }  // namespace nfvsb::switches::fastclick

@@ -1,6 +1,5 @@
-// Built-in FastClick elements used by the paper's configuration
-// (FromDPDKDevice(0) -> EtherMirror() -> ToDPDKDevice(1)) and by the
-// examples.
+// Built-in FastClick elements: the ones the paper's configuration uses
+// (FromDPDKDevice(0) -> EtherMirror() -> ToDPDKDevice(1)).
 #pragma once
 
 #include "switches/fastclick/element.h"
@@ -53,47 +52,6 @@ class EtherMirror final : public Element {
   [[nodiscard]] const char* class_name() const override {
     return "EtherMirror";
   }
-  void push(PushContext& ctx, Batch& batch) override;
-};
-
-/// Counts packets and bytes.
-class Counter final : public Element {
- public:
-  explicit Counter(std::string name) : Element(std::move(name), 8, 1.5) {}
-  [[nodiscard]] const char* class_name() const override { return "Counter"; }
-
-  void push(PushContext& ctx, Batch& batch) override {
-    charge(ctx, batch.size());
-    packets_ += batch.size();
-    for (const auto& p : batch) bytes_ += p->size();
-    push_next(ctx, batch);
-  }
-
-  [[nodiscard]] std::uint64_t packets() const { return packets_; }
-  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-
- private:
-  std::uint64_t packets_{0};
-  std::uint64_t bytes_{0};
-};
-
-/// Frees every packet.
-class Discard final : public Element {
- public:
-  explicit Discard(std::string name) : Element(std::move(name), 5, 1.0) {}
-  [[nodiscard]] const char* class_name() const override { return "Discard"; }
-
-  void push(PushContext& ctx, Batch& batch) override {
-    charge(ctx, batch.size());
-    ctx.discarded += batch.size();  // the batch's owner frees them
-  }
-};
-
-/// Decrements IPv4 TTL (DecIPTTL), dropping expired packets.
-class DecIPTTL final : public Element {
- public:
-  explicit DecIPTTL(std::string name) : Element(std::move(name), 10, 7.0) {}
-  [[nodiscard]] const char* class_name() const override { return "DecIPTTL"; }
   void push(PushContext& ctx, Batch& batch) override;
 };
 

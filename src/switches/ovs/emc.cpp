@@ -30,10 +30,4 @@ void Emc::insert(const FlowKey& key, const Action& action) {
   bucket[0] = Entry{key, action, true};
 }
 
-void Emc::flush() {
-  for (auto& bucket : buckets_) {
-    for (Entry& e : bucket) e.used = false;
-  }
-}
-
 }  // namespace nfvsb::switches::ovs

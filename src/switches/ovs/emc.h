@@ -21,7 +21,6 @@ class Emc {
 
   [[nodiscard]] std::optional<Action> lookup(const FlowKey& key) const;
   void insert(const FlowKey& key, const Action& action);
-  void flush();
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }

@@ -42,12 +42,6 @@ void MegaflowCache::insert(const FlowMask& mask, const FlowKey& key,
   subtables_.push_back(std::move(st));
 }
 
-void MegaflowCache::flush() {
-  subtables_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
 std::size_t MegaflowCache::entries() const {
   std::size_t n = 0;
   for (const auto& st : subtables_) n += st.flows.size();

@@ -27,8 +27,6 @@ class MegaflowCache {
   /// first use of the mask.
   void insert(const FlowMask& mask, const FlowKey& key, const Action& action);
 
-  void flush();
-
   [[nodiscard]] std::size_t subtables() const { return subtables_.size(); }
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::uint64_t hits() const { return hits_; }

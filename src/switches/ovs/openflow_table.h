@@ -13,8 +13,7 @@
 namespace nfvsb::switches::ovs {
 
 struct OpenFlowRule {
-  /// Assigned by OpenFlowTable::add_rule (stable across del-flows of other
-  /// rules); keys the per-rule statistics.
+  /// Assigned by OpenFlowTable::add_rule; keys the per-rule statistics.
   std::uint32_t id{0};
   std::uint32_t priority{0};
   FlowMask mask;          ///< which fields `match` constrains
@@ -27,7 +26,6 @@ class OpenFlowTable {
  public:
   /// Returns the assigned rule id.
   std::uint32_t add_rule(OpenFlowRule rule);
-  void clear() { rules_.clear(); }
 
   /// Highest-priority matching rule (stable order among equal priorities).
   [[nodiscard]] std::optional<OpenFlowRule> lookup(const FlowKey& key) const;

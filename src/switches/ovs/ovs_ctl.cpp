@@ -116,16 +116,8 @@ void OvsOfctl::run(const std::string& command) {
   std::string tok;
   in >> tok;
   if (tok == "ovs-ofctl") in >> tok;
-  if (tok == "del-flows") {
-    // Remove all rules and revalidate the datapath caches: stale megaflows
-    // must not keep forwarding for deleted rules.
-    sw_.openflow().clear();
-    sw_.revalidate();
-    return;
-  }
   if (tok != "add-flow") {
-    throw std::invalid_argument(
-        "ovs-ofctl: supported commands: add-flow, del-flows");
+    throw std::invalid_argument("ovs-ofctl: supported command: add-flow");
   }
   std::string bridge;
   in >> bridge;

@@ -20,8 +20,8 @@ class OvsOfctl {
  public:
   explicit OvsOfctl(OvsSwitch& sw) : sw_(sw) {}
 
-  /// Execute one command (`add-flow`, `del-flows`, `dump-flows`); throws
-  /// std::invalid_argument on syntax errors.
+  /// Execute one `add-flow` command; throws std::invalid_argument on
+  /// syntax errors.
   void run(const std::string& command);
 
   /// Parse just the flow spec (the quoted part) into a rule.

@@ -49,11 +49,6 @@ void OvsSwitch::wire(std::span<const PortPair> pairs) {
   }
 }
 
-void OvsSwitch::revalidate() {
-  emc_.flush();
-  megaflow_.flush();
-}
-
 double OvsSwitch::process_batch(ring::Port& in,
                                 std::vector<pkt::PacketHandle>& batch,
                                 std::vector<Tx>& out) {

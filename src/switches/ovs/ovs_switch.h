@@ -50,10 +50,6 @@ class OvsSwitch final : public SwitchBase {
   /// `ovs-ofctl dump-flows` shows as n_packets).
   [[nodiscard]] std::uint64_t rule_packets(std::uint32_t rule_id) const;
 
-  /// Revalidate: drop both cache tiers (called after del-flows so stale
-  /// megaflows cannot keep forwarding for removed rules).
-  void revalidate();
-
   [[nodiscard]] const Emc& emc() const { return emc_; }
   [[nodiscard]] const MegaflowCache& megaflow() const { return megaflow_; }
   [[nodiscard]] std::uint64_t upcalls() const { return upcalls_; }

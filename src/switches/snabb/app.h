@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/simulator.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::switches::snabb {
@@ -71,34 +70,6 @@ class VhostUserApp final : public App {
 
  private:
   std::size_t port_index_;
-};
-
-/// rate_limiter.RateLimiter: token-bucket policer app; out-of-tokens
-/// packets are dropped in place.
-class RateLimiterApp final : public App {
- public:
-  RateLimiterApp(std::string name, core::Simulator& sim, double rate_pps,
-                 double burst_pkts)
-      : App(std::move(name), 12, 4.0),
-        sim_(sim),
-        rate_pps_(rate_pps),
-        burst_(burst_pkts),
-        tokens_(burst_pkts) {}
-  [[nodiscard]] const char* class_name() const override {
-    return "rate_limiter.RateLimiter";
-  }
-
-  double process(Batch& batch) override;
-
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-
- private:
-  core::Simulator& sim_;
-  double rate_pps_;
-  double burst_;
-  double tokens_;
-  core::SimTime last_refill_{0};
-  std::uint64_t dropped_{0};
 };
 
 /// basic_apps.Statistics-style counter app.

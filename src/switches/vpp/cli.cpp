@@ -26,16 +26,6 @@ void VppCli::run(const std::string& line) {
     sw_.l2patch(rx->second, tx->second);
     return;
   }
-  // set interface l2 bridge <port> <bd-id>
-  if (toks.size() >= 5 && toks[0] == "set" && toks[1] == "interface" &&
-      toks[2] == "l2" && toks[3] == "bridge") {
-    const auto it = port_names_.find(toks[4]);
-    if (it == port_names_.end()) {
-      throw std::invalid_argument("vpp cli: unknown port: " + toks[4]);
-    }
-    sw_.bridge(it->second);
-    return;
-  }
   throw std::invalid_argument("vpp cli: unrecognized command: " + line);
 }
 

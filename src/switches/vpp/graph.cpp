@@ -6,7 +6,6 @@ double Graph::run(Vector& frame) {
   double cost = 0.0;
   for (auto& node : nodes_) {
     if (frame.empty()) break;
-    if (!node->enabled()) continue;
     std::size_t live = 0;
     for (const auto& e : frame) {
       if (!e.drop) ++live;

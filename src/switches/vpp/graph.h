@@ -40,10 +40,6 @@ class Node {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Feature-arc membership: disabled nodes are skipped (and not charged),
-  /// as VPP only places enabled features on an interface's arc.
-  [[nodiscard]] virtual bool enabled() const { return true; }
-
   /// Process the vector in place; returns extra cost beyond the standard
   /// fixed + per-packet charges (usually 0).
   virtual double process(Vector& frame) = 0;

@@ -1,5 +1,7 @@
 #include "switches/vpp/nodes.h"
 
+#include "pkt/headers.h"
+
 namespace nfvsb::switches::vpp {
 
 double EthernetInputNode::process(Vector& frame) {
@@ -16,58 +18,10 @@ double EthernetInputNode::process(Vector& frame) {
 
 double L2PatchNode::process(Vector& frame) {
   for (auto& e : frame) {
-    if (e.drop || e.tx_port != kNoTxPort) continue;  // claimed by a bridge
+    if (e.drop) continue;
     const auto it = patches_.find(e.rx_port);
     if (it != patches_.end()) e.tx_port = it->second;
     // Unclaimed packets fall through to the implicit error-drop.
-  }
-  return 0.0;
-}
-
-double L2BridgeNode::process(Vector& frame) {
-  for (auto& e : frame) {
-    if (e.drop || !members_.contains(e.rx_port)) continue;
-    pkt::EthHeader eth(e.pkt->bytes());
-    if (!eth.valid()) {
-      e.drop = true;
-      continue;
-    }
-    if (e.tx_port != kNoTxPort) continue;  // already claimed
-    fib_.learn(eth.src(), e.rx_port, sim_.now());
-    const auto hit = fib_.lookup(eth.dst(), sim_.now());
-    if (hit) {
-      if (*hit == e.rx_port) {
-        e.drop = true;  // hairpin filter
-      } else {
-        e.tx_port = *hit;
-      }
-      continue;
-    }
-    // Unknown unicast / broadcast: flood to the single other member.
-    ++floods_;
-    bool forwarded = false;
-    for (std::size_t m : members_) {
-      if (m != e.rx_port) {
-        e.tx_port = m;
-        forwarded = true;
-        break;
-      }
-    }
-    if (!forwarded) e.drop = true;
-  }
-  return 0.0;
-}
-
-double Ip4TtlNode::process(Vector& frame) {
-  for (auto& e : frame) {
-    if (e.drop) continue;
-    pkt::EthHeader eth(e.pkt->bytes());
-    if (eth.ether_type() != pkt::kEtherTypeIpv4) continue;
-    pkt::Ipv4Header ip(eth.payload());
-    if (!ip.valid() || !ip.decrement_ttl()) {
-      e.drop = true;
-      ++expired_;
-    }
   }
   return 0.0;
 }

@@ -1,14 +1,9 @@
-// Concrete VPP graph nodes used by the paper's configuration (l2patch) and
-// by the richer example configurations (ethernet-input validation, L2
-// cross-connect, IPv4 TTL handling).
+// Concrete VPP graph nodes of the paper's configuration: ethernet-input
+// validation, then the l2patch cross-connect.
 #pragma once
 
 #include <map>
-#include <set>
 
-#include "core/simulator.h"
-#include "pkt/headers.h"
-#include "switches/vale/mac_table.h"
 #include "switches/vpp/graph.h"
 
 namespace nfvsb::switches::vpp {
@@ -42,46 +37,6 @@ class L2PatchNode final : public Node {
 
  private:
   std::map<std::size_t, std::size_t> patches_;
-};
-
-/// l2-learn + l2-fwd: a VPP bridge domain. Member ports learn source MACs
-/// and forward by destination lookup; unknown unicast floods to the single
-/// other member (multi-port flooding would need packet cloning, which none
-/// of the reproduced configurations require).
-class L2BridgeNode final : public Node {
- public:
-  explicit L2BridgeNode(core::Simulator& sim)
-      : Node("l2-learn-fwd", 80, 12.0), sim_(sim), fib_(1024) {}
-
-  void add_member(std::size_t port) { members_.insert(port); }
-  [[nodiscard]] bool is_member(std::size_t port) const {
-    return members_.contains(port);
-  }
-  [[nodiscard]] bool enabled() const override { return !members_.empty(); }
-
-  double process(Vector& frame) override;
-
-  [[nodiscard]] const vale::MacTable& fib() const { return fib_; }
-  [[nodiscard]] std::uint64_t floods() const { return floods_; }
-
- private:
-  core::Simulator& sim_;
-  std::set<std::size_t> members_;
-  vale::MacTable fib_;
-  std::uint64_t floods_{0};
-};
-
-/// ip4-rewrite-lite: decrements TTL with incremental checksum update, drops
-/// expired packets (used by the richer examples, not the paper baseline).
-class Ip4TtlNode final : public Node {
- public:
-  Ip4TtlNode() : Node("ip4-ttl", 70, 11.0) {}
-  double process(Vector& frame) override;
-
-  [[nodiscard]] std::uint64_t expired() const { return expired_; }
-
- private:
-  std::uint64_t expired_{0};
 };
 
 }  // namespace nfvsb::switches::vpp

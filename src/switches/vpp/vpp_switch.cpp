@@ -36,9 +36,6 @@ VppSwitch::VppSwitch(core::Simulator& sim, hw::CpuCore& core,
   auto eth = std::make_unique<EthernetInputNode>();
   eth_input_ = eth.get();
   graph_.add(std::move(eth));
-  auto bridge = std::make_unique<L2BridgeNode>(sim);
-  bridge_ = bridge.get();
-  graph_.add(std::move(bridge));
   auto patch = std::make_unique<L2PatchNode>();
   patch_ = patch.get();
   graph_.add(std::move(patch));
@@ -51,8 +48,6 @@ void VppSwitch::l2patch(std::size_t rx_port, std::size_t tx_port) {
 void VppSwitch::wire(std::span<const PortPair> pairs) {
   for (const PortPair& p : pairs) l2patch(p.in, p.out);
 }
-
-void VppSwitch::bridge(std::size_t port) { bridge_->add_member(port); }
 
 double VppSwitch::process_batch(ring::Port& in,
                                 std::vector<pkt::PacketHandle>& batch,

@@ -33,12 +33,6 @@ class VppSwitch final : public SwitchBase {
   /// One l2patch per pair.
   void wire(std::span<const PortPair> pairs) override;
 
-  /// Add a port to the L2 bridge domain (the CLI's
-  /// `set interface l2 bridge <port> 1`). Bridged ports take the
-  /// learn/forward path instead of l2patch.
-  void bridge(std::size_t port);
-  [[nodiscard]] L2BridgeNode& bridge_node() { return *bridge_; }
-
   [[nodiscard]] Graph& graph() { return graph_; }
   [[nodiscard]] L2PatchNode& patch_node() { return *patch_; }
 
@@ -49,7 +43,6 @@ class VppSwitch final : public SwitchBase {
  private:
   Graph graph_;
   EthernetInputNode* eth_input_;
-  L2BridgeNode* bridge_;
   L2PatchNode* patch_;
   /// The graph's vector, reused every round (VPP's frames are preallocated
   /// too).

@@ -59,7 +59,6 @@ void MoonGen::start_tx(core::SimTime at, core::SimTime until) {
   assert(gap_ps_ > 0);
   tx_until_ = until;
   next_at_ = at;
-  last_at_ = sim_.now();
   // Probes start once meters are open so warm-up artifacts (JIT traces,
   // cold caches) do not pollute the latency distribution.
   next_probe_at_ = std::max(at, cfg_.meter_open_at);
@@ -74,13 +73,10 @@ core::SimTime MoonGen::next_emit() const {
   return next_at_ < tx_until_ ? next_at_ : kNever;
 }
 
-void MoonGen::emit_due(core::SimTime upto, core::SimTime armed_at) {
-  while (next_at_ < tx_until_ &&
-         (next_at_ < upto || (next_at_ == upto && last_at_ < armed_at))) {
-    emit_one(next_at_);
-    last_at_ = next_at_;
-    next_at_ += gap();
-  }
+void MoonGen::emit_next() {
+  assert(next_at_ < tx_until_);
+  emit_one(next_at_);
+  next_at_ += gap();
 }
 
 void MoonGen::emit_one(core::SimTime at) {

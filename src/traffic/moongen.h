@@ -24,7 +24,7 @@
 // sequence tag and, over several flows, the UDP source port patched. Emit
 // times follow from the pacing alone, and there is one emission path: the
 // generator is a ring::TxSource, and its reader pulls every frame due by
-// then (emit_due), each stamped with its own emit time. On a NIC the
+// then (emit_next), each stamped with its own emit time. On a NIC the
 // reader is the NIC's TX fetch, as the real MoonGen leaves pacing to the
 // NIC's rate control; on a guest port it is the guest's TX ring
 // (SpscRing::feed_from_source), read by the switch that serves it, which
@@ -99,7 +99,7 @@ class MoonGen final : public ring::TxSource {
 
   // --- ring::TxSource --------------------------------------------------------
   [[nodiscard]] core::SimTime next_emit() const override;
-  void emit_due(core::SimTime upto, core::SimTime armed_at) override;
+  void emit_next() override;
 
   // --- RX ----------------------------------------------------------------
   /// Monitor a physical NIC port (throughput + HW-timestamped probes).
@@ -147,8 +147,6 @@ class MoonGen final : public ring::TxSource {
   core::SimTime tx_until_{0};
   /// Emit time of the next frame (kNever before start_tx).
   core::SimTime next_at_{kNever};
-  /// Emit time of the last frame, or start_tx's call time before the first.
-  core::SimTime last_at_{0};
   core::SimTime next_probe_at_{0};
   core::Counter tx_sent_;
   core::Counter tx_failed_;

@@ -357,10 +357,13 @@ std::uint64_t counter(const ScenarioResult& r, const std::string& path) {
 }
 
 // The generator feeds its NIC lazily, but the queue sampler reads its TX
-// ring as if every frame had been enqueued at its emit time, including the
-// order of work at one instant: a sampling instant often coincides with an
-// emit or a fetch at 1 Mpps with a 1 us period.
-TEST(ScenarioTrafficTools, SampledGeneratorTxRingDepthUnchanged) {
+// ring as if every frame had been enqueued at its emit time. At 1 Mpps with
+// a 1 us period a sampling instant often coincides with an emit or a fetch,
+// and order keys decide the tie, as at a guest TX ring: a frame due at the
+// read's instant is in when its key comes first, and a fetch whose lane was
+// armed before the read (when the rings drained, waiting for that frame)
+// has already taken it.
+TEST(ScenarioTrafficTools, SampledGeneratorTxRingDepthFollowsOrderKeys) {
   struct Point {
     double rate_pps;
     core::SimDuration period;
@@ -368,8 +371,8 @@ TEST(ScenarioTrafficTools, SampledGeneratorTxRingDepthUnchanged) {
   };
   const Point points[] = {
       {0, core::from_us(10), 400, 15, 15},
-      {1e6, core::from_us(1), 4000, 1, 1},
-      {2e6, core::from_us(1), 4000, 2, 2},
+      {1e6, core::from_us(1), 4000, 0, 1},
+      {2e6, core::from_us(1), 4000, 1, 2},
   };
   for (const Point& pt : points) {
     ScenarioConfig cfg;

@@ -1,5 +1,5 @@
 // Second wave of switch features: t4p4s runtime controller, VALE's mSwitch
-// lookup hook, Snabb RateLimiter, and each switch's introspection.
+// lookup hook, and each switch's introspection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,41 +118,6 @@ TEST(MSwitchHook, CustomLogicOverridesLearning) {
   sw.port(1).out().clear();
   sw.port(2).out().clear();
 }
-
-// ---------------- Snabb RateLimiter -----------------------------------------
-
-TEST(RateLimiterApp, PolicesAboveRate) {
-  core::Simulator sim;
-  snabb::RateLimiterApp app("rl", sim, /*rate_pps=*/1e6, /*burst=*/10);
-  pkt::PacketPool pool(64);
-  // Burst of 20 at t=0: only the 10-token bucket passes.
-  snabb::Batch batch;
-  for (int i = 0; i < 20; ++i) {
-    auto p = pool.allocate();
-    pkt::craft_udp_frame(*p, pkt::FrameSpec{});
-    batch.push_back(std::move(p));
-  }
-  app.process(batch);
-  EXPECT_EQ(batch.size(), 10u);
-  EXPECT_EQ(app.dropped(), 10u);
-  batch.clear();
-  // After 5 us at 1 Mpps, 5 tokens refill.
-  sim.post_in(core::from_us(5), [] {});
-  sim.run();
-  for (int i = 0; i < 8; ++i) {
-    auto p = pool.allocate();
-    pkt::craft_udp_frame(*p, pkt::FrameSpec{});
-    batch.push_back(std::move(p));
-  }
-  app.process(batch);
-  EXPECT_EQ(batch.size(), 5u);
-}
-
-}  // namespace
-}  // namespace nfvsb::switches
-
-namespace nfvsb::switches {
-namespace {
 
 TEST(Introspection, ClickUnparseRoundTrips) {
   core::Simulator sim;

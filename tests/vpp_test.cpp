@@ -132,26 +132,6 @@ TEST(VppGraph, StandaloneGraphRunsNodes) {
   EXPECT_EQ(eth.vectors(), 1u);
 }
 
-TEST(VppGraph, Ip4TtlNodeDropsExpired) {
-  Graph g;
-  g.add(std::make_unique<Ip4TtlNode>());
-  pkt::PacketPool pool(4);
-  Vector frame;
-  auto p = pool.allocate();
-  pkt::craft_udp_frame(*p, pkt::FrameSpec{});
-  {
-    pkt::EthHeader eth(p->bytes());
-    pkt::Ipv4Header ip(eth.payload());
-    ip.set_ttl(1);
-    ip.update_checksum();
-  }
-  frame.push_back(VectorEntry{std::move(p), 0, 0, false});
-  g.run(frame);  // ttl 1 -> 0, still alive
-  EXPECT_FALSE(frame[0].drop);
-  g.run(frame);  // ttl 0 -> drop
-  EXPECT_TRUE(frame[0].drop);
-}
-
 TEST(VppGraph, VectorAmortizationLowersPerPacketCharge) {
   EthernetInputNode node;
   const double one = node.charge_ns(1);
