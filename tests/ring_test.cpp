@@ -1,13 +1,19 @@
-// SpscRing and Port semantics (buffering, drops, watchers, sinks, copy
-// accounting for vhost vs ptnet).
+// SpscRing and Port semantics (buffering, drops, watchers, sinks, pulled
+// TX sources, copy accounting for vhost vs ptnet).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "core/fifo.h"
+#include "core/simulator.h"
 #include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
 #include "ring/port.h"
 #include "ring/spsc_ring.h"
+#include "ring/tx_source.h"
 #include "ring/vhost_user_port.h"
 
 namespace nfvsb::ring {
@@ -254,6 +260,120 @@ TEST_F(RingTest, GuestPtnetPortMirrorsHost) {
   EXPECT_EQ(host.rx()->seq, 3u);
   host.tx(make(4));
   EXPECT_EQ(guest.rx()->seq, 4u);
+}
+
+// ---- pulled TX: a guest ring fed by a source ------------------------------
+
+/// A source for the pulled-ring tests: one frame at each of `emits`
+/// (ascending), enqueued straight into the ring it feeds.
+class RingSource final : public TxSource {
+ public:
+  RingSource(core::Simulator& sim, SpscRing& ring, pkt::PacketPool& pool,
+             std::vector<core::SimTime> emits)
+      : ring_(ring), pool_(pool), emits_(std::move(emits)) {
+    ring_.feed_from_source(sim, *this);
+  }
+  ~RingSource() { ring_.detach_source(); }
+  RingSource(const RingSource&) = delete;
+  RingSource& operator=(const RingSource&) = delete;
+
+  [[nodiscard]] core::SimTime next_emit() const override {
+    return next_ < emits_.size() ? emits_[next_] : kNever;
+  }
+  void emit_next() override {
+    auto p = pool_.allocate();
+    p->resize(64);
+    p->seq = next_++;
+    ring_.enqueue(std::move(p));
+  }
+
+ private:
+  SpscRing& ring_;
+  pkt::PacketPool& pool_;
+  std::vector<core::SimTime> emits_;
+  std::size_t next_{0};
+};
+
+// An idle consumer is woken once per pulled frame, at its emit time, and
+// the watcher sees that time as the frame's arrival.
+TEST_F(RingTest, IdleConsumerIsWokenAtEachEmit) {
+  core::Simulator sim;
+  SpscRing ring("guest.tx", 8);
+  std::vector<core::SimTime> wakes;
+  std::vector<core::SimTime> arrivals;
+  ring.set_watcher([&](bool) {
+    wakes.push_back(sim.now());
+    arrivals.push_back(ring.arrival_time(sim.now()));
+  });
+  const std::vector<core::SimTime> emits = {
+      core::from_ns(100), core::from_ns(200), core::from_ns(300)};
+  RingSource src(sim, ring, pool_, emits);
+  ring.wake_source();
+  sim.run();
+  EXPECT_EQ(wakes, emits);
+  EXPECT_EQ(arrivals, emits);
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(ring.size(), 3u);
+}
+
+// A busy consumer costs no event per frame: its read puts in, in order and
+// each stamped with its emit time, every frame the source owes by then.
+TEST_F(RingTest, BusyConsumerReadPutsInEveryFrameDueByThen) {
+  core::Simulator sim;
+  SpscRing ring("guest.tx", 16);
+  std::vector<core::SimTime> arrivals;
+  ring.set_watcher(
+      [&](bool) { arrivals.push_back(ring.arrival_time(sim.now())); });
+  std::vector<core::SimTime> emits;
+  for (int k = 0; k < 10; ++k) emits.push_back(core::from_ns(100 * k));
+  RingSource src(sim, ring, pool_, emits);
+  ring.set_consumer_busy(true);
+  ring.wake_source();
+  std::size_t seen = 0;
+  sim.post_at(core::from_ns(450), [&] { seen = ring.size(); });
+  sim.run();
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(ring.size(), 5u);  // nothing has read the ring since
+  sim.run_until(core::from_us(1));
+  ASSERT_EQ(ring.size(), 10u);
+  EXPECT_EQ(arrivals, emits);
+  for (std::uint64_t k = 0; k < 10; ++k) EXPECT_EQ(ring.dequeue()->seq, k);
+}
+
+// Frames a read puts in all at once overflow exactly as frames enqueued one
+// by one at their emit times would: nothing dequeued in between.
+TEST_F(RingTest, PulledFramesOverflowAsPushedOnesWould) {
+  core::Simulator sim;
+  SpscRing ring("guest.tx", 4);
+  std::vector<core::SimTime> emits;
+  for (int k = 0; k < 6; ++k) emits.push_back(core::from_ns(100 * k));
+  RingSource src(sim, ring, pool_, emits);
+  ring.set_consumer_busy(true);
+  ring.wake_source();
+  sim.run_until(core::from_us(1));
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.drops(), 2u);
+  for (std::uint64_t k = 0; k < 4; ++k) EXPECT_EQ(ring.dequeue()->seq, k);
+}
+
+// A read at a frame's very emit instant sees it by the order-key rule: a
+// read scheduled before the source started (so before the frame's key was
+// reserved) comes first and misses it, one scheduled after sees it.
+TEST_F(RingTest, ReadAtTheEmitInstantFollowsOrderKeys) {
+  core::Simulator sim;
+  SpscRing ring("guest.tx", 8);
+  const core::SimTime emit = core::from_ns(500);
+  std::size_t before = 99;
+  std::size_t after = 99;
+  sim.post_at(emit, [&] { before = ring.size(); });
+  RingSource src(sim, ring, pool_, {emit});
+  ring.set_consumer_busy(true);
+  ring.wake_source();
+  sim.post_at(emit, [&] { after = ring.size(); });
+  sim.run();
+  EXPECT_EQ(before, 0u);
+  EXPECT_EQ(after, 1u);
 }
 
 TEST(PortKindNames, AllDistinct) {
