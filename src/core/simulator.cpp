@@ -38,22 +38,6 @@ void Simulator::run_until(SimTime until) {
 
 void Simulator::run() { run_loop(kNoUntil); }
 
-void Simulator::reset() {
-  events_.clear();
-  for (std::uint32_t i = 0; i < timers_.size(); ++i) {
-    if (timers_[i].live) free_timer(i);
-  }
-  for (Lane& l : lanes_) {
-    l.armed = false;
-    ++l.epoch;
-  }
-  next_lane_ = kNoLane;
-  now_ = 0;
-  running_order_ = events_.last_seq();
-  events_processed_ = 0;
-  lanes_fired_ = 0;
-}
-
 Simulator::LaneId Simulator::add_lane(RecurringFn fn) {
   for (LaneId i = 0; i < kMaxLanes; ++i) {
     Lane& l = lanes_[i];
@@ -103,8 +87,8 @@ void Simulator::fire_lane(LaneId id) {
   l.armed = false;
   const std::uint64_t epoch = l.epoch;
   const SimDuration next = l.fn();
-  // The re-arm takes its key here, where a recurring timer's re-arm
-  // scheduled its next event, unless the callback armed or stopped the
+  // The re-arm takes its key here, where a loop re-posting its next event
+  // after its callback would, unless the callback armed or stopped the
   // lane itself.
   if (l.epoch == epoch && next >= 0) {
     l.at = now_ + next;
@@ -129,97 +113,18 @@ void Simulator::find_next_lane() {
   }
 }
 
-std::uint32_t Simulator::alloc_timer() {
-  if (timer_free_head_ != kNoFreeTimer) {
-    const std::uint32_t slot = timer_free_head_;
-    timer_free_head_ = timers_[slot].next_free;
-    return slot;
-  }
-  timers_.emplace_back();
-  return static_cast<std::uint32_t>(timers_.size() - 1);
+void Simulator::schedule_every(SimDuration first_delay, SimDuration period,
+                               EventFn fn) {
+  every_.push_back(std::make_unique<EventFn>(std::move(fn)));
+  post_every(*every_.back(), first_delay, period);
 }
 
-void Simulator::free_timer(std::uint32_t slot) {
-  RecTimer& t = timers_[slot];
-  t.live = false;
-  t.adaptive = RecurringFn{};
-  t.periodic = EventFn{};
-  t.pending = EventQueue::kInvalidEvent;
-  if (++t.gen == 0) t.gen = 1;
-  t.next_free = timer_free_head_;
-  timer_free_head_ = slot;
-}
-
-Simulator::TimerId Simulator::arm_timer(std::uint32_t slot,
-                                        SimDuration delay) {
-  RecTimer& t = timers_[slot];
-  const std::uint32_t gen = t.gen;
-  t.pending = schedule_in(delay, [this, slot, gen] { fire_timer(slot, gen); });
-  return (static_cast<TimerId>(gen) << 32) | slot;
-}
-
-Simulator::TimerId Simulator::schedule_every(SimDuration first_delay,
-                                             SimDuration period, EventFn fn) {
-  if (period < 0) period = 0;
-  const std::uint32_t slot = alloc_timer();
-  RecTimer& t = timers_[slot];
-  t.periodic = std::move(fn);
-  t.period = period;
-  t.live = true;
-  return arm_timer(slot, first_delay);
-}
-
-Simulator::TimerId Simulator::schedule_every(SimDuration first_delay,
-                                             RecurringFn fn) {
-  const std::uint32_t slot = alloc_timer();
-  RecTimer& t = timers_[slot];
-  t.adaptive = std::move(fn);
-  t.period = kStopTimer;
-  t.live = true;
-  return arm_timer(slot, first_delay);
-}
-
-void Simulator::fire_timer(std::uint32_t slot, std::uint32_t gen) {
-  {
-    RecTimer& t = timers_[slot];
-    if (!t.live || t.gen != gen) return;  // cancelled while in flight
-    t.pending = EventQueue::kInvalidEvent;
-  }
-  // Invoke through a local, not in place: the callback can start another
-  // recurring timer, growing timers_ and moving the stored fn's inline
-  // buffer out from under the in-flight call. It can also cancel this timer
-  // (bumping the slot's generation), so revalidate before restoring.
-  SimDuration next;
-  if (timers_[slot].period >= 0) {
-    EventFn fn = std::move(timers_[slot].periodic);
+void Simulator::post_every(EventFn& fn, SimDuration delay,
+                           SimDuration period) {
+  post_in(delay, [this, &fn, period] {
     fn();
-    RecTimer& t = timers_[slot];
-    if (!t.live || t.gen != gen) return;  // self-cancelled
-    t.periodic = std::move(fn);
-    next = t.period;
-  } else {
-    RecurringFn fn = std::move(timers_[slot].adaptive);
-    next = fn();
-    RecTimer& t = timers_[slot];
-    if (!t.live || t.gen != gen) return;
-    t.adaptive = std::move(fn);
-  }
-  if (next < 0) {
-    free_timer(slot);
-    return;
-  }
-  // Re-arm keeps the slot/gen pair, so the caller's original id stays valid.
-  (void)arm_timer(slot, next);
-}
-
-void Simulator::cancel_timer(TimerId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (gen == 0 || slot >= timers_.size()) return;
-  RecTimer& t = timers_[slot];
-  if (!t.live || t.gen != gen) return;
-  if (t.pending != EventQueue::kInvalidEvent) events_.cancel(t.pending);
-  free_timer(slot);
+    post_every(fn, period, period);
+  });
 }
 
 }  // namespace nfvsb::core

@@ -5,26 +5,28 @@
 // virtual time monotonically. Determinism: identical schedules + identical
 // RNG seed => identical runs.
 //
-// Steady-state loops (generator pacing, switch poll re-arming) should use
-// the recurring-timer API instead of re-scheduling fresh closures: the
-// callback is stored once in a timer slot and each re-arm only schedules a
-// 16-byte trampoline, so the hot loop never touches the allocator (see
-// core/event_fn.h for the fallback counter tests use to assert this).
+// Work is timed in two ways. One-shot events go on the timing wheel
+// (post_in/post_at); a loop re-posts itself from its own callback (a poll
+// round, the queue sampler), and the one event that is ever cancelled, a
+// ring's wake, is scheduled under a reserved key (schedule_reserved) so it
+// has a handle. Callbacks live inline in their event (core/event_fn.h), so
+// a re-post with a small capture never touches the allocator.
 //
-// Lanes. The busiest recurring timers, the NIC TX fetches, fire about once
-// per frame. A lane keeps such a timer outside the timing wheel: the run
-// loop holds each armed lane's (time, order key) and fires the earliest
-// one whenever it comes before the wheel's head. Arming a lane takes its
-// key from reserve_order(), exactly where scheduling the timer's event
-// would have taken a sequence number, so every key of a run, and with
-// them every same-instant tie, is what the wheel would have given. Lanes
-// live in fixed inline storage, so registering one never allocates.
+// Lanes. The NIC TX fetches fire about once per frame. A lane keeps such a
+// loop outside the timing wheel: the run loop holds each armed lane's
+// (time, order key) and fires the earliest one whenever it comes before
+// the wheel's head. Arming a lane takes its key from reserve_order(),
+// exactly where posting the loop's next event would have taken a sequence
+// number, so every key of a run, and with them every same-instant tie, is
+// what the wheel would have given. Lanes live in fixed inline storage, so
+// registering one never allocates.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -45,32 +47,25 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Schedule `cb` `delay` picoseconds from now. Negative delays are clamped
-  /// to zero (events cannot run in the past). The returned id is the only
-  /// way to cancel — callers that never cancel use post_in() instead.
-  [[nodiscard]] EventQueue::EventId schedule_in(SimDuration delay,
-                                                EventQueue::Callback cb) {
-    if (delay < 0) delay = 0;
-    return events_.schedule(now_ + delay, std::move(cb));
-  }
-
-  /// Schedule at an absolute time; `at` earlier than now() is clamped.
-  [[nodiscard]] EventQueue::EventId schedule_at(SimTime at,
-                                                EventQueue::Callback cb) {
-    if (at < now_) at = now_;
-    return events_.schedule(at, std::move(cb));
-  }
-
-  /// Fire-and-forget variants for events that are never cancelled (DMA
-  /// completions, wire propagation, drain deadlines). Same semantics as
-  /// schedule_in/schedule_at, but deliberately without a handle.
+  /// Post `cb` `delay` picoseconds from now. Negative delays are clamped
+  /// to zero (events cannot run in the past). Posted events have no
+  /// handle; the one cancellable event uses schedule_reserved().
   void post_in(SimDuration delay, EventQueue::Callback cb) {
-    (void)schedule_in(delay, std::move(cb));
+    if (delay < 0) delay = 0;
+    (void)events_.schedule(now_ + delay, std::move(cb));
   }
+  /// Post at an absolute time; `at` earlier than now() is clamped.
   void post_at(SimTime at, EventQueue::Callback cb) {
-    (void)schedule_at(at, std::move(cb));
+    if (at < now_) at = now_;
+    (void)events_.schedule(at, std::move(cb));
   }
 
+  /// Fire `fn` at now()+first_delay and then every `period`, for as long
+  /// as the simulator runs (the engine benchmarks time re-posts with it).
+  /// `fn` is stored once; each re-post is allocation-free.
+  void schedule_every(SimDuration first_delay, SimDuration period, EventFn fn);
+
+  /// Cancel an event from schedule_reserved() that has not fired yet.
   void cancel(EventQueue::EventId id) { events_.cancel(id); }
 
   // --- order keys -------------------------------------------------------------
@@ -102,43 +97,21 @@ class Simulator {
     return at < now_ || (at == now_ && order <= running_order_);
   }
 
-  // --- recurring timers -----------------------------------------------------
-  /// Handle for a recurring timer: slot in the low 32 bits, generation in
-  /// the high 32. 0 is never valid.
-  using TimerId = std::uint64_t;
-  static constexpr TimerId kInvalidTimer = 0;
-  /// Returned by an adaptive timer callback to stop the timer.
+  // --- lanes ----------------------------------------------------------------
+  /// Returned by a lane callback to leave its lane unarmed.
   static constexpr SimDuration kStopTimer = -1;
-  /// Adaptive timer callback: returns the delay to the next firing, or
-  /// kStopTimer (any negative value) to stop.
+  /// Lane callback: returns the delay to the next firing, or kStopTimer
+  /// (any negative value) to stop.
   using RecurringFn = SmallFn<SimDuration>;
 
-  /// Fire `fn` at now()+first_delay and then every `period` until cancelled
-  /// (cancel_timer is safe from inside `fn`). The callback is stored once;
-  /// each re-arm is allocation-free. Adaptive timers that always stop
-  /// themselves (returning kStopTimer) may drop the id with (void).
-  [[nodiscard]] TimerId schedule_every(SimDuration first_delay,
-                                       SimDuration period, EventFn fn);
-
-  /// Adaptive variant: `fn` returns the delay to its next firing (clamped at
-  /// zero), or kStopTimer to stop — for loops whose period varies per
-  /// iteration (frame serialization, CPU-limited generators).
-  [[nodiscard]] TimerId schedule_every(SimDuration first_delay,
-                                       RecurringFn fn);
-
-  /// Stop a recurring timer. Safe on already-stopped ids and from within
-  /// the timer's own callback.
-  void cancel_timer(TimerId id);
-
-  // --- lanes ----------------------------------------------------------------
   /// Handle of a registered lane.
   using LaneId = std::uint32_t;
   /// Lanes one simulator holds at once: one per NIC port (hw::Testbed
   /// checks its four ports fit).
   static constexpr std::size_t kMaxLanes = 8;
 
-  /// Register a lane with callback `fn`, unarmed. Like an adaptive timer's
-  /// callback, `fn` returns the delay to its next firing or kStopTimer.
+  /// Register a lane with callback `fn`, unarmed. `fn` returns the delay
+  /// to its next firing or kStopTimer.
   /// Throws std::length_error when all kMaxLanes are taken.
   [[nodiscard]] LaneId add_lane(RecurringFn fn);
   /// Release a lane (not from inside its own callback).
@@ -158,10 +131,6 @@ class Simulator {
   /// Run until the event set drains completely.
   void run();
 
-  /// Drop all pending events and recurring timers, disarm every lane (it
-  /// stays registered) and reset the clock and counts to zero.
-  void reset();
-
   /// Events fired from the timing wheel.
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
@@ -173,17 +142,6 @@ class Simulator {
   }
 
  private:
-  struct RecTimer {
-    RecurringFn adaptive;
-    EventFn periodic;
-    SimDuration period{kStopTimer};  // >= 0 selects the periodic callback
-    EventQueue::EventId pending{EventQueue::kInvalidEvent};
-    std::uint32_t gen{1};
-    std::uint32_t next_free{kNoFreeTimer};
-    bool live{false};
-  };
-  static constexpr std::uint32_t kNoFreeTimer = 0xffffffffu;
-
   struct Lane {
     RecurringFn fn;
     SimTime at{0};
@@ -204,10 +162,9 @@ class Simulator {
   /// Recompute next_lane_, the earliest armed lane.
   void find_next_lane();
 
-  std::uint32_t alloc_timer();
-  void free_timer(std::uint32_t slot);
-  [[nodiscard]] TimerId arm_timer(std::uint32_t slot, SimDuration delay);
-  void fire_timer(std::uint32_t slot, std::uint32_t gen);
+  /// Post the next firing of a schedule_every() callback `delay` from
+  /// now; it re-posts itself `period` after each call.
+  void post_every(EventFn& fn, SimDuration delay, SimDuration period);
 
   EventQueue events_;
   SimTime now_{0};
@@ -216,60 +173,13 @@ class Simulator {
   /// Order key of the event being fired; between runs, the last key
   /// taken before the last run returned (0 before the first).
   std::uint64_t running_order_{0};
-  std::vector<RecTimer> timers_;
-  std::uint32_t timer_free_head_{kNoFreeTimer};
+  /// schedule_every() callbacks, address-stable for their re-posts.
+  std::vector<std::unique_ptr<EventFn>> every_;
   std::array<Lane, kMaxLanes> lanes_;
   /// Lanes [0, lanes_used_) have been registered at some point.
   std::uint32_t lanes_used_{0};
   LaneId next_lane_{kNoLane};
   std::uint64_t lanes_fired_{0};
-};
-
-/// A one-shot timer that can be re-armed in place: the callback is stored
-/// once at construction, each arm_at/arm_in replaces any pending occurrence,
-/// and arming is allocation-free. Used for poll re-arms (a switch's next
-/// service round) where at most one occurrence is ever outstanding. The
-/// timer must be address-stable while armed (make it a member, not a local).
-class RearmableTimer {
- public:
-  RearmableTimer(Simulator& sim, EventFn fn) : sim_(sim), fn_(std::move(fn)) {}
-
-  RearmableTimer(const RearmableTimer&) = delete;
-  RearmableTimer& operator=(const RearmableTimer&) = delete;
-
-  ~RearmableTimer() { cancel(); }
-
-  void arm_at(SimTime at) {
-    cancel();
-    pending_ = sim_.schedule_at(at, [this] {
-      pending_ = EventQueue::kInvalidEvent;
-      fn_();
-    });
-  }
-
-  void arm_in(SimDuration delay) {
-    cancel();
-    pending_ = sim_.schedule_in(delay, [this] {
-      pending_ = EventQueue::kInvalidEvent;
-      fn_();
-    });
-  }
-
-  void cancel() {
-    if (pending_ != EventQueue::kInvalidEvent) {
-      sim_.cancel(pending_);
-      pending_ = EventQueue::kInvalidEvent;
-    }
-  }
-
-  [[nodiscard]] bool armed() const {
-    return pending_ != EventQueue::kInvalidEvent;
-  }
-
- private:
-  Simulator& sim_;
-  EventFn fn_;
-  EventQueue::EventId pending_{EventQueue::kInvalidEvent};
 };
 
 }  // namespace nfvsb::core

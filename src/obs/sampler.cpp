@@ -11,12 +11,13 @@ QueueSampler::QueueSampler(core::Simulator& sim, const Registry& reg,
       reg_(reg),
       period_(period),
       stop_at_(stop_at) {
-  // Self-stopping, so the timer id is deliberately dropped.
-  (void)sim_.schedule_every(period_, core::Simulator::RecurringFn([this] {
-    if (sim_.now() > stop_at_) return core::Simulator::kStopTimer;
-    sample();
-    return period_;
-  }));
+  sim_.post_in(period_, [this] { tick(); });
+}
+
+void QueueSampler::tick() {
+  if (sim_.now() > stop_at_) return;
+  sample();
+  sim_.post_in(period_, [this] { tick(); });
 }
 
 void QueueSampler::sample() {

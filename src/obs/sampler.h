@@ -1,7 +1,7 @@
-// Queue-depth sampler: a recurring simulation timer that snapshots the
-// occupancy of every queue registered with the Registry into per-queue
-// histograms — the "where do packets actually sit" view the end-to-end
-// numbers cannot give (EMC ring vs vring vs NIC descriptor ring).
+// Queue-depth sampler: a simulation event, re-posted every period, that
+// snapshots the occupancy of every queue registered with the Registry into
+// per-queue histograms — the "where do packets actually sit" view the
+// end-to-end numbers cannot give (EMC ring vs vring vs NIC descriptor ring).
 //
 // Sampling is an observer only: the probe callbacks read ring sizes and
 // never touch the data path, so a sampled run produces bit-identical
@@ -49,6 +49,8 @@ class QueueSampler {
       std::vector<std::pair<std::string, std::uint64_t>>& out) const;
 
  private:
+  /// One sampling instant: sample and post the next, or stop past stop_at_.
+  void tick();
   void sample();
 
   core::Simulator& sim_;

@@ -73,12 +73,4 @@ void write_payload_seq(Packet& p, std::uint64_t seq) {
   write_seq(p.data() + kUdpPayloadOffset, seq);
 }
 
-std::uint64_t read_payload_seq(const Packet& p) {
-  assert(p.size() >= kUdpPayloadOffset + 8);
-  const std::uint8_t* d = p.data() + kUdpPayloadOffset;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) seq = (seq << 8) | d[i];
-  return seq;
-}
-
 }  // namespace nfvsb::pkt

@@ -53,8 +53,7 @@ inline constexpr std::size_t kUdpPayloadOffset =
 /// Minimum frame that still carries a 16-byte measurement payload.
 inline constexpr std::uint32_t kMinCraftedFrame = 64;
 
-/// Write/read the 8-byte big-endian sequence tag at the payload start.
+/// Write the 8-byte big-endian sequence tag at the payload start.
 void write_payload_seq(Packet& p, std::uint64_t seq);
-std::uint64_t read_payload_seq(const Packet& p);
 
 }  // namespace nfvsb::pkt

@@ -129,22 +129,6 @@ bool Ipv4Header::checksum_ok() const {
       std::span<const std::uint8_t>(b_.data(), kIpv4HeaderBytes));
 }
 
-bool Ipv4Header::decrement_ttl() {
-  if (b_[8] == 0) return false;
-  b_[8] -= 1;
-  // RFC 1624 incremental update: HC' = ~(~HC + ~m + m') over the 16-bit word
-  // containing TTL (byte 8) and protocol (byte 9).
-  const std::uint16_t old_word =
-      static_cast<std::uint16_t>(((b_[8] + 1) << 8) | b_[9]);
-  const std::uint16_t new_word = static_cast<std::uint16_t>((b_[8] << 8) | b_[9]);
-  std::uint32_t sum = static_cast<std::uint16_t>(~header_checksum());
-  sum += static_cast<std::uint16_t>(~old_word) & 0xffff;
-  sum += new_word;
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  store_be16(&b_[10], static_cast<std::uint16_t>(~sum));
-  return true;
-}
-
 void Ipv4Header::init() {
   assert(b_.size() >= kIpv4HeaderBytes);
   std::fill(b_.begin(), b_.begin() + kIpv4HeaderBytes, std::uint8_t{0});

@@ -100,7 +100,6 @@ class Ipv4Header {
   [[nodiscard]] std::uint16_t total_length() const;
   [[nodiscard]] std::uint16_t header_checksum() const;
 
-  void set_ttl(std::uint8_t t) { b_[8] = t; }
   void set_protocol(std::uint8_t p) { b_[9] = p; }
   void set_src(Ipv4Address a);
   void set_dst(Ipv4Address a);
@@ -110,10 +109,6 @@ class Ipv4Header {
   void update_checksum();
   /// True iff the stored checksum matches the header contents.
   [[nodiscard]] bool checksum_ok() const;
-
-  /// Decrement TTL and incrementally update the checksum (RFC 1624 style).
-  /// Returns false if TTL was already 0.
-  bool decrement_ttl();
 
   [[nodiscard]] std::span<std::uint8_t> payload() const {
     return b_.subspan(kIpv4HeaderBytes);

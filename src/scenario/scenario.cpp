@@ -4,6 +4,7 @@
 // conservation ledger.
 #include "scenario/scenario.h"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -43,6 +44,14 @@ const char* to_string(Kind k) {
 std::optional<std::string> validate(const ScenarioConfig& cfg) {
   const bool vale = cfg.sut == switches::SwitchType::kVale;
   const bool v2v_latency = cfg.kind == Kind::kV2v && cfg.probe_interval > 0;
+  if (!std::isfinite(cfg.rate_pps) || cfg.rate_pps < 0) {
+    return "rate_pps must be finite and >= 0";
+  }
+  if (cfg.probe_interval < 0) return "probe_interval must be >= 0";
+  if (cfg.queue_sample_period < 0) return "queue_sample_period must be >= 0";
+  if (cfg.l2fwd_drain < 0) return "l2fwd_drain must be >= 0";
+  if (cfg.warmup < 0) return "warmup must be >= 0";
+  if (cfg.measure <= 0) return "measure must be > 0";
   if (cfg.kind == Kind::kLoopback) {
     if (cfg.chain_length < 1) return "chain_length must be >= 1";
     if (cfg.sut == switches::SwitchType::kBess &&

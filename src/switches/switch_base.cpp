@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/event_fn.h"
 #include "core/metrics.h"
 #include "core/simulator.h"
 #include "core/trace_sink.h"
@@ -22,8 +21,7 @@ SwitchBase::SwitchBase(core::Simulator& sim, hw::CpuCore& core,
       core_(core),
       name_(std::move(name)),
       cost_(cost),
-      rng_(sim.rng().split()),
-      run_round_timer_(sim, core::EventFn([this] { run_round(); })) {
+      rng_(sim.rng().split()) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
     reg->add_counter(this, "switch/" + name_ + "/rx_packets",
@@ -144,7 +142,7 @@ void SwitchBase::set_active(bool active) {
 void SwitchBase::wake(core::SimDuration latency) {
   set_active(true);
   if (latency > 0) {
-    run_round_timer_.arm_in(latency);
+    sim_.post_in(latency, [this] { run_round(); });
   } else {
     run_round();
   }
@@ -269,7 +267,7 @@ void SwitchBase::continue_or_idle() {
     const core::SimTime at =
         std::max(sim_.now(), last_irq_ + cost_.interrupt_coalescing);
     last_irq_ = at;
-    run_round_timer_.arm_at(at);
+    sim_.post_at(at, [this] { run_round(); });
     return;
   }
   set_active(false);

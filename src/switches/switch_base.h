@@ -169,9 +169,6 @@ class SwitchBase {
   std::string name_;
   CostModel cost_;
   core::Rng rng_;
-  /// Next service round (wake latency / ITR boundary). At most one is ever
-  /// pending, so one rearmable slot replaces a fresh closure per wake.
-  core::RearmableTimer run_round_timer_;
   std::vector<std::unique_ptr<ring::Port>> ports_;
   /// First-enqueue time per port since its last service (batch assembly).
   std::vector<core::SimTime> wait_since_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -183,6 +184,32 @@ TEST(ScenarioValidate, IgnoredFieldsAreRejectedByName) {
                   x.probe_interval = core::from_us(40);
                   x.l2fwd_drain = core::from_us(20);
                 }},
+           Case{Kind::kP2p, SwitchType::kVpp, "rate_pps",
+                [](ScenarioConfig& x) { x.rate_pps = -1e6; }},
+           Case{Kind::kP2p, SwitchType::kVpp, "rate_pps",
+                [](ScenarioConfig& x) {
+                  x.rate_pps = std::numeric_limits<double>::quiet_NaN();
+                }},
+           Case{Kind::kP2p, SwitchType::kVpp, "rate_pps",
+                [](ScenarioConfig& x) {
+                  x.rate_pps = std::numeric_limits<double>::infinity();
+                }},
+           Case{Kind::kP2p, SwitchType::kVpp, "probe_interval",
+                [](ScenarioConfig& x) {
+                  x.probe_interval = -core::from_us(40);
+                }},
+           Case{Kind::kP2p, SwitchType::kVpp, "queue_sample_period",
+                [](ScenarioConfig& x) {
+                  x.queue_sample_period = -core::from_us(10);
+                }},
+           Case{Kind::kLoopback, SwitchType::kVpp, "l2fwd_drain",
+                [](ScenarioConfig& x) { x.l2fwd_drain = -core::from_us(20); }},
+           Case{Kind::kP2p, SwitchType::kVpp, "warmup",
+                [](ScenarioConfig& x) { x.warmup = -core::from_ms(1); }},
+           Case{Kind::kP2p, SwitchType::kVpp, "measure",
+                [](ScenarioConfig& x) { x.measure = 0; }},
+           Case{Kind::kP2p, SwitchType::kVpp, "measure",
+                [](ScenarioConfig& x) { x.measure = -core::from_ms(1); }},
        }) {
     auto cfg = quick(c.kind, c.sut);
     c.set(cfg);

@@ -392,8 +392,7 @@ void rule_nodiscard(Ctx& ctx, std::vector<std::string>& raw_lines,
     return;
   }
   static constexpr std::string_view kTypes[] = {
-      "EventQueue::EventId", "Simulator::TimerId", "EventId", "TimerId",
-      "std::uint64_t",       "bool"};
+      "EventQueue::EventId", "EventId", "std::uint64_t", "bool"};
   const std::size_t nlines = ctx.sc.line_start.size();
   auto code_line = [&](std::size_t l) -> std::string {
     const std::size_t b = ctx.sc.line_start[l];

@@ -27,7 +27,7 @@
 //   naked-new      naked new / malloc in data-plane directories
 //   ordered-sum    `double +=` accumulation inside a loop in stats code
 //                  without an explicit `// nfvsb-lint: ordered-sum` note
-//   nodiscard      missing [[nodiscard]] on EventId/TimerId/bool/count
+//   nodiscard      missing [[nodiscard]] on EventId/bool/count
 //                  returning functions in src/core + src/hw headers
 //                  (mechanically fixable with --fix)
 //

@@ -30,7 +30,7 @@ constexpr std::array<RuleMeta, 11> kRules = {{
     {"ordered-sum",
      "Unordered floating-point accumulation changes result bits."},
     {"nodiscard",
-     "EventId/TimerId/bool/count returns need [[nodiscard]]."},
+     "EventId/bool/count returns need [[nodiscard]]."},
     {"arch-layer",
      "Include climbs the layer order declared in layers.def."},
     {"arch-cycle",
