@@ -161,6 +161,29 @@ TEST(QueueSampler, HistogramMatchesScriptedOccupancy) {
             (std::pair<std::string, std::uint64_t>{"ring/s/depth_max", 2}));
 }
 
+TEST(QueueSampler, FirstSampleIsOnePeriodIn) {
+  Registry reg;
+  core::Simulator sim;
+  QueueSampler sampler(sim, reg, core::from_us(10), core::from_us(100));
+  sim.run_until(core::from_us(10) - 1);
+  EXPECT_EQ(sampler.samples(), 0u);
+  sim.run_until(core::from_us(10));
+  EXPECT_EQ(sampler.samples(), 1u);
+}
+
+// Past stop_at the sampler posts nothing more, so a simulator with no
+// other work drains; a sample exactly at stop_at is still taken.
+TEST(QueueSampler, StopsPostingPastStopAt) {
+  Registry reg;
+  core::Simulator sim;
+  QueueSampler sampler(sim, reg, core::from_us(10), core::from_us(30));
+  sim.run();
+  EXPECT_EQ(sampler.samples(), 3u);  // 10, 20 and 30 us
+  EXPECT_EQ(sim.now(), core::from_us(40));
+  EXPECT_FALSE(sim.has_pending());
+  EXPECT_EQ(sim.events_processed(), 4u);
+}
+
 // ---- trace recorder ------------------------------------------------------
 
 TEST(TraceRecorder, JsonIsWellFormed) {
