@@ -39,9 +39,9 @@ int main() {
   std::puts("\n=== VPP (debug CLI + show runtime) ===");
   {
     switches::vpp::VppSwitch sw(sim, bed.take_core(0), "vpp");
-    sw.add_port(std::make_unique<ring::RingPort>(
+    sw.add_port(std::make_unique<ring::Port>(
         "port0", ring::PortKind::kInternal, 64));
-    sw.add_port(std::make_unique<ring::RingPort>(
+    sw.add_port(std::make_unique<ring::Port>(
         "port1", ring::PortKind::kInternal, 64));
     switches::vpp::VppCli cli(sw);
     cli.register_port("port0", 0);
@@ -65,9 +65,9 @@ int main() {
   std::puts("\n=== Snabb (config.app/config.link + report) ===");
   {
     switches::snabb::SnabbSwitch sw(sim, bed.take_core(1), "snabb");
-    sw.add_port(std::make_unique<ring::RingPort>(
+    sw.add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kPhysical, 64));
-    sw.add_port(std::make_unique<ring::RingPort>(
+    sw.add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kPhysical, 64));
     sw.engine().app(
         std::make_unique<switches::snabb::Intel82599App>("nic1", 0));

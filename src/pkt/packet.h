@@ -7,8 +7,6 @@
 //
 // Metadata carried alongside the payload:
 //  * timestamps (wire TX / wire RX / software) for latency measurement,
-//  * a copy counter (each simulated memcpy increments it — lets tests assert
-//    zero-copy vs copy paths, e.g. ptnet vs vhost-user),
 //  * generator sequence numbers + probe ids for PTP latency probes.
 #pragma once
 
@@ -51,18 +49,12 @@ class Packet {
   /// Software timestamp written by a generator into the payload path;
   /// core::kNoTimestamp until stamped.
   core::SimTime sw_timestamp{core::kNoTimestamp};
-  /// Number of simulated full-payload copies this packet suffered so far.
-  std::uint32_t copy_count{0};
   /// Generator id, used by monitors to demultiplex counters.
   std::uint32_t origin{0};
   /// Non-zero when this packet is followed hop-by-hop by the trace
   /// recorder (obs/trace.h). Not copied by clone(): a clone is a new
   /// buffer, and double-tracked ids would unbalance the lifecycle slices.
   std::uint32_t trace_id{0};
-
-  /// Simulate a memcpy of the payload (cost is charged by the caller's cost
-  /// model; this records the fact for invariant checks).
-  void note_copy() { ++copy_count; }
 
  private:
   friend class PacketPool;

@@ -58,7 +58,6 @@ PacketHandle PacketPool::allocate_reserved() {
   p->probe_id = 0;
   p->tx_timestamp = core::kNoTimestamp;
   p->sw_timestamp = core::kNoTimestamp;
-  p->copy_count = 0;
   p->origin = 0;
   p->trace_id = 0;
   return PacketHandle{p};
@@ -75,7 +74,6 @@ PacketHandle PacketPool::clone(const Packet& src) {
   dst.tx_timestamp = src.tx_timestamp;
   dst.sw_timestamp = src.sw_timestamp;
   dst.origin = src.origin;
-  dst.copy_count = src.copy_count + 1;
   return h;
 }
 

@@ -70,8 +70,8 @@ class PacketPool {
   using Reclaim = core::SmallFn<void>;
   void set_reclaim(Reclaim r) { reclaim_ = std::move(r); }
 
-  /// Allocate and copy `src` (payload + measurement metadata); the copy
-  /// counter of the clone is incremented. Empty handle on exhaustion.
+  /// Allocate and copy `src` (payload + measurement metadata). Empty
+  /// handle on exhaustion.
   [[nodiscard]] PacketHandle clone(const Packet& src);
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

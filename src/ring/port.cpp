@@ -9,7 +9,6 @@ const char* to_string(PortKind k) {
     case PortKind::kPhysical: return "physical";
     case PortKind::kVhostUser: return "vhost-user";
     case PortKind::kPtnet: return "ptnet";
-    case PortKind::kNetmapHost: return "netmap-host";
     case PortKind::kInternal: return "internal";
   }
   return "?";
@@ -25,16 +24,5 @@ Port::Port(std::string name, PortKind kind, std::size_t ring_depth)
 
 Port::Port(std::string name, PortKind kind, SpscRing& in, SpscRing& out)
     : name_(std::move(name)), kind_(kind), in_(&in), out_(&out) {}
-
-pkt::PacketHandle Port::rx() {
-  pkt::PacketHandle p = in_->dequeue();
-  if (p && copies_on_rx()) p->note_copy();
-  return p;
-}
-
-bool Port::tx(pkt::PacketHandle p) {
-  if (p && copies_on_tx()) p->note_copy();
-  return out_->enqueue(std::move(p));
-}
 
 }  // namespace nfvsb::ring

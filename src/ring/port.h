@@ -1,13 +1,16 @@
-// Port abstraction: one side of an attachment between a packet-processing
-// component (switch, VM app, NIC) and its peer.
+// Port: one side of an attachment between a packet-processing component
+// (switch, guest application, NIC) and its peer.
 //
-// A Port bundles an inbound ring (peer -> holder) and an outbound ring
-// (holder -> peer), a PortKind that the switch cost models key on, and copy
-// semantics (whether moving a packet across this port implies a payload
-// copy, as vhost-user does and ptnet does not).
+// A Port bundles an inbound ring (peer -> holder), an outbound ring
+// (holder -> peer) and a PortKind, which the switch cost models key on: a
+// vhost-user crossing is charged its payload copies and a ptnet one is not
+// (switches::CostModel), and nothing else about a port depends on its kind.
 //
-// Ports either own their rings (vhost-user, ptnet, internal links) or bind
-// rings owned elsewhere (a NIC's descriptor rings).
+// Ports either own their rings (vhost-user, ptnet, internal links), bind
+// rings owned elsewhere (a NIC's descriptor rings), or are the guest view
+// of a host port: the same two rings with their directions swapped, so a
+// guest application reads what the switch sent and sends what the switch
+// reads.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,6 @@ enum class PortKind : std::uint8_t {
   kPhysical,   ///< NIC queue via poll-mode driver
   kVhostUser,  ///< virtio ring shared with a VM, vhost-user backend
   kPtnet,      ///< netmap ptnet passthrough to a VM (zero copy)
-  kNetmapHost, ///< host netmap virtual port (VALE attachment)
   kInternal,   ///< intra-switch link (Snabb inter-app links etc.)
 };
 
@@ -34,10 +36,16 @@ const char* to_string(PortKind k);
 class Port {
  public:
   /// Owning constructor: allocates both rings at `ring_depth`.
-  Port(std::string name, PortKind kind, std::size_t ring_depth);
+  Port(std::string name, PortKind kind,
+       std::size_t ring_depth = kDefaultRingDepth);
 
   /// Binding constructor: wraps rings owned elsewhere (e.g. a NIC).
   Port(std::string name, PortKind kind, SpscRing& in, SpscRing& out);
+
+  /// Guest view of `host`: the host's kind, its out() as in() and its in()
+  /// as out(). `host` must outlive the view.
+  Port(std::string name, Port& host)
+      : Port(std::move(name), host.kind(), host.out(), host.in()) {}
 
   virtual ~Port() = default;
   Port(const Port&) = delete;
@@ -53,16 +61,12 @@ class Port {
   [[nodiscard]] const SpscRing& in() const { return *in_; }
   [[nodiscard]] const SpscRing& out() const { return *out_; }
 
-  /// Whether receiving via this port copies the payload into holder memory.
-  [[nodiscard]] virtual bool copies_on_rx() const { return false; }
-  /// Whether transmitting via this port copies the payload out.
-  [[nodiscard]] virtual bool copies_on_tx() const { return false; }
+  /// Receive one packet; empty when nothing is waiting.
+  pkt::PacketHandle rx() { return in_->dequeue(); }
 
-  /// Receive one packet, honoring copy semantics (updates copy counters).
-  pkt::PacketHandle rx();
-
-  /// Transmit one packet, honoring copy semantics. Returns false on drop.
-  bool tx(pkt::PacketHandle p);
+  /// Transmit one packet, or a generator's unbuilt frame. False on a
+  /// ring-full drop.
+  bool tx(pkt::Frame&& f) { return out_->enqueue(std::move(f)); }
 
   [[nodiscard]] std::uint64_t tx_drops() const { return out_->drops(); }
 
@@ -75,30 +79,8 @@ class Port {
   SpscRing* out_;
 };
 
-/// Plain port with configurable copy flags — covers physical queues and
-/// internal links.
-class RingPort final : public Port {
- public:
-  RingPort(std::string name, PortKind kind,
-           std::size_t ring_depth = kDefaultRingDepth, bool copy_rx = false,
-           bool copy_tx = false)
-      : Port(std::move(name), kind, ring_depth),
-        copy_rx_(copy_rx),
-        copy_tx_(copy_tx) {}
-
-  /// Bind-variant (e.g. wrapping a NIC's rings as a switch port).
-  RingPort(std::string name, PortKind kind, SpscRing& in, SpscRing& out,
-           bool copy_rx = false, bool copy_tx = false)
-      : Port(std::move(name), kind, in, out),
-        copy_rx_(copy_rx),
-        copy_tx_(copy_tx) {}
-
-  [[nodiscard]] bool copies_on_rx() const override { return copy_rx_; }
-  [[nodiscard]] bool copies_on_tx() const override { return copy_tx_; }
-
- private:
-  bool copy_rx_;
-  bool copy_tx_;
-};
+/// The plain port under its older name, kept for perfbench, which
+/// constructs it.
+using RingPort = Port;
 
 }  // namespace nfvsb::ring

@@ -57,6 +57,7 @@ bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
   }
   q_.push_back(std::move(f));
   ++enqueued_;
+  if (was_empty) ++kicks_;
   if (watcher_) {
     arriving_at_ = at;
     watcher_(was_empty);
@@ -93,10 +94,10 @@ void SpscRing::detach_source() {
 }
 
 void SpscRing::pull_source() {
-  // The source enqueues through its port (which counts guest kicks), and
-  // that enqueue is a read of this ring: pulling_ stops it from pulling
-  // again. Each frame's successor takes its order key once the frame is
-  // in, after whatever its enqueue scheduled, as its pacing event would.
+  // The source enqueues through its port, and that enqueue is a read of
+  // this ring: pulling_ stops it from pulling again. Each frame's
+  // successor takes its order key once the frame is in, after whatever its
+  // enqueue scheduled, as its pacing event would.
   if (pulling_ || !sim_->reached(source_->next_emit(), source_order_)) {
     return;
   }

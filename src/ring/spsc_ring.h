@@ -136,6 +136,13 @@ class SpscRing {
     catch_up();
     return dequeued_;
   }
+  /// Enqueues into an empty ring: the doorbells ("kicks") a virtio guest
+  /// rings on its TX ring. Every ring counts them; ring::VhostUserPort
+  /// registers its guest-to-host ring's count.
+  [[nodiscard]] const core::Counter& kicks() {
+    catch_up();
+    return kicks_;
+  }
   /// Packets discarded by clear() at teardown (counted so the
   /// packet-conservation ledger still balances with buffered residue).
   [[nodiscard]] std::uint64_t cleared() const { return cleared_; }
@@ -243,6 +250,7 @@ class SpscRing {
   core::Counter drops_;
   core::Counter enqueued_;
   core::Counter dequeued_;
+  core::Counter kicks_;
   core::Counter cleared_;
   core::MetricSink* registry_{nullptr};
   // Pulled TX state (source-fed rings only).

@@ -17,7 +17,7 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "pkt/packet_pool.h"
-#include "ring/vhost_user_port.h"
+#include "ring/port.h"
 #include "scenario/scenario.h"
 #include "switches/switch_base.h"
 #include "vnf/chain.h"
@@ -127,9 +127,10 @@ struct Env {
 /// NIC port (MoonGen's side of the cable) or a guest port inside a VM.
 struct Endpoint {
   Endpoint(hw::NicPort& port) : nic(&port) {}
-  Endpoint(ring::GuestPort& port) : guest(&port) {}
+  Endpoint(ring::Port& port) : guest(&port) {}
   hw::NicPort* nic{nullptr};
-  ring::GuestPort* guest{nullptr};
+  /// The guest view of a VM device (vnf::Vm::attach).
+  ring::Port* guest{nullptr};
 };
 
 /// One traffic direction of a topology.

@@ -1,7 +1,6 @@
 #include "scenario/report.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -23,21 +22,6 @@ double panel_gbps(const ScenarioResult& r, bool bidirectional) {
 
 double panel_mpps(const ScenarioResult& r, bool bidirectional) {
   return bidirectional ? r.mpps_total() : r.fwd.mpps;
-}
-
-Summary summarize(const std::vector<double>& xs) {
-  Summary s;
-  s.n = xs.size();
-  if (xs.empty()) return s;
-  s.min = *std::min_element(xs.begin(), xs.end());
-  s.max = *std::max_element(xs.begin(), xs.end());
-  double sum = 0;
-  for (double x : xs) sum += x;
-  s.mean = sum / static_cast<double>(s.n);
-  double var = 0;
-  for (double x : xs) var += (x - s.mean) * (x - s.mean);
-  s.stddev = s.n > 1 ? std::sqrt(var / static_cast<double>(s.n - 1)) : 0.0;
-  return s;
 }
 
 std::string TextTable::to_string() const {

@@ -41,15 +41,4 @@ std::string fmt_or_dash(double v, bool skipped, int decimals = 2);
 double panel_gbps(const ScenarioResult& r, bool bidirectional);
 double panel_mpps(const ScenarioResult& r, bool bidirectional);
 
-/// Mean / stddev / extrema over a sample of per-point metrics (e.g. one
-/// metric across frame sizes, chain lengths or repeated seeds).
-struct Summary {
-  std::size_t n{0};
-  double mean{0};
-  double stddev{0};
-  double min{0};
-  double max{0};
-};
-Summary summarize(const std::vector<double>& xs);
-
 }  // namespace nfvsb::scenario

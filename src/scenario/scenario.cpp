@@ -249,7 +249,7 @@ ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
     r.gen_tx_failures += gens[i]->tx_failed();
     const Endpoint& to = dirs[i].to;
     r.delivered_packets += to.nic != nullptr ? to.nic->rx_frames()
-                                             : to.guest->rx_ring().enqueued();
+                                             : to.guest->in().enqueued();
   }
   for (const auto& sut : topo.suts) {
     r.sut_wasted_work += sut->stats().tx_drops;

@@ -23,7 +23,6 @@
 #include "switches/registry.h"
 #include "switches/switch_base.h"
 #include "vnf/chain.h"
-#include "vnf/container.h"
 #include "vnf/l2fwd.h"
 #include "vnf/vale_guest.h"
 #include "vnf/vm.h"
@@ -64,6 +63,17 @@ std::unique_ptr<switches::SwitchBase> make_sut(const ScenarioConfig& cfg,
   return sut;
 }
 
+/// The SUT's port toward a VM device: ptnet "v<i>" on VALE, vhost-user
+/// "vhost<i>" on the others.
+ring::Port& add_vm_port(const ScenarioConfig& cfg, switches::SwitchBase& sut,
+                        int i) {
+  const bool vale = cfg.sut == switches::SwitchType::kVale;
+  std::string name = vale ? "v" : "vhost";
+  name += std::to_string(i);
+  if (vale) return sut.add_ptnet_port(name);
+  return sut.add_vhost_user_port(name);
+}
+
 /// A VNF VM with four node-0 vcpus (the paper's QEMU -smp 4).
 vnf::Vm& add_vm(Topology& t, Env& env, const std::string& name) {
   std::vector<hw::CpuCore*> vcpus;
@@ -85,7 +95,7 @@ Topology p2p(const ScenarioConfig& cfg, Env& env) {
     const auto q = static_cast<std::size_t>(w);
     for (int p = 0; p < 2; ++p) {
       hw::NicPort& nic = env.testbed.nic(0, p);
-      sw->add_port(std::make_unique<ring::RingPort>(
+      sw->add_port(std::make_unique<ring::Port>(
           sw->name() + ":nic" + std::to_string(p) + ".q" + std::to_string(w),
           ring::PortKind::kPhysical, nic.rx_ring(q), nic.tx_ring(q)));
     }
@@ -108,15 +118,10 @@ Topology p2v(const ScenarioConfig& cfg, Env& env) {
   switches::SwitchBase& sut = *t.suts.emplace_back(make_sut(cfg, env));
   sut.attach_nic(env.testbed.nic(0, 0));  // port 0
   vnf::Vm& vm = add_vm(t, env, "vm1");
-  ring::GuestPort* guest = nullptr;
-  if (cfg.sut == switches::SwitchType::kVale) {
-    guest = &vm.attach_ptnet(sut.add_ptnet_port("v0"));  // port 1
-  } else {
-    guest = &vm.attach_virtio(sut.add_vhost_user_port("vhost0"));  // port 1
-  }
+  ring::Port& guest = vm.attach(add_vm_port(cfg, sut, 0));  // port 1
   sut.wire(port_pairs(cfg, 0, 1));
   sut.start();
-  t.directions = directions(cfg, env.testbed.nic(1, 0), *guest, 1, 0);
+  t.directions = directions(cfg, env.testbed.nic(1, 0), guest, 1, 0);
   return t;
 }
 
@@ -129,15 +134,13 @@ void v2v_latency(const ScenarioConfig& cfg, Env& env, Topology& t,
   switches::SwitchBase& sut = *t.suts.front();
   if (cfg.sut == switches::SwitchType::kVale) {
     // Ports: 0 = VM1, 1 = VM2.
-    auto& a = sut.add_ptnet_port("vm1.eth0");
-    auto& b = sut.add_ptnet_port("vm2.eth0");
-    ring::GuestPort& vm1_port = vm1.attach_ptnet(a);
-    auto& vm2_port = vm2.attach_ptnet(b);
+    ring::Port& vm1_port = vm1.attach(sut.add_ptnet_port("vm1.eth0"));
+    ring::Port& vm2_port = vm2.attach(sut.add_ptnet_port("vm2.eth0"));
     // ICMP echo reflector: guest kernel receives, swaps MACs, replies
     // after the stack traversal latency (~11 us rx+icmp+tx on the vcpu).
     // The handle moves into the event (SmallFn is move-only and holds it
     // inline), so an echo allocates nothing.
-    vm2_port.rx_ring().set_sink([&env, &vm2_port](pkt::PacketHandle p) {
+    vm2_port.in().set_sink([&env, &vm2_port](pkt::PacketHandle p) {
       env.sim.post_in(core::from_us(11), [p = std::move(p),
                                           &vm2_port]() mutable {
         pkt::EthHeader eth(p->bytes());
@@ -162,8 +165,8 @@ void v2v_latency(const ScenarioConfig& cfg, Env& env, Topology& t,
   auto& b = sut.add_vhost_user_port("vm1.b");
   auto& c = sut.add_vhost_user_port("vm2.a");
   auto& d = sut.add_vhost_user_port("vm2.b");
-  ring::GuestPort& vm1_tx = vm1.attach_virtio(a);
-  ring::GuestPort& vm1_rx = vm1.attach_virtio(b);
+  ring::Port& vm1_tx = vm1.attach(a);
+  ring::Port& vm1_rx = vm1.attach(b);
   t.bounce = std::make_unique<vnf::L2Fwd>(env.sim, vm2.vcpu(0), "vm2:l2fwd");
   t.bounce->bind_virtio_pair(c, d);
   // Returning packets must address SUT egress port 1 (t4p4s table key).
@@ -192,22 +195,11 @@ Topology v2v(const ScenarioConfig& cfg, Env& env) {
     v2v_latency(cfg, env, t, vm1, vm2);
     return t;
   }
-  ring::GuestPort* g1 = nullptr;
-  ring::GuestPort* g2 = nullptr;
-  if (cfg.sut == switches::SwitchType::kVale) {
-    auto& p1 = sut.add_ptnet_port("v0");  // port 0
-    auto& p2 = sut.add_ptnet_port("v1");  // port 1
-    g1 = &vm1.attach_ptnet(p1);
-    g2 = &vm2.attach_ptnet(p2);
-  } else {
-    auto& p1 = sut.add_vhost_user_port("vhost0");
-    auto& p2 = sut.add_vhost_user_port("vhost1");
-    g1 = &vm1.attach_virtio(p1);
-    g2 = &vm2.attach_virtio(p2);
-  }
+  ring::Port& g1 = vm1.attach(add_vm_port(cfg, sut, 0));  // port 0
+  ring::Port& g2 = vm2.attach(add_vm_port(cfg, sut, 1));  // port 1
   sut.wire(port_pairs(cfg, 0, 1));
   sut.start();
-  t.directions = directions(cfg, *g1, *g2, 1, 0);
+  t.directions = directions(cfg, g1, g2, 1, 0);
   return t;
 }
 
@@ -267,8 +259,8 @@ Topology loopback(const ScenarioConfig& cfg, Env& env) {
     // The switch-side vhost crossings are also lighter against virtio-user
     // endpoints (no guest notification machinery to arm).
     auto& cost = sut.mutable_cost_model();
-    cost.vhost.rx_ns *= vnf::Container::kVhostFixedFactor;
-    cost.vhost.tx_ns *= vnf::Container::kVhostFixedFactor;
+    cost.vhost.rx_ns *= vnf::kVhostFixedFactor;
+    cost.vhost.tx_ns *= vnf::kVhostFixedFactor;
   }
   for (int i = 0; i < n; ++i) {
     if (cfg.l2fwd_drain > 0) chain.vnf(i).set_drain_timeout(cfg.l2fwd_drain);

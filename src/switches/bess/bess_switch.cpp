@@ -21,7 +21,6 @@ CostModel BessSwitch::default_cost_model() {
   c.vhost = PortCosts{32, 28, 0.042, 0.042};
   c.vhost_extra_desc_ns = 50;
   c.ptnet = PortCosts{20, 20, 0.0, 0.0};
-  c.netmap_host = c.ptnet;
   c.internal = PortCosts{3, 3, 0.0, 0.0};
   c.burst = 32;
   c.jitter_cv = 0.45;  // tightest latency profile of the seven (Table 3)

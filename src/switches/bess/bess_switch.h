@@ -21,8 +21,6 @@ class BessSwitch final : public SwitchBase {
   BessSwitch(core::Simulator& sim, hw::CpuCore& core, std::string name,
              CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "BESS"; }
-
   static CostModel default_cost_model();
 
   /// Max VMs BESS can attach before hitting the QEMU issue (footnote 5).

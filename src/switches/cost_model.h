@@ -37,7 +37,6 @@ struct CostModel {
   PortCosts physical;
   PortCosts vhost;
   PortCosts ptnet;
-  PortCosts netmap_host;
   PortCosts internal;
 
   /// Max packets taken from one input ring per service round.
@@ -101,7 +100,6 @@ struct CostModel {
       case ring::PortKind::kPhysical: return physical;
       case ring::PortKind::kVhostUser: return vhost;
       case ring::PortKind::kPtnet: return ptnet;
-      case ring::PortKind::kNetmapHost: return netmap_host;
       case ring::PortKind::kInternal: return internal;
     }
     return internal;

@@ -20,7 +20,6 @@ CostModel FastClickSwitch::default_cost_model() {
   c.vhost = PortCosts{52, 48, 0.05, 0.05};
   c.vhost_extra_desc_ns = 55;
   c.ptnet = PortCosts{20, 20, 0.0, 0.0};
-  c.netmap_host = c.ptnet;
   c.internal = PortCosts{4, 4, 0.0, 0.0};
   c.burst = 32;
   // FastClick's own batching: at low input rate it waits briefly to build

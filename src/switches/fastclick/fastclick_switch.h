@@ -26,8 +26,6 @@ class FastClickSwitch final : public SwitchBase {
   FastClickSwitch(core::Simulator& sim, hw::CpuCore& core, std::string name,
                   CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "FastClick"; }
-
   static CostModel default_cost_model();
 
   /// Parse a Click config. Device numbers refer to switch port indices

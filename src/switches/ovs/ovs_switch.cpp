@@ -22,7 +22,6 @@ CostModel OvsSwitch::default_cost_model() {
   c.vhost = PortCosts{34, 36, 0.055, 0.055};
   c.vhost_extra_desc_ns = 95;
   c.ptnet = PortCosts{20, 20, 0.0, 0.0};  // unused by OvS
-  c.netmap_host = c.ptnet;
   c.internal = PortCosts{4, 4, 0.0, 0.0};
   c.burst = 32;
   c.jitter_cv = 0.12;  // match/action pipeline is cache-sensitive

@@ -29,8 +29,6 @@ class OvsSwitch final : public SwitchBase {
   OvsSwitch(core::Simulator& sim, hw::CpuCore& core, std::string name,
             CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "OvS-DPDK"; }
-
   static CostModel default_cost_model();
 
   /// Extra datapath costs specific to the lookup tiers.

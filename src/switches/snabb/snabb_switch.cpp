@@ -23,7 +23,6 @@ CostModel SnabbSwitch::default_cost_model() {
   c.vhost = PortCosts{12, 16, 0.06, 0.06};
   c.vhost_extra_desc_ns = 95;
   c.ptnet = PortCosts{20, 20, 0.0, 0.0};
-  c.netmap_host = c.ptnet;
   c.internal = PortCosts{5.5, 5.5, 0.0, 0.0};  // link staging push/pull
   c.burst = 128;  // engine pulls up to 128 per breath
   // The default (non-busywait) engine sleeps when idle; vhost work wakes
@@ -66,7 +65,7 @@ void SnabbSwitch::commit() {
         name() + ":link:" + l.from_app + "->" + l.to_app, 1024);
     auto& ring_ref = *ring;
     link_rings_.push_back(std::move(ring));
-    auto port = std::make_unique<ring::RingPort>(
+    auto port = std::make_unique<ring::Port>(
         l.from_app + "." + l.from_end, ring::PortKind::kInternal, ring_ref,
         ring_ref);
     link_port_idx[i] = num_ports();

@@ -29,8 +29,6 @@ class SnabbSwitch final : public SwitchBase {
   SnabbSwitch(core::Simulator& sim, hw::CpuCore& core, std::string name,
               CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "Snabb"; }
-
   static CostModel default_cost_model();
 
   [[nodiscard]] AppEngine& engine() { return engine_; }

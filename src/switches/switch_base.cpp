@@ -39,7 +39,7 @@ SwitchBase::~SwitchBase() {
 }
 
 ring::Port& SwitchBase::attach_nic(hw::NicPort& nic) {
-  auto p = std::make_unique<ring::RingPort>(
+  auto p = std::make_unique<ring::Port>(
       name_ + ":" + nic.name(), ring::PortKind::kPhysical, nic.rx_ring(),
       nic.tx_ring());
   return add_port(std::move(p));

@@ -79,14 +79,13 @@ class SwitchBase {
   SwitchBase& operator=(const SwitchBase&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] virtual const char* kind() const = 0;
 
   // --- port management ------------------------------------------------------
   /// Bind a physical NIC queue pair as a switch port (PMD attach).
   ring::Port& attach_nic(hw::NicPort& nic);
 
-  /// Create a vhost-user port (switch side). Pair with a VM via
-  /// ring::GuestVirtioPort{port}.
+  /// Create a vhost-user port (switch side). A VM reaches it through its
+  /// guest view, vnf::Vm::attach(port).
   ring::VhostUserPort& add_vhost_user_port(const std::string& port_name);
 
   /// Create a ptnet port (netmap passthrough; VALE only in practice).

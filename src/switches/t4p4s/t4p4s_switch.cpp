@@ -25,7 +25,6 @@ CostModel T4p4sSwitch::default_cost_model() {
   c.vhost = PortCosts{60, 46, 0.07, 0.07};  // vhost support is retrofitted
   c.vhost_extra_desc_ns = 100;
   c.ptnet = PortCosts{20, 20, 0.0, 0.0};
-  c.netmap_host = c.ptnet;
   c.internal = PortCosts{5, 5, 0.0, 0.0};
   c.burst = 128;
   c.batch_timeout = core::from_us(45);

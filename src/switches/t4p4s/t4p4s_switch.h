@@ -27,8 +27,6 @@ class T4p4sSwitch final : public SwitchBase {
   T4p4sSwitch(core::Simulator& sim, hw::CpuCore& core, std::string name,
               CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "t4p4s"; }
-
   static CostModel default_cost_model();
 
   [[nodiscard]] ExactMacTable& l2_table() { return l2_table_; }

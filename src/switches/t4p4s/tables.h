@@ -1,11 +1,10 @@
-// t4p4s match-action tables: exact-match (used by the paper's l2fwd P4
-// program, keyed on destination MAC) and LPM (for the richer examples).
+// t4p4s match-action table: exact match on destination MAC, the table of
+// the paper's l2fwd P4 program.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "pkt/headers.h"
 
@@ -41,23 +40,6 @@ class ExactMacTable {
 
  private:
   std::map<std::uint64_t, P4Action> entries_;
-};
-
-/// Longest-prefix-match table on IPv4 destination.
-class LpmTable {
- public:
-  void add(pkt::Ipv4Address prefix, int prefix_len, P4Action action);
-  [[nodiscard]] std::optional<P4Action> lookup(pkt::Ipv4Address addr) const;
-  [[nodiscard]] std::size_t size() const { return rules_.size(); }
-
- private:
-  struct Rule {
-    std::uint32_t prefix;
-    std::uint32_t mask;
-    int len;
-    P4Action action;
-  };
-  std::vector<Rule> rules_;  // sorted by descending prefix length
 };
 
 }  // namespace nfvsb::switches::t4p4s

@@ -23,7 +23,6 @@ CostModel ValeSwitch::default_cost_model() {
   // cheap shared-memory rings -- which is why VALE's v2v beats its p2p
   // (10.5 vs 5.56 Gbps in the paper).
   c.physical = PortCosts{73, 19, 0.0, 0.078};
-  c.netmap_host = PortCosts{18, 18, 0.0, 0.078};
   c.ptnet = PortCosts{18, 18, 0.0, 0.078};
   c.vhost = PortCosts{60, 60, 0.15, 0.15};  // not used by VALE setups
   c.internal = PortCosts{5, 5, 0.0, 0.0};
@@ -50,22 +49,12 @@ double ValeSwitch::process_batch(ring::Port& in,
   for (auto& p : batch) {
     pkt::EthHeader eth(p->bytes());
     if (!eth.valid()) continue;  // runt frame: discard
-    if (lookup_fn_) {
-      // mSwitch modular switching logic takes precedence.
-      if (const auto dest = lookup_fn_(*p, in_idx)) {
-        if (*dest == in_idx || *dest >= num_ports()) continue;  // filter
-        p->note_copy();
-        out.push_back(Tx{&port(*dest), std::move(p)});
-        extra_ns += 8.0;  // indirect call + module logic
-        continue;
-      }
-    }
     table_.learn(eth.src(), in_idx, sim().now());
     const auto dst = table_.lookup(eth.dst(), sim().now());
     if (dst && *dst == in_idx) continue;  // hairpin: filter
     if (dst) {
-      // The destination copy itself: VALE isolates port memory.
-      p->note_copy();
+      // The destination copy itself (VALE isolates port memory) is the
+      // per-byte TX cost of the cost model.
       out.push_back(Tx{&port(*dst), std::move(p)});
       continue;
     }
@@ -75,7 +64,6 @@ double ValeSwitch::process_batch(ring::Port& in,
     ++floods_;
     for (std::size_t i = 0; i < num_ports(); ++i) {
       if (i == in_idx) continue;
-      p->note_copy();
       extra_ns += 10.0;  // per-extra-destination bookkeeping
       out.push_back(Tx{&port(i), std::move(p)});
       break;  // single-copy flood (see comment above)

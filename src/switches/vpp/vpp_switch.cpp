@@ -21,7 +21,6 @@ CostModel VppSwitch::default_cost_model() {
   c.vhost = PortCosts{66, 43, 0.05, 0.05};
   c.vhost_extra_desc_ns = 100;
   c.ptnet = PortCosts{20, 20, 0.0, 0.0};
-  c.netmap_host = c.ptnet;
   c.internal = PortCosts{4, 4, 0.0, 0.0};
   c.burst = 64;  // typical steady-state VPP vector size
   c.jitter_cv = 0.20;

@@ -24,8 +24,6 @@ class VppSwitch final : public SwitchBase {
   VppSwitch(core::Simulator& sim, hw::CpuCore& core, std::string name,
             CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "VPP"; }
-
   static CostModel default_cost_model();
 
   /// Cross-connect rx -> tx (the CLI's `test l2patch rx portA tx portB`).

@@ -30,7 +30,7 @@ MoonGen::MoonGen(core::Simulator& sim, pkt::PacketPool& pool, Config cfg)
 
 MoonGen::~MoonGen() {
   if (tx_nic_ != nullptr) tx_nic_->detach_tx_source();
-  if (tx_guest_ != nullptr) tx_guest_->tx_ring().detach_source();
+  if (tx_guest_ != nullptr) tx_guest_->out().detach_source();
   if (registry_ != nullptr) registry_->remove(this);
 }
 
@@ -44,10 +44,10 @@ void MoonGen::attach_tx_nic(hw::NicPort& nic) {
                  : nic.rate().line_rate_pps(cfg_.frame.frame_bytes));
 }
 
-void MoonGen::attach_tx_guest(ring::GuestPort& port, double min_gap_ps) {
+void MoonGen::attach_tx_guest(ring::Port& port, double min_gap_ps) {
   assert(tx_nic_ == nullptr && tx_guest_ == nullptr);
   tx_guest_ = &port;
-  port.tx_ring().feed_from_source(sim_, *this);
+  port.out().feed_from_source(sim_, *this);
   gap_ps_ = cfg_.rate_pps > 0
                 ? std::max(min_gap_ps,
                            static_cast<double>(core::kSecond) / cfg_.rate_pps)
@@ -65,7 +65,7 @@ void MoonGen::start_tx(core::SimTime at, core::SimTime until) {
   if (tx_nic_ != nullptr) {
     tx_nic_->wake_tx();
   } else {
-    tx_guest_->tx_ring().wake_source();
+    tx_guest_->out().wake_source();
   }
 }
 
@@ -142,8 +142,8 @@ void MoonGen::attach_rx_nic(hw::NicPort& nic) {
   }
 }
 
-void MoonGen::attach_rx_guest(ring::GuestPort& port) {
-  port.rx_ring().set_sink(
+void MoonGen::attach_rx_guest(ring::Port& port) {
+  port.in().set_sink(
       [this](pkt::PacketHandle p) { on_rx(*p, sim_.now(), true); });
 }
 

@@ -47,7 +47,7 @@
 #include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/tx_source.h"
-#include "ring/vhost_user_port.h"
+#include "ring/port.h"
 #include "stats/latency_recorder.h"
 #include "stats/throughput_meter.h"
 
@@ -89,10 +89,10 @@ class MoonGen final : public ring::TxSource {
   /// Transmit through a physical NIC port (node-1 generator), which pulls
   /// the frames at its TX fetches.
   void attach_tx_nic(hw::NicPort& nic);
-  /// Transmit through a guest port, its frames at least `min_gap_ps`
-  /// picoseconds apart (a virtio device has no intrinsic line rate: the
-  /// guest's pacing or its CPU sets the gap).
-  void attach_tx_guest(ring::GuestPort& port, double min_gap_ps);
+  /// Transmit through a guest view (vnf::Vm::attach), its frames at least
+  /// `min_gap_ps` picoseconds apart (a virtio device has no intrinsic line
+  /// rate: the guest's pacing or its CPU sets the gap).
+  void attach_tx_guest(ring::Port& port, double min_gap_ps);
 
   /// Generate from `at` until `until`.
   void start_tx(core::SimTime at, core::SimTime until);
@@ -104,8 +104,8 @@ class MoonGen final : public ring::TxSource {
   // --- RX ----------------------------------------------------------------
   /// Monitor a physical NIC port (throughput + HW-timestamped probes).
   void attach_rx_nic(hw::NicPort& nic);
-  /// Monitor a guest port (throughput + SW-timestamped probes).
-  void attach_rx_guest(ring::GuestPort& port);
+  /// Monitor a guest view (throughput + SW-timestamped probes).
+  void attach_rx_guest(ring::Port& port);
 
   // --- results -------------------------------------------------------------
   [[nodiscard]] const stats::ThroughputMeter& rx_meter() const {
@@ -139,7 +139,7 @@ class MoonGen final : public ring::TxSource {
   Config cfg_;
   pkt::FrameRecipe recipe_;
   hw::NicPort* tx_nic_{nullptr};
-  ring::GuestPort* tx_guest_{nullptr};
+  ring::Port* tx_guest_{nullptr};
   /// Exact inter-frame gap in picoseconds.
   double gap_ps_{0};
   /// Fractional picoseconds owed to the pacing clock (see gap()).

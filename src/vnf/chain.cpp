@@ -5,7 +5,6 @@
 #include "core/simulator.h"
 #include "hw/numa.h"
 #include "switches/switch_base.h"
-#include "vnf/container.h"
 
 namespace nfvsb::vnf {
 
@@ -32,8 +31,8 @@ VmChain::VmChain(core::Simulator& sim, hw::Testbed& testbed,
     if (containers) {
       // virtio-user skips the guest-physical translation + notification
       // suppression of a real guest driver.
-      cost.vhost.rx_ns *= Container::kVhostFixedFactor;
-      cost.vhost.tx_ns *= Container::kVhostFixedFactor;
+      cost.vhost.rx_ns *= kVhostFixedFactor;
+      cost.vhost.tx_ns *= kVhostFixedFactor;
     }
     auto vnf = std::make_unique<L2Fwd>(sim, vm->vcpu(0),
                                        vm_name + ":l2fwd", cost);

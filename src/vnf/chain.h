@@ -14,6 +14,13 @@
 
 namespace nfvsb::vnf {
 
+/// Containerized VNFs (the paper's "containers instead of VMs", Sec. 6)
+/// attach over the same vhost-user rings through virtio-user, with no
+/// hypervisor in between: no vmexit on notification, no guest-physical
+/// translation. A crossing keeps its payload copies and pays this fraction
+/// of the VM vhost fixed cost, in the guest l2fwd and in the switch.
+inline constexpr double kVhostFixedFactor = 0.8;
+
 /// One hop of the chain: the two switch-side vhost ports flanking VM i.
 struct ChainHop {
   ring::VhostUserPort* port_a{nullptr};  ///< toward the VM, forward path in
@@ -28,7 +35,7 @@ class VmChain {
   /// pinned to its first vcpu. Vcpus are taken from testbed node 0 (4 per
   /// VM, per the paper's QEMU -smp 4). With `containers` set, the VNFs run
   /// as containerized host processes (1 core each, virtio-user devices,
-  /// cheaper guest driver — see vnf/container.h).
+  /// cheaper guest driver — see kVhostFixedFactor).
   VmChain(core::Simulator& sim, hw::Testbed& testbed,
           switches::SwitchBase& sut, int n, bool containers = false);
 

@@ -21,7 +21,6 @@ switches::CostModel L2Fwd::default_cost_model() {
   c.vhost = switches::PortCosts{14, 11, 0.0, 0.0};   // guest virtio PMD
   c.ptnet = switches::PortCosts{12, 10, 0.0, 0.0};   // guest netmap API
   c.physical = switches::PortCosts{10, 10, 0.0, 0.0};
-  c.netmap_host = c.ptnet;
   c.internal = switches::PortCosts{4, 4, 0.0, 0.0};
   c.burst = 32;
   c.jitter_cv = 0.15;
@@ -45,14 +44,8 @@ L2Fwd::L2Fwd(core::Simulator& sim, hw::CpuCore& vcpu, std::string name,
 void L2Fwd::bind_virtio_pair(ring::VhostUserPort& dev0,
                              ring::VhostUserPort& dev1) {
   assert(num_ports() == 0);
-  // Guest view: rx from what the host wrote (backend.out), tx into what the
-  // host reads (backend.in). Guest side is zero-copy.
-  add_port(std::make_unique<ring::RingPort>(name() + ":eth0",
-                                            ring::PortKind::kVhostUser,
-                                            dev0.out(), dev0.in()));
-  add_port(std::make_unique<ring::RingPort>(name() + ":eth1",
-                                            ring::PortKind::kVhostUser,
-                                            dev1.out(), dev1.in()));
+  add_port(std::make_unique<ring::Port>(name() + ":eth0", dev0));
+  add_port(std::make_unique<ring::Port>(name() + ":eth1", dev1));
 }
 
 void L2Fwd::set_dst_mac_rewrite(std::size_t out_port,

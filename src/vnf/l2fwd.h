@@ -32,11 +32,10 @@ class L2Fwd final : public switches::SwitchBase {
   L2Fwd(core::Simulator& sim, hw::CpuCore& vcpu, std::string name,
         switches::CostModel cost = default_cost_model());
 
-  [[nodiscard]] const char* kind() const override { return "l2fwd"; }
-
   static switches::CostModel default_cost_model();
 
-  /// Bind the guest side of two vhost-user backends as ports 0 and 1.
+  /// Bind the guest views of two vhost-user backends as ports 0 and 1.
+  /// Each TX into an empty backend ring is a kick (SpscRing::kicks).
   void bind_virtio_pair(ring::VhostUserPort& dev0, ring::VhostUserPort& dev1);
 
   /// Rewrite the destination MAC of packets leaving port `out_port`

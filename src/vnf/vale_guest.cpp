@@ -12,12 +12,8 @@ GuestVale::GuestVale(core::Simulator& sim, hw::CpuCore& vcpu,
   auto cost = switches::vale::ValeSwitch::default_cost_model();
   cost.wakeup_latency = cost.wakeup_latency_virtual;
   sw_ = std::make_unique<switches::vale::ValeSwitch>(sim, vcpu, name, cost);
-  // Guest view of each ptnet device: rx what the host wrote (dev.out), tx
-  // into what the host reads (dev.in). Zero copy by design.
-  sw_->add_port(std::make_unique<ring::RingPort>(
-      name + ":ptnet0", ring::PortKind::kPtnet, dev0.out(), dev0.in()));
-  sw_->add_port(std::make_unique<ring::RingPort>(
-      name + ":ptnet1", ring::PortKind::kPtnet, dev1.out(), dev1.in()));
+  sw_->add_port(std::make_unique<ring::Port>(name + ":ptnet0", dev0));
+  sw_->add_port(std::make_unique<ring::Port>(name + ":ptnet1", dev1));
 }
 
 }  // namespace nfvsb::vnf

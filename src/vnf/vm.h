@@ -1,10 +1,12 @@
-// QEMU/KVM virtual machine container.
+// QEMU/KVM virtual machine.
 //
 // The paper deploys each VNF in a CentOS 7 VM with 4 vcpus (QEMU -smp 4).
 // The VM here is a resource container: vcpus (cores taken from the NUMA-0
-// pool) and guest-side views of its paravirtual devices (virtio or ptnet).
-// Instruction-level emulation is out of scope — virtualization costs live
-// in the port models, which is where the paper locates them.
+// pool) and the guest views of its paravirtual devices. A device is a host
+// port (vhost-user or ptnet) seen from the guest: one ring::Port with the
+// host's rings swapped, whatever its kind. Instruction-level emulation is
+// out of scope — virtualization costs live in the switch's per-kind port
+// costs, which is where the paper locates them.
 #pragma once
 
 #include <memory>
@@ -12,8 +14,7 @@
 #include <vector>
 
 #include "hw/cpu_core.h"
-#include "ring/netmap_port.h"
-#include "ring/vhost_user_port.h"
+#include "ring/port.h"
 
 namespace nfvsb::vnf {
 
@@ -29,31 +30,18 @@ class Vm {
   [[nodiscard]] std::size_t vcpu_count() const { return vcpus_.size(); }
   [[nodiscard]] hw::CpuCore& vcpu(std::size_t i) { return *vcpus_.at(i); }
 
-  /// Attach a virtio NIC whose backend is a switch-side vhost-user port.
-  ring::GuestVirtioPort& attach_virtio(ring::VhostUserPort& backend) {
-    auto p = std::make_unique<ring::GuestVirtioPort>(backend);
-    auto& ref = *p;
-    devices_.push_back(std::move(p));
-    return ref;
-  }
-
-  /// Attach a ptnet device passing through a host netmap/VALE port.
-  ring::GuestPtnetPort& attach_ptnet(ring::PtnetPort& host) {
-    auto p = std::make_unique<ring::GuestPtnetPort>(host);
-    auto& ref = *p;
-    devices_.push_back(std::move(p));
-    return ref;
-  }
-
-  [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
-  [[nodiscard]] ring::GuestPort& device(std::size_t i) {
-    return *devices_.at(i);
+  /// Attach a device whose host side is `host` (a switch's vhost-user or
+  /// ptnet port); returns the guest's view of it.
+  ring::Port& attach(ring::Port& host) {
+    devices_.push_back(std::make_unique<ring::Port>(host.name() + ".guest",
+                                                    host));
+    return *devices_.back();
   }
 
  private:
   std::string name_;
   std::vector<hw::CpuCore*> vcpus_;
-  std::vector<std::unique_ptr<ring::GuestPort>> devices_;
+  std::vector<std::unique_ptr<ring::Port>> devices_;
 };
 
 }  // namespace nfvsb::vnf

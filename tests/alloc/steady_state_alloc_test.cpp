@@ -99,7 +99,7 @@ TEST_P(SteadyStateAlloc, P2pRoundIsAllocationFree) {
   std::unique_ptr<switches::SwitchBase> sut =
       switches::make_switch(GetParam(), sim, cpu, "sut");
   for (int p = 0; p < 2; ++p) {
-    sut->add_port(std::make_unique<ring::RingPort>(
+    sut->add_port(std::make_unique<ring::Port>(
         "sut:nic" + std::to_string(p), ring::PortKind::kPhysical));
   }
   const switches::PortPair p2p[] = {{0, 1}};

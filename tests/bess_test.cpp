@@ -12,9 +12,9 @@ namespace {
 class BessTest : public ::testing::Test {
  protected:
   BessTest() : cpu_(sim_, "sut"), sw_(sim_, cpu_, "bess") {
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kInternal, 512));
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kInternal, 512));
   }
 

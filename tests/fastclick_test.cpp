@@ -13,9 +13,9 @@ namespace {
 class FastClickTest : public ::testing::Test {
  protected:
   FastClickTest() : cpu_(sim_, "sut"), sw_(sim_, cpu_, "fc", no_timeout()) {
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kInternal, 512));
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kInternal, 512));
   }
 

@@ -44,6 +44,6 @@ check("a\n\nb;c\nx\ne\n" rc out)
 if(rc EQUAL 0)
   message(FATAL_ERROR "differing output passed the check:\n${out}")
 endif()
-if(NOT out MATCHES "first at[ \n]+line[ \n]+4[ \n]+golden: d[ \n]+fresh: x\n")
+if(NOT out MATCHES "first[ \n]+at[ \n]+line[ \n]+4[ \n]+golden: d[ \n]+fresh: x\n")
   message(FATAL_ERROR "the failure does not name line 4 and print it:\n${out}")
 endif()

@@ -2,7 +2,12 @@
 // BURST_TX_DRAIN_US timer (the Table 3 low-load latency mechanism).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
+#include "core/metrics.h"
 #include "hw/cpu_core.h"
+#include "obs/registry.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 #include "vnf/l2fwd.h"
@@ -42,6 +47,15 @@ class L2FwdTest : public ::testing::Test {
   ring::VhostUserPort dev1_;
   L2Fwd vnf_;
 };
+
+TEST_F(L2FwdTest, PortsAreGuestViewsOfTheBackends) {
+  ASSERT_EQ(vnf_.num_ports(), 2u);
+  EXPECT_EQ(&vnf_.port(0).in(), &dev0_.out());
+  EXPECT_EQ(&vnf_.port(0).out(), &dev0_.in());
+  EXPECT_EQ(&vnf_.port(1).in(), &dev1_.out());
+  EXPECT_EQ(&vnf_.port(1).out(), &dev1_.in());
+  EXPECT_EQ(vnf_.port(1).kind(), ring::PortKind::kVhostUser);
+}
 
 TEST_F(L2FwdTest, FullBurstFlushesImmediately) {
   vnf_.start();
@@ -127,15 +141,50 @@ TEST_F(L2FwdTest, MixedFullAndPartialFlushes) {
   dev1_.in().clear();
 }
 
-TEST_F(L2FwdTest, GuestSideIsZeroCopy) {
-  vnf_.start();
-  host_sends(dev0_, 32);
-  sim_.run();
-  auto p = dev1_.in().dequeue();
-  ASSERT_TRUE(p);
-  // The guest virtio PMD passes descriptors; no payload copy in the VM.
-  EXPECT_EQ(p->copy_count, 0u);
-  dev1_.in().clear();
+// Every l2fwd TX into an empty vhost-user ring is a guest kick, read from
+// the backend's registered "port/<name>/kicks" counter.
+TEST(L2FwdKicks, OneKickPerEmptyToNonEmptyTransition) {
+  obs::Registry reg;
+  core::MetricsScope scope(&reg);
+  core::Simulator sim;
+  hw::CpuCore vcpu(sim, "vm-vcpu");
+  pkt::PacketPool pool(512);
+  ring::VhostUserPort dev0("dev0");
+  ring::VhostUserPort dev1("dev1");
+  auto cost = L2Fwd::default_cost_model();
+  cost.jitter_cv = 0;
+  L2Fwd vnf(sim, vcpu, "l2fwd", cost);
+  vnf.bind_virtio_pair(dev0, dev1);
+  vnf.start();
+  const auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      auto p = pool.allocate();
+      pkt::craft_udp_frame(*p, pkt::FrameSpec{});
+      dev0.out().enqueue(std::move(p));
+    }
+    sim.run();
+  };
+  const auto kicks = [&] {
+    for (const auto& [path, value] : reg.snapshot()) {
+      if (path == "port/dev1/kicks") return value;
+    }
+    ADD_FAILURE() << "port/dev1/kicks is not registered";
+    return std::uint64_t{0};
+  };
+  // Two full bursts and a drained remainder: only the first finds the
+  // ring empty.
+  send(70);
+  EXPECT_EQ(dev1.in().size(), 70u);
+  EXPECT_EQ(kicks(), 1u);
+  // The host drains the ring; the next burst kicks again.
+  while (dev1.in().dequeue()) {
+  }
+  send(32);
+  EXPECT_EQ(kicks(), 2u);
+  // Into a non-empty ring: no kick.
+  send(32);
+  EXPECT_EQ(kicks(), 2u);
+  dev1.in().clear();
 }
 
 }  // namespace

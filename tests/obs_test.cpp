@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
 #include "ring/spsc_ring.h"
+#include "ring/vhost_user_port.h"
 #include "scenario/scenario.h"
 #include "switches/registry.h"
 #include "traffic/moongen.h"
@@ -123,6 +125,31 @@ TEST(Registry, RingRegistersCountersAndDepthProbe) {
   }
   EXPECT_EQ(reg.size(), 0u);  // destructor deregistered everything
   EXPECT_TRUE(reg.queues().empty());
+}
+
+TEST(Registry, VhostPortRegistersItsGuestToHostKicks) {
+  Registry reg;
+  pkt::PacketPool pool(4);  // outside the scope: not registered
+  core::MetricsScope scope(&reg);
+  const auto kicks = [&]() -> std::optional<std::uint64_t> {
+    for (const auto& [path, value] : reg.snapshot()) {
+      if (path == "port/vh/kicks") return value;
+    }
+    return std::nullopt;
+  };
+  {
+    ring::VhostUserPort backend("vh");
+    ring::Port guest("vh.guest", backend);
+    ASSERT_TRUE(kicks());
+    guest.tx(pool.allocate());
+    guest.tx(pool.allocate());
+    // The switch's own TX toward the guest rings no doorbell.
+    backend.tx(pool.allocate());
+    EXPECT_EQ(kicks(), 1u);
+    backend.in().clear();
+    backend.out().clear();
+  }
+  EXPECT_FALSE(kicks());  // deregistered with the port
 }
 
 // ---- queue-depth sampler -------------------------------------------------
@@ -269,8 +296,8 @@ TEST(TraceHooks, GuestGeneratorsDrawTraceIdsInEmitOrder) {
   pkt::PacketPool pool(1 << 10);
   ring::PtnetPort host_a("a");
   ring::PtnetPort host_b("b");
-  ring::GuestPtnetPort guest_a(host_a);
-  ring::GuestPtnetPort guest_b(host_b);
+  ring::Port guest_a("a.guest", host_a);
+  ring::Port guest_b("b.guest", host_b);
   host_a.in().set_consumer_busy(true);
   host_b.in().set_consumer_busy(true);
   traffic::MoonGen::Config cfg;

@@ -225,9 +225,9 @@ TEST(OvsOfctl, RunTakesAddFlowOnly) {
 class OvsSwitchTest : public ::testing::Test {
  protected:
   OvsSwitchTest() : cpu_(sim_, "sut"), sw_(sim_, cpu_, "ovs") {
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kInternal, 512));
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kInternal, 512));
   }
 

@@ -54,7 +54,6 @@ TEST(PacketPool, MetadataResetOnAllocate) {
     p->seq = 99;
     p->probe_id = 5;
     p->tx_timestamp = 123;
-    p->note_copy();
   }
   PacketHandle p = pool.allocate();
   EXPECT_EQ(p->size(), 0u);
@@ -63,10 +62,9 @@ TEST(PacketPool, MetadataResetOnAllocate) {
   EXPECT_EQ(p->tx_timestamp, core::kNoTimestamp);
   EXPECT_EQ(p->sw_timestamp, core::kNoTimestamp);
   EXPECT_EQ(p->trace_id, 0u);
-  EXPECT_EQ(p->copy_count, 0u);
 }
 
-TEST(PacketPool, CloneCopiesPayloadAndBumpsCopyCount) {
+TEST(PacketPool, CloneCopiesPayload) {
   PacketPool pool(2);
   PacketHandle a = pool.allocate();
   a->resize(64);
@@ -79,7 +77,6 @@ TEST(PacketPool, CloneCopiesPayloadAndBumpsCopyCount) {
   EXPECT_EQ(b->data()[0], 0xab);
   EXPECT_EQ(b->data()[63], 0xcd);
   EXPECT_EQ(b->seq, 7u);
-  EXPECT_EQ(b->copy_count, a->copy_count + 1);
 }
 
 TEST(PacketHandle, MoveTransfersOwnership) {

@@ -187,7 +187,7 @@ TEST_F(RingTest, SinkConsumesImmediately) {
 }
 
 TEST_F(RingTest, OwnedPortRoundTrip) {
-  RingPort port("p", PortKind::kInternal, 8);
+  Port port("p", PortKind::kInternal, 8);
   port.in().enqueue(make(5));
   auto p = port.rx();
   ASSERT_TRUE(p);
@@ -198,68 +198,77 @@ TEST_F(RingTest, OwnedPortRoundTrip) {
 
 TEST_F(RingTest, BoundPortSharesRings) {
   SpscRing a("a", 8), b("b", 8);
-  RingPort port("p", PortKind::kPhysical, a, b);
+  Port port("p", PortKind::kPhysical, a, b);
   a.enqueue(make(1));
   EXPECT_TRUE(port.rx());
   port.tx(make(2));
   EXPECT_EQ(b.size(), 1u);
 }
 
-TEST_F(RingTest, VhostPortCopiesBothDirections) {
-  VhostUserPort port("vh");
-  port.in().enqueue(make());
-  auto p = port.rx();
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->copy_count, 1u);  // dequeue copy
-  port.tx(std::move(p));
-  auto q = port.out().dequeue();
-  EXPECT_EQ(q->copy_count, 2u);  // enqueue copy
-}
-
-TEST_F(RingTest, PtnetPortIsZeroCopy) {
-  PtnetPort port("pt");
-  port.in().enqueue(make());
-  auto p = port.rx();
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->copy_count, 0u);
-  port.tx(std::move(p));
-  EXPECT_EQ(port.out().dequeue()->copy_count, 0u);
-}
-
-TEST_F(RingTest, GuestVirtioPortMirrorsBackend) {
+TEST_F(RingTest, GuestViewOfVhostPortMirrorsBackend) {
   VhostUserPort backend("vh");
-  GuestVirtioPort guest(backend);
+  Port guest("vh.guest", backend);
+  EXPECT_EQ(guest.kind(), PortKind::kVhostUser);
   // Guest TX lands where the switch rx-polls.
   EXPECT_TRUE(guest.tx(make(9)));
-  auto at_switch = backend.rx();
+  auto at_switch = backend.in().dequeue();
   ASSERT_TRUE(at_switch);
   EXPECT_EQ(at_switch->seq, 9u);
   // Switch TX lands where the guest rx-polls.
   backend.tx(make(10));
-  auto at_guest = guest.rx();
+  auto at_guest = guest.in().dequeue();
   ASSERT_TRUE(at_guest);
   EXPECT_EQ(at_guest->seq, 10u);
 }
 
 TEST_F(RingTest, GuestKicksCountedOnEmptyTransition) {
   VhostUserPort backend("vh");
-  GuestVirtioPort guest(backend);
+  Port guest("vh.guest", backend);
   guest.tx(make());
   guest.tx(make());  // no kick: ring already non-empty
-  EXPECT_EQ(backend.kicks(), 1u);
-  backend.rx();
-  backend.rx();
+  EXPECT_EQ(backend.in().kicks(), 1u);
+  backend.in().dequeue();
+  backend.in().dequeue();
   guest.tx(make());
-  EXPECT_EQ(backend.kicks(), 2u);
+  EXPECT_EQ(backend.in().kicks(), 2u);
 }
 
-TEST_F(RingTest, GuestPtnetPortMirrorsHost) {
+TEST_F(RingTest, GuestViewOfPtnetPortMirrorsHost) {
   PtnetPort host("pt");
-  GuestPtnetPort guest(host);
+  Port guest("pt.guest", host);
+  EXPECT_EQ(guest.kind(), PortKind::kPtnet);
   guest.tx(make(3));
-  EXPECT_EQ(host.rx()->seq, 3u);
+  EXPECT_EQ(host.in().dequeue()->seq, 3u);
   host.tx(make(4));
-  EXPECT_EQ(guest.rx()->seq, 4u);
+  EXPECT_EQ(guest.in().dequeue()->seq, 4u);
+}
+
+TEST_F(RingTest, GuestViewSharesTheHostRings) {
+  PtnetPort host("pt", 2);
+  Port guest("pt.guest", host);
+  EXPECT_EQ(&guest.in(), &host.out());
+  EXPECT_EQ(&guest.out(), &host.in());
+  // A guest TX that overflows is the host's in() drop.
+  for (std::uint64_t i = 1; i <= 3; ++i) guest.tx(make(i));
+  EXPECT_EQ(guest.tx_drops(), 1u);
+  EXPECT_EQ(host.in().drops(), 1u);
+  host.in().clear();
+}
+
+TEST_F(RingTest, KicksCountEnqueuesIntoAnEmptyRingOnly) {
+  SpscRing ring("r", 2);
+  EXPECT_TRUE(ring.enqueue(make()));   // empty -> 1: a kick
+  EXPECT_TRUE(ring.enqueue(make()));   // 1 -> 2: none
+  EXPECT_FALSE(ring.enqueue(make()));  // full: a drop, no kick
+  EXPECT_EQ(ring.kicks(), 1u);
+  ring.dequeue();
+  EXPECT_TRUE(ring.enqueue(make()));  // not empty yet: none
+  EXPECT_EQ(ring.kicks(), 1u);
+  ring.dequeue();
+  ring.dequeue();
+  EXPECT_TRUE(ring.enqueue(make()));  // drained: a kick again
+  EXPECT_EQ(ring.kicks(), 2u);
+  ring.clear();
 }
 
 // ---- pulled TX: a guest ring fed by a source ------------------------------
@@ -380,7 +389,6 @@ TEST(PortKindNames, AllDistinct) {
   EXPECT_STREQ(to_string(PortKind::kPhysical), "physical");
   EXPECT_STREQ(to_string(PortKind::kVhostUser), "vhost-user");
   EXPECT_STREQ(to_string(PortKind::kPtnet), "ptnet");
-  EXPECT_STREQ(to_string(PortKind::kNetmapHost), "netmap-host");
   EXPECT_STREQ(to_string(PortKind::kInternal), "internal");
 }
 

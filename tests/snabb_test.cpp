@@ -95,9 +95,9 @@ class SnabbTest : public ::testing::Test {
   }
 
   void add_two_port_p2p() {
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kPhysical, 512));
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kPhysical, 512));
     sw_.engine().app(std::make_unique<Intel82599App>("nic1", 0));
     sw_.engine().app(std::make_unique<Intel82599App>("nic2", 1));
@@ -145,7 +145,7 @@ TEST_F(SnabbTest, InternalLinkPortsCreatedPerLink) {
 }
 
 TEST_F(SnabbTest, HeterogeneousNetworkGetsPenalty) {
-  sw_.add_port(std::make_unique<ring::RingPort>(
+  sw_.add_port(std::make_unique<ring::Port>(
       "p0", ring::PortKind::kPhysical, 512));
   auto& vh = sw_.add_vhost_user_port("vh0");
   (void)vh;
@@ -162,7 +162,7 @@ TEST_F(SnabbTest, HeterogeneousNetworkGetsPenalty) {
 
 TEST_F(SnabbTest, UnroutedPortDiscards) {
   add_two_port_p2p();
-  sw_.add_port(std::make_unique<ring::RingPort>(
+  sw_.add_port(std::make_unique<ring::Port>(
       "px", ring::PortKind::kPhysical, 512));
   // px was added after commit: no route.
   sw_.start();

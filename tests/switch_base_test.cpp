@@ -15,7 +15,6 @@ namespace {
 class PatchSwitch final : public SwitchBase {
  public:
   using SwitchBase::SwitchBase;
-  [[nodiscard]] const char* kind() const override { return "patch"; }
 
  protected:
   double process_batch(ring::Port& in, std::vector<pkt::PacketHandle>& batch,
@@ -52,9 +51,9 @@ class SwitchBaseTest : public ::testing::Test {
 
   PatchSwitch& make(CostModel c) {
     sw_ = std::make_unique<PatchSwitch>(sim_, cpu_, "sw", c);
-    sw_->add_port(std::make_unique<ring::RingPort>(
+    sw_->add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kInternal, 64));
-    sw_->add_port(std::make_unique<ring::RingPort>(
+    sw_->add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kInternal, 64));
     return *sw_;
   }
@@ -214,7 +213,7 @@ TEST_F(SwitchBaseTest, AssemblyWaitCountsFromArrivalOfALateReadFrame) {
   sw_ = std::make_unique<PatchSwitch>(sim_, cpu_, "sw", c);
   auto& sw = *sw_;
   sw.attach_nic(nic);
-  sw.add_port(std::make_unique<ring::RingPort>(
+  sw.add_port(std::make_unique<ring::Port>(
       "p1", ring::PortKind::kInternal, 64));
   sw.extra_ns_ = 5000;
   sw.start();
@@ -254,7 +253,7 @@ TEST_F(SwitchBaseTest, JitterPreservesMeanRoughly) {
 
 TEST_F(SwitchBaseTest, IndexOfForeignPortIsNpos) {
   auto& sw = make(simple_cost());
-  ring::RingPort foreign("x", ring::PortKind::kInternal, 4);
+  ring::Port foreign("x", ring::PortKind::kInternal, 4);
   EXPECT_EQ(sw.index_of(foreign), std::numeric_limits<std::size_t>::max());
 }
 
@@ -265,7 +264,7 @@ TEST_F(SwitchBaseTest, VhostStallsOnlyOnVhostRounds) {
   c.vhost = PortCosts{5, 5, 0, 0};
   sw_ = std::make_unique<PatchSwitch>(sim_, cpu_, "sw", c);
   sw_->add_port(
-      std::make_unique<ring::RingPort>("p0", ring::PortKind::kInternal, 64));
+      std::make_unique<ring::Port>("p0", ring::PortKind::kInternal, 64));
   sw_->add_port(std::make_unique<ring::VhostUserPort>("p1"));
   sw_->start();
   // Round from the internal port: no stall.

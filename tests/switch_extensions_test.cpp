@@ -1,5 +1,5 @@
-// Second wave of switch features: t4p4s runtime controller, VALE's mSwitch
-// lookup hook, and each switch's introspection.
+// Second wave of switch features: t4p4s runtime controller and each
+// switch's introspection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "switches/fastclick/fastclick_switch.h"
 #include "switches/snabb/snabb_switch.h"
 #include "switches/t4p4s/t4p4s_switch.h"
-#include "switches/vale/vale_switch.h"
 
 namespace nfvsb::switches {
 namespace {
@@ -36,9 +35,9 @@ TEST(T4p4sController, TableAddForwardAndDrop) {
   cost.jitter_cv = 0;
   cost.stall_prob = 0;
   t4p4s::T4p4sSwitch sw(sim, cpu, "t4", cost);
-  sw.add_port(std::make_unique<ring::RingPort>("p0",
+  sw.add_port(std::make_unique<ring::Port>("p0",
                                                ring::PortKind::kInternal, 64));
-  sw.add_port(std::make_unique<ring::RingPort>("p1",
+  sw.add_port(std::make_unique<ring::Port>("p1",
                                                ring::PortKind::kInternal, 64));
   sw.controller("table_add l2fwd forward 02:4d:00:00:00:01 => 1");
   sw.controller("table_add l2fwd _drop 02:4d:00:00:00:02");
@@ -80,45 +79,6 @@ TEST(T4p4sController, RejectsMalformedCommands) {
   EXPECT_EQ(sw.l2_table().size(), 0u);
 }
 
-// ---------------- mSwitch hook ----------------------------------------------
-
-TEST(MSwitchHook, CustomLogicOverridesLearning) {
-  core::Simulator sim;
-  hw::CpuCore cpu(sim, "c");
-  pkt::PacketPool pool(64);
-  auto cost = vale::ValeSwitch::default_cost_model();
-  cost.wakeup_latency = 0;
-  cost.wakeup_latency_virtual = 0;
-  cost.interrupt_coalescing = 0;
-  cost.jitter_cv = 0;
-  vale::ValeSwitch sw(sim, cpu, "msw", cost);
-  for (int i = 0; i < 3; ++i) {
-    sw.add_port(std::make_unique<ring::RingPort>(
-        std::string("p").append(std::to_string(i)), ring::PortKind::kNetmapHost,
-        64));
-  }
-  // Route by UDP dst port parity instead of MACs (an mSwitch-style module).
-  sw.set_lookup_fn([](const pkt::Packet& p, std::size_t) {
-    const auto t = pkt::parse_five_tuple(p.bytes());
-    if (!t) return std::optional<std::size_t>{};
-    return std::optional<std::size_t>{1 + (t->dst_port % 2)};
-  });
-  sw.start();
-  for (std::uint16_t port : {2000, 2001, 2002, 2003}) {
-    auto p = pool.allocate();
-    pkt::FrameSpec spec;
-    spec.dst_port = port;
-    pkt::craft_udp_frame(*p, spec);
-    sw.port(0).in().enqueue(std::move(p));
-  }
-  sim.run();
-  EXPECT_EQ(sw.port(1).out().size(), 2u);  // even ports
-  EXPECT_EQ(sw.port(2).out().size(), 2u);  // odd ports
-  EXPECT_EQ(sw.floods(), 0u);              // learning never consulted
-  sw.port(1).out().clear();
-  sw.port(2).out().clear();
-}
-
 TEST(Introspection, ClickUnparseRoundTrips) {
   core::Simulator sim;
   hw::CpuCore cpu(sim, "c");
@@ -138,9 +98,9 @@ TEST(Introspection, BessShowPipelineListsGates) {
   core::Simulator sim;
   hw::CpuCore cpu(sim, "c");
   bess::BessSwitch sw(sim, cpu, "b");
-  sw.add_port(std::make_unique<ring::RingPort>("p0",
+  sw.add_port(std::make_unique<ring::Port>("p0",
                                                ring::PortKind::kInternal, 8));
-  sw.add_port(std::make_unique<ring::RingPort>("p1",
+  sw.add_port(std::make_unique<ring::Port>("p1",
                                                ring::PortKind::kInternal, 8));
   sw.wire(0, 1);
   const std::string text = sw.pipeline().show();

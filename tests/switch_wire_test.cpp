@@ -39,7 +39,7 @@ TEST_P(SwitchWire, BidirectionalPairsForward) {
   hw::CpuCore cpu(sim, "wire.core");
   std::unique_ptr<SwitchBase> sw = make_switch(GetParam(), sim, cpu, "sut");
   for (int p = 0; p < 2; ++p) {
-    sw->add_port(std::make_unique<ring::RingPort>(
+    sw->add_port(std::make_unique<ring::Port>(
         "sut:nic" + std::to_string(p), ring::PortKind::kPhysical));
   }
   const PortPair pairs[] = {{0, 1}, {1, 0}};
@@ -71,7 +71,7 @@ TEST_P(SwitchWire, PairIntoVhostUserPortForwards) {
   pkt::PacketPool pool(1024);
   hw::CpuCore cpu(sim, "wire.core");
   std::unique_ptr<SwitchBase> sw = make_switch(GetParam(), sim, cpu, "sut");
-  sw->add_port(std::make_unique<ring::RingPort>("sut:nic0",
+  sw->add_port(std::make_unique<ring::Port>("sut:nic0",
                                                 ring::PortKind::kPhysical));
   ring::VhostUserPort& vh = sw->add_vhost_user_port("sut:vhost0");
   ASSERT_EQ(sw->num_ports(), 2u);
@@ -112,7 +112,7 @@ class SwitchWireInstalls : public ::testing::Test {
   Switch& build(std::size_t ports) {
     auto sw = std::make_unique<Switch>(sim_, cpu_, "sut");
     for (std::size_t p = 0; p < ports; ++p) {
-      sw->add_port(std::make_unique<ring::RingPort>(
+      sw->add_port(std::make_unique<ring::Port>(
           "sut:nic" + std::to_string(p), ring::PortKind::kPhysical));
     }
     Switch& ref = *sw;

@@ -50,29 +50,12 @@ TEST(ExactMacTable, AddLookup) {
   EXPECT_FALSE(t.lookup(pkt::MacAddress::from_u64(9)));
 }
 
-TEST(LpmTable, LongestPrefixWins) {
-  LpmTable t;
-  t.add(*pkt::Ipv4Address::parse("10.0.0.0"), 8, P4Action::forward(1));
-  t.add(*pkt::Ipv4Address::parse("10.1.0.0"), 16, P4Action::forward(2));
-  t.add(*pkt::Ipv4Address::parse("10.1.2.0"), 24, P4Action::forward(3));
-  EXPECT_EQ(t.lookup(*pkt::Ipv4Address::parse("10.9.9.9"))->port, 1u);
-  EXPECT_EQ(t.lookup(*pkt::Ipv4Address::parse("10.1.9.9"))->port, 2u);
-  EXPECT_EQ(t.lookup(*pkt::Ipv4Address::parse("10.1.2.3"))->port, 3u);
-  EXPECT_FALSE(t.lookup(*pkt::Ipv4Address::parse("11.0.0.1")));
-}
-
-TEST(LpmTable, DefaultRouteMatchesEverything) {
-  LpmTable t;
-  t.add(pkt::Ipv4Address{0}, 0, P4Action::forward(7));
-  EXPECT_EQ(t.lookup(*pkt::Ipv4Address::parse("192.168.1.1"))->port, 7u);
-}
-
 class T4p4sTest : public ::testing::Test {
  protected:
   T4p4sTest() : cpu_(sim_, "sut"), sw_(sim_, cpu_, "t4p4s", fast_cost()) {
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p0", ring::PortKind::kInternal, 512));
-    sw_.add_port(std::make_unique<ring::RingPort>(
+    sw_.add_port(std::make_unique<ring::Port>(
         "p1", ring::PortKind::kInternal, 512));
   }
 
@@ -146,9 +129,9 @@ TEST_F(T4p4sTest, SmacLearningStageTogglesCost) {
   core::Simulator sim2;
   hw::CpuCore cpu2(sim2, "sut");
   T4p4sSwitch sw2(sim2, cpu2, "t4p4s", fast_cost());
-  sw2.add_port(std::make_unique<ring::RingPort>(
+  sw2.add_port(std::make_unique<ring::Port>(
       "p0", ring::PortKind::kInternal, 512));
-  sw2.add_port(std::make_unique<ring::RingPort>(
+  sw2.add_port(std::make_unique<ring::Port>(
       "p1", ring::PortKind::kInternal, 512));
   sw2.l2_table().add(mac, P4Action::forward(1));
   sw2.set_smac_learning(true);

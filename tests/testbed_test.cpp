@@ -4,9 +4,12 @@
 #include "hw/numa.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
+#include "ring/netmap_port.h"
+#include "ring/vhost_user_port.h"
 #include "switches/vpp/vpp_switch.h"
 #include "vnf/chain.h"
 #include "vnf/vale_guest.h"
+#include "vnf/vm.h"
 
 namespace nfvsb {
 namespace {
@@ -88,6 +91,56 @@ TEST(VmChain, VnfsForwardAcrossTheirPorts) {
   sim.run();
   EXPECT_EQ(chain.hop(0).port_b->in().size(), 32u);
   chain.hop(0).port_b->in().clear();
+}
+
+TEST(VmChain, ContainersTakeOneCoreAndDiscountVhostFixedCost) {
+  core::Simulator sim;
+  hw::Testbed::Config cfg;
+  cfg.cores_per_node = 24;
+  hw::Testbed bed(sim, cfg);
+  switches::vpp::VppSwitch sut(sim, bed.take_core(0), "sut");
+  vnf::VmChain vms(sim, bed, sut, 1);
+  vnf::VmChain ctrs(sim, bed, sut, 1, /*containers=*/true);
+  EXPECT_FALSE(vms.containers());
+  EXPECT_TRUE(ctrs.containers());
+  EXPECT_EQ(vms.vm(0).vcpu_count(), 4u);
+  EXPECT_EQ(ctrs.vm(0).vcpu_count(), 1u);
+  EXPECT_EQ(ctrs.vm(0).name(), "ctr1");
+  const auto& vm_cost = vms.vnf(0).cost_model().vhost;
+  const auto& ctr_cost = ctrs.vnf(0).cost_model().vhost;
+  EXPECT_DOUBLE_EQ(ctr_cost.rx_ns, vm_cost.rx_ns * vnf::kVhostFixedFactor);
+  EXPECT_DOUBLE_EQ(ctr_cost.tx_ns, vm_cost.tx_ns * vnf::kVhostFixedFactor);
+  // The copies themselves are not discounted.
+  EXPECT_DOUBLE_EQ(ctr_cost.rx_byte_ns, vm_cost.rx_byte_ns);
+}
+
+TEST(Vm, AttachReturnsTheHostPortSeenFromTheGuest) {
+  ring::VhostUserPort vhost("sut:vhost0");
+  ring::PtnetPort ptnet("sut:v0");
+  vnf::Vm vm("vm1", {});
+  ring::Port& virtio = vm.attach(vhost);
+  ring::Port& pt = vm.attach(ptnet);
+  EXPECT_EQ(virtio.name(), "sut:vhost0.guest");
+  EXPECT_EQ(virtio.kind(), ring::PortKind::kVhostUser);
+  EXPECT_EQ(&virtio.in(), &vhost.out());
+  EXPECT_EQ(&virtio.out(), &vhost.in());
+  // An earlier view stays valid as devices are added.
+  EXPECT_EQ(pt.kind(), ring::PortKind::kPtnet);
+  EXPECT_EQ(&pt.in(), &ptnet.out());
+  EXPECT_EQ(&virtio.out(), &vhost.in());
+}
+
+TEST(GuestVale, PortsAreGuestViewsOfThePtnetPair) {
+  core::Simulator sim;
+  hw::CpuCore vcpu(sim, "vcpu");
+  ring::PtnetPort a("a"), b("b");
+  vnf::GuestVale guest(sim, vcpu, "vm:vale", a, b);
+  auto& vale = guest.vale();
+  ASSERT_EQ(vale.num_ports(), 2u);
+  EXPECT_EQ(&vale.port(0).in(), &a.out());
+  EXPECT_EQ(&vale.port(0).out(), &a.in());
+  EXPECT_EQ(&vale.port(1).in(), &b.out());
+  EXPECT_EQ(vale.port(1).kind(), ring::PortKind::kPtnet);
 }
 
 TEST(GuestVale, CrossConnectsPtnetPair) {

@@ -301,7 +301,7 @@ TEST(PktGenLaw, EmitTimesAndProbesMatchPktGen) {
     core::Simulator sim;
     pkt::PacketPool pool(1 << 12);
     ring::PtnetPort host("pt");
-    ring::GuestPtnetPort guest(host);
+    ring::Port guest("pt.guest", host);
     struct Seen {
       core::SimTime at;
       std::uint64_t probe_id;
@@ -343,7 +343,7 @@ TEST(GuestPull, RejectedFrameIsNeverBuilt) {
   core::Simulator sim;
   pkt::PacketPool pool(1 << 12);
   ring::PtnetPort host("pt", 8);  // nobody reads it: it fills at 8
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   MoonGen::Config cfg;
   cfg.rate_pps = 1e7;
   MoonGen gen(sim, pool, cfg);
@@ -369,7 +369,7 @@ TEST(GuestPull, IdleConsumerIsWokenAtTheEmitPicosecond) {
   core::Simulator sim;
   pkt::PacketPool pool(1 << 12);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   std::vector<std::pair<core::SimTime, core::SimTime>> put_in;  // now, arrival
   host.in().set_watcher([&](bool) {
     put_in.emplace_back(sim.now(), host.in().arrival_time(sim.now()));
@@ -417,7 +417,7 @@ TEST(GuestPull, ConsumerThatIdlesInsideThePullIsWokenAgain) {
   core::Simulator sim;
   pkt::PacketPool pool(1 << 12);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   std::vector<core::SimTime> put_in;
   host.in().set_watcher([&](bool) {
     put_in.push_back(sim.now());
@@ -444,7 +444,7 @@ TEST(GuestPull, WorkAFrameSchedulesRunsBeforeTheNextFrame) {
   core::Simulator sim;
   pkt::PacketPool pool(1 << 12);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   std::vector<std::size_t> seen;
   host.in().set_watcher([&](bool) {
     if (seen.empty()) {
@@ -469,7 +469,7 @@ TEST(GuestPull, KicksEqualThePerEmitCount) {
   core::Simulator sim;
   pkt::PacketPool pool(1 << 12);
   ring::VhostUserPort backend("vhost");
-  ring::GuestVirtioPort guest(backend);
+  ring::Port guest("vhost.guest", backend);
   backend.in().set_consumer_busy(true);
   MoonGen::Config cfg;
   cfg.rate_pps = 1e7;  // one frame every 100 ns, 100 in all
@@ -499,7 +499,7 @@ TEST(GuestPull, KicksEqualThePerEmitCount) {
     if (epoch != last_epoch) ++want;
     last_epoch = epoch;
   }
-  EXPECT_EQ(backend.kicks(), want);
+  EXPECT_EQ(backend.in().kicks(), want);
   EXPECT_EQ(want, 41u);
   // The busy ring cost the generator no event: only the reader's fired.
   EXPECT_EQ(sim.events_processed(), reads);
@@ -527,7 +527,7 @@ TEST(PktGenProbe, ProbeAtTimeZeroIsMeasured) {
   core::Simulator sim;
   pkt::PacketPool pool(64);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   // Loop the guest's TX straight back to its RX ring.
   host.in().set_sink(
       [&host](pkt::PacketHandle p) { host.out().enqueue(std::move(p)); });
@@ -550,7 +550,7 @@ TEST(PacingDrift, MoonGenOfferedLoadWithinOnePpm) {
   core::Simulator sim;
   pkt::PacketPool pool(64);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   host.in().set_sink([](pkt::PacketHandle) {});
   MoonGen::Config cfg;
   cfg.rate_pps = 9.7e7;  // period 10309.27 ps: fractional
@@ -568,7 +568,7 @@ TEST(PacingDrift, PktGenOfferedLoadWithinOnePpm) {
   core::Simulator sim;
   pkt::PacketPool pool(64);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   host.in().set_sink([](pkt::PacketHandle) {});
   MoonGen::Config cfg =
       pktgen_config(64, 1.7e7, 0);  // period 58823.53 ps: > prep cost
@@ -588,7 +588,7 @@ TEST(MoonGenGuestMonitor, ProbeStampedAtTimeZeroIsMeasured) {
   core::Simulator sim;
   pkt::PacketPool pool(4);
   ring::PtnetPort host("pt");
-  ring::GuestPtnetPort guest(host);
+  ring::Port guest("pt.guest", host);
   MoonGen mon(sim, pool, MoonGen::Config{});
   mon.attach_rx_guest(guest);
   auto p = pool.allocate();
