@@ -152,8 +152,10 @@ Sweep build_sweep() {
     cfg.probe_interval = from_us(40);
     s.add("fixed/v2v-vale-latency", windows(cfg, 2000));
   }
-  // fig6's loopback/bidi/t4p4s/64B/3vnf, at fig6's windows, holds the
-  // packet pool at its limit: frames waiting to land keep their buffers.
+  // fig6's loopback/bidi/t4p4s/64B/3vnf at fig6's own windows (10 ms
+  // warm-up, 25 ms measured; the other points run short windows), with the
+  // queue sampler on: it pins a saturated three-VNF chain's counters and
+  // ring depths over a full-length run. It does not run the pool dry.
   {
     ScenarioConfig cfg;
     cfg.kind = Kind::kLoopback;

@@ -1,7 +1,7 @@
 // Observability demo: runs one Fig. 4a point (VPP p2p, 64 B, unidirectional,
 // shortened windows) with the full observability stack on — counter
-// registry, queue-depth sampler, and (when built with -DNFVSB_TRACE=ON) a
-// Chrome-trace/Perfetto JSON of the run.
+// registry, queue-depth sampler, and a Chrome-trace/Perfetto JSON of the
+// run.
 //
 // Output: the scenario's registered counters on stdout, and the trace at
 // $NFVSB_TRACE_OUT (default "trace_demo.json"). Load it in ui.perfetto.dev
@@ -26,13 +26,8 @@ int main() {
   cfg.measure = core::from_ms(2);
   cfg.observe = true;
   cfg.queue_sample_period = core::from_us(10);
-#if NFVSB_TRACE
   const char* out = std::getenv("NFVSB_TRACE_OUT");
   cfg.trace_path = (out && *out) ? out : "trace_demo.json";
-#else
-  std::puts("note: built with NFVSB_TRACE=OFF; no trace file will be "
-            "written (counters and sampling still work)");
-#endif
 
   const scenario::ScenarioResult r = scenario::run_scenario(cfg);
 
@@ -43,8 +38,6 @@ int main() {
   for (const auto& [path, value] : r.counters) {
     std::printf("%-48s %" PRIu64 "\n", path.c_str(), value);
   }
-#if NFVSB_TRACE
   std::printf("trace written to %s\n", cfg.trace_path.c_str());
-#endif
   return 0;
 }

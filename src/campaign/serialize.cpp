@@ -89,11 +89,8 @@ std::string result_to_json(const scenario::ScenarioResult& r) {
     << ",\"offered_packets\":" << r.offered_packets
     << ",\"delivered_packets\":" << r.delivered_packets
     << ",\"gen_tx_failures\":" << r.gen_tx_failures;
-  // Only observed runs carry these, so unobserved result JSON stays
+  // Only observed runs carry counters, so unobserved result JSON stays
   // byte-identical to the pre-observability format.
-  if (r.cleared_packets != 0) {
-    j << ",\"cleared_packets\":" << r.cleared_packets;
-  }
   if (!r.counters.empty()) {
     j << ",\"counters\":{";
     bool first = true;

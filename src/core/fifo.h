@@ -55,15 +55,6 @@ class Fifo {
     return buf_[(head_ + i) & (cap_ - 1)];
   }
 
-  /// Destroy every element, oldest first. Keeps the buffer.
-  void clear() {
-    for (; size_ > 0; --size_) {
-      buf_[head_] = T{};
-      head_ = (head_ + 1) & (cap_ - 1);
-    }
-    head_ = 0;
-  }
-
  private:
   void grow() {
     const std::size_t next = cap_ == 0 ? kMinCapacity : cap_ * 2;

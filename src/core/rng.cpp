@@ -45,8 +45,6 @@ double Rng::uniform() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   assert(n > 0);
   // Modulo bias is negligible for the small n used here (ports, table sizes),

@@ -19,9 +19,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform();
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
   /// Uniform integer in [0, n). Pre: n > 0.
   [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n);
 

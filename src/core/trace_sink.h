@@ -6,20 +6,14 @@
 // (obs/trace.h) implements it at the top of the layer order. Hooks in hot
 // code test tracer() for null and do nothing else.
 //
-// Cost discipline: with the NFVSB_TRACE compile option OFF, tracer() is a
-// constexpr nullptr and every hook folds away entirely — the virtual
-// dispatch below is never reached. With it ON, a hook costs one thread-local
-// read when no recorder is installed, one virtual call when one is.
+// Cost discipline: a hook costs one thread-local read when no recorder is
+// installed, one virtual call when one is.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "core/time.h"
-
-#ifndef NFVSB_TRACE
-#define NFVSB_TRACE 0
-#endif
 
 namespace nfvsb::core {
 
@@ -63,11 +57,7 @@ namespace internal {
 extern thread_local TraceSink* g_tracer;
 }  // namespace internal
 
-#if NFVSB_TRACE
 [[nodiscard]] inline TraceSink* tracer() { return internal::g_tracer; }
-#else
-[[nodiscard]] constexpr TraceSink* tracer() { return nullptr; }
-#endif
 
 /// Installs a sink as the thread's active tracer for this scope, restoring
 /// the previous one (usually null) on destruction.

@@ -12,8 +12,8 @@ CpuCore::CpuCore(core::Simulator& sim, std::string name, int numa_node)
     : sim_(sim), name_(std::move(name)), numa_node_(numa_node) {
   if (core::MetricSink* reg = core::metrics()) {
     registry_ = reg;
-    // busy_time_ is a plain SimDuration (it participates in utilization
-    // arithmetic); expose the cell directly as a gauge.
+    // busy_time_ is a plain SimDuration, not a Counter; expose the cell
+    // directly as a gauge.
     reg->add_value(this, "cpu/" + name_ + "/busy_ps", &busy_time_);
   }
 }
@@ -45,17 +45,6 @@ void CpuCore::finish_current() {
   core::EventFn done = std::move(current_done_);
   if (done) done();
   start_next();
-}
-
-double CpuCore::utilization() const {
-  const core::SimDuration wall = sim_.now() - stats_since_;
-  if (wall <= 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(wall);
-}
-
-void CpuCore::reset_stats() {
-  busy_time_ = 0;
-  stats_since_ = sim_.now();
 }
 
 }  // namespace nfvsb::hw

@@ -3,7 +3,7 @@
 // The paper pins each SUT data plane to one isolated core ("software
 // switches are always deployed on a single core on NUMA node 0 to ensure a
 // fair comparison"); VMs get their own vcpus. A CpuCore serializes the work
-// submitted to it, exposes utilization, and is the choke point from which
+// submitted to it, counts its busy time, and is the choke point from which
 // all throughput limits emerge.
 #pragma once
 
@@ -37,11 +37,8 @@ class CpuCore {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int numa_node() const { return numa_node_; }
 
-  /// Busy time / wall time since construction (or last reset_stats()).
-  [[nodiscard]] double utilization() const;
+  /// Simulated time spent running jobs since construction.
   [[nodiscard]] core::SimDuration busy_time() const { return busy_time_; }
-
-  void reset_stats();
 
  private:
   void start_next();
@@ -63,7 +60,6 @@ class CpuCore {
   /// inline buffer and heap-allocate per job.
   core::EventFn current_done_;
   core::SimDuration busy_time_{0};
-  core::SimTime stats_since_{0};
   core::MetricSink* registry_{nullptr};
 };
 

@@ -1,7 +1,7 @@
 // Chrome-trace / Perfetto recorder over *simulated* time.
 //
 // TraceRecorder is the concrete core::TraceSink (see core/trace_sink.h for
-// the hook seam and the NFVSB_TRACE cost gate). Events are recorded in
+// the hook seam and its cost). Events are recorded in
 // simulation picoseconds and emitted as Chrome JSON (ts/dur in
 // microseconds, formatted exactly from integer picoseconds, so output is
 // bit-deterministic). Load the file in ui.perfetto.dev or chrome://tracing.

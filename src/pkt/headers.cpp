@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <charconv>
-#include <cstdio>
 
 #include "pkt/checksum.h"
 
@@ -31,13 +30,6 @@ void store_be32(std::uint8_t* p, std::uint32_t v) {
 
 }  // namespace
 
-std::string MacAddress::to_string() const {
-  char buf[18];
-  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x", bytes[0],
-                bytes[1], bytes[2], bytes[3], bytes[4], bytes[5]);
-  return buf;
-}
-
 std::optional<MacAddress> MacAddress::parse(std::string_view s) {
   MacAddress m;
   std::size_t pos = 0;
@@ -56,13 +48,6 @@ std::optional<MacAddress> MacAddress::parse(std::string_view s) {
   }
   if (pos != s.size()) return std::nullopt;
   return m;
-}
-
-std::string Ipv4Address::to_string() const {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (addr >> 24) & 0xff,
-                (addr >> 16) & 0xff, (addr >> 8) & 0xff, addr & 0xff);
-  return buf;
 }
 
 std::optional<Ipv4Address> Ipv4Address::parse(std::string_view s) {
@@ -93,7 +78,6 @@ MacAddress EthHeader::src() const {
   std::copy(b_.begin() + 6, b_.begin() + 12, m.bytes.begin());
   return m;
 }
-std::uint16_t EthHeader::ether_type() const { return load_be16(&b_[12]); }
 
 void EthHeader::set_dst(const MacAddress& m) {
   std::copy(m.bytes.begin(), m.bytes.end(), b_.begin());
@@ -102,16 +86,6 @@ void EthHeader::set_src(const MacAddress& m) {
   std::copy(m.bytes.begin(), m.bytes.end(), b_.begin() + 6);
 }
 void EthHeader::set_ether_type(std::uint16_t t) { store_be16(&b_[12], t); }
-
-bool Ipv4Header::valid() const {
-  if (b_.size() < kIpv4HeaderBytes) return false;
-  return (b_[0] >> 4) == 4 && (b_[0] & 0x0f) == 5;
-}
-
-Ipv4Address Ipv4Header::src() const { return Ipv4Address{load_be32(&b_[12])}; }
-Ipv4Address Ipv4Header::dst() const { return Ipv4Address{load_be32(&b_[16])}; }
-std::uint16_t Ipv4Header::total_length() const { return load_be16(&b_[2]); }
-std::uint16_t Ipv4Header::header_checksum() const { return load_be16(&b_[10]); }
 
 void Ipv4Header::set_src(Ipv4Address a) { store_be32(&b_[12], a.addr); }
 void Ipv4Header::set_dst(Ipv4Address a) { store_be32(&b_[16], a.addr); }
@@ -136,9 +110,6 @@ void Ipv4Header::init() {
   b_[8] = 64;    // TTL
 }
 
-std::uint16_t UdpHeader::src_port() const { return load_be16(&b_[0]); }
-std::uint16_t UdpHeader::dst_port() const { return load_be16(&b_[2]); }
-std::uint16_t UdpHeader::length() const { return load_be16(&b_[4]); }
 void UdpHeader::set_src_port(std::uint16_t p) { store_be16(&b_[0], p); }
 void UdpHeader::set_dst_port(std::uint16_t p) { store_be16(&b_[2], p); }
 void UdpHeader::set_length(std::uint16_t l) { store_be16(&b_[4], l); }

@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
+#include <string_view>
 
 namespace nfvsb::pkt {
 
@@ -39,7 +39,6 @@ struct MacAddress {
     }
     return m;
   }
-  [[nodiscard]] std::string to_string() const;
   /// Parses "aa:bb:cc:dd:ee:ff"; nullopt on malformed input.
   static std::optional<MacAddress> parse(std::string_view s);
 };
@@ -48,7 +47,6 @@ struct Ipv4Address {
   std::uint32_t addr{0};  // host byte order
 
   auto operator<=>(const Ipv4Address&) const = default;
-  [[nodiscard]] std::string to_string() const;
   /// Parses dotted quad; nullopt on malformed input.
   static std::optional<Ipv4Address> parse(std::string_view s);
 };
@@ -71,7 +69,6 @@ class EthHeader {
 
   [[nodiscard]] MacAddress dst() const;
   [[nodiscard]] MacAddress src() const;
-  [[nodiscard]] std::uint16_t ether_type() const;
 
   void set_dst(const MacAddress& m);
   void set_src(const MacAddress& m);
@@ -91,14 +88,7 @@ class Ipv4Header {
  public:
   explicit Ipv4Header(std::span<std::uint8_t> bytes) : b_(bytes) {}
 
-  [[nodiscard]] bool valid() const;
-
-  [[nodiscard]] std::uint8_t ttl() const { return b_[8]; }
   [[nodiscard]] std::uint8_t protocol() const { return b_[9]; }
-  [[nodiscard]] Ipv4Address src() const;
-  [[nodiscard]] Ipv4Address dst() const;
-  [[nodiscard]] std::uint16_t total_length() const;
-  [[nodiscard]] std::uint16_t header_checksum() const;
 
   void set_protocol(std::uint8_t p) { b_[9] = p; }
   void set_src(Ipv4Address a);
@@ -125,12 +115,6 @@ class Ipv4Header {
 class UdpHeader {
  public:
   explicit UdpHeader(std::span<std::uint8_t> bytes) : b_(bytes) {}
-
-  [[nodiscard]] bool valid() const { return b_.size() >= kUdpHeaderBytes; }
-
-  [[nodiscard]] std::uint16_t src_port() const;
-  [[nodiscard]] std::uint16_t dst_port() const;
-  [[nodiscard]] std::uint16_t length() const;
 
   void set_src_port(std::uint16_t p);
   void set_dst_port(std::uint16_t p);

@@ -16,7 +16,6 @@ SpscRing::SpscRing(std::string name, std::size_t capacity)
     reg->add_counter(this, "ring/" + name_ + "/enqueued", &enqueued_);
     reg->add_counter(this, "ring/" + name_ + "/dequeued", &dequeued_);
     reg->add_counter(this, "ring/" + name_ + "/drops", &drops_);
-    reg->add_counter(this, "ring/" + name_ + "/cleared", &cleared_);
     reg->add_queue(this, "ring/" + name_, capacity_,
                    [](const void* owner) {
                      // Wire-fed rings are brought up to date by their
@@ -191,19 +190,6 @@ void SpscRing::set_sink(Sink s) {
 void SpscRing::set_sink(TimedSink s) {
   assert(q_.empty() && "install sinks before traffic starts");
   timed_sink_ = std::move(s);
-}
-
-void SpscRing::clear() {
-  catch_up();
-  cleared_ += q_.size();
-  if (core::TraceSink* t = core::tracer()) {
-    // Close the residency slice of any traced resident, or the lifecycle
-    // track would end with an unbalanced "b".
-    for (std::size_t i = 0; i < q_.size(); ++i) {
-      if (q_[i].trace_id() != 0) t->async_end(q_[i].trace_id(), name_);
-    }
-  }
-  q_.clear();
 }
 
 }  // namespace nfvsb::ring

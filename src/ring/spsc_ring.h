@@ -22,7 +22,7 @@
 // Lazy RX. A ring fed from a wire (a NIC RX ring, feed_from_wire) learns
 // each frame's arrival time when the frame leaves the sender, and keeps it
 // in flight until then. Every read (dequeue, size, empty, full, the
-// counters, clear) first puts in each frame that has arrived by now, in
+// counters) first puts in each frame that has arrived by now, in
 // arrival order, so occupancy at each arrival, and hence which frames
 // overflow, is what it would be with one arrival event per frame: nothing
 // dequeues between two reads. An event is kept only where something must
@@ -143,9 +143,6 @@ class SpscRing {
     catch_up();
     return kicks_;
   }
-  /// Packets discarded by clear() at teardown (counted so the
-  /// packet-conservation ledger still balances with buffered residue).
-  [[nodiscard]] std::uint64_t cleared() const { return cleared_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Fires on every successful enqueue (see Watcher).
@@ -207,11 +204,6 @@ class SpscRing {
     timed_sink_(std::move(p), at);
   }
 
-  /// Drop everything buffered (used at scenario teardown). The discarded
-  /// packets are counted in cleared(): enqueued == dequeued + cleared +
-  /// size() holds at all times. Frames still in flight stay in flight.
-  void clear();
-
  private:
   struct InFlight {
     core::SimTime at{0};
@@ -251,7 +243,6 @@ class SpscRing {
   core::Counter enqueued_;
   core::Counter dequeued_;
   core::Counter kicks_;
-  core::Counter cleared_;
   core::MetricSink* registry_{nullptr};
   // Pulled TX state (source-fed rings only).
   TxSource* source_{nullptr};

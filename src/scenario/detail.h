@@ -58,7 +58,7 @@ struct Env {
 
   static std::unique_ptr<obs::TraceRecorder> make_tracer(
       core::Simulator& sim, const ScenarioConfig& cfg) {
-    if (!NFVSB_TRACE || cfg.trace_path.empty()) return nullptr;
+    if (cfg.trace_path.empty()) return nullptr;
     obs::TraceRecorder::Config tc;
     tc.path = cfg.trace_path;
     tc.packet_sample_every = cfg.trace_packet_sample;
@@ -76,9 +76,6 @@ struct Env {
     r.counters.emplace_back("sim/lane_fired", sim.lanes_fired());
     if (sampler) sampler->append_summary(r.counters);
     std::sort(r.counters.begin(), r.counters.end());
-    for (const auto& [path, value] : r.counters) {
-      if (path.ends_with("/cleared")) r.cleared_packets += value;
-    }
   }
 
   static hw::Testbed::Config testbed_config(const ScenarioConfig& cfg) {

@@ -12,10 +12,6 @@ std::string fmt(double v, int decimals) {
   return buf;
 }
 
-std::string fmt_or_dash(double v, bool skipped, int decimals) {
-  return skipped ? "-" : fmt(v, decimals);
-}
-
 double panel_gbps(const ScenarioResult& r, bool bidirectional) {
   return bidirectional ? r.gbps_total() : r.fwd.gbps;
 }

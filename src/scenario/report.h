@@ -31,9 +31,6 @@ class TextTable {
 /// "%.2f"-style helper.
 std::string fmt(double v, int decimals = 2);
 
-/// Gbps or "-" when skipped.
-std::string fmt_or_dash(double v, bool skipped, int decimals = 2);
-
 // ---- aggregation helpers for campaign formatters ------------------------
 
 /// Throughput cell of a figure panel: aggregate of both directions for

@@ -4,6 +4,7 @@
 // conservation ledger.
 #include "scenario/scenario.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -91,6 +92,10 @@ std::optional<std::string> validate(const ScenarioConfig& cfg) {
   if (cfg.probe_interval > 0 && cfg.kind == Kind::kP2v) {
     return "probe_interval > 0 is not modelled for p2v (no probe path)";
   }
+  // Table 2's FastClick tuning is the deepest descriptor ring the paper
+  // configures. Deeper rings can also hold more frames than the scenario's
+  // packet pool has buffers.
+  if (cfg.nic_ring_depth > 4096) return "nic_ring_depth must be <= 4096";
   if (cfg.nic_ring_depth > 0 && cfg.kind == Kind::kV2v) {
     return "nic_ring_depth has no effect on v2v (no NIC on the path)";
   }
@@ -235,6 +240,9 @@ ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
   env.sim.run_until(t_stop);
   for (const auto& mon : mons) mon->rx_meter().close(t_stop);
   env.sim.run();  // drain everything in flight
+  // The ledger below has no term for residue: once the drain is over, every
+  // frame has reached a monitor or a loss site, and every buffer is home.
+  assert(env.pool.outstanding() == 0 && "every run drains before it accounts");
 
   ScenarioResult r;
   r.fwd = direction_result(mons[0]->rx_meter());

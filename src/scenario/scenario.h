@@ -54,8 +54,8 @@ struct ScenarioConfig {
   /// etc. Used by bench/ablation_*.
   std::function<void(switches::SwitchBase&)> tune_sut;
 
-  /// Override the NIC descriptor ring depth (0 = per-switch default); not
-  /// on v2v, whose path has no NIC.
+  /// Override the NIC descriptor ring depth (0 = per-switch default), at
+  /// most 4096 (Table 2's deepest ring); not on v2v, whose path has no NIC.
   std::size_t nic_ring_depth{0};
 
   /// l2fwd VNF TX drain timeout (non-VALE loopback and v2v latency, the
@@ -82,7 +82,6 @@ struct ScenarioConfig {
   /// "<ring>/depth_{samples,p99,max}".
   core::SimDuration queue_sample_period{0};
   /// Write a Chrome-trace/Perfetto JSON of the run here (empty = off).
-  /// Requires a build with -DNFVSB_TRACE=ON; silently inert otherwise.
   std::string trace_path;
   /// Trace every Nth generated packet's lifecycle (0 = no packet tracks).
   std::uint32_t trace_packet_sample{64};
@@ -130,15 +129,17 @@ struct ScenarioResult {
   std::uint64_t offered_packets{0};    ///< generator frames onto the wire
   std::uint64_t delivered_packets{0};  ///< frames at the terminal monitors
   std::uint64_t gen_tx_failures{0};    ///< generator-side TX ring drops
-  /// Packets still resident in rings at teardown (counted by
-  /// SpscRing::clear()); nonzero when a run stops mid-flight.
+  /// Always 0: every run drains before it accounts, so no frame is left
+  /// in a ring. Kept only because perfbench's result digest reads it; it
+  /// goes at the next benchmark change.
   std::uint64_t cleared_packets{0};
 
-  /// Packets accounted for after a fully drained run: delivered plus every
-  /// attributed loss. Conservation holds iff this equals offered_packets.
+  /// Packets accounted for after the run has drained (run() asserts that
+  /// every buffer is home): delivered plus every attributed loss.
+  /// Conservation holds iff this equals offered_packets.
   [[nodiscard]] std::uint64_t accounted_packets() const {
     return delivered_packets + nic_imissed + sut_wasted_work + sut_discards +
-           vnf_wasted_work + vnf_discards + cleared_packets;
+           vnf_wasted_work + vnf_discards;
   }
 
   /// Registry snapshot (cfg.observe / queue sampling); sorted by path.

@@ -70,8 +70,4 @@ FlowMask FlowMask::union_with(const FlowMask& o) const {
   return u;
 }
 
-FlowMask FlowMask::exact() {
-  return FlowMask{true, true, true, true, true, true, true, true, true};
-}
-
 }  // namespace nfvsb::switches::ovs

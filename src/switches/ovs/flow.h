@@ -54,7 +54,6 @@ struct FlowMask {
   /// Field-wise union (fields matched by either mask).
   [[nodiscard]] FlowMask union_with(const FlowMask& o) const;
 
-  [[nodiscard]] static FlowMask exact();
   [[nodiscard]] static FlowMask wildcard_all() { return FlowMask{}; }
 };
 

@@ -42,10 +42,4 @@ void MegaflowCache::insert(const FlowMask& mask, const FlowKey& key,
   subtables_.push_back(std::move(st));
 }
 
-std::size_t MegaflowCache::entries() const {
-  std::size_t n = 0;
-  for (const auto& st : subtables_) n += st.flows.size();
-  return n;
-}
-
 }  // namespace nfvsb::switches::ovs

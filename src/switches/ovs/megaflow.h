@@ -28,7 +28,6 @@ class MegaflowCache {
   void insert(const FlowMask& mask, const FlowKey& key, const Action& action);
 
   [[nodiscard]] std::size_t subtables() const { return subtables_.size(); }
-  [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 

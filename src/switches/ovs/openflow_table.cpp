@@ -16,13 +16,6 @@ std::uint32_t OpenFlowTable::add_rule(OpenFlowRule rule) {
   return id;
 }
 
-std::optional<OpenFlowRule> OpenFlowTable::lookup(const FlowKey& key) const {
-  for (const OpenFlowRule& r : rules_) {
-    if (r.mask.apply(key) == r.match) return r;
-  }
-  return std::nullopt;
-}
-
 std::optional<OpenFlowTable::Classification> OpenFlowTable::classify(
     const FlowKey& key) const {
   FlowMask seen;

@@ -27,10 +27,8 @@ class OpenFlowTable {
   /// Returns the assigned rule id.
   std::uint32_t add_rule(OpenFlowRule rule);
 
-  /// Highest-priority matching rule (stable order among equal priorities).
-  [[nodiscard]] std::optional<OpenFlowRule> lookup(const FlowKey& key) const;
-
-  /// Classification result carrying the megaflow mask: the union of the
+  /// The highest-priority matching rule (stable order among equal
+  /// priorities) with its megaflow mask: the union of the
   /// masks of every rule EXAMINED up to and including the match. Installing
   /// megaflows with this "unwildcarded" mask is what keeps the cache from
   /// absorbing packets a higher-priority rule should catch (OvS's

@@ -20,14 +20,17 @@ using Batch = std::vector<pkt::PacketHandle>;
 
 class App {
  public:
-  App(std::string name, double fixed_ns, double per_packet_ns)
+  App(std::string name, const char* class_name, double fixed_ns,
+      double per_packet_ns)
       : name_(std::move(name)),
+        class_name_(class_name),
         fixed_ns_(fixed_ns),
         per_packet_ns_(per_packet_ns) {}
   virtual ~App() = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] virtual const char* class_name() const = 0;
+  /// The Lua module, as config.app names it.
+  [[nodiscard]] const char* class_name() const { return class_name_; }
 
   /// Transform the batch in place; return extra cost in ns (usually 0).
   virtual double process(Batch& batch) = 0;
@@ -38,6 +41,7 @@ class App {
 
  private:
   std::string name_;
+  const char* class_name_;
   double fixed_ns_;
   double per_packet_ns_;
 };
@@ -46,10 +50,8 @@ class App {
 class Intel82599App final : public App {
  public:
   Intel82599App(std::string name, std::size_t port_index)
-      : App(std::move(name), 45, 11.0), port_index_(port_index) {}
-  [[nodiscard]] const char* class_name() const override {
-    return "intel_mp.Intel82599";
-  }
+      : App(std::move(name), "intel_mp.Intel82599", 45, 11.0),
+        port_index_(port_index) {}
   [[nodiscard]] std::size_t port_index() const { return port_index_; }
   double process(Batch&) override { return 0.0; }
 
@@ -61,10 +63,8 @@ class Intel82599App final : public App {
 class VhostUserApp final : public App {
  public:
   VhostUserApp(std::string name, std::size_t port_index)
-      : App(std::move(name), 55, 16.0), port_index_(port_index) {}
-  [[nodiscard]] const char* class_name() const override {
-    return "vhost_user.VhostUser";
-  }
+      : App(std::move(name), "vhost_user.VhostUser", 55, 16.0),
+        port_index_(port_index) {}
   [[nodiscard]] std::size_t port_index() const { return port_index_; }
   double process(Batch&) override { return 0.0; }
 
@@ -76,10 +76,7 @@ class VhostUserApp final : public App {
 class StatisticsApp final : public App {
  public:
   explicit StatisticsApp(std::string name)
-      : App(std::move(name), 10, 2.0) {}
-  [[nodiscard]] const char* class_name() const override {
-    return "basic_apps.Statistics";
-  }
+      : App(std::move(name), "basic_apps.Statistics", 10, 2.0) {}
   double process(Batch& batch) override {
     packets_ += batch.size();
     for (const auto& p : batch) bytes_ += p->size();

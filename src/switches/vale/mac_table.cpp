@@ -69,9 +69,4 @@ std::optional<std::size_t> MacTable::lookup(const pkt::MacAddress& mac,
   return std::nullopt;
 }
 
-void MacTable::clear() {
-  for (auto& s : slots_) s = Slot{};
-  live_ = 0;
-}
-
 }  // namespace nfvsb::switches::vale

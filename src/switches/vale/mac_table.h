@@ -27,7 +27,6 @@ class MacTable {
                                                   core::SimTime now) const;
 
   [[nodiscard]] std::size_t entries() const { return live_; }
-  void clear();
 
  private:
   struct Slot {

@@ -18,11 +18,4 @@ double Graph::run(Vector& frame) {
   return cost;
 }
 
-Node* Graph::find(const std::string& name) {
-  for (auto& n : nodes_) {
-    if (n->name() == name) return n.get();
-  }
-  return nullptr;
-}
-
 }  // namespace nfvsb::switches::vpp

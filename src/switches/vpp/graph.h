@@ -82,7 +82,6 @@ class Graph {
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_.at(i); }
-  [[nodiscard]] Node* find(const std::string& name);
 
  private:
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -7,8 +7,11 @@
 // is created or silently lost" property.
 #include <gtest/gtest.h>
 
-#include "pkt/packet_pool.h"
-#include "ring/spsc_ring.h"
+#include <cstdint>
+#include <map>
+#include <string>
+#include <string_view>
+
 #include "scenario/scenario.h"
 
 namespace nfvsb::scenario {
@@ -23,27 +26,32 @@ struct Combo {
   bool latency{false};
 };
 
-class Conservation : public ::testing::TestWithParam<Combo> {};
+class Conservation : public ::testing::TestWithParam<Combo> {
+ protected:
+  static ScenarioConfig config() {
+    ScenarioConfig cfg;
+    cfg.kind = GetParam().kind;
+    cfg.sut = GetParam().sut;
+    cfg.frame_bytes = GetParam().frame;
+    cfg.bidirectional = GetParam().bidir;
+    if (GetParam().latency) {
+      cfg.rate_pps = 1e6;
+      cfg.probe_interval = core::from_us(40);
+    }
+    // A short chain still exercises the VM-hop accounting (VNF l2fwd /
+    // guest VALE drops) without tripping BESS's 3-VM limit.
+    if (cfg.kind == Kind::kLoopback) cfg.chain_length = 2;
+    cfg.warmup = core::from_ms(1);
+    cfg.measure = core::from_ms(5);
+    return cfg;
+  }
+};
 
 TEST_P(Conservation, OfferedEqualsDeliveredPlusAccountedLosses) {
-  ScenarioConfig cfg;
-  cfg.kind = GetParam().kind;
-  cfg.sut = GetParam().sut;
-  cfg.frame_bytes = GetParam().frame;
-  cfg.bidirectional = GetParam().bidir;
-  if (GetParam().latency) {
-    cfg.rate_pps = 1e6;
-    cfg.probe_interval = core::from_us(40);
-  }
-  // A short chain still exercises the VM-hop accounting (VNF l2fwd / guest
-  // VALE drops) without tripping BESS's 3-VM limit.
-  if (cfg.kind == Kind::kLoopback) cfg.chain_length = 2;
-  cfg.warmup = core::from_ms(1);
-  cfg.measure = core::from_ms(5);
-  const ScenarioResult r = run_scenario(cfg);
+  const ScenarioResult r = run_scenario(config());
   ASSERT_FALSE(r.skipped.has_value());
   ASSERT_GT(r.offered_packets, 0u);
-  // The simulation drains completely before teardown, so the books must
+  // The simulation drains completely before it accounts, so the books must
   // balance EXACTLY: offered = delivered + imissed + discards + wasted
   // (SUT and chained VNFs alike).
   EXPECT_EQ(r.offered_packets, r.accounted_packets())
@@ -52,6 +60,35 @@ TEST_P(Conservation, OfferedEqualsDeliveredPlusAccountedLosses) {
       << " sut_discards=" << r.sut_discards
       << " vnf_wasted=" << r.vnf_wasted_work
       << " vnf_discards=" << r.vnf_discards;
+}
+
+// The ledger has no term for frames left in a ring: it relies on the run's
+// final drain. Pin that from the public output, which holds in builds
+// without asserts too: every ring of an observed run ends with as many
+// dequeues as enqueues.
+TEST_P(Conservation, EveryRingDrainsBeforeAccounting) {
+  ScenarioConfig cfg = config();
+  cfg.observe = true;
+  const ScenarioResult r = run_scenario(cfg);
+  ASSERT_FALSE(r.skipped.has_value());
+  std::map<std::string, std::uint64_t> enqueued;
+  std::map<std::string, std::uint64_t> dequeued;
+  for (const auto& [path, value] : r.counters) {
+    if (!path.starts_with("ring/")) continue;
+    const std::size_t slash = path.rfind('/');
+    const std::string ring = path.substr(0, slash);
+    const std::string_view leaf = std::string_view(path).substr(slash + 1);
+    if (leaf == "enqueued") enqueued[ring] += value;
+    if (leaf == "dequeued") dequeued[ring] += value;
+  }
+  ASSERT_FALSE(enqueued.empty());
+  EXPECT_EQ(enqueued.size(), dequeued.size());
+  std::uint64_t through = 0;
+  for (const auto& [ring, n] : enqueued) {
+    EXPECT_EQ(n, dequeued[ring]) << ring;
+    through += n;
+  }
+  EXPECT_GT(through, 0u);
 }
 
 std::vector<Combo> combos() {
@@ -81,28 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
       for (auto& c : n) if (c == '-') c = '_';
       return n;
     });
-
-// Regression: tearing a ring down with buffered residue used to make the
-// ledger books not balance — clear() freed the packets without counting
-// them anywhere, so enqueued != dequeued + <any loss site>. clear() now
-// counts into cleared() and the ring-local conservation identity
-//   enqueued == dequeued + cleared + size()
-// holds at every point of the lifecycle, residue included.
-TEST(RingConservation, TeardownWithResidueIsCounted) {
-  pkt::PacketPool pool(16);
-  ring::SpscRing ring("residue", 8);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.enqueue(pool.allocate()));
-  }
-  (void)ring.dequeue();
-  (void)ring.dequeue();
-  EXPECT_EQ(ring.enqueued(), ring.dequeued() + ring.cleared() + ring.size());
-  ring.clear();  // teardown with 3 packets still buffered
-  EXPECT_EQ(ring.cleared(), 3u);
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.enqueued(), ring.dequeued() + ring.cleared() + ring.size());
-  EXPECT_EQ(pool.outstanding(), 0u);  // cleared packets went home
-}
 
 }  // namespace
 }  // namespace nfvsb::scenario

@@ -1,4 +1,4 @@
-// CpuCore: serialized work, FIFO order, utilization accounting.
+// CpuCore: serialized work, FIFO order, busy-time accounting.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -63,25 +63,15 @@ TEST(CpuCore, IdleFlagTracksState) {
   EXPECT_TRUE(cpu.idle());
 }
 
-TEST(CpuCore, UtilizationFraction) {
+TEST(CpuCore, BusyTimeCountsWorkNotIdleTime) {
   core::Simulator sim;
   CpuCore cpu(sim, "c0");
   cpu.submit(core::from_us(2), [] {});
   sim.run();
   sim.post_in(core::from_us(2), [] {});  // advance wall clock to 4 us
   sim.run();
-  EXPECT_NEAR(cpu.utilization(), 0.5, 1e-9);
-}
-
-TEST(CpuCore, ResetStatsZeroesUtilization) {
-  core::Simulator sim;
-  CpuCore cpu(sim, "c0");
-  cpu.submit(core::from_us(2), [] {});
-  sim.run();
-  cpu.reset_stats();
-  sim.post_in(core::from_us(1), [] {});
-  sim.run();
-  EXPECT_NEAR(cpu.utilization(), 0.0, 1e-9);
+  EXPECT_EQ(sim.now(), core::from_us(4));
+  EXPECT_EQ(cpu.busy_time(), core::from_us(2));
 }
 
 TEST(CpuCore, MultipleUsersShareFairlyInFifo) {

@@ -1,6 +1,7 @@
 // FastClick element graph and Click config parser.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -74,7 +75,7 @@ TEST_F(FastClickTest, NamedElementsAndChains) {
   EXPECT_STREQ(m->class_name(), "EtherMirror");
   EXPECT_EQ(sw_.router().size(), 3u);
   EXPECT_EQ(sw_.port(1).out().size(), 5u);
-  sw_.port(1).out().clear();
+  drain(sw_.port(1).out());
 }
 
 TEST_F(FastClickTest, UnboundInputPortDropsBatch) {

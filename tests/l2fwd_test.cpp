@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/metrics.h"
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "obs/registry.h"
 #include "pkt/crafting.h"
@@ -66,7 +67,7 @@ TEST_F(L2FwdTest, FullBurstFlushesImmediately) {
   EXPECT_EQ(vnf_.full_flushes(), 1u);
   EXPECT_EQ(vnf_.drain_flushes(), 0u);
   sim_.run();
-  dev1_.in().clear();
+  drain(dev1_.in());
 }
 
 TEST_F(L2FwdTest, PartialBatchWaitsForDrainTimer) {
@@ -78,7 +79,7 @@ TEST_F(L2FwdTest, PartialBatchWaitsForDrainTimer) {
   EXPECT_EQ(dev1_.in().size(), 3u);  // drained at ~100 us
   EXPECT_EQ(vnf_.drain_flushes(), 1u);
   sim_.run();
-  dev1_.in().clear();
+  drain(dev1_.in());
 }
 
 TEST_F(L2FwdTest, DrainTimerMeasures100us) {
@@ -91,7 +92,7 @@ TEST_F(L2FwdTest, DrainTimerMeasures100us) {
   sim_.run();
   EXPECT_GE(arrival, core::from_us(100));
   EXPECT_LT(arrival, core::from_us(110));
-  dev1_.in().clear();
+  drain(dev1_.in());
 }
 
 TEST_F(L2FwdTest, CrossConnectsBothDirections) {
@@ -101,8 +102,8 @@ TEST_F(L2FwdTest, CrossConnectsBothDirections) {
   sim_.run();
   EXPECT_EQ(dev1_.in().size(), 32u);
   EXPECT_EQ(dev0_.in().size(), 32u);
-  dev0_.in().clear();
-  dev1_.in().clear();
+  drain(dev0_.in());
+  drain(dev1_.in());
 }
 
 TEST_F(L2FwdTest, UpdatesSourceMac) {
@@ -113,7 +114,7 @@ TEST_F(L2FwdTest, UpdatesSourceMac) {
   ASSERT_TRUE(p);
   pkt::EthHeader eth(p->bytes());
   EXPECT_NE(eth.src(), pkt::FrameSpec{}.src_mac);  // l2fwd_mac_updating
-  dev1_.in().clear();
+  drain(dev1_.in());
 }
 
 TEST_F(L2FwdTest, DstMacRewriteTargetsNextHop) {
@@ -126,7 +127,7 @@ TEST_F(L2FwdTest, DstMacRewriteTargetsNextHop) {
   ASSERT_TRUE(p);
   pkt::EthHeader eth(p->bytes());
   EXPECT_EQ(eth.dst(), next);
-  dev1_.in().clear();
+  drain(dev1_.in());
 }
 
 TEST_F(L2FwdTest, MixedFullAndPartialFlushes) {
@@ -138,7 +139,7 @@ TEST_F(L2FwdTest, MixedFullAndPartialFlushes) {
   EXPECT_EQ(dev1_.in().size(), 70u);
   EXPECT_EQ(vnf_.full_flushes(), 2u);
   EXPECT_EQ(vnf_.drain_flushes(), 1u);
-  dev1_.in().clear();
+  drain(dev1_.in());
 }
 
 // Every l2fwd TX into an empty vhost-user ring is a guest kick, read from
@@ -184,7 +185,7 @@ TEST(L2FwdKicks, OneKickPerEmptyToNonEmptyTransition) {
   // Into a non-empty ring: no kick.
   send(32);
   EXPECT_EQ(kicks(), 2u);
-  dev1.in().clear();
+  drain(dev1.in());
 }
 
 }  // namespace

@@ -69,13 +69,5 @@ TEST(MacTable, StaleSlotsReusedUnderPressure) {
   EXPECT_FALSE(t.lookup(mac(0x020000000000ULL + 120), 199 * core::from_ms(10)));
 }
 
-TEST(MacTable, ClearEmptiesTable) {
-  MacTable t;
-  t.learn(mac(1), 0, 0);
-  t.clear();
-  EXPECT_EQ(t.entries(), 0u);
-  EXPECT_FALSE(t.lookup(mac(1), 0));
-}
-
 }  // namespace
 }  // namespace nfvsb::switches::vale

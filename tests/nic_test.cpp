@@ -13,13 +13,14 @@
 
 #include "core/metrics.h"
 #include "core/simulator.h"
+#include "drain.h"
 #include "hw/cable.h"
 #include "hw/nic.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
-#include "ring/tx_source.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
+#include "ring/tx_source.h"
 #include "stats/histogram.h"
 
 namespace nfvsb::hw {
@@ -361,7 +362,7 @@ TEST_F(NicTest, BurstOnBusyConsumerCostsNoArrivalEvents) {
   EXPECT_EQ(b_.rx_frames(), kFrames);
   EXPECT_EQ(sim_.lanes_fired(), kFrames);
   EXPECT_EQ(sim_.events_processed(), 0u);
-  b_.rx_ring().clear();
+  drain(b_.rx_ring());
 }
 
 // An idle consumer is woken at exactly the first arrival's picosecond, and
@@ -401,7 +402,7 @@ TEST_F(NicTest, IdleConsumerIsWokenAtEachArrival) {
   sim_.run_until(burst_arrival(3));
   EXPECT_EQ(rx.size(), 4u);
   EXPECT_EQ(wakes.size(), 4u);
-  rx.clear();
+  drain(rx);
 }
 
 // With the ring full, which frame overflows depends on when the consumer
@@ -468,7 +469,7 @@ TEST_F(NicTest, SameInstantReadIsOrderedAsTheArrivalEvent) {
                                                "late poll sees 1"};
     EXPECT_EQ(order, expected);
     EXPECT_EQ(sim.now(), at);
-    b.rx_ring().clear();
+    drain(b.rx_ring());
   }
 }
 
@@ -482,7 +483,7 @@ TEST_F(NicTest, RxRingOverflowCountsImissed) {
   sim_.run();
   EXPECT_EQ(b_.rx_ring().size(), 16u);
   EXPECT_EQ(b_.imissed(), 24u);
-  b_.rx_ring().clear();
+  drain(b_.rx_ring());
 }
 
 TEST_F(NicTest, TxRingOverflowDropsAtEnqueue) {
@@ -492,7 +493,7 @@ TEST_F(NicTest, TxRingOverflowDropsAtEnqueue) {
   for (int i = 0; i < 20; ++i) accepted += a_.tx_ring().enqueue(frame());
   EXPECT_LE(accepted, 18);  // 16 + whatever drained immediately
   sim_.run();
-  b_.rx_ring().clear();
+  drain(b_.rx_ring());
 }
 
 TEST_F(NicTest, HwTimestampsProbeOnTx) {
@@ -517,7 +518,7 @@ TEST_F(NicTest, RxTimestampHookFiresAtWireTime) {
   EXPECT_EQ(hook_probe, 7u);
   // Wire arrival excludes the monitor-side DMA latency.
   EXPECT_EQ(hook_time, core::from_ns(50 + 67.2 + 5));
-  b_.rx_ring().clear();
+  drain(b_.rx_ring());
 }
 
 TEST_F(NicTest, NonProbeFramesNotTimestamped) {

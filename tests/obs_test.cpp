@@ -20,6 +20,7 @@
 #include "core/metrics.h"
 #include "core/simulator.h"
 #include "core/trace_sink.h"
+#include "drain.h"
 #include "hw/cable.h"
 #include "hw/nic.h"
 #include "obs/registry.h"
@@ -107,7 +108,7 @@ TEST(Registry, RingRegistersCountersAndDepthProbe) {
   core::MetricsScope scope(&reg);
   {
     ring::SpscRing ring("r0", 4);
-    EXPECT_EQ(reg.size(), 4u);  // enqueued, dequeued, drops, cleared
+    EXPECT_EQ(reg.size(), 3u);  // enqueued, dequeued, drops
     ASSERT_EQ(reg.queues().size(), 1u);
     const Registry::Queue& q = reg.queues()[0];
     EXPECT_EQ(q.path, "ring/r0");
@@ -115,10 +116,10 @@ TEST(Registry, RingRegistersCountersAndDepthProbe) {
     EXPECT_EQ(q.depth(q.owner), 0u);
     ring.enqueue(pool.allocate());
     EXPECT_EQ(q.depth(q.owner), 1u);
-    ring.clear();
+    (void)ring.dequeue();
     const auto snap = reg.snapshot();
     const auto it = std::find_if(snap.begin(), snap.end(), [](const auto& e) {
-      return e.first == "ring/r0/cleared";
+      return e.first == "ring/r0/dequeued";
     });
     ASSERT_NE(it, snap.end());
     EXPECT_EQ(it->second, 1u);
@@ -146,8 +147,8 @@ TEST(Registry, VhostPortRegistersItsGuestToHostKicks) {
     // The switch's own TX toward the guest rings no doorbell.
     backend.tx(pool.allocate());
     EXPECT_EQ(kicks(), 1u);
-    backend.in().clear();
-    backend.out().clear();
+    drain(backend.in());
+    drain(backend.out());
   }
   EXPECT_FALSE(kicks());  // deregistered with the port
 }
@@ -240,7 +241,6 @@ TEST(TraceRecorder, JsonIsWellFormed) {
   EXPECT_NE(j.find("thread_name"), std::string::npos);
 }
 
-#if NFVSB_TRACE
 // Data-path hooks, exercised end-to-end: every sampled packet's lifecycle
 // slices must balance (each "b" closed by exactly one "e"), spans must have
 // non-negative durations, and timestamps must be non-negative.
@@ -319,7 +319,7 @@ TEST(TraceHooks, GuestGeneratorsDrawTraceIdsInEmitOrder) {
   }
 }
 
-TEST(TraceHooks, ClearClosesResidentSlices) {
+TEST(TraceHooks, DequeueClosesResidentSlice) {
   core::Simulator sim;
   TraceRecorder tr(sim, TraceRecorder::Config{});
   core::TraceInstall install(&tr);
@@ -328,7 +328,7 @@ TEST(TraceHooks, ClearClosesResidentSlices) {
   auto p = pool.allocate();
   p->trace_id = tr.next_packet_id();
   ring.enqueue(std::move(p));
-  ring.clear();  // teardown with a traced resident
+  (void)ring.dequeue();
   int begins = 0, ends = 0;
   for (const auto& e : tr.events()) {
     if (e.ph == 'b') ++begins;
@@ -337,7 +337,6 @@ TEST(TraceHooks, ClearClosesResidentSlices) {
   EXPECT_EQ(begins, 1);
   EXPECT_EQ(ends, 1);
 }
-#endif  // NFVSB_TRACE
 
 // ---- observer transparency ----------------------------------------------
 

@@ -8,6 +8,7 @@
 
 #include "core/fifo.h"
 #include "core/simulator.h"
+#include "drain.h"
 #include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
@@ -115,20 +116,22 @@ TEST(Ring, NonPowerOfTwoCapacityDropsAtExactlyCapacity) {
   EXPECT_EQ(pool.outstanding(), 1000u);
   (void)ring.dequeue();
   EXPECT_TRUE(ring.enqueue(pool.allocate()));
-  ring.clear();
+  drain(ring);
 }
 
-TEST_F(RingTest, ClearCountsResidentsAfterWrapAround) {
+TEST_F(RingTest, DrainAfterWrapAroundKeepsFifoOrder) {
   SpscRing ring("r", 32);
-  for (int i = 0; i < 12; ++i) ring.enqueue(make());
+  for (std::uint64_t i = 0; i < 12; ++i) ring.enqueue(make(i));
   for (int i = 0; i < 10; ++i) (void)ring.dequeue();
-  for (int i = 0; i < 14; ++i) ring.enqueue(make());  // wraps the storage
+  for (std::uint64_t i = 12; i < 26; ++i) ring.enqueue(make(i));  // wraps
   ASSERT_EQ(ring.size(), 16u);
-  ring.clear();
-  EXPECT_EQ(ring.cleared(), 16u);
+  EXPECT_EQ(ring.enqueued(), ring.dequeued() + ring.size());
+  for (std::uint64_t want = 10; want < 26; ++want) {
+    EXPECT_EQ(ring.dequeue()->seq, want);
+  }
   EXPECT_TRUE(ring.empty());
   EXPECT_EQ(pool_.outstanding(), 0u);
-  EXPECT_EQ(ring.enqueued(), ring.dequeued() + ring.cleared() + ring.size());
+  EXPECT_EQ(ring.enqueued(), ring.dequeued());
   // Still a working ring afterwards.
   ring.enqueue(make(7));
   EXPECT_EQ(ring.dequeue()->seq, 7u);
@@ -252,7 +255,7 @@ TEST_F(RingTest, GuestViewSharesTheHostRings) {
   for (std::uint64_t i = 1; i <= 3; ++i) guest.tx(make(i));
   EXPECT_EQ(guest.tx_drops(), 1u);
   EXPECT_EQ(host.in().drops(), 1u);
-  host.in().clear();
+  drain(host.in());
 }
 
 TEST_F(RingTest, KicksCountEnqueuesIntoAnEmptyRingOnly) {
@@ -268,7 +271,7 @@ TEST_F(RingTest, KicksCountEnqueuesIntoAnEmptyRingOnly) {
   ring.dequeue();
   EXPECT_TRUE(ring.enqueue(make()));  // drained: a kick again
   EXPECT_EQ(ring.kicks(), 2u);
-  ring.clear();
+  drain(ring);
 }
 
 // ---- pulled TX: a guest ring fed by a source ------------------------------

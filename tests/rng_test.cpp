@@ -30,15 +30,6 @@ TEST(Rng, UniformInUnitInterval) {
   }
 }
 
-TEST(Rng, UniformRangeRespectsBounds) {
-  Rng r(2);
-  for (int i = 0; i < 1000; ++i) {
-    const double u = r.uniform(5.0, 9.0);
-    EXPECT_GE(u, 5.0);
-    EXPECT_LT(u, 9.0);
-  }
-}
-
 TEST(Rng, UniformMeanIsHalf) {
   Rng r(3);
   double sum = 0;

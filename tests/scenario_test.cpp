@@ -164,6 +164,8 @@ TEST(ScenarioValidate, IgnoredFieldsAreRejectedByName) {
                 }},
            Case{Kind::kV2v, SwitchType::kVpp, "nic_ring_depth",
                 [](ScenarioConfig& x) { x.nic_ring_depth = 512; }},
+           Case{Kind::kP2p, SwitchType::kT4p4s, "nic_ring_depth",
+                [](ScenarioConfig& x) { x.nic_ring_depth = 4097; }},
            Case{Kind::kV2v, SwitchType::kOvsDpdk, "bidirectional",
                 [](ScenarioConfig& x) {
                   x.probe_interval = core::from_us(40);

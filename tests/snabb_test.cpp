@@ -1,6 +1,7 @@
 // Snabb app engine, pipeline staging and LuaJIT model.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -157,7 +158,7 @@ TEST_F(SnabbTest, HeterogeneousNetworkGetsPenalty) {
   push(0);
   sim_.run();
   EXPECT_EQ(sw_.port(1).out().size(), 1u);
-  sw_.port(1).out().clear();
+  drain(sw_.port(1).out());
 }
 
 TEST_F(SnabbTest, UnroutedPortDiscards) {

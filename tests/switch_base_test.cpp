@@ -3,6 +3,7 @@
 // ring is read lazily while a round runs.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/cable.h"
 #include "hw/nic.h"
 #include "pkt/crafting.h"
@@ -148,7 +149,7 @@ TEST_F(SwitchBaseTest, WastedWorkOnFullOutputRing) {
   sim_.run();
   EXPECT_EQ(sw.stats().tx_packets, 64u);
   EXPECT_EQ(sw.stats().tx_drops, 36u);  // processed, then dropped
-  sw.port(1).out().clear();
+  drain(sw.port(1).out());
 }
 
 TEST_F(SwitchBaseTest, WakeupLatencyDelaysFirstRound) {
@@ -228,7 +229,7 @@ TEST_F(SwitchBaseTest, AssemblyWaitCountsFromArrivalOfALateReadFrame) {
   EXPECT_EQ(sw.round_at_[1], 0);
   EXPECT_EQ(sw.round_at_[0], arrival + c.batch_timeout);
   EXPECT_EQ(sw.stats().rx_packets, 3u);
-  peer.rx_ring().clear();
+  drain(peer.rx_ring());
 }
 
 TEST_F(SwitchBaseTest, JitterPreservesMeanRoughly) {
@@ -276,8 +277,8 @@ TEST_F(SwitchBaseTest, VhostStallsOnlyOnVhostRounds) {
   sw_->port(1).in().enqueue(frame());
   sim_.run();
   EXPECT_GT(sim_.now() - before, core::from_us(1));
-  sw_->port(0).out().clear();
-  sw_->port(1).out().clear();
+  drain(sw_->port(0).out());
+  drain(sw_->port(1).out());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -51,7 +52,7 @@ TEST(T4p4sController, TableAddForwardAndDrop) {
   sw.port(0).in().enqueue(frame(pool, 0x024d00000001));
   sim.run();
   EXPECT_EQ(sw.table_misses(), 1u);
-  sw.port(1).out().clear();
+  drain(sw.port(1).out());
 }
 
 TEST(T4p4sController, RejectsMalformedCommands) {

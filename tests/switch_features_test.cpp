@@ -1,6 +1,7 @@
 // Extended switch features: the OvS management plane's per-rule stats.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -40,7 +41,7 @@ TEST_F(OvsMgmtTest, RuleStatsCountCachedHits) {
   EXPECT_EQ(sw_.rule_packets(rule.id), 5u);  // 1 upcall + 4 EMC hits
   const std::string dump = ofctl.dump_flows();
   EXPECT_NE(dump.find("n_packets=5"), std::string::npos);
-  sw_.port(1).out().clear();
+  drain(sw_.port(1).out());
 }
 
 }  // namespace

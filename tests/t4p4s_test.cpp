@@ -1,6 +1,7 @@
 // t4p4s P4 pipeline: parser/deparser, tables, MAC rewriting, tunings.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -144,10 +145,10 @@ TEST_F(T4p4sTest, SmacLearningStageTogglesCost) {
     pkt::craft_udp_frame(*p, spec);
     sw2.port(0).in().enqueue(std::move(p));
     sim2.run();
-    sw2.port(1).out().clear();
+    drain(sw2.port(1).out());
   }
   EXPECT_GT(sim2.now(), without);
-  sw_.port(1).out().clear();
+  drain(sw_.port(1).out());
 }
 
 TEST_F(T4p4sTest, RuntFrameDiscarded) {

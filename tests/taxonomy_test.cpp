@@ -72,8 +72,6 @@ namespace {
 TEST(Report, FmtFormats) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(10.0, 0), "10");
-  EXPECT_EQ(fmt_or_dash(5.0, false), "5.00");
-  EXPECT_EQ(fmt_or_dash(5.0, true), "-");
 }
 
 TEST(Report, TableAlignsColumns) {

@@ -1,6 +1,7 @@
 // Testbed topology and VM chain builder.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/numa.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -33,7 +34,7 @@ TEST(Testbed, CrossNodeCabling) {
     bed.nic(1, p).tx_ring().enqueue(std::move(pkt));
     sim.run();
     EXPECT_EQ(bed.nic(0, p).rx_ring().size(), 1u) << p;
-    bed.nic(0, p).rx_ring().clear();
+    drain(bed.nic(0, p).rx_ring());
   }
 }
 
@@ -90,7 +91,7 @@ TEST(VmChain, VnfsForwardAcrossTheirPorts) {
   }
   sim.run();
   EXPECT_EQ(chain.hop(0).port_b->in().size(), 32u);
-  chain.hop(0).port_b->in().clear();
+  drain(chain.hop(0).port_b->in());
 }
 
 TEST(VmChain, ContainersTakeOneCoreAndDiscountVhostFixedCost) {
@@ -156,7 +157,7 @@ TEST(GuestVale, CrossConnectsPtnetPair) {
   sim.run();
   // The guest VALE flooded it out the other ptnet device (b.in).
   EXPECT_EQ(b.in().size(), 1u);
-  b.in().clear();
+  drain(b.in());
 }
 
 TEST(GuestVale, UsesOnlyVirtualWakeups) {

@@ -1,6 +1,7 @@
 // VALE learning switch.
 #include <gtest/gtest.h>
 
+#include "drain.h"
 #include "hw/cpu_core.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
@@ -51,34 +52,34 @@ TEST_F(ValeTest, UnknownDstFloods) {
   EXPECT_EQ(sw_.floods(), 1u);
   // Single-copy flood: the frame went to exactly one other port.
   EXPECT_EQ(sw_.port(1).out().size() + sw_.port(2).out().size(), 1u);
-  sw_.port(1).out().clear();
-  sw_.port(2).out().clear();
+  drain(sw_.port(1).out());
+  drain(sw_.port(2).out());
 }
 
 TEST_F(ValeTest, LearnsSourceThenUnicasts) {
   sw_.start();
   push(1, 0xB, 0xA);  // teaches that B lives on port 1
   sim_.run();
-  sw_.port(0).out().clear();
-  sw_.port(2).out().clear();
+  drain(sw_.port(0).out());
+  drain(sw_.port(2).out());
   push(0, 0xA, 0xB);  // now towards B: must go to port 1 only
   sim_.run();
   EXPECT_EQ(sw_.port(1).out().size(), 1u);
   EXPECT_EQ(sw_.port(2).out().size(), 0u);
   EXPECT_EQ(sw_.mac_table().entries(), 2u);  // A and B learned
-  sw_.port(1).out().clear();
+  drain(sw_.port(1).out());
 }
 
 TEST_F(ValeTest, HairpinFiltered) {
   sw_.start();
   push(0, 0xA, 0xB);  // learn A@0
   sim_.run();
-  sw_.port(1).out().clear();
-  sw_.port(2).out().clear();
+  drain(sw_.port(1).out());
+  drain(sw_.port(2).out());
   push(1, 0xB, 0xB);  // dst B unknown... first learn B@1
   sim_.run();
-  sw_.port(0).out().clear();
-  sw_.port(2).out().clear();
+  drain(sw_.port(0).out());
+  drain(sw_.port(2).out());
   // Now a frame for B arriving ON port 1 must be filtered (hairpin).
   push(1, 0xC, 0xB);
   sim_.run();

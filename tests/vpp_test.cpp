@@ -69,7 +69,7 @@ TEST_F(VppTest, RuntFramesDroppedByEthernetInput) {
   sw_.port(0).in().enqueue(std::move(p));
   sim_.run();
   EXPECT_EQ(sw_.stats().discards, 1u);
-  auto* eth = dynamic_cast<EthernetInputNode*>(sw_.graph().find("ethernet-input"));
+  auto* eth = dynamic_cast<EthernetInputNode*>(&sw_.graph().node(0));
   ASSERT_NE(eth, nullptr);
   EXPECT_EQ(eth->runts_dropped(), 1u);
 }
@@ -79,11 +79,10 @@ TEST_F(VppTest, NodeCountersTrackVectors) {
   sw_.start();
   for (int i = 0; i < 10; ++i) push(0);
   sim_.run();
-  Node* n = sw_.graph().find("l2-patch");
-  ASSERT_NE(n, nullptr);
-  EXPECT_EQ(n->vectors(), 10u);
-  EXPECT_GE(n->calls(), 1u);
-  EXPECT_GT(n->avg_vector_size(), 0.0);
+  const Node& n = sw_.patch_node();
+  EXPECT_EQ(n.vectors(), 10u);
+  EXPECT_GE(n.calls(), 1u);
+  EXPECT_GT(n.avg_vector_size(), 0.0);
 }
 
 TEST_F(VppTest, CliConfiguresPatch) {
