@@ -6,8 +6,8 @@
 //   2. packets/sec — wall-clock rate of one fixed Fig. 4a point (BESS,
 //      p2p, 64 B, unidirectional), i.e. the end-to-end simulation speed,
 //      next to that point's simulator work per offered packet: timing-wheel
-//      events, lane firings and frames built (counted in a separate
-//      observed run, so the timed run stays unobserved).
+//      events, lane firings, frames built and ring operations
+//      (ScenarioResult::Work of the timed, unobserved run).
 //
 // Results land in BENCH_events.json at the repository root, a committed
 // file: run it from there and commit the new figures with a change that
@@ -74,6 +74,7 @@ struct ScenarioRate {
   double events_per_pkt{0};
   double lane_fired_per_pkt{0};
   double frames_built_per_pkt{0};
+  double ring_ops_per_pkt{0};
 };
 
 /// One fixed Fig. 4a point: BESS p2p 64 B unidirectional, default seed and
@@ -91,19 +92,12 @@ ScenarioRate measure_fig4a_point() {
   rate.offered = r.offered_packets;
   rate.packets_per_sec = static_cast<double>(r.offered_packets) /
                          rate.wall_secs;
-
-  cfg.observe = true;
-  const scenario::ScenarioResult observed = scenario::run_scenario(cfg);
-  const auto offered = static_cast<double>(observed.offered_packets);
-  for (const auto& [path, value] : observed.counters) {
-    if (path == "sim/events_processed") {
-      rate.events_per_pkt = static_cast<double>(value) / offered;
-    } else if (path == "sim/lane_fired") {
-      rate.lane_fired_per_pkt = static_cast<double>(value) / offered;
-    }
-  }
+  const auto offered = static_cast<double>(r.offered_packets);
+  rate.events_per_pkt = static_cast<double>(r.work.wheel_events) / offered;
+  rate.lane_fired_per_pkt = static_cast<double>(r.work.lane_fired) / offered;
   rate.frames_built_per_pkt =
-      static_cast<double>(observed.work.frames_built) / offered;
+      static_cast<double>(r.work.frames_built) / offered;
+  rate.ring_ops_per_pkt = static_cast<double>(r.work.ring_ops) / offered;
   return rate;
 }
 
@@ -127,14 +121,15 @@ int main() {
                  "    \"packets_per_sec\": %.0f,\n"
                  "    \"events_per_pkt\": %.4f,\n"
                  "    \"lane_fired_per_pkt\": %.4f,\n"
-                 "    \"frames_built_per_pkt\": %.4f\n"
+                 "    \"frames_built_per_pkt\": %.4f,\n"
+                 "    \"ring_ops_per_pkt\": %.4f\n"
                  "  }\n"
                  "}\n",
                  events_per_sec,
                  static_cast<unsigned long long>(fig4a.offered),
                  fig4a.wall_secs, fig4a.packets_per_sec,
                  fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
-                 fig4a.frames_built_per_pkt);
+                 fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", out.c_str());
@@ -149,9 +144,9 @@ int main() {
               static_cast<unsigned long long>(fig4a.offered),
               fig4a.wall_secs);
   std::printf("               per offered packet: %.4f wheel events, %.4f "
-              "lane firings, %.4f frames built\n",
+              "lane firings, %.4f frames built, %.4f ring ops\n",
               fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
-              fig4a.frames_built_per_pkt);
+              fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt);
   std::printf("results      : %s\n", out.c_str());
 
   if (const char* floor_env = std::getenv("NFVSB_MIN_EVENTS_PER_SEC")) {

@@ -40,6 +40,7 @@ bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
   if (sink_) {
     ++enqueued_;
     ++dequeued_;
+    detail::ring_ops += 2;
     sink_(f.take());
     return true;
   }
@@ -56,6 +57,7 @@ bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
   }
   q_.push_back(std::move(f));
   ++enqueued_;
+  ++detail::ring_ops;
   if (was_empty) ++kicks_;
   if (watcher_) {
     arriving_at_ = at;
@@ -176,6 +178,7 @@ pkt::Frame SpscRing::dequeue_frame() {
   if (q_.empty()) return {};
   pkt::Frame f = q_.pop_front();
   ++dequeued_;
+  ++detail::ring_ops;
   if (core::TraceSink* t = core::tracer()) {
     if (f.trace_id() != 0) t->async_end(f.trace_id(), name_);
   }

@@ -83,6 +83,18 @@ class MetricSink;
 
 namespace nfvsb::ring {
 
+namespace detail {
+/// Enqueues plus dequeues on every ring of this thread (a scenario runs on
+/// one thread, so the difference over its run is that run's ring work).
+inline thread_local std::uint64_t ring_ops = 0;
+}  // namespace detail
+
+/// Ring operations (successful enqueues plus dequeues, a sink's handover
+/// counting as both) on this thread so far; see ScenarioResult::Work.
+[[nodiscard]] inline std::uint64_t ops_on_this_thread() {
+  return detail::ring_ops;
+}
+
 class SpscRing {
  public:
   /// Invoked after every successful enqueue; the argument is true when the
@@ -201,6 +213,7 @@ class SpscRing {
   void deliver(pkt::PacketHandle p, core::SimTime at) {
     ++enqueued_;
     ++dequeued_;
+    detail::ring_ops += 2;
     timed_sink_(std::move(p), at);
   }
 

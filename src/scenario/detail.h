@@ -35,7 +35,8 @@ namespace nfvsb::scenario::detail {
 /// simulator it timestamps from.
 struct Env {
   explicit Env(const ScenarioConfig& cfg)
-      : registry(make_registry(cfg)),
+      : ring_ops_at_start(ring::ops_on_this_thread()),
+        registry(make_registry(cfg)),
         registry_scope(registry.get()),
         sim(cfg.seed),
         tracer(make_tracer(sim, cfg)),
@@ -69,7 +70,8 @@ struct Env {
   /// snapshot, the simulator's counts and any sampler summaries, into `r`.
   /// Call after the final drain, before the Env goes out of scope.
   void collect(ScenarioResult& r) const {
-    r.work = {sim.events_processed(), sim.lanes_fired(), pool.handed_out()};
+    r.work = {sim.events_processed(), sim.lanes_fired(), pool.handed_out(),
+              ring::ops_on_this_thread() - ring_ops_at_start};
     if (!registry) return;
     r.counters = registry->snapshot();
     r.counters.emplace_back("sim/events_processed", sim.events_processed());
@@ -106,6 +108,8 @@ struct Env {
     return tc;
   }
 
+  /// ring::ops_on_this_thread() before any of this scenario's rings.
+  std::uint64_t ring_ops_at_start;
   std::unique_ptr<obs::Registry> registry;
   core::MetricsScope registry_scope;
   core::Simulator sim;

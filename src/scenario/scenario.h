@@ -154,11 +154,15 @@ struct ScenarioResult {
     std::uint64_t lane_fired{0};
     /// Packet buffers handed out: frames built (pkt/frame.h).
     std::uint64_t frames_built{0};
+    /// Ring enqueues plus dequeues, summed over every ring of the run
+    /// (ring::ops_on_this_thread).
+    std::uint64_t ring_ops{0};
 
     Work& operator+=(const Work& o) {
       wheel_events += o.wheel_events;
       lane_fired += o.lane_fired;
       frames_built += o.frames_built;
+      ring_ops += o.ring_ops;
       return *this;
     }
   };
