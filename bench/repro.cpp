@@ -15,11 +15,11 @@
 //
 // It also prints what each campaign, and all ten, cost the simulator:
 // timing-wheel events, lane firings (NIC TX fetches), frames built and
-// ring operations (ScenarioResult::Work). The benches report these on stderr, outside
-// the campaign JSON; unlike wall time they are exact, so two builds can
-// be compared on them directly. The same table goes to out-dir/work.txt,
-// and goldens/work.txt is the committed copy, so `diff -r` also fails
-// when any campaign's work moves.
+// ring operations (ScenarioResult::Work). The benches report these on
+// stderr, outside the campaign JSON; unlike wall time they are exact, so
+// two builds can be compared on them directly. The same table goes to
+// out-dir/work.txt, and goldens/work.txt is the committed copy, so
+// `diff -r` also fails when any campaign's work moves.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>

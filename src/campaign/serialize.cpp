@@ -89,6 +89,10 @@ std::string result_to_json(const scenario::ScenarioResult& r) {
     << ",\"offered_packets\":" << r.offered_packets
     << ",\"delivered_packets\":" << r.delivered_packets
     << ",\"gen_tx_failures\":" << r.gen_tx_failures;
+  // Like the counters below: absent when zero, as every golden run is.
+  if (r.gen_pool_exhausted != 0) {
+    j << ",\"gen_pool_exhausted\":" << r.gen_pool_exhausted;
+  }
   // Only observed runs carry counters, so unobserved result JSON stays
   // byte-identical to the pre-observability format.
   if (!r.counters.empty()) {

@@ -50,7 +50,7 @@ class EventQueue {
   /// Schedule `cb` at absolute time `at`. Inline, like the keyed overload
   /// defined below — this is the hottest call in the simulator.
   [[nodiscard]] EventId schedule(SimTime at, Callback cb) {
-    return schedule(at, next_seq_++, std::move(cb));
+    return schedule(at, reserve_seq(), std::move(cb));
   }
 
   /// Schedule with an explicit order key: `seq` from reserve_seq(), so the
@@ -59,10 +59,23 @@ class EventQueue {
   [[nodiscard]] EventId schedule(SimTime at, std::uint64_t seq,
                                  Callback&& cb);
 
+  /// Keys are taken kKeyStride apart. The values between two consecutive
+  /// keys belong to no schedule() call: core::Simulator::late_order places
+  /// a key there after the fact, at the end of a past instant.
+  static constexpr std::uint64_t kKeyStride = 16;
+
   /// Take the order key the next schedule() would, without scheduling.
-  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  [[nodiscard]] std::uint64_t reserve_seq() {
+    const std::uint64_t seq = next_seq_;
+    next_seq_ += kKeyStride;
+    return seq;
+  }
   /// The last key taken (0 before the first).
-  [[nodiscard]] std::uint64_t last_seq() const { return next_seq_ - 1; }
+  [[nodiscard]] std::uint64_t last_seq() const {
+    return next_seq_ - kKeyStride;
+  }
+  /// The key the next reserve_seq() takes.
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// Cancel a previously scheduled event. O(1). Safe (and a no-op) on
   /// already-fired, already-cancelled, and never-issued ids.
@@ -210,7 +223,7 @@ class EventQueue {
 
   std::vector<Rec> slab_;
   std::uint32_t free_head_{kNoFree};
-  std::uint64_t next_seq_{1};
+  std::uint64_t next_seq_{kKeyStride};
   std::size_t live_count_{0};
 
   /// Scan cursor: every pending event with tick < pos_ is in cur_; the wheel

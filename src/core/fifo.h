@@ -40,6 +40,11 @@ class Fifo {
   }
   void push_back(const T& v) { push_back(T(v)); }
 
+  /// Take the first allocation now instead of at the first push.
+  void reserve_first() {
+    if (cap_ == 0) grow();
+  }
+
   /// Remove and return the oldest element. The FIFO must not be empty.
   [[nodiscard]] T pop_front() {
     assert(size_ > 0);

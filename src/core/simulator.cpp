@@ -23,17 +23,19 @@ void Simulator::run_loop(SimTime until) {
     if (!have_event || head.time > until) break;
     auto fired = events_.pop();
     assert(fired.time >= now_ && "event time must be monotone");
-    now_ = fired.time;
+    advance_to(fired.time);
     running_order_ = fired.seq;
     ++events_processed_;
     fired.cb();
   }
-  running_order_ = events_.last_seq();
+  // Every key taken so far, and every late key placed among them, counts
+  // as reached until the next run.
+  running_order_ = events_.last_seq() + EventQueue::kKeyStride - 1;
 }
 
 void Simulator::run_until(SimTime until) {
   run_loop(until);
-  if (now_ < until) now_ = until;
+  if (now_ < until) advance_to(until);
 }
 
 void Simulator::run() { run_loop(kNoUntil); }
@@ -81,7 +83,7 @@ void Simulator::fire_lane(LaneId id) {
   // lanes without moving this one.
   Lane& l = lanes_[id];
   assert(l.at >= now_ && "lane time must be monotone");
-  now_ = l.at;
+  advance_to(l.at);
   running_order_ = l.order;
   ++lanes_fired_;
   l.armed = false;
@@ -111,6 +113,50 @@ void Simulator::find_next_lane() {
     }
     next_lane_ = i;
   }
+}
+
+unsigned Simulator::add_late_producer(SimDuration horizon) {
+  assert(horizon >= 0);
+  if (horizon > late_horizon_) late_horizon_ = horizon;
+  assert(late_producers_ + 1 < EventQueue::kKeyStride && "too many ranks");
+  return late_producers_++;
+}
+
+void Simulator::note_instant(SimTime t) {
+  if (instants_size_ == instants_cap_) {
+    auto bigger = std::make_unique<Instant[]>(instants_cap_ * 2);
+    for (std::size_t i = 0; i < instants_size_; ++i) bigger[i] = instant(i);
+    instants_heap_ = std::move(bigger);
+    instants_ = instants_heap_.get();
+    instants_cap_ *= 2;
+    instants_head_ = 0;
+  }
+  instants_[(instants_head_ + instants_size_++) & (instants_cap_ - 1)] =
+      Instant{now_, events_.next_seq()};
+  // Keep the last instant at or before the horizon's start: it answers
+  // every query from there on.
+  while (instants_size_ > 1 && instant(1).at <= t - late_horizon_) {
+    instants_head_ = (instants_head_ + 1) & (instants_cap_ - 1);
+    --instants_size_;
+  }
+}
+
+std::uint64_t Simulator::late_order(SimTime t, unsigned rank) const {
+  assert(t < now_ && "a late key is placed once its instant is past");
+  // The last instant the clock stood at no later than t: keys reserved at
+  // or before t are those taken by the time it left that instant.
+  std::size_t lo = 0;
+  std::size_t hi = instants_size_;
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (instant(mid).at <= t) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  assert(lo > 0 && "late key beyond the kept horizon");
+  return instant(lo - 1).next_key - EventQueue::kKeyStride + 1 + rank;
 }
 
 void Simulator::schedule_every(SimDuration first_delay, SimDuration period,

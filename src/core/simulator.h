@@ -97,6 +97,28 @@ class Simulator {
     return at < now_ || (at == now_ && order <= running_order_);
   }
 
+  // --- late keys ------------------------------------------------------------
+  // A producer that works out in closed form what one event per frame would
+  // have done (hw::NicPort's wire source) learns that a frame's instant has
+  // come only once it is past. late_order() gives the frame the key it
+  // would have taken at the end of that instant: after every key reserved
+  // at or before it, before every key reserved later (keys are spaced, see
+  // EventQueue::kKeyStride). Each producer has a rank, which orders
+  // producers whose instants coincide: the first to ask comes first, as
+  // the first one started would have. For this the simulator keeps, at each
+  // instant the clock leaves, the next key, over the longest horizon asked
+  // for.
+
+  /// Keep the instants of the last `horizon` and take the next rank.
+  [[nodiscard]] unsigned add_late_producer(SimDuration horizon);
+  /// The key of rank `rank`'s work at the end of instant `t`, which must be
+  /// past (t < now()) by at most the horizon.
+  [[nodiscard]] std::uint64_t late_order(SimTime t, unsigned rank) const;
+  /// reached() for that key, of an event at `at` (after `t`).
+  [[nodiscard]] bool reached_late(SimTime at, SimTime t, unsigned rank) const {
+    return at < now_ || (at == now_ && late_order(t, rank) <= running_order_);
+  }
+
   // --- lanes ----------------------------------------------------------------
   /// Returned by a lane callback to leave its lane unarmed.
   static constexpr SimDuration kStopTimer = -1;
@@ -152,6 +174,12 @@ class Simulator {
     bool armed{false};
     bool used{false};
   };
+  /// The clock left instant `at` when the next key was `next_key`.
+  struct Instant {
+    SimTime at;
+    std::uint64_t next_key;
+  };
+
   static constexpr LaneId kNoLane = 0xffffffffu;
   static constexpr SimTime kNoUntil = std::numeric_limits<SimTime>::max();
 
@@ -159,6 +187,12 @@ class Simulator {
   /// first one later than `until` (kNoUntil: until both drain).
   void run_loop(SimTime until);
   void fire_lane(LaneId id);
+  /// Move the clock to `t`, noting the instant it leaves for late_order().
+  void advance_to(SimTime t) {
+    if (t != now_ && late_horizon_ >= 0) note_instant(t);
+    now_ = t;
+  }
+  void note_instant(SimTime t);
   /// Recompute next_lane_, the earliest armed lane.
   void find_next_lane();
 
@@ -170,9 +204,24 @@ class Simulator {
   SimTime now_{0};
   Rng rng_;
   std::uint64_t events_processed_{0};
-  /// Order key of the event being fired; between runs, the last key
-  /// taken before the last run returned (0 before the first).
+  /// Order key of the event being fired; between runs, just below the
+  /// first key taken after the last run returned (0 before the first).
   std::uint64_t running_order_{0};
+  /// Instants the clock left, oldest first, back to late_horizon_ (-1:
+  /// none kept): a ring over instants_inline_ (enough for every scenario
+  /// measured) that moves to the heap only if it outgrows it.
+  static constexpr std::size_t kInlineInstants = 256;
+  std::array<Instant, kInlineInstants> instants_inline_;  // left unset
+  std::unique_ptr<Instant[]> instants_heap_;
+  Instant* instants_{instants_inline_.data()};
+  std::size_t instants_cap_{kInlineInstants};
+  std::size_t instants_head_{0};
+  std::size_t instants_size_{0};
+  [[nodiscard]] const Instant& instant(std::size_t i) const {
+    return instants_[(instants_head_ + i) & (instants_cap_ - 1)];
+  }
+  SimDuration late_horizon_{-1};
+  unsigned late_producers_{0};
   /// schedule_every() callbacks, address-stable for their re-posts.
   std::vector<std::unique_ptr<EventFn>> every_;
   std::array<Lane, kMaxLanes> lanes_;

@@ -17,9 +17,8 @@ Cable::Cable(core::Simulator& /*sim*/, NicPort& a, NicPort& b,
 
 void Cable::transmit(NicPort& from, pkt::Frame&& f,
                      core::SimDuration departure) {
-  NicPort& to = (&from == &a_) ? b_ : a_;
   assert(&from == &a_ || &from == &b_);
-  to.deliver_from_wire(std::move(f), departure + propagation_);
+  peer(from).deliver_from_wire(std::move(f), departure + propagation_);
 }
 
 }  // namespace nfvsb::hw

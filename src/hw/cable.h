@@ -4,7 +4,9 @@
 // A cable schedules nothing itself: it adds its propagation delay to the
 // sender's departure delay and hands the frame, built or not (pkt/frame.h),
 // to the peer port, which knows from that when the frame arrives,
-// propagation and RX DMA included (hw/nic.h).
+// propagation and RX DMA included (hw/nic.h). A port whose frames travel
+// as a wire source (hw/nic.h) reads the peer and the delay off the cable
+// and hands it nothing.
 #pragma once
 
 #include "core/simulator.h"
@@ -29,6 +31,12 @@ class Cable {
   /// leaves it `departure` from now; the frame's last bit reaches the peer
   /// one propagation delay after that.
   void transmit(NicPort& from, pkt::Frame&& f, core::SimDuration departure);
+
+  /// The port at the other end from `from`.
+  [[nodiscard]] NicPort& peer(const NicPort& from) const {
+    return &from == &a_ ? b_ : a_;
+  }
+  [[nodiscard]] core::SimDuration propagation() const { return propagation_; }
 
  private:
   NicPort& a_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/event_queue.h"
 #include "core/metrics.h"
 #include "core/simulator.h"
 #include "core/trace_sink.h"
@@ -46,6 +47,8 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
 }
 
 NicPort::~NicPort() {
+  // The source detaches first (stop_wire); the peer may be gone by now.
+  if (wire_wake_ != core::EventQueue::kInvalidEvent) sim_.cancel(wire_wake_);
   sim_.remove_lane(tx_lane_);
   if (registry_ != nullptr) registry_->remove(this);
 }
@@ -72,7 +75,10 @@ void NicPort::attach_tx_source(ring::TxSource& s) {
   tx_source_ = &s;
 }
 
-void NicPort::detach_tx_source() { tx_source_ = nullptr; }
+void NicPort::detach_tx_source() {
+  stop_wire();
+  tx_source_ = nullptr;
+}
 
 core::SimTime NicPort::fetch_time(core::SimTime ready) const {
   // While the last frame is still on the wire this is the same busy period:
@@ -82,9 +88,13 @@ core::SimTime NicPort::fetch_time(core::SimTime ready) const {
   return wire_free_at_ > ready ? wire_free_at_ : ready + cfg_.dma_tx_latency;
 }
 
-void NicPort::on_tx_enqueue() { arm_fetch(fetch_time(sim_.now())); }
+void NicPort::on_tx_enqueue() {
+  assert(!wired() && "a wire source's port carries no other traffic");
+  arm_fetch(fetch_time(sim_.now()));
+}
 
 void NicPort::wake_tx() {
+  if (start_wire()) return;
   source_order_ = sim_.reserve_order();
   const core::SimTime next = tx_source_->next_emit();
   if (next != ring::TxSource::kNever) arm_fetch(fetch_time(next));
@@ -104,7 +114,7 @@ void NicPort::arm_fetch(core::SimTime at) {
 void NicPort::pull_source() {
   // Each frame's successor takes its order key once the frame is in, as
   // SpscRing::pull_source does (ring/tx_source.h).
-  if (tx_source_ == nullptr) return;
+  if (tx_source_ == nullptr || wired()) return;
   while (sim_.reached(tx_source_->next_emit(), source_order_)) {
     tx_source_->emit_next();
     source_order_ = sim_.reserve_order();
@@ -112,6 +122,13 @@ void NicPort::pull_source() {
 }
 
 core::SimDuration NicPort::serialize_step() {
+  if (wired()) {
+    // The wire source's lane firing: the next fetch's instant is past, so
+    // its frame's wake can take its late key now.
+    tx_busy_ = false;
+    arm_wire_wake();
+    return core::Simulator::kStopTimer;
+  }
   const core::SimTime now = sim_.now();
   pull_source();
   // Round-robin across TX queues (82599 WRR with equal weights).
@@ -164,7 +181,11 @@ core::SimDuration NicPort::serialize_step() {
 
 std::size_t NicPort::rss_queue(const pkt::Frame& f) const {
   if (rx_rings_.size() == 1) return 0;
-  const auto tuple = f.five_tuple();
+  return rss_queue(f.five_tuple());
+}
+
+std::size_t NicPort::rss_queue(
+    const std::optional<pkt::FiveTuple>& tuple) const {
   if (!tuple) return 0;  // non-IP lands on queue 0
   return static_cast<std::size_t>(tuple->hash() % rx_rings_.size());
 }
@@ -186,6 +207,167 @@ void NicPort::count_arrival(pkt::Frame& f, core::SimTime at) {
     // 82599 stamps PTP frames at the MAC, before DMA.
     rx_ts_hook_(f.packet(), at - cfg_.dma_rx_latency);
   }
+}
+
+bool NicPort::start_wire() {
+  if (!cfg_.wire_source || cable_ == nullptr || core::tracer() != nullptr ||
+      tx_source_->recipe() == nullptr) {
+    return false;
+  }
+  NicPort& to = cable_->peer(*this);
+  for (const auto& r : to.rx_rings_) {
+    if (!r->buffered()) return false;
+  }
+  wire_to_ = &to;
+  // Allocated at start, not at the first emit mid-run, where this small
+  // block outlives the run's transient ones and pinned heap: perfbench's
+  // latency_paced peak RSS read 5% above the parent's with it there.
+  backlog_.reserve_first();
+  wire_ser_ = cfg_.rate.serialization_time(
+      tx_source_->recipe()->frame_bytes());
+  wire_delay_ = wire_ser_ + cable_->propagation() + to.cfg_.dma_rx_latency;
+  wire_rank_ = sim_.add_late_producer(wire_delay_);
+  for (auto& r : to.rx_rings_) r->feed_from(this);
+  tx_rings_[0]->feed_from(this);  // its counters are the wire's
+  // The source's start reserves its first frame's key (key_pulled_in_ 0),
+  // and the first fetch's lane key comes after it.
+  const core::SimTime next = tx_source_->next_emit();
+  fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
+  sync_wire_wake();
+  return true;
+}
+
+void NicPort::stop_wire() {
+  if (!wired()) return;
+  for (auto& r : wire_to_->rx_rings_) r->feed_from(nullptr);
+  tx_rings_[0]->feed_from(nullptr);
+  if (wire_wake_ != core::EventQueue::kInvalidEvent) sim_.cancel(wire_wake_);
+  wire_wake_ = core::EventQueue::kInvalidEvent;
+  sim_.stop_lane(tx_lane_);
+  tx_busy_ = false;
+  while (!backlog_.empty()) (void)backlog_.pop_front();
+  fetch_at_ = ring::TxSource::kNever;
+  wire_to_ = nullptr;
+}
+
+bool NicPort::wire_accept(std::uint64_t seq, pkt::PacketHandle built) {
+  ring::SpscRing& tx = *tx_rings_[0];
+  if (backlog_.size() >= tx.capacity()) {
+    tx.count_bypass(0, 0, 1);
+    return false;
+  }
+  backlog_.push_back(Departure{seq, std::move(built)});
+  tx.count_bypass(1, 0, 0);
+  return true;
+}
+
+NicPort::Departure NicPort::fetch() {
+  const core::SimTime now = fetch_at_;
+  // What serialize_step's pull_source would enqueue at this fetch: a frame
+  // due at its very instant is owed when its order key comes before the
+  // fetch's, i.e. when it was reserved at an earlier fetch (or the start).
+  for (core::SimTime t = tx_source_->next_emit();
+       t < now || (t == now && key_pulled_in_ <= fetches_);
+       t = tx_source_->next_emit()) {
+    tx_source_->emit_next();
+    key_pulled_in_ = fetches_ + 1;
+  }
+  ++fetches_;
+  Departure d = backlog_.pop_front();
+  tx_rings_[0]->count_bypass(0, 1, 0);
+  ++tx_frames_;
+  if (cfg_.hw_timestamping && d.built && d.built->probe_id != 0 &&
+      d.built->tx_timestamp == core::kNoTimestamp) {
+    d.built->tx_timestamp = now + wire_ser_;
+  }
+  wire_free_at_ = now + wire_ser_;
+  if (!backlog_.empty()) {
+    fetch_at_ = wire_free_at_;
+  } else {
+    const core::SimTime next = tx_source_->next_emit();
+    fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
+  }
+  return d;
+}
+
+void NicPort::catch_up() {
+  // Fetch and land, in order, every frame that has arrived by now; a frame
+  // arriving at this very instant has once a key reserved after its
+  // fetch's instant is running (core::Simulator::late_order). A landing
+  // may wake a consumer that reads the rings again from inside the loop:
+  // each fetch is complete before its frame lands.
+  while (fetch_at_ != ring::TxSource::kNever &&
+         sim_.reached_late(fetch_at_ + wire_delay_, fetch_at_, wire_rank_)) {
+    const core::SimTime at = fetch_at_ + wire_delay_;
+    wire_to_->land(fetch(), at, *tx_source_);
+  }
+  sync_wire_wake();
+}
+
+void NicPort::consumer_changed() { catch_up(); }
+
+void NicPort::land(Departure&& d, core::SimTime at, ring::TxSource& src) {
+  const std::size_t q =
+      rx_rings_.size() == 1
+          ? 0
+          : rss_queue(d.built ? pkt::parse_five_tuple(d.built->bytes())
+                              : src.recipe()->five_tuple(d.seq));
+  ring::SpscRing& ring = *rx_rings_[q];
+  ++rx_frames_;
+  if (cfg_.hw_timestamping && d.built && d.built->probe_id != 0 &&
+      rx_ts_hook_) {
+    rx_ts_hook_(*d.built, at - cfg_.dma_rx_latency);
+  }
+  // A frame that fits is DMA'd into a buffer; with no free descriptor, or
+  // no buffer to refill one with, the NIC drops it at the MAC (imissed).
+  if (!ring.has_room()) {
+    ring.count_drop(at);
+    return;
+  }
+  if (d.built) {
+    ring.land(std::move(d.built), at);
+  } else if (src.pool()->reserve()) {
+    pkt::Frame f(*src.recipe(), *src.pool(), d.seq);
+    f.build();
+    ring.land(std::move(f), at);
+  } else {
+    ring.count_drop(at);
+  }
+}
+
+void NicPort::sync_wire_wake() {
+  bool idle = false;
+  for (const auto& r : wire_to_->rx_rings_) idle = idle || !r->consumer_busy();
+  const bool wanted = idle && fetch_at_ != ring::TxSource::kNever;
+  const bool armed =
+      wire_wake_ != core::EventQueue::kInvalidEvent || tx_busy_;
+  if (armed == wanted) return;  // an armed wake is always for the next frame
+  if (!armed) {
+    arm_wire_wake();
+    return;
+  }
+  if (tx_busy_) {
+    sim_.stop_lane(tx_lane_);
+    tx_busy_ = false;
+  } else {
+    sim_.cancel(wire_wake_);
+    wire_wake_ = core::EventQueue::kInvalidEvent;
+  }
+}
+
+void NicPort::arm_wire_wake() {
+  if (fetch_at_ >= sim_.now()) {
+    // The fetch's key is placed at the end of its instant: come back just
+    // after it.
+    tx_busy_ = true;
+    sim_.arm_lane(tx_lane_, fetch_at_ + 1);
+    return;
+  }
+  wire_wake_ = sim_.schedule_reserved(
+      fetch_at_ + wire_delay_, sim_.late_order(fetch_at_, wire_rank_), [this] {
+        wire_wake_ = core::EventQueue::kInvalidEvent;
+        catch_up();
+      });
 }
 
 }  // namespace nfvsb::hw

@@ -34,6 +34,32 @@
 //    middle of a round (DPDK rx_burst) just finds the frame at its next
 //    poll.
 //
+// The wire source. When a port's only traffic is its TX source (MoonGen,
+// with a recipe) and the cable's far end is a port whose RX rings a
+// consumer reads (a SUT port), nothing of the above needs a firing per
+// frame. The departure law is closed form: fetch_k is wire_free when the
+// wire is still busy at emit_k, else emit_k + dma_tx_latency, and frame k
+// lands at fetch_k + serialization + propagation + the peer's
+// dma_rx_latency. So the port composes the source's pacing with that law
+// into one wire source (start_wire), which every read of the peer's RX
+// rings, or of this port's TX ring, pulls (ring::Feed): it replays, in
+// order, each fetch whose frame has arrived by now, exactly as
+// serialize_step would have done it (the pull of the frames owed, the TX
+// ring's occupancy and overflow as tx_failed, tx_frames, a probe's TX
+// stamp), and lands the frame in its RSS queue's ring or counts it
+// imissed. A frame the ring drops costs no fetch, no TX-ring push, no
+// in-flight slot and no pool buffer; a plain frame takes its buffer only
+// when it lands. The fetch fires nothing, so its frame's order key is a
+// late one (core::Simulator::late_order): after every key reserved at or
+// before the fetch's instant, before any reserved later; ports whose
+// fetches coincide (a bidirectional pair in lockstep) rank in the order
+// they started. While a consumer of the peer's rings is idle, one event is
+// kept at the next frame's arrival under that key; when its fetch's
+// instant is not past yet, the TX lane fires once just after it to place
+// that event. Runs that sample queue depths or trace packets, sources
+// without a recipe and peers with sinks keep one fetch per frame
+// (Config::wire_source).
+//
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
 //  * RX-ring overflow is where congestion loss appears when the SUT cannot
@@ -43,15 +69,19 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/counter.h"
 #include "core/event_fn.h"
+#include "core/event_queue.h"
+#include "core/fifo.h"
 #include "core/simulator.h"
 #include "core/units.h"
 #include "ring/tx_source.h"
 #include "pkt/frame.h"
+#include "pkt/headers.h"
 #include "ring/spsc_ring.h"
 
 namespace nfvsb::core {
@@ -62,7 +92,7 @@ namespace nfvsb::hw {
 
 class Cable;
 
-class NicPort {
+class NicPort : private ring::Feed {
  public:
   struct Config {
     core::LinkRate rate = core::kTenGigE;
@@ -80,6 +110,12 @@ class NicPort {
     /// behind it, its fetch pipelined away; one enqueued on an idle wire
     /// pays this latency again.
     core::SimDuration dma_tx_latency{core::from_ns(1000)};
+    /// A TX source's frames reach a peer whose RX rings a consumer reads
+    /// through the wire source (see above). False sends each frame on a TX
+    /// fetch of its own: runs that sample queue depths or trace packets
+    /// do, so that their TX-ring depths and trace events stay those of one
+    /// fetch per frame.
+    bool wire_source{true};
   };
 
   /// Takes one of `sim`'s lanes for the TX fetch, so a simulator holds
@@ -118,7 +154,11 @@ class NicPort {
   /// and rx_frames() read the RX rings, which first put in the frames
   /// that have arrived by now; that changes no result, so both stay const.
   [[nodiscard]] std::uint64_t imissed() const;
-  [[nodiscard]] std::uint64_t tx_frames() const { return tx_frames_; }
+  /// Reads TX ring 0 first, which brings a wire source up to date.
+  [[nodiscard]] std::uint64_t tx_frames() const {
+    tx_rings_[0]->catch_up();
+    return tx_frames_;
+  }
   [[nodiscard]] std::uint64_t rx_frames() const;
 
   /// Wire attachment (set by Cable).
@@ -142,8 +182,17 @@ class NicPort {
   void attach_tx_source(ring::TxSource& s);
   void detach_tx_source();
   /// The source has started: reserve its first frame's order key and arm
-  /// a TX fetch for that frame, unless one is armed earlier.
+  /// a TX fetch for that frame, unless one is armed earlier; or start the
+  /// wire source (see above).
   void wake_tx();
+
+  /// The wire source is running: the TX source hands its frames to
+  /// wire_accept() instead of the TX ring.
+  [[nodiscard]] bool wired() const { return wire_to_ != nullptr; }
+  /// Wire source: take the source's frame `seq` (`built` when it is built
+  /// already, as a probe is) into the TX backlog, or drop it when the TX
+  /// ring would be full (false).
+  [[nodiscard]] bool wire_accept(std::uint64_t seq, pkt::PacketHandle built);
 
   /// Callback invoked with (frame, rx_wire_time) when a HW-timestamped
   /// probe frame arrives — how MoonGen reads RX timestamps off the NIC.
@@ -155,6 +204,30 @@ class NicPort {
   void set_rx_timestamp_hook(RxTimestampHook h) { rx_ts_hook_ = std::move(h); }
 
  private:
+  /// A frame of the wire source between its emit and its landing.
+  struct Departure {
+    std::uint64_t seq{0};
+    /// Set for a frame built at emit (a probe).
+    pkt::PacketHandle built;
+  };
+
+  // ring::Feed: the peer's RX rings pull the wire source.
+  void catch_up() override;
+  void consumer_changed() override;
+  /// Start the wire source if this port qualifies (see above).
+  [[nodiscard]] bool start_wire();
+  void stop_wire();
+  /// The next virtual TX fetch: pull the source, take the backlog's head
+  /// and set the fetch after it, exactly as serialize_step would.
+  Departure fetch();
+  /// Receiving side: count a wire-source frame that arrived at `at` and
+  /// put it into its RSS queue's RX ring, built, or count it imissed.
+  void land(Departure&& d, core::SimTime at, ring::TxSource& src);
+  /// Keep one event armed at the next frame's arrival, under its late key,
+  /// exactly while a consumer of the peer's RX rings is idle.
+  void sync_wire_wake();
+  void arm_wire_wake();
+
   void on_tx_enqueue();
   /// Fetch at `at` unless a fetch is armed for then or earlier.
   void arm_fetch(core::SimTime at);
@@ -170,6 +243,8 @@ class NicPort {
   core::SimDuration serialize_step();
   /// The frame's RSS queue, read without building it.
   [[nodiscard]] std::size_t rss_queue(const pkt::Frame& f) const;
+  [[nodiscard]] std::size_t rss_queue(
+      const std::optional<pkt::FiveTuple>& tuple) const;
   /// Count an arriving frame and pass a probe's MAC time to the RX
   /// timestamp hook (building the probe); `at` is when its DMA completes.
   void count_arrival(pkt::Frame& f, core::SimTime at);
@@ -195,6 +270,25 @@ class NicPort {
   core::Counter rx_frames_;
   RxTimestampHook rx_ts_hook_;
   core::MetricSink* registry_{nullptr};
+  // Wire source state (sending side; see above).
+  /// The peer whose RX rings pull this port's wire source.
+  NicPort* wire_to_{nullptr};
+  core::SimDuration wire_ser_{0};
+  /// Fetch to arrival at the peer: serialization, propagation, RX DMA.
+  core::SimDuration wire_delay_{0};
+  /// Late-key rank (core::Simulator::late_order) of this port's fetches.
+  unsigned wire_rank_{0};
+  /// The next virtual fetch, ring::TxSource::kNever when none is due.
+  core::SimTime fetch_at_{ring::TxSource::kNever};
+  /// Virtual fetches so far, and 1 + the one whose pull reserved the
+  /// source's current order key (0: the source's start reserved it).
+  std::uint64_t fetches_{0};
+  std::uint64_t key_pulled_in_{0};
+  /// Frames emitted and not yet fetched: the TX ring's contents.
+  core::Fifo<Departure> backlog_;
+  /// The idle-consumer wake; while tx_busy_, the TX lane is armed instead,
+  /// just after the next fetch's instant, to place that wake.
+  core::EventQueue::EventId wire_wake_{core::EventQueue::kInvalidEvent};
 };
 
 }  // namespace nfvsb::hw

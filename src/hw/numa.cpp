@@ -27,12 +27,6 @@ Testbed::Testbed(core::Simulator& sim, Config cfg) {
   }
 }
 
-void Testbed::catch_up_rx() {
-  for (NumaNode& node : nodes_) {
-    for (auto& port : node.nic_ports) port->catch_up_rx();
-  }
-}
-
 CpuCore& Testbed::take_core(int n) {
   auto& idx = next_core_.at(static_cast<std::size_t>(n));
   auto& node = nodes_.at(static_cast<std::size_t>(n));

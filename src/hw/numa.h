@@ -52,9 +52,6 @@ class Testbed {
   /// Allocate the next free core on a node (asserts availability).
   [[nodiscard]] CpuCore& take_core(int n);
 
-  /// Put every frame that has arrived by now into its NIC RX ring.
-  void catch_up_rx();
-
  private:
   std::vector<NumaNode> nodes_;
   std::vector<std::unique_ptr<Cable>> cables_;

@@ -28,7 +28,6 @@ PacketHandle PacketPool::allocate() {
 }
 
 bool PacketPool::reserve() {
-  if (outstanding_ >= capacity_ && reclaim_) reclaim_();
   if (outstanding_ >= capacity_) {
     ++alloc_failures_;
     return false;

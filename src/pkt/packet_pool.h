@@ -19,13 +19,7 @@
 // its landing (pkt/frame.h), and either turns it into a buffer
 // (allocate_reserved) or gives it back. Occupancy, and so exhaustion,
 // counts reservations and buffers alike.
-//
-// A component may hold frames whose fate is already sealed but not yet
-// applied: a wire-fed ring keeps frames that have arrived but are not yet
-// put in, and some of them will overflow (ring/spsc_ring.h, lazy RX). The
-// reclaim hook lets it settle them before the pool runs out, so the
-// pool's occupancy at every allocation, and its exhaustion, are those of
-// a data path that delivered each frame at its arrival.
+
 #pragma once
 
 #include <cassert>
@@ -34,7 +28,6 @@
 #include <type_traits>
 
 #include "core/counter.h"
-#include "core/event_fn.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -64,11 +57,6 @@ class PacketPool {
     assert(outstanding_ > 0);
     --outstanding_;
   }
-
-  /// Called when reserve() finds the pool full, before it fails (see
-  /// above).
-  using Reclaim = core::SmallFn<void>;
-  void set_reclaim(Reclaim r) { reclaim_ = std::move(r); }
 
   /// Allocate and copy `src` (payload + measurement metadata). Empty
   /// handle on exhaustion.
@@ -112,7 +100,6 @@ class PacketPool {
   /// Slots [0, constructed_) hold Packets; the rest were never used.
   std::size_t constructed_{0};
   Packet* free_list_{nullptr};
-  Reclaim reclaim_;
   core::MetricSink* registry_{nullptr};
 };
 

@@ -45,10 +45,7 @@ bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
     return true;
   }
   if (q_.size() >= capacity_) {
-    ++drops_;
-    if (core::TraceSink* t = core::tracer()) {
-      t->instant(t->track("ring/" + name_), "drop", at);
-    }
+    count_drop(at);
     return false;  // the frame's destructor frees it or its reservation
   }
   const bool was_empty = q_.empty();
@@ -64,6 +61,13 @@ bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
     watcher_(was_empty);
   }
   return true;
+}
+
+void SpscRing::count_drop(core::SimTime at) {
+  ++drops_;
+  if (core::TraceSink* t = core::tracer()) {
+    t->instant(t->track("ring/" + name_), "drop", at);
+  }
 }
 
 void SpscRing::feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival) {

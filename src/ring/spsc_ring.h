@@ -34,6 +34,12 @@
 // A frame arriving at the very instant of a read counts as arrived when
 // its key is not after the reading event's (core::Simulator::reached).
 //
+// Closed-form wire. A NIC RX ring whose sender is a wire source (hw/nic.h)
+// keeps no in-flight FIFO: every read first has its Feed put in, the same
+// way, what has arrived by then (land, or count_drop for a frame that is
+// never made), and set_consumer_busy tells the feed, which keeps the
+// idle-consumer wake itself.
+//
 // Pulled TX. A guest's TX ring is fed by a paced generator in the guest
 // (feed_from_source) the same way: the source's next frame is in flight
 // to the ring, arriving at its emit time under the order key of
@@ -94,6 +100,19 @@ inline thread_local std::uint64_t ring_ops = 0;
 [[nodiscard]] inline std::uint64_t ops_on_this_thread() {
   return detail::ring_ops;
 }
+
+/// What feeds a ring from a wire in closed form (hw::NicPort's wire
+/// source, hw/nic.h): every read of the ring first has it put in the frames
+/// that have arrived by now (SpscRing::land, SpscRing::count_drop), and the
+/// ring tells it when its consumer goes busy or idle.
+class Feed {
+ public:
+  virtual void catch_up() = 0;
+  virtual void consumer_changed() = 0;
+
+ protected:
+  ~Feed() = default;
+};
 
 class SpscRing {
  public:
@@ -185,6 +204,7 @@ class SpscRing {
   /// order, or every frame the source owes by now (each read does this
   /// itself).
   void catch_up() {
+    if (feed_ != nullptr) feed_->catch_up();
     if (!in_flight_.empty() && landed(in_flight_[0])) land_arrived();
     if (source_ != nullptr) pull_source();
   }
@@ -193,10 +213,29 @@ class SpscRing {
   /// to arrive gets its event again. Rings start with an idle consumer.
   void set_consumer_busy(bool busy) {
     consumer_busy_ = busy;
+    if (feed_ != nullptr) feed_->consumer_changed();
     if (wake_ != core::EventQueue::kInvalidEvent || !in_flight_.empty() ||
         source_ != nullptr) {
       sync_wake();
     }
+  }
+  [[nodiscard]] bool consumer_busy() const { return consumer_busy_; }
+
+  /// Closed-form wire (see Feed): every read first has `f` put in what has
+  /// arrived by now. One feed per ring; nullptr detaches it.
+  void feed_from(Feed* f) { feed_ = f; }
+  /// For the feed, inside its catch_up(): whether a frame arriving now
+  /// fits, a frame that arrived at `at` put in, and one that did not fit
+  /// counted as a drop without ever being made.
+  [[nodiscard]] bool has_room() const { return q_.size() < capacity_; }
+  void land(pkt::Frame&& f, core::SimTime at) { (void)push(std::move(f), at); }
+  void count_drop(core::SimTime at);
+  /// Count enqueues, dequeues and drops that a port did in closed form
+  /// instead of through this ring (a NIC TX ring under the wire source).
+  void count_bypass(std::uint64_t enq, std::uint64_t deq, std::uint64_t drops) {
+    enqueued_ += enq;
+    dequeued_ += deq;
+    drops_ += drops;
   }
 
   /// Divert all future enqueues straight into `s` (monitor mode). The ring
@@ -208,6 +247,8 @@ class SpscRing {
   [[nodiscard]] bool has_timed_sink() const {
     return static_cast<bool>(timed_sink_);
   }
+  /// Neither kind of sink: a consumer reads the ring.
+  [[nodiscard]] bool buffered() const { return !sink_ && !timed_sink_; }
   /// Hand `p` to the timed sink as arriving at `at` (counted as one
   /// enqueue and one dequeue, like a plain sink).
   void deliver(pkt::PacketHandle p, core::SimTime at) {
@@ -257,6 +298,7 @@ class SpscRing {
   core::Counter dequeued_;
   core::Counter kicks_;
   core::MetricSink* registry_{nullptr};
+  Feed* feed_{nullptr};
   // Pulled TX state (source-fed rings only).
   TxSource* source_{nullptr};
   /// Order key of the source's next frame.

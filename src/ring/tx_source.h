@@ -10,21 +10,32 @@
 // mirrors real MoonGen, which leaves pacing to the NIC and sends from
 // pre-filled buffers (Emmerich et al., IMC 2015).
 //
-// Two readers pull sources, one source each: a NIC's TX fetch
-// (hw::NicPort) and a guest's TX ring (SpscRing::feed_from_source), which
-// every read of the ring's consumer pulls. Both decide same-instant ties by
-// one rule, order keys: each frame's order key is reserved right after the
-// frame before it was put in (the first when the source starts), where its
-// pacing event's key would have been reserved, and the frame is due once
+// Two readers pull sources, one source each: a NIC port (hw::NicPort) and
+// a guest's TX ring (SpscRing::feed_from_source), which every read of the
+// ring's consumer pulls. Both decide same-instant ties by one rule, order
+// keys: each frame's order key is reserved right after the frame before it
+// was put in (the first when the source starts), where its pacing event's
+// key would have been reserved, and the frame is due once
 // core::Simulator::reached(emit time, key) holds. A source may enqueue
 // built packets or unbuilt frames (pkt::Frame, SpscRing::enqueue); MoonGen
 // enqueues unbuilt ones, so a frame the ring or the far end drops is never
 // built.
+//
+// On a NIC port whose far end is a lazily read RX ring, the port composes
+// the source with its departure law into one wire source (hw/nic.h): the
+// source's frames then go to the port (NicPort::wire_accept) as bare
+// sequence numbers, and recipe() and pool() build the ones that land.
+// Sources without a recipe always go through the TX ring.
 #pragma once
 
 #include <limits>
 
 #include "core/time.h"
+
+namespace nfvsb::pkt {
+class FrameRecipe;
+class PacketPool;
+}  // namespace nfvsb::pkt
 
 namespace nfvsb::ring {
 
@@ -40,6 +51,14 @@ class TxSource {
   /// Enqueue the next frame, stamped with next_emit(); the reader calls it
   /// only once that frame is due.
   virtual void emit_next() = 0;
+
+  /// How the source's frames are built from their sequence numbers, and
+  /// the pool they are built in. A source without them (nullptr) always
+  /// goes through its port's TX ring.
+  [[nodiscard]] virtual const pkt::FrameRecipe* recipe() const {
+    return nullptr;
+  }
+  [[nodiscard]] virtual pkt::PacketPool* pool() { return nullptr; }
 
  protected:
   ~TxSource() = default;

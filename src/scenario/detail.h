@@ -46,9 +46,6 @@ struct Env {
     if (registry && cfg.queue_sample_period > 0) {
       sampler.emplace(sim, *registry, cfg.queue_sample_period, t_stop(cfg));
     }
-    // Frames that overflowed a lazily read NIC RX ring go back to the pool
-    // before it grows or runs dry.
-    pool.set_reclaim([this] { testbed.catch_up_rx(); });
   }
 
   static std::unique_ptr<obs::Registry> make_registry(
@@ -105,6 +102,9 @@ struct Env {
     if (cfg.sut_workers > 1) {
       tc.nic.num_queues = static_cast<std::size_t>(cfg.sut_workers);
     }
+    // The queue sampler reads the generators' TX rings as one fetch per
+    // frame fills them (hw/nic.h); traced runs take that path too.
+    tc.nic.wire_source = cfg.queue_sample_period <= 0;
     return tc;
   }
 

@@ -255,6 +255,7 @@ ScenarioResult run(const ScenarioConfig& cfg, Env& env, const Topology& topo) {
   for (std::size_t i = 0; i < dirs.size(); ++i) {
     r.offered_packets += gens[i]->tx_sent();
     r.gen_tx_failures += gens[i]->tx_failed();
+    r.gen_pool_exhausted += gens[i]->pool_exhausted();
     const Endpoint& to = dirs[i].to;
     r.delivered_packets += to.nic != nullptr ? to.nic->rx_frames()
                                              : to.guest->in().enqueued();

@@ -129,6 +129,9 @@ struct ScenarioResult {
   std::uint64_t offered_packets{0};    ///< generator frames onto the wire
   std::uint64_t delivered_packets{0};  ///< frames at the terminal monitors
   std::uint64_t gen_tx_failures{0};    ///< generator-side TX ring drops
+  /// Generator frames never sent because the packet pool was dry (not in
+  /// offered_packets). Serialized only when nonzero.
+  std::uint64_t gen_pool_exhausted{0};
   /// Always 0: every run drains before it accounts, so no frame is left
   /// in a ring. Kept only because perfbench's result digest reads it; it
   /// goes at the next benchmark change.

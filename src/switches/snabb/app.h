@@ -8,7 +8,6 @@
 // extra overhead", Sec. 5.2) and latency (Table 4 discussion).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,24 +69,6 @@ class VhostUserApp final : public App {
 
  private:
   std::size_t port_index_;
-};
-
-/// basic_apps.Statistics-style counter app.
-class StatisticsApp final : public App {
- public:
-  explicit StatisticsApp(std::string name)
-      : App(std::move(name), "basic_apps.Statistics", 10, 2.0) {}
-  double process(Batch& batch) override {
-    packets_ += batch.size();
-    for (const auto& p : batch) bytes_ += p->size();
-    return 0.0;
-  }
-  [[nodiscard]] std::uint64_t packets() const { return packets_; }
-  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-
- private:
-  std::uint64_t packets_{0};
-  std::uint64_t bytes_{0};
 };
 
 }  // namespace nfvsb::switches::snabb

@@ -72,11 +72,4 @@ std::string AppEngine::report() const {
   return out;
 }
 
-const LinkSpec* AppEngine::out_link(const std::string& app_name) const {
-  for (const auto& l : links_) {
-    if (l.from_app == app_name) return &l;
-  }
-  return nullptr;
-}
-
 }  // namespace nfvsb::switches::snabb

@@ -39,9 +39,6 @@ class AppEngine {
   [[nodiscard]] const std::vector<LinkSpec>& links() const { return links_; }
   [[nodiscard]] std::size_t app_count() const { return apps_.size(); }
 
-  /// The single outgoing link of `app_name`, if any.
-  [[nodiscard]] const LinkSpec* out_link(const std::string& app_name) const;
-
   static LinkSpec parse_link(const std::string& spec);
 
   /// Render the app network like `snabb top`'s configuration view.

@@ -86,14 +86,9 @@ void SnabbSwitch::commit() {
 
   const auto dest_after = [&](App& a) -> std::size_t {
     // Where a batch goes after app `a` processed it on the egress half:
-    // its external port if bound, else its outgoing link.
+    // its external port (every app wire() makes binds one).
     const std::size_t ext = external_port_of(a);
     if (ext < num_ports()) return ext;
-    if (const LinkSpec* out = engine_.out_link(a.name())) {
-      for (std::size_t i = 0; i < engine_.links().size(); ++i) {
-        if (&engine_.links()[i] == out) return link_port_idx[i];
-      }
-    }
     throw std::logic_error("snabb: app has no egress: " + a.name());
   };
 

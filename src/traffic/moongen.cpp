@@ -80,9 +80,12 @@ void MoonGen::emit_next() {
 }
 
 void MoonGen::emit_one(core::SimTime at) {
-  // Every frame takes a pool reservation, and a plain one stays unbuilt
-  // until something reads it (pkt/frame.h); the rest are built now.
-  if (!pool_.reserve()) {
+  // A frame takes a pool reservation now, and a plain one stays unbuilt
+  // until something reads it (pkt/frame.h); the rest are built now. On a
+  // NIC's wire source a plain frame takes nothing until it lands.
+  const bool probe = cfg_.probe_interval > 0 && at >= next_probe_at_;
+  const bool wire = tx_nic_ != nullptr && tx_nic_->wired();
+  if ((!wire || probe) && !pool_.reserve()) {
     ++pool_exhausted_;
     return;
   }
@@ -91,27 +94,31 @@ void MoonGen::emit_one(core::SimTime at) {
   if (core::TraceSink* t = core::tracer()) {
     if (t->sample_hit(seq_)) meta.trace_id = t->next_packet_id();
   }
-  if (cfg_.probe_interval > 0 && at >= next_probe_at_) {
+  if (probe) {
     meta.probe_id = ++probe_seq_;
     next_probe_at_ = at + cfg_.probe_interval;
     if (cfg_.software_timestamps) meta.sw_timestamp = at;
   }
-  bool sent;
-  if (meta.probe_id == 0 && meta.trace_id == 0) {
-    sent = send(pkt::Frame(recipe_, pool_, meta.seq));
-  } else {
-    pkt::PacketHandle p = pool_.allocate_reserved();
-    recipe_.build(*p, meta);
-    sent = send(std::move(p));
+  pkt::PacketHandle built;
+  if (meta.probe_id != 0 || meta.trace_id != 0) {
+    // The wire source runs untraced, so a traced frame holds a reservation.
+    assert(!wire || meta.probe_id != 0);
+    built = pool_.allocate_reserved();
+    recipe_.build(*built, meta);
   }
-  if (sent) {
+  if (send(meta.seq, std::move(built))) {
     ++tx_sent_;
   } else {
     ++tx_failed_;
   }
 }
 
-bool MoonGen::send(pkt::Frame&& f) {
+bool MoonGen::send(std::uint64_t seq, pkt::PacketHandle built) {
+  if (tx_nic_ != nullptr && tx_nic_->wired()) {
+    return tx_nic_->wire_accept(seq, std::move(built));
+  }
+  pkt::Frame f = built ? pkt::Frame(std::move(built))
+                       : pkt::Frame(recipe_, pool_, seq);
   return tx_nic_ != nullptr ? tx_nic_->tx_ring().enqueue(std::move(f))
                             : tx_guest_->tx(std::move(f));
 }

@@ -26,7 +26,11 @@
 // generator is a ring::TxSource, and its reader pulls every frame due by
 // then (emit_next), each stamped with its own emit time. On a NIC the
 // reader is the NIC's TX fetch, as the real MoonGen leaves pacing to the
-// NIC's rate control; on a guest port it is the guest's TX ring
+// NIC's rate control, or, when the NIC faces a SUT port, the NIC's wire
+// source, which the SUT's reads pull (hw/nic.h): a plain frame then goes
+// out as its sequence number and takes a pool buffer only when it lands,
+// and tx_sent() and the other counts read the NIC first, which brings the
+// source up to date. On a guest port the reader is the guest's TX ring
 // (SpscRing::feed_from_source), read by the switch that serves it, which
 // an event wakes at each emit only while that switch is idle. Frames are
 // enqueued unbuilt (pkt::Frame) and built where they are first read, so
@@ -100,6 +104,10 @@ class MoonGen final : public ring::TxSource {
   // --- ring::TxSource --------------------------------------------------------
   [[nodiscard]] core::SimTime next_emit() const override;
   void emit_next() override;
+  [[nodiscard]] const pkt::FrameRecipe* recipe() const override {
+    return &recipe_;
+  }
+  [[nodiscard]] pkt::PacketPool* pool() override { return &pool_; }
 
   // --- RX ----------------------------------------------------------------
   /// Monitor a physical NIC port (throughput + HW-timestamped probes).
@@ -115,16 +123,29 @@ class MoonGen final : public ring::TxSource {
   [[nodiscard]] const stats::LatencyRecorder& latency() const {
     return latency_;
   }
-  [[nodiscard]] std::uint64_t tx_sent() const { return tx_sent_; }
-  [[nodiscard]] std::uint64_t tx_failed() const { return tx_failed_; }
+  // A NIC's wire source emits as its peer reads, so these read the NIC's
+  // TX ring first, which brings it up to date.
+  [[nodiscard]] std::uint64_t tx_sent() const {
+    sync_tx();
+    return tx_sent_;
+  }
+  [[nodiscard]] std::uint64_t tx_failed() const {
+    sync_tx();
+    return tx_failed_;
+  }
   [[nodiscard]] std::uint64_t pool_exhausted() const {
+    sync_tx();
     return pool_exhausted_;
   }
 
  private:
+  void sync_tx() const {
+    if (tx_nic_ != nullptr) tx_nic_->tx_ring().catch_up();
+  }
   void emit_one(core::SimTime at);
-  /// Enqueue `f` into the NIC's or the guest port's TX ring.
-  bool send(pkt::Frame&& f);
+  /// Send frame `seq` (`built` when it is built already) into the NIC's or
+  /// the guest port's TX ring, or to the NIC's wire source.
+  bool send(std::uint64_t seq, pkt::PacketHandle built);
   /// Next inter-packet gap. Mutates pace_frac_: the exact gap_ps_ is
   /// rarely an integer picosecond count, and the fractional remainder is
   /// carried to the next frame so the long-run rate matches it exactly

@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "scenario/scenario.h"
+#include "switches/switch_base.h"
 
 namespace nfvsb::scenario {
 namespace {
@@ -89,6 +90,49 @@ TEST_P(Conservation, EveryRingDrainsBeforeAccounting) {
     through += n;
   }
   EXPECT_GT(through, 0u);
+}
+
+std::uint64_t counter(const ScenarioResult& r, std::string_view path) {
+  for (const auto& [p, v] : r.counters) {
+    if (p == path) return v;
+  }
+  return 0;
+}
+
+// A dry packet pool is counted, not silent. Sixteen RSS queues of 4096
+// descriptors on each of two SUT ports hold 131,072 frames, against 65,536
+// pool buffers, so a switch slowed far below line rate lets the RX rings
+// run the pool dry. Every frame the pacing law owes is then either sent
+// or counted as lost to the pool at the generator, and the ledger still
+// balances.
+TEST(Conservation, DryPoolLossesAreCountedAndTheLedgerBalances) {
+  ScenarioConfig cfg;
+  cfg.kind = Kind::kP2p;
+  cfg.sut = switches::SwitchType::kBess;
+  cfg.bidirectional = true;
+  cfg.sut_workers = 16;
+  cfg.nic_ring_depth = 4096;
+  cfg.num_flows = 1024;  // spread the frames over every RSS queue
+  cfg.warmup = core::from_us(100);
+  cfg.measure = core::from_ms(5);
+  cfg.observe = true;
+  const ScenarioResult owed = run_scenario(cfg);
+  ASSERT_FALSE(owed.skipped.has_value());
+  ASSERT_EQ(counter(owed, "pool/alloc_failures"), 0u);
+  ASSERT_EQ(owed.gen_pool_exhausted, 0u);
+
+  cfg.tune_sut = [](switches::SwitchBase& sw) {
+    sw.mutable_cost_model().pipeline_ns += 20'000;  // 50 kpps per worker
+  };
+  const ScenarioResult dry = run_scenario(cfg);
+  ASSERT_FALSE(dry.skipped.has_value());
+  EXPECT_GT(counter(dry, "pool/alloc_failures"), 0u);
+  EXPECT_EQ(dry.offered_packets + dry.gen_tx_failures + dry.gen_pool_exhausted,
+            owed.offered_packets + owed.gen_tx_failures);
+  EXPECT_EQ(dry.offered_packets, dry.accounted_packets())
+      << "delivered=" << dry.delivered_packets
+      << " imissed=" << dry.nic_imissed << " sut_wasted=" << dry.sut_wasted_work
+      << " sut_discards=" << dry.sut_discards;
 }
 
 std::vector<Combo> combos() {

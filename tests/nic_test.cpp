@@ -22,6 +22,7 @@
 #include "pkt/packet_pool.h"
 #include "ring/tx_source.h"
 #include "stats/histogram.h"
+#include "traffic/moongen.h"
 
 namespace nfvsb::hw {
 namespace {
@@ -581,6 +582,99 @@ TEST(NicLifetime, DestroyedWithFetchPendingStopsItsFetch) {
   sim.run();
   EXPECT_EQ(sim.lanes_fired(), 1u);
   EXPECT_EQ(next.tx_frames(), 1u);
+}
+
+// ---- the one tie rule for a generator's frames on the wire ----------------
+// A MoonGen frame emitted at 0 on a, 1 Mpps, is fetched at F = 50 ns (the
+// idle wire's DMA fetch) and lands in b's RX ring at
+// A = F + 67.2 + 5 + 100 ns. A read at exactly A sees it when the reading
+// event's order key was reserved after the fetch's instant, and not when
+// it was reserved before it or at it (events that ran at F before the
+// fetch, as every one the figures produce does). A time-only rule
+// (at <= now) lets the first two see it; the third guards the strict one
+// (at < now).
+
+constexpr core::SimTime kTieFetch = core::from_ns(50);
+constexpr core::SimTime kTieArrival = core::from_ns(50 + 67.2 + 5 + 100);
+
+traffic::MoonGen::Config paced_1mpps() {
+  traffic::MoonGen::Config c;
+  c.rate_pps = 1e6;
+  return c;
+}
+
+/// What a read of b's busy RX ring at A sees, by an event that an event at
+/// `posted_at` posts (one at 0 is posted before the generator starts).
+std::size_t rx_depth_read_at_arrival(core::Simulator& sim,
+                                     pkt::PacketPool& pool, NicPort& a,
+                                     NicPort& b, core::SimTime posted_at) {
+  b.rx_ring().set_consumer_busy(true);  // no wake at A: only the read
+  std::size_t seen = 99;
+  sim.post_at(posted_at, [&] {
+    sim.post_at(kTieArrival, [&] { seen = b.rx_ring().size(); });
+  });
+  traffic::MoonGen gen(sim, pool, paced_1mpps());
+  gen.attach_tx_nic(a);
+  gen.start_tx(0, 1);
+  sim.run();
+  EXPECT_EQ(b.rx_frames(), 1u);
+  EXPECT_EQ(a.tx_frames(), 1u);
+  drain(b.rx_ring());
+  return seen;
+}
+
+TEST_F(NicTest, ReadKeyedBeforeTheFetchInstantDoesNotSeeTheFrame) {
+  EXPECT_EQ(rx_depth_read_at_arrival(sim_, pool_, a_, b_, 0), 0u);
+}
+
+TEST_F(NicTest, ReadKeyedAtTheFetchInstantDoesNotSeeTheFrame) {
+  EXPECT_EQ(rx_depth_read_at_arrival(sim_, pool_, a_, b_, kTieFetch),
+            0u);
+}
+
+TEST_F(NicTest, ReadKeyedAfterTheFetchInstantSeesTheFrame) {
+  EXPECT_EQ(
+      rx_depth_read_at_arrival(sim_, pool_, a_, b_, kTieFetch + 1), 1u);
+}
+
+// Both directions of a bidirectional pair emit in lockstep, so their frames
+// land at one picosecond, each by its idle consumer's wake. The direction
+// started first comes first: its wake finds the other ring still empty,
+// and the second wake finds the first frame in. An event keyed before the
+// fetches' instant reads at A before either wake; one keyed after it reads
+// after both.
+TEST_F(NicTest, BidiWakesAtOneArrivalInstantKeepTheirOrder) {
+  NicPort g0(sim_, "g0", cfg());
+  NicPort s0(sim_, "s0", cfg());
+  Cable c0(sim_, g0, s0);
+  NicPort g1(sim_, "g1", cfg());
+  NicPort s1(sim_, "s1", cfg());
+  Cable c1(sim_, g1, s1);
+  std::vector<std::string> log;
+  auto note = [&](const std::string& who) {
+    log.push_back(who + "@" + std::to_string(sim_.now()) + " s0=" +
+                  std::to_string(s0.rx_ring().size()) + " s1=" +
+                  std::to_string(s1.rx_ring().size()));
+  };
+  s0.rx_ring().set_watcher([&](bool) { note("wake0"); });
+  s1.rx_ring().set_watcher([&](bool) { note("wake1"); });
+  sim_.post_at(kTieArrival, [&] { note("early"); });
+  sim_.post_at(kTieFetch + 1,
+               [&] { sim_.post_at(kTieArrival, [&] { note("late"); }); });
+  traffic::MoonGen gen0(sim_, pool_, paced_1mpps());
+  gen0.attach_tx_nic(g0);
+  traffic::MoonGen gen1(sim_, pool_, paced_1mpps());
+  gen1.attach_tx_nic(g1);
+  gen0.start_tx(0, 1);
+  gen1.start_tx(0, 1);
+  sim_.run();
+  const std::string at = "@" + std::to_string(kTieArrival);
+  const std::vector<std::string> want = {
+      "early" + at + " s0=0 s1=0", "wake0" + at + " s0=1 s1=0",
+      "wake1" + at + " s0=1 s1=1", "late" + at + " s0=1 s1=1"};
+  EXPECT_EQ(log, want);
+  drain(s0.rx_ring());
+  drain(s1.rx_ring());
 }
 
 }  // namespace

@@ -242,25 +242,6 @@ TEST(PacketPool, ReservationsCountAsOccupancy) {
   EXPECT_EQ(pool.outstanding(), 0u);
 }
 
-TEST(PacketPool, FullPoolReclaimsBeforeReservingOrFailing) {
-  PacketPool pool(1);
-  bool reserved = pool.reserve();
-  ASSERT_TRUE(reserved);
-  int reclaims = 0;
-  pool.set_reclaim([&] {
-    ++reclaims;
-    if (reserved) {
-      pool.release_reservation();
-      reserved = false;
-    }
-  });
-  EXPECT_TRUE(pool.reserve());
-  EXPECT_EQ(reclaims, 1);
-  EXPECT_FALSE(pool.reserve());
-  EXPECT_EQ(reclaims, 2);
-  pool.release_reservation();
-}
-
 FrameSpec multi_flow_spec() {
   FrameSpec spec;
   spec.frame_bytes = 128;

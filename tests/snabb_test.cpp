@@ -36,16 +36,6 @@ TEST(AppEngine, RejectsUnknownAppsAndDuplicates) {
                std::invalid_argument);
 }
 
-TEST(AppEngine, OutLinkLookup) {
-  AppEngine e;
-  e.app(std::make_unique<Intel82599App>("nic1", 0));
-  e.app(std::make_unique<Intel82599App>("nic2", 1));
-  e.link("nic1.tx -> nic2.rx");
-  ASSERT_NE(e.out_link("nic1"), nullptr);
-  EXPECT_EQ(e.out_link("nic1")->to_app, "nic2");
-  EXPECT_EQ(e.out_link("nic2"), nullptr);
-}
-
 TEST(LuaJit, WarmupDecaysToSteady) {
   LuaJitModel jit(LuaJitModel::Params{.warmup_multiplier = 10.0,
                                       .warmup_breaths = 100});
