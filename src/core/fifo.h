@@ -34,15 +34,19 @@ class Fifo {
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
   void push_back(T&& v) {
-    if (size_ == cap_) grow();
+    if (size_ == cap_) grow(cap_ == 0 ? kMinCapacity : cap_ * 2);
     buf_[(head_ + size_) & (cap_ - 1)] = std::move(v);
     ++size_;
   }
   void push_back(const T& v) { push_back(T(v)); }
 
-  /// Take the first allocation now instead of at the first push.
-  void reserve_first() {
-    if (cap_ == 0) grow();
+  /// Allocate room for `n` elements now, rounded up to a power of two,
+  /// instead of growing to it on later pushes.
+  void reserve(std::size_t n) {
+    if (cap_ >= n) return;
+    std::size_t cap = cap_ == 0 ? kMinCapacity : cap_;
+    while (cap < n) cap *= 2;
+    grow(cap);
   }
 
   /// Remove and return the oldest element. The FIFO must not be empty.
@@ -59,10 +63,13 @@ class Fifo {
     assert(i < size_);
     return buf_[(head_ + i) & (cap_ - 1)];
   }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    assert(i < size_);
+    return buf_[(head_ + i) & (cap_ - 1)];
+  }
 
  private:
-  void grow() {
-    const std::size_t next = cap_ == 0 ? kMinCapacity : cap_ * 2;
+  void grow(std::size_t next) {
     auto bigger = std::make_unique<T[]>(next);
     for (std::size_t i = 0; i < size_; ++i) {
       bigger[i] = std::move(buf_[(head_ + i) & (cap_ - 1)]);

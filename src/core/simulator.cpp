@@ -117,27 +117,21 @@ void Simulator::find_next_lane() {
 
 unsigned Simulator::add_late_producer(SimDuration horizon) {
   assert(horizon >= 0);
+  // Rank r's keys sit r + 1 above a reserved one, below the next.
+  if (late_producers_ + 1 >= EventQueue::kKeyStride) {
+    throw std::logic_error("simulator: no late-key rank left");
+  }
   if (horizon > late_horizon_) late_horizon_ = horizon;
-  assert(late_producers_ + 1 < EventQueue::kKeyStride && "too many ranks");
+  instants_.reserve(kInstantsReserved);
   return late_producers_++;
 }
 
 void Simulator::note_instant(SimTime t) {
-  if (instants_size_ == instants_cap_) {
-    auto bigger = std::make_unique<Instant[]>(instants_cap_ * 2);
-    for (std::size_t i = 0; i < instants_size_; ++i) bigger[i] = instant(i);
-    instants_heap_ = std::move(bigger);
-    instants_ = instants_heap_.get();
-    instants_cap_ *= 2;
-    instants_head_ = 0;
-  }
-  instants_[(instants_head_ + instants_size_++) & (instants_cap_ - 1)] =
-      Instant{now_, events_.next_seq()};
+  instants_.push_back(Instant{now_, events_.next_seq()});
   // Keep the last instant at or before the horizon's start: it answers
   // every query from there on.
-  while (instants_size_ > 1 && instant(1).at <= t - late_horizon_) {
-    instants_head_ = (instants_head_ + 1) & (instants_cap_ - 1);
-    --instants_size_;
+  while (instants_.size() > 1 && instants_[1].at <= t - late_horizon_) {
+    (void)instants_.pop_front();
   }
 }
 
@@ -146,17 +140,21 @@ std::uint64_t Simulator::late_order(SimTime t, unsigned rank) const {
   // The last instant the clock stood at no later than t: keys reserved at
   // or before t are those taken by the time it left that instant.
   std::size_t lo = 0;
-  std::size_t hi = instants_size_;
+  std::size_t hi = instants_.size();
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    if (instant(mid).at <= t) {
+    if (instants_[mid].at <= t) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
+  // note_instant keeps the last instant at or before now - horizon, and a
+  // producer asks only about a frame it sent at most its horizon ago (its
+  // fetch, whose arrival is at most the horizon later, is not yet past):
+  // so that instant is at or before t.
   assert(lo > 0 && "late key beyond the kept horizon");
-  return instant(lo - 1).next_key - EventQueue::kKeyStride + 1 + rank;
+  return instants_[lo - 1].next_key - EventQueue::kKeyStride + 1 + rank;
 }
 
 void Simulator::schedule_every(SimDuration first_delay, SimDuration period,

@@ -32,6 +32,7 @@
 
 #include "core/event_fn.h"
 #include "core/event_queue.h"
+#include "core/fifo.h"
 #include "core/rng.h"
 #include "core/time.h"
 
@@ -109,7 +110,8 @@ class Simulator {
   // instant the clock leaves, the next key, over the longest horizon asked
   // for.
 
-  /// Keep the instants of the last `horizon` and take the next rank.
+  /// Keep the instants of the last `horizon` and take the next rank. A
+  /// simulator has kKeyStride - 1 ranks (std::logic_error beyond that).
   [[nodiscard]] unsigned add_late_producer(SimDuration horizon);
   /// The key of rank `rank`'s work at the end of instant `t`, which must be
   /// past (t < now()) by at most the horizon.
@@ -208,18 +210,10 @@ class Simulator {
   /// first key taken after the last run returned (0 before the first).
   std::uint64_t running_order_{0};
   /// Instants the clock left, oldest first, back to late_horizon_ (-1:
-  /// none kept): a ring over instants_inline_ (enough for every scenario
-  /// measured) that moves to the heap only if it outgrows it.
-  static constexpr std::size_t kInlineInstants = 256;
-  std::array<Instant, kInlineInstants> instants_inline_;  // left unset
-  std::unique_ptr<Instant[]> instants_heap_;
-  Instant* instants_{instants_inline_.data()};
-  std::size_t instants_cap_{kInlineInstants};
-  std::size_t instants_head_{0};
-  std::size_t instants_size_{0};
-  [[nodiscard]] const Instant& instant(std::size_t i) const {
-    return instants_[(instants_head_ + i) & (instants_cap_ - 1)];
-  }
+  /// none kept). The first late producer allocates room for
+  /// kInstantsReserved, which every scenario measured stays within.
+  static constexpr std::size_t kInstantsReserved = 256;
+  Fifo<Instant> instants_;
   SimDuration late_horizon_{-1};
   unsigned late_producers_{0};
   /// schedule_every() callbacks, address-stable for their re-posts.

@@ -195,7 +195,11 @@ void NicPort::deliver_from_wire(pkt::Frame&& f, core::SimDuration delay) {
   const core::SimTime at = sim_.now() + delay + cfg_.dma_rx_latency;
   if (ring.has_timed_sink()) {
     count_arrival(f, at);
-    ring.deliver(f.take(), at);
+    if (f.reserve()) {
+      ring.deliver(f.take(), at);
+    } else {
+      ring.count_drop(at);  // no buffer to DMA it into
+    }
     return;
   }
   ring.arrive(std::move(f), at);  // counted when it lands; overflow => imissed
@@ -210,8 +214,10 @@ void NicPort::count_arrival(pkt::Frame& f, core::SimTime at) {
 }
 
 bool NicPort::start_wire() {
-  if (!cfg_.wire_source || cable_ == nullptr || core::tracer() != nullptr ||
-      tx_source_->recipe() == nullptr) {
+  // What keeps one fetch per frame (see nic.h).
+  if (core::tracer() != nullptr ||
+      (registry_ != nullptr && registry_->depths_sampled()) ||
+      cable_ == nullptr || tx_source_->recipe() == nullptr) {
     return false;
   }
   NicPort& to = cable_->peer(*this);
@@ -222,7 +228,7 @@ bool NicPort::start_wire() {
   // Allocated at start, not at the first emit mid-run, where this small
   // block outlives the run's transient ones and pinned heap: perfbench's
   // latency_paced peak RSS read 5% above the parent's with it there.
-  backlog_.reserve_first();
+  backlog_.reserve(core::Fifo<Departure>::kMinCapacity);
   wire_ser_ = cfg_.rate.serialization_time(
       tx_source_->recipe()->frame_bytes());
   wire_delay_ = wire_ser_ + cable_->propagation() + to.cfg_.dma_rx_latency;
@@ -335,8 +341,14 @@ void NicPort::land(Departure&& d, core::SimTime at, ring::TxSource& src) {
   }
 }
 
+void NicPort::land_eagerly() {
+  eager_ = true;
+  for (auto& r : rx_rings_) r->land_eagerly();
+  if (wired()) sync_wire_wake();
+}
+
 void NicPort::sync_wire_wake() {
-  bool idle = false;
+  bool idle = eager_;
   for (const auto& r : wire_to_->rx_rings_) idle = idle || !r->consumer_busy();
   const bool wanted = idle && fetch_at_ != ring::TxSource::kNever;
   const bool armed =
@@ -363,8 +375,14 @@ void NicPort::arm_wire_wake() {
     sim_.arm_lane(tx_lane_, fetch_at_ + 1);
     return;
   }
+  // A frame that has arrived already (the port has just turned eager in
+  // the middle of a pool operation) is put in by an event right after it.
+  const core::SimTime at = fetch_at_ + wire_delay_;
+  const bool arrived = sim_.reached_late(at, fetch_at_, wire_rank_);
   wire_wake_ = sim_.schedule_reserved(
-      fetch_at_ + wire_delay_, sim_.late_order(fetch_at_, wire_rank_), [this] {
+      arrived ? sim_.now() : at,
+      arrived ? sim_.reserve_order() : sim_.late_order(fetch_at_, wire_rank_),
+      [this] {
         wire_wake_ = core::EventQueue::kInvalidEvent;
         catch_up();
       });

@@ -56,9 +56,22 @@
 // they started. While a consumer of the peer's rings is idle, one event is
 // kept at the next frame's arrival under that key; when its fetch's
 // instant is not past yet, the TX lane fires once just after it to place
-// that event. Runs that sample queue depths or trace packets, sources
-// without a recipe and peers with sinks keep one fetch per frame
-// (Config::wire_source).
+// that event.
+//
+// start_wire decides, when the source starts, from what observes the
+// port. Three things keep one fetch per frame: a packet tracer (trace ids
+// are handed out in emit order across generators, and each traced frame
+// has its wire and ring events), a queue sampler (it reads this port's TX
+// ring depth at instants that may tie with a fetch, and a lane firing
+// settles such a tie by its own order key, which the closed form does not
+// have), and a source without a recipe or a peer with a sink. Observing a
+// run changes none of its results. On both paths a plain generator frame
+// takes its pool buffer only where it lands (pkt/frame.h), so a dry pool
+// drops it as imissed either way; but a landing takes its buffer at the
+// first read after the arrival, and the two paths read at different
+// instants (a sampler's reads land frames too), so once the pool runs dry
+// a few landings see a different pool, and the counts of what was lost
+// there differ by a fraction of a percent.
 //
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
@@ -110,12 +123,6 @@ class NicPort : private ring::Feed {
     /// behind it, its fetch pipelined away; one enqueued on an idle wire
     /// pays this latency again.
     core::SimDuration dma_tx_latency{core::from_ns(1000)};
-    /// A TX source's frames reach a peer whose RX rings a consumer reads
-    /// through the wire source (see above). False sends each frame on a TX
-    /// fetch of its own: runs that sample queue depths or trace packets
-    /// do, so that their TX-ring depths and trace events stay those of one
-    /// fetch per frame.
-    bool wire_source{true};
   };
 
   /// Takes one of `sim`'s lanes for the TX fetch, so a simulator holds
@@ -149,6 +156,11 @@ class NicPort : private ring::Feed {
   /// Put every frame that has arrived by now into its RX ring (reads of
   /// the rings do this themselves; see ring/spsc_ring.h, lazy RX).
   void catch_up_rx();
+  /// From now on land every frame at its arrival, by an event of its own,
+  /// in this port's RX rings and through the wire source it sends: the
+  /// packet pool is near dry (pkt/packet_pool.h). Safe to call from inside
+  /// a landing: it only arms events.
+  void land_eagerly();
 
   /// RX frames dropped because an RX ring was full (ixgbe imissed). This
   /// and rx_frames() read the RX rings, which first put in the frames
@@ -170,8 +182,9 @@ class NicPort : private ring::Feed {
   /// `dma_rx_latency` later, at arrival time `at`. Arrival counts the
   /// frame, runs the RX timestamp hook and puts it on its RSS queue's RX
   /// ring (overflow counts as imissed). A ring with a timed sink gets it
-  /// now, built, passed `at`; any other ring gets it in flight
-  /// (SpscRing::arrive) and arrival happens at the first read after `at`.
+  /// now, built, passed `at` (or counts it dropped when the pool has no
+  /// buffer for it); any other ring gets it in flight (SpscRing::arrive)
+  /// and arrival happens at the first read after `at`.
   void deliver_from_wire(pkt::Frame&& f, core::SimDuration delay);
 
   /// Pull frames from `s` at every TX fetch (see ring/tx_source.h). A
@@ -289,6 +302,8 @@ class NicPort : private ring::Feed {
   /// The idle-consumer wake; while tx_busy_, the TX lane is armed instead,
   /// just after the next fetch's instant, to place that wake.
   core::EventQueue::EventId wire_wake_{core::EventQueue::kInvalidEvent};
+  /// land_eagerly() was called: the wake is kept for every frame.
+  bool eager_{false};
 };
 
 }  // namespace nfvsb::hw

@@ -27,6 +27,24 @@ Testbed::Testbed(core::Simulator& sim, Config cfg) {
   }
 }
 
+std::size_t Testbed::rx_descriptors() {
+  std::size_t n = 0;
+  for (auto& node : nodes_) {
+    for (auto& port : node.nic_ports) {
+      for (std::size_t q = 0; q < port->num_queues(); ++q) {
+        n += port->rx_ring(q).capacity();
+      }
+    }
+  }
+  return n;
+}
+
+void Testbed::land_eagerly() {
+  for (auto& node : nodes_) {
+    for (auto& port : node.nic_ports) port->land_eagerly();
+  }
+}
+
 CpuCore& Testbed::take_core(int n) {
   auto& idx = next_core_.at(static_cast<std::size_t>(n));
   auto& node = nodes_.at(static_cast<std::size_t>(n));

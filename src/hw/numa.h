@@ -52,6 +52,13 @@ class Testbed {
   /// Allocate the next free core on a node (asserts availability).
   [[nodiscard]] CpuCore& take_core(int n);
 
+  /// RX descriptors over every port: at most this many frames can wait in
+  /// flight for a lazy landing to take their buffers.
+  [[nodiscard]] std::size_t rx_descriptors();
+  /// Every port lands each frame at its arrival from now on
+  /// (NicPort::land_eagerly).
+  void land_eagerly();
+
  private:
   std::vector<NumaNode> nodes_;
   std::vector<std::unique_ptr<Cable>> cables_;

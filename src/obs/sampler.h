@@ -31,7 +31,8 @@ class QueueSampler {
  public:
   /// Samples every `period` starting at t=period, self-stopping after
   /// `stop_at` (so a draining simulator terminates).
-  QueueSampler(core::Simulator& sim, const Registry& reg,
+  /// Marks `reg` as sampled (Registry::depths_sampled).
+  QueueSampler(core::Simulator& sim, Registry& reg,
                core::SimDuration period, core::SimTime stop_at);
 
   QueueSampler(const QueueSampler&) = delete;

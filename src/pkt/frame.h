@@ -6,17 +6,23 @@
 // paced generator knows everything about a frame when it emits it: its
 // bytes follow from its sequence number and the generator's FrameRecipe.
 // So a plain generator frame travels from emit to landing as a descriptor:
-// its sequence number, its recipe and a reservation of one pool buffer
-// (PacketPool::reserve), not the buffer. It is built (allocate +
-// FrameTemplate::stamp) where its bytes are first needed: when it fits into
-// a lazily read RX ring (the NIC DMAs it), or reaches a timed sink
-// (ring/spsc_ring.h). One that overflows is counted and never built. The
-// reservation counts in the pool's occupancy from emit to landing, as the
-// buffer did, so pool
-// exhaustion, and every result, stay as they were. Probes and traced
-// frames, one in hundreds, carry more fields and are built at emit.
+// its sequence number, its recipe and the pool it is built in, not a
+// buffer. It is built (allocate + FrameTemplate::stamp) where its bytes are
+// first needed: when it fits into a lazily read RX ring (the NIC DMAs it),
+// or reaches a timed sink (ring/spsc_ring.h). One that overflows is counted
+// and never built.
+//
+// Which pool buffer it holds on the way depends on where it goes. A frame
+// a guest sends takes a reservation of one buffer at emit (the guest's
+// vring holds it), and the reservation counts in the pool's occupancy
+// until the frame is built or dropped. A frame a generator sends over a
+// NIC comes from another machine: it holds nothing until it lands, where
+// reserve() takes the buffer the receiving NIC DMAs it into, and a pool
+// with none left drops it as imissed. Probes carry more fields and are
+// built at emit; traced frames keep only their trace id unbuilt.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -75,7 +81,17 @@ class Frame {
   /// over one reservation of `pool`, which the frame either builds into or
   /// gives back when it dies. `recipe` must outlive any build.
   Frame(const FrameRecipe& recipe, PacketPool& pool, std::uint64_t seq)
-      : recipe_(&recipe), pool_(&pool), seq_(seq) {}
+      : recipe_(&recipe), pool_(&pool), seq_(seq), reserved_(true) {}
+  /// Unbuilt frame `seq` of `recipe` that holds no reservation yet (see
+  /// above): where it lands, reserve() takes one before it is built.
+  [[nodiscard]] static Frame unreserved(const FrameRecipe& recipe,
+                                        PacketPool& pool, std::uint64_t seq,
+                                        std::uint32_t trace_id) {
+    Frame f(recipe, pool, seq);
+    f.reserved_ = false;
+    f.trace_id_ = trace_id;
+    return f;
+  }
 
   Frame(const Frame&) = delete;
   Frame& operator=(const Frame&) = delete;
@@ -83,7 +99,9 @@ class Frame {
       : pkt_(std::move(o.pkt_)),
         recipe_(o.recipe_),
         pool_(std::exchange(o.pool_, nullptr)),
-        seq_(o.seq_) {}
+        seq_(o.seq_),
+        trace_id_(o.trace_id_),
+        reserved_(o.reserved_) {}
   Frame& operator=(Frame&& o) noexcept {
     if (this != &o) {
       release();
@@ -91,6 +109,8 @@ class Frame {
       recipe_ = o.recipe_;
       pool_ = std::exchange(o.pool_, nullptr);
       seq_ = o.seq_;
+      trace_id_ = o.trace_id_;
+      reserved_ = o.reserved_;
     }
     return *this;
   }
@@ -104,7 +124,7 @@ class Frame {
     return pkt_ ? pkt_->probe_id : 0;
   }
   [[nodiscard]] std::uint32_t trace_id() const {
-    return pkt_ ? pkt_->trace_id : 0;
+    return pkt_ ? pkt_->trace_id : trace_id_;
   }
   [[nodiscard]] std::uint32_t size() const {
     return pkt_ ? pkt_->size() : recipe_->frame_bytes();
@@ -115,7 +135,16 @@ class Frame {
     return recipe_->five_tuple(seq_);
   }
 
-  /// Build the frame now if it is not built yet.
+  /// Take the pool reservation of an unreserved frame: false, and the
+  /// frame must not be built, when the pool has none left.
+  [[nodiscard]] bool reserve() {
+    if (pool_ == nullptr || reserved_) return true;
+    reserved_ = pool_->reserve();
+    return reserved_;
+  }
+
+  /// Build the frame now if it is not built yet. It must hold a
+  /// reservation.
   void build() {
     if (!pkt_) build_from_recipe();
   }
@@ -132,21 +161,27 @@ class Frame {
 
  private:
   void build_from_recipe() {
+    assert(reserved_ && "reserve() an unreserved frame before building it");
     pkt_ = pool_->allocate_reserved();
     FrameMeta meta;
     meta.seq = seq_;
+    meta.trace_id = trace_id_;
     recipe_->build(*pkt_, meta);
     pool_ = nullptr;
   }
   void release() {
-    if (pool_ != nullptr) std::exchange(pool_, nullptr)->release_reservation();
+    PacketPool* pool = std::exchange(pool_, nullptr);
+    if (pool != nullptr && reserved_) pool->release_reservation();
   }
 
   PacketHandle pkt_;
   const FrameRecipe* recipe_{nullptr};
-  /// Set while the frame is unbuilt and holds its reservation.
+  /// Set while the frame is unbuilt.
   PacketPool* pool_{nullptr};
   std::uint64_t seq_{0};
+  std::uint32_t trace_id_{0};
+  /// The unbuilt frame holds a reservation of pool_.
+  bool reserved_{false};
 };
 
 }  // namespace nfvsb::pkt

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 #include <new>
+#include <utility>
 
 #include "core/metrics.h"
 
@@ -28,6 +29,9 @@ PacketHandle PacketPool::allocate() {
 }
 
 bool PacketPool::reserve() {
+  if (outstanding_ + low_headroom_ >= capacity_ && on_low_) {
+    std::exchange(on_low_, {})();
+  }
   if (outstanding_ >= capacity_) {
     ++alloc_failures_;
     return false;

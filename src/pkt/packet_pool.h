@@ -19,6 +19,14 @@
 // its landing (pkt/frame.h), and either turns it into a buffer
 // (allocate_reserved) or gives it back. Occupancy, and so exhaustion,
 // counts reservations and buffers alike.
+//
+// Lazily read RX rings take a frame's buffer at the first read after the
+// frame arrived (ring/spsc_ring.h, hw/nic.h). That is exact only while no
+// landing can find the pool dry: then its outcome does not depend on what
+// else the pool did between the arrival and the read. The low-water hook
+// lets the owner of such rings switch them to one landing event per
+// arrival before that can happen: it fires once, at the first reservation
+// that finds fewer than `headroom` buffers free.
 
 #pragma once
 
@@ -28,6 +36,7 @@
 #include <type_traits>
 
 #include "core/counter.h"
+#include "core/event_fn.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -52,6 +61,13 @@ class PacketPool {
   [[nodiscard]] bool reserve();
   /// Take the buffer a reserve() set aside. Never fails.
   [[nodiscard]] PacketHandle allocate_reserved();
+  /// Call `fn` once, at the first reservation that finds fewer than
+  /// `headroom` buffers free (see above), before it is made.
+  void set_low_water(std::size_t headroom, core::SmallFn<void> fn) {
+    low_headroom_ = headroom;
+    on_low_ = std::move(fn);
+  }
+
   /// Give a reservation back unused.
   void release_reservation() {
     assert(outstanding_ > 0);
@@ -100,6 +116,8 @@ class PacketPool {
   /// Slots [0, constructed_) hold Packets; the rest were never used.
   std::size_t constructed_{0};
   Packet* free_list_{nullptr};
+  std::size_t low_headroom_{0};
+  core::SmallFn<void> on_low_;
   core::MetricSink* registry_{nullptr};
 };
 

@@ -135,10 +135,15 @@ void SpscRing::land_arrived() {
   while (!in_flight_.empty() && landed(in_flight_[0])) {
     InFlight f = in_flight_.pop_front();
     on_arrival_(f.frame, f.at);
-    // A frame that fits is DMA'd, so built; one that overflows is imissed
-    // and never built.
-    if (q_.size() < capacity_) f.frame.build();
-    push(std::move(f.frame), f.at);
+    // A frame that fits is DMA'd into a buffer, so built; with no free
+    // descriptor, or no buffer to refill one with, it is imissed and never
+    // built.
+    if (q_.size() < capacity_ && f.frame.reserve()) {
+      f.frame.build();
+      push(std::move(f.frame), f.at);
+    } else {
+      count_drop(f.at);
+    }
   }
   sync_wake();
 }
@@ -152,7 +157,7 @@ void SpscRing::sync_wake() {
   // with a pacing event per frame, busy consumer or not.
   const bool wanted =
       !in_flight_.empty()
-          ? !consumer_busy_
+          ? !consumer_busy_ || eager_
           : source_ != nullptr && source_->next_emit() != TxSource::kNever &&
                 (!consumer_busy_ || core::tracer() != nullptr);
   if (armed == wanted) return;  // an armed wake is always for the head
@@ -162,13 +167,21 @@ void SpscRing::sync_wake() {
     return;
   }
   // Every read puts in what has arrived, and a consumer reads its rings
-  // before it goes idle, so the head's place in time is still ahead.
+  // before it goes idle, so the head's place in time is still ahead;
+  // unless the ring has just turned eager in the middle of a pool
+  // operation, when an event right after it puts in what has arrived.
   const bool wire = !in_flight_.empty();
-  const core::SimTime at = wire ? in_flight_[0].at : source_->next_emit();
-  const std::uint64_t order = wire ? in_flight_[0].order : source_order_;
+  core::SimTime at = wire ? in_flight_[0].at : source_->next_emit();
+  std::uint64_t order = wire ? in_flight_[0].order : source_order_;
+  if (wire && landed(in_flight_[0])) {
+    at = sim_->now();
+    order = sim_->reserve_order();
+  }
   wake_ = sim_->schedule_reserved(at, order, [this] {
     wake_ = core::EventQueue::kInvalidEvent;
     catch_up();
+    // A wake armed as the ring turned eager may find its frame in already.
+    if (eager_) sync_wake();
   });
 }
 

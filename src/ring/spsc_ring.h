@@ -33,6 +33,9 @@
 // DPDK's rx_burst, just reads whatever has arrived by the time it looks.
 // A frame arriving at the very instant of a read counts as arrived when
 // its key is not after the reading event's (core::Simulator::reached).
+// Once its NIC lands eagerly (land_eagerly: the packet pool is near dry,
+// pkt/packet_pool.h), the event is kept for every arrival, busy consumer
+// or not, so each frame takes its buffer at its arrival.
 //
 // Closed-form wire. A NIC RX ring whose sender is a wire source (hw/nic.h)
 // keeps no in-flight FIFO: every read first has its Feed put in, the same
@@ -220,6 +223,12 @@ class SpscRing {
     }
   }
   [[nodiscard]] bool consumer_busy() const { return consumer_busy_; }
+  /// From now on keep the arrival event for every wire-fed frame (see
+  /// above); one that has arrived already is put in by an event now.
+  void land_eagerly() {
+    eager_ = true;
+    sync_wake();
+  }
 
   /// Closed-form wire (see Feed): every read first has `f` put in what has
   /// arrived by now. One feed per ring; nullptr detaches it.
@@ -292,6 +301,7 @@ class SpscRing {
   ArrivalFn on_arrival_;
   core::Fifo<InFlight> in_flight_;
   bool consumer_busy_{false};
+  bool eager_{false};
   core::EventQueue::EventId wake_{core::EventQueue::kInvalidEvent};
   core::Counter drops_;
   core::Counter enqueued_;

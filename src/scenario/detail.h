@@ -46,6 +46,13 @@ struct Env {
     if (registry && cfg.queue_sample_period > 0) {
       sampler.emplace(sim, *registry, cfg.queue_sample_period, t_stop(cfg));
     }
+    // Lazy landings are exact while no frame in flight could find the pool
+    // dry (pkt/packet_pool.h). The margin covers what one event, and the
+    // events queued at its instant, take before the switch lands what has
+    // arrived.
+    constexpr std::size_t kLandingMargin = 4096;
+    pool.set_low_water(testbed.rx_descriptors() + kLandingMargin,
+                       [this] { testbed.land_eagerly(); });
   }
 
   static std::unique_ptr<obs::Registry> make_registry(
@@ -102,9 +109,6 @@ struct Env {
     if (cfg.sut_workers > 1) {
       tc.nic.num_queues = static_cast<std::size_t>(cfg.sut_workers);
     }
-    // The queue sampler reads the generators' TX rings as one fetch per
-    // frame fills them (hw/nic.h); traced runs take that path too.
-    tc.nic.wire_source = cfg.queue_sample_period <= 0;
     return tc;
   }
 

@@ -80,12 +80,11 @@ void MoonGen::emit_next() {
 }
 
 void MoonGen::emit_one(core::SimTime at) {
-  // A frame takes a pool reservation now, and a plain one stays unbuilt
-  // until something reads it (pkt/frame.h); the rest are built now. On a
-  // NIC's wire source a plain frame takes nothing until it lands.
+  // A frame sent over a NIC takes its pool buffer only where it lands; one
+  // a guest sends takes a reservation now (pkt/frame.h). A probe is built
+  // now, any other frame where something first reads it.
   const bool probe = cfg_.probe_interval > 0 && at >= next_probe_at_;
-  const bool wire = tx_nic_ != nullptr && tx_nic_->wired();
-  if ((!wire || probe) && !pool_.reserve()) {
+  if ((tx_nic_ == nullptr || probe) && !pool_.reserve()) {
     ++pool_exhausted_;
     return;
   }
@@ -100,25 +99,28 @@ void MoonGen::emit_one(core::SimTime at) {
     if (cfg_.software_timestamps) meta.sw_timestamp = at;
   }
   pkt::PacketHandle built;
-  if (meta.probe_id != 0 || meta.trace_id != 0) {
-    // The wire source runs untraced, so a traced frame holds a reservation.
-    assert(!wire || meta.probe_id != 0);
+  if (meta.probe_id != 0 || (tx_nic_ == nullptr && meta.trace_id != 0)) {
     built = pool_.allocate_reserved();
     recipe_.build(*built, meta);
   }
-  if (send(meta.seq, std::move(built))) {
+  if (send(meta, std::move(built))) {
     ++tx_sent_;
   } else {
     ++tx_failed_;
   }
 }
 
-bool MoonGen::send(std::uint64_t seq, pkt::PacketHandle built) {
+bool MoonGen::send(const pkt::FrameMeta& meta, pkt::PacketHandle built) {
   if (tx_nic_ != nullptr && tx_nic_->wired()) {
-    return tx_nic_->wire_accept(seq, std::move(built));
+    // The wire source runs untraced (hw/nic.h).
+    assert(meta.trace_id == 0);
+    return tx_nic_->wire_accept(meta.seq, std::move(built));
   }
-  pkt::Frame f = built ? pkt::Frame(std::move(built))
-                       : pkt::Frame(recipe_, pool_, seq);
+  pkt::Frame f =
+      built ? pkt::Frame(std::move(built))
+      : tx_nic_ != nullptr
+          ? pkt::Frame::unreserved(recipe_, pool_, meta.seq, meta.trace_id)
+          : pkt::Frame(recipe_, pool_, meta.seq);
   return tx_nic_ != nullptr ? tx_nic_->tx_ring().enqueue(std::move(f))
                             : tx_guest_->tx(std::move(f));
 }

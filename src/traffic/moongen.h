@@ -28,14 +28,18 @@
 // reader is the NIC's TX fetch, as the real MoonGen leaves pacing to the
 // NIC's rate control, or, when the NIC faces a SUT port, the NIC's wire
 // source, which the SUT's reads pull (hw/nic.h): a plain frame then goes
-// out as its sequence number and takes a pool buffer only when it lands,
-// and tx_sent() and the other counts read the NIC first, which brings the
-// source up to date. On a guest port the reader is the guest's TX ring
-// (SpscRing::feed_from_source), read by the switch that serves it, which
-// an event wakes at each emit only while that switch is idle. Frames are
-// enqueued unbuilt (pkt::Frame) and built where they are first read, so
-// one a ring drops is never built; the generator must outlive its frames'
-// builds. Probes and traced frames are built at emit. On the receive side,
+// out as its sequence number, and tx_sent() and the other counts read the
+// NIC first, which brings the source up to date. On a guest port the
+// reader is the guest's TX ring (SpscRing::feed_from_source), read by the
+// switch that serves it, which an event wakes at each emit only while that
+// switch is idle. Frames are enqueued unbuilt (pkt::Frame) and built where
+// they are first read, so one a ring drops is never built; the generator
+// must outlive its frames' builds. A frame sent over a NIC takes its pool
+// buffer only where it lands, on either path, and a pool with none left
+// drops it there as imissed; one a guest sends reserves its buffer at emit
+// (pkt/frame.h). Probes are built at emit, and so are a guest's traced
+// frames; pool_exhausted() counts the frames a dry pool kept from being
+// sent. On the receive side,
 // a monitored NIC hands each frame over in the firing that sends it down
 // the wire, stamped with its arrival time, so meters and latency recorders
 // take that time rather than now().
@@ -143,9 +147,10 @@ class MoonGen final : public ring::TxSource {
     if (tx_nic_ != nullptr) tx_nic_->tx_ring().catch_up();
   }
   void emit_one(core::SimTime at);
-  /// Send frame `seq` (`built` when it is built already) into the NIC's or
-  /// the guest port's TX ring, or to the NIC's wire source.
-  bool send(std::uint64_t seq, pkt::PacketHandle built);
+  /// Send the frame `meta` describes (`built` when it is built already)
+  /// into the NIC's or the guest port's TX ring, or to the NIC's wire
+  /// source.
+  bool send(const pkt::FrameMeta& meta, pkt::PacketHandle built);
   /// Next inter-packet gap. Mutates pace_frac_: the exact gap_ps_ is
   /// rarely an integer picosecond count, and the fractional remainder is
   /// carried to the next frame so the long-run rate matches it exactly

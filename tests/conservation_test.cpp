@@ -102,9 +102,11 @@ std::uint64_t counter(const ScenarioResult& r, std::string_view path) {
 // A dry packet pool is counted, not silent. Sixteen RSS queues of 4096
 // descriptors on each of two SUT ports hold 131,072 frames, against 65,536
 // pool buffers, so a switch slowed far below line rate lets the RX rings
-// run the pool dry. Every frame the pacing law owes is then either sent
-// or counted as lost to the pool at the generator, and the ledger still
-// balances.
+// run the pool dry. A generator frame takes its buffer where it lands, so
+// every frame the pacing law owes is still sent, one that finds no buffer
+// is counted as imissed at the SUT's NIC, and the ledger balances. A run
+// that samples queue depths sends each frame on a TX fetch of its own
+// (hw/nic.h) and must count the same losses in the same fields.
 TEST(Conservation, DryPoolLossesAreCountedAndTheLedgerBalances) {
   ScenarioConfig cfg;
   cfg.kind = Kind::kP2p;
@@ -133,6 +135,19 @@ TEST(Conservation, DryPoolLossesAreCountedAndTheLedgerBalances) {
       << "delivered=" << dry.delivered_packets
       << " imissed=" << dry.nic_imissed << " sut_wasted=" << dry.sut_wasted_work
       << " sut_discards=" << dry.sut_discards;
+  EXPECT_EQ(dry.gen_pool_exhausted, 0u);
+  EXPECT_GT(dry.nic_imissed, owed.nic_imissed);
+
+  cfg.queue_sample_period = core::from_us(50);
+  const ScenarioResult sampled = run_scenario(cfg);
+  ASSERT_FALSE(sampled.skipped.has_value());
+  EXPECT_EQ(sampled.offered_packets, dry.offered_packets);
+  EXPECT_EQ(sampled.gen_tx_failures, dry.gen_tx_failures);
+  EXPECT_EQ(sampled.gen_pool_exhausted, dry.gen_pool_exhausted);
+  EXPECT_EQ(sampled.nic_imissed, dry.nic_imissed);
+  EXPECT_EQ(sampled.delivered_packets, dry.delivered_packets);
+  EXPECT_EQ(counter(sampled, "pool/alloc_failures"),
+            counter(dry, "pool/alloc_failures"));
 }
 
 std::vector<Combo> combos() {

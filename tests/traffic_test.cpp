@@ -151,6 +151,42 @@ TEST_F(MoonGenNicTest, FramesTheRxRingDropsAreNeverBuilt) {
   drain(b_.rx_ring());
 }
 
+// A generator on another machine holds no buffer of the SUT's pool: a
+// frame sent over a NIC takes one only where it lands, and a pool with
+// none left drops it there as imissed, whether the receiving ring pulls
+// the wire source (read lazily) or the frame came on a fetch of its own (a
+// plain sink). The generator sends every frame either way.
+TEST_F(MoonGenNicTest, DryPoolDropsFramesWhereTheyLandOnEitherPath) {
+  for (const bool sink : {false, true}) {
+    core::Simulator sim;
+    pkt::PacketPool pool(8);
+    std::vector<pkt::PacketHandle> held;
+    while (pkt::PacketHandle p = pool.allocate()) held.push_back(std::move(p));
+    hw::NicPort a(sim, "a");
+    hw::NicPort b(sim, "b");
+    hw::Cable cable(sim, a, b);
+    std::uint64_t seen = 0;
+    if (sink) {
+      b.rx_ring().set_sink([&](pkt::PacketHandle) { ++seen; });
+    } else {
+      b.rx_ring().set_consumer_busy(true);
+    }
+    MoonGen gen(sim, pool, MoonGen::Config{});
+    gen.attach_tx_nic(a);
+    gen.start_tx(0, core::from_us(10));
+    sim.run_until(core::from_us(20));  // every frame has landed
+    EXPECT_EQ(a.wired(), !sink);
+    EXPECT_EQ(gen.tx_sent(), 149u);
+    EXPECT_EQ(gen.pool_exhausted(), 0u);
+    EXPECT_EQ(b.rx_frames(), 149u);
+    EXPECT_EQ(b.imissed(), 149u);
+    EXPECT_EQ(seen, 0u);
+    EXPECT_EQ(b.rx_ring().size(), 0u);
+    EXPECT_EQ(pool.handed_out(), 8u);
+    EXPECT_EQ(pool.alloc_failures(), 149u + 1u);  // + the probe for dryness
+  }
+}
+
 // A NIC monitor is handed each frame before it arrives, so its meter goes
 // by the arrival time it is passed: with the run stopped just before the
 // arrival the frame is not counted, stopped exactly at it, it is.
