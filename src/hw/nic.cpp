@@ -267,7 +267,7 @@ bool NicPort::wire_accept(std::uint64_t seq, pkt::PacketHandle built) {
   return true;
 }
 
-NicPort::Departure NicPort::fetch() {
+std::optional<NicPort::Departure> NicPort::fetch() {
   const core::SimTime now = fetch_at_;
   // What serialize_step's pull_source would enqueue at this fetch: a frame
   // due at its very instant is owed when its order key comes before the
@@ -279,6 +279,11 @@ NicPort::Departure NicPort::fetch() {
     key_pulled_in_ = fetches_ + 1;
   }
   ++fetches_;
+  if (backlog_.empty()) {
+    const core::SimTime next = tx_source_->next_emit();
+    fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
+    return std::nullopt;
+  }
   Departure d = backlog_.pop_front();
   tx_rings_[0]->count_bypass(0, 1, 0);
   ++tx_frames_;
@@ -305,7 +310,9 @@ void NicPort::catch_up() {
   while (fetch_at_ != ring::TxSource::kNever &&
          sim_.reached_late(fetch_at_ + wire_delay_, fetch_at_, wire_rank_)) {
     const core::SimTime at = fetch_at_ + wire_delay_;
-    wire_to_->land(fetch(), at, *tx_source_);
+    if (std::optional<Departure> d = fetch()) {
+      wire_to_->land(std::move(*d), at, *tx_source_);
+    }
   }
   sync_wire_wake();
 }

@@ -231,8 +231,10 @@ class NicPort : private ring::Feed {
   [[nodiscard]] bool start_wire();
   void stop_wire();
   /// The next virtual TX fetch: pull the source, take the backlog's head
-  /// and set the fetch after it, exactly as serialize_step would.
-  Departure fetch();
+  /// and set the fetch after it, exactly as serialize_step would. Empty
+  /// when the backlog is: the frames owed never reached it (a probe the
+  /// pool had no buffer for), and the next fetch waits for the next emit.
+  std::optional<Departure> fetch();
   /// Receiving side: count a wire-source frame that arrived at `at` and
   /// put it into its RSS queue's RX ring, built, or count it imissed.
   void land(Departure&& d, core::SimTime at, ring::TxSource& src);

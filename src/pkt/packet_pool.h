@@ -15,10 +15,10 @@
 // empty; buffers come out in slab order until the first one is freed.
 //
 // A reservation (reserve()) counts as a handed-out buffer without taking
-// one: a generator frame that is not built yet holds one from its emit to
-// its landing (pkt/frame.h), and either turns it into a buffer
-// (allocate_reserved) or gives it back. Occupancy, and so exhaustion,
-// counts reservations and buffers alike.
+// one: a generator frame that is not built yet holds one until it is built
+// (allocate_reserved) or dropped, from its emit in a guest, from its
+// landing behind a NIC (pkt/frame.h). Occupancy, and so exhaustion, counts
+// reservations and buffers alike.
 //
 // Lazily read RX rings take a frame's buffer at the first read after the
 // frame arrived (ring/spsc_ring.h, hw/nic.h). That is exact only while no

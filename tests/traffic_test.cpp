@@ -187,6 +187,38 @@ TEST_F(MoonGenNicTest, DryPoolDropsFramesWhereTheyLandOnEitherPath) {
   }
 }
 
+// A probe is built at emit, so a dry pool loses it at the generator; one
+// that is due keeps every later frame a probe until one gets a buffer.
+// The wire source's fetch then finds nothing to send and waits for the
+// next emit, as a TX fetch on empty rings does.
+TEST_F(MoonGenNicTest, DryPoolLosesProbesAtTheGeneratorOnEitherPath) {
+  for (const bool sink : {false, true}) {
+    core::Simulator sim;
+    pkt::PacketPool pool(8);
+    std::vector<pkt::PacketHandle> held;
+    while (pkt::PacketHandle p = pool.allocate()) held.push_back(std::move(p));
+    hw::NicPort a(sim, "a");
+    hw::NicPort b(sim, "b");
+    hw::Cable cable(sim, a, b);
+    if (sink) {
+      b.rx_ring().set_sink([](pkt::PacketHandle) {});
+    } else {
+      b.rx_ring().set_consumer_busy(true);
+    }
+    MoonGen::Config cfg;
+    cfg.probe_interval = core::from_us(1);
+    MoonGen gen(sim, pool, cfg);
+    gen.attach_tx_nic(a);
+    gen.start_tx(0, core::from_us(10));
+    sim.run_until(core::from_us(20));
+    EXPECT_EQ(a.wired(), !sink);
+    EXPECT_EQ(gen.tx_sent(), 0u);
+    EXPECT_EQ(gen.pool_exhausted(), 149u);
+    EXPECT_EQ(a.tx_frames(), 0u);
+    EXPECT_EQ(b.rx_frames(), 0u);
+  }
+}
+
 // A NIC monitor is handed each frame before it arrives, so its meter goes
 // by the arrival time it is passed: with the run stopped just before the
 // arrival the frame is not counted, stopped exactly at it, it is.
