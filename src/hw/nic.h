@@ -66,12 +66,15 @@
 // settles such a tie by its own order key, which the closed form does not
 // have), and a source without a recipe or a peer with a sink. Observing a
 // run changes none of its results. On both paths a plain generator frame
-// takes its pool buffer only where it lands (pkt/frame.h), so a dry pool
-// drops it as imissed either way; but a landing takes its buffer at the
-// first read after the arrival, and the two paths read at different
-// instants (a sampler's reads land frames too), so once the pool runs dry
-// a few landings see a different pool, and the counts of what was lost
-// there differ by a fraction of a percent.
+// takes its pool buffer only where it lands (pkt/frame.h), and a dry pool
+// drops it as imissed. The two paths read the rings at different instants
+// (a sampler's reads land frames too), and a landing at a read sees the
+// pool of its arrival only while no landing can find it dry; before one
+// can, the pool's low-water hook makes every port land eagerly
+// (land_eagerly), one event per arrival, on either path. A probe still
+// takes its buffer when it is pulled, which the wire source does when the
+// fetch's frame lands and the per-frame path at the fetch, so at a dry
+// pool a run with probes can lose different frames observed.
 //
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
