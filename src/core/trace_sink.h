@@ -32,7 +32,8 @@ class TraceSink {
                         SimDuration dur, std::uint64_t arg) = 0;
   /// Thread-scoped instant on `t` at `at` (kNoTimestamp: the current
   /// simulation time). A ring passes a frame's arrival time, which can be
-  /// earlier than now when the frame was put in lazily.
+  /// earlier than now when a wire source or a pulled generator put the
+  /// frame in at a later read.
   virtual void instant(TrackId t, const char* name,
                        SimTime at = kNoTimestamp) = 0;
   /// Counter sample at the current simulation time.

@@ -27,22 +27,16 @@ Testbed::Testbed(core::Simulator& sim, Config cfg) {
   }
 }
 
-std::size_t Testbed::rx_descriptors() {
+std::size_t Testbed::nic_descriptors() {
   std::size_t n = 0;
   for (auto& node : nodes_) {
     for (auto& port : node.nic_ports) {
       for (std::size_t q = 0; q < port->num_queues(); ++q) {
-        n += port->rx_ring(q).capacity();
+        n += port->rx_ring(q).capacity() + port->tx_ring(q).capacity();
       }
     }
   }
   return n;
-}
-
-void Testbed::land_eagerly() {
-  for (auto& node : nodes_) {
-    for (auto& port : node.nic_ports) port->land_eagerly();
-  }
 }
 
 CpuCore& Testbed::take_core(int n) {

@@ -52,12 +52,9 @@ class Testbed {
   /// Allocate the next free core on a node (asserts availability).
   [[nodiscard]] CpuCore& take_core(int n);
 
-  /// RX descriptors over every port: at most this many frames can wait in
-  /// flight for a lazy landing to take their buffers.
-  [[nodiscard]] std::size_t rx_descriptors();
-  /// Every port lands each frame at its arrival from now on
-  /// (NicPort::land_eagerly).
-  void land_eagerly();
+  /// RX and TX descriptors over every queue of every port: the most
+  /// buffers the NIC rings can hold at once.
+  [[nodiscard]] std::size_t nic_descriptors();
 
  private:
   std::vector<NumaNode> nodes_;

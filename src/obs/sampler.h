@@ -8,8 +8,8 @@
 // measurement results to an unsampled one (asserted by tests/obs_test.cpp).
 // Before each round of reads the sampler runs the registry's sync hooks,
 // which put into their rings the frames a lazy producer (a pulled
-// generator, ring/tx_source.h; a wire feeding a NIC's RX ring) owes by
-// now, so every depth read sees the ring as if each frame had been
+// generator, ring/tx_source.h; a wire source feeding a NIC's RX ring) owes
+// by now, so every depth read sees the ring as if each frame had been
 // enqueued when it arrived. A frame due at the sampling instant itself
 // counts as in when its order key comes before the sampling event's, by
 // the one tie rule every reader follows.

@@ -1,7 +1,10 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/simulator.h"
 
@@ -80,7 +83,18 @@ std::string TraceRecorder::to_json() const {
     first = false;
     j += '\n';
   };
-  for (const Event& e : events_) {
+  // Canonical order: by time, then by every other field, so the file
+  // depends only on which events were recorded, not on the order the hooks
+  // ran in (an async begin sorts before an end at the same instant).
+  std::vector<const Event*> order;
+  order.reserve(events_.size());
+  for (const Event& e : events_) order.push_back(&e);
+  std::sort(order.begin(), order.end(), [](const Event* a, const Event* b) {
+    return std::tie(a->ts, a->ph, a->track, a->name, a->dur, a->id, a->arg) <
+           std::tie(b->ts, b->ph, b->track, b->name, b->dur, b->id, b->arg);
+  });
+  for (const Event* ep : order) {
+    const Event& e = *ep;
     sep();
     switch (e.ph) {
       case 'X':

@@ -4,7 +4,10 @@
 // the hook seam and its cost). Events are recorded in
 // simulation picoseconds and emitted as Chrome JSON (ts/dur in
 // microseconds, formatted exactly from integer picoseconds, so output is
-// bit-deterministic). Load the file in ui.perfetto.dev or chrome://tracing.
+// bit-deterministic). Events are written in a canonical order, by time and
+// then by their other fields, so a trace depends only on the events
+// recorded, not on the order the hooks ran in. Load the file in
+// ui.perfetto.dev or chrome://tracing.
 // Emitted shapes:
 //  * complete ("X") spans on named tracks — switch service rounds, NIC wire
 //    serialization;

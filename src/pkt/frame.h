@@ -8,8 +8,8 @@
 // So a plain generator frame travels from emit to landing as a descriptor:
 // its sequence number, its recipe and the pool it is built in, not a
 // buffer. It is built (allocate + FrameTemplate::stamp) where its bytes are
-// first needed: when it fits into a lazily read RX ring (the NIC DMAs it),
-// or reaches a timed sink (ring/spsc_ring.h). One that overflows is counted
+// first needed: when it lands in a NIC RX ring with room (the NIC DMAs
+// it), or reaches a timed sink (hw/nic.h). One that overflows is counted
 // and never built.
 //
 // Which pool buffer it holds on the way depends on where it goes. A frame

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstring>
 #include <new>
-#include <utility>
 
 #include "core/metrics.h"
 
@@ -29,9 +28,6 @@ PacketHandle PacketPool::allocate() {
 }
 
 bool PacketPool::reserve() {
-  if (outstanding_ + low_headroom_ >= capacity_ && on_low_) {
-    std::exchange(on_low_, {})();
-  }
   if (outstanding_ >= capacity_) {
     ++alloc_failures_;
     return false;

@@ -20,13 +20,9 @@
 // landing behind a NIC (pkt/frame.h). Occupancy, and so exhaustion, counts
 // reservations and buffers alike.
 //
-// Lazily read RX rings take a frame's buffer at the first read after the
-// frame arrived (ring/spsc_ring.h, hw/nic.h). That is exact only while no
-// landing can find the pool dry: then its outcome does not depend on what
-// else the pool did between the arrival and the read. The low-water hook
-// lets the owner of such rings switch them to one landing event per
-// arrival before that can happen: it fires once, at the first reservation
-// that finds fewer than `headroom` buffers free.
+// A scenario sizes its pool as DPDK applications size a mempool, from the
+// descriptors it must fill (scenario/detail.h): exhaustion there is an
+// error path, which tests pin with small pools.
 
 #pragma once
 
@@ -36,7 +32,6 @@
 #include <type_traits>
 
 #include "core/counter.h"
-#include "core/event_fn.h"
 #include "pkt/packet.h"
 
 namespace nfvsb::core {
@@ -61,12 +56,6 @@ class PacketPool {
   [[nodiscard]] bool reserve();
   /// Take the buffer a reserve() set aside. Never fails.
   [[nodiscard]] PacketHandle allocate_reserved();
-  /// Call `fn` once, at the first reservation that finds fewer than
-  /// `headroom` buffers free (see above), before it is made.
-  void set_low_water(std::size_t headroom, core::SmallFn<void> fn) {
-    low_headroom_ = headroom;
-    on_low_ = std::move(fn);
-  }
 
   /// Give a reservation back unused.
   void release_reservation() {
@@ -116,8 +105,6 @@ class PacketPool {
   /// Slots [0, constructed_) hold Packets; the rest were never used.
   std::size_t constructed_{0};
   Packet* free_list_{nullptr};
-  std::size_t low_headroom_{0};
-  core::SmallFn<void> on_low_;
   core::MetricSink* registry_{nullptr};
 };
 

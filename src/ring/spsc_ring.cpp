@@ -70,11 +70,6 @@ void SpscRing::count_drop(core::SimTime at) {
   }
 }
 
-void SpscRing::feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival) {
-  sim_ = &sim;
-  on_arrival_ = std::move(on_arrival);
-}
-
 void SpscRing::feed_from_source(core::Simulator& sim, TxSource& src) {
   assert(sim_ == nullptr && source_ == nullptr && "one producer per ring");
   sim_ = &sim;
@@ -118,36 +113,6 @@ void SpscRing::pull_source() {
   sync_wake();
 }
 
-void SpscRing::arrive(pkt::Frame&& f, core::SimTime at) {
-  assert(sim_ != nullptr && "feed_from_wire first");
-  // Land what has arrived first, like any read: a consumer that stays busy
-  // without reading this ring must not let the in-flight FIFO grow.
-  catch_up();
-  in_flight_.push_back(InFlight{at, sim_->reserve_order(), std::move(f)});
-  assert(in_flight_.size() == 1 ||
-         in_flight_[in_flight_.size() - 2].at <= at);
-  sync_wake();
-}
-
-void SpscRing::land_arrived() {
-  // Pop before putting in: the watcher may wake a consumer that reads this
-  // ring again from inside the loop.
-  while (!in_flight_.empty() && landed(in_flight_[0])) {
-    InFlight f = in_flight_.pop_front();
-    on_arrival_(f.frame, f.at);
-    // A frame that fits is DMA'd into a buffer, so built; with no free
-    // descriptor, or no buffer to refill one with, it is imissed and never
-    // built.
-    if (q_.size() < capacity_ && f.frame.reserve()) {
-      f.frame.build();
-      push(std::move(f.frame), f.at);
-    } else {
-      count_drop(f.at);
-    }
-  }
-  sync_wake();
-}
-
 void SpscRing::sync_wake() {
   // A pull syncs once it is done: the source's head moves within it.
   if (pulling_) return;
@@ -155,33 +120,20 @@ void SpscRing::sync_wake() {
   // A packet tracer hands out trace ids as generators emit, so while one
   // is installed each pulled frame goes in at its own instant, as it did
   // with a pacing event per frame, busy consumer or not.
-  const bool wanted =
-      !in_flight_.empty()
-          ? !consumer_busy_ || eager_
-          : source_ != nullptr && source_->next_emit() != TxSource::kNever &&
-                (!consumer_busy_ || core::tracer() != nullptr);
+  const bool wanted = source_ != nullptr &&
+                      source_->next_emit() != TxSource::kNever &&
+                      (!consumer_busy_ || core::tracer() != nullptr);
   if (armed == wanted) return;  // an armed wake is always for the head
   if (armed) {
     sim_->cancel(wake_);
     wake_ = core::EventQueue::kInvalidEvent;
     return;
   }
-  // Every read puts in what has arrived, and a consumer reads its rings
-  // before it goes idle, so the head's place in time is still ahead;
-  // unless the ring has just turned eager in the middle of a pool
-  // operation, when an event right after it puts in what has arrived.
-  const bool wire = !in_flight_.empty();
-  core::SimTime at = wire ? in_flight_[0].at : source_->next_emit();
-  std::uint64_t order = wire ? in_flight_[0].order : source_order_;
-  if (wire && landed(in_flight_[0])) {
-    at = sim_->now();
-    order = sim_->reserve_order();
-  }
-  wake_ = sim_->schedule_reserved(at, order, [this] {
+  // Every read puts in what is due, and a consumer reads its rings before
+  // it goes idle, so the head's place in time is still ahead.
+  wake_ = sim_->schedule_reserved(source_->next_emit(), source_order_, [this] {
     wake_ = core::EventQueue::kInvalidEvent;
     catch_up();
-    // A wake armed as the ring turned eager may find its frame in already.
-    if (eager_) sync_wake();
   });
 }
 

@@ -16,32 +16,18 @@
 // packets, or generator frames that are not built yet. A frame that
 // overflows is counted as a drop and never built. One enqueued unbuilt
 // stays so until a read needs its bytes (dequeue); a NIC's TX fetch takes
-// the head as it is (dequeue_frame). A wire-fed ring builds each frame
-// that fits as it lands, as a NIC DMAs it.
-//
-// Lazy RX. A ring fed from a wire (a NIC RX ring, feed_from_wire) learns
-// each frame's arrival time when the frame leaves the sender, and keeps it
-// in flight until then. Every read (dequeue, size, empty, full, the
-// counters) first puts in each frame that has arrived by now, in
-// arrival order, so occupancy at each arrival, and hence which frames
-// overflow, is what it would be with one arrival event per frame: nothing
-// dequeues between two reads. An event is kept only where something must
-// happen at the arrival instant: while the consumer is idle (not
-// set_consumer_busy) an event is armed at the in-flight head's arrival,
-// under the order key the frame reserved when it left the sender, so it
-// fires exactly where its arrival event would have. A busy poller, like
-// DPDK's rx_burst, just reads whatever has arrived by the time it looks.
-// A frame arriving at the very instant of a read counts as arrived when
-// its key is not after the reading event's (core::Simulator::reached).
-// Once its NIC lands eagerly (land_eagerly: the packet pool is near dry,
-// pkt/packet_pool.h), the event is kept for every arrival, busy consumer
-// or not, so each frame takes its buffer at its arrival.
+// the head as it is (dequeue_frame). A NIC builds each frame that fits
+// into its RX ring as it lands (land), as it DMAs it.
 //
 // Closed-form wire. A NIC RX ring whose sender is a wire source (hw/nic.h)
-// keeps no in-flight FIFO: every read first has its Feed put in, the same
-// way, what has arrived by then (land, or count_drop for a frame that is
-// never made), and set_consumer_busy tells the feed, which keeps the
-// idle-consumer wake itself.
+// has no event per frame: every read (dequeue, size, empty, full, the
+// counters) first has its Feed put in what has arrived by now (land, or
+// count_drop for a frame that is never made). Nothing dequeues between two
+// reads, so each frame meets the ring as it stood at its arrival, and the
+// same frames overflow as with an event per arrival. set_consumer_busy
+// tells the feed, which keeps the idle-consumer wake itself. A NIC RX ring
+// fed frame by frame gets each frame by an event at its arrival
+// (hw/nic.h).
 //
 // Pulled TX. A guest's TX ring is fed by a paced generator in the guest
 // (feed_from_source) the same way: the source's next frame is in flight
@@ -126,9 +112,6 @@ class SpscRing {
   using Watcher = core::SmallFn<void, bool>;
   using Sink = core::SmallFn<void, pkt::PacketHandle>;
   using TimedSink = core::SmallFn<void, pkt::PacketHandle, core::SimTime>;
-  /// Called as each wire-fed frame lands, before it is put in or dropped,
-  /// with its arrival time. The frame may be unbuilt.
-  using ArrivalFn = core::SmallFn<void, pkt::Frame&, core::SimTime>;
 
   SpscRing(std::string name, std::size_t capacity);
   ~SpscRing();
@@ -182,18 +165,12 @@ class SpscRing {
   /// Fires on every successful enqueue (see Watcher).
   void set_watcher(Watcher w) { watcher_ = std::move(w); }
   /// Inside the watcher: when the packet just enqueued reached the ring.
-  /// A wire-fed or pulled frame may be put in after it arrived; a packet
-  /// enqueued directly arrives `now`.
+  /// A frame from a wire source or a pulled one may be put in after it
+  /// arrived; a packet enqueued directly arrives `now`.
   [[nodiscard]] core::SimTime arrival_time(core::SimTime now) const {
     return arriving_at_ == core::kNoTimestamp ? now : arriving_at_;
   }
 
-  /// Lazy RX (see above): frames reach this ring through arrive(), on
-  /// `sim`'s clock, and `on_arrival` runs as each one is put in.
-  void feed_from_wire(core::Simulator& sim, ArrivalFn on_arrival);
-  /// A frame that left its sender now lands here at `at`. Arrival times
-  /// must not decrease (one wire feeds the ring).
-  void arrive(pkt::Frame&& f, core::SimTime at);
   /// Pulled TX (see above): frames reach this ring from `src`, paced on
   /// `sim`'s clock, and every read first puts in the ones due by then.
   /// The source must call wake_source() when it starts, and
@@ -203,39 +180,30 @@ class SpscRing {
   /// the consumer is idle, arm the event that puts it in.
   void wake_source();
   void detach_source();
-  /// Put in every in-flight frame that has arrived by now, in arrival
-  /// order, or every frame the source owes by now (each read does this
-  /// itself).
+  /// Have the feed put in every frame that has arrived by now, and put in
+  /// every frame the source owes by now (each read does this itself).
   void catch_up() {
     if (feed_ != nullptr) feed_->catch_up();
-    if (!in_flight_.empty() && landed(in_flight_[0])) land_arrived();
     if (source_ != nullptr) pull_source();
   }
   /// The consumer is mid-round and will read the ring before it goes idle,
-  /// so arrivals need no event; when it goes idle (false), the next frame
-  /// to arrive gets its event again. Rings start with an idle consumer.
+  /// so a feed's or a source's frames need no event; when it goes idle
+  /// (false), the next one to arrive gets its event again. Rings start
+  /// with an idle consumer.
   void set_consumer_busy(bool busy) {
     consumer_busy_ = busy;
     if (feed_ != nullptr) feed_->consumer_changed();
-    if (wake_ != core::EventQueue::kInvalidEvent || !in_flight_.empty() ||
-        source_ != nullptr) {
-      sync_wake();
-    }
+    if (source_ != nullptr) sync_wake();
   }
   [[nodiscard]] bool consumer_busy() const { return consumer_busy_; }
-  /// From now on keep the arrival event for every wire-fed frame (see
-  /// above); one that has arrived already is put in by an event now.
-  void land_eagerly() {
-    eager_ = true;
-    sync_wake();
-  }
 
   /// Closed-form wire (see Feed): every read first has `f` put in what has
   /// arrived by now. One feed per ring; nullptr detaches it.
   void feed_from(Feed* f) { feed_ = f; }
-  /// For the feed, inside its catch_up(): whether a frame arriving now
-  /// fits, a frame that arrived at `at` put in, and one that did not fit
-  /// counted as a drop without ever being made.
+  /// For a NIC landing a frame (a feed inside its catch_up(), or a frame's
+  /// arrival event): whether a frame arriving now fits, a frame that
+  /// arrived at `at` put in, and one that did not fit counted as a drop
+  /// without ever being made.
   [[nodiscard]] bool has_room() const { return q_.size() < capacity_; }
   void land(pkt::Frame&& f, core::SimTime at) { (void)push(std::move(f), at); }
   void count_drop(core::SimTime at);
@@ -268,25 +236,14 @@ class SpscRing {
   }
 
  private:
-  struct InFlight {
-    core::SimTime at{0};
-    /// Order key reserved when the frame left its sender.
-    std::uint64_t order{0};
-    pkt::Frame frame;
-  };
-
   /// Enqueue a frame that reached the ring at `at` (kNoTimestamp: now).
   bool push(pkt::Frame&& f, core::SimTime at);
-  [[nodiscard]] bool landed(const InFlight& f) const {
-    return sim_->reached(f.at, f.order);
-  }
-  void land_arrived();
   /// Enqueue, each at its emit time, the source's frames due by now, if
   /// any (and if this is not a read from inside a pull).
   void pull_source();
-  /// Keep an event armed at the next arrival (the in-flight head, or the
-  /// source's next frame), under the key it reserved, exactly while the
-  /// consumer is idle (and for every pulled frame in traced runs).
+  /// Keep an event armed at the source's next frame, under the key it
+  /// reserved, exactly while the consumer is idle (and for every pulled
+  /// frame in traced runs).
   void sync_wake();
 
   std::string name_;
@@ -296,12 +253,8 @@ class SpscRing {
   Sink sink_;
   TimedSink timed_sink_;
   core::SimTime arriving_at_{core::kNoTimestamp};
-  // Lazy RX state (wire-fed rings only).
   core::Simulator* sim_{nullptr};
-  ArrivalFn on_arrival_;
-  core::Fifo<InFlight> in_flight_;
   bool consumer_busy_{false};
-  bool eager_{false};
   core::EventQueue::EventId wake_{core::EventQueue::kInvalidEvent};
   core::Counter drops_;
   core::Counter enqueued_;

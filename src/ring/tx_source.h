@@ -21,11 +21,12 @@
 // enqueues unbuilt ones, so a frame the ring or the far end drops is never
 // built.
 //
-// On a NIC port whose far end is a lazily read RX ring, the port composes
-// the source with its departure law into one wire source (hw/nic.h): the
-// source's frames then go to the port (NicPort::wire_accept) as bare
-// sequence numbers, and recipe() and pool() build the ones that land.
-// Sources without a recipe always go through the TX ring.
+// On a NIC port whose far end is an RX ring a consumer reads, the port
+// composes the source with its departure law into one wire source
+// (hw/nic.h), unless the run is traced or its queue depths are sampled:
+// the source's frames then go to the port (NicPort::wire_accept), unbuilt,
+// and the ones that land are built there. Sources without a recipe always
+// go through the TX ring.
 #pragma once
 
 #include <limits>
@@ -34,7 +35,6 @@
 
 namespace nfvsb::pkt {
 class FrameRecipe;
-class PacketPool;
 }  // namespace nfvsb::pkt
 
 namespace nfvsb::ring {
@@ -52,13 +52,11 @@ class TxSource {
   /// only once that frame is due.
   virtual void emit_next() = 0;
 
-  /// How the source's frames are built from their sequence numbers, and
-  /// the pool they are built in. A source without them (nullptr) always
-  /// goes through its port's TX ring.
+  /// How the source's frames are built from their sequence numbers. A
+  /// source without one (nullptr) always goes through its port's TX ring.
   [[nodiscard]] virtual const pkt::FrameRecipe* recipe() const {
     return nullptr;
   }
-  [[nodiscard]] virtual pkt::PacketPool* pool() { return nullptr; }
 
  protected:
   ~TxSource() = default;

@@ -42,17 +42,24 @@ struct Env {
         tracer(make_tracer(sim, cfg)),
         trace_scope(tracer.get()),
         testbed(sim, testbed_config(cfg)),
-        pool(1 << 16) {
+        pool(pool_buffers(testbed)) {
     if (registry && cfg.queue_sample_period > 0) {
       sampler.emplace(sim, *registry, cfg.queue_sample_period, t_stop(cfg));
     }
-    // Lazy landings are exact while no frame in flight could find the pool
-    // dry (pkt/packet_pool.h). The margin covers what one event, and the
-    // events queued at its instant, take before the switch lands what has
-    // arrived.
-    constexpr std::size_t kLandingMargin = 4096;
-    pool.set_low_water(testbed.rx_descriptors() + kLandingMargin,
-                       [this] { testbed.land_eagerly(); });
+  }
+
+  /// The pool is sized as a DPDK application sizes its mempool (OvS-DPDK's
+  /// dpdk_calculate_mbufs, l2fwd's ports x (RX + TX descriptors + burst +
+  /// cache)): every NIC descriptor, plus room for the rings that are not
+  /// NIC rings (vrings, netmap rings, switch links: at most 17,408 slots
+  /// with one SUT worker, 32,768 with sixteen) and the switches' batches.
+  /// The generator side's descriptors hold no SUT buffer (its RX rings are
+  /// sinks, its TX rings hold unbuilt frames), which leaves room to spare,
+  /// so no landing finds the pool dry. One SUT worker needs no more than
+  /// 1 << 16; the slab is touched only where it is used.
+  static std::size_t pool_buffers(hw::Testbed& testbed) {
+    return std::max<std::size_t>(1 << 16,
+                                 testbed.nic_descriptors() + (1 << 15));
   }
 
   static std::unique_ptr<obs::Registry> make_registry(

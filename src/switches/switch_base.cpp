@@ -105,7 +105,8 @@ bool SwitchBase::any_input_ready() {
 
 void SwitchBase::on_enqueue(std::size_t port_idx, bool became_nonempty) {
   if (became_nonempty) {
-    // A frame put in lazily while a round ran waits from its arrival.
+    // A frame put in by a later read (a wire source's, a pulled
+    // generator's) waits from its arrival.
     wait_since_[port_idx] = ports_[port_idx]->in().arrival_time(sim_.now());
   }
   if (active_) return;

@@ -12,12 +12,13 @@
 //        then immediately start the next round if any input is non-empty.
 //
 // While a round is scheduled or running (active_), the input rings are
-// marked busy: a NIC frame that lands meanwhile costs no event and is put
-// into its RX ring by the next read of it (lazy RX, ring/spsc_ring.h).
-// The switch reads every input before it goes idle, and from then on each
-// arrival wakes it at its own picosecond, as a poll-mode driver's next
-// rx_burst or an interrupt would. A frame put in late still waits, for
-// batch assembly, from its arrival (SpscRing::arrival_time).
+// marked busy: a frame from a wire source (hw/nic.h) or a pulled generator
+// (ring/tx_source.h) that arrives meanwhile costs no event and is put into
+// its ring by the next read of it. The switch reads every input before it
+// goes idle, and from then on each arrival wakes it at its own picosecond,
+// as a poll-mode driver's next rx_burst or an interrupt would. A frame put
+// in late still waits, for batch assembly, from its arrival
+// (SpscRing::arrival_time).
 //
 // Subclasses implement process_batch(): real parsing/lookup over real frame
 // bytes, returning per-packet output ports and any extra pipeline cost.

@@ -41,7 +41,6 @@ void deparse(const Phv& phv, std::span<std::uint8_t> frame);
 /// hand-written equivalents in other switches.
 struct StageCosts {
   double parse_ns{23};
-  double smac_learn_ns{22};  ///< removed by the Table 2 tuning
   double table_lookup_ns{26};
   double deparse_ns{22};
 };

@@ -97,11 +97,6 @@ double T4p4sSwitch::process_batch(ring::Port& in,
     extra_ns += stage_costs_.parse_ns;
     if (!phv.eth_valid) continue;
 
-    if (smac_learning_) {
-      extra_ns += stage_costs_.smac_learn_ns;
-      smac_seen_.add(phv.eth_src, P4Action::drop());  // presence only
-    }
-
     extra_ns += stage_costs_.table_lookup_ns;
     const auto action = l2_table_.lookup(phv.eth_dst);
     if (!action) {

@@ -6,8 +6,8 @@
 //  * the paper's l2fwd P4 program: exact match on destination MAC ->
 //    forward to port; generators must address packets accordingly
 //    (appendix A.1);
-//  * Table 2 tuning: "Remove source MAC learning phase" — smac stage can
-//    be toggled (set_smac_learning, default off as tuned);
+//  * Table 2 tuning: "Remove source MAC learning phase" — the pipeline
+//    has no smac stage, as tuned;
 //  * large internal batch assembly + high service variance, producing the
 //    worst latency profile of the seven (Table 3: 32/31/174 us in p2p,
 //    multi-ms tails under 0.99 R+ in loopback).
@@ -35,10 +35,6 @@ class T4p4sSwitch final : public SwitchBase {
   void wire(std::span<const PortPair> pairs) override;
   [[nodiscard]] StageCosts& stage_costs() { return stage_costs_; }
 
-  /// Re-enable the source-MAC learning stage the paper's tuning removed.
-  void set_smac_learning(bool on) { smac_learning_ = on; }
-  [[nodiscard]] bool smac_learning() const { return smac_learning_; }
-
   [[nodiscard]] std::uint64_t table_misses() const { return table_misses_; }
 
   /// Runtime controller command, t4p4s-controller style:
@@ -54,9 +50,7 @@ class T4p4sSwitch final : public SwitchBase {
 
  private:
   ExactMacTable l2_table_;
-  ExactMacTable smac_seen_;  // learning stage state (when enabled)
   StageCosts stage_costs_;
-  bool smac_learning_{false};  // Table 2: removed for the benchmarks
   std::uint64_t table_misses_{0};
 };
 

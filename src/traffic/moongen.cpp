@@ -111,18 +111,16 @@ void MoonGen::emit_one(core::SimTime at) {
 }
 
 bool MoonGen::send(const pkt::FrameMeta& meta, pkt::PacketHandle built) {
-  if (tx_nic_ != nullptr && tx_nic_->wired()) {
-    // The wire source runs untraced (hw/nic.h).
-    assert(meta.trace_id == 0);
-    return tx_nic_->wire_accept(meta.seq, std::move(built));
-  }
   pkt::Frame f =
       built ? pkt::Frame(std::move(built))
       : tx_nic_ != nullptr
           ? pkt::Frame::unreserved(recipe_, pool_, meta.seq, meta.trace_id)
           : pkt::Frame(recipe_, pool_, meta.seq);
-  return tx_nic_ != nullptr ? tx_nic_->tx_ring().enqueue(std::move(f))
-                            : tx_guest_->tx(std::move(f));
+  if (tx_nic_ == nullptr) return tx_guest_->tx(std::move(f));
+  // The wire source runs untraced (hw/nic.h).
+  assert(!tx_nic_->wired() || meta.trace_id == 0);
+  return tx_nic_->wired() ? tx_nic_->wire_accept(std::move(f))
+                          : tx_nic_->tx_ring().enqueue(std::move(f));
 }
 
 core::SimDuration MoonGen::gap() {

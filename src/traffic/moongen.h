@@ -111,7 +111,6 @@ class MoonGen final : public ring::TxSource {
   [[nodiscard]] const pkt::FrameRecipe* recipe() const override {
     return &recipe_;
   }
-  [[nodiscard]] pkt::PacketPool* pool() override { return &pool_; }
 
   // --- RX ----------------------------------------------------------------
   /// Monitor a physical NIC port (throughput + HW-timestamped probes).

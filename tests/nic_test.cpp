@@ -1,7 +1,7 @@
 // NIC model: serialization timing, line-rate ceiling, RX overflow
 // (imissed), DMA latency, HW timestamping, cable delivery, events per frame,
 // timed monitor sinks, pulled TX sources (and the queue sampler's reads of
-// their ring) and lazy RX at a polled ring.
+// their ring) and per-frame arrivals at a polled ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -338,39 +338,37 @@ TEST_F(NicTest, SampleAtTheEmitSeesTheFrameIn) {
   EXPECT_EQ(h.median(), 0);
 }
 
-// ---- lazy RX: arrivals at a polled ring ----------------------------------
+// ---- arrivals at a polled ring ------------------------------------------
 // Frame k of a burst enqueued at 0 arrives at 222.2 + 67.2 k ns: 50 ns DMA
 // fetch, 67.2 ns on the wire per frame, 5 ns of cable, 100 ns RX DMA.
 
 core::SimTime burst_arrival(int k) { return core::from_ns(222.2 + 67.2 * k); }
 
-// A consumer mid-round reads the ring before it goes idle, so frames that
-// land meanwhile need no event: only the ten TX fetches fire, and a read
-// finds exactly the frames that have arrived by then.
-TEST_F(NicTest, BurstOnBusyConsumerCostsNoArrivalEvents) {
+// Each frame lands by its own arrival event, busy consumer or not: ten TX
+// fetches on the lane, ten arrivals on the wheel, and a read after the
+// last fetch finds exactly the frames that have arrived by then.
+TEST_F(NicTest, BurstCostsOneArrivalEventPerFrame) {
   constexpr std::uint64_t kFrames = 10;
   b_.rx_ring().set_consumer_busy(true);
   for (std::uint64_t i = 0; i < kFrames; ++i) a_.tx_ring().enqueue(frame());
-  sim_.run();
+  // The last fetch fires at 50 + 9 * 67.2 ns; frames 0..6 have arrived.
+  sim_.run_until(core::from_ns(50 + 9 * 67.2));
   EXPECT_EQ(sim_.lanes_fired(), kFrames);
-  EXPECT_EQ(sim_.events_processed(), 0u);
-  // The last fetch fired at 50 + 9 * 67.2 ns; frames 0..6 have arrived.
-  EXPECT_EQ(sim_.now(), core::from_ns(50 + 9 * 67.2));
+  EXPECT_EQ(sim_.events_processed(), 7u);
   EXPECT_EQ(b_.rx_ring().size(), 7u);
   EXPECT_EQ(b_.rx_frames(), 7u);
-  sim_.run_until(burst_arrival(9));
+  sim_.run();
+  EXPECT_EQ(sim_.now(), burst_arrival(9));
   EXPECT_EQ(b_.rx_ring().size(), kFrames);
   EXPECT_EQ(b_.rx_frames(), kFrames);
   EXPECT_EQ(sim_.lanes_fired(), kFrames);
-  EXPECT_EQ(sim_.events_processed(), 0u);
+  EXPECT_EQ(sim_.events_processed(), kFrames);
   drain(b_.rx_ring());
 }
 
-// An idle consumer is woken at exactly the first arrival's picosecond, and
-// so is one that goes idle with frames still in flight: the frames that
-// arrived while it was busy are put in by its last read, the rest each
-// wake it at their own arrival.
-TEST_F(NicTest, IdleConsumerIsWokenAtEachArrival) {
+// The watcher runs at exactly each frame's arrival picosecond, with the
+// frame's arrival time as now, whether the consumer is idle or mid-round.
+TEST_F(NicTest, WatcherRunsAtEachArrival) {
   struct Wake {
     core::SimTime now;
     core::SimTime arrival;
@@ -390,19 +388,16 @@ TEST_F(NicTest, IdleConsumerIsWokenAtEachArrival) {
     rx.set_consumer_busy(false);
   });
   sim_.run();
-  const std::vector<Wake> expected = {
-      {burst_arrival(0), burst_arrival(0)},
-      {core::from_ns(300), burst_arrival(1)},
-      {burst_arrival(2), burst_arrival(2)},
-  };
+  std::vector<Wake> expected;
+  for (int k = 0; k < 4; ++k) {
+    expected.push_back({burst_arrival(k), burst_arrival(k)});
+  }
   EXPECT_EQ(wakes, expected);
-  // Four fetches on the lane; the 300 ns read and the arrivals of frames 0
-  // and 2 on the wheel. Frame 3 lands on a busy consumer again.
+  // Four fetches on the lane; the 300 ns read and four arrivals on the
+  // wheel.
   EXPECT_EQ(sim_.lanes_fired(), 4u);
-  EXPECT_EQ(sim_.events_processed(), 3u);
-  sim_.run_until(burst_arrival(3));
+  EXPECT_EQ(sim_.events_processed(), 5u);
   EXPECT_EQ(rx.size(), 4u);
-  EXPECT_EQ(wakes.size(), 4u);
   drain(rx);
 }
 

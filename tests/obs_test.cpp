@@ -241,6 +241,38 @@ TEST(TraceRecorder, JsonIsWellFormed) {
   EXPECT_NE(j.find("thread_name"), std::string::npos);
 }
 
+// The JSON depends only on the events recorded: the same events in two
+// call orders give the same file, ordered by time, with a begin before an
+// end at the same instant.
+TEST(TraceRecorder, JsonOrderIsCanonical) {
+  core::Simulator sim;
+  TraceRecorder fwd(sim, TraceRecorder::Config{});
+  TraceRecorder rev(sim, TraceRecorder::Config{});
+  const auto t1 = fwd.track("nic/a/wire");
+  const auto t2 = fwd.track("switch/sut");
+  ASSERT_EQ(rev.track("nic/a/wire"), t1);
+  ASSERT_EQ(rev.track("switch/sut"), t2);
+  fwd.complete(t1, "wire", core::from_ns(20), core::from_ns(67), 7);
+  fwd.async_end(3, "ring/a");
+  fwd.async_begin(3, "ring/b");
+  fwd.instant(t2, "drop", core::from_ns(10));
+  fwd.async_begin(4, "ring/a", core::from_ns(10));
+  rev.async_begin(4, "ring/a", core::from_ns(10));
+  rev.instant(t2, "drop", core::from_ns(10));
+  rev.async_begin(3, "ring/b");
+  rev.async_end(3, "ring/a");
+  rev.complete(t1, "wire", core::from_ns(20), core::from_ns(67), 7);
+  const std::string j = fwd.to_json();
+  EXPECT_EQ(j, rev.to_json());
+  const auto b = j.find("\"ph\":\"b\",\"pid\":1,\"tid\":1,\"id\":3");
+  const auto e = j.find("\"ph\":\"e\",\"pid\":1,\"tid\":1,\"id\":3");
+  ASSERT_NE(b, std::string::npos);
+  ASSERT_NE(e, std::string::npos);
+  EXPECT_LT(b, e);  // both at 0 ns
+  EXPECT_LT(e, j.find("\"ts\":0.010000"));
+  EXPECT_LT(j.find("\"ts\":0.010000"), j.find("\"ts\":0.020000"));
+}
+
 // Data-path hooks, exercised end-to-end: every sampled packet's lifecycle
 // slices must balance (each "b" closed by exactly one "e"), spans must have
 // non-negative durations, and timestamps must be non-negative.

@@ -385,13 +385,13 @@ std::uint64_t counter(const ScenarioResult& r, const std::string& path) {
   return 0;
 }
 
-// The generator feeds its NIC lazily, but the queue sampler reads its TX
-// ring as if every frame had been enqueued at its emit time. At 1 Mpps with
-// a 1 us period a sampling instant often coincides with an emit or a fetch,
-// and order keys decide the tie, as at a guest TX ring: a frame due at the
-// read's instant is in when its key comes first, and a fetch whose lane was
-// armed before the read (when the rings drained, waiting for that frame)
-// has already taken it.
+// The generator's frames are pulled at its NIC's fetches, but the queue
+// sampler reads its TX ring as if every frame had been enqueued at its
+// emit time. At 1 Mpps with a 1 us period a sampling instant often
+// coincides with an emit or a fetch, and order keys decide the tie, as at
+// a guest TX ring: a frame due at the read's instant is in when its key
+// comes first, and a fetch whose lane was armed before the read (when the
+// rings drained, waiting for that frame) has already taken it.
 TEST(ScenarioTrafficTools, SampledGeneratorTxRingDepthFollowsOrderKeys) {
   struct Point {
     double rate_pps;
@@ -422,7 +422,9 @@ TEST(ScenarioTrafficTools, SampledGeneratorTxRingDepthFollowsOrderKeys) {
 }
 
 
-// ---- lazy RX at the SUT: results pinned to the arrival-event model -------
+// ---- RX at the SUT: results pinned to the arrival-event model -----------
+// Unsampled runs land at reads (the wire source), sampled runs by one
+// arrival event per frame; both must give what the event model gave.
 
 // t4p4s assembles batches under a timeout measured from the first frame's
 // arrival, so at low load every batch waits on it: the latency percentiles
@@ -457,10 +459,9 @@ TEST(ScenarioLazyRx, T4p4sPacedLatencyUnchanged) {
   }
 }
 
-// The queue sampler reads a SUT NIC RX ring whose frames are put in only
-// when something reads it; its sync hook must make each depth read see
-// every frame that has arrived by then, with same-instant arrivals ordered
-// as they were when each arrival was an event.
+// The queue sampler reads a SUT NIC RX ring whose frames land by their
+// own arrival events: each depth read sees every frame that has arrived
+// by then, with same-instant arrivals ordered by their order keys.
 TEST(ScenarioLazyRx, SampledSutRxRingDepthUnchanged) {
   struct Point {
     switches::SwitchType sut;
@@ -490,7 +491,7 @@ TEST(ScenarioLazyRx, SampledSutRxRingDepthUnchanged) {
 }
 
 // Four SUT workers each poll their own RSS queue of both NICs: eight RX
-// rings, each with its own frames in flight, fed by one wire per NIC.
+// rings, fed by one wire source per NIC.
 TEST(ScenarioLazyRx, MultiQueueBidirectionalUnchanged) {
   struct Point {
     switches::SwitchType sut;

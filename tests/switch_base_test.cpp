@@ -1,6 +1,6 @@
 // SwitchBase service-loop mechanics, tested through a minimal concrete
 // switch that forwards port 0 <-> port 1, including a NIC port whose RX
-// ring is read lazily while a round runs.
+// ring a wire source fills at the switch's reads while a round runs.
 #include <gtest/gtest.h>
 
 #include "drain.h"
@@ -9,6 +9,7 @@
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 #include "switches/switch_base.h"
+#include "traffic/moongen.h"
 
 namespace nfvsb::switches {
 namespace {
@@ -201,9 +202,10 @@ TEST_F(SwitchBaseTest, FullBurstSkipsAssemblyWait) {
   sim_.run();
 }
 
-// A NIC frame that lands while a round runs is put into the RX ring only
-// when the round ends and reads it; its batch-assembly wait still counts
-// from its arrival, so the timeout round starts at arrival + timeout.
+// A frame from a wire source (hw/nic.h) that arrives while a round runs is
+// put into the RX ring only when the round ends and reads it; its
+// batch-assembly wait still counts from its arrival, so the timeout round
+// starts at arrival + timeout.
 TEST_F(SwitchBaseTest, AssemblyWaitCountsFromArrivalOfALateReadFrame) {
   hw::NicPort peer(sim_, "peer");
   hw::NicPort nic(sim_, "nic");
@@ -221,11 +223,17 @@ TEST_F(SwitchBaseTest, AssemblyWaitCountsFromArrivalOfALateReadFrame) {
   // A full burst on port 1 starts a ~5.2 us round at 0.
   sw.port(1).in().enqueue(frame());
   sw.port(1).in().enqueue(frame());
-  // Meanwhile one frame crosses the wire: 1 us DMA fetch, 67.2 ns on the
-  // wire, 5 ns of cable, 2.4 us RX DMA.
-  peer.tx_ring().enqueue(frame());
+  // Meanwhile a generator sends one frame at 0 across the wire: 1 us DMA
+  // fetch, 67.2 ns on the wire, 5 ns of cable, 2.4 us RX DMA.
+  traffic::MoonGen::Config gc;
+  gc.rate_pps = 1e5;
+  traffic::MoonGen gen(sim_, pool_, gc);
+  gen.attach_tx_nic(peer);
+  gen.start_tx(0, core::from_us(1));
+  ASSERT_TRUE(peer.wired());
   const core::SimTime arrival = core::from_ns(1000 + 67.2 + 5 + 2400);
   sim_.run();
+  EXPECT_EQ(gen.tx_sent(), 1u);
   EXPECT_EQ(sw.round_at_[1], 0);
   EXPECT_EQ(sw.round_at_[0], arrival + c.batch_timeout);
   EXPECT_EQ(sw.stats().rx_packets, 3u);

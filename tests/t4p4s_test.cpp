@@ -117,40 +117,6 @@ TEST_F(T4p4sTest, ActionRewritesDstMac) {
   EXPECT_EQ(eth.dst(), next_mac);
 }
 
-TEST_F(T4p4sTest, SmacLearningStageTogglesCost) {
-  // The Table 2 tuning removed the smac stage; re-enabling must add cost.
-  const auto mac = pkt::MacAddress::from_u64(0x02cc);
-  sw_.l2_table().add(mac, P4Action::forward(1));
-  sw_.start();
-  push(mac);
-  sim_.run();
-  const auto without = sim_.now();
-  EXPECT_FALSE(sw_.smac_learning());
-
-  core::Simulator sim2;
-  hw::CpuCore cpu2(sim2, "sut");
-  T4p4sSwitch sw2(sim2, cpu2, "t4p4s", fast_cost());
-  sw2.add_port(std::make_unique<ring::Port>(
-      "p0", ring::PortKind::kInternal, 512));
-  sw2.add_port(std::make_unique<ring::Port>(
-      "p1", ring::PortKind::kInternal, 512));
-  sw2.l2_table().add(mac, P4Action::forward(1));
-  sw2.set_smac_learning(true);
-  sw2.start();
-  {
-    pkt::PacketPool pool2(4);
-    auto p = pool2.allocate();
-    pkt::FrameSpec spec;
-    spec.dst_mac = mac;
-    pkt::craft_udp_frame(*p, spec);
-    sw2.port(0).in().enqueue(std::move(p));
-    sim2.run();
-    drain(sw2.port(1).out());
-  }
-  EXPECT_GT(sim2.now(), without);
-  drain(sw_.port(1).out());
-}
-
 TEST_F(T4p4sTest, RuntFrameDiscarded) {
   sw_.start();
   auto p = pool_.allocate();

@@ -133,11 +133,11 @@ TEST_F(MoonGenNicTest, SaturatingBurstCostsOneEventPerFrame) {
 }
 
 // A frame the receiving RX ring drops at the MAC is counted and never
-// built: a saturating MoonGen feeds a lazily read ring nobody drains, and
+// built: a saturating MoonGen's wire source feeds a ring nobody drains, and
 // the pool hands out exactly one buffer per frame put in. The counts are
 // the ones a model that built every frame gave.
 TEST_F(MoonGenNicTest, FramesTheRxRingDropsAreNeverBuilt) {
-  b_.rx_ring().set_consumer_busy(true);  // read lazily, never drained
+  b_.rx_ring().set_consumer_busy(true);  // never drained
   MoonGen gen(sim_, pool_, MoonGen::Config{});
   gen.attach_tx_nic(a_);
   gen.start_tx(0, core::from_us(200));
