@@ -6,7 +6,7 @@
 //   2. packets/sec — wall-clock rate of one fixed Fig. 4a point (BESS,
 //      p2p, 64 B, unidirectional), i.e. the end-to-end simulation speed,
 //      next to that point's simulator work per offered packet: timing-wheel
-//      events, lane firings, frames built and ring operations
+//      events, lane firings, frames built, ring operations and wire steps
 //      (ScenarioResult::Work of the timed, unobserved run).
 //
 // Results land in BENCH_events.json at the repository root, a committed
@@ -75,6 +75,7 @@ struct ScenarioRate {
   double lane_fired_per_pkt{0};
   double frames_built_per_pkt{0};
   double ring_ops_per_pkt{0};
+  double wire_steps_per_pkt{0};
 };
 
 /// One fixed Fig. 4a point: BESS p2p 64 B unidirectional, default seed and
@@ -98,6 +99,8 @@ ScenarioRate measure_fig4a_point() {
   rate.frames_built_per_pkt =
       static_cast<double>(r.work.frames_built) / offered;
   rate.ring_ops_per_pkt = static_cast<double>(r.work.ring_ops) / offered;
+  rate.wire_steps_per_pkt =
+      static_cast<double>(r.work.wire_steps) / offered;
   return rate;
 }
 
@@ -122,14 +125,16 @@ int main() {
                  "    \"events_per_pkt\": %.4f,\n"
                  "    \"lane_fired_per_pkt\": %.4f,\n"
                  "    \"frames_built_per_pkt\": %.4f,\n"
-                 "    \"ring_ops_per_pkt\": %.4f\n"
+                 "    \"ring_ops_per_pkt\": %.4f,\n"
+                 "    \"wire_steps_per_pkt\": %.4f\n"
                  "  }\n"
                  "}\n",
                  events_per_sec,
                  static_cast<unsigned long long>(fig4a.offered),
                  fig4a.wall_secs, fig4a.packets_per_sec,
                  fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
-                 fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt);
+                 fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt,
+                 fig4a.wire_steps_per_pkt);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", out.c_str());
@@ -144,9 +149,11 @@ int main() {
               static_cast<unsigned long long>(fig4a.offered),
               fig4a.wall_secs);
   std::printf("               per offered packet: %.4f wheel events, %.4f "
-              "lane firings, %.4f frames built, %.4f ring ops\n",
+              "lane firings, %.4f frames built, %.4f ring ops, %.4f wire "
+              "steps\n",
               fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
-              fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt);
+              fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt,
+              fig4a.wire_steps_per_pkt);
   std::printf("results      : %s\n", out.c_str());
 
   if (const char* floor_env = std::getenv("NFVSB_MIN_EVENTS_PER_SEC")) {

@@ -14,8 +14,9 @@
 // bench fails.
 //
 // It also prints what each campaign, and all ten, cost the simulator:
-// timing-wheel events, lane firings (NIC TX fetches), frames built and
-// ring operations (ScenarioResult::Work). The benches report these on
+// timing-wheel events, lane firings (NIC TX fetches), frames built, ring
+// operations and wire steps (NIC wire-source fetches replayed one at a
+// time; ScenarioResult::Work). The benches report these on
 // stderr, outside the campaign JSON; unlike wall time they are exact, so
 // two builds can be compared on them directly. The same table goes to
 // out-dir/work.txt, and goldens/work.txt is the committed copy, so
@@ -42,10 +43,11 @@ using nfvsb::bench::kWorkLinePrefix;
 using Work = nfvsb::scenario::ScenarioResult::Work;
 
 std::string format_work(const char* campaign, const Work& w) {
-  char buf[192];
+  char buf[224];
   std::snprintf(buf, sizeof buf, "%-22.60s %15" PRIu64 " %15" PRIu64
-                " %15" PRIu64 " %15" PRIu64 "\n", campaign, w.wheel_events,
-                w.lane_fired, w.frames_built, w.ring_ops);
+                " %15" PRIu64 " %15" PRIu64 " %15" PRIu64 "\n", campaign,
+                w.wheel_events, w.lane_fired, w.frames_built, w.ring_ops,
+                w.wire_steps);
   return buf;
 }
 
@@ -106,9 +108,10 @@ int main(int argc, char** argv) {
       if (std::strncmp(line, kWorkLinePrefix, std::strlen(kWorkLinePrefix)) ==
               0 &&
           std::sscanf(line + std::strlen(kWorkLinePrefix),
-                      "%127s %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64,
+                      "%127s %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
+                      " %" SCNu64,
                       campaign, &w.wheel_events, &w.lane_fired,
-                      &w.frames_built, &w.ring_ops) == 5) {
+                      &w.frames_built, &w.ring_ops, &w.wire_steps) == 6) {
         total += w;
         work_lines += format_work(campaign, w);
       } else {
@@ -127,10 +130,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("%-22s %7.2f s %7.2f s\n", "total", total_s, total_cpu_s);
-  char header[160];
-  std::snprintf(header, sizeof header, "%-22s %15s %15s %15s %15s\n",
+  char header[192];
+  std::snprintf(header, sizeof header, "%-22s %15s %15s %15s %15s %15s\n",
                 "simulator work", "wheel events", "lane firings",
-                "frames built", "ring ops");
+                "frames built", "ring ops", "wire steps");
   std::string table = header;
   table += work_lines;
   table += format_work("total", total);

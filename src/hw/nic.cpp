@@ -283,6 +283,7 @@ pkt::Frame NicPort::fetch() {
     key_pulled_in_ = fetches_ + 1;
   }
   ++fetches_;
+  ++detail::wire_steps;
   if (backlog_.empty()) {
     const core::SimTime next = tx_source_->next_emit();
     fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);

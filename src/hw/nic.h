@@ -75,6 +75,7 @@
 //    MoonGen for RTT measurement (Sec. 5.3).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,6 +97,18 @@ class MetricSink;
 namespace nfvsb::hw {
 
 class Cable;
+
+namespace detail {
+/// Wire-source fetches replayed one at a time on this thread (a scenario
+/// runs on one thread, so the difference over its run is that run's).
+inline thread_local std::uint64_t wire_steps = 0;
+}  // namespace detail
+
+/// The wire source's one-at-a-time fetch replays (NicPort::fetch) on this
+/// thread so far; see ScenarioResult::Work.
+[[nodiscard]] inline std::uint64_t wire_steps_on_this_thread() {
+  return detail::wire_steps;
+}
 
 class NicPort : private ring::Feed {
  public:

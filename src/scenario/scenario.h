@@ -160,12 +160,16 @@ struct ScenarioResult {
     /// Ring enqueues plus dequeues, summed over every ring of the run
     /// (ring::ops_on_this_thread).
     std::uint64_t ring_ops{0};
+    /// NIC wire-source fetches replayed one at a time
+    /// (hw::wire_steps_on_this_thread).
+    std::uint64_t wire_steps{0};
 
     Work& operator+=(const Work& o) {
       wheel_events += o.wheel_events;
       lane_fired += o.lane_fired;
       frames_built += o.frames_built;
       ring_ops += o.ring_ops;
+      wire_steps += o.wire_steps;
       return *this;
     }
   };
