@@ -182,21 +182,22 @@ std::size_t NicPort::rss_queue(const pkt::Frame& f) const {
 
 void NicPort::deliver_from_wire(pkt::Frame&& f, core::SimDuration delay) {
   const core::SimTime at = sim_.now() + delay + cfg_.dma_rx_latency;
-  if (rx_rings_[rss_queue(f)]->has_timed_sink()) {
-    land(std::move(f), at);
+  const std::size_t q = rss_queue(f);
+  if (rx_rings_[q]->has_timed_sink()) {
+    land(std::move(f), q, at);
     return;
   }
   // The frame's arrival event, keyed as the frame leaves the sender.
-  auto arrival = [this, f = std::move(f)]() mutable {
-    land(std::move(f), sim_.now());
+  auto arrival = [this, q, f = std::move(f)]() mutable {
+    land(std::move(f), q, sim_.now());
   };
   static_assert(sizeof(arrival) <= core::EventFn::kInlineBytes,
                 "an arrival event must not allocate");
   sim_.post_at(at, std::move(arrival));
 }
 
-void NicPort::land(pkt::Frame&& f, core::SimTime at) {
-  ring::SpscRing& ring = *rx_rings_[rss_queue(f)];
+void NicPort::land(pkt::Frame&& f, std::size_t q, core::SimTime at) {
+  ring::SpscRing& ring = *rx_rings_[q];
   ++rx_frames_;
   if (cfg_.hw_timestamping && f.probe_id() != 0 && rx_ts_hook_) {
     // 82599 stamps PTP frames at the MAC, before DMA (a probe is built).
@@ -221,7 +222,8 @@ bool NicPort::start_wire() {
   // What keeps one fetch per frame (see nic.h).
   if (core::tracer() != nullptr ||
       (registry_ != nullptr && registry_->depths_sampled()) ||
-      cable_ == nullptr || tx_source_->recipe() == nullptr) {
+      cable_ == nullptr || tx_source_->recipe() == nullptr ||
+      tx_source_->pool() == nullptr) {
     return false;
   }
   NicPort& to = cable_->peer(*this);
@@ -229,10 +231,12 @@ bool NicPort::start_wire() {
     if (!r->buffered()) return false;
   }
   wire_to_ = &to;
+  wire_recipe_ = tx_source_->recipe();
+  wire_pool_ = tx_source_->pool();
   // Allocated at start, not at the first emit mid-run, where this small
   // block outlives the run's transient ones and pinned heap: perfbench's
   // latency_paced peak RSS read 5% above the parent's with it there.
-  backlog_.reserve(core::Fifo<pkt::Frame>::kMinCapacity);
+  backlog_.reserve(core::Fifo<Backlog>::kMinCapacity);
   wire_ser_ = cfg_.rate.serialization_time(
       tx_source_->recipe()->frame_bytes());
   wire_delay_ = wire_ser_ + cable_->propagation() + to.cfg_.dma_rx_latency;
@@ -256,19 +260,63 @@ void NicPort::stop_wire() {
   sim_.stop_lane(tx_lane_);
   tx_busy_ = false;
   while (!backlog_.empty()) (void)backlog_.pop_front();
+  backlog_frames_ = 0;
   fetch_at_ = ring::TxSource::kNever;
   wire_to_ = nullptr;
 }
 
-bool NicPort::wire_accept(pkt::Frame&& f) {
+bool NicPort::wire_accept(std::uint64_t seq) {
   ring::SpscRing& tx = *tx_rings_[0];
-  if (backlog_.size() >= tx.capacity()) {
+  if (backlog_frames_ >= tx.capacity()) {
     tx.count_bypass(0, 0, 1);
     return false;
   }
-  backlog_.push_back(std::move(f));
+  append_plain(seq, 1);
   tx.count_bypass(1, 0, 0);
   return true;
+}
+
+bool NicPort::wire_accept(pkt::PacketHandle built) {
+  ring::SpscRing& tx = *tx_rings_[0];
+  if (backlog_frames_ >= tx.capacity()) {
+    tx.count_bypass(0, 0, 1);
+    return false;
+  }
+  backlog_.push_back({0, 0, std::move(built)});
+  ++backlog_frames_;
+  tx.count_bypass(1, 0, 0);
+  return true;
+}
+
+void NicPort::append_plain(std::uint64_t first_seq, std::uint64_t count) {
+  Backlog* tail = backlog_.empty() ? nullptr : &backlog_[backlog_.size() - 1];
+  if (tail != nullptr && tail->count != 0 &&
+      tail->first_seq + tail->count == first_seq) {
+    tail->count += count;
+  } else {
+    backlog_.push_back({first_seq, count, {}});
+  }
+  backlog_frames_ += count;
+}
+
+pkt::Frame NicPort::pop_backlog() {
+  Backlog& head = backlog_[0];
+  --backlog_frames_;
+  if (head.count == 0) return backlog_.pop_front().built;
+  pkt::Frame f = pkt::Frame::unreserved(*wire_recipe_, *wire_pool_,
+                                        head.first_seq, 0);
+  ++head.first_seq;
+  if (--head.count == 0) (void)backlog_.pop_front();
+  return f;
+}
+
+void NicPort::set_next_fetch() {
+  if (backlog_frames_ > 0) {
+    fetch_at_ = wire_free_at_;
+    return;
+  }
+  const core::SimTime next = tx_source_->next_emit();
+  fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
 }
 
 pkt::Frame NicPort::fetch() {
@@ -284,12 +332,11 @@ pkt::Frame NicPort::fetch() {
   }
   ++fetches_;
   ++detail::wire_steps;
-  if (backlog_.empty()) {
-    const core::SimTime next = tx_source_->next_emit();
-    fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
+  if (backlog_frames_ == 0) {
+    set_next_fetch();
     return {};
   }
-  pkt::Frame f = backlog_.pop_front();
+  pkt::Frame f = pop_backlog();
   tx_rings_[0]->count_bypass(0, 1, 0);
   ++tx_frames_;
   if (cfg_.hw_timestamping && f.probe_id() != 0 &&
@@ -297,13 +344,77 @@ pkt::Frame NicPort::fetch() {
     f.packet().tx_timestamp = now + wire_ser_;  // a probe is built
   }
   wire_free_at_ = now + wire_ser_;
-  if (!backlog_.empty()) {
-    fetch_at_ = wire_free_at_;
-  } else {
-    const core::SimTime next = tx_source_->next_emit();
-    fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
-  }
+  set_next_fetch();
   return f;
+}
+
+bool NicPort::drop_run() {
+  // Only fetches whose frames arrived before now: one arriving at now may
+  // tie with the reader's key (late_order), which is left to catch_up.
+  const core::SimTime now = sim_.now();
+  const core::SimTime first_at = fetch_at_ + wire_delay_;
+  if (first_at >= now) return false;
+  // Every RX ring a frame of the run may hash to is full, and nothing
+  // dequeues before the read that runs this: a drop wakes no consumer.
+  for (const auto& r : wire_to_->rx_rings_) {
+    if (r->has_room()) return false;
+  }
+  // Exactly one frame is owed at each fetch, due strictly before it. With
+  // the source paced at wire_ser_ (emit_run checks that), the phase stays,
+  // so no emit instant meets a fetch instant and each fetch emits one
+  // frame and takes one: the backlog keeps its size, and the TX ring, not
+  // full, takes every frame.
+  const core::SimTime emit = tx_source_->next_emit();
+  if (emit >= fetch_at_ || emit + wire_ser_ <= fetch_at_ ||
+      backlog_frames_ >= tx_rings_[0]->capacity()) {
+    return false;
+  }
+  // Every frame fetched is plain: a dropped probe still reaches the RX
+  // timestamp hook, so the run ends before the first one.
+  auto n = static_cast<std::uint64_t>((now - first_at - 1) / wire_ser_ + 1);
+  if (backlog_frames_ > 0) {
+    const Backlog& head = backlog_[0];
+    if (head.count == 0) return false;
+    if (head.count < backlog_frames_) n = std::min(n, head.count);
+  }
+  // The frames the run's fetches pull are the ones due before its last.
+  const ring::TxSource::Run run = tx_source_->emit_run(
+      fetch_at_ + static_cast<core::SimDuration>(n - 1) * wire_ser_,
+      wire_ser_);
+  if (run.count == 0) return false;
+  n = run.count;
+  append_plain(run.first_seq, n);
+  // The run's fetches take the backlog's first n frames, all plain, and
+  // the peer drops each in its RSS queue's ring.
+  std::uint64_t left = n;
+  while (left > 0) {
+    Backlog& head = backlog_[0];
+    const std::uint64_t k = std::min(left, head.count);
+    if (wire_to_->rx_rings_.size() == 1) {
+      wire_to_->rx_rings_[0]->count_bypass(0, 0, k);
+    } else {
+      for (std::uint64_t seq = head.first_seq; seq < head.first_seq + k;
+           ++seq) {
+        const pkt::Frame f =
+            pkt::Frame::unreserved(*wire_recipe_, *wire_pool_, seq, 0);
+        wire_to_->rx_rings_[wire_to_->rss_queue(f)]->count_bypass(0, 0, 1);
+      }
+    }
+    head.first_seq += k;
+    head.count -= k;
+    left -= k;
+    if (head.count == 0) (void)backlog_.pop_front();
+  }
+  backlog_frames_ -= n;
+  tx_rings_[0]->count_bypass(n, n, 0);
+  tx_frames_ += n;
+  wire_to_->rx_frames_ += n;
+  fetches_ += n;
+  key_pulled_in_ = fetches_;  // the last fetch pulled a frame
+  wire_free_at_ =
+      fetch_at_ + static_cast<core::SimDuration>(n) * wire_ser_;
+  set_next_fetch();
+  return true;
 }
 
 void NicPort::catch_up() {
@@ -314,8 +425,12 @@ void NicPort::catch_up() {
   // each fetch is complete before its frame lands.
   while (fetch_at_ != ring::TxSource::kNever &&
          sim_.reached_late(fetch_at_ + wire_delay_, fetch_at_, wire_rank_)) {
+    if (drop_run()) continue;
     const core::SimTime at = fetch_at_ + wire_delay_;
-    if (pkt::Frame f = fetch()) wire_to_->land(std::move(f), at);
+    if (pkt::Frame f = fetch()) {
+      const std::size_t q = wire_to_->rss_queue(f);
+      wire_to_->land(std::move(f), q, at);
+    }
   }
   sync_wire_wake();
 }

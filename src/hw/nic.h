@@ -41,16 +41,31 @@
 // serialize_step would have done it (the pull of the frames owed, the TX
 // ring's occupancy and overflow as tx_failed, tx_frames, a probe's TX
 // stamp), and lands the frame in its RSS queue's ring or counts it
-// imissed. A frame the ring drops costs no fetch, no TX-ring push, no
-// event and no pool buffer; a plain frame takes its buffer only
-// when it lands. The fetch fires nothing, so its frame's order key is a
-// late one (core::Simulator::late_order): after every key reserved at or
-// before the fetch's instant, before any reserved later; ports whose
-// fetches coincide (a bidirectional pair in lockstep) rank in the order
-// they started. While a consumer of the peer's rings is idle, one event is
-// kept at the next frame's arrival under that key; when its fetch's
-// instant is not past yet, the TX lane fires once just after it to place
-// that event.
+// imissed. A frame the ring drops costs no event and no pool buffer, and
+// a plain frame takes its buffer only when it lands; the TX backlog holds
+// a plain frame as its sequence number. One fetch at a time, a dropped
+// frame still costs its emit, fetch and landing; bulk drops (below) take
+// whole runs of them in one step. The fetch fires nothing, so its frame's
+// order key is a late one (core::Simulator::late_order): after every key
+// reserved at or before the fetch's instant, before any reserved later;
+// ports whose fetches coincide (a bidirectional pair in lockstep) rank in
+// the order they started. While a consumer of the peer's rings is idle,
+// one event is kept at the next frame's arrival under that key; when its
+// fetch's instant is not past yet, the TX lane fires once just after it
+// to place that event.
+//
+// Bulk drops. While the peer's RX rings are all full, a read replays a
+// whole run of fetches, whose frames those rings drop, in one step
+// (drop_run): the source emits the run in closed form
+// (ring::TxSource::emit_run) and every count advances by it. The step is
+// taken only where one fetch at a time would give exactly that: the
+// source paced at a whole-picosecond gap equal to the serialization time,
+// its next emit strictly inside the serialization time before the next
+// fetch (each fetch pulls one frame, and no emit meets a fetch instant),
+// the TX ring not full, no probe among the run's frames (a dropped probe
+// still runs the RX timestamp hook), and only frames that arrived
+// strictly before now (no late-key tie). Everything else goes one fetch
+// at a time.
 //
 // start_wire decides, when the source starts, from what observes the
 // port. Three things keep one fetch per frame: a packet tracer (trace ids
@@ -93,6 +108,10 @@
 namespace nfvsb::core {
 class MetricSink;
 }  // namespace nfvsb::core
+
+namespace nfvsb::pkt {
+class PacketPool;
+}  // namespace nfvsb::pkt
 
 namespace nfvsb::hw {
 
@@ -196,9 +215,11 @@ class NicPort : private ring::Feed {
   /// The wire source is running: the TX source hands its frames to
   /// wire_accept() instead of the TX ring.
   [[nodiscard]] bool wired() const { return wire_to_ != nullptr; }
-  /// Wire source: take the source's frame into the TX backlog, or drop it
-  /// when the TX ring would be full (false).
-  [[nodiscard]] bool wire_accept(pkt::Frame&& f);
+  /// Wire source: take the source's plain frame `seq` (a sequence number
+  /// of its recipe), or a built frame (a probe), into the TX backlog, or
+  /// drop it when the TX ring would be full (false).
+  [[nodiscard]] bool wire_accept(std::uint64_t seq);
+  [[nodiscard]] bool wire_accept(pkt::PacketHandle built);
 
   /// Callback invoked with (frame, rx_wire_time) when a HW-timestamped
   /// probe frame arrives — how MoonGen reads RX timestamps off the NIC.
@@ -221,10 +242,24 @@ class NicPort : private ring::Feed {
   /// when the backlog is: the frames owed never reached it (a probe the
   /// pool had no buffer for), and the next fetch waits for the next emit.
   pkt::Frame fetch();
+  /// Bulk drops: replay in one step the run of fetches, from the next one
+  /// on, whose frames arrived before now and which the peer's full RX
+  /// rings all drop, where that is provably what fetch() and land() would
+  /// do one at a time (see above). False, having changed nothing, where it
+  /// is not.
+  [[nodiscard]] bool drop_run();
+  /// Put plain frames first_seq.. first_seq + count - 1 at the backlog's
+  /// tail, into its last run where they continue it.
+  void append_plain(std::uint64_t first_seq, std::uint64_t count);
+  /// Take the backlog's head, which must be there.
+  pkt::Frame pop_backlog();
+  /// After a fetch: the next one right behind it while the backlog holds
+  /// frames, else when the source's next frame is fetched.
+  void set_next_fetch();
   /// Receiving side, on both paths: count a frame that arrived at `at`,
   /// pass a probe's MAC time to the RX timestamp hook, and put the frame
-  /// into its RSS queue's RX ring, built, or count it imissed.
-  void land(pkt::Frame&& f, core::SimTime at);
+  /// into RX ring `q` (its RSS queue), built, or count it imissed.
+  void land(pkt::Frame&& f, std::size_t q, core::SimTime at);
   /// Keep one event armed at the next frame's arrival, under its late key,
   /// exactly while a consumer of the peer's RX rings is idle.
   void sync_wire_wake();
@@ -281,8 +316,19 @@ class NicPort : private ring::Feed {
   /// source's current order key (0: the source's start reserved it).
   std::uint64_t fetches_{0};
   std::uint64_t key_pulled_in_{0};
-  /// Frames emitted and not yet fetched: the TX ring's contents.
-  core::Fifo<pkt::Frame> backlog_;
+  /// A TX backlog entry: `count` plain frames from first_seq on, or, with
+  /// count 0, the built frame `built` (a probe).
+  struct Backlog {
+    std::uint64_t first_seq{0};
+    std::uint64_t count{0};
+    pkt::PacketHandle built;
+  };
+  /// Frames emitted and not yet fetched, the TX ring's contents, in order.
+  core::Fifo<Backlog> backlog_;
+  std::size_t backlog_frames_{0};
+  /// What a plain frame of the backlog is made from (the source's).
+  const pkt::FrameRecipe* wire_recipe_{nullptr};
+  pkt::PacketPool* wire_pool_{nullptr};
   /// The idle-consumer wake; while tx_busy_, the TX lane is armed instead,
   /// just after the next fetch's instant, to place that wake.
   core::EventQueue::EventId wire_wake_{core::EventQueue::kInvalidEvent};

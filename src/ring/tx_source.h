@@ -24,17 +24,26 @@
 // On a NIC port whose far end is an RX ring a consumer reads, the port
 // composes the source with its departure law into one wire source
 // (hw/nic.h), unless the run is traced or its queue depths are sampled:
-// the source's frames then go to the port (NicPort::wire_accept), unbuilt,
-// and the ones that land are built there. Sources without a recipe always
-// go through the TX ring.
+// the source's frames then go to the port (NicPort::wire_accept), a plain
+// one as its sequence number, and the ones that land are built there.
+// Sources without a recipe always go through the TX ring.
+//
+// Bulk advance. While the far end's RX ring is full, the wire source drops
+// whole runs of frames in one step (hw/nic.h, "Bulk drops"). For that it
+// asks the source for the plain frames due before an instant at once
+// (emit_run): the source advances by the run in closed form and the port
+// takes the run as its sequence numbers, exactly as that many emit_next()
+// calls would have put them in.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 
 #include "core/time.h"
 
 namespace nfvsb::pkt {
 class FrameRecipe;
+class PacketPool;
 }  // namespace nfvsb::pkt
 
 namespace nfvsb::ring {
@@ -52,10 +61,28 @@ class TxSource {
   /// only once that frame is due.
   virtual void emit_next() = 0;
 
-  /// How the source's frames are built from their sequence numbers. A
-  /// source without one (nullptr) always goes through its port's TX ring.
+  /// How the source's frames are built from their sequence numbers, and
+  /// the pool they are built in. A source without a recipe (nullptr)
+  /// always goes through its port's TX ring.
   [[nodiscard]] virtual const pkt::FrameRecipe* recipe() const {
     return nullptr;
+  }
+  [[nodiscard]] virtual pkt::PacketPool* pool() const { return nullptr; }
+
+  /// Plain frames first_seq, first_seq + 1, ... (recipe()), `count` of
+  /// them.
+  struct Run {
+    std::uint64_t first_seq{0};
+    std::uint64_t count{0};
+  };
+  /// Bulk advance: emit in one step the frames emit_next() would emit
+  /// before `t`, each `gap` after the one before, and return them as a run
+  /// for the reader to put in. The reader calls it only where it has room
+  /// for every frame due before `t`. The run stops before the first frame
+  /// that is not plain (a probe), at the source's end, and is empty when
+  /// the source's pacing is not exactly `gap` whole picoseconds.
+  virtual Run emit_run(core::SimTime /*t*/, core::SimDuration /*gap*/) {
+    return {};
   }
 
  protected:

@@ -79,6 +79,25 @@ void MoonGen::emit_next() {
   next_at_ += gap();
 }
 
+ring::TxSource::Run MoonGen::emit_run(core::SimTime t,
+                                      core::SimDuration gap) {
+  assert(tx_nic_ != nullptr && tx_nic_->wired());
+  // gap() then returns gap_ps_ every time and carries nothing.
+  if (pace_frac_ != 0 || gap_ps_ != static_cast<double>(gap)) return {};
+  // A frame emitted at or after next_probe_at_ is a probe.
+  core::SimTime end = std::min(t, tx_until_);
+  if (cfg_.probe_interval > 0) end = std::min(end, next_probe_at_);
+  if (next_at_ >= end) return {};
+  // Over a NIC a plain frame takes no pool buffer at emit, and the wire
+  // source runs untraced: each would be sent, as seq_ + 1, + 2, ...
+  const auto n = static_cast<std::uint64_t>((end - next_at_ - 1) / gap + 1);
+  const Run run{seq_ + 1, n};
+  seq_ += n;
+  next_at_ += static_cast<core::SimDuration>(n) * gap;
+  tx_sent_ += n;
+  return run;
+}
+
 void MoonGen::emit_one(core::SimTime at) {
   // A frame sent over a NIC takes its pool buffer only where it lands; one
   // a guest sends takes a reservation now (pkt/frame.h). A probe is built
@@ -111,16 +130,20 @@ void MoonGen::emit_one(core::SimTime at) {
 }
 
 bool MoonGen::send(const pkt::FrameMeta& meta, pkt::PacketHandle built) {
+  if (tx_nic_ != nullptr && tx_nic_->wired()) {
+    // The wire source runs untraced and takes a plain frame as its
+    // sequence number (hw/nic.h).
+    assert(meta.trace_id == 0);
+    return built ? tx_nic_->wire_accept(std::move(built))
+                 : tx_nic_->wire_accept(meta.seq);
+  }
   pkt::Frame f =
       built ? pkt::Frame(std::move(built))
       : tx_nic_ != nullptr
           ? pkt::Frame::unreserved(recipe_, pool_, meta.seq, meta.trace_id)
           : pkt::Frame(recipe_, pool_, meta.seq);
   if (tx_nic_ == nullptr) return tx_guest_->tx(std::move(f));
-  // The wire source runs untraced (hw/nic.h).
-  assert(!tx_nic_->wired() || meta.trace_id == 0);
-  return tx_nic_->wired() ? tx_nic_->wire_accept(std::move(f))
-                          : tx_nic_->tx_ring().enqueue(std::move(f));
+  return tx_nic_->tx_ring().enqueue(std::move(f));
 }
 
 core::SimDuration MoonGen::gap() {

@@ -29,7 +29,10 @@
 // NIC's rate control, or, when the NIC faces a SUT port, the NIC's wire
 // source, which the SUT's reads pull (hw/nic.h): a plain frame then goes
 // out as its sequence number, and tx_sent() and the other counts read the
-// NIC first, which brings the source up to date. On a guest port the
+// NIC first, which brings the source up to date. While the SUT's RX ring
+// is full, the wire source takes a whole run of plain frames at once
+// (emit_run): at a whole-picosecond gap with nothing carried, frame k of
+// the run is emitted at next_at_ + k * gap, so the run is one step. On a guest port the
 // reader is the guest's TX ring (SpscRing::feed_from_source), read by the
 // switch that serves it, which an event wakes at each emit only while that
 // switch is idle. Frames are enqueued unbuilt (pkt::Frame) and built where
@@ -111,6 +114,11 @@ class MoonGen final : public ring::TxSource {
   [[nodiscard]] const pkt::FrameRecipe* recipe() const override {
     return &recipe_;
   }
+  [[nodiscard]] pkt::PacketPool* pool() const override { return &pool_; }
+  /// The plain frames before `t` in closed form: seq_ and next_at_ advance
+  /// by the run, which stops before the next probe and at tx_until_. Only
+  /// a NIC's wire source calls it, and only with room for the whole run.
+  Run emit_run(core::SimTime t, core::SimDuration gap) override;
 
   // --- RX ----------------------------------------------------------------
   /// Monitor a physical NIC port (throughput + HW-timestamped probes).

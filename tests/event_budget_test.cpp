@@ -91,5 +91,27 @@ TEST(EventBudget, PerOfferedPacket) {
   }
 }
 
+// Wire steps (ScenarioResult::Work): the generator NIC's fetches that its
+// wire source replays one at a time. A saturating bidirectional t4p4s
+// drops about three quarters of what it is offered at its RX rings, and
+// the wire source steps over each run of those drops at once (hw/nic.h,
+// "Bulk drops"), so it replays about the frames delivered. Replaying every
+// offered frame reads 1.0.
+TEST(EventBudget, WireStepsPerOfferedPacket) {
+  constexpr double kMaxWireSteps = 0.2800;  // measured 0.2772
+  ScenarioConfig cfg;
+  cfg.kind = Kind::kP2p;
+  cfg.sut = switches::SwitchType::kT4p4s;
+  cfg.bidirectional = true;
+  const ScenarioResult r = run_scenario(cfg);
+  ASSERT_FALSE(r.skipped.has_value());
+  ASSERT_GT(r.offered_packets, 0u);
+  const double ratio = static_cast<double>(r.work.wire_steps) /
+                       static_cast<double>(r.offered_packets);
+  EXPECT_LE(ratio, kMaxWireSteps)
+      << r.work.wire_steps << " wire steps for " << r.offered_packets
+      << " offered packets";
+}
+
 }  // namespace
 }  // namespace nfvsb::scenario

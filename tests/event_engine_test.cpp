@@ -245,7 +245,7 @@ TEST(EventFnStorage, DataPathCapturesStayInline) {
 
 TEST(EventFnStorage, OversizedCaptureSpillsAndCounts) {
   SmallFn<void>::reset_heap_fallback_count();
-  std::array<std::uint64_t, 9> big{};  // 72 bytes > 48-byte inline buffer
+  std::array<std::uint64_t, 9> big{};  // 72 bytes > 56-byte inline buffer
   big[0] = 41;
   std::uint64_t out = 0;
   EventFn fn([big, &out] { out = big[0] + 1; });

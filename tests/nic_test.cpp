@@ -672,5 +672,37 @@ TEST_F(NicTest, BidiWakesAtOneArrivalInstantKeepTheirOrder) {
   drain(s1.rx_ring());
 }
 
+// Bulk drops step only over frames that arrived before the read. A
+// saturating MoonGen fills b's 16-deep ring, which nothing reads until an
+// event at frame 60's arrival, keyed before that frame's fetch instant:
+// frames 0-15 land one fetch at a time, 16-59 drop in one step, and frame
+// 60, arriving at the read's very instant, waits for its own key and finds
+// the slot the read frees.
+TEST_F(NicTest, BulkDropLeavesTheFrameArrivingAtTheReadToItsKey) {
+  constexpr std::uint64_t kFrame = 60;
+  const core::SimDuration ser = core::from_ns(67.2);
+  const core::SimTime read_at =
+      kTieArrival + static_cast<core::SimDuration>(kFrame) * ser;
+  b_.rx_ring().set_consumer_busy(true);  // no wakes: only the reads
+  const std::uint64_t steps0 = wire_steps_on_this_thread();
+  std::uint64_t steps = 0;
+  std::uint64_t drops = 0;
+  std::size_t depth_after = 0;
+  sim_.post_at(read_at, [&] {
+    drops = b_.rx_ring().drops();
+    steps = wire_steps_on_this_thread() - steps0;
+    (void)b_.rx_ring().dequeue();
+  });
+  sim_.post_at(read_at + 1, [&] { depth_after = b_.rx_ring().size(); });
+  traffic::MoonGen gen(sim_, pool_, traffic::MoonGen::Config{});
+  gen.attach_tx_nic(a_);
+  gen.start_tx(0, read_at);
+  sim_.run();
+  EXPECT_EQ(drops, kFrame - 16);
+  EXPECT_EQ(steps, 16u);
+  EXPECT_EQ(depth_after, 16u);
+  drain(b_.rx_ring());
+}
+
 }  // namespace
 }  // namespace nfvsb::hw
