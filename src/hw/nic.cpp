@@ -131,7 +131,7 @@ core::SimDuration NicPort::serialize_step() {
     const std::size_t q = (tx_rr_ + k) % tx_rings_.size();
     f = tx_rings_[q]->dequeue_frame();
     if (f) {
-      tx_rr_ = (q + 1) % tx_rings_.size();
+      tx_rr_ = static_cast<std::uint16_t>((q + 1) % tx_rings_.size());
       break;
     }
   }
@@ -296,18 +296,7 @@ void NicPort::append_plain(std::uint64_t first_seq, std::uint64_t count) {
   } else {
     backlog_.push_back({first_seq, count, {}});
   }
-  backlog_frames_ += count;
-}
-
-pkt::Frame NicPort::pop_backlog() {
-  Backlog& head = backlog_[0];
-  --backlog_frames_;
-  if (head.count == 0) return backlog_.pop_front().built;
-  pkt::Frame f = pkt::Frame::unreserved(*wire_recipe_, *wire_pool_,
-                                        head.first_seq, 0);
-  ++head.first_seq;
-  if (--head.count == 0) (void)backlog_.pop_front();
-  return f;
+  backlog_frames_ += static_cast<std::uint32_t>(count);
 }
 
 void NicPort::set_next_fetch() {
@@ -336,7 +325,16 @@ pkt::Frame NicPort::fetch() {
     set_next_fetch();
     return {};
   }
-  pkt::Frame f = pop_backlog();
+  --backlog_frames_;
+  Backlog& head = backlog_[0];
+  pkt::Frame f;
+  if (head.count == 0) {
+    f = backlog_.pop_front().built;
+  } else {
+    f = pkt::Frame::unreserved(*wire_recipe_, *wire_pool_, head.first_seq, 0);
+    ++head.first_seq;
+    if (--head.count == 0) (void)backlog_.pop_front();
+  }
   tx_rings_[0]->count_bypass(0, 1, 0);
   ++tx_frames_;
   if (cfg_.hw_timestamping && f.probe_id() != 0 &&
@@ -354,8 +352,8 @@ bool NicPort::drop_run() {
   const core::SimTime now = sim_.now();
   const core::SimTime first_at = fetch_at_ + wire_delay_;
   if (first_at >= now) return false;
-  // Every RX ring a frame of the run may hash to is full, and nothing
-  // dequeues before the read that runs this: a drop wakes no consumer.
+  // Every RX ring of the peer is full (with RSS, any may get a frame of
+  // the run), and none empties during the run: a drop wakes no consumer.
   for (const auto& r : wire_to_->rx_rings_) {
     if (r->has_room()) return false;
   }
@@ -405,7 +403,7 @@ bool NicPort::drop_run() {
     left -= k;
     if (head.count == 0) (void)backlog_.pop_front();
   }
-  backlog_frames_ -= n;
+  backlog_frames_ -= static_cast<std::uint32_t>(n);
   tx_rings_[0]->count_bypass(n, n, 0);
   tx_frames_ += n;
   wire_to_->rx_frames_ += n;
@@ -425,7 +423,8 @@ void NicPort::catch_up() {
   // each fetch is complete before its frame lands.
   while (fetch_at_ != ring::TxSource::kNever &&
          sim_.reached_late(fetch_at_ + wire_delay_, fetch_at_, wire_rank_)) {
-    if (drop_run()) continue;
+    // Ring 0 full is the step's cheapest condition: check it first.
+    if (!wire_to_->rx_rings_[0]->has_room() && drop_run()) continue;
     const core::SimTime at = fetch_at_ + wire_delay_;
     if (pkt::Frame f = fetch()) {
       const std::size_t q = wire_to_->rss_queue(f);

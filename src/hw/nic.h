@@ -251,8 +251,6 @@ class NicPort : private ring::Feed {
   /// Put plain frames first_seq.. first_seq + count - 1 at the backlog's
   /// tail, into its last run where they continue it.
   void append_plain(std::uint64_t first_seq, std::uint64_t count);
-  /// Take the backlog's head, which must be there.
-  pkt::Frame pop_backlog();
   /// After a fetch: the next one right behind it while the backlog holds
   /// frames, else when the source's next frame is fetched.
   void set_next_fetch();
@@ -294,14 +292,19 @@ class NicPort : private ring::Feed {
   /// tx_busy_.
   core::Simulator::LaneId tx_lane_;
   bool tx_busy_{false};
+  /// The TX queue the round robin tries first. Narrow, like
+  /// backlog_frames_, and registry_ sits before rx_ts_hook_, so that the
+  /// wire source's state fills padding and a NicPort stays at 400 bytes:
+  /// at 416 it fell into another allocator size class, and perfbench's
+  /// latency_paced peak RSS read 5% higher.
+  std::uint16_t tx_rr_{0};
   core::SimTime tx_fetch_at_{0};
   /// When the last frame sent finishes serializing.
   core::SimTime wire_free_at_{0};
-  std::size_t tx_rr_{0};
   core::Counter tx_frames_;
   core::Counter rx_frames_;
-  RxTimestampHook rx_ts_hook_;
   core::MetricSink* registry_{nullptr};
+  RxTimestampHook rx_ts_hook_;
   // Wire source state (sending side; see above).
   /// The peer whose RX rings pull this port's wire source.
   NicPort* wire_to_{nullptr};
@@ -310,6 +313,8 @@ class NicPort : private ring::Feed {
   core::SimDuration wire_delay_{0};
   /// Late-key rank (core::Simulator::late_order) of this port's fetches.
   unsigned wire_rank_{0};
+  /// Frames in the TX backlog (below), at most the TX ring's capacity.
+  std::uint32_t backlog_frames_{0};
   /// The next virtual fetch, ring::TxSource::kNever when none is due.
   core::SimTime fetch_at_{ring::TxSource::kNever};
   /// Virtual fetches so far, and 1 + the one whose pull reserved the
@@ -325,7 +330,6 @@ class NicPort : private ring::Feed {
   };
   /// Frames emitted and not yet fetched, the TX ring's contents, in order.
   core::Fifo<Backlog> backlog_;
-  std::size_t backlog_frames_{0};
   /// What a plain frame of the backlog is made from (the source's).
   const pkt::FrameRecipe* wire_recipe_{nullptr};
   pkt::PacketPool* wire_pool_{nullptr};

@@ -5,8 +5,8 @@
 // and sampled, and the two must agree on every result field and on every
 // counter both report. The points cover each condition the step checks:
 // a single RX queue, probes among the frames, two RSS queues, a gap that
-// is not a whole number of picoseconds (128 B), and a rate above line rate
-// whose TX ring overflows.
+// is not a whole number of picoseconds (128 B), a rate above line rate
+// whose TX ring overflows, and a VNF loopback chain.
 #include <gtest/gtest.h>
 
 #include <cstdint>
