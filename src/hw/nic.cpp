@@ -299,13 +299,13 @@ void NicPort::append_plain(std::uint64_t first_seq, std::uint64_t count) {
   backlog_frames_ += static_cast<std::uint32_t>(count);
 }
 
-void NicPort::set_next_fetch() {
+void NicPort::set_next_fetch(core::SimTime next_emit) {
   if (backlog_frames_ > 0) {
     fetch_at_ = wire_free_at_;
-    return;
+  } else {
+    fetch_at_ = next_emit == ring::TxSource::kNever ? next_emit
+                                                    : fetch_time(next_emit);
   }
-  const core::SimTime next = tx_source_->next_emit();
-  fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
 }
 
 pkt::Frame NicPort::fetch() {
@@ -313,16 +313,18 @@ pkt::Frame NicPort::fetch() {
   // What serialize_step's pull_source would enqueue at this fetch: a frame
   // due at its very instant is owed when its order key comes before the
   // fetch's, i.e. when it was reserved at an earlier fetch (or the start).
-  for (core::SimTime t = tx_source_->next_emit();
-       t < now || (t == now && key_pulled_in_ <= fetches_);
-       t = tx_source_->next_emit()) {
+  // The loop leaves `next` at the source's next emit, which the fetch
+  // changes no more.
+  core::SimTime next = tx_source_->next_emit();
+  for (; next < now || (next == now && key_pulled_in_ <= fetches_);
+       next = tx_source_->next_emit()) {
     tx_source_->emit_next();
     key_pulled_in_ = fetches_ + 1;
   }
   ++fetches_;
   ++detail::wire_steps;
   if (backlog_frames_ == 0) {
-    set_next_fetch();
+    set_next_fetch(next);
     return {};
   }
   --backlog_frames_;
@@ -342,7 +344,7 @@ pkt::Frame NicPort::fetch() {
     f.packet().tx_timestamp = now + wire_ser_;  // a probe is built
   }
   wire_free_at_ = now + wire_ser_;
-  set_next_fetch();
+  set_next_fetch(next);
   return f;
 }
 
@@ -411,7 +413,7 @@ bool NicPort::drop_run() {
   key_pulled_in_ = fetches_;  // the last fetch pulled a frame
   wire_free_at_ =
       fetch_at_ + static_cast<core::SimDuration>(n) * wire_ser_;
-  set_next_fetch();
+  set_next_fetch(tx_source_->next_emit());
   return true;
 }
 

@@ -252,8 +252,9 @@ class NicPort : private ring::Feed {
   /// tail, into its last run where they continue it.
   void append_plain(std::uint64_t first_seq, std::uint64_t count);
   /// After a fetch: the next one right behind it while the backlog holds
-  /// frames, else when the source's next frame is fetched.
-  void set_next_fetch();
+  /// frames, else when the source's next frame, due at `next_emit`, is
+  /// fetched.
+  void set_next_fetch(core::SimTime next_emit);
   /// Receiving side, on both paths: count a frame that arrived at `at`,
   /// pass a probe's MAC time to the RX timestamp hook, and put the frame
   /// into RX ring `q` (its RSS queue), built, or count it imissed.
