@@ -54,7 +54,6 @@ class SmallFn {
       // The documented escape hatch: oversized captures spill to the heap
       // (and are counted, so perf tests can assert the hot path never
       // takes this branch).
-      // nfvsb-lint: allow(naked-new)
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
       vt_ = &heap_vtable<Fn>;
       ++detail::small_fn_heap_fallbacks;

@@ -141,8 +141,7 @@ core::SimDuration NicPort::serialize_step() {
     // here. A generator's frame goes on unbuilt.
     const core::SimDuration ser = cfg_.rate.serialization_time(f.size());
     ++tx_frames_;
-    if (cfg_.hw_timestamping && f.probe_id() != 0 &&
-        f.packet().tx_timestamp == core::kNoTimestamp) {
+    if (f.probe_id() != 0 && f.packet().tx_timestamp == core::kNoTimestamp) {
       f.packet().tx_timestamp = now + ser;  // a probe is built
     }
     if (core::TraceSink* t = core::tracer()) {
@@ -199,7 +198,7 @@ void NicPort::deliver_from_wire(pkt::Frame&& f, core::SimDuration delay) {
 void NicPort::land(pkt::Frame&& f, std::size_t q, core::SimTime at) {
   ring::SpscRing& ring = *rx_rings_[q];
   ++rx_frames_;
-  if (cfg_.hw_timestamping && f.probe_id() != 0 && rx_ts_hook_) {
+  if (f.probe_id() != 0 && rx_ts_hook_) {
     // 82599 stamps PTP frames at the MAC, before DMA (a probe is built).
     rx_ts_hook_(f.packet(), at - cfg_.dma_rx_latency);
   }
@@ -339,8 +338,7 @@ pkt::Frame NicPort::fetch() {
   }
   tx_rings_[0]->count_bypass(0, 1, 0);
   ++tx_frames_;
-  if (cfg_.hw_timestamping && f.probe_id() != 0 &&
-      f.packet().tx_timestamp == core::kNoTimestamp) {
+  if (f.probe_id() != 0 && f.packet().tx_timestamp == core::kNoTimestamp) {
     f.packet().tx_timestamp = now + wire_ser_;  // a probe is built
   }
   wire_free_at_ = now + wire_ser_;

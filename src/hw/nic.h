@@ -137,7 +137,6 @@ class NicPort : private ring::Feed {
     std::size_t tx_ring_depth{512};
     /// Hardware queues (RSS spreads RX across them by 5-tuple hash).
     std::size_t num_queues{1};
-    bool hw_timestamping{true};
     /// PCIe DMA + descriptor write-back latency before a received frame
     /// becomes visible in the host RX ring. Adds latency, not rate loss.
     core::SimDuration dma_rx_latency{core::from_ns(2400)};
@@ -191,7 +190,6 @@ class NicPort : private ring::Feed {
 
   /// Wire attachment (set by Cable).
   void attach_cable(Cable* c) { cable_ = c; }
-  [[nodiscard]] bool link_up() const { return cable_ != nullptr; }
 
   /// Called by the cable when a frame starts on its way here: its last bit
   /// reaches this port's MAC `delay` from now, and DMA completes

@@ -142,15 +142,6 @@ struct CostModel {
     return cost;
   }
 
-  [[nodiscard]] double rx_cost_ns(ring::PortKind k,
-                                  std::uint32_t bytes) const {
-    return costs_for(k).rx_ns + rx_byte_cost_ns(k, bytes);
-  }
-  [[nodiscard]] double tx_cost_ns(ring::PortKind k,
-                                  std::uint32_t bytes) const {
-    return costs_for(k).tx_ns + tx_byte_cost_ns(k, bytes);
-  }
-
   /// Sample the jitter/stall processes for one round whose nominal service
   /// time is `nominal_ns`; returns the actual time in ns.
   [[nodiscard]] double sample_round_ns(double nominal_ns,

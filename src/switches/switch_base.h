@@ -119,9 +119,6 @@ class SwitchBase {
   [[nodiscard]] CostModel& mutable_cost_model() { return cost_; }
   [[nodiscard]] hw::CpuCore& cpu() { return core_; }
 
-  /// Derive an independent RNG stream (for stochastic datapath modules).
-  [[nodiscard]] core::Rng split_rng() { return rng_.split(); }
-
  protected:
   /// One output decision: where `pkt` goes. Null `out` = discard.
   struct Tx {

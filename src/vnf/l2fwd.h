@@ -44,9 +44,6 @@ class L2Fwd final : public switches::SwitchBase {
 
   /// Override the TX drain timeout (ablation studies).
   void set_drain_timeout(core::SimDuration d) { drain_timeout_ = d; }
-  [[nodiscard]] core::SimDuration drain_timeout() const {
-    return drain_timeout_;
-  }
 
   [[nodiscard]] std::uint64_t drain_flushes() const { return drain_flushes_; }
   [[nodiscard]] std::uint64_t full_flushes() const { return full_flushes_; }

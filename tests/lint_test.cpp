@@ -1,139 +1,147 @@
-// Unit tests for the nfvsb-lint rule engine. Fixture snippets are fed
-// through lint_source() with virtual paths (nothing touches disk except the
-// exit-code tests), one positive and one suppressed case per rule, plus the
-// --fix rewriter and the process-level exit codes.
+// Unit tests for nfvsb-lint: the per-file rules, the scanner and
+// suppressions (fixture snippets fed through lint_source() with virtual
+// paths), the SARIF writer, and run() over temporary trees (both passes,
+// exit codes). The architecture pass itself is covered by arch_test.cpp.
 //
-// The banned tokens below live inside raw string literals: the linter's own
+// The banned tokens below live inside string literals: the linter's own
 // scanner blanks literals, so scanning this file stays clean.
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nfvsb-lint/arch.h"
 #include "nfvsb-lint/lint.h"
+#include "nfvsb-lint/sarif.h"
 
 namespace {
 
 using nfvsb::lint::Diagnostic;
-using nfvsb::lint::FileReport;
-using nfvsb::lint::Options;
 using nfvsb::lint::lint_source;
-using nfvsb::lint::rule_ids;
+using nfvsb::lint::to_sarif;
+using Diags = std::vector<Diagnostic>;
 
-std::vector<std::string> rules_of(const FileReport& r) {
+std::vector<std::string> rules_of(const Diags& r) {
   std::vector<std::string> out;
-  out.reserve(r.diagnostics.size());
-  for (const Diagnostic& d : r.diagnostics) out.push_back(d.rule);
+  out.reserve(r.size());
+  for (const Diagnostic& d : r) out.push_back(d.rule);
   return out;
 }
+
+// The quoted value after each occurrence of `key` in a SARIF log, in order.
+std::vector<std::string> sarif_values(const std::string& sarif,
+                                      const std::string& key) {
+  const std::string open = "\"" + key + "\": ";
+  std::vector<std::string> out;
+  for (std::size_t p = sarif.find(open); p != std::string::npos;
+       p = sarif.find(open, p + 1)) {
+    std::size_t b = p + open.size();
+    if (sarif[b] == '"') ++b;
+    out.push_back(sarif.substr(b, sarif.find_first_of("\",}", b) - b));
+  }
+  return out;
+}
+
+const std::vector<std::string> kRuleIds = {
+    "wall-clock", "entropy",    "unordered-iter",     "ordered-sum",
+    "arch-layer", "arch-cycle", "arch-banned-header", "arch-transitive-include"};
 
 // --- rule catalogue ---------------------------------------------------------
 
 TEST(LintRules, CatalogueIsStable) {
-  const std::vector<std::string> want = {
-      "wall-clock",  "entropy",     "unordered-iter", "std-function",
-      "naked-new",   "ordered-sum", "nodiscard"};
-  EXPECT_EQ(rule_ids(), want);
+  EXPECT_EQ(sarif_values(to_sarif({}, ""), "id"), kRuleIds);
 }
 
 // --- wall-clock -------------------------------------------------------------
 
 TEST(LintWallClock, FlagsChronoClocks) {
-  const FileReport r = lint_source("src/core/x.cpp", R"(
+  const Diags r = lint_source("src/core/x.cpp", R"(
     auto t0 = std::chrono::steady_clock::now();
-  )",
-                                   Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "wall-clock");
-  EXPECT_EQ(r.diagnostics[0].line, 2);
+  )");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "wall-clock");
+  EXPECT_EQ(r[0].line, 2);
 }
 
 TEST(LintWallClock, FlagsBareTimeCallButNotMembers) {
-  const FileReport r = lint_source("src/core/x.cpp", R"(
+  const Diags r = lint_source("src/core/x.cpp", R"(
     auto t = time(nullptr);      // flagged
     auto u = fired.time;         // member: clean
     auto v = ev->time(0);        // member call: clean
-  )",
-                                   Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].line, 2);
+  )");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].line, 2);
 }
 
 TEST(LintWallClock, SuppressedBySameLineAllow) {
-  const FileReport r = lint_source(
+  const Diags r = lint_source(
       "bench/x.cpp",
       "auto t0 = std::chrono::steady_clock::now();"
-      "  // nfvsb-lint: allow(wall-clock)\n",
-      Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+      "  // nfvsb-lint: allow(wall-clock)\n");
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(LintWallClock, TokenInsideStringOrCommentIsClean) {
-  const FileReport r = lint_source("src/core/x.cpp", R"(
+  const Diags r = lint_source("src/core/x.cpp", R"(
     // steady_clock would break determinism, hence this rule.
     const char* doc = "uses steady_clock internally";
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 // --- entropy ----------------------------------------------------------------
 
 TEST(LintEntropy, FlagsRandomDeviceAndRand) {
-  const FileReport r = lint_source("src/traffic/x.cpp", R"(
+  const Diags r = lint_source("src/traffic/x.cpp", R"(
     std::random_device rd;
     int x = rand();
-  )",
-                                   Options{});
+  )");
   EXPECT_EQ(rules_of(r), (std::vector<std::string>{"entropy", "entropy"}));
 }
 
 TEST(LintEntropy, CoreRngIsTheDocumentedEscapeHatch) {
-  const FileReport r = lint_source("src/core/rng.cpp", R"(
+  const Diags r = lint_source("src/core/rng.cpp", R"(
     std::random_device rd;  // seed plumbing lives here
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(LintEntropy, SuppressedByPrecedingLineAllow) {
-  const FileReport r = lint_source("src/traffic/x.cpp", R"(
+  const Diags r = lint_source("src/traffic/x.cpp", R"(
     // nfvsb-lint: allow(entropy)
     std::random_device rd;
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 // --- unordered-iter ---------------------------------------------------------
 
 TEST(LintUnorderedIter, FlagsRangeForOverUnorderedMember) {
-  const FileReport r = lint_source("src/switches/x.cpp", R"(
+  const Diags r = lint_source("src/switches/x.cpp", R"(
     std::unordered_map<int, int> flows_;
     void dump() {
       for (const auto& [k, v] : flows_) { use(k, v); }
     }
-  )",
-                                   Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "unordered-iter");
-  EXPECT_EQ(r.diagnostics[0].line, 4);
+  )");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "unordered-iter");
+  EXPECT_EQ(r[0].line, 4);
 }
 
 TEST(LintUnorderedIter, SortedVectorIterationIsClean) {
-  const FileReport r = lint_source("src/switches/x.cpp", R"(
+  const Diags r = lint_source("src/switches/x.cpp", R"(
     std::unordered_map<int, int> flows_;
     void dump() {
       std::vector<int> keys = sorted_keys(flows_);
       for (int k : keys) { use(k, flows_.at(k)); }
     }
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(LintUnorderedIter, StatsSinkAndNonSrcAreOutOfScope) {
@@ -141,160 +149,54 @@ TEST(LintUnorderedIter, StatsSinkAndNonSrcAreOutOfScope) {
     std::unordered_set<int> seen_;
     void f() { for (int s : seen_) { use(s); } }
   )";
-  EXPECT_TRUE(lint_source("src/stats/x.h", snippet, Options{})
-                  .diagnostics.empty());
-  EXPECT_TRUE(lint_source("tests/x.cpp", snippet, Options{})
-                  .diagnostics.empty());
+  EXPECT_TRUE(lint_source("src/stats/x.h", snippet).empty());
+  EXPECT_TRUE(lint_source("tests/x.cpp", snippet).empty());
 }
 
 TEST(LintUnorderedIter, SuppressedByAllow) {
-  const FileReport r = lint_source("src/switches/x.cpp", R"(
+  const Diags r = lint_source("src/switches/x.cpp", R"(
     std::unordered_map<int, int> flows_;
     void dump() {
       // nfvsb-lint: allow(unordered-iter)
       for (const auto& [k, v] : flows_) { use(k, v); }
     }
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
-}
-
-// --- std-function -----------------------------------------------------------
-
-TEST(LintStdFunction, FlaggedInHotPathDirsOnly) {
-  const std::string snippet = "std::function<void()> cb_;\n";
-  const FileReport hot = lint_source("src/hw/x.h", snippet, Options{});
-  ASSERT_EQ(hot.diagnostics.size(), 1u);
-  EXPECT_EQ(hot.diagnostics[0].rule, "std-function");
-  // vnf/, scenario/, tests/ may use std::function freely.
-  EXPECT_TRUE(lint_source("src/vnf/x.h", snippet, Options{})
-                  .diagnostics.empty());
-  EXPECT_TRUE(lint_source("tests/x.cpp", snippet, Options{})
-                  .diagnostics.empty());
-}
-
-TEST(LintStdFunction, SuppressedByAllow) {
-  const FileReport r = lint_source("src/core/x.h", R"(
-    // nfvsb-lint: allow(std-function)
-    std::function<void()> cb_;
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
-}
-
-// --- naked-new --------------------------------------------------------------
-
-TEST(LintNakedNew, FlagsNewAndMallocInDataPlane) {
-  const FileReport r = lint_source("src/ring/x.cpp", R"(
-    int* a = new int[4];
-    void* b = malloc(64);
-  )",
-                                   Options{});
-  EXPECT_EQ(rules_of(r),
-            (std::vector<std::string>{"naked-new", "naked-new"}));
-}
-
-TEST(LintNakedNew, PlacementNewAndIncludeNewAreClean) {
-  const FileReport r = lint_source("src/core/x.h", R"(
-    #include <new>
-    void build(void* slot) { ::new (slot) Widget(); }
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
-}
-
-TEST(LintNakedNew, SuppressedByAllow) {
-  const FileReport r = lint_source("src/pkt/x.cpp", R"(
-    // nfvsb-lint: allow(naked-new)
-    Packet* slab = new Packet[64];
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 // --- ordered-sum ------------------------------------------------------------
 
 TEST(LintOrderedSum, FlagsDoubleAccumulationInLoop) {
-  const FileReport r = lint_source("src/stats/x.h", R"(
+  const Diags r = lint_source("src/stats/x.h", R"(
     double total = 0.0;
     for (double v : values) {
       total += v;
     }
-  )",
-                                   Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "ordered-sum");
-  EXPECT_EQ(r.diagnostics[0].line, 4);
+  )");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "ordered-sum");
+  EXPECT_EQ(r[0].line, 4);
 }
 
 TEST(LintOrderedSum, OrderedSumNoteSilences) {
-  const FileReport r = lint_source("src/stats/x.h", R"(
+  const Diags r = lint_source("src/stats/x.h", R"(
     double total = 0.0;
     for (double v : values) {
       // nfvsb-lint: ordered-sum — values is index-ordered
       total += v;
     }
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(LintOrderedSum, IntegerAccumulationAndNonLoopAreClean) {
-  const FileReport r = lint_source("src/stats/x.h", R"(
+  const Diags r = lint_source("src/stats/x.h", R"(
     std::uint64_t count = 0;
     double total = 0.0;
     for (double v : values) { count += 1; }
     total += finalize();  // not in a loop
-  )",
-                                   Options{});
-  EXPECT_TRUE(r.diagnostics.empty());
-}
-
-// --- nodiscard --------------------------------------------------------------
-
-TEST(LintNodiscard, FlagsBareIdReturningDeclInCoreHeader) {
-  const FileReport r = lint_source("src/core/x.h", R"(
-    class Q {
-     public:
-      EventId schedule(SimTime at, Callback cb);
-      [[nodiscard]] bool empty() const;
-      void clear();
-    };
-  )",
-                                   Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "nodiscard");
-  EXPECT_EQ(r.diagnostics[0].line, 4);
-}
-
-TEST(LintNodiscard, OnlyCoreAndHwHeadersAreInScope) {
-  const std::string snippet = "bool ready() const;\n";
-  EXPECT_FALSE(lint_source("src/hw/x.h", snippet, Options{})
-                   .diagnostics.empty());
-  EXPECT_TRUE(lint_source("src/hw/x.cpp", snippet, Options{})
-                  .diagnostics.empty());
-  EXPECT_TRUE(lint_source("src/vnf/x.h", snippet, Options{})
-                  .diagnostics.empty());
-}
-
-TEST(LintNodiscard, FixInsertsAttributePreservingIndent) {
-  Options fix;
-  fix.fix = true;
-  const FileReport r = lint_source("src/core/x.h",
-                                   "  bool empty() const;\n", fix);
-  ASSERT_TRUE(r.fixes_applied);
-  EXPECT_EQ(r.fixed_content, "  [[nodiscard]] bool empty() const;\n");
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].message.rfind("fixed:", 0), 0u);
-}
-
-TEST(LintNodiscard, FixIsIdempotent) {
-  Options fix;
-  fix.fix = true;
-  const FileReport again = lint_source(
-      "src/core/x.h", "  [[nodiscard]] bool empty() const;\n", fix);
-  EXPECT_FALSE(again.fixes_applied);
-  EXPECT_TRUE(again.diagnostics.empty());
+  )");
+  EXPECT_TRUE(r.empty());
 }
 
 // --- raw string literals ----------------------------------------------------
@@ -305,8 +207,7 @@ TEST(LintNodiscard, FixIsIdempotent) {
 TEST(LintRawString, BannedTokenInsideRawLiteralIsClean) {
   const std::string snippet =
       "const char* doc = R\"(std::random_device rd;)\";\n";
-  EXPECT_TRUE(
-      lint_source("src/traffic/x.cpp", snippet, Options{}).diagnostics.empty());
+  EXPECT_TRUE(lint_source("src/traffic/x.cpp", snippet).empty());
 }
 
 TEST(LintRawString, EncodingPrefixesOpenRawLiterals) {
@@ -317,8 +218,7 @@ TEST(LintRawString, EncodingPrefixesOpenRawLiterals) {
       "auto b = u8R\"(rand())\";\n"
       "auto c = UR\"(rand())\";\n"
       "auto d = LR\"(rand())\";\n";
-  EXPECT_TRUE(
-      lint_source("src/traffic/x.cpp", snippet, Options{}).diagnostics.empty());
+  EXPECT_TRUE(lint_source("src/traffic/x.cpp", snippet).empty());
 }
 
 TEST(LintRawString, IdentifierEndingInRIsNotARawPrefix) {
@@ -329,10 +229,10 @@ TEST(LintRawString, IdentifierEndingInRIsNotARawPrefix) {
   const std::string snippet =
       "auto a = FLOUR\"text\";\n"
       "std::random_device rd;\n";
-  const FileReport r = lint_source("src/traffic/x.cpp", snippet, Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "entropy");
-  EXPECT_EQ(r.diagnostics[0].line, 2);
+  const Diags r = lint_source("src/traffic/x.cpp", snippet);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "entropy");
+  EXPECT_EQ(r[0].line, 2);
 }
 
 TEST(LintRawString, DelimitedRawLiteralClosesOnItsOwnDelimiter) {
@@ -341,23 +241,144 @@ TEST(LintRawString, DelimitedRawLiteralClosesOnItsOwnDelimiter) {
   const std::string snippet =
       "auto a = R\"x(quote )\" inside)x\";\n"
       "int y = rand();\n";
-  const FileReport r = lint_source("src/traffic/x.cpp", snippet, Options{});
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].rule, "entropy");
-  EXPECT_EQ(r.diagnostics[0].line, 2);
+  const Diags r = lint_source("src/traffic/x.cpp", snippet);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "entropy");
+  EXPECT_EQ(r[0].line, 2);
 }
 
-// --- rule filter ------------------------------------------------------------
+// --- scanner, suppressions and path scopes --------------------------------
 
-TEST(LintOptions, OnlyRulesRestrictsTheRun) {
-  Options only;
-  only.only_rules = {"entropy"};
-  const FileReport r = lint_source("src/core/x.cpp", R"(
-    auto t0 = std::chrono::steady_clock::now();
-    std::random_device rd;
-  )",
-                                   only);
-  EXPECT_EQ(rules_of(r), (std::vector<std::string>{"entropy"}));
+TEST(LintScan, BlockCommentsKeepLineNumbers) {
+  const Diags r = lint_source("src/traffic/x.cpp",
+                              "/* steady_clock\n"
+                              "   rand() */\n"
+                              "std::random_device rd;\n");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].rule, "entropy");
+  EXPECT_EQ(r[0].line, 3);
+}
+
+TEST(LintScan, DigitSeparatorIsNotACharLiteral) {
+  // Read as a char literal, 1'000 would blank the code up to the next quote
+  // and hide the call on line 2.
+  const Diags r = lint_source("src/traffic/x.cpp",
+                              "int n = 1'000;\n"
+                              "std::random_device rd;\n");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].line, 2);
+}
+
+TEST(LintSuppress, OneAllowNamesSeveralRules) {
+  const Diags r = lint_source(
+      "src/traffic/x.cpp",
+      "// nfvsb-lint: allow(wall-clock, entropy)\n"
+      "auto t = std::chrono::steady_clock::now(); std::random_device rd;\n");
+  EXPECT_TRUE(r.empty());
+}
+
+TEST(LintSuppress, AllowCoversItsRuleOnItsOwnAndTheNextLineOnly) {
+  const Diags r = lint_source("src/traffic/x.cpp",
+                              "// nfvsb-lint: allow(entropy)\n"
+                              "\n"
+                              "std::random_device a;\n"
+                              "// nfvsb-lint: allow(wall-clock)\n"
+                              "std::random_device b;\n");
+  EXPECT_EQ(rules_of(r), (std::vector<std::string>{"entropy", "entropy"}));
+}
+
+TEST(LintScope, AbsolutePathsClassifyByTheLastMarker) {
+  const std::string iter =
+      "std::unordered_set<int> seen_;\n"
+      "void f() { for (int s : seen_) { use(s); } }\n";
+  // A checkout under some src/ or tests/ directory scopes by its own tree.
+  EXPECT_EQ(rules_of(lint_source("/home/u/tests/repo/src/switches/x.cpp",
+                                 iter)),
+            std::vector<std::string>{"unordered-iter"});
+  EXPECT_TRUE(lint_source("/home/u/src/repo/tests/x.cpp", iter).empty());
+  EXPECT_TRUE(lint_source("/home/u/src/repo/src/stats/x.h", iter).empty());
+  EXPECT_TRUE(lint_source("/home/u/tests/repo/src/core/rng.cpp",
+                          "std::random_device rd;\n")
+                  .empty());
+}
+
+// --- SARIF ------------------------------------------------------------------
+
+TEST(LintSarif, EachResultIndexesItsOwnRule) {
+  // One finding of each rule, raised by the engines themselves, so an id
+  // an engine emits but the catalogue lacks fails here.
+  const std::vector<std::pair<std::string, std::string>> per_file = {
+      {"src/core/a.cpp", "auto t = std::chrono::steady_clock::now();\n"},
+      {"src/traffic/b.cpp", "std::random_device rd;\n"},
+      {"src/switches/c.cpp",
+       "std::unordered_map<int, int> m;\n"
+       "void f() { for (auto& kv : m) { use(kv); } }\n"},
+      {"src/stats/d.h",
+       "double t = 0;\nvoid f() { for (double v : vs) { t += v; } }\n"},
+  };
+  Diags diags;
+  for (const auto& [path, code] : per_file) {
+    for (Diagnostic& d : lint_source(path, code)) diags.push_back(d);
+  }
+  nfvsb::lint::Manifest m;
+  std::string err;
+  ASSERT_TRUE(nfvsb::lint::parse_manifest(
+      "layer core\nlayer obs\nban core : iostream\n"
+      "symbol Simulator core/simulator.h\n",
+      m, err))
+      << err;
+  for (Diagnostic& d : nfvsb::lint::analyze_architecture(
+           {{"src/core/simulator.h", "class Simulator;\n"},
+            {"src/core/up.h", "#include \"obs/a.h\"\n"},
+            {"src/core/io.h", "#include <iostream>\n"},
+            {"src/obs/a.h", "#include \"obs/b.h\"\n"},
+            {"src/obs/b.h",
+             "#include \"obs/a.h\"\n#include \"core/simulator.h\"\n"},
+            {"src/obs/leaky.cpp",
+             "#include \"obs/b.h\"\nvoid f(Simulator& s);\n"}},
+           m)) {
+    diags.push_back(d);
+  }
+  const std::vector<std::string> emitted = rules_of(diags);
+  ASSERT_EQ(std::set<std::string>(emitted.begin(), emitted.end()),
+            std::set<std::string>(kRuleIds.begin(), kRuleIds.end()));
+
+  const std::string sarif = to_sarif(diags, "");
+  const std::vector<std::string> catalogue = sarif_values(sarif, "id");
+  const std::vector<std::string> ids = sarif_values(sarif, "ruleId");
+  const std::vector<std::string> idx = sarif_values(sarif, "ruleIndex");
+  ASSERT_EQ(ids, emitted);
+  ASSERT_EQ(idx.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(catalogue.at(std::stoul(idx[i])), ids[i]) << "result " << i;
+  }
+}
+
+TEST(LintSarif, UrisAreRepoRelative) {
+  const Diags diags = {
+      {"/work/repo/src/core/a.cpp", 3, "entropy", "m"},
+      {"./src/core/b.cpp", 0, "entropy", "m"},
+      {"src\\core\\c.cpp", 1, "entropy", "m"},
+      {"/elsewhere/d.cpp", 1, "entropy", "m"},
+  };
+  const std::vector<std::string> want = {"src/core/a.cpp", "src/core/b.cpp",
+                                         "src/core/c.cpp", "/elsewhere/d.cpp"};
+  EXPECT_EQ(sarif_values(to_sarif(diags, "/work/repo"), "uri"), want);
+  EXPECT_EQ(sarif_values(to_sarif(diags, "/work/repo/"), "uri"), want);
+  // Lines are 1-based: a diagnostic without one points at line 1.
+  EXPECT_EQ(sarif_values(to_sarif(diags, "/work/repo"), "startLine"),
+            (std::vector<std::string>{"3", "1", "1", "1"}));
+}
+
+TEST(LintSarif, EscapesQuotesBackslashesAndControlCharacters) {
+  const std::string sarif = to_sarif(
+      {{"src/q\"uote.h", 1, "arch-layer",
+        std::string("say \"hi\" to C:\\dir\n\tnext\r") + '\x01'}},
+      "");
+  EXPECT_NE(sarif.find(R"("text": "say \"hi\" to C:\\dir\n\tnext\r\u0001")"),
+            std::string::npos)
+      << sarif;
+  EXPECT_NE(sarif.find(R"("uri": "src/q\"uote.h")"), std::string::npos);
 }
 
 // --- process-level run() ----------------------------------------------------
@@ -370,50 +391,84 @@ class LintRunTest : public ::testing::Test {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::path(::testing::TempDir()) /
            (std::string("nfvsb_lint_run_") + info->name());
-    std::filesystem::create_directories(dir_ / "src" / "core");
+    std::filesystem::remove_all(dir_);
+    write("tools/nfvsb-lint/layers.def", "layer core\nlayer obs\n");
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::string write(const std::string& rel, const std::string& content) {
+  void write(const std::string& rel, const std::string& content) {
     const std::filesystem::path p = dir_ / rel;
+    std::filesystem::create_directories(p.parent_path());
     std::ofstream(p) << content;
-    return p.string();
+  }
+
+  int run(std::vector<Diagnostic>* collect = nullptr) {
+    out_.str("");
+    return nfvsb::lint::run(dir_.string(), out_, collect);
   }
 
   std::filesystem::path dir_;
+  std::ostringstream out_;
 };
 
 TEST_F(LintRunTest, CleanTreeExitsZero) {
   write("src/core/a.cpp", "int answer() { return 42; }\n");
-  std::ostringstream out;
-  EXPECT_EQ(nfvsb::lint::run({dir_.string()}, Options{}, out), 0);
-  EXPECT_NE(out.str().find("0 finding(s)"), std::string::npos);
+  EXPECT_EQ(run(), 0);
+  EXPECT_NE(out_.str().find("nfvsb-lint: 1 files, 0 finding(s)"),
+            std::string::npos)
+      << out_.str();
 }
 
 TEST_F(LintRunTest, FindingsExitOneWithFileLineRule) {
-  const std::string f =
-      write("src/core/bad.cpp", "auto r = std::random_device{}();\n");
-  std::ostringstream out;
-  EXPECT_EQ(nfvsb::lint::run({dir_.string()}, Options{}, out), 1);
-  EXPECT_NE(out.str().find(f + ":1: [entropy]"), std::string::npos);
+  write("src/core/bad.cpp", "auto r = std::random_device{}();\n");
+  EXPECT_EQ(run(), 1);
+  // Repo-relative, first line of the report.
+  EXPECT_EQ(out_.str().rfind("src/core/bad.cpp:1: [entropy]", 0), 0u)
+      << out_.str();
 }
 
-TEST_F(LintRunTest, MissingPathExitsTwo) {
-  std::ostringstream out;
-  EXPECT_EQ(nfvsb::lint::run({(dir_ / "nope").string()}, Options{}, out), 2);
+TEST_F(LintRunTest, BothPassesReportInOneRun) {
+  write("src/core/bad.cpp",
+        "#include \"obs/o.h\"\n"
+        "auto r = std::random_device{}();\n");
+  write("src/obs/o.h", "");
+  std::vector<Diagnostic> collected;
+  EXPECT_EQ(run(&collected), 1);
+  EXPECT_EQ(rules_of(collected),
+            (std::vector<std::string>{"entropy", "arch-layer"}));
+  const std::string out = out_.str();
+  const std::size_t entropy = out.find("src/core/bad.cpp:2: [entropy]");
+  const std::size_t layer = out.find("src/core/bad.cpp:1: [arch-layer]");
+  ASSERT_NE(entropy, std::string::npos) << out;
+  ASSERT_NE(layer, std::string::npos) << out;
+  EXPECT_LT(entropy, layer);  // per-file findings come first
+  EXPECT_NE(out.find("nfvsb-lint: 2 files, 2 finding(s)"), std::string::npos)
+      << out;
 }
 
-TEST_F(LintRunTest, FixRewritesFileInPlace) {
-  const std::string f = write("src/core/q.h", "bool empty() const;\n");
-  Options fix;
-  fix.fix = true;
-  std::ostringstream out;
-  // Fixes are not findings: a fully fixable tree exits clean.
-  EXPECT_EQ(nfvsb::lint::run({f}, fix, out), 0);
-  std::ifstream in(f);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "[[nodiscard]] bool empty() const;");
+TEST_F(LintRunTest, OnlySourcesUnderTheFourTopDirectoriesAreScanned) {
+  write("bench/b.cpp", "int main() { return 0; }\n");
+  write("src/core/notes.txt", "std::random_device rd;\n");
+  write("examples/e.cpp", "std::random_device rd;\n");
+  EXPECT_EQ(run(), 0);
+  EXPECT_NE(out_.str().find("nfvsb-lint: 1 files, 0 finding(s)"),
+            std::string::npos)
+      << out_.str();
+}
+
+TEST_F(LintRunTest, MissingManifestExitsTwo) {
+  write("src/core/bad.cpp", "auto r = std::random_device{}();\n");
+  std::filesystem::remove(dir_ / "tools" / "nfvsb-lint" / "layers.def");
+  std::vector<Diagnostic> collected;
+  EXPECT_EQ(run(&collected), 2);
+  EXPECT_NE(out_.str().find("cannot read manifest"), std::string::npos);
+  EXPECT_TRUE(collected.empty());
+}
+
+TEST_F(LintRunTest, MalformedManifestExitsTwo) {
+  write("tools/nfvsb-lint/layers.def", "layer core\nallow a b\n");
+  EXPECT_EQ(run(), 2);
+  EXPECT_NE(out_.str().find("line 2"), std::string::npos) << out_.str();
 }
 
 }  // namespace

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <ostream>
 #include <sstream>
 
 #include "nfvsb-lint/scan.h"
@@ -513,72 +509,6 @@ std::vector<Diagnostic> analyze_architecture(
               return a.rule < b.rule;
             });
   return diags;
-}
-
-// --- driver -----------------------------------------------------------------
-
-int run_arch(const ArchOptions& opts, std::ostream& out,
-             std::vector<Diagnostic>* collect) {
-  namespace fs = std::filesystem;
-  const fs::path root = opts.root.empty() ? fs::path(".") : fs::path(opts.root);
-  const fs::path manifest_path =
-      opts.manifest_path.empty() ? root / "tools" / "nfvsb-lint" / "layers.def"
-                                 : fs::path(opts.manifest_path);
-
-  std::ifstream mf(manifest_path);
-  if (!mf) {
-    out << "nfvsb-lint: cannot read manifest " << manifest_path.string()
-        << "\n";
-    return 2;
-  }
-  std::ostringstream mbody;
-  mbody << mf.rdbuf();
-  Manifest manifest;
-  std::string error;
-  if (!parse_manifest(mbody.str(), manifest, error)) {
-    out << "nfvsb-lint: " << manifest_path.string() << ": " << error << "\n";
-    return 2;
-  }
-
-  std::vector<SourceFile> files;
-  for (const char* top : {"src", "tools", "bench", "tests"}) {
-    std::error_code ec;
-    const fs::path dir = root / top;
-    if (!fs::is_directory(dir, ec)) continue;
-    for (auto it = fs::recursive_directory_iterator(dir, ec);
-         !ec && it != fs::recursive_directory_iterator(); ++it) {
-      if (!it->is_regular_file()) continue;
-      const std::string ext = it->path().extension().string();
-      if (ext != ".h" && ext != ".hpp" && ext != ".cpp" && ext != ".cc") {
-        continue;
-      }
-      std::ifstream in(it->path());
-      if (!in) {
-        out << "nfvsb-lint: cannot read " << it->path().string() << "\n";
-        return 2;
-      }
-      std::ostringstream body;
-      body << in.rdbuf();
-      std::string rel =
-          fs::relative(it->path(), root, ec).generic_string();
-      if (ec || rel.empty()) rel = it->path().generic_string();
-      files.push_back(SourceFile{std::move(rel), body.str()});
-    }
-  }
-  std::sort(files.begin(), files.end(),
-            [](const SourceFile& a, const SourceFile& b) {
-              return a.repo_path < b.repo_path;
-            });
-
-  const std::vector<Diagnostic> diags = analyze_architecture(files, manifest);
-  for (const Diagnostic& d : diags) {
-    out << d.file << ":" << d.line << ": [" << d.rule << "] " << d.message
-        << "\n";
-    if (collect != nullptr) collect->push_back(d);
-  }
-  out << "nfvsb-lint --arch: " << files.size() << " files, " << diags.size()
-      << " finding(s)\n";
-  return diags.empty() ? 0 : 1;
 }
 
 }  // namespace nfvsb::lint

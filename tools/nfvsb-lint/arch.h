@@ -26,10 +26,10 @@
 //
 // The analyzer proper (analyze_architecture) is a pure function over
 // (paths, contents, manifest) so tests can feed it synthetic trees;
-// run_arch() wraps it with directory walking and manifest loading.
+// lint.h's run() walks the tree, loads the manifest and runs it after the
+// per-file rules.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <set>
 #include <string>
@@ -88,18 +88,5 @@ struct SourceFile {
 /// deterministic for a given input set.
 [[nodiscard]] std::vector<Diagnostic> analyze_architecture(
     const std::vector<SourceFile>& files, const Manifest& m);
-
-struct ArchOptions {
-  /// Repository root; the pass scans <root>/{src,tools,bench,tests}.
-  std::string root{"."};
-  /// Manifest path; empty = <root>/tools/nfvsb-lint/layers.def.
-  std::string manifest_path;
-};
-
-/// Load the tree + manifest, analyze, print `file:line: [rule] message`
-/// diagnostics. Returns 0 clean, 1 findings, 2 bad manifest/IO. When
-/// `collect` is non-null, diagnostics are appended for the SARIF writer.
-int run_arch(const ArchOptions& opts, std::ostream& out,
-             std::vector<Diagnostic>* collect = nullptr);
 
 }  // namespace nfvsb::lint

@@ -5,11 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <string_view>
 #include <unordered_set>
 
+#include "nfvsb-lint/arch.h"
 #include "nfvsb-lint/scan.h"
 
 namespace nfvsb::lint {
@@ -18,10 +18,9 @@ namespace {
 // --- path scopes ------------------------------------------------------------
 
 struct Scope {
-  bool src{false}, bench{false}, tests{false};
+  bool src{false};
   std::string subdir;  // first component under src/ ("core", "hw", ...)
   std::string stem;    // file name
-  bool header{false};
 };
 
 Scope classify(const std::string& path) {
@@ -35,14 +34,10 @@ Scope classify(const std::string& path) {
   }
   if (comps.empty()) return s;
   s.stem = comps.back();
-  s.header = s.stem.size() > 2 && (s.stem.ends_with(".h") ||
-                                   s.stem.ends_with(".hpp"));
   // Use the LAST marker component so absolute paths classify correctly.
   for (std::size_t i = comps.size(); i-- > 0;) {
     if (comps[i] == "src" || comps[i] == "bench" || comps[i] == "tests") {
       s.src = comps[i] == "src";
-      s.bench = comps[i] == "bench";
-      s.tests = comps[i] == "tests";
       if (s.src && i + 2 < comps.size()) s.subdir = comps[i + 1];
       break;
     }
@@ -54,11 +49,9 @@ Scope classify(const std::string& path) {
 
 struct Ctx {
   const std::string& path;
-  const std::string& src;  // raw content
   const Scanned& sc;
   Scope scope;
-  const Options& opts;
-  FileReport& report;
+  std::vector<Diagnostic>& diags;
   // Per-line suppression state parsed from comments.
   LineDirectives directives;
 
@@ -68,14 +61,10 @@ struct Ctx {
     return static_cast<int>(it - sc.line_start.begin());  // 1-based
   }
 
-  [[nodiscard]] bool suppressed(const std::string& rule, int line) const {
-    return directives.suppressed(rule, line);
-  }
-
   void diag(const std::string& rule, std::size_t off, std::string msg) {
     const int line = line_of(off);
-    if (suppressed(rule, line)) return;
-    report.diagnostics.push_back(Diagnostic{path, line, rule, std::move(msg)});
+    if (directives.suppressed(rule, line)) return;
+    diags.push_back(Diagnostic{path, line, rule, std::move(msg)});
   }
 };
 
@@ -233,69 +222,6 @@ void rule_unordered_iter(Ctx& ctx) {
   }
 }
 
-void rule_std_function(Ctx& ctx) {
-  if (!ctx.scope.src || (ctx.scope.subdir != "core" &&
-                         ctx.scope.subdir != "ring" &&
-                         ctx.scope.subdir != "hw" &&
-                         ctx.scope.subdir != "obs" &&
-                         ctx.scope.subdir != "switches")) {
-    return;
-  }
-  const std::string& code = ctx.sc.code;
-  for (std::size_t p = code.find("std::function"); p != std::string::npos;
-       p = code.find("std::function", p + 1)) {
-    if (p + 13 < code.size() && is_ident(code[p + 13])) continue;
-    ctx.diag("std-function", p,
-             "std::function heap-allocates large captures on the event hot "
-             "path: use core::EventFn / core::SmallFn");
-  }
-}
-
-void rule_naked_new(Ctx& ctx) {
-  if (!ctx.scope.src) return;
-  const std::string& sd = ctx.scope.subdir;
-  if (sd != "core" && sd != "pkt" && sd != "ring" && sd != "hw" &&
-      sd != "switches") {
-    return;
-  }
-  const std::string& code = ctx.sc.code;
-  // `#include <new>` is not an allocation.
-  auto on_pp_line = [&](std::size_t p) {
-    std::size_t b = p;
-    while (b > 0 && code[b - 1] != '\n') --b;
-    const std::size_t f = skip_ws(code, b);
-    return f < code.size() && code[f] == '#';
-  };
-  for (std::size_t p = find_token(code, "new", 0); p != std::string::npos;
-       p = find_token(code, "new", p + 1)) {
-    if (on_pp_line(p)) continue;
-    if (p >= 2 && code[p - 1] == ':' && code[p - 2] == ':') {
-      continue;  // ::new — placement new into owned storage is fine
-    }
-    // `operator new` declarations are not allocations.
-    std::size_t b = p;
-    while (b > 0 &&
-           std::isspace(static_cast<unsigned char>(code[b - 1])) != 0) {
-      --b;
-    }
-    if (b >= 8 && code.compare(b - 8, 8, "operator") == 0) continue;
-    ctx.diag("naked-new", p,
-             "naked new in the data plane: packets come from PacketPool, "
-             "other storage from containers/std::make_unique");
-  }
-  for (const std::string_view tok : {"malloc", "calloc", "realloc"}) {
-    for (std::size_t p = find_token(code, tok, 0); p != std::string::npos;
-         p = find_token(code, tok, p + 1)) {
-      const std::size_t after = skip_ws(code, p + tok.size());
-      if (after < code.size() && code[after] == '(') {
-        ctx.diag("naked-new", p,
-                 std::string(tok) + " in the data plane: use PacketPool or "
-                                    "container storage");
-      }
-    }
-  }
-}
-
 void rule_ordered_sum(Ctx& ctx) {
   if (!ctx.scope.src || ctx.scope.subdir != "stats") return;
   const std::string& code = ctx.sc.code;
@@ -385,212 +311,97 @@ void rule_ordered_sum(Ctx& ctx) {
   }
 }
 
-void rule_nodiscard(Ctx& ctx, std::vector<std::string>& raw_lines,
-                    bool& any_fix) {
-  if (!ctx.scope.header || !ctx.scope.src ||
-      (ctx.scope.subdir != "core" && ctx.scope.subdir != "hw")) {
-    return;
-  }
-  static constexpr std::string_view kTypes[] = {
-      "EventQueue::EventId", "EventId", "std::uint64_t", "bool"};
-  const std::size_t nlines = ctx.sc.line_start.size();
-  auto code_line = [&](std::size_t l) -> std::string {
-    const std::size_t b = ctx.sc.line_start[l];
-    const std::size_t e = l + 1 < nlines ? ctx.sc.line_start[l + 1]
-                                         : ctx.sc.code.size();
-    return ctx.sc.code.substr(b, e - b);
-  };
-  for (std::size_t l = 0; l < nlines; ++l) {
-    const std::string line = code_line(l);
-    std::size_t p = skip_ws(line, 0);
-    if (p >= line.size()) continue;
-    // Qualifiers that may precede the return type.
-    bool skip_line = false;
-    while (true) {
-      bool advanced = false;
-      for (const std::string_view q :
-           {"static", "inline", "constexpr", "virtual"}) {
-        if (line.compare(p, q.size(), q) == 0 &&
-            (p + q.size() >= line.size() || !is_ident(line[p + q.size()]))) {
-          p = skip_ws(line, p + q.size());
-          advanced = true;
-        }
-      }
-      if (!advanced) break;
-    }
-    for (const std::string_view q : {"friend", "explicit", "using", "return",
-                                     "operator"}) {
-      if (line.compare(p, q.size(), q) == 0 &&
-          (p + q.size() >= line.size() || !is_ident(line[p + q.size()]))) {
-        skip_line = true;
-      }
-    }
-    if (skip_line) continue;
-    if (line.find("[[") != std::string::npos) continue;  // attributed already
-    if (l > 0) {
-      const std::string prev = code_line(l - 1);
-      if (prev.find("[[nodiscard]]") != std::string::npos &&
-          prev.find(';') == std::string::npos &&
-          prev.find('}') == std::string::npos) {
-        continue;  // attribute on its own line above
-      }
-    }
-    std::string_view matched;
-    for (const std::string_view t : kTypes) {
-      if (line.compare(p, t.size(), t) == 0 &&
-          (p + t.size() >= line.size() || !is_ident(line[p + t.size()]))) {
-        matched = t;
-        break;
-      }
-    }
-    if (matched.empty()) continue;
-    std::size_t q = skip_ws(line, p + matched.size());
-    std::size_t e = q;
-    while (e < line.size() && is_ident(line[e])) ++e;
-    if (e == q) continue;  // no identifier (cast, return stmt, ...)
-    const std::string fn_name = line.substr(q, e - q);
-    if (fn_name == "operator") continue;
-    const std::size_t paren = skip_ws(line, e);
-    if (paren >= line.size() || line[paren] != '(') continue;
-    const std::size_t off = ctx.sc.line_start[l] + p;
-    const int lineno = static_cast<int>(l) + 1;
-    if (ctx.suppressed("nodiscard", lineno)) continue;
-    if (ctx.opts.fix) {
-      const std::size_t ins = skip_ws(raw_lines[l], 0);
-      raw_lines[l].insert(ins, "[[nodiscard]] ");
-      any_fix = true;
-      ctx.report.diagnostics.push_back(
-          Diagnostic{ctx.path, lineno, "nodiscard",
-                     "fixed: inserted [[nodiscard]] on '" + fn_name + "'"});
-    } else {
-      ctx.diag("nodiscard", off,
-               "'" + fn_name + "' returns " + std::string(matched) +
-                   " without [[nodiscard]]: dropped ids/success codes hide "
-                   "lost cancellations and unchecked failures (run "
-                   "nfvsb-lint --fix)");
-    }
-  }
-}
-
-bool rule_enabled(const Options& opts, std::string_view id) {
-  if (opts.only_rules.empty()) return true;
-  return std::find(opts.only_rules.begin(), opts.only_rules.end(), id) !=
-         opts.only_rules.end();
+bool read_file(const std::filesystem::path& p, std::string& text) {
+  std::ifstream in(p);
+  if (!in) return false;
+  std::ostringstream body;
+  body << in.rdbuf();
+  text = body.str();
+  return true;
 }
 
 }  // namespace
 
-const std::vector<std::string>& rule_ids() {
-  static const std::vector<std::string> kIds = {
-      "wall-clock",  "entropy",     "unordered-iter", "std-function",
-      "naked-new",   "ordered-sum", "nodiscard"};
-  return kIds;
-}
-
-FileReport lint_source(const std::string& path, const std::string& content,
-                       const Options& opts) {
-  FileReport report;
+std::vector<Diagnostic> lint_source(const std::string& path,
+                                    const std::string& content) {
+  std::vector<Diagnostic> diags;
   const Scanned sc = scan(content);
-  Ctx ctx{path, content, sc, classify(path), opts, report,
-          parse_line_directives(content, sc)};
-
-  if (rule_enabled(opts, "wall-clock")) rule_wall_clock(ctx);
-  if (rule_enabled(opts, "entropy")) rule_entropy(ctx);
-  if (rule_enabled(opts, "unordered-iter")) rule_unordered_iter(ctx);
-  if (rule_enabled(opts, "std-function")) rule_std_function(ctx);
-  if (rule_enabled(opts, "naked-new")) rule_naked_new(ctx);
-  if (rule_enabled(opts, "ordered-sum")) rule_ordered_sum(ctx);
-  if (rule_enabled(opts, "nodiscard")) {
-    std::vector<std::string> raw_lines;
-    {
-      std::size_t start = 0;
-      for (std::size_t i = 1; i < sc.line_start.size(); ++i) {
-        raw_lines.push_back(
-            content.substr(start, sc.line_start[i] - start));
-        start = sc.line_start[i];
-      }
-      raw_lines.push_back(content.substr(start));
-    }
-    bool any_fix = false;
-    rule_nodiscard(ctx, raw_lines, any_fix);
-    if (any_fix) {
-      std::string joined;
-      for (const std::string& l : raw_lines) joined += l;
-      report.fixed_content = std::move(joined);
-      report.fixes_applied = true;
-    }
-  }
-
-  std::sort(report.diagnostics.begin(), report.diagnostics.end(),
+  Ctx ctx{path, sc, classify(path), diags, parse_line_directives(content, sc)};
+  rule_wall_clock(ctx);
+  rule_entropy(ctx);
+  rule_unordered_iter(ctx);
+  rule_ordered_sum(ctx);
+  std::sort(diags.begin(), diags.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
               if (a.line != b.line) return a.line < b.line;
               return a.rule < b.rule;
             });
-  return report;
+  return diags;
 }
 
-int run(const std::vector<std::string>& paths, const Options& opts,
-        std::ostream& out, std::vector<Diagnostic>* collect) {
+int run(const std::string& root, std::ostream& out,
+        std::vector<Diagnostic>* collect) {
   namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (const std::string& p : paths) {
-    std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      for (auto it = fs::recursive_directory_iterator(p, ec);
-           !ec && it != fs::recursive_directory_iterator(); ++it) {
-        if (!it->is_regular_file()) continue;
-        const std::string ext = it->path().extension().string();
-        if (ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc") {
-          files.push_back(it->path().string());
-        }
-      }
-    } else if (fs::is_regular_file(p, ec)) {
-      files.push_back(p);
-    } else {
-      out << "nfvsb-lint: no such file or directory: " << p << "\n";
-      return 2;
-    }
+  const fs::path base = root.empty() ? fs::path(".") : fs::path(root);
+  const fs::path manifest_path = base / "tools" / "nfvsb-lint" / "layers.def";
+  std::string text;
+  if (!read_file(manifest_path, text)) {
+    out << "nfvsb-lint: cannot read manifest " << manifest_path.string()
+        << "\n";
+    return 2;
   }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
+  Manifest manifest;
+  std::string error;
+  if (!parse_manifest(text, manifest, error)) {
+    out << "nfvsb-lint: " << manifest_path.string() << ": " << error << "\n";
+    return 2;
+  }
 
-  int findings = 0;
-  int fixes = 0;
-  for (const std::string& f : files) {
-    std::ifstream in(f);
-    if (!in) {
-      out << "nfvsb-lint: cannot read " << f << "\n";
-      return 2;
-    }
-    std::ostringstream body;
-    body << in.rdbuf();
-    const FileReport rep = lint_source(f, body.str(), opts);
-    for (const Diagnostic& d : rep.diagnostics) {
-      const bool fixed = d.message.rfind("fixed:", 0) == 0;
-      out << d.file << ":" << d.line << ": [" << d.rule << "] " << d.message
-          << "\n";
-      if (collect != nullptr && !fixed) collect->push_back(d);
-      if (fixed) {
-        ++fixes;
-      } else {
-        ++findings;
+  std::vector<SourceFile> files;
+  for (const char* top : {"src", "tools", "bench", "tests"}) {
+    std::error_code ec;
+    const fs::path dir = base / top;
+    if (!fs::is_directory(dir, ec)) continue;
+    for (auto it = fs::recursive_directory_iterator(dir, ec);
+         !ec && it != fs::recursive_directory_iterator(); ++it) {
+      if (!it->is_regular_file()) continue;
+      const std::string ext = it->path().extension().string();
+      if (ext != ".h" && ext != ".hpp" && ext != ".cpp" && ext != ".cc") {
+        continue;
       }
-    }
-    if (rep.fixes_applied) {
-      std::ofstream rewrite(f, std::ios::trunc);
-      if (!rewrite) {
-        out << "nfvsb-lint: cannot rewrite " << f << "\n";
+      if (!read_file(it->path(), text)) {
+        out << "nfvsb-lint: cannot read " << it->path().string() << "\n";
         return 2;
       }
-      rewrite << rep.fixed_content;
+      std::string rel = fs::relative(it->path(), base, ec).generic_string();
+      if (ec || rel.empty()) rel = it->path().generic_string();
+      files.push_back(SourceFile{std::move(rel), std::move(text)});
     }
   }
-  out << "nfvsb-lint: " << files.size() << " files, " << findings
-      << " finding(s)" << (fixes != 0 ? ", " + std::to_string(fixes) +
-                                            " fixed"
-                                      : "")
-      << "\n";
-  return findings == 0 ? 0 : 1;
+  std::sort(files.begin(), files.end(),
+            [](const SourceFile& a, const SourceFile& b) {
+              return a.repo_path < b.repo_path;
+            });
+
+  // Per-file findings first (by path, then line), then the architecture
+  // pass's (sorted the same way).
+  std::vector<Diagnostic> diags;
+  for (const SourceFile& f : files) {
+    for (Diagnostic& d : lint_source(f.repo_path, f.content)) {
+      diags.push_back(std::move(d));
+    }
+  }
+  for (Diagnostic& d : analyze_architecture(files, manifest)) {
+    diags.push_back(std::move(d));
+  }
+  for (const Diagnostic& d : diags) {
+    out << d.file << ":" << d.line << ": [" << d.rule << "] " << d.message
+        << "\n";
+    if (collect != nullptr) collect->push_back(d);
+  }
+  out << "nfvsb-lint: " << files.size() << " files, " << diags.size()
+      << " finding(s)\n";
+  return diags.empty() ? 0 : 1;
 }
 
 }  // namespace nfvsb::lint

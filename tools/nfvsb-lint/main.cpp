@@ -1,14 +1,11 @@
-// nfvsb-lint CLI. See lint.h for the per-file rule catalogue, arch.h for
-// the whole-program architecture pass, and DESIGN.md §8/§10 for policy.
+// nfvsb-lint CLI. See lint.h for the per-file rules, arch.h for the
+// whole-program architecture pass, and DESIGN.md §8/§10 for policy.
 //
-//   nfvsb-lint [--fix] [--rule=<id> ...] [--list-rules]
-//              [--arch] [--arch-only] [--root=<dir>] [--manifest=<file>]
-//              [--sarif=<file>] <path>...
+//   nfvsb-lint [--root=<dir>] [--sarif=<file>]
 //
-// --arch adds the architecture pass (include-graph layering, cycles,
-// banned headers, IWYU-lite) over <root>/{src,tools,bench,tests};
-// --arch-only skips the per-file pass, in which case <path>... may be
-// omitted. --sarif writes every finding from every pass as SARIF 2.1.0.
+// Runs both passes over <root>/{src,tools,bench,tests} (root defaults to
+// the current directory) against <root>/tools/nfvsb-lint/layers.def.
+// --sarif writes every finding from both passes as SARIF 2.1.0.
 //
 // Exit codes: 0 clean, 1 findings, 2 bad invocation or I/O error.
 #include <fstream>
@@ -16,77 +13,39 @@
 #include <string>
 #include <vector>
 
-#include "nfvsb-lint/arch.h"
 #include "nfvsb-lint/lint.h"
 #include "nfvsb-lint/sarif.h"
 
 int main(int argc, char** argv) {
-  nfvsb::lint::Options opts;
-  nfvsb::lint::ArchOptions arch_opts;
-  bool arch = false;
-  bool arch_only = false;
+  static constexpr const char* kUsage =
+      "usage: nfvsb-lint [--root=<dir>] [--sarif=<file>]\n";
+  std::string root = ".";
   std::string sarif_path;
-  std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--fix") {
-      opts.fix = true;
-    } else if (arg == "--arch") {
-      arch = true;
-    } else if (arg == "--arch-only") {
-      arch = arch_only = true;
-    } else if (arg == "--list-rules") {
-      for (const std::string& id : nfvsb::lint::rule_ids()) {
-        std::cout << id << "\n";
-      }
-      std::cout << "arch-layer\narch-cycle\narch-banned-header\n"
-                   "arch-transitive-include\n";
-      return 0;
-    } else if (arg.rfind("--rule=", 0) == 0) {
-      opts.only_rules.push_back(arg.substr(7));
-    } else if (arg.rfind("--root=", 0) == 0) {
-      arch_opts.root = arg.substr(7);
-    } else if (arg.rfind("--manifest=", 0) == 0) {
-      arch_opts.manifest_path = arg.substr(11);
+    if (arg.rfind("--root=", 0) == 0) {
+      root = arg.substr(7);
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(8);
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: nfvsb-lint [--fix] [--rule=<id> ...] "
-                   "[--list-rules]\n"
-                   "                  [--arch] [--arch-only] [--root=<dir>] "
-                   "[--manifest=<file>]\n"
-                   "                  [--sarif=<file>] <path>...\n";
+      std::cout << kUsage;
       return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "nfvsb-lint: unknown option " << arg << "\n";
-      return 2;
     } else {
-      paths.push_back(arg);
+      std::cerr << "nfvsb-lint: unexpected argument " << arg << "\n"
+                << kUsage;
+      return 2;
     }
-  }
-  if (paths.empty() && !arch_only) {
-    std::cerr << "usage: nfvsb-lint [--fix] [--rule=<id> ...] "
-                 "[--list-rules] [--arch] [--arch-only] [--sarif=<file>] "
-                 "<path>...\n";
-    return 2;
   }
 
   std::vector<nfvsb::lint::Diagnostic> all;
-  int rc = 0;
-  if (!arch_only) {
-    rc = nfvsb::lint::run(paths, opts, std::cout, &all);
-  }
-  if (arch && rc != 2) {
-    const int arc = nfvsb::lint::run_arch(arch_opts, std::cout, &all);
-    rc = std::max(rc, arc);
-  }
+  const int rc = nfvsb::lint::run(root, std::cout, &all);
   if (!sarif_path.empty() && rc != 2) {
     std::ofstream sf(sarif_path, std::ios::trunc);
     if (!sf) {
       std::cerr << "nfvsb-lint: cannot write " << sarif_path << "\n";
       return 2;
     }
-    sf << nfvsb::lint::to_sarif(all, arch_opts.root);
+    sf << nfvsb::lint::to_sarif(all, root);
   }
   return rc;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 
 namespace nfvsb::lint {
 namespace {
@@ -12,25 +11,18 @@ struct RuleMeta {
   const char* short_desc;
 };
 
-// The full catalogue: pass-1 determinism rules + pass-2 architecture rules.
-// Order is the tool.driver.rules order; results reference rules by index.
-constexpr std::array<RuleMeta, 11> kRules = {{
+// The one list of rule ids: the per-file determinism rules (lint.h), then
+// the architecture rules (arch.h). Order is the tool.driver.rules order;
+// results reference rules by index.
+constexpr std::array<RuleMeta, 8> kRules = {{
     {"wall-clock",
      "Wall-clock reads break seed-pure results; use core::SimTime."},
     {"entropy",
      "Ambient entropy breaks seed-pure results; use core::Rng."},
     {"unordered-iter",
      "Iteration over unordered containers is hash-order dependent."},
-    {"std-function",
-     "std::function heap-allocates on the event hot path; use "
-     "core::EventFn / core::SmallFn."},
-    {"naked-new",
-     "Naked new/malloc in the data plane; use PacketPool or container "
-     "storage."},
     {"ordered-sum",
      "Unordered floating-point accumulation changes result bits."},
-    {"nodiscard",
-     "EventId/bool/count returns need [[nodiscard]]."},
     {"arch-layer",
      "Include climbs the layer order declared in layers.def."},
     {"arch-cycle",

@@ -1,11 +1,12 @@
 // SARIF 2.1.0 emitter for nfvsb-lint diagnostics.
 //
-// One run, one driver ("nfvsb-lint"), the full rule catalogue (both the
-// per-file determinism rules and the architecture rules) under
-// tool.driver.rules, and one result per diagnostic with a physical
-// location. Paths are emitted repo-relative so GitHub code scanning can
-// annotate PR diffs (github/codeql-action/upload-sarif consumes the file —
-// see .github/workflows/ci.yml).
+// One run, one driver ("nfvsb-lint"), the full rule catalogue (the four
+// per-file determinism rules and the four architecture rules; sarif.cpp
+// holds the one list of rule ids) under tool.driver.rules, and one result
+// per diagnostic with a physical location. Paths are emitted repo-relative
+// so GitHub code scanning can annotate pull-request diffs
+// (github/codeql-action/upload-sarif consumes the file — see
+// .github/workflows/ci.yml).
 #pragma once
 
 #include <string>
