@@ -47,10 +47,9 @@ class TraceSink {
   virtual void async_end(std::uint32_t trace_id,
                          const std::string& stage) = 0;
 
-  /// True when the packet with generator sequence `seq` should be followed.
+  /// True when the packet with generator sequence `seq` should be followed
+  /// (its id is pkt::trace_id of its generator's origin and `seq`).
   [[nodiscard]] virtual bool sample_hit(std::uint64_t seq) const = 0;
-  /// Fresh non-zero per-packet trace id.
-  [[nodiscard]] virtual std::uint32_t next_packet_id() = 0;
 };
 
 namespace internal {

@@ -332,7 +332,7 @@ pkt::Frame NicPort::fetch() {
   if (head.count == 0) {
     f = backlog_.pop_front().built;
   } else {
-    f = pkt::Frame::unreserved(*wire_recipe_, *wire_pool_, head.first_seq, 0);
+    f = pkt::Frame::unreserved(*wire_recipe_, *wire_pool_, head.first_seq);
     ++head.first_seq;
     if (--head.count == 0) (void)backlog_.pop_front();
   }
@@ -394,7 +394,7 @@ bool NicPort::drop_run() {
       for (std::uint64_t seq = head.first_seq; seq < head.first_seq + k;
            ++seq) {
         const pkt::Frame f =
-            pkt::Frame::unreserved(*wire_recipe_, *wire_pool_, seq, 0);
+            pkt::Frame::unreserved(*wire_recipe_, *wire_pool_, seq);
         wire_to_->rx_rings_[wire_to_->rss_queue(f)]->count_bypass(0, 0, 1);
       }
     }

@@ -83,23 +83,31 @@ std::string TraceRecorder::to_json() const {
     first = false;
     j += '\n';
   };
+  // Tracks are numbered by sorted name (tids[first-use id]), not in the
+  // order the hooks first used them.
+  std::vector<TrackId> tids(tracks_.size() + 1, 0);
+  TrackId next_tid = 0;
+  for (const auto& [name, id] : tracks_) tids[id] = ++next_tid;
   // Canonical order: by time, then by every other field, so the file
   // depends only on which events were recorded, not on the order the hooks
   // ran in (an async begin sorts before an end at the same instant).
   std::vector<const Event*> order;
   order.reserve(events_.size());
   for (const Event& e : events_) order.push_back(&e);
-  std::sort(order.begin(), order.end(), [](const Event* a, const Event* b) {
-    return std::tie(a->ts, a->ph, a->track, a->name, a->dur, a->id, a->arg) <
-           std::tie(b->ts, b->ph, b->track, b->name, b->dur, b->id, b->arg);
-  });
+  std::sort(order.begin(), order.end(),
+            [&tids](const Event* a, const Event* b) {
+              return std::tie(a->ts, a->ph, tids[a->track], a->name, a->dur,
+                              a->id, a->arg) <
+                     std::tie(b->ts, b->ph, tids[b->track], b->name, b->dur,
+                              b->id, b->arg);
+            });
   for (const Event* ep : order) {
     const Event& e = *ep;
     sep();
     switch (e.ph) {
       case 'X':
-        j += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.track) +
-             ",\"name\":\"";
+        j += "{\"ph\":\"X\",\"pid\":1,\"tid\":" +
+             std::to_string(tids[e.track]) + ",\"name\":\"";
         append_escaped(j, e.name);
         j += "\",\"ts\":";
         append_us(j, e.ts);
@@ -108,8 +116,8 @@ std::string TraceRecorder::to_json() const {
         j += ",\"args\":{\"n\":" + std::to_string(e.arg) + "}}";
         break;
       case 'i':
-        j += "{\"ph\":\"i\",\"pid\":1,\"tid\":" + std::to_string(e.track) +
-             ",\"name\":\"";
+        j += "{\"ph\":\"i\",\"pid\":1,\"tid\":" +
+             std::to_string(tids[e.track]) + ",\"name\":\"";
         append_escaped(j, e.name);
         j += "\",\"ts\":";
         append_us(j, e.ts);
@@ -140,7 +148,7 @@ std::string TraceRecorder::to_json() const {
   // Track names as thread_name metadata so Perfetto labels the rows.
   for (const auto& [name, id] : tracks_) {
     sep();
-    j += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(id) +
+    j += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tids[id]) +
          ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
     append_escaped(j, name);
     j += "\"}}";

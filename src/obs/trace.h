@@ -54,6 +54,8 @@ class TraceRecorder final : public core::TraceSink {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
+  /// Ids are handed out in first-use order; the JSON numbers tracks by
+  /// sorted name instead, so it does not depend on which hook ran first.
   [[nodiscard]] TrackId track(const std::string& name) override;
 
   void complete(TrackId t, const char* name, core::SimTime start,
@@ -69,9 +71,6 @@ class TraceRecorder final : public core::TraceSink {
   [[nodiscard]] bool sample_hit(std::uint64_t seq) const override {
     return cfg_.packet_sample_every > 0 &&
            seq % cfg_.packet_sample_every == 0;
-  }
-  [[nodiscard]] std::uint32_t next_packet_id() override {
-    return ++last_packet_id_;
   }
 
   struct Event {
@@ -99,7 +98,6 @@ class TraceRecorder final : public core::TraceSink {
   Config cfg_;
   std::map<std::string, TrackId> tracks_;  // ordered: deterministic metadata
   std::vector<Event> events_;
-  std::uint32_t last_packet_id_{0};
 };
 
 }  // namespace nfvsb::obs

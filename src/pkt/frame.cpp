@@ -1,5 +1,9 @@
 #include "pkt/frame.h"
 
+#include <stdexcept>
+#include <string>
+
+#include "core/trace_sink.h"
 #include "pkt/crafting.h"
 #include "pkt/headers.h"
 #include "pkt/packet.h"
@@ -13,7 +17,13 @@ FrameRecipe::FrameRecipe(const FrameSpec& spec, std::uint32_t flows,
              kIpProtoUdp},
       frame_bytes_(spec.frame_bytes),
       flows_(flows),
-      origin_(origin) {}
+      origin_(origin) {
+  if (origin >= (1u << kTraceOriginBits)) {
+    throw std::invalid_argument("frame recipe: origin " +
+                                std::to_string(origin) +
+                                " is beyond what trace ids tell apart");
+  }
+}
 
 void FrameRecipe::build(Packet& p, const FrameMeta& meta) const {
   if (flows_ > 1) {
@@ -26,8 +36,13 @@ void FrameRecipe::build(Packet& p, const FrameMeta& meta) const {
   p.probe_id = meta.probe_id;
   p.tx_timestamp = meta.tx_timestamp;
   p.sw_timestamp = meta.sw_timestamp;
-  p.trace_id = meta.trace_id;
+  p.trace_id = traced_id(meta.seq);
   p.origin = origin_;
+}
+
+std::uint32_t FrameRecipe::traced_id(std::uint64_t seq) const {
+  const core::TraceSink* t = core::tracer();
+  return t != nullptr && t->sample_hit(seq) ? trace_id(origin_, seq) : 0;
 }
 
 FiveTuple FrameRecipe::five_tuple(std::uint64_t seq) const {

@@ -19,7 +19,13 @@
 // NIC comes from another machine: it holds nothing until it lands, where
 // reserve() takes the buffer the receiving NIC DMAs it into, and a pool
 // with none left drops it as imissed. Probes carry more fields and are
-// built at emit; traced frames keep only their trace id unbuilt.
+// built at emit.
+//
+// Trace ids. A frame a packet tracer follows (core::TraceSink::sample_hit
+// of its sequence number) carries trace_id(origin, seq): a pure function
+// of its generator's origin and its sequence number, so the id does not
+// depend on the order generators emit in or frames are built in. An
+// unbuilt frame derives it from its recipe, and its build writes it.
 #pragma once
 
 #include <cassert>
@@ -42,21 +48,38 @@ struct FrameMeta {
   std::uint64_t probe_id{0};
   core::SimTime tx_timestamp{core::kNoTimestamp};
   core::SimTime sw_timestamp{core::kNoTimestamp};
-  std::uint32_t trace_id{0};
 };
+
+/// Generator origins a trace id can tell apart.
+inline constexpr std::uint32_t kTraceOriginBits = 4;
+
+/// The trace id of frame `seq` (from 1) of the generator tagged `origin`:
+/// non-zero, and distinct for every (origin, seq) a run can have (origin
+/// below 2^kTraceOriginBits, seq below 2^(32 - kTraceOriginBits)).
+[[nodiscard]] constexpr std::uint32_t trace_id(std::uint32_t origin,
+                                               std::uint64_t seq) {
+  assert(origin < (1u << kTraceOriginBits) && seq >= 1 &&
+         seq < (std::uint64_t{1} << (32 - kTraceOriginBits)) &&
+         "trace ids would alias");
+  return static_cast<std::uint32_t>(seq << kTraceOriginBits | origin);
+}
 
 /// How a generator builds its frames: copies of one template whose UDP
 /// source port cycles round-robin over `flows` ports from the spec's, by
 /// sequence number, tagged with the generator's `origin`.
 class FrameRecipe {
  public:
+  /// Throws std::invalid_argument for an origin trace ids cannot tell
+  /// apart (see trace_id).
   FrameRecipe(const FrameSpec& spec, std::uint32_t flows,
               std::uint32_t origin);
 
   [[nodiscard]] std::uint32_t frame_bytes() const { return frame_bytes_; }
   /// Write the frame `meta` describes into `p`, with its measurement
-  /// fields and origin.
+  /// fields, origin and trace id.
   void build(Packet& p, const FrameMeta& meta) const;
+  /// Frame `seq`'s trace id while the installed tracer follows it, else 0.
+  [[nodiscard]] std::uint32_t traced_id(std::uint64_t seq) const;
   /// What parse_five_tuple reads from frame `seq` once built.
   [[nodiscard]] FiveTuple five_tuple(std::uint64_t seq) const;
 
@@ -85,11 +108,9 @@ class Frame {
   /// Unbuilt frame `seq` of `recipe` that holds no reservation yet (see
   /// above): where it lands, reserve() takes one before it is built.
   [[nodiscard]] static Frame unreserved(const FrameRecipe& recipe,
-                                        PacketPool& pool, std::uint64_t seq,
-                                        std::uint32_t trace_id) {
+                                        PacketPool& pool, std::uint64_t seq) {
     Frame f(recipe, pool, seq);
     f.reserved_ = false;
-    f.trace_id_ = trace_id;
     return f;
   }
 
@@ -100,7 +121,6 @@ class Frame {
         recipe_(o.recipe_),
         pool_(std::exchange(o.pool_, nullptr)),
         seq_(o.seq_),
-        trace_id_(o.trace_id_),
         reserved_(o.reserved_) {}
   Frame& operator=(Frame&& o) noexcept {
     if (this != &o) {
@@ -109,7 +129,6 @@ class Frame {
       recipe_ = o.recipe_;
       pool_ = std::exchange(o.pool_, nullptr);
       seq_ = o.seq_;
-      trace_id_ = o.trace_id_;
       reserved_ = o.reserved_;
     }
     return *this;
@@ -124,7 +143,7 @@ class Frame {
     return pkt_ ? pkt_->probe_id : 0;
   }
   [[nodiscard]] std::uint32_t trace_id() const {
-    return pkt_ ? pkt_->trace_id : trace_id_;
+    return pkt_ ? pkt_->trace_id : recipe_->traced_id(seq_);
   }
   [[nodiscard]] std::uint32_t size() const {
     return pkt_ ? pkt_->size() : recipe_->frame_bytes();
@@ -165,7 +184,6 @@ class Frame {
     pkt_ = pool_->allocate_reserved();
     FrameMeta meta;
     meta.seq = seq_;
-    meta.trace_id = trace_id_;
     recipe_->build(*pkt_, meta);
     pool_ = nullptr;
   }
@@ -179,7 +197,6 @@ class Frame {
   /// Set while the frame is unbuilt.
   PacketPool* pool_{nullptr};
   std::uint64_t seq_{0};
-  std::uint32_t trace_id_{0};
   /// The unbuilt frame holds a reservation of pool_.
   bool reserved_{false};
 };

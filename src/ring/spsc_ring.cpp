@@ -117,12 +117,8 @@ void SpscRing::sync_wake() {
   // A pull syncs once it is done: the source's head moves within it.
   if (pulling_) return;
   const bool armed = wake_ != core::EventQueue::kInvalidEvent;
-  // A packet tracer hands out trace ids as generators emit, so while one
-  // is installed each pulled frame goes in at its own instant, as it did
-  // with a pacing event per frame, busy consumer or not.
-  const bool wanted = source_ != nullptr &&
-                      source_->next_emit() != TxSource::kNever &&
-                      (!consumer_busy_ || core::tracer() != nullptr);
+  const bool wanted = source_ != nullptr && !consumer_busy_ &&
+                      source_->next_emit() != TxSource::kNever;
   if (armed == wanted) return;  // an armed wake is always for the head
   if (armed) {
     sim_->cancel(wake_);

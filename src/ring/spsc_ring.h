@@ -36,9 +36,9 @@
 // stamped with its emit time as its arrival, the frames the source owes by
 // then, and the idle-consumer event is armed at the next one. A consumer
 // that is idle between frames (a switch fed at a low rate) is thus woken
-// by one event per frame, as before; a busy one costs no event per frame.
-// In traced runs every pulled frame keeps its event, busy consumer or not:
-// trace ids are handed out in emit order across generators.
+// by one event per frame, as before; a busy one costs no event per frame,
+// traced or not (a frame's trace id does not depend on when it is put in,
+// pkt/frame.h).
 //
 // Enqueueing into a full ring drops the packet (freed back to its pool, or
 // an unbuilt frame's reservation given back) and counts the drop — this is
@@ -242,8 +242,7 @@ class SpscRing {
   /// any (and if this is not a read from inside a pull).
   void pull_source();
   /// Keep an event armed at the source's next frame, under the key it
-  /// reserved, exactly while the consumer is idle (and for every pulled
-  /// frame in traced runs).
+  /// reserved, exactly while the consumer is idle.
   void sync_wake();
 
   std::string name_;

@@ -7,7 +7,6 @@
 
 #include "core/metrics.h"
 #include "core/simulator.h"
-#include "core/trace_sink.h"
 #include "pkt/crafting.h"
 #include "pkt/packet_pool.h"
 
@@ -109,16 +108,13 @@ void MoonGen::emit_one(core::SimTime at) {
   }
   pkt::FrameMeta meta;
   meta.seq = ++seq_;
-  if (core::TraceSink* t = core::tracer()) {
-    if (t->sample_hit(seq_)) meta.trace_id = t->next_packet_id();
-  }
   if (probe) {
     meta.probe_id = ++probe_seq_;
     next_probe_at_ = at + cfg_.probe_interval;
     if (cfg_.software_timestamps) meta.sw_timestamp = at;
   }
   pkt::PacketHandle built;
-  if (meta.probe_id != 0 || (tx_nic_ == nullptr && meta.trace_id != 0)) {
+  if (probe) {
     built = pool_.allocate_reserved();
     recipe_.build(*built, meta);
   }
@@ -131,16 +127,15 @@ void MoonGen::emit_one(core::SimTime at) {
 
 bool MoonGen::send(const pkt::FrameMeta& meta, pkt::PacketHandle built) {
   if (tx_nic_ != nullptr && tx_nic_->wired()) {
-    // The wire source runs untraced and takes a plain frame as its
-    // sequence number (hw/nic.h).
-    assert(meta.trace_id == 0);
+    // The wire source takes a plain frame as its sequence number
+    // (hw/nic.h).
     return built ? tx_nic_->wire_accept(std::move(built))
                  : tx_nic_->wire_accept(meta.seq);
   }
   pkt::Frame f =
       built ? pkt::Frame(std::move(built))
       : tx_nic_ != nullptr
-          ? pkt::Frame::unreserved(recipe_, pool_, meta.seq, meta.trace_id)
+          ? pkt::Frame::unreserved(recipe_, pool_, meta.seq)
           : pkt::Frame(recipe_, pool_, meta.seq);
   if (tx_nic_ == nullptr) return tx_guest_->tx(std::move(f));
   return tx_nic_->tx_ring().enqueue(std::move(f));

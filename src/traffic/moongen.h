@@ -40,9 +40,8 @@
 // must outlive its frames' builds. A frame sent over a NIC takes its pool
 // buffer only where it lands, on either path, and a pool with none left
 // drops it there as imissed; one a guest sends reserves its buffer at emit
-// (pkt/frame.h). Probes are built at emit, and so are a guest's traced
-// frames; pool_exhausted() counts the frames a dry pool kept from being
-// sent. On the receive side,
+// (pkt/frame.h). Probes are built at emit; pool_exhausted() counts the
+// frames a dry pool kept from being sent. On the receive side,
 // a monitored NIC hands each frame over in the firing that sends it down
 // the wire, stamped with its arrival time, so meters and latency recorders
 // take that time rather than now().

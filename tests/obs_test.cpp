@@ -26,6 +26,7 @@
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
 #include "ring/spsc_ring.h"
@@ -242,26 +243,27 @@ TEST(TraceRecorder, JsonIsWellFormed) {
 }
 
 // The JSON depends only on the events recorded: the same events in two
-// call orders give the same file, ordered by time, with a begin before an
-// end at the same instant.
+// call orders, on tracks registered in two orders, give the same file,
+// ordered by time, with a begin before an end at the same instant and the
+// tracks numbered by name.
 TEST(TraceRecorder, JsonOrderIsCanonical) {
   core::Simulator sim;
   TraceRecorder fwd(sim, TraceRecorder::Config{});
   TraceRecorder rev(sim, TraceRecorder::Config{});
-  const auto t1 = fwd.track("nic/a/wire");
-  const auto t2 = fwd.track("switch/sut");
-  ASSERT_EQ(rev.track("nic/a/wire"), t1);
-  ASSERT_EQ(rev.track("switch/sut"), t2);
-  fwd.complete(t1, "wire", core::from_ns(20), core::from_ns(67), 7);
+  const auto f1 = fwd.track("nic/a/wire");
+  const auto f2 = fwd.track("switch/sut");
+  const auto r2 = rev.track("switch/sut");
+  const auto r1 = rev.track("nic/a/wire");
+  fwd.complete(f1, "wire", core::from_ns(20), core::from_ns(67), 7);
   fwd.async_end(3, "ring/a");
   fwd.async_begin(3, "ring/b");
-  fwd.instant(t2, "drop", core::from_ns(10));
+  fwd.instant(f2, "drop", core::from_ns(10));
   fwd.async_begin(4, "ring/a", core::from_ns(10));
   rev.async_begin(4, "ring/a", core::from_ns(10));
-  rev.instant(t2, "drop", core::from_ns(10));
+  rev.instant(r2, "drop", core::from_ns(10));
   rev.async_begin(3, "ring/b");
   rev.async_end(3, "ring/a");
-  rev.complete(t1, "wire", core::from_ns(20), core::from_ns(67), 7);
+  rev.complete(r1, "wire", core::from_ns(20), core::from_ns(67), 7);
   const std::string j = fwd.to_json();
   EXPECT_EQ(j, rev.to_json());
   const auto b = j.find("\"ph\":\"b\",\"pid\":1,\"tid\":1,\"id\":3");
@@ -271,6 +273,9 @@ TEST(TraceRecorder, JsonOrderIsCanonical) {
   EXPECT_LT(b, e);  // both at 0 ns
   EXPECT_LT(e, j.find("\"ts\":0.010000"));
   EXPECT_LT(j.find("\"ts\":0.010000"), j.find("\"ts\":0.020000"));
+  EXPECT_NE(j.find("\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":"
+                   "\"nic/a/wire\"}"),
+            std::string::npos);
 }
 
 // Data-path hooks, exercised end-to-end: every sampled packet's lifecycle
@@ -315,11 +320,12 @@ TEST(TraceHooks, LiveDataPathEmitsBalancedEvents) {
   }
 }
 
-// Trace ids are handed out in emit order across generators. Two guest
+// A frame's trace id is a function of its generator's origin and its
+// sequence number, whatever order generators emit in: two guest
 // generators whose rings' consumer stays busy (nothing reads them until
-// the end) still emit each frame at its own instant while a tracer is
-// installed, so their ids interleave as their emit times do.
-TEST(TraceHooks, GuestGeneratorsDrawTraceIdsInEmitOrder) {
+// the end) are pulled in bulk, one generator's frames before the other's,
+// and each frame still carries pkt::trace_id(origin, seq).
+TEST(TraceHooks, GuestGeneratorsDeriveTraceIdsFromOriginAndSeq) {
   core::Simulator sim;
   TraceRecorder::Config tc;
   tc.packet_sample_every = 1;
@@ -334,20 +340,22 @@ TEST(TraceHooks, GuestGeneratorsDrawTraceIdsInEmitOrder) {
   host_b.in().set_consumer_busy(true);
   traffic::MoonGen::Config cfg;
   cfg.rate_pps = 1e6;
+  cfg.origin = 1;
   traffic::MoonGen gen_a(sim, pool, cfg);
+  cfg.origin = 2;
   traffic::MoonGen gen_b(sim, pool, cfg);
   gen_a.attach_tx_guest(guest_a, 0);
   gen_b.attach_tx_guest(guest_b, 0);
   gen_a.start_tx(0, core::from_us(4));                   // 0, 1, 2, 3 us
   gen_b.start_tx(core::from_ns(500), core::from_us(4));  // 0.5 .. 3.5 us
-  sim.run();
-  EXPECT_EQ(sim.events_processed(), 8u);  // one per frame, busy or not
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    auto a = host_a.in().dequeue();
+  sim.run_until(core::from_us(4));
+  EXPECT_EQ(sim.events_processed(), 0u);  // busy: no wake per frame
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
     auto b = host_b.in().dequeue();
+    auto a = host_a.in().dequeue();
     ASSERT_TRUE(a && b);
-    EXPECT_EQ(a->trace_id, 2 * i + 1);
-    EXPECT_EQ(b->trace_id, 2 * i + 2);
+    EXPECT_EQ(a->trace_id, pkt::trace_id(1, seq));
+    EXPECT_EQ(b->trace_id, pkt::trace_id(2, seq));
   }
 }
 
@@ -358,7 +366,7 @@ TEST(TraceHooks, DequeueClosesResidentSlice) {
   pkt::PacketPool pool(4);
   ring::SpscRing ring("r", 4);
   auto p = pool.allocate();
-  p->trace_id = tr.next_packet_id();
+  p->trace_id = pkt::trace_id(1, 1);
   ring.enqueue(std::move(p));
   (void)ring.dequeue();
   int begins = 0, ends = 0;

@@ -9,9 +9,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/trace_sink.h"
 #include "drain.h"
 #include "hw/cable.h"
 #include "hw/nic.h"
+#include "obs/trace.h"
 #include "pkt/headers.h"
 #include "ring/netmap_port.h"
 #include "ring/vhost_user_port.h"
@@ -475,6 +477,44 @@ TEST(GuestPull, IdleConsumerIsWokenAtTheEmitPicosecond) {
   ASSERT_EQ(put_in.size(), 10u);
   EXPECT_EQ(put_in[9].first, core::from_us(9));
   EXPECT_EQ(gen.tx_sent(), 10u);
+}
+
+// A packet tracer changes nothing in how a guest ring pulls its
+// generator: with the consumer busy, the frames cost no wake event; the
+// read after them puts them in, each with its trace id and a residency
+// slice that begins at its emit time.
+TEST(GuestPull, TracedBusyConsumerCostsNoWakePerFrame) {
+  core::Simulator sim;
+  obs::TraceRecorder::Config tc;
+  tc.packet_sample_every = 1;
+  obs::TraceRecorder tr(sim, tc);
+  core::TraceInstall install(&tr);
+  pkt::PacketPool pool(1 << 12);
+  ring::PtnetPort host("pt");
+  ring::Port guest("pt.guest", host);
+  host.in().set_consumer_busy(true);
+  MoonGen::Config cfg;
+  cfg.rate_pps = 1e6;  // 1 us apart
+  MoonGen gen(sim, pool, cfg);
+  gen.attach_tx_guest(guest, 0);
+  gen.start_tx(0, core::from_us(10));
+  sim.run_until(core::from_us(20));
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(host.in().size(), 10u);
+  std::vector<core::SimTime> begins;
+  for (const obs::TraceRecorder::Event& e : tr.events()) {
+    if (e.ph == 'b') begins.push_back(e.ts);
+  }
+  ASSERT_EQ(begins.size(), 10u);
+  for (std::size_t i = 0; i < begins.size(); ++i) {
+    EXPECT_EQ(begins[i], core::from_us(static_cast<double>(i)));
+  }
+  std::uint64_t seq = 0;
+  while (pkt::PacketHandle p = host.in().dequeue()) {
+    EXPECT_EQ(p->seq, ++seq);
+    EXPECT_EQ(p->trace_id, pkt::trace_id(cfg.origin, p->seq));
+  }
+  EXPECT_EQ(seq, 10u);
 }
 
 // A consumer woken by a pulled frame may go idle again before the pull
