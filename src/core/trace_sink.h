@@ -41,11 +41,12 @@ class TraceSink {
 
   /// Packet-lifecycle slices: one "b"/"e" pair per stage the sampled packet
   /// resides in, all grouped under its trace id. The slice begins at `at`
-  /// (kNoTimestamp: now) and ends at the current simulation time.
+  /// and ends at `at` (kNoTimestamp: now); a NIC's wire source passes the
+  /// instants of fetches it works out after them.
   virtual void async_begin(std::uint32_t trace_id, const std::string& stage,
                            SimTime at = kNoTimestamp) = 0;
-  virtual void async_end(std::uint32_t trace_id,
-                         const std::string& stage) = 0;
+  virtual void async_end(std::uint32_t trace_id, const std::string& stage,
+                         SimTime at = kNoTimestamp) = 0;
 
   /// True when the packet with generator sequence `seq` should be followed
   /// (its id is pkt::trace_id of its generator's origin and `seq`).

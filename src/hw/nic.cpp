@@ -219,8 +219,7 @@ void NicPort::land(pkt::Frame&& f, std::size_t q, core::SimTime at) {
 
 bool NicPort::start_wire() {
   // What keeps one fetch per frame (see nic.h).
-  if (core::tracer() != nullptr ||
-      (registry_ != nullptr && registry_->depths_sampled()) ||
+  if ((registry_ != nullptr && registry_->depths_sampled()) ||
       cable_ == nullptr || tx_source_->recipe() == nullptr ||
       tx_source_->pool() == nullptr) {
     return false;
@@ -242,8 +241,10 @@ bool NicPort::start_wire() {
   wire_rank_ = sim_.add_late_producer(wire_delay_);
   for (auto& r : to.rx_rings_) r->feed_from(this);
   tx_rings_[0]->feed_from(this);  // its counters are the wire's
-  // The source's start reserves its first frame's key (key_pulled_in_ 0),
-  // and the first fetch's lane key comes after it.
+  // The source's start reserves its first frame's key, and the first
+  // fetch's lane key comes after it.
+  last_pull_ = {sim_.reserve_order(), sim_.now()};
+  fetch_key_ = {sim_.reserve_order(), sim_.now()};
   const core::SimTime next = tx_source_->next_emit();
   fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
   sync_wire_wake();
@@ -264,26 +265,37 @@ void NicPort::stop_wire() {
   wire_to_ = nullptr;
 }
 
-bool NicPort::wire_accept(std::uint64_t seq) {
+bool NicPort::backlog_room() {
   ring::SpscRing& tx = *tx_rings_[0];
   if (backlog_frames_ >= tx.capacity()) {
-    tx.count_bypass(0, 0, 1);
+    tx.count_drop(last_pull_.at);
     return false;
   }
-  append_plain(seq, 1);
   tx.count_bypass(1, 0, 0);
   return true;
 }
 
-bool NicPort::wire_accept(pkt::PacketHandle built) {
-  ring::SpscRing& tx = *tx_rings_[0];
-  if (backlog_frames_ >= tx.capacity()) {
-    tx.count_bypass(0, 0, 1);
-    return false;
+void NicPort::trace_into_backlog(std::uint32_t trace_id) const {
+  if (core::TraceSink* t = core::tracer(); t != nullptr && trace_id != 0) {
+    t->async_begin(trace_id, tx_rings_[0]->name(), last_pull_.at);
   }
+}
+
+bool NicPort::wire_accept(std::uint64_t seq) {
+  if (!backlog_room()) return false;
+  append_plain(seq, 1);
+  if (core::tracer() != nullptr) {
+    trace_into_backlog(wire_recipe_->traced_id(seq));
+  }
+  return true;
+}
+
+bool NicPort::wire_accept(pkt::PacketHandle built) {
+  if (!backlog_room()) return false;
+  const std::uint32_t trace_id = built->trace_id;
   backlog_.push_back({0, 0, std::move(built)});
   ++backlog_frames_;
-  tx.count_bypass(1, 0, 0);
+  trace_into_backlog(trace_id);
   return true;
 }
 
@@ -307,20 +319,33 @@ void NicPort::set_next_fetch(core::SimTime next_emit) {
   }
 }
 
+bool NicPort::before(const OrderKey& a, const OrderKey& b) {
+  if (a.key != 0 && b.key != 0) return a.key < b.key;
+  // A late key sits after every key reserved at or before its instant.
+  return b.key != 0 ? a.at < b.at : a.at <= b.at;
+}
+
+core::SimTime NicPort::pull(core::SimTime at, bool reserve) {
+  last_pull_.at = at;
+  core::SimTime next;
+  do {
+    tx_source_->emit_next();
+    next = tx_source_->next_emit();
+  } while (next < at);
+  last_pull_.key = reserve ? sim_.reserve_order() : 0;
+  return next;
+}
+
 pkt::Frame NicPort::fetch() {
   const core::SimTime now = fetch_at_;
-  // What serialize_step's pull_source would enqueue at this fetch: a frame
-  // due at its very instant is owed when its order key comes before the
-  // fetch's, i.e. when it was reserved at an earlier fetch (or the start).
-  // The loop leaves `next` at the source's next emit, which the fetch
-  // changes no more.
+  // What a lane firing would enqueue at this fetch: a frame due at its
+  // very instant is owed when its order key comes before the fetch's. The
+  // keys it takes are late ones: the fetch's instant is past.
   core::SimTime next = tx_source_->next_emit();
-  for (; next < now || (next == now && key_pulled_in_ <= fetches_);
-       next = tx_source_->next_emit()) {
-    tx_source_->emit_next();
-    key_pulled_in_ = fetches_ + 1;
+  if (next < now || (next == now && before(last_pull_, fetch_key_))) {
+    next = pull(now, false);
   }
-  ++fetches_;
+  fetch_key_ = {0, now};
   ++detail::wire_steps;
   if (backlog_frames_ == 0) {
     set_next_fetch(next);
@@ -341,12 +366,21 @@ pkt::Frame NicPort::fetch() {
   if (f.probe_id() != 0 && f.packet().tx_timestamp == core::kNoTimestamp) {
     f.packet().tx_timestamp = now + wire_ser_;  // a probe is built
   }
+  if (core::TraceSink* t = core::tracer()) {
+    if (const std::uint32_t id = f.trace_id()) {
+      t->async_end(id, tx_rings_[0]->name(), now);
+      t->complete(t->track("nic/" + name_ + "/wire"), "wire", now, wire_ser_,
+                  f.seq());
+    }
+  }
   wire_free_at_ = now + wire_ser_;
   set_next_fetch(next);
   return f;
 }
 
 bool NicPort::drop_run() {
+  // A traced frame has its events one by one.
+  if (core::tracer() != nullptr) return false;
   // Only fetches whose frames arrived before now: one arriving at now may
   // tie with the reader's key (late_order), which is left to catch_up.
   const core::SimTime now = sim_.now();
@@ -407,10 +441,12 @@ bool NicPort::drop_run() {
   tx_rings_[0]->count_bypass(n, n, 0);
   tx_frames_ += n;
   wire_to_->rx_frames_ += n;
-  fetches_ += n;
-  key_pulled_in_ = fetches_;  // the last fetch pulled a frame
-  wire_free_at_ =
-      fetch_at_ + static_cast<core::SimDuration>(n) * wire_ser_;
+  // The last fetch pulled a frame.
+  const core::SimTime last =
+      fetch_at_ + static_cast<core::SimDuration>(n - 1) * wire_ser_;
+  last_pull_ = {0, last};
+  fetch_key_ = {0, last};
+  wire_free_at_ = last + wire_ser_;
   set_next_fetch(tx_source_->next_emit());
   return true;
 }

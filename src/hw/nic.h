@@ -229,6 +229,14 @@ class NicPort : private ring::Feed {
   void set_rx_timestamp_hook(RxTimestampHook h) { rx_ts_hook_ = std::move(h); }
 
  private:
+  /// Where a key of the wire source sits among the simulator's order
+  /// keys: one reserved at instant `at` (key != 0), or this port's late
+  /// key at the end of instant `at` (core::Simulator::late_order).
+  struct OrderKey {
+    std::uint64_t key{0};
+    core::SimTime at{0};
+  };
+
   // ring::Feed: the peer's RX rings pull the wire source.
   void catch_up() override;
   void consumer_changed() override;
@@ -236,10 +244,22 @@ class NicPort : private ring::Feed {
   [[nodiscard]] bool start_wire();
   void stop_wire();
   /// The next virtual TX fetch: pull the source, take the backlog's head
-  /// and set the fetch after it, exactly as serialize_step would. Empty
-  /// when the backlog is: the frames owed never reached it (a probe the
-  /// pool had no buffer for), and the next fetch waits for the next emit.
+  /// and set the fetch after it, exactly as one lane firing per frame
+  /// would. Empty when the backlog is: the frames owed never reached it (a
+  /// probe the pool had no buffer for), and the next fetch waits for the
+  /// next emit.
   pkt::Frame fetch();
+  /// Have the source emit every frame due at a pull at instant `at` (the
+  /// first is due already), and take its next frame's key then: a reserved
+  /// one when `reserve`, else the late one. Returns the source's next emit.
+  core::SimTime pull(core::SimTime at, bool reserve);
+  /// Whether key `a` comes before key `b`.
+  [[nodiscard]] static bool before(const OrderKey& a, const OrderKey& b);
+  /// A frame the source emits goes into the TX backlog if the TX ring has
+  /// room (counted as an enqueue), else it is dropped (counted at the
+  /// pull's instant). A traced one's residency begins at that instant.
+  [[nodiscard]] bool backlog_room();
+  void trace_into_backlog(std::uint32_t trace_id) const;
   /// Bulk drops: replay in one step the run of fetches, from the next one
   /// on, whose frames arrived before now and which the peer's full RX
   /// rings all drop, where that is provably what fetch() and land() would
@@ -316,10 +336,12 @@ class NicPort : private ring::Feed {
   std::uint32_t backlog_frames_{0};
   /// The next virtual fetch, ring::TxSource::kNever when none is due.
   core::SimTime fetch_at_{ring::TxSource::kNever};
-  /// Virtual fetches so far, and 1 + the one whose pull reserved the
-  /// source's current order key (0: the source's start reserved it).
-  std::uint64_t fetches_{0};
-  std::uint64_t key_pulled_in_{0};
+  /// The next fetch's key: the lane key a fetch per frame would have
+  /// taken, reserved at the start or at the fetch before.
+  OrderKey fetch_key_;
+  /// The key the last pull of the source took for the source's next frame,
+  /// and the pull's instant.
+  OrderKey last_pull_;
   /// A TX backlog entry: `count` plain frames from first_seq on, or, with
   /// count 0, the built frame `built` (a probe).
   struct Backlog {

@@ -48,8 +48,8 @@ void TraceRecorder::async_begin(std::uint32_t trace_id,
 }
 
 void TraceRecorder::async_end(std::uint32_t trace_id,
-                              const std::string& stage) {
-  events_.push_back(Event{'e', 0, stage, sim_.now(), 0, trace_id, 0});
+                              const std::string& stage, core::SimTime at) {
+  events_.push_back(Event{'e', 0, stage, stamp(at), 0, trace_id, 0});
 }
 
 namespace {

@@ -66,7 +66,8 @@ class TraceRecorder final : public core::TraceSink {
 
   void async_begin(std::uint32_t trace_id, const std::string& stage,
                    core::SimTime at = core::kNoTimestamp) override;
-  void async_end(std::uint32_t trace_id, const std::string& stage) override;
+  void async_end(std::uint32_t trace_id, const std::string& stage,
+                 core::SimTime at = core::kNoTimestamp) override;
 
   [[nodiscard]] bool sample_hit(std::uint64_t seq) const override {
     return cfg_.packet_sample_every > 0 &&
