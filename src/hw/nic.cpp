@@ -39,6 +39,7 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
     reg->add_sync(this, [](void* owner) {
       auto* nic = static_cast<NicPort*>(owner);
       for (auto& r : nic->rx_rings_) r->catch_up();
+      nic->tx_rings_[0]->catch_up();
       nic->pull_source();
     });
   }
@@ -219,8 +220,7 @@ void NicPort::land(pkt::Frame&& f, std::size_t q, core::SimTime at) {
 
 bool NicPort::start_wire() {
   // What keeps one fetch per frame (see nic.h).
-  if ((registry_ != nullptr && registry_->depths_sampled()) ||
-      cable_ == nullptr || tx_source_->recipe() == nullptr ||
+  if (cable_ == nullptr || tx_source_->recipe() == nullptr ||
       tx_source_->pool() == nullptr) {
     return false;
   }
@@ -238,7 +238,10 @@ bool NicPort::start_wire() {
   wire_ser_ = cfg_.rate.serialization_time(
       tx_source_->recipe()->frame_bytes());
   wire_delay_ = wire_ser_ + cable_->propagation() + to.cfg_.dma_rx_latency;
-  wire_rank_ = sim_.add_late_producer(wire_delay_);
+  // A read of the TX ring is ordered against the fetch before it and the
+  // source's last pull, up to a gap and a DMA fetch back.
+  wire_rank_ = sim_.add_late_producer(std::max(
+      wire_delay_, tx_source_->max_gap() + cfg_.dma_tx_latency));
   for (auto& r : to.rx_rings_) r->feed_from(this);
   tx_rings_[0]->feed_from(this);  // its counters are the wire's
   // The source's start reserves its first frame's key, and the first
@@ -260,6 +263,7 @@ void NicPort::stop_wire() {
   sim_.stop_lane(tx_lane_);
   tx_busy_ = false;
   while (!backlog_.empty()) (void)backlog_.pop_front();
+  in_flight_.reset();
   backlog_frames_ = 0;
   fetch_at_ = ring::TxSource::kNever;
   wire_to_ = nullptr;
@@ -340,12 +344,14 @@ pkt::Frame NicPort::fetch() {
   const core::SimTime now = fetch_at_;
   // What a lane firing would enqueue at this fetch: a frame due at its
   // very instant is owed when its order key comes before the fetch's. The
-  // keys it takes are late ones: the fetch's instant is past.
+  // keys it takes are late ones once its instant is past; a read of the TX
+  // ring at that instant, after the fetch, reserves them as it runs.
+  const bool reserve = now == sim_.now();
   core::SimTime next = tx_source_->next_emit();
   if (next < now || (next == now && before(last_pull_, fetch_key_))) {
-    next = pull(now, false);
+    next = pull(now, reserve);
   }
-  fetch_key_ = {0, now};
+  fetch_key_ = {reserve ? sim_.reserve_order() : 0, now};
   ++detail::wire_steps;
   if (backlog_frames_ == 0) {
     set_next_fetch(next);
@@ -380,7 +386,7 @@ pkt::Frame NicPort::fetch() {
 
 bool NicPort::drop_run() {
   // A traced frame has its events one by one.
-  if (core::tracer() != nullptr) return false;
+  if (core::tracer() != nullptr || detail::bulk_drops_refused) return false;
   // Only fetches whose frames arrived before now: one arriving at now may
   // tie with the reader's key (late_order), which is left to catch_up.
   const core::SimTime now = sim_.now();
@@ -451,12 +457,47 @@ bool NicPort::drop_run() {
   return true;
 }
 
-void NicPort::catch_up() {
-  // Fetch and land, in order, every frame that has arrived by now; a frame
-  // arriving at this very instant has once a key reserved after its
-  // fetch's instant is running (core::Simulator::late_order). A landing
-  // may wake a consumer that reads the rings again from inside the loop:
-  // each fetch is complete before its frame lands.
+bool NicPort::reached(core::SimTime t, const OrderKey& k) const {
+  return k.key != 0 ? sim_.reached(t, k.key)
+                    : sim_.reached_late(t, k.at, wire_rank_);
+}
+
+void NicPort::catch_up(const ring::SpscRing& read) {
+  land_arrived();
+  if (&read == tx_rings_[0].get()) send_due();
+  sync_wire_wake();
+}
+
+void NicPort::send_due() {
+  // The TX ring stands as one fetch per frame leaves it: every fetch whose
+  // key comes before the read's has taken its frame, and every frame due
+  // by then is in.
+  while (fetch_at_ != ring::TxSource::kNever &&
+         reached(fetch_at_, fetch_key_)) {
+    const core::SimTime at = fetch_at_;
+    if (pkt::Frame f = fetch()) {
+      if (!in_flight_) in_flight_ = std::make_unique<core::Fifo<Sent>>();
+      in_flight_->push_back({at, std::move(f)});
+    }
+  }
+  if (reached(tx_source_->next_emit(), last_pull_)) {
+    (void)pull(sim_.now(), true);
+  }
+}
+
+void NicPort::land_arrived() {
+  // Land, in order, every frame that has arrived by now; a frame arriving
+  // at this very instant has once a key reserved after its fetch's instant
+  // is running (core::Simulator::late_order). A landing may wake a
+  // consumer that reads the rings again from inside the loop: each fetch
+  // is complete before its frame lands.
+  while (in_flight_ && !in_flight_->empty()) {
+    const core::SimTime at = (*in_flight_)[0].fetched_at;
+    if (!sim_.reached_late(at + wire_delay_, at, wire_rank_)) return;
+    pkt::Frame f = std::move(in_flight_->pop_front().frame);
+    const std::size_t q = wire_to_->rss_queue(f);
+    wire_to_->land(std::move(f), q, at + wire_delay_);
+  }
   while (fetch_at_ != ring::TxSource::kNever &&
          sim_.reached_late(fetch_at_ + wire_delay_, fetch_at_, wire_rank_)) {
     // Ring 0 full is the step's cheapest condition: check it first.
@@ -467,15 +508,18 @@ void NicPort::catch_up() {
       wire_to_->land(std::move(f), q, at);
     }
   }
-  sync_wire_wake();
 }
 
-void NicPort::consumer_changed() { catch_up(); }
+void NicPort::consumer_changed() {
+  land_arrived();
+  sync_wire_wake();
+}
 
 void NicPort::sync_wire_wake() {
   bool idle = false;
   for (const auto& r : wire_to_->rx_rings_) idle = idle || !r->consumer_busy();
-  const bool wanted = idle && fetch_at_ != ring::TxSource::kNever;
+  const bool wanted = idle && (fetch_at_ != ring::TxSource::kNever ||
+                               (in_flight_ && !in_flight_->empty()));
   const bool armed =
       wire_wake_ != core::EventQueue::kInvalidEvent || tx_busy_;
   if (armed == wanted) return;  // an armed wake is always for the next frame
@@ -493,19 +537,24 @@ void NicPort::sync_wire_wake() {
 }
 
 void NicPort::arm_wire_wake() {
-  if (fetch_at_ >= sim_.now()) {
+  // The next frame to land: the first on the wire, else the next fetch's.
+  const core::SimTime fetch = in_flight_ && !in_flight_->empty()
+                                  ? (*in_flight_)[0].fetched_at
+                                  : fetch_at_;
+  if (fetch >= sim_.now()) {
     // The fetch's key is placed at the end of its instant: come back just
     // after it.
     tx_busy_ = true;
-    sim_.arm_lane(tx_lane_, fetch_at_ + 1);
+    sim_.arm_lane(tx_lane_, fetch + 1);
     return;
   }
   // Every read lands what has arrived, so the next frame's arrival is
   // still ahead.
   wire_wake_ = sim_.schedule_reserved(
-      fetch_at_ + wire_delay_, sim_.late_order(fetch_at_, wire_rank_), [this] {
+      fetch + wire_delay_, sim_.late_order(fetch, wire_rank_), [this] {
         wire_wake_ = core::EventQueue::kInvalidEvent;
-        catch_up();
+        land_arrived();
+        sync_wire_wake();
       });
 }
 

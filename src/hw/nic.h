@@ -121,6 +121,9 @@ namespace detail {
 /// Wire-source fetches replayed one at a time on this thread (a scenario
 /// runs on one thread, so the difference over its run is that run's).
 inline thread_local std::uint64_t wire_steps = 0;
+/// Test seam: while set on this thread, wire sources take no bulk step and
+/// replay every fetch one at a time, the oracle bulk drops must equal.
+inline thread_local bool bulk_drops_refused = false;
 }  // namespace detail
 
 /// The wire source's one-at-a-time fetch replays (NicPort::fetch) on this
@@ -237,9 +240,17 @@ class NicPort : private ring::Feed {
     core::SimTime at{0};
   };
 
-  // ring::Feed: the peer's RX rings pull the wire source.
-  void catch_up() override;
+  // ring::Feed: the peer's RX rings pull the wire source, and so does this
+  // port's TX ring 0.
+  void catch_up(const ring::SpscRing& read) override;
   void consumer_changed() override;
+  /// Land, in order, every frame that has arrived at the peer by now.
+  void land_arrived();
+  /// A read of the TX ring: run every fetch due by now, its frame on the
+  /// wire (in_flight_) until it lands, and pull the frames due.
+  void send_due();
+  /// Whether an event at `t` under key `k` would have fired by now.
+  [[nodiscard]] bool reached(core::SimTime t, const OrderKey& k) const;
   /// Start the wire source if this port qualifies (see above).
   [[nodiscard]] bool start_wire();
   void stop_wire();
@@ -357,6 +368,14 @@ class NicPort : private ring::Feed {
   /// The idle-consumer wake; while tx_busy_, the TX lane is armed instead,
   /// just after the next fetch's instant, to place that wake.
   core::EventQueue::EventId wire_wake_{core::EventQueue::kInvalidEvent};
+  /// A frame a read of the TX ring fetched before it arrived.
+  struct Sent {
+    core::SimTime fetched_at{0};
+    pkt::Frame frame;
+  };
+  /// Fetched frames on their way to the peer, in order; made by the first
+  /// read of the TX ring that runs ahead of the landings.
+  std::unique_ptr<core::Fifo<Sent>> in_flight_;
 };
 
 }  // namespace nfvsb::hw

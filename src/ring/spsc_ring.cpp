@@ -20,7 +20,7 @@ SpscRing::SpscRing(std::string name, std::size_t capacity)
                    [](const void* owner) {
                      // Wire-fed rings are brought up to date by their
                      // NIC's sampler hook before this read.
-                     return static_cast<const SpscRing*>(owner)->q_.size();
+                     return static_cast<const SpscRing*>(owner)->depth();
                    });
   }
 }

@@ -91,12 +91,15 @@ inline thread_local std::uint64_t ring_ops = 0;
 }
 
 /// What feeds a ring from a wire in closed form (hw::NicPort's wire
-/// source, hw/nic.h): every read of the ring first has it put in the frames
-/// that have arrived by now (SpscRing::land, SpscRing::count_drop), and the
-/// ring tells it when its consumer goes busy or idle.
+/// source, hw/nic.h): every read of the ring first has it bring the ring up
+/// to date (for an RX ring, put in the frames that have arrived by now:
+/// SpscRing::land, SpscRing::count_drop), and the ring tells it when its
+/// consumer goes busy or idle.
+class SpscRing;
+
 class Feed {
  public:
-  virtual void catch_up() = 0;
+  virtual void catch_up(const SpscRing& read) = 0;
   virtual void consumer_changed() = 0;
 
  protected:
@@ -130,15 +133,14 @@ class SpscRing {
   pkt::Frame dequeue_frame();
 
   // Reads put in the frames that have arrived by now first (see above).
+  // The depth is what went in and has not come out, which for a NIC TX ring
+  // under the wire source is its port's backlog (count_bypass).
   [[nodiscard]] std::size_t size() {
     catch_up();
-    return q_.size();
+    return depth();
   }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] bool empty() {
-    catch_up();
-    return q_.empty();
-  }
+  [[nodiscard]] bool empty() { return size() == 0; }
   [[nodiscard]] bool full() { return size() >= capacity_; }
 
   [[nodiscard]] std::uint64_t drops() {
@@ -183,7 +185,7 @@ class SpscRing {
   /// Have the feed put in every frame that has arrived by now, and put in
   /// every frame the source owes by now (each read does this itself).
   void catch_up() {
-    if (feed_ != nullptr) feed_->catch_up();
+    if (feed_ != nullptr) feed_->catch_up(*this);
     if (source_ != nullptr) pull_source();
   }
   /// The consumer is mid-round and will read the ring before it goes idle,
@@ -236,6 +238,9 @@ class SpscRing {
   }
 
  private:
+  [[nodiscard]] std::size_t depth() const {
+    return static_cast<std::size_t>(enqueued_ - dequeued_);
+  }
   /// Enqueue a frame that reached the ring at `at` (kNoTimestamp: now).
   bool push(pkt::Frame&& f, core::SimTime at);
   /// Enqueue, each at its emit time, the source's frames due by now, if

@@ -61,6 +61,10 @@ class TxSource {
   /// only once that frame is due.
   virtual void emit_next() = 0;
 
+  /// At least the time between two consecutive emits: how far back a
+  /// reader may have to order a read against the pull before it.
+  [[nodiscard]] virtual core::SimDuration max_gap() const = 0;
+
   /// How the source's frames are built from their sequence numbers, and
   /// the pool they are built in. A source without a recipe (nullptr)
   /// always goes through its port's TX ring.

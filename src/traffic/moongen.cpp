@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -76,6 +77,11 @@ void MoonGen::emit_next() {
   assert(next_at_ < tx_until_);
   emit_one(next_at_);
   next_at_ += gap();
+}
+
+core::SimDuration MoonGen::max_gap() const {
+  // gap() rounds the exact gap plus a carried fraction below 1 ps down.
+  return static_cast<core::SimDuration>(std::ceil(gap_ps_));
 }
 
 ring::TxSource::Run MoonGen::emit_run(core::SimTime t,

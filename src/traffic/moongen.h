@@ -110,6 +110,7 @@ class MoonGen final : public ring::TxSource {
   // --- ring::TxSource --------------------------------------------------------
   [[nodiscard]] core::SimTime next_emit() const override;
   void emit_next() override;
+  [[nodiscard]] core::SimDuration max_gap() const override;
   [[nodiscard]] const pkt::FrameRecipe* recipe() const override {
     return &recipe_;
   }

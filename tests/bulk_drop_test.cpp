@@ -1,9 +1,9 @@
 // Bulk drops (hw/nic.h): while the SUT's RX rings are full, the generator
 // NIC's wire source replays a whole run of fetches, whose frames those
-// rings drop, in one step. A run that samples queue depths keeps one fetch
-// per frame (the per-frame path), so each point here runs twice, unsampled
-// and sampled, and the two must agree on every result field and on every
-// counter both report. The points cover each condition the step checks:
+// rings drop, in one step. Each point here runs twice, with bulk steps and
+// with them refused (hw::detail::bulk_drops_refused, so every fetch is
+// replayed one at a time), and the two must agree on every result field
+// and on every counter. The points cover each condition the step checks:
 // a single RX queue, probes among the frames, two RSS queues, a gap that
 // is not a whole number of picoseconds (128 B), a rate above line rate
 // whose TX ring overflows, and a VNF loopback chain.
@@ -15,6 +15,7 @@
 
 #include "campaign/serialize.h"
 #include "core/time.h"
+#include "hw/nic.h"
 #include "scenario/scenario.h"
 #include "switches/switch_base.h"
 
@@ -46,10 +47,18 @@ std::map<std::string, std::uint64_t> counters(const ScenarioResult& r) {
   return {r.counters.begin(), r.counters.end()};
 }
 
-/// Every result field, without the counters (a sampled run adds some).
+/// Every result field, without the counters.
 std::string fields(ScenarioResult r) {
   r.counters.clear();
   return campaign::result_to_json(r);
+}
+
+/// `cfg` run with every wire-source fetch replayed one at a time.
+ScenarioResult one_fetch_per_frame(const ScenarioConfig& cfg) {
+  hw::detail::bulk_drops_refused = true;
+  ScenarioResult r = run_scenario(cfg);
+  hw::detail::bulk_drops_refused = false;
+  return r;
 }
 
 TEST(BulkDrops, SameResultsAsOneFetchPerFrame) {
@@ -81,25 +90,24 @@ TEST(BulkDrops, SameResultsAsOneFetchPerFrame) {
     const ScenarioResult bulk = run_scenario(pt.cfg);
     ASSERT_FALSE(bulk.skipped.has_value()) << pt.label;
     EXPECT_GT(bulk.nic_imissed, 0u) << pt.label;
-    ScenarioConfig sampled_cfg = pt.cfg;
-    sampled_cfg.queue_sample_period = core::from_us(50);
-    const ScenarioResult sampled = run_scenario(sampled_cfg);
-    ASSERT_FALSE(sampled.skipped.has_value()) << pt.label;
-    EXPECT_EQ(fields(bulk), fields(sampled)) << pt.label;
+    const ScenarioResult each = one_fetch_per_frame(pt.cfg);
+    ASSERT_FALSE(each.skipped.has_value()) << pt.label;
+    EXPECT_EQ(fields(bulk), fields(each)) << pt.label;
     const auto ours = counters(bulk);
-    const auto theirs = counters(sampled);
+    const auto theirs = counters(each);
     ASSERT_EQ(ours.count("pool/alloc_failures"), 1u) << pt.label;
     for (const auto& [path, value] : ours) {
-      if (path.rfind("sim/", 0) == 0) continue;  // the paths' own work
+      if (path.rfind("sim/", 0) == 0) continue;  // the runs' own work
       const auto it = theirs.find(path);
       ASSERT_NE(it, theirs.end()) << pt.label << ": " << path;
       EXPECT_EQ(value, it->second) << pt.label << ": " << path;
     }
-    // The sampled run fetches every frame one at a time; the unsampled
-    // one steps over the runs its SUT drops, where the step applies. With
-    // two RSS queues it applies only while both are full, which leaves
-    // about half of their drops to one fetch each.
-    EXPECT_GE(sampled.work.lane_fired, sampled.offered_packets) << pt.label;
+    EXPECT_EQ(ours.size(), theirs.size()) << pt.label;
+    // The oracle fetches every frame one at a time; the bulk run steps over
+    // the runs its SUT drops, where the step applies. With two RSS queues
+    // it applies only while both are full, which leaves about half of
+    // their drops to one fetch each.
+    EXPECT_EQ(each.work.wire_steps, each.offered_packets) << pt.label;
     if (pt.steps) {
       EXPECT_LT(bulk.work.wire_steps + bulk.nic_imissed / 3,
                 bulk.offered_packets)

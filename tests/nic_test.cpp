@@ -194,6 +194,13 @@ class FixedSource final : public ring::TxSource {
   [[nodiscard]] core::SimTime next_emit() const override {
     return next_ < emits_.size() ? emits_[next_] : kNever;
   }
+  [[nodiscard]] core::SimDuration max_gap() const override {
+    core::SimDuration gap = 0;
+    for (std::size_t i = 1; i < emits_.size(); ++i) {
+      gap = std::max(gap, emits_[i] - emits_[i - 1]);
+    }
+    return gap;
+  }
   void emit_next() override {
     auto p = pool_.allocate();
     pkt::craft_udp_frame(*p, pkt::FrameSpec{});

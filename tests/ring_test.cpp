@@ -2,6 +2,7 @@
 // TX sources, copy accounting for vhost vs ptnet).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -291,6 +292,13 @@ class RingSource final : public TxSource {
 
   [[nodiscard]] core::SimTime next_emit() const override {
     return next_ < emits_.size() ? emits_[next_] : kNever;
+  }
+  [[nodiscard]] core::SimDuration max_gap() const override {
+    core::SimDuration gap = 0;
+    for (std::size_t i = 1; i < emits_.size(); ++i) {
+      gap = std::max(gap, emits_[i] - emits_[i - 1]);
+    }
+    return gap;
   }
   void emit_next() override {
     auto p = pool_.allocate();
