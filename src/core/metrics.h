@@ -52,11 +52,6 @@ class MetricSink {
                          std::size_t capacity, DepthFn depth) = 0;
   /// Register a hook the sampler calls before every round of depth reads.
   virtual void add_sync(void* owner, SyncFn sync) = 0;
-  /// Whether a sampler reads the registered queues' depths as the run goes
-  /// (obs::QueueSampler). A producer that cannot give a queue's depth at
-  /// every instant in closed form keeps its per-frame work while one does.
-  [[nodiscard]] virtual bool depths_sampled() const = 0;
-
   /// Drop every row registered by `owner` (called from owner destructors,
   /// so a sink may outlive any subset of its components).
   virtual void remove(const void* owner) = 0;

@@ -40,13 +40,12 @@ NicPort::NicPort(core::Simulator& sim, std::string name, Config cfg)
       auto* nic = static_cast<NicPort*>(owner);
       for (auto& r : nic->rx_rings_) r->catch_up();
       nic->tx_rings_[0]->catch_up();
-      nic->pull_source();
     });
   }
 }
 
 NicPort::~NicPort() {
-  // The source detaches first (stop_wire); the peer may be gone by now.
+  // The source detaches first; the peer may be gone by now.
   if (wire_wake_ != core::EventQueue::kInvalidEvent) sim_.cancel(wire_wake_);
   sim_.remove_lane(tx_lane_);
   if (registry_ != nullptr) registry_->remove(this);
@@ -71,8 +70,19 @@ void NicPort::attach_tx_source(ring::TxSource& s) {
 }
 
 void NicPort::detach_tx_source() {
-  stop_wire();
   tx_source_ = nullptr;
+  if (!wired()) return;
+  for (auto& r : wire_to_->rx_rings_) r->feed_from(nullptr);
+  tx_rings_[0]->feed_from(nullptr);
+  if (wire_wake_ != core::EventQueue::kInvalidEvent) sim_.cancel(wire_wake_);
+  wire_wake_ = core::EventQueue::kInvalidEvent;
+  sim_.stop_lane(tx_lane_);
+  tx_busy_ = false;
+  while (!backlog_.empty()) (void)backlog_.pop_front();
+  in_flight_.reset();
+  backlog_frames_ = 0;
+  fetch_at_ = ring::TxSource::kNever;
+  wire_to_ = nullptr;
 }
 
 core::SimTime NicPort::fetch_time(core::SimTime ready) const {
@@ -85,47 +95,24 @@ core::SimTime NicPort::fetch_time(core::SimTime ready) const {
 
 void NicPort::on_tx_enqueue() {
   assert(!wired() && "a wire source's port carries no other traffic");
-  arm_fetch(fetch_time(sim_.now()));
-}
-
-void NicPort::wake_tx() {
-  if (start_wire()) return;
-  source_order_ = sim_.reserve_order();
-  const core::SimTime next = tx_source_->next_emit();
-  if (next != ring::TxSource::kNever) arm_fetch(fetch_time(next));
-}
-
-void NicPort::arm_fetch(core::SimTime at) {
-  // When the armed fetch waits for a source's next emit, a frame pushed in
-  // meanwhile may be due earlier: re-arming replaces the pending fetch.
-  if (tx_busy_ && tx_fetch_at_ <= at) return;
-  // serialize_step returns the delay to each next fetch and stops the lane
-  // when nothing is left.
+  // While the lane is armed, serialize_step returns the delay to each next
+  // fetch and stops the lane when the rings drain.
+  if (tx_busy_) return;
   tx_busy_ = true;
-  tx_fetch_at_ = at;
-  sim_.arm_lane(tx_lane_, at);
-}
-
-void NicPort::pull_source() {
-  // Each frame's successor takes its order key once the frame is in, as
-  // SpscRing::pull_source does (ring/tx_source.h).
-  if (tx_source_ == nullptr || wired()) return;
-  while (sim_.reached(tx_source_->next_emit(), source_order_)) {
-    tx_source_->emit_next();
-    source_order_ = sim_.reserve_order();
-  }
+  sim_.arm_lane(tx_lane_, fetch_time(sim_.now()));
 }
 
 core::SimDuration NicPort::serialize_step() {
   if (wired()) {
-    // The wire source's lane firing: the next fetch's instant is past, so
-    // its frame's wake can take its late key now.
+    // The wire source's lane firing, just after the next fetch's instant:
+    // a timed sink takes that fetch's frame now, and any other peer's
+    // wake can take its frame's late key.
     tx_busy_ = false;
-    arm_wire_wake();
+    land_arrived();
+    sync_wire_wake();
     return core::Simulator::kStopTimer;
   }
   const core::SimTime now = sim_.now();
-  pull_source();
   // Round-robin across TX queues (82599 WRR with equal weights).
   pkt::Frame f;
   for (std::size_t k = 0; k < tx_rings_.size(); ++k) {
@@ -138,8 +125,7 @@ core::SimDuration NicPort::serialize_step() {
   }
   if (f) {
     // The frame occupies the wire for `ser` from now; everything that
-    // happens when its last bit leaves the MAC is known already, so do it
-    // here. A generator's frame goes on unbuilt.
+    // happens when its last bit leaves the MAC is known already.
     const core::SimDuration ser = cfg_.rate.serialization_time(f.size());
     ++tx_frames_;
     if (f.probe_id() != 0 && f.packet().tx_timestamp == core::kNoTimestamp) {
@@ -157,20 +143,11 @@ core::SimDuration NicPort::serialize_step() {
     const bool drained =
         std::all_of(tx_rings_.begin(), tx_rings_.end(),
                     [](const auto& r) { return r->empty(); });
-    if (!drained) {
-      tx_fetch_at_ = wire_free_at_;
-      return ser;
-    }
+    if (!drained) return ser;
   }
-  // The rings are empty: fetch again when the source's next frame is due.
-  const core::SimTime next = tx_source_ != nullptr ? tx_source_->next_emit()
-                                                   : ring::TxSource::kNever;
-  if (next == ring::TxSource::kNever) {
-    tx_busy_ = false;
-    return core::Simulator::kStopTimer;
-  }
-  tx_fetch_at_ = fetch_time(next);
-  return tx_fetch_at_ - now;
+  // The rings are empty: the next enqueue arms a fetch again.
+  tx_busy_ = false;
+  return core::Simulator::kStopTimer;
 }
 
 std::size_t NicPort::rss_queue(const pkt::Frame& f) const {
@@ -218,16 +195,13 @@ void NicPort::land(pkt::Frame&& f, std::size_t q, core::SimTime at) {
   ring.land(std::move(f), at);
 }
 
-bool NicPort::start_wire() {
-  // What keeps one fetch per frame (see nic.h).
-  if (cable_ == nullptr || tx_source_->recipe() == nullptr ||
-      tx_source_->pool() == nullptr) {
-    return false;
-  }
+void NicPort::wake_tx() {
+  if (cable_ == nullptr) throw std::logic_error(name_ + ": no cable");
   NicPort& to = cable_->peer(*this);
-  for (const auto& r : to.rx_rings_) {
-    if (!r->buffered()) return false;
-  }
+  // A monitor's rings (timed sinks) take each frame at its fetch.
+  land_at_fetch_ = std::all_of(
+      to.rx_rings_.begin(), to.rx_rings_.end(),
+      [](const auto& r) { return r->has_timed_sink(); });
   wire_to_ = &to;
   wire_recipe_ = tx_source_->recipe();
   wire_pool_ = tx_source_->pool();
@@ -235,8 +209,7 @@ bool NicPort::start_wire() {
   // block outlives the run's transient ones and pinned heap: perfbench's
   // latency_paced peak RSS read 5% above the parent's with it there.
   backlog_.reserve(core::Fifo<Backlog>::kMinCapacity);
-  wire_ser_ = cfg_.rate.serialization_time(
-      tx_source_->recipe()->frame_bytes());
+  wire_ser_ = cfg_.rate.serialization_time(wire_recipe_->frame_bytes());
   wire_delay_ = wire_ser_ + cable_->propagation() + to.cfg_.dma_rx_latency;
   // A read of the TX ring is ordered against the fetch before it and the
   // source's last pull, up to a gap and a DMA fetch back.
@@ -244,62 +217,33 @@ bool NicPort::start_wire() {
       wire_delay_, tx_source_->max_gap() + cfg_.dma_tx_latency));
   for (auto& r : to.rx_rings_) r->feed_from(this);
   tx_rings_[0]->feed_from(this);  // its counters are the wire's
-  // The source's start reserves its first frame's key, and the first
-  // fetch's lane key comes after it.
+  // The start takes the first frame's key, then the first fetch's.
   last_pull_ = {sim_.reserve_order(), sim_.now()};
   fetch_key_ = {sim_.reserve_order(), sim_.now()};
   const core::SimTime next = tx_source_->next_emit();
   fetch_at_ = next == ring::TxSource::kNever ? next : fetch_time(next);
   sync_wire_wake();
-  return true;
 }
 
-void NicPort::stop_wire() {
-  if (!wired()) return;
-  for (auto& r : wire_to_->rx_rings_) r->feed_from(nullptr);
-  tx_rings_[0]->feed_from(nullptr);
-  if (wire_wake_ != core::EventQueue::kInvalidEvent) sim_.cancel(wire_wake_);
-  wire_wake_ = core::EventQueue::kInvalidEvent;
-  sim_.stop_lane(tx_lane_);
-  tx_busy_ = false;
-  while (!backlog_.empty()) (void)backlog_.pop_front();
-  in_flight_.reset();
-  backlog_frames_ = 0;
-  fetch_at_ = ring::TxSource::kNever;
-  wire_to_ = nullptr;
-}
-
-bool NicPort::backlog_room() {
+bool NicPort::wire_accept(std::uint64_t seq, pkt::PacketHandle built) {
+  // The frame goes in, or overflows, at the instant of the pull.
   ring::SpscRing& tx = *tx_rings_[0];
   if (backlog_frames_ >= tx.capacity()) {
     tx.count_drop(last_pull_.at);
     return false;
   }
   tx.count_bypass(1, 0, 0);
-  return true;
-}
-
-void NicPort::trace_into_backlog(std::uint32_t trace_id) const {
-  if (core::TraceSink* t = core::tracer(); t != nullptr && trace_id != 0) {
-    t->async_begin(trace_id, tx_rings_[0]->name(), last_pull_.at);
+  if (core::TraceSink* t = core::tracer()) {
+    const std::uint32_t id =
+        built ? built->trace_id : wire_recipe_->traced_id(seq);
+    if (id != 0) t->async_begin(id, tx.name(), last_pull_.at);
   }
-}
-
-bool NicPort::wire_accept(std::uint64_t seq) {
-  if (!backlog_room()) return false;
-  append_plain(seq, 1);
-  if (core::tracer() != nullptr) {
-    trace_into_backlog(wire_recipe_->traced_id(seq));
+  if (built) {
+    backlog_.push_back({0, 0, std::move(built)});
+    ++backlog_frames_;
+  } else {
+    append_plain(seq, 1);
   }
-  return true;
-}
-
-bool NicPort::wire_accept(pkt::PacketHandle built) {
-  if (!backlog_room()) return false;
-  const std::uint32_t trace_id = built->trace_id;
-  backlog_.push_back({0, 0, std::move(built)});
-  ++backlog_frames_;
-  trace_into_backlog(trace_id);
   return true;
 }
 
@@ -324,8 +268,8 @@ void NicPort::set_next_fetch(core::SimTime next_emit) {
 }
 
 bool NicPort::before(const OrderKey& a, const OrderKey& b) {
+  // A late key sits after every key reserved by the end of its instant.
   if (a.key != 0 && b.key != 0) return a.key < b.key;
-  // A late key sits after every key reserved at or before its instant.
   return b.key != 0 ? a.at < b.at : a.at <= b.at;
 }
 
@@ -342,10 +286,8 @@ core::SimTime NicPort::pull(core::SimTime at, bool reserve) {
 
 pkt::Frame NicPort::fetch() {
   const core::SimTime now = fetch_at_;
-  // What a lane firing would enqueue at this fetch: a frame due at its
-  // very instant is owed when its order key comes before the fetch's. The
-  // keys it takes are late ones once its instant is past; a read of the TX
-  // ring at that instant, after the fetch, reserves them as it runs.
+  // A frame due at the fetch's very instant is owed when its key comes
+  // first. The fetch takes late keys, or reserves them at its own instant.
   const bool reserve = now == sim_.now();
   core::SimTime next = tx_source_->next_emit();
   if (next < now || (next == now && before(last_pull_, fetch_key_))) {
@@ -469,28 +411,20 @@ void NicPort::catch_up(const ring::SpscRing& read) {
 }
 
 void NicPort::send_due() {
-  // The TX ring stands as one fetch per frame leaves it: every fetch whose
-  // key comes before the read's has taken its frame, and every frame due
-  // by then is in.
-  while (fetch_at_ != ring::TxSource::kNever &&
-         reached(fetch_at_, fetch_key_)) {
+  while (reached(fetch_at_, fetch_key_)) {  // never for kNever
     const core::SimTime at = fetch_at_;
     if (pkt::Frame f = fetch()) {
       if (!in_flight_) in_flight_ = std::make_unique<core::Fifo<Sent>>();
       in_flight_->push_back({at, std::move(f)});
     }
   }
-  if (reached(tx_source_->next_emit(), last_pull_)) {
-    (void)pull(sim_.now(), true);
-  }
+  if (reached(tx_source_->next_emit(), last_pull_)) pull(sim_.now(), true);
 }
 
 void NicPort::land_arrived() {
-  // Land, in order, every frame that has arrived by now; a frame arriving
-  // at this very instant has once a key reserved after its fetch's instant
-  // is running (core::Simulator::late_order). A landing may wake a
-  // consumer that reads the rings again from inside the loop: each fetch
-  // is complete before its frame lands.
+  // A frame arriving at this very instant has once a key reserved after
+  // its fetch's instant runs. A landing may wake a consumer that reads the
+  // rings again from inside the loop: each fetch is done before it lands.
   while (in_flight_ && !in_flight_->empty()) {
     const core::SimTime at = (*in_flight_)[0].fetched_at;
     if (!sim_.reached_late(at + wire_delay_, at, wire_rank_)) return;
@@ -499,7 +433,9 @@ void NicPort::land_arrived() {
     wire_to_->land(std::move(f), q, at + wire_delay_);
   }
   while (fetch_at_ != ring::TxSource::kNever &&
-         sim_.reached_late(fetch_at_ + wire_delay_, fetch_at_, wire_rank_)) {
+         (land_at_fetch_ ? reached(fetch_at_, fetch_key_)
+                         : sim_.reached_late(fetch_at_ + wire_delay_,
+                                             fetch_at_, wire_rank_))) {
     // Ring 0 full is the step's cheapest condition: check it first.
     if (!wire_to_->rx_rings_[0]->has_room() && drop_run()) continue;
     const core::SimTime at = fetch_at_ + wire_delay_;
@@ -553,8 +489,7 @@ void NicPort::arm_wire_wake() {
   wire_wake_ = sim_.schedule_reserved(
       fetch + wire_delay_, sim_.late_order(fetch, wire_rank_), [this] {
         wire_wake_ = core::EventQueue::kInvalidEvent;
-        land_arrived();
-        sync_wire_wake();
+        consumer_changed();
       });
 }
 

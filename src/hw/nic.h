@@ -8,79 +8,54 @@
 // including Ethernet preamble/IFG overhead, connected to a peer via a
 // Cable; TX queues are drained round-robin onto the single wire.
 //
-// Firings per frame on a wire: the TX fetch that sends it, which already
-// knows when its last bit leaves and when its RX DMA completes at the peer
-// (propagation included), and the frame's arrival where a consumer reads
-// the ring. Fetches fire on the port's simulator lane (core/simulator.h),
-// outside the timing wheel but in the order the wheel would give them:
-//  * a generator attached as a ring::TxSource (one per port; a second is
-//    refused) is pulled at fetch time: the fetch first enqueues every
-//    frame the generator owes by then, each stamped with its own emit
-//    time, and when the rings drain the next fetch is armed for the
-//    generator's next emit. A frame due at the fetch's instant is owed
-//    when its order key comes first, the tie rule a guest TX ring follows
-//    (ring/tx_source.h). A generator's frames travel unbuilt (pkt/frame.h):
-//    the port reads their size, 5-tuple and sequence number without
-//    building them;
-//  * an RX ring with a timed sink (a monitor) gets each frame in the
-//    sender's fetch firing, stamped with its arrival time;
-//  * every other RX ring gets the frame by an event at its arrival, keyed
-//    as the frame leaves the sender: it is counted, timestamped and put
-//    in, or lost to imissed and never built (land).
+// Frames a host pushes into the TX rings (a switch's output) leave by TX
+// fetches on the port's lane (core/simulator.h), fired in the order the
+// timing wheel would give them. A fetch knows when the frame's RX DMA
+// completes at the peer: the peer's ring gets it by an event at that
+// arrival, or, a timed sink (a monitor), in the fetch, passed the arrival
+// time. Either way it lands through land: counted, timestamped and put
+// in, or lost to imissed and never built.
 //
-// The wire source. When a port's only traffic is its TX source (MoonGen,
-// with a recipe) and the cable's far end is a port whose RX rings a
-// consumer reads (a SUT port), nothing of the above needs a firing per
-// frame. The departure law is closed form: fetch_k is wire_free when the
-// wire is still busy at emit_k, else emit_k + dma_tx_latency, and frame k
-// lands at fetch_k + serialization + propagation + the peer's
-// dma_rx_latency. So the port composes the source's pacing with that law
-// into one wire source (start_wire), which every read of the peer's RX
-// rings, or of this port's TX ring, pulls (ring::Feed): it replays, in
-// order, each fetch whose frame has arrived by now, exactly as
-// serialize_step would have done it (the pull of the frames owed, the TX
-// ring's occupancy and overflow as tx_failed, tx_frames, a probe's TX
-// stamp), and lands the frame in its RSS queue's ring or counts it
-// imissed. A frame the ring drops costs no event and no pool buffer, and
-// a plain frame takes its buffer only when it lands; the TX backlog holds
-// a plain frame as its sequence number. One fetch at a time, a dropped
-// frame still costs its emit, fetch and landing; bulk drops (below) take
-// whole runs of them in one step. The fetch fires nothing, so its frame's
-// order key is a late one (core::Simulator::late_order): after every key
-// reserved at or before the fetch's instant, before any reserved later;
-// ports whose fetches coincide (a bidirectional pair in lockstep) rank in
-// the order they started. While a consumer of the peer's rings is idle,
-// one event is kept at the next frame's arrival under that key; when its
-// fetch's instant is not past yet, the TX lane fires once just after it
-// to place that event.
+// The wire source. A generator attached as a ring::TxSource (MoonGen; one
+// per port) needs no firing per frame: its emit times follow from its
+// pacing, and fetch_k is wire_free when the wire is still busy at emit_k,
+// else emit_k + dma_tx_latency; frame k lands at fetch_k + serialization +
+// propagation + the peer's dma_rx_latency. The port composes the two into
+// one wire source (wake_tx), which every read pulls (ring::Feed). A read
+// of the peer's RX rings replays, in order, each fetch whose frame has
+// arrived (a monitor's: each fetch due), as a lane firing would have done
+// it (the pull of the frames owed, the TX ring's counts, a probe's TX
+// stamp, a traced frame's events), and lands its frame. A read of this
+// port's TX ring (tx_frames(), the queue sampler, the source's counts)
+// replays every fetch due by the read's instant and order key and pulls
+// every frame due, so the ring reads as one fetch per frame leaves it; a
+// frame fetched before it arrives waits on the wire (in_flight_). The TX
+// backlog holds a plain frame as its sequence number (pkt/frame.h), so a
+// frame a ring drops costs no event and no buffer. While a consumer of
+// the peer's rings is idle, one event is kept at the next arrival; the TX
+// lane fires once just after a fetch's instant to place it.
+//
+// Same-instant ties follow order keys. A frame emitted at a fetch's
+// instant is owed when its key, taken by the pull before it, comes before
+// the fetch's, taken by the fetch before (the start takes both first
+// keys). A fetch replayed after its instant takes late keys
+// (core::Simulator::late_order): after every key reserved by the end of
+// that instant, before any reserved later; ports whose fetches coincide
+// rank in the order they started. A read at a fetch's own instant, keyed
+// after it, replays it and reserves its keys as its lane firing would.
 //
 // Bulk drops. While the peer's RX rings are all full, a read replays a
 // whole run of fetches, whose frames those rings drop, in one step
-// (drop_run): the source emits the run in closed form
-// (ring::TxSource::emit_run) and every count advances by it. The step is
-// taken only where one fetch at a time would give exactly that: the
-// source paced at a whole-picosecond gap equal to the serialization time,
-// its next emit strictly inside the serialization time before the next
-// fetch (each fetch pulls one frame, and no emit meets a fetch instant),
+// (drop_run, ring::TxSource::emit_run), only where that provably equals
+// one fetch at a time: the source paced at a whole-picosecond gap equal
+// to the serialization time, its next emit strictly inside the
+// serialization time before the next fetch (each fetch pulls one frame),
 // the TX ring not full, no probe among the run's frames (a dropped probe
-// still runs the RX timestamp hook), and only frames that arrived
-// strictly before now (no late-key tie). Everything else goes one fetch
-// at a time.
-//
-// start_wire decides, when the source starts, from what observes the
-// port. Three things keep one fetch per frame: a packet tracer (trace ids
-// are handed out in emit order across generators, and each traced frame
-// has its wire and ring events), a queue sampler (it reads this port's TX
-// ring depth at instants that may tie with a fetch, and a lane firing
-// settles such a tie by its own order key, which the closed form does not
-// have), and a source without a recipe or a peer with a sink. Observing a
-// run changes none of its results. Both paths land a frame through one
-// function (land), at its arrival: the wire source at the first read
-// after it, the per-frame path by the frame's arrival event. A plain
-// generator frame takes its pool buffer only where it lands (pkt/frame.h).
-// The scenario's pool is sized from the descriptors the testbed configures
-// (pkt/packet_pool.h), so no landing finds it dry, and what a landing
-// sees does not depend on the instant of the read that makes it.
+// still runs the RX timestamp hook), only frames that arrived strictly
+// before now, and no packet tracer (a traced frame has its own events).
+// The scenario's pool is sized from the testbed's descriptors
+// (pkt/packet_pool.h), so no landing finds it dry, and what a landing sees
+// does not depend on the instant of the read that makes it.
 //
 // Behaviours that matter to the paper's measurements:
 //  * line rate is the hard ceiling in every scenario with physical ports;
@@ -180,11 +155,11 @@ class NicPort : private ring::Feed {
   }
 
   /// RX frames dropped because an RX ring was full (ixgbe imissed). This
-  /// and rx_frames() read the RX rings, which first have a wire source
-  /// put in the frames that have arrived by now; that changes no result,
-  /// so both stay const.
+  /// and rx_frames() read the RX rings first (see above), which changes no
+  /// result, so both stay const.
   [[nodiscard]] std::uint64_t imissed() const;
-  /// Reads TX ring 0 first, which brings a wire source up to date.
+  /// Frames fetched onto the wire by now: reads TX ring 0 first, which has
+  /// a wire source replay the fetches due (see above).
   [[nodiscard]] std::uint64_t tx_frames() const {
     tx_rings_[0]->catch_up();
     return tx_frames_;
@@ -196,115 +171,82 @@ class NicPort : private ring::Feed {
 
   /// Called by the cable when a frame starts on its way here: its last bit
   /// reaches this port's MAC `delay` from now, and DMA completes
-  /// `dma_rx_latency` later, at arrival time `at`. A ring with a timed sink
-  /// gets it now, passed `at`; any other ring by an event at `at`. Either
-  /// way it lands (see land).
+  /// `dma_rx_latency` later. It lands then, or now for a timed sink.
   void deliver_from_wire(pkt::Frame&& f, core::SimDuration delay);
 
-  /// Pull frames from `s` at every TX fetch (see ring/tx_source.h). A
-  /// port takes one source, as each of the paper's traffic directions has
-  /// its own MoonGen on its own port: attaching a second throws
-  /// std::logic_error. The source must call wake_tx() when its next emit
-  /// time becomes known, and detach before it dies.
+  /// Send `s`'s frames through the wire source (see above). A port takes
+  /// one source, as each of the paper's traffic directions has its own
+  /// MoonGen on its own port: a second throws std::logic_error. The source
+  /// calls wake_tx() when it starts, and detaches before it dies.
   void attach_tx_source(ring::TxSource& s);
   void detach_tx_source();
-  /// The source has started: reserve its first frame's order key and arm
-  /// a TX fetch for that frame, unless one is armed earlier; or start the
-  /// wire source (see above).
+  /// Start the wire source; std::logic_error when the port has no cable.
   void wake_tx();
 
-  /// The wire source is running: the TX source hands its frames to
-  /// wire_accept() instead of the TX ring.
+  /// The wire source is running.
   [[nodiscard]] bool wired() const { return wire_to_ != nullptr; }
-  /// Wire source: take the source's plain frame `seq` (a sequence number
-  /// of its recipe), or a built frame (a probe), into the TX backlog, or
-  /// drop it when the TX ring would be full (false).
-  [[nodiscard]] bool wire_accept(std::uint64_t seq);
-  [[nodiscard]] bool wire_accept(pkt::PacketHandle built);
+  /// Take the source's frame `seq` of its recipe (`built` when it is built,
+  /// a probe) into the TX backlog, or drop it when the TX ring is full.
+  [[nodiscard]] bool wire_accept(std::uint64_t seq, pkt::PacketHandle built);
 
-  /// Callback invoked with (frame, rx_wire_time) when a HW-timestamped
-  /// probe frame arrives — how MoonGen reads RX timestamps off the NIC.
-  /// It runs at DMA completion but is passed the MAC time, when the last
-  /// bit arrived (the 82599 stamps PTP frames before DMA). The frame
-  /// reference is only valid during the call.
+  /// Called with (frame, MAC time) as a HW-timestamped probe lands — how
+  /// MoonGen reads RX timestamps off the NIC (the 82599 stamps PTP frames
+  /// when their last bit arrives, before DMA). `frame` is valid only then.
   using RxTimestampHook =
       core::SmallFn<void, const pkt::Packet&, core::SimTime>;
   void set_rx_timestamp_hook(RxTimestampHook h) { rx_ts_hook_ = std::move(h); }
 
  private:
-  /// Where a key of the wire source sits among the simulator's order
-  /// keys: one reserved at instant `at` (key != 0), or this port's late
-  /// key at the end of instant `at` (core::Simulator::late_order).
+  /// Where a key sits among the simulator's order keys: one reserved at
+  /// instant `at` (key != 0), or this port's late key at the end of `at`.
   struct OrderKey {
     std::uint64_t key{0};
     core::SimTime at{0};
   };
 
-  // ring::Feed: the peer's RX rings pull the wire source, and so does this
-  // port's TX ring 0.
+  // ring::Feed: the peer's RX rings and this port's TX ring 0 pull the
+  // wire source.
   void catch_up(const ring::SpscRing& read) override;
   void consumer_changed() override;
   /// Land, in order, every frame that has arrived at the peer by now.
   void land_arrived();
-  /// A read of the TX ring: run every fetch due by now, its frame on the
-  /// wire (in_flight_) until it lands, and pull the frames due.
+  /// For a read of the TX ring: every fetch due by now, and every pull.
   void send_due();
   /// Whether an event at `t` under key `k` would have fired by now.
   [[nodiscard]] bool reached(core::SimTime t, const OrderKey& k) const;
-  /// Start the wire source if this port qualifies (see above).
-  [[nodiscard]] bool start_wire();
-  void stop_wire();
-  /// The next virtual TX fetch: pull the source, take the backlog's head
-  /// and set the fetch after it, exactly as one lane firing per frame
-  /// would. Empty when the backlog is: the frames owed never reached it (a
-  /// probe the pool had no buffer for), and the next fetch waits for the
-  /// next emit.
-  pkt::Frame fetch();
-  /// Have the source emit every frame due at a pull at instant `at` (the
-  /// first is due already), and take its next frame's key then: a reserved
-  /// one when `reserve`, else the late one. Returns the source's next emit.
-  core::SimTime pull(core::SimTime at, bool reserve);
-  /// Whether key `a` comes before key `b`.
   [[nodiscard]] static bool before(const OrderKey& a, const OrderKey& b);
-  /// A frame the source emits goes into the TX backlog if the TX ring has
-  /// room (counted as an enqueue), else it is dropped (counted at the
-  /// pull's instant). A traced one's residency begins at that instant.
-  [[nodiscard]] bool backlog_room();
-  void trace_into_backlog(std::uint32_t trace_id) const;
-  /// Bulk drops: replay in one step the run of fetches, from the next one
-  /// on, whose frames arrived before now and which the peer's full RX
-  /// rings all drop, where that is provably what fetch() and land() would
-  /// do one at a time (see above). False, having changed nothing, where it
-  /// is not.
+  /// The next virtual TX fetch, as its lane firing would do it: pull the
+  /// source, take the backlog's head (none when the frames owed never
+  /// reached it: a probe lost to a dry pool) and set the next fetch.
+  pkt::Frame fetch();
+  /// Have the source emit every frame due at a pull at `at` (the first is
+  /// due), and take its next frame's key then: reserved when `reserve`,
+  /// else late. Returns the source's next emit.
+  core::SimTime pull(core::SimTime at, bool reserve);
+  /// Bulk drops (see above): false, having changed nothing, where the step
+  /// is not provably what fetch() and land() would do one at a time.
   [[nodiscard]] bool drop_run();
   /// Put plain frames first_seq.. first_seq + count - 1 at the backlog's
   /// tail, into its last run where they continue it.
   void append_plain(std::uint64_t first_seq, std::uint64_t count);
   /// After a fetch: the next one right behind it while the backlog holds
-  /// frames, else when the source's next frame, due at `next_emit`, is
-  /// fetched.
+  /// frames, else when the frame due at `next_emit` is fetched.
   void set_next_fetch(core::SimTime next_emit);
-  /// Receiving side, on both paths: count a frame that arrived at `at`,
-  /// pass a probe's MAC time to the RX timestamp hook, and put the frame
-  /// into RX ring `q` (its RSS queue), built, or count it imissed.
+  /// Count a frame that arrived at `at`, pass a probe's MAC time to the RX
+  /// timestamp hook, and put it into RX ring `q`, built, or count imissed.
   void land(pkt::Frame&& f, std::size_t q, core::SimTime at);
-  /// Keep one event armed at the next frame's arrival, under its late key,
+  /// Keep one event armed at the next landing, under its late key,
   /// exactly while a consumer of the peer's RX rings is idle.
   void sync_wire_wake();
   void arm_wire_wake();
 
   void on_tx_enqueue();
-  /// Fetch at `at` unless a fetch is armed for then or earlier.
-  void arm_fetch(core::SimTime at);
   /// When a frame that becomes ready at `ready` is fetched: on a busy wire
   /// right behind the frame on it, on an idle one after a DMA fetch.
   [[nodiscard]] core::SimTime fetch_time(core::SimTime ready) const;
-  /// Enqueue every frame the TX source owes by now (ring/tx_source.h).
-  void pull_source();
-  /// One firing of the TX lane: pull the source, fetch the next frame and
-  /// send it down the cable. Returns the delay to the next fetch: the
-  /// frame's serialization time while the rings hold frames, the source's
-  /// next emit once they drain, kStopTimer when there is none.
+  /// One firing of the TX lane: send the next frame of the TX rings and
+  /// return its serialization time, or kStopTimer once they drain. Under
+  /// the wire source it only places the next landing's wake.
   core::SimDuration serialize_step();
   /// The frame's RSS queue, read without building it.
   [[nodiscard]] std::size_t rss_queue(const pkt::Frame& f) const;
@@ -316,26 +258,23 @@ class NicPort : private ring::Feed {
   std::vector<std::unique_ptr<ring::SpscRing>> tx_rings_;
   Cable* cable_{nullptr};
   ring::TxSource* tx_source_{nullptr};
-  /// Order key of the source's next frame.
-  std::uint64_t source_order_{0};
-  /// The TX fetch lane: serialize_step, armed for tx_fetch_at_ while
-  /// tx_busy_.
+  /// The TX fetch lane: serialize_step, armed while tx_busy_.
   core::Simulator::LaneId tx_lane_;
   bool tx_busy_{false};
+  /// The wire source's peer is a monitor: its frames land at their fetch.
+  bool land_at_fetch_{false};
   /// The TX queue the round robin tries first. Narrow, like
-  /// backlog_frames_, and registry_ sits before rx_ts_hook_, so that the
-  /// wire source's state fills padding and a NicPort stays at 400 bytes:
-  /// at 416 it fell into another allocator size class, and perfbench's
-  /// latency_paced peak RSS read 5% higher.
+  /// backlog_frames_, and rx_ts_hook_ (16-byte aligned) comes last, so that
+  /// no padding is left and a NicPort stays at 400 bytes: at 416 it fell
+  /// into another allocator size class, and perfbench's latency_paced peak
+  /// RSS read 5% higher.
   std::uint16_t tx_rr_{0};
-  core::SimTime tx_fetch_at_{0};
   /// When the last frame sent finishes serializing.
   core::SimTime wire_free_at_{0};
   core::Counter tx_frames_;
   core::Counter rx_frames_;
   core::MetricSink* registry_{nullptr};
-  RxTimestampHook rx_ts_hook_;
-  // Wire source state (sending side; see above).
+  // Wire source state (see above).
   /// The peer whose RX rings pull this port's wire source.
   NicPort* wire_to_{nullptr};
   core::SimDuration wire_ser_{0};
@@ -347,11 +286,9 @@ class NicPort : private ring::Feed {
   std::uint32_t backlog_frames_{0};
   /// The next virtual fetch, ring::TxSource::kNever when none is due.
   core::SimTime fetch_at_{ring::TxSource::kNever};
-  /// The next fetch's key: the lane key a fetch per frame would have
-  /// taken, reserved at the start or at the fetch before.
+  /// The next fetch's key, taken by the start or the fetch before.
   OrderKey fetch_key_;
-  /// The key the last pull of the source took for the source's next frame,
-  /// and the pull's instant.
+  /// The key the last pull took for the source's next frame.
   OrderKey last_pull_;
   /// A TX backlog entry: `count` plain frames from first_seq on, or, with
   /// count 0, the built frame `built` (a probe).
@@ -368,14 +305,13 @@ class NicPort : private ring::Feed {
   /// The idle-consumer wake; while tx_busy_, the TX lane is armed instead,
   /// just after the next fetch's instant, to place that wake.
   core::EventQueue::EventId wire_wake_{core::EventQueue::kInvalidEvent};
-  /// A frame a read of the TX ring fetched before it arrived.
+  /// Frames a read of the TX ring fetched before they arrived, in order.
   struct Sent {
     core::SimTime fetched_at{0};
     pkt::Frame frame;
   };
-  /// Fetched frames on their way to the peer, in order; made by the first
-  /// read of the TX ring that runs ahead of the landings.
   std::unique_ptr<core::Fifo<Sent>> in_flight_;
+  RxTimestampHook rx_ts_hook_;
 };
 
 }  // namespace nfvsb::hw

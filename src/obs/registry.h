@@ -58,11 +58,6 @@ class Registry final : public core::MetricSink {
   void add_queue(const void* owner, std::string path, std::size_t capacity,
                  DepthFn depth) override;
   void add_sync(void* owner, SyncFn sync) override;
-  [[nodiscard]] bool depths_sampled() const override {
-    return depths_sampled_;
-  }
-  /// A QueueSampler reads this registry's queues.
-  void set_depths_sampled() { depths_sampled_ = true; }
 
   /// Drop every row registered by `owner` (called from owner destructors,
   /// so a Registry may outlive any subset of its components).
@@ -90,7 +85,6 @@ class Registry final : public core::MetricSink {
   std::vector<Entry> entries_;
   std::vector<Queue> queues_;
   std::vector<Sync> syncs_;
-  bool depths_sampled_{false};
 };
 
 }  // namespace nfvsb::obs

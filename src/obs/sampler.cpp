@@ -5,13 +5,12 @@
 
 namespace nfvsb::obs {
 
-QueueSampler::QueueSampler(core::Simulator& sim, Registry& reg,
+QueueSampler::QueueSampler(core::Simulator& sim, const Registry& reg,
                            core::SimDuration period, core::SimTime stop_at)
     : sim_(sim),
       reg_(reg),
       period_(period),
       stop_at_(stop_at) {
-  reg.set_depths_sampled();
   sim_.post_in(period_, [this] { tick(); });
 }
 

@@ -7,10 +7,11 @@
 // never touch the data path, so a sampled run produces bit-identical
 // measurement results to an unsampled one (asserted by tests/obs_test.cpp).
 // Before each round of reads the sampler runs the registry's sync hooks,
-// which put into their rings the frames a lazy producer (a pulled
-// generator, ring/tx_source.h; a wire source feeding a NIC's RX ring) owes
-// by now, so every depth read sees the ring as if each frame had been
-// enqueued when it arrived. A frame due at the sampling instant itself
+// which bring their rings up to date with a lazy producer (a pulled
+// generator, ring/tx_source.h; a NIC's wire source, which feeds the peer's
+// RX rings and its own TX ring), so every depth read sees the ring as if
+// each frame had been enqueued when it arrived and dequeued when it was
+// taken. A frame due at the sampling instant itself
 // counts as in when its order key comes before the sampling event's, by
 // the one tie rule every reader follows.
 #pragma once
@@ -31,8 +32,7 @@ class QueueSampler {
  public:
   /// Samples every `period` starting at t=period, self-stopping after
   /// `stop_at` (so a draining simulator terminates).
-  /// Marks `reg` as sampled (Registry::depths_sampled).
-  QueueSampler(core::Simulator& sim, Registry& reg,
+  QueueSampler(core::Simulator& sim, const Registry& reg,
                core::SimDuration period, core::SimTime stop_at);
 
   QueueSampler(const QueueSampler&) = delete;

@@ -25,8 +25,10 @@
 // count_drop for a frame that is never made). Nothing dequeues between two
 // reads, so each frame meets the ring as it stood at its arrival, and the
 // same frames overflow as with an event per arrival. set_consumer_busy
-// tells the feed, which keeps the idle-consumer wake itself. A NIC RX ring
-// fed frame by frame gets each frame by an event at its arrival
+// tells the feed, which keeps the idle-consumer wake itself. The sending
+// port's TX ring has the same feed: a read of it has the wire source
+// replay the fetches due, and its depth is the port's backlog. A NIC RX
+// ring fed by a host's TX ring gets each frame by an event at its arrival
 // (hw/nic.h).
 //
 // Pulled TX. A guest's TX ring is fed by a paced generator in the guest
@@ -226,8 +228,6 @@ class SpscRing {
   [[nodiscard]] bool has_timed_sink() const {
     return static_cast<bool>(timed_sink_);
   }
-  /// Neither kind of sink: a consumer reads the ring.
-  [[nodiscard]] bool buffered() const { return !sink_ && !timed_sink_; }
   /// Hand `p` to the timed sink as arriving at `at` (counted as one
   /// enqueue and one dequeue, like a plain sink).
   void deliver(pkt::PacketHandle p, core::SimTime at) {

@@ -10,9 +10,10 @@
 // mirrors real MoonGen, which leaves pacing to the NIC and sends from
 // pre-filled buffers (Emmerich et al., IMC 2015).
 //
-// Two readers pull sources, one source each: a NIC port (hw::NicPort) and
-// a guest's TX ring (SpscRing::feed_from_source), which every read of the
-// ring's consumer pulls. Both decide same-instant ties by one rule, order
+// Two readers pull sources, one source each: a NIC port's wire source
+// (hw::NicPort), which every read of the peer's RX rings or of the port's
+// TX ring pulls, and a guest's TX ring (SpscRing::feed_from_source), which
+// every read of the ring's consumer pulls. Both decide same-instant ties by one rule, order
 // keys: each frame's order key is reserved right after the frame before it
 // was put in (the first when the source starts), where its pacing event's
 // key would have been reserved, and the frame is due once
@@ -21,12 +22,11 @@
 // enqueues unbuilt ones, so a frame the ring or the far end drops is never
 // built.
 //
-// On a NIC port whose far end is an RX ring a consumer reads, the port
-// composes the source with its departure law into one wire source
-// (hw/nic.h), unless the run is traced or its queue depths are sampled:
-// the source's frames then go to the port (NicPort::wire_accept), a plain
-// one as its sequence number, and the ones that land are built there.
-// Sources without a recipe always go through the TX ring.
+// On a NIC port the port composes the source with its departure law into
+// one wire source (hw/nic.h), in every run, traced or sampled or not: the
+// source's frames go to the port (NicPort::wire_accept), a plain one as
+// its sequence number of the source's recipe, and the ones that land are
+// built there.
 //
 // Bulk advance. While the far end's RX ring is full, the wire source drops
 // whole runs of frames in one step (hw/nic.h, "Bulk drops"). For that it
@@ -66,12 +66,9 @@ class TxSource {
   [[nodiscard]] virtual core::SimDuration max_gap() const = 0;
 
   /// How the source's frames are built from their sequence numbers, and
-  /// the pool they are built in. A source without a recipe (nullptr)
-  /// always goes through its port's TX ring.
-  [[nodiscard]] virtual const pkt::FrameRecipe* recipe() const {
-    return nullptr;
-  }
-  [[nodiscard]] virtual pkt::PacketPool* pool() const { return nullptr; }
+  /// the pool they are built in.
+  [[nodiscard]] virtual const pkt::FrameRecipe* recipe() const = 0;
+  [[nodiscard]] virtual pkt::PacketPool* pool() const = 0;
 
   /// Plain frames first_seq, first_seq + 1, ... (recipe()), `count` of
   /// them.

@@ -132,19 +132,13 @@ void MoonGen::emit_one(core::SimTime at) {
 }
 
 bool MoonGen::send(const pkt::FrameMeta& meta, pkt::PacketHandle built) {
-  if (tx_nic_ != nullptr && tx_nic_->wired()) {
+  if (tx_nic_ != nullptr) {
     // The wire source takes a plain frame as its sequence number
     // (hw/nic.h).
-    return built ? tx_nic_->wire_accept(std::move(built))
-                 : tx_nic_->wire_accept(meta.seq);
+    return tx_nic_->wire_accept(meta.seq, std::move(built));
   }
-  pkt::Frame f =
-      built ? pkt::Frame(std::move(built))
-      : tx_nic_ != nullptr
-          ? pkt::Frame::unreserved(recipe_, pool_, meta.seq)
-          : pkt::Frame(recipe_, pool_, meta.seq);
-  if (tx_nic_ == nullptr) return tx_guest_->tx(std::move(f));
-  return tx_nic_->tx_ring().enqueue(std::move(f));
+  return tx_guest_->tx(built ? pkt::Frame(std::move(built))
+                             : pkt::Frame(recipe_, pool_, meta.seq));
 }
 
 core::SimDuration MoonGen::gap() {

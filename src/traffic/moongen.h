@@ -25,11 +25,11 @@
 // times follow from the pacing alone, and there is one emission path: the
 // generator is a ring::TxSource, and its reader pulls every frame due by
 // then (emit_next), each stamped with its own emit time. On a NIC the
-// reader is the NIC's TX fetch, as the real MoonGen leaves pacing to the
-// NIC's rate control, or, when the NIC faces a SUT port, the NIC's wire
-// source, which the SUT's reads pull (hw/nic.h): a plain frame then goes
-// out as its sequence number, and tx_sent() and the other counts read the
-// NIC first, which brings the source up to date. While the SUT's RX ring
+// reader is the NIC's wire source, as the real MoonGen leaves pacing to
+// the NIC's rate control; the far end's reads pull it (hw/nic.h), a plain
+// frame goes out as its sequence number, and tx_sent() and the other
+// counts read the NIC's TX ring first, which brings the source up to the
+// read. While the SUT's RX ring
 // is full, the wire source takes a whole run of plain frames at once
 // (emit_run): at a whole-picosecond gap with nothing carried, frame k of
 // the run is emitted at next_at_ + k * gap, so the run is one step. On a guest port the
@@ -38,12 +38,12 @@
 // switch is idle. Frames are enqueued unbuilt (pkt::Frame) and built where
 // they are first read, so one a ring drops is never built; the generator
 // must outlive its frames' builds. A frame sent over a NIC takes its pool
-// buffer only where it lands, on either path, and a pool with none left
+// buffer only where it lands, and a pool with none left
 // drops it there as imissed; one a guest sends reserves its buffer at emit
 // (pkt/frame.h). Probes are built at emit; pool_exhausted() counts the
-// frames a dry pool kept from being sent. On the receive side,
-// a monitored NIC hands each frame over in the firing that sends it down
-// the wire, stamped with its arrival time, so meters and latency recorders
+// frames a dry pool kept from being sent. On the receive side, a
+// monitored NIC is handed each frame at the fetch that sends it down the
+// wire, stamped with its arrival time, so meters and latency recorders
 // take that time rather than now().
 #pragma once
 

@@ -19,6 +19,7 @@
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "pkt/crafting.h"
+#include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/tx_source.h"
 #include "stats/histogram.h"
@@ -178,13 +179,17 @@ TEST_F(NicTest, TimedSinkHookStillSeesMacTime) {
   EXPECT_EQ(hook_time, core::from_ns(50 + 67.2 + 5));
 }
 
-/// A pull source for the NIC tests: one frame at each of `emits`
-/// (ascending).
+/// A pull source for the NIC tests: one frame of a 64 B recipe at each of
+/// `emits` (ascending), sent to the port's wire source as its sequence
+/// number.
 class FixedSource final : public ring::TxSource {
  public:
   FixedSource(NicPort& nic, pkt::PacketPool& pool,
               std::vector<core::SimTime> emits)
-      : nic_(nic), pool_(pool), emits_(std::move(emits)) {
+      : nic_(nic),
+        pool_(pool),
+        recipe_(pkt::FrameSpec{}, 1, 1),
+        emits_(std::move(emits)) {
     nic_.attach_tx_source(*this);
   }
   ~FixedSource() { nic_.detach_tx_source(); }
@@ -201,16 +206,16 @@ class FixedSource final : public ring::TxSource {
     }
     return gap;
   }
-  void emit_next() override {
-    auto p = pool_.allocate();
-    pkt::craft_udp_frame(*p, pkt::FrameSpec{});
-    p->sw_timestamp = emits_[next_++];
-    nic_.tx_ring().enqueue(std::move(p));
+  void emit_next() override { (void)nic_.wire_accept(++next_, {}); }
+  [[nodiscard]] const pkt::FrameRecipe* recipe() const override {
+    return &recipe_;
   }
+  [[nodiscard]] pkt::PacketPool* pool() const override { return &pool_; }
 
  private:
   NicPort& nic_;
   pkt::PacketPool& pool_;
+  pkt::FrameRecipe recipe_;
   std::vector<core::SimTime> emits_;
   std::size_t next_{0};
 };
@@ -230,22 +235,6 @@ TEST_F(NicTest, PulledFramesLeaveWhenPushedOnesWould) {
   EXPECT_EQ(arrivals[0], core::from_ns(50) + hop);
   EXPECT_EQ(arrivals[1], core::from_ns(50 + 67.2) + hop);
   EXPECT_EQ(arrivals[2], core::from_ns(500 + 50) + hop);
-}
-
-// A frame pushed into the TX ring while the armed fetch waits for a later
-// source emit leaves on its own schedule, not with that fetch.
-TEST_F(NicTest, PushedFrameDoesNotWaitForAPulledOne) {
-  std::vector<core::SimTime> arrivals;
-  b_.rx_ring().set_sink(
-      [&](pkt::PacketHandle) { arrivals.push_back(sim_.now()); });
-  FixedSource src(a_, pool_, {core::from_ns(500)});
-  a_.wake_tx();  // fetch armed for 550 ns
-  a_.tx_ring().enqueue(frame(64));
-  sim_.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  const core::SimDuration hop = core::from_ns(67.2 + 5 + 100);
-  EXPECT_EQ(arrivals[0], core::from_ns(50) + hop);
-  EXPECT_EQ(arrivals[1], core::from_ns(550) + hop);
 }
 
 // A port takes one source; a second is refused, not merged.
@@ -315,6 +304,8 @@ stats::Histogram sampled_tx_depths(pkt::PacketPool& pool,
   core::MetricsScope scope(&reg);
   core::Simulator sim;
   NicPort nic(sim, "n");
+  NicPort peer(sim, "p");
+  Cable cable(sim, nic, peer);
   FixedSource src(nic, pool, {core::from_us(2)});
   nic.wake_tx();
   obs::QueueSampler sampler(sim, reg, period, core::from_us(3));

@@ -306,10 +306,15 @@ class RingSource final : public TxSource {
     p->seq = next_++;
     ring_.enqueue(std::move(p));
   }
+  [[nodiscard]] const pkt::FrameRecipe* recipe() const override {
+    return &recipe_;
+  }
+  [[nodiscard]] pkt::PacketPool* pool() const override { return &pool_; }
 
  private:
   SpscRing& ring_;
   pkt::PacketPool& pool_;
+  pkt::FrameRecipe recipe_{pkt::FrameSpec{}, 1, 1};
   std::vector<core::SimTime> emits_;
   std::size_t next_{0};
 };
