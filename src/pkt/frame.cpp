@@ -1,8 +1,5 @@
 #include "pkt/frame.h"
 
-#include <stdexcept>
-#include <string>
-
 #include "core/trace_sink.h"
 #include "pkt/crafting.h"
 #include "pkt/headers.h"
@@ -17,13 +14,7 @@ FrameRecipe::FrameRecipe(const FrameSpec& spec, std::uint32_t flows,
              kIpProtoUdp},
       frame_bytes_(spec.frame_bytes),
       flows_(flows),
-      origin_(origin) {
-  if (origin >= (1u << kTraceOriginBits)) {
-    throw std::invalid_argument("frame recipe: origin " +
-                                std::to_string(origin) +
-                                " is beyond what trace ids tell apart");
-  }
-}
+      origin_(origin) {}
 
 void FrameRecipe::build(Packet& p, const FrameMeta& meta) const {
   if (flows_ > 1) {

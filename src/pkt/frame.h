@@ -69,8 +69,6 @@ inline constexpr std::uint32_t kTraceOriginBits = 4;
 /// sequence number, tagged with the generator's `origin`.
 class FrameRecipe {
  public:
-  /// Throws std::invalid_argument for an origin trace ids cannot tell
-  /// apart (see trace_id).
   FrameRecipe(const FrameSpec& spec, std::uint32_t flows,
               std::uint32_t origin);
 

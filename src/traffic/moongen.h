@@ -96,8 +96,8 @@ class MoonGen final : public ring::TxSource {
   MoonGen& operator=(const MoonGen&) = delete;
 
   // --- TX ----------------------------------------------------------------
-  /// Transmit through a physical NIC port (node-1 generator), which pulls
-  /// the frames at its TX fetches.
+  /// Transmit through a physical NIC port (node-1 generator), whose wire
+  /// source pulls the frames (hw/nic.h); the port must have a cable.
   void attach_tx_nic(hw::NicPort& nic);
   /// Transmit through a guest view (vnf::Vm::attach), its frames at least
   /// `min_gap_ps` picoseconds apart (a virtio device has no intrinsic line

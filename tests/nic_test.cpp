@@ -274,6 +274,42 @@ TEST_F(NicTest, PulledFramesOverflowTheTxRingAsPushedOnesWould) {
   EXPECT_EQ(b_.rx_frames(), 16u);
 }
 
+// Mid-run reads of a generator port's TX ring see it as one fetch per
+// frame leaves it, with nothing reading the peer. Twenty frames emitted at
+// 0 fill the 16-deep ring (4 dropped); fetch k takes one at 50 + 67.2 k
+// ns. A read at fetch 1's instant sees that fetch done when its event was
+// posted after fetch 0 armed fetch 1, and not when it was posted before.
+TEST_F(NicTest, MidRunTxReadsSeeEachFetchAsItLeaves) {
+  struct Read {
+    std::uint64_t tx_frames, size, enqueued, drops;
+    bool operator==(const Read&) const = default;
+  };
+  std::vector<Read> reads;
+  auto read = [&] {
+    reads.push_back({a_.tx_frames(), a_.tx_ring().size(),
+                     a_.tx_ring().enqueued(), a_.tx_ring().drops()});
+  };
+  b_.rx_ring().set_consumer_busy(true);  // no wake: only these reads
+  const core::SimTime fetch1 = core::from_ns(50 + 67.2);
+  sim_.post_at(fetch1 - 1, read);
+  sim_.post_at(fetch1, read);  // posted before the start
+  sim_.post_at(core::from_ns(60), [&] { sim_.post_at(fetch1, read); });
+  sim_.post_at(fetch1 + 1, read);
+  FixedSource src(a_, pool_, std::vector<core::SimTime>(20, 0));
+  a_.wake_tx();
+  sim_.run();
+  const std::vector<Read> want = {
+      {1, 15, 16, 4}, {1, 15, 16, 4}, {2, 14, 16, 4}, {2, 14, 16, 4}};
+  EXPECT_EQ(reads, want);
+  // The frames fetched ahead of the landings land as they arrive.
+  sim_.run_until(core::from_us(5));
+  EXPECT_EQ(a_.tx_frames(), 16u);
+  EXPECT_EQ(b_.rx_frames(), 16u);
+  EXPECT_EQ(b_.rx_ring().size(), 16u);
+  EXPECT_EQ(b_.imissed(), 0u);
+  drain(b_.rx_ring());
+}
+
 // A source detached while a fetch waits for its next frame is never pulled
 // again: that fetch finds the rings empty and the lane stops.
 TEST_F(NicTest, DetachedSourceIsNotPulledAgain) {

@@ -278,9 +278,14 @@ TEST(TraceRecorder, JsonOrderIsCanonical) {
             std::string::npos);
 }
 
-// Data-path hooks, exercised end-to-end: every sampled packet's lifecycle
-// slices must balance (each "b" closed by exactly one "e"), spans must have
-// non-negative durations, and timestamps must be non-negative.
+// Data-path hooks, exercised end-to-end on the three ways a generator
+// sends: a NIC generator whose wire source feeds a monitor (origin 1),
+// one whose wire source feeds a ring a consumer drains (origin 2), and a
+// guest generator whose ring is read in bulk (origin 3). Every sampled
+// packet's lifecycle slices must balance (each "b" closed by exactly one
+// "e"), spans must have non-negative durations, timestamps must be
+// non-negative, and each id must be pkt::trace_id of a frame one of the
+// generators sent.
 TEST(TraceHooks, LiveDataPathEmitsBalancedEvents) {
   core::Simulator sim;
   TraceRecorder::Config tc;
@@ -291,24 +296,55 @@ TEST(TraceHooks, LiveDataPathEmitsBalancedEvents) {
   hw::NicPort a(sim, "a");
   hw::NicPort b(sim, "b");
   hw::Cable cable(sim, a, b);
+  hw::NicPort c(sim, "c");
+  hw::NicPort d(sim, "d");
+  hw::Cable cable2(sim, c, d);
+  ring::PtnetPort host("pt");
+  ring::Port guest("pt.guest", host);
   traffic::MoonGen::Config cfg;
   cfg.rate_pps = 1e6;
   traffic::MoonGen gen(sim, pool, cfg);
   gen.attach_tx_nic(a);
   traffic::MoonGen mon(sim, pool, traffic::MoonGen::Config{});
   mon.attach_rx_nic(b);
+  cfg.origin = 2;
+  cfg.rate_pps = 0;  // saturating: a 512-deep ring that nobody drains
+  traffic::MoonGen nic_gen(sim, pool, cfg);
+  nic_gen.attach_tx_nic(c);
+  d.rx_ring().set_consumer_busy(true);
+  cfg.origin = 3;
+  cfg.rate_pps = 1e6;
+  traffic::MoonGen guest_gen(sim, pool, cfg);
+  guest_gen.attach_tx_guest(guest, 0);
+  host.in().set_consumer_busy(true);
   gen.start_tx(0, core::from_us(100));
-  sim.run();
+  nic_gen.start_tx(0, core::from_us(50));
+  guest_gen.start_tx(0, core::from_us(100));
+  sim.run_until(core::from_us(200));
+  drain(d.rx_ring());
+  drain(host.in());
+  EXPECT_GT(d.imissed(), 0u);
   ASSERT_GT(tr.num_events(), 0u);
+  const std::map<std::uint32_t, std::uint64_t> sent = {
+      {1, gen.tx_sent()}, {2, nic_gen.tx_sent()}, {3, guest_gen.tx_sent()}};
   std::map<std::uint64_t, int> open;
+  std::map<std::uint32_t, int> begun;
   for (const auto& e : tr.events()) {
     EXPECT_GE(e.ts, 0);
     if (e.ph == 'X') {
       EXPECT_GE(e.dur, 0);
     }
+    if (e.ph != 'b' && e.ph != 'e') continue;
+    const auto origin = static_cast<std::uint32_t>(
+        e.id & ((1u << pkt::kTraceOriginBits) - 1));
+    const std::uint64_t seq = e.id >> pkt::kTraceOriginBits;
+    ASSERT_EQ(sent.count(origin), 1u) << "id " << e.id;
+    EXPECT_TRUE(seq >= 1 && seq <= sent.at(origin)) << "id " << e.id;
+    EXPECT_EQ(e.id, pkt::trace_id(origin, seq));
     if (e.ph == 'b') {
       EXPECT_EQ(open[e.id], 0) << "nested begin for id " << e.id;
       ++open[e.id];
+      ++begun[origin];
     }
     if (e.ph == 'e') {
       EXPECT_EQ(open[e.id], 1) << "end without begin for id " << e.id;
@@ -317,6 +353,9 @@ TEST(TraceHooks, LiveDataPathEmitsBalancedEvents) {
   }
   for (const auto& [id, n] : open) {
     EXPECT_EQ(n, 0) << "unbalanced lifecycle for id " << id;
+  }
+  for (const auto& [origin, n] : sent) {
+    EXPECT_GT(begun[origin], 0) << "origin " << origin;
   }
 }
 
