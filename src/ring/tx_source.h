@@ -13,11 +13,11 @@
 // Two readers pull sources, one source each: a NIC port's wire source
 // (hw::NicPort), which every read of the peer's RX rings or of the port's
 // TX ring pulls, and a guest's TX ring (SpscRing::feed_from_source), which
-// every read of the ring's consumer pulls. Both decide same-instant ties by one rule, order
-// keys: each frame's order key is reserved right after the frame before it
-// was put in (the first when the source starts), where its pacing event's
-// key would have been reserved, and the frame is due once
-// core::Simulator::reached(emit time, key) holds. A source may enqueue
+// every read of the ring's consumer pulls. Both decide same-instant ties
+// by one rule, order keys: each frame's order key is reserved right after
+// the frame before it was put in (the first when the source starts), where
+// its pacing event's key would have been reserved, and the frame is due
+// once core::Simulator::reached(emit time, key) holds. A source may enqueue
 // built packets or unbuilt frames (pkt::Frame, SpscRing::enqueue); MoonGen
 // enqueues unbuilt ones, so a frame the ring or the far end drops is never
 // built.
@@ -25,7 +25,7 @@
 // On a NIC port the port composes the source with its departure law into
 // one wire source (hw/nic.h), in every run, traced or sampled or not: the
 // source's frames go to the port (NicPort::wire_accept), a plain one as
-// its sequence number of the source's recipe, and the ones that land are
+// its sequence number in the source's recipe, and the ones that land are
 // built there.
 //
 // Bulk advance. While the far end's RX ring is full, the wire source drops
@@ -61,8 +61,8 @@ class TxSource {
   /// only once that frame is due.
   virtual void emit_next() = 0;
 
-  /// At least the time between two consecutive emits: how far back a
-  /// reader may have to order a read against the pull before it.
+  /// An upper bound on the time between two consecutive emits: how far
+  /// back a reader may have to order a read against the pull before it.
   [[nodiscard]] virtual core::SimDuration max_gap() const = 0;
 
   /// How the source's frames are built from their sequence numbers, and

@@ -29,22 +29,21 @@
 // the NIC's rate control; the far end's reads pull it (hw/nic.h), a plain
 // frame goes out as its sequence number, and tx_sent() and the other
 // counts read the NIC's TX ring first, which brings the source up to the
-// read. While the SUT's RX ring
-// is full, the wire source takes a whole run of plain frames at once
-// (emit_run): at a whole-picosecond gap with nothing carried, frame k of
-// the run is emitted at next_at_ + k * gap, so the run is one step. On a guest port the
-// reader is the guest's TX ring (SpscRing::feed_from_source), read by the
-// switch that serves it, which an event wakes at each emit only while that
-// switch is idle. Frames are enqueued unbuilt (pkt::Frame) and built where
-// they are first read, so one a ring drops is never built; the generator
-// must outlive its frames' builds. A frame sent over a NIC takes its pool
-// buffer only where it lands, and a pool with none left
-// drops it there as imissed; one a guest sends reserves its buffer at emit
-// (pkt/frame.h). Probes are built at emit; pool_exhausted() counts the
-// frames a dry pool kept from being sent. On the receive side, a
-// monitored NIC is handed each frame at the fetch that sends it down the
-// wire, stamped with its arrival time, so meters and latency recorders
-// take that time rather than now().
+// read. While the SUT's RX ring is full, the wire source takes a whole run
+// of plain frames at once (emit_run): at a whole-picosecond gap with
+// nothing carried, frame k of the run is emitted at next_at_ + k * gap,
+// so the run is one step. On a guest port the reader is the guest's TX
+// ring (SpscRing::feed_from_source), read by the switch that serves it,
+// which an event wakes at each emit only while that switch is idle.
+// Frames are enqueued unbuilt (pkt::Frame) and built where they are first
+// read, so one a ring drops is never built; the generator must outlive its
+// frames' builds. A frame sent over a NIC takes its pool buffer only where
+// it lands, and a pool with none left drops it there as imissed; one a
+// guest sends reserves its buffer at emit (pkt/frame.h). Probes are built
+// at emit; pool_exhausted() counts the frames a dry pool kept from being
+// sent. On the receive side, a monitored NIC is handed each frame at the
+// fetch that sends it down the wire, stamped with its arrival time, so
+// meters and latency recorders take that time rather than now().
 #pragma once
 
 #include <cstdint>
