@@ -246,7 +246,8 @@ class NicPort : private ring::Feed {
   [[nodiscard]] core::SimTime fetch_time(core::SimTime ready) const;
   /// One firing of the TX lane: send the next frame of the TX rings and
   /// return its serialization time, or kStopTimer once they drain. Under
-  /// the wire source it only places the next landing's wake.
+  /// the wire source it lands what a monitor takes by now and places the
+  /// next landing's wake.
   core::SimDuration serialize_step();
   /// The frame's RSS queue, read without building it.
   [[nodiscard]] std::size_t rss_queue(const pkt::Frame& f) const;
