@@ -116,11 +116,9 @@ class Simulator {
   /// The key of rank `rank`'s work at the end of instant `t`, which must be
   /// past (t < now()) by at most the horizon.
   [[nodiscard]] std::uint64_t late_order(SimTime t, unsigned rank) const;
-  /// reached() for that key, of an event at `at` (not before `t`). While
-  /// `t` is now, the key is after every one taken so far.
+  /// reached() for that key, of an event at `at` (after `t`).
   [[nodiscard]] bool reached_late(SimTime at, SimTime t, unsigned rank) const {
-    return at < now_ ||
-           (at == now_ && t < now_ && late_order(t, rank) <= running_order_);
+    return at < now_ || (at == now_ && late_order(t, rank) <= running_order_);
   }
 
   // --- lanes ----------------------------------------------------------------
