@@ -64,7 +64,7 @@ inline constexpr const char* kWorkLinePrefix = "work ";
 /// results to <results dir>/<campaign name>.json. The campaign's total
 /// simulator work (ScenarioResult::Work) goes to stderr as one line,
 /// "work <campaign> <wheel events> <lane firings> <frames built> <ring
-/// ops> <wire steps>", outside the JSON.
+/// ops> <wire steps> <ring calls>", outside the JSON.
 inline campaign::ResultSet run_and_save(const campaign::Campaign& c) {
   campaign::CampaignRunner runner(runner_options());
   campaign::ResultSet rs = runner.run(c);
@@ -74,13 +74,15 @@ inline campaign::ResultSet run_and_save(const campaign::Campaign& c) {
   }
   scenario::ScenarioResult::Work w;
   for (const campaign::PointResult& p : rs.all()) w += p.result.work;
-  std::fprintf(stderr, "%s%s %llu %llu %llu %llu %llu\n", kWorkLinePrefix,
+  std::fprintf(stderr, "%s%s %llu %llu %llu %llu %llu %llu\n",
+               kWorkLinePrefix,
                c.name().c_str(),
                static_cast<unsigned long long>(w.wheel_events),
                static_cast<unsigned long long>(w.lane_fired),
                static_cast<unsigned long long>(w.frames_built),
                static_cast<unsigned long long>(w.ring_ops),
-               static_cast<unsigned long long>(w.wire_steps));
+               static_cast<unsigned long long>(w.wire_steps),
+               static_cast<unsigned long long>(w.ring_calls));
   return rs;
 }
 

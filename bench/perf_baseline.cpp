@@ -6,8 +6,8 @@
 //   2. packets/sec — wall-clock rate of one fixed Fig. 4a point (BESS,
 //      p2p, 64 B, unidirectional), i.e. the end-to-end simulation speed,
 //      next to that point's simulator work per offered packet: timing-wheel
-//      events, lane firings, frames built, ring operations and wire steps
-//      (ScenarioResult::Work of the timed, unobserved run).
+//      events, lane firings, frames built, ring operations, wire steps
+//      and ring calls (ScenarioResult::Work of the timed, unobserved run).
 //
 // Results land in BENCH_events.json at the repository root, a committed
 // file: run it from there and commit the new figures with a change that
@@ -76,6 +76,7 @@ struct ScenarioRate {
   double frames_built_per_pkt{0};
   double ring_ops_per_pkt{0};
   double wire_steps_per_pkt{0};
+  double ring_calls_per_pkt{0};
 };
 
 /// One fixed Fig. 4a point: BESS p2p 64 B unidirectional, default seed and
@@ -101,6 +102,8 @@ ScenarioRate measure_fig4a_point() {
   rate.ring_ops_per_pkt = static_cast<double>(r.work.ring_ops) / offered;
   rate.wire_steps_per_pkt =
       static_cast<double>(r.work.wire_steps) / offered;
+  rate.ring_calls_per_pkt =
+      static_cast<double>(r.work.ring_calls) / offered;
   return rate;
 }
 
@@ -126,7 +129,8 @@ int main() {
                  "    \"lane_fired_per_pkt\": %.4f,\n"
                  "    \"frames_built_per_pkt\": %.4f,\n"
                  "    \"ring_ops_per_pkt\": %.4f,\n"
-                 "    \"wire_steps_per_pkt\": %.4f\n"
+                 "    \"wire_steps_per_pkt\": %.4f,\n"
+                 "    \"ring_calls_per_pkt\": %.4f\n"
                  "  }\n"
                  "}\n",
                  events_per_sec,
@@ -134,7 +138,7 @@ int main() {
                  fig4a.wall_secs, fig4a.packets_per_sec,
                  fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
                  fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt,
-                 fig4a.wire_steps_per_pkt);
+                 fig4a.wire_steps_per_pkt, fig4a.ring_calls_per_pkt);
     std::fclose(f);
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", out.c_str());
@@ -150,10 +154,10 @@ int main() {
               fig4a.wall_secs);
   std::printf("               per offered packet: %.4f wheel events, %.4f "
               "lane firings, %.4f frames built, %.4f ring ops, %.4f wire "
-              "steps\n",
+              "steps, %.4f ring calls\n",
               fig4a.events_per_pkt, fig4a.lane_fired_per_pkt,
               fig4a.frames_built_per_pkt, fig4a.ring_ops_per_pkt,
-              fig4a.wire_steps_per_pkt);
+              fig4a.wire_steps_per_pkt, fig4a.ring_calls_per_pkt);
   std::printf("results      : %s\n", out.c_str());
 
   if (const char* floor_env = std::getenv("NFVSB_MIN_EVENTS_PER_SEC")) {

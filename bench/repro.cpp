@@ -15,8 +15,9 @@
 //
 // It also prints what each campaign, and all ten, cost the simulator:
 // timing-wheel events, lane firings (NIC TX fetches), frames built, ring
-// operations and wire steps (NIC wire-source fetches replayed one at a
-// time; ScenarioResult::Work). The benches report these on
+// operations, wire steps (NIC wire-source fetches replayed one at a
+// time) and ring calls (calls into a ring's take and put entry points,
+// however many frames each moved; ScenarioResult::Work). The benches report these on
 // stderr, outside the campaign JSON; unlike wall time they are exact, so
 // two builds can be compared on them directly. The same table goes to
 // out-dir/work.txt, and goldens/work.txt is the committed copy, so
@@ -43,11 +44,11 @@ using nfvsb::bench::kWorkLinePrefix;
 using Work = nfvsb::scenario::ScenarioResult::Work;
 
 std::string format_work(const char* campaign, const Work& w) {
-  char buf[224];
+  char buf[256];
   std::snprintf(buf, sizeof buf, "%-22.60s %15" PRIu64 " %15" PRIu64
-                " %15" PRIu64 " %15" PRIu64 " %15" PRIu64 "\n", campaign,
-                w.wheel_events, w.lane_fired, w.frames_built, w.ring_ops,
-                w.wire_steps);
+                " %15" PRIu64 " %15" PRIu64 " %15" PRIu64 " %15" PRIu64 "\n",
+                campaign, w.wheel_events, w.lane_fired, w.frames_built,
+                w.ring_ops, w.wire_steps, w.ring_calls);
   return buf;
 }
 
@@ -109,9 +110,10 @@ int main(int argc, char** argv) {
               0 &&
           std::sscanf(line + std::strlen(kWorkLinePrefix),
                       "%127s %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                      " %" SCNu64,
+                      " %" SCNu64 " %" SCNu64,
                       campaign, &w.wheel_events, &w.lane_fired,
-                      &w.frames_built, &w.ring_ops, &w.wire_steps) == 6) {
+                      &w.frames_built, &w.ring_ops, &w.wire_steps,
+                      &w.ring_calls) == 7) {
         total += w;
         work_lines += format_work(campaign, w);
       } else {
@@ -130,10 +132,11 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("%-22s %7.2f s %7.2f s\n", "total", total_s, total_cpu_s);
-  char header[192];
-  std::snprintf(header, sizeof header, "%-22s %15s %15s %15s %15s %15s\n",
-                "simulator work", "wheel events", "lane firings",
-                "frames built", "ring ops", "wire steps");
+  char header[224];
+  std::snprintf(header, sizeof header,
+                "%-22s %15s %15s %15s %15s %15s %15s\n", "simulator work",
+                "wheel events", "lane firings", "frames built", "ring ops",
+                "wire steps", "ring calls");
   std::string table = header;
   table += work_lines;
   table += format_work("total", total);

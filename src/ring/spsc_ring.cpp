@@ -32,6 +32,7 @@ SpscRing::~SpscRing() {
 
 bool SpscRing::enqueue(pkt::Frame&& f) {
   assert(!timed_sink_ && "a timed sink is fed through deliver()");
+  ++detail::ring_calls;
   catch_up();
   return push(std::move(f), pulling_at_);
 }
@@ -134,12 +135,19 @@ void SpscRing::sync_wake() {
 }
 
 pkt::PacketHandle SpscRing::dequeue() {
-  pkt::Frame f = dequeue_frame();
+  ++detail::ring_calls;
+  catch_up();
+  pkt::Frame f = pop();
   return f ? f.take() : pkt::PacketHandle{};
 }
 
 pkt::Frame SpscRing::dequeue_frame() {
+  ++detail::ring_calls;
   catch_up();
+  return pop();
+}
+
+pkt::Frame SpscRing::pop() {
   if (q_.empty()) return {};
   pkt::Frame f = q_.pop_front();
   ++dequeued_;

@@ -83,6 +83,7 @@ namespace nfvsb::ring {
 namespace detail {
 /// Enqueues plus dequeues on every ring of this thread (a scenario runs on
 /// one thread, so the difference over its run is that run's ring work).
+inline thread_local std::uint64_t ring_calls = 0;
 inline thread_local std::uint64_t ring_ops = 0;
 }  // namespace detail
 
@@ -90,6 +91,12 @@ inline thread_local std::uint64_t ring_ops = 0;
 /// counting as both) on this thread so far; see ScenarioResult::Work.
 [[nodiscard]] inline std::uint64_t ops_on_this_thread() {
   return detail::ring_ops;
+}
+/// Calls into a ring's take and put entry points (dequeue, dequeue_frame,
+/// enqueue, land, deliver) on this thread so far, however many frames each
+/// moved; see ScenarioResult::Work.
+[[nodiscard]] inline std::uint64_t calls_on_this_thread() {
+  return detail::ring_calls;
 }
 
 /// What feeds a ring from a wire in closed form (hw::NicPort's wire
@@ -209,7 +216,10 @@ class SpscRing {
   /// arrived at `at` put in, and one that did not fit counted as a drop
   /// without ever being made.
   [[nodiscard]] bool has_room() const { return q_.size() < capacity_; }
-  void land(pkt::Frame&& f, core::SimTime at) { (void)push(std::move(f), at); }
+  void land(pkt::Frame&& f, core::SimTime at) {
+    ++detail::ring_calls;
+    (void)push(std::move(f), at);
+  }
   void count_drop(core::SimTime at);
   /// Count enqueues, dequeues and drops that a port did in closed form
   /// instead of through this ring (a NIC TX ring under the wire source).
@@ -231,6 +241,7 @@ class SpscRing {
   /// Hand `p` to the timed sink as arriving at `at` (counted as one
   /// enqueue and one dequeue, like a plain sink).
   void deliver(pkt::PacketHandle p, core::SimTime at) {
+    ++detail::ring_calls;
     ++enqueued_;
     ++dequeued_;
     detail::ring_ops += 2;
@@ -243,6 +254,8 @@ class SpscRing {
   }
   /// Enqueue a frame that reached the ring at `at` (kNoTimestamp: now).
   bool push(pkt::Frame&& f, core::SimTime at);
+  /// Dequeue the head of a caught-up ring; empty when there is none.
+  pkt::Frame pop();
   /// Enqueue, each at its emit time, the source's frames due by now, if
   /// any (and if this is not a read from inside a pull).
   void pull_source();

@@ -37,6 +37,7 @@ struct Env {
   explicit Env(const ScenarioConfig& cfg)
       : ring_ops_at_start(ring::ops_on_this_thread()),
         wire_steps_at_start(hw::wire_steps_on_this_thread()),
+        ring_calls_at_start(ring::calls_on_this_thread()),
         registry(make_registry(cfg)),
         registry_scope(registry.get()),
         sim(cfg.seed),
@@ -84,7 +85,8 @@ struct Env {
   void collect(ScenarioResult& r) const {
     r.work = {sim.events_processed(), sim.lanes_fired(), pool.handed_out(),
               ring::ops_on_this_thread() - ring_ops_at_start,
-              hw::wire_steps_on_this_thread() - wire_steps_at_start};
+              hw::wire_steps_on_this_thread() - wire_steps_at_start,
+              ring::calls_on_this_thread() - ring_calls_at_start};
     if (!registry) return;
     r.counters = registry->snapshot();
     r.counters.emplace_back("sim/events_processed", sim.events_processed());
@@ -125,6 +127,8 @@ struct Env {
   std::uint64_t ring_ops_at_start;
   /// hw::wire_steps_on_this_thread() before any of this scenario's ports.
   std::uint64_t wire_steps_at_start;
+  /// ring::calls_on_this_thread() before any of this scenario's rings.
+  std::uint64_t ring_calls_at_start;
   std::unique_ptr<obs::Registry> registry;
   core::MetricsScope registry_scope;
   core::Simulator sim;

@@ -163,6 +163,9 @@ struct ScenarioResult {
     /// NIC wire-source fetches replayed one at a time
     /// (hw::wire_steps_on_this_thread).
     std::uint64_t wire_steps{0};
+    /// Calls into the rings' take and put entry points, however many
+    /// frames each moved (ring::calls_on_this_thread).
+    std::uint64_t ring_calls{0};
 
     Work& operator+=(const Work& o) {
       wheel_events += o.wheel_events;
@@ -170,6 +173,7 @@ struct ScenarioResult {
       frames_built += o.frames_built;
       ring_ops += o.ring_ops;
       wire_steps += o.wire_steps;
+      ring_calls += o.ring_calls;
       return *this;
     }
   };
