@@ -25,7 +25,6 @@ void FrameRecipe::build(Packet& p, const FrameMeta& meta) const {
   }
   p.seq = meta.seq;
   p.probe_id = meta.probe_id;
-  p.tx_timestamp = meta.tx_timestamp;
   p.sw_timestamp = meta.sw_timestamp;
   p.trace_id = traced_id(meta.seq);
   p.origin = origin_;

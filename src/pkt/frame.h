@@ -42,11 +42,11 @@
 namespace nfvsb::pkt {
 
 /// Measurement fields a generator sets when it emits a frame (the Packet
-/// fields of the same names).
+/// fields of the same names). A built packet's tx_timestamp is the pool's
+/// kNoTimestamp until its NIC stamps it.
 struct FrameMeta {
   std::uint64_t seq{0};
   std::uint64_t probe_id{0};
-  core::SimTime tx_timestamp{core::kNoTimestamp};
   core::SimTime sw_timestamp{core::kNoTimestamp};
 };
 

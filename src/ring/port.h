@@ -61,9 +61,6 @@ class Port {
   [[nodiscard]] const SpscRing& in() const { return *in_; }
   [[nodiscard]] const SpscRing& out() const { return *out_; }
 
-  /// Receive one packet; empty when nothing is waiting.
-  pkt::PacketHandle rx() { return in_->dequeue(); }
-
   /// Transmit one packet, or a generator's unbuilt frame. False on a
   /// ring-full drop.
   bool tx(pkt::Frame&& f) { return out_->enqueue(std::move(f)); }

@@ -57,7 +57,7 @@ bool SpscRing::push(pkt::Frame&& f, core::SimTime at) {
   ++enqueued_;
   ++detail::ring_ops;
   if (was_empty) ++kicks_;
-  if (watcher_) {
+  if (watcher_ && (was_empty || !consumer_busy_)) {
     arriving_at_ = at;
     watcher_(was_empty);
   }
@@ -145,6 +145,19 @@ pkt::Frame SpscRing::dequeue_frame() {
   ++detail::ring_calls;
   catch_up();
   return pop();
+}
+
+std::size_t SpscRing::dequeue_burst(std::vector<pkt::PacketHandle>& out,
+                                    std::size_t n) {
+  ++detail::ring_calls;
+  catch_up();
+  const std::size_t before = out.size();
+  while (out.size() < n) {
+    pkt::Frame f = pop();
+    if (!f) break;
+    out.push_back(f.take());
+  }
+  return out.size() - before;
 }
 
 pkt::Frame SpscRing::pop() {

@@ -4,8 +4,10 @@
 //
 // Two delivery modes:
 //  * buffered (default): producers enqueue, a consumer polls; a watcher
-//    callback fires on the empty->non-empty transition so pollers/interrupt
-//    handlers can be woken without busy-looping simulated time;
+//    callback fires on each enqueue that can matter to the consumer: every
+//    one while it is idle, and only the empty->non-empty one while it is
+//    busy (set_consumer_busy), so pollers/interrupt handlers can be woken
+//    without busy-looping simulated time;
 //  * sink: a sink callback consumes packets immediately on enqueue (used by
 //    the zero-overhead MoonGen RX monitor; the paper treats its monitors'
 //    overhead as negligible). A timed sink also takes the packet's arrival
@@ -42,6 +44,15 @@
 // traced or not (a frame's trace id does not depend on when it is put in,
 // pkt/frame.h).
 //
+// Bursts. A consumer takes its batch with one dequeue_burst and a producer
+// puts a run of frames with one enqueue_run, as rx_burst/tx_burst,
+// netmap's batched syncs and VPP's vectors do. A burst catches the ring up
+// once: nothing moves the clock or the event key inside one call, so a
+// second catch-up at the same instant would find nothing new. Every frame
+// still counts on its own (enqueued, dequeued, drops, kicks, ring_ops),
+// gets its own trace hooks, and an enqueue still calls the watcher under
+// the rule above; so a burst gives exactly what one call per frame gives.
+//
 // Enqueueing into a full ring drops the packet (freed back to its pool, or
 // an unbuilt frame's reservation given back) and counts the drop — this is
 // where all simulated loss happens, exactly as in the real systems (NIC
@@ -60,9 +71,11 @@
 // trace sink is installed.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/counter.h"
 #include "core/event_fn.h"
@@ -93,8 +106,8 @@ inline thread_local std::uint64_t ring_ops = 0;
   return detail::ring_ops;
 }
 /// Calls into a ring's take and put entry points (dequeue, dequeue_frame,
-/// enqueue, land, deliver) on this thread so far, however many frames each
-/// moved; see ScenarioResult::Work.
+/// dequeue_burst, enqueue, enqueue_run, land, deliver) on this thread so
+/// far, however many frames each moved; see ScenarioResult::Work.
 [[nodiscard]] inline std::uint64_t calls_on_this_thread() {
   return detail::ring_calls;
 }
@@ -117,8 +130,11 @@ class Feed {
 
 class SpscRing {
  public:
-  /// Invoked after every successful enqueue; the argument is true when the
-  /// ring transitioned empty -> non-empty with this packet. SmallFn, not
+  /// Invoked after a successful enqueue while the consumer is idle, and
+  /// after the one that makes the ring non-empty while it is busy; the
+  /// argument is true in the latter case (the ring went empty -> non-empty
+  /// with this packet). A busy consumer reads the ring before it goes idle,
+  /// so the enqueues it is not told of change nothing for it. SmallFn, not
   /// std::function: the ring is the hottest path in the tree and watcher
   /// installation must never implicitly heap-allocate per wake.
   using Watcher = core::SmallFn<void, bool>;
@@ -134,12 +150,31 @@ class SpscRing {
   /// True if accepted; false if the ring was full (packet dropped & freed,
   /// or an unbuilt frame's reservation given back).
   bool enqueue(pkt::Frame&& f);
+  /// Enqueue the frames get(*it) for it in [first, last), in order, as one
+  /// burst (see above): each that does not fit is dropped and counted as
+  /// enqueue() drops it. Returns how many were accepted.
+  template <typename It, typename Get>
+  std::size_t enqueue_run(It first, It last, Get get) {
+    assert(!timed_sink_ && "a timed sink is fed through deliver()");
+    ++detail::ring_calls;
+    catch_up();
+    std::size_t accepted = 0;
+    for (; first != last; ++first) {
+      if (push(pkt::Frame(get(*first)), pulling_at_)) ++accepted;
+    }
+    return accepted;
+  }
 
   /// Empty handle when the ring is empty. An unbuilt head is built.
   pkt::PacketHandle dequeue();
   /// The head as it is, built or not (a NIC's TX fetch); empty when the
   /// ring is empty.
   pkt::Frame dequeue_frame();
+  /// Dequeue into `out` as one burst (see above) until it holds `n`
+  /// packets or the ring is empty, building each unbuilt frame. Returns
+  /// how many were taken.
+  std::size_t dequeue_burst(std::vector<pkt::PacketHandle>& out,
+                            std::size_t n);
 
   // Reads put in the frames that have arrived by now first (see above).
   // The depth is what went in and has not come out, which for a NIC TX ring
@@ -173,7 +208,7 @@ class SpscRing {
   }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Fires on every successful enqueue (see Watcher).
+  /// Fires on the enqueues Watcher names.
   void set_watcher(Watcher w) { watcher_ = std::move(w); }
   /// Inside the watcher: when the packet just enqueued reached the ring.
   /// A frame from a wire source or a pulled one may be put in after it

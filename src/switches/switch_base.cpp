@@ -149,13 +149,14 @@ void SwitchBase::wake(core::SimDuration latency) {
   }
 }
 
-bool SwitchBase::direct_tx(ring::Port& p, pkt::PacketHandle pkt) {
-  if (p.tx(std::move(pkt))) {
-    ++stats_.tx_packets;
-    return true;
-  }
-  ++stats_.tx_drops;
-  return false;
+void SwitchBase::direct_tx(ring::Port& p,
+                           std::vector<pkt::PacketHandle>& pkts) {
+  const std::size_t sent = p.out().enqueue_run(
+      pkts.begin(), pkts.end(),
+      [](pkt::PacketHandle& h) { return std::move(h); });
+  stats_.tx_packets += sent;
+  stats_.tx_drops += pkts.size() - sent;
+  pkts.clear();
 }
 
 void SwitchBase::run_round() {
@@ -179,14 +180,12 @@ void SwitchBase::run_round() {
 
   ring::Port& in = *ports_[chosen];
   assert(batch_.empty() && out_.empty());
+  in.in().dequeue_burst(batch_, static_cast<std::size_t>(cost_.burst));
   double cost_ns = cost_.batch_fixed_ns;
   double byte_ns = 0.0;  // byte-dependent portion, alternation-scalable
-  while (batch_.size() < static_cast<std::size_t>(cost_.burst)) {
-    pkt::PacketHandle p = in.rx();
-    if (!p) break;
+  for (const pkt::PacketHandle& p : batch_) {
     cost_ns += cost_.costs_for(in.kind()).rx_ns;
     byte_ns += cost_.rx_byte_cost_ns(in.kind(), p->size());
-    batch_.push_back(std::move(p));
   }
   wait_since_[chosen] = sim_.now();  // ring may still hold packets
   assert(!batch_.empty());
@@ -222,13 +221,19 @@ void SwitchBase::run_round() {
 
   const core::SimTime round_start = sim_.now();
   core_.submit(core::from_ns(actual_ns), [this, round_start, n_in] {
-    for (Tx& t : out_) {
-      if (t.out == nullptr) continue;  // datapath discard
-      if (t.out->tx(std::move(t.pkt))) {
-        ++stats_.tx_packets;
-      } else {
-        ++stats_.tx_drops;  // wasted work: cost already paid
+    // One burst per run of outputs bound for the same port, in order.
+    for (auto run = out_.begin(); run != out_.end();) {
+      ring::Port* const port = run->out;
+      const auto end = std::find_if(
+          run, out_.end(), [port](const Tx& t) { return t.out != port; });
+      if (port != nullptr) {  // else datapath discards
+        const std::size_t sent = port->out().enqueue_run(
+            run, end, [](Tx& t) { return std::move(t.pkt); });
+        stats_.tx_packets += sent;
+        // Wasted work: the cost is already paid.
+        stats_.tx_drops += static_cast<std::size_t>(end - run) - sent;
       }
+      run = end;
     }
     out_.clear();  // before continue_or_idle() may start the next round
     if (core::TraceSink* tr = core::tracer()) {

@@ -4,12 +4,13 @@
 // SUT rule) in round-robin service rounds:
 //
 //   wake (ring watcher, + wakeup latency if interrupt-driven)
-//     -> round: pick next non-empty input port (RR), dequeue <= burst,
-//        run the switch-specific functional datapath (process_batch),
-//        charge rx/pipeline/tx costs + jitter on the core,
-//     -> on completion: enqueue outputs (ring-full => drop AFTER the work
-//        was spent — wasted work, the congestion-collapse mechanism),
-//        then immediately start the next round if any input is non-empty.
+//     -> round: pick next non-empty input port (RR), dequeue <= burst in
+//        one ring call, run the switch-specific functional datapath
+//        (process_batch), charge rx/pipeline/tx costs + jitter on the core,
+//     -> on completion: enqueue outputs, one ring call per run bound for
+//        the same port (ring-full => drop AFTER the work was spent —
+//        wasted work, the congestion-collapse mechanism), then
+//        immediately start the next round if any input is non-empty.
 //
 // While a round is scheduled or running (active_), the input rings are
 // marked busy: a frame from a wire source (hw/nic.h) or a pulled generator
@@ -139,9 +140,10 @@ class SwitchBase {
 
   core::Simulator& sim() { return sim_; }
 
-  /// Transmit outside a service round (e.g. a VNF's TX drain timer); counts
-  /// into the switch's tx statistics.
-  bool direct_tx(ring::Port& p, pkt::PacketHandle pkt);
+  /// Transmit `pkts` as one burst outside a service round (e.g. a VNF's TX
+  /// drain timer), counting into the switch's tx statistics; leaves `pkts`
+  /// empty.
+  void direct_tx(ring::Port& p, std::vector<pkt::PacketHandle>& pkts);
 
   /// Per-round accounting charges every batch packet that produced no Tx
   /// entry to `discards`. A datapath that instead BUFFERS packets across

@@ -105,8 +105,7 @@ void L2Fwd::drain(std::size_t out_port) {
   }
   ++drain_flushes_;
   note_deferred_tx(buf.pkts.size());
-  for (auto& p : buf.pkts) direct_tx(port(out_port), std::move(p));
-  buf.pkts.clear();
+  direct_tx(port(out_port), buf.pkts);
 }
 
 }  // namespace nfvsb::vnf

@@ -113,5 +113,42 @@ TEST(EventBudget, WireStepsPerOfferedPacket) {
       << " offered packets";
 }
 
+// Ring calls (ScenarioResult::Work): calls into the rings' take and put
+// entry points. A switch round takes its batch with one call and puts each
+// run of outputs bound for one port with one more (SpscRing's bursts), so
+// a saturating point, whose rounds carry full bursts, makes far fewer ring
+// calls than the frames it moves. One call per frame per ring reads 5.17
+// (p2p/uni/BESS) and 2.28 (loopback-2/VPP, whose RX ring drops most of
+// what is offered at no call).
+TEST(EventBudget, RingCallsPerOfferedPacket) {
+  struct Point {
+    const char* label;
+    Kind kind;
+    switches::SwitchType sut;
+    int chain_length;
+    double max_ring_calls;
+  };
+  const Point points[] = {
+      // Measured 3.3331 and 0.5663.
+      {"p2p uni BESS", Kind::kP2p, switches::SwitchType::kBess, 1, 3.37},
+      {"loopback-2 VPP", Kind::kLoopback, switches::SwitchType::kVpp, 2,
+       0.572},
+  };
+  for (const Point& pt : points) {
+    ScenarioConfig cfg;
+    cfg.kind = pt.kind;
+    cfg.sut = pt.sut;
+    cfg.chain_length = pt.chain_length;
+    const ScenarioResult r = run_scenario(cfg);
+    ASSERT_FALSE(r.skipped.has_value()) << pt.label;
+    ASSERT_GT(r.offered_packets, 0u) << pt.label;
+    const double ratio = static_cast<double>(r.work.ring_calls) /
+                         static_cast<double>(r.offered_packets);
+    EXPECT_LE(ratio, pt.max_ring_calls)
+        << pt.label << ": " << r.work.ring_calls << " ring calls for "
+        << r.offered_packets << " offered packets";
+  }
+}
+
 }  // namespace
 }  // namespace nfvsb::scenario

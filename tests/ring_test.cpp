@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/fifo.h"
 #include "core/simulator.h"
+#include "core/trace_sink.h"
 #include "drain.h"
+#include "obs/trace.h"
 #include "pkt/frame.h"
 #include "pkt/packet_pool.h"
 #include "ring/netmap_port.h"
@@ -193,7 +197,7 @@ TEST_F(RingTest, SinkConsumesImmediately) {
 TEST_F(RingTest, OwnedPortRoundTrip) {
   Port port("p", PortKind::kInternal, 8);
   port.in().enqueue(make(5));
-  auto p = port.rx();
+  auto p = port.in().dequeue();
   ASSERT_TRUE(p);
   EXPECT_EQ(p->seq, 5u);
   EXPECT_TRUE(port.tx(std::move(p)));
@@ -204,7 +208,7 @@ TEST_F(RingTest, BoundPortSharesRings) {
   SpscRing a("a", 8), b("b", 8);
   Port port("p", PortKind::kPhysical, a, b);
   a.enqueue(make(1));
-  EXPECT_TRUE(port.rx());
+  EXPECT_TRUE(port.in().dequeue());
   port.tx(make(2));
   EXPECT_EQ(b.size(), 1u);
 }
@@ -275,6 +279,121 @@ TEST_F(RingTest, KicksCountEnqueuesIntoAnEmptyRingOnly) {
   drain(ring);
 }
 
+// ---- bursts ----------------------------------------------------------------
+
+pkt::PacketHandle take(pkt::PacketHandle& p) { return std::move(p); }
+
+// A burst put of n frames into a ring with room for k enqueues the first k
+// and drops the rest one by one, as n enqueue() calls would: each drop
+// counted and traced on its own, ring_ops up by k, and one ring call. A
+// burst take stops at n packets or at the empty ring.
+TEST_F(RingTest, BurstPutDropsWhatDoesNotFitFrameByFrame) {
+  core::Simulator sim;
+  obs::TraceRecorder tr(sim, obs::TraceRecorder::Config{});
+  core::TraceInstall install(&tr);
+  SpscRing ring("r", 8);
+  for (std::uint64_t i = 0; i < 5; ++i) ring.enqueue(make(i));
+  std::vector<pkt::PacketHandle> pkts;
+  for (std::uint64_t i = 5; i < 12; ++i) pkts.push_back(make(i));
+  const std::uint64_t ops0 = ops_on_this_thread();
+  const std::uint64_t calls0 = calls_on_this_thread();
+  EXPECT_EQ(ring.enqueue_run(pkts.begin(), pkts.end(), take), 3u);
+  EXPECT_EQ(ops_on_this_thread() - ops0, 3u);
+  EXPECT_EQ(calls_on_this_thread() - calls0, 1u);
+  EXPECT_EQ(ring.enqueued(), 8u);
+  EXPECT_EQ(ring.drops(), 4u);
+  EXPECT_EQ(pool_.outstanding(), 8u);  // the dropped four went home
+  EXPECT_EQ(std::count_if(tr.events().begin(), tr.events().end(),
+                          [](const obs::TraceRecorder::Event& e) {
+                            return e.ph == 'i' && e.name == "drop";
+                          }),
+            4);
+
+  std::vector<pkt::PacketHandle> out;
+  const std::uint64_t calls1 = calls_on_this_thread();
+  EXPECT_EQ(ring.dequeue_burst(out, 6), 6u);
+  EXPECT_EQ(ring.dequeue_burst(out, 32), 2u);
+  EXPECT_EQ(ring.dequeue_burst(out, 32), 0u);
+  EXPECT_EQ(calls_on_this_thread() - calls1, 3u);
+  EXPECT_EQ(ops_on_this_thread() - ops0, 11u);
+  ASSERT_EQ(out.size(), 8u);
+  for (std::uint64_t k = 0; k < 8; ++k) EXPECT_EQ(out[k]->seq, k);
+  EXPECT_EQ(ring.dequeued(), 8u);
+}
+
+// An idle consumer's watcher runs for every frame of a burst, each one
+// arriving now; a busy consumer's runs only for the frame that makes the
+// ring non-empty, as with one enqueue() per frame.
+TEST_F(RingTest, BurstPutCallsTheWatcherAsTheConsumerNeeds) {
+  SpscRing ring("r", 16);
+  std::vector<bool> calls;
+  bool arrival_is_now = true;
+  ring.set_watcher([&](bool became_nonempty) {
+    calls.push_back(became_nonempty);
+    arrival_is_now = arrival_is_now && ring.arrival_time(123) == 123;
+  });
+  auto put4 = [&] {
+    std::vector<pkt::PacketHandle> pkts;
+    for (int i = 0; i < 4; ++i) pkts.push_back(make());
+    EXPECT_EQ(ring.enqueue_run(pkts.begin(), pkts.end(), take), 4u);
+  };
+  put4();
+  EXPECT_EQ(calls, (std::vector<bool>{true, false, false, false}));
+  EXPECT_TRUE(arrival_is_now);
+  put4();  // into a non-empty ring: idle still hears each one
+  EXPECT_EQ(calls.size(), 8u);
+
+  drain(ring);
+  calls.clear();
+  ring.set_consumer_busy(true);
+  put4();
+  EXPECT_EQ(calls, std::vector<bool>{true});
+  put4();
+  ring.enqueue(make());
+  EXPECT_EQ(calls, std::vector<bool>{true});
+  EXPECT_TRUE(arrival_is_now);
+  drain(ring);
+}
+
+// Traced frames get the same residency slices, with the same ids, and
+// dropped ones the same instants, from bursts as from one call per frame.
+TEST_F(RingTest, BurstsTraceAsOneCallPerFrameDoes) {
+  using Traced = std::tuple<char, std::string, core::SimTime, std::uint64_t>;
+  auto trace = [&](bool bursts) {
+    core::Simulator sim;
+    obs::TraceRecorder tr(sim, obs::TraceRecorder::Config{});
+    core::TraceInstall install(&tr);
+    SpscRing ring("r", 4);
+    std::vector<pkt::PacketHandle> pkts;
+    for (std::uint32_t i = 1; i <= 6; ++i) {
+      pkts.push_back(make(i));
+      pkts.back()->trace_id = i == 2 ? 0 : 100 + i;
+    }
+    std::vector<pkt::PacketHandle> out;
+    if (bursts) {
+      ring.enqueue_run(pkts.begin(), pkts.end(), take);
+      ring.dequeue_burst(out, 32);
+    } else {
+      for (auto& p : pkts) ring.enqueue(std::move(p));
+      while (auto p = ring.dequeue()) out.push_back(std::move(p));
+    }
+    EXPECT_EQ(out.size(), 4u);
+    std::vector<Traced> events;
+    for (const auto& e : tr.events()) {
+      events.emplace_back(e.ph, e.name, e.ts, e.id);
+    }
+    return events;
+  };
+  const std::vector<Traced> per_frame = trace(false);
+  // Frames 1, 3 and 4 are traced and fit, 5 and 6 are dropped.
+  const std::vector<Traced> expected = {
+      {'b', "r", 0, 101}, {'b', "r", 0, 103}, {'b', "r", 0, 104},
+      {'i', "drop", 0, 0}, {'i', "drop", 0, 0}, {'e', "r", 0, 101},
+      {'e', "r", 0, 103}, {'e', "r", 0, 104}};
+  EXPECT_EQ(per_frame, expected);
+  EXPECT_EQ(trace(true), per_frame);
+}
+
 // ---- pulled TX: a guest ring fed by a source ------------------------------
 
 /// A source for the pulled-ring tests: one frame at each of `emits`
@@ -341,8 +460,9 @@ TEST_F(RingTest, IdleConsumerIsWokenAtEachEmit) {
   EXPECT_EQ(ring.size(), 3u);
 }
 
-// A busy consumer costs no event per frame: its read puts in, in order and
-// each stamped with its emit time, every frame the source owes by then.
+// A busy consumer costs no event per frame: its read puts in, in order,
+// every frame the source owes by then. Only the frame that makes the ring
+// non-empty runs the watcher, stamped with its emit time.
 TEST_F(RingTest, BusyConsumerReadPutsInEveryFrameDueByThen) {
   core::Simulator sim;
   SpscRing ring("guest.tx", 16);
@@ -362,7 +482,7 @@ TEST_F(RingTest, BusyConsumerReadPutsInEveryFrameDueByThen) {
   EXPECT_EQ(ring.size(), 5u);  // nothing has read the ring since
   sim.run_until(core::from_us(1));
   ASSERT_EQ(ring.size(), 10u);
-  EXPECT_EQ(arrivals, emits);
+  EXPECT_EQ(arrivals, std::vector<core::SimTime>{emits[0]});
   for (std::uint64_t k = 0; k < 10; ++k) EXPECT_EQ(ring.dequeue()->seq, k);
 }
 

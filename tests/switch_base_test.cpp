@@ -188,6 +188,46 @@ TEST_F(SwitchBaseTest, BatchTimeoutAssemblesBatches) {
   EXPECT_GE(sim_.now(), core::from_us(10));
 }
 
+// A switch with a batch-assembly timeout wakes at the same instant whether
+// a producer puts frames in with one call each or as one burst: while it
+// is idle each frame reaches its watcher, so a burst that fills its batch
+// wakes it at once, and a shorter one waits out the timeout.
+TEST_F(SwitchBaseTest, BurstWhileIdleWakesAsFramesOneByOneDo) {
+  auto c = simple_cost();
+  c.batch_timeout = core::from_us(10);
+  c.burst = 8;
+  auto first_round = [&](int frames, bool as_burst) {
+    core::Simulator sim;
+    hw::CpuCore cpu(sim, "sut");
+    PatchSwitch sw(sim, cpu, "sw", c);
+    sw.add_port(std::make_unique<ring::Port>(
+        "p0", ring::PortKind::kInternal, 64));
+    sw.add_port(std::make_unique<ring::Port>(
+        "p1", ring::PortKind::kInternal, 64));
+    sw.start();
+    sim.post_at(core::from_us(1), [&] {
+      std::vector<pkt::PacketHandle> pkts;
+      for (int i = 0; i < frames; ++i) pkts.push_back(frame());
+      ring::SpscRing& in = sw.port(0).in();
+      if (as_burst) {
+        in.enqueue_run(pkts.begin(), pkts.end(),
+                       [](pkt::PacketHandle& p) { return std::move(p); });
+      } else {
+        for (auto& p : pkts) in.enqueue(std::move(p));
+      }
+    });
+    sim.run();
+    EXPECT_EQ(sw.stats().tx_packets, static_cast<std::uint64_t>(frames));
+    EXPECT_EQ(sw.stats().rounds, 1u);
+    drain(sw.port(1).out());
+    return sw.round_at_[0];
+  };
+  EXPECT_EQ(first_round(3, false), core::from_us(11));
+  EXPECT_EQ(first_round(3, true), core::from_us(11));
+  EXPECT_EQ(first_round(8, false), core::from_us(1));
+  EXPECT_EQ(first_round(8, true), core::from_us(1));
+}
+
 TEST_F(SwitchBaseTest, FullBurstSkipsAssemblyWait) {
   auto c = simple_cost();
   c.batch_timeout = core::from_us(10);
